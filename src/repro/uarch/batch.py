@@ -9,46 +9,40 @@ decode facts, the trace columns and the fetch addresses never change.
 :class:`BatchedTimingSimulator` restructures that work as structure-of-arrays
 *lanes*.  A lane is one machine configuration over one decoded trace, and
 lanes of a pass need **not** share the trace: each lane carries a *trace
-cursor* — its interned :class:`TraceFacts` (trace identity, decoded-column
-views, length) plus its commit position while it runs — so a fig6/fig8-style
+cursor* — its interned :class:`TraceFacts` (trace identity, decode feed,
+length) plus its commit position while it runs — so a fig6/fig8-style
 pass can interleave a 40k-entry workload's machines with the leftover lanes
 of much smaller benchmarks instead of under-filling per-trace passes:
 
 * everything derived from a (program, trace, MGT, layout) quadruple is
-  computed once into a shared, immutable :class:`TraceFacts` — packed trace
-  columns, decode columns (kind, latency, renamed sources, destination),
-  fetch addresses and the instruction-cache line column — and broadcast to
-  every lane over that trace, whichever passes those lanes ride in;
-* per-machine state lives in flat per-sequence arrays (complete cycles,
-  pending-source counts, physical-register maps, LSQ flags) rather than
-  per-entry ``DynInst`` objects: the replayed trace has no wrong path, so a
-  dynamic entity's sequence number *is* its trace index and every "object"
-  becomes an array slot;
-* event scheduling is shared *structurally* (the same wakeup-bucket /
-  ready-heap / completion-bucket machinery runs in every lane over that
-  lane's columns) and diverges per lane only where configs differ — widths,
-  unit mixes, cache and predictor geometry.  Lanes whose trace cursor *and*
-  configuration are indistinguishable (:func:`lane_behavior_key` — e.g. two
-  machines differing only in ``fp_units`` on an integer-only trace) simulate
-  once and share the resulting statistics;
-* lanes are architecturally independent (nothing mutable is shared), so the
-  pass retires each lane from its active set the moment the lane commits its
-  last trace entry — a one-entry trace batched with a 40k-entry trace costs
-  one entry, never padding to the longest lane — and a retired lane's
-  per-sequence arrays are released before the next lane's are built, keeping
-  peak memory at one live lane plus the pass's shared trace facts.
-
-The cache hierarchy is deliberately *not* shared across lanes even though
-fetch addresses are: the unified L2 sees both instruction and data misses in
-a timing-dependent interleaving, so instruction-cache behaviour is a
-per-lane function of the whole simulation, not of the trace.
-
-The kernel also skips provably idle cycle spans (no ready entities, no
-wakeup/completion event, retirement blocked, fetch and rename unable to
-progress) by jumping straight to the next scheduled event and bulk-charging
-the occupancy integrals and stall counters for the span — the per-cycle
-accounting is replicated exactly, so skipped spans are bit-identical to
-stepped ones.
+  interned once in a shared, immutable :class:`TraceFacts` — the decode
+  feed, the trace-content summary that keys lane dedup and, on first use,
+  the kernel's packed buffers (trace columns, per-instruction decode tables,
+  fetch addresses) — and broadcast to every lane over that trace, whichever
+  passes those lanes ride in;
+* Python keeps the pass logic: admission checks, behavior-key dedup (lanes
+  whose trace cursor *and* configuration are indistinguishable,
+  :func:`lane_behavior_key` — e.g. two machines differing only in
+  ``fp_units`` on an integer-only trace — simulate once and share the
+  statistics) and per-lane error isolation;
+* each lane group then makes one call into the fused per-lane kernel,
+  ``lane_kernel.c``: the scalar pipeline's stage sequence flattened into one
+  loop over flat per-sequence arrays (the replayed trace has no wrong path,
+  so a dynamic entity's sequence number *is* its trace index), with its own
+  caches, predictor and store sets — the unified L2 sees instruction and
+  data misses in a timing-dependent interleaving, so none of that state can
+  be shared across lanes.  The kernel also skips provably idle cycle spans
+  by jumping straight to the next scheduled event and bulk-charging the
+  per-cycle accounting, so skipped spans are bit-identical to stepped ones.
+  :mod:`repro.uarch.lane_kernel` builds it on first use with the system C
+  compiler; without one, each group runs the reference
+  :class:`~repro.uarch.pipeline.TimingSimulator` instead — same stats and
+  errors, only slower;
+* lanes are architecturally independent, so each lane stops the moment it
+  commits its last trace entry — a one-entry trace batched with a 40k-entry
+  trace costs one entry, never padding to the longest lane — and a lane's
+  per-sequence state is freed before the next lane runs, keeping peak memory
+  at one live lane plus the pass's shared trace facts.
 
 Every lane's :class:`~repro.uarch.stats.PipelineStats` is bit-identical to
 ``simulate_program`` for the same machine (enforced by
@@ -58,137 +52,63 @@ Every lane's :class:`~repro.uarch.stats.PipelineStats` is bit-identical to
 from __future__ import annotations
 
 import weakref
-from collections import deque
 from copy import copy
-from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..minigraph.mgt import (
-    FU_ALU,
-    FU_ALU_PIPELINE,
-    FU_BRANCH,
-    FU_LOAD,
-    FU_STORE,
-    MiniGraphTable,
-)
+from ..minigraph.mgt import MiniGraphTable
 from ..program.program import Program
-from ..sim.trace import (
-    TF_CONTROL,
-    TF_HAS_EA,
-    TF_LOAD,
-    TF_MEMORY,
-    TF_STORE,
-    TF_TAKEN,
-    Trace,
-)
+from ..sim.trace import TF_CONTROL, TF_LOAD, TF_STORE, Trace
 from .config import CacheConfig, ConfigError, MachineConfig
-from .decode import (
-    KIND_FP,
-    KIND_HANDLE,
-    DecodeError,
-    decode_table,
-)
-from .dyninst import FOREVER, NEVER
-from .pipeline import FetchLayout, TimingError, fp_admission_error
+from .decode import KIND_FP, KIND_HANDLE, DecodeError, decode_table
+from .pipeline import TimingError, TimingSimulator, fp_admission_error
 from .stats import PipelineStats
 
 #: Default lane-partition width: how many machines one batched pass holds.
-#: Each lane owns ~10 per-sequence arrays plus its cache/predictor models
-#: (a few MB at grid budgets), so the partition bounds peak memory while
-#: still amortizing the shared trace facts over a full pass.
+#: Lanes run one after another, each freeing its per-sequence state before
+#: the next, so the partition only bounds how many configs a pass collects.
 DEFAULT_MAX_LANES = 8
 
 
 class TraceFacts:
-    """Shared, immutable per-(program, trace, MGT, layout) columns.
+    """Shared, immutable per-(program, trace, MGT, layout) facts.
 
     One instance is interned per quadruple (weakly, keyed by the trace) and
-    broadcast to every lane of every batched pass over that trace.
+    broadcast to every lane of every batched pass over that trace.  The
+    compiled kernel packs its typed buffers into :attr:`kernel_trace` the
+    first time a lane over this trace runs.
     """
 
     __slots__ = (
-        "program", "trace", "feed", "compressed", "total",
-        # Packed trace columns (straight from Trace.columns()).
-        "pc", "index", "size", "next_pc", "flags", "ea",
-        # Decode columns gathered from the interned DecodedOp feed.
-        "kind", "latency", "src0", "src1", "dest", "needs_dest",
-        "is_cond", "is_handle",
-        # Fetch-address column (layout-resolved once for all lanes).
-        "addr",
+        "program", "trace", "mgt", "compressed", "feed", "total",
         # Trace-content summary flags driving lane-compatibility keying.
         "has_fp", "has_control", "has_load", "has_store", "has_handles",
-        "_line_cols", "__weakref__",
+        "kernel_trace", "__weakref__",
     )
 
     def __init__(self, program: Program, trace: Trace,
                  mgt: Optional[MiniGraphTable], compressed: bool) -> None:
         self.program = program
         self.trace = trace
+        self.mgt = mgt
         self.compressed = compressed
-        table = decode_table(program, mgt)
         try:
-            feed = table.trace_feed(trace)
+            feed = decode_table(program, mgt).trace_feed(trace)
         except DecodeError as error:
             raise TimingError(str(error)) from None
         self.feed = feed
         self.total = len(feed)
 
-        columns = trace.columns()
-        self.pc = columns.pc
-        self.index = columns.index
-        self.size = columns.size
-        self.next_pc = columns.next_pc
-        self.flags = columns.flags
-        self.ea = columns.effective_address
-
-        self.kind = [op.kind for op in feed]
-        self.latency = [op.latency for op in feed]
-        src0: List[int] = []
-        src1: List[int] = []
-        for op in feed:
-            s0, s1 = op.renamed_sources
-            src0.append(-1 if s0 is None else s0)
-            src1.append(-1 if s1 is None else s1)
-        self.src0 = src0
-        self.src1 = src1
-        self.dest = [-1 if op.dest is None else op.dest for op in feed]
-        self.needs_dest = bytearray(
-            1 if op.needs_destination else 0 for op in feed)
-        self.is_cond = bytearray(
-            1 if op.is_conditional_branch else 0 for op in feed)
-        self.is_handle = bytearray(
-            1 if op.mgt_entry is not None else 0 for op in feed)
-
-        if compressed:
-            layout = FetchLayout(program, compressed=True)
-            address_for_index = layout.address_for_index
-            self.addr = [address_for_index(i) for i in columns.index]
-        else:
-            self.addr = columns.pc
-
         union = 0
-        for value in columns.flags:
+        for value in set(trace.columns().flags):
             union |= value
         self.has_control = bool(union & TF_CONTROL)
         self.has_load = bool(union & TF_LOAD)
         self.has_store = bool(union & TF_STORE)
-        kinds = self.kind
+        kinds = {op.kind for op in set(feed)}
         self.has_fp = KIND_FP in kinds
         self.has_handles = KIND_HANDLE in kinds
-        self._line_cols: Dict[int, List[int]] = {}
-
-    def line_col(self, line_bytes: int) -> List[int]:
-        """Instruction-cache line tag (``address // line_bytes``) per entry.
-
-        Line geometry is per-lane config, but in practice a handful of line
-        sizes cover a whole grid; the column is memoized per size so sibling
-        lanes share it.
-        """
-        col = self._line_cols.get(line_bytes)
-        if col is None:
-            col = [address // line_bytes for address in self.addr]
-            self._line_cols[line_bytes] = col
-        return col
+        #: The compiled kernel's packed view (see ``lane_kernel.simulate``).
+        self.kernel_trace: Optional[Tuple[Any, ...]] = None
 
 
 #: ``trace -> {(decode table, compressed) -> TraceFacts}``.  Weak on the
@@ -326,9 +246,9 @@ class BatchedTimingSimulator:
     def _bind(self, facts: List[TraceFacts],
               configs: List[MachineConfig]) -> None:
         # Structure-of-arrays lane state: parallel per-lane lists.  A lane's
-        # trace cursor is its interned TraceFacts (trace identity, decoded
-        # column views, length); its commit position lives inside _run_lane
-        # while the lane is active.
+        # trace cursor is its interned TraceFacts (trace identity, decode
+        # feed, length); its commit position lives inside the kernel while
+        # the lane runs.
         self._facts = facts
         self._configs = configs
         #: Distinct decoded traces across the pass's lanes.
@@ -375,7 +295,7 @@ class BatchedTimingSimulator:
         self.deduped_lanes = sum(len(lanes) - 1 for lanes in groups.values())
         for (facts, _), lanes in groups.items():
             try:
-                stats = _run_lane(facts, self._configs[lanes[0]], max_cycles)
+                stats = _simulate(facts, self._configs[lanes[0]], max_cycles)
             except (ConfigError, TimingError) as error:
                 self.lane_errors[lanes[0]] = error
                 if self._configs[lanes[0]].name in str(error):
@@ -384,7 +304,7 @@ class BatchedTimingSimulator:
                     # way, and such raises happen early in the simulation).
                     for lane in lanes[1:]:
                         try:
-                            _run_lane(facts, self._configs[lane], max_cycles)
+                            _simulate(facts, self._configs[lane], max_cycles)
                         except (ConfigError, TimingError) as sibling_error:
                             self.lane_errors[lane] = sibling_error
                 else:
@@ -411,932 +331,14 @@ def simulate_many(program: Program, trace: Trace,
     return results  # type: ignore[return-value]
 
 
-def _run_lane(facts: TraceFacts, config: MachineConfig,
+def _simulate(facts: TraceFacts, config: MachineConfig,
               max_cycles: int) -> PipelineStats:
-    """The fused per-lane kernel: one machine over the shared trace facts.
+    """One lane group: the compiled kernel, else the reference simulator."""
+    from . import lane_kernel     # ctypes: loaded once a lane group runs
 
-    This is the scalar pipeline's stage sequence (retire → complete → issue
-    → rename → fetch → occupancy accounting) flattened into one function
-    over flat arrays, with all state in locals.  Every branch mirrors
-    ``TimingSimulator`` exactly — the golden-equivalence tests compare the
-    two bit for bit — plus the idle-span jump described in the module
-    docstring.
-    """
-    # -- shared trace columns (read-only broadcast state) ----------------------
-    flags_col = facts.flags
-    pc_col = facts.pc
-    size_col = facts.size
-    next_pc_col = facts.next_pc
-    ea_col = facts.ea
-    kind_col = facts.kind
-    latency_col = facts.latency
-    src0_col = facts.src0
-    src1_col = facts.src1
-    dest_col = facts.dest
-    needs_dest_col = facts.needs_dest
-    is_cond_col = facts.is_cond
-    is_handle_col = facts.is_handle
-    addr_col = facts.addr
-    line_col = facts.line_col(config.icache.line_bytes)
-    feed = facts.feed
-    total = facts.total
-
-    # -- per-lane models, inlined as local state (cache/predictor state is
-    # timing-dependent, so none of it can be shared across lanes; see the
-    # module docstring).  Each mirrors its repro.uarch class exactly — the
-    # golden-equivalence tests pin the flattened forms to the originals.
-    #
-    # Hybrid direction predictor (bimodal + gshare + chooser) and BTB.
-    predictor_entries = config.predictor_entries
-    if predictor_entries <= 0 or predictor_entries & (predictor_entries - 1):
-        raise ValueError("predictor entries must be a positive power of two")
-    pred_mask = predictor_entries - 1
-    history_mask = (1 << 12) - 1
-    bimodal = [2] * predictor_entries
-    gshare = [2] * predictor_entries
-    chooser = [2] * predictor_entries
-    history = 0
-    mispredictions = 0
-    if config.btb_entries % config.btb_associativity:
-        raise ValueError("BTB entries must be a multiple of the associativity")
-    btb_sets = config.btb_entries // config.btb_associativity
-    btb_assoc = config.btb_associativity
-    btb_table: List[List[Tuple[int, int]]] = [[] for _ in range(btb_sets)]
-    # L1I + L1D + unified L2 tag stores with LRU replacement.
-    i_line_bytes = config.icache.line_bytes
-    i_num_sets = config.icache.num_sets
-    i_assoc = config.icache.associativity
-    i_sets: List[List[int]] = [[] for _ in range(i_num_sets)]
-    icache_misses = 0
-    d_line_bytes = config.dcache.line_bytes
-    d_num_sets = config.dcache.num_sets
-    d_assoc = config.dcache.associativity
-    d_sets: List[List[int]] = [[] for _ in range(d_num_sets)]
-    dcache_accesses = 0
-    dcache_misses = 0
-    l2_line_bytes = config.l2cache.line_bytes
-    l2_num_sets = config.l2cache.num_sets
-    l2_assoc = config.l2cache.associativity
-    l2_sets: List[List[int]] = [[] for _ in range(l2_num_sets)]
-    l2_hit = config.l2cache.hit_latency
-    memory_latency = config.memory_latency
-    # Store-sets predictor: SSIT (pc index -> set id) + LFST (set -> seq).
-    store_set_entries = config.store_set_entries
-    if store_set_entries <= 0:
-        raise ValueError("store-set table needs at least one entry")
-    ssit: Dict[int, int] = {}
-    lfst: Dict[int, int] = {}
-    next_set_id = 0
-
-    # -- hoisted config scalars ------------------------------------------------
-    fetch_width = config.fetch_width
-    rename_width = config.rename_width
-    issue_width = config.issue_width
-    retire_width = config.retire_width
-    front_end_depth = config.front_end_depth
-    fetch_buffer_limit = fetch_width * front_end_depth
-    rob_size = config.rob_size
-    iq_size = config.issue_queue_size
-    lsq_size = config.lsq_size
-    register_read_latency = config.register_read_latency
-    scheduler_latency = config.scheduler_latency
-    physical_registers = config.physical_registers
-    arch_registers = config.architected_registers
-    icache_hit = config.icache.hit_latency
-    dcache_hit = config.dcache.hit_latency
-    redirect_penalty = config.misprediction_redirect_penalty
-    ordering_penalty = config.ordering_violation_penalty
-    replay_penalty = config.minigraph_replay_penalty
-    plain_alu_units = config.plain_alu_units
-    alu_pipelines = config.alu_pipelines
-    fp_units = config.fp_units
-    load_ports = config.load_ports
-    store_ports = config.store_ports
-    max_memory_handles = config.max_memory_handles_per_cycle
-    sliding_window = config.sliding_window_scheduler
-    pipeline_future_cap = alu_pipelines if alu_pipelines > 1 else 1
-    alu_future_cap = plain_alu_units + alu_pipelines
-    if alu_future_cap < 1:
-        alu_future_cap = 1
-    kind_int, kind_fp, kind_load, kind_store, kind_handle = 0, 1, 2, 3, 4
-
-    # -- per-sequence SoA lanes (sequence number == trace index: the replayed
-    # trace has no wrong path, so fetch order is trace order) ------------------
-    complete_cycle = [NEVER] * total
-    fetch_cycle_arr = [0] * total
-    pending_arr = [0] * total
-    wake_arr = [0] * total
-    dest_phys = [-1] * total
-    prev_phys = [-1] * total
-    pred_taken = bytearray(total)
-    lsq_present = bytearray(total)
-    lsq_issued = bytearray(total)
-    lsq_completed = bytearray(total)
-
-    # -- renaming / scheduler / fetch state ------------------------------------
-    rename_map = {reg: reg for reg in range(arch_registers)}
-    free_list = deque(range(arch_registers, physical_registers))
-    ready_cycle = {reg: 0 for reg in range(arch_registers)}
-    reg_waiters: Dict[int, List[int]] = {}
-
-    front_end: deque = deque()
-    rob: deque = deque()
-    lsq: deque = deque()
-    ready_heap: List[int] = []
-    wake_buckets: Dict[int, List[int]] = {}
-    complete_buckets: Dict[int, List[int]] = {}
-    busy_heap: List[int] = []
-    reservations: Dict[int, Dict[str, int]] = {}
-    iq_count = 0
-
-    fetch_index = 0
-    fetch_stalled_until = 0
-    fetch_blocked_on = -1
-
-    # -- statistics accumulators (finalized into PipelineStats at the end) -----
-    fetched_slots = 0
-    fetch_stall_cycles = 0
-    rename_stall_cycles = 0
-    issue_slots_used = 0
-    branch_lookups = 0
-    loads_executed = 0
-    stores_executed = 0
-    ordering_violations = 0
-    minigraph_replays = 0
-    sliding_window_conflicts = 0
-    stall_rob_full = 0
-    stall_iq_full = 0
-    stall_lsq_full = 0
-    stall_no_physical_register = 0
-    rob_occupancy_sum = 0
-    iq_occupancy_sum = 0
-    registers_in_use_sum = 0
-    committed_instructions = 0
-    committed_slots = 0
-    committed_handles = 0
-
-    retired_entries = 0
-    cycle = 0
-    watchdog_limit = max_cycles + 1
-
-    while retired_entries < total:
-        if cycle > max_cycles:
-            raise TimingError(
-                f"{facts.program.name}: exceeded {max_cycles} cycles "
-                f"({retired_entries}/{total} entries retired); "
-                f"the pipeline is probably deadlocked")
-
-        # ---- idle-span jump: if no stage can do work this cycle, charge the
-        # per-cycle accounting for the whole quiet span and jump to the next
-        # scheduled event.  Eligibility replicates each stage's own guards.
-        if not ready_heap and cycle not in wake_buckets \
-                and cycle not in complete_buckets:
-            head_complete = complete_cycle[rob[0]] if rob else NEVER
-            if head_complete == NEVER or head_complete > cycle:
-                fetch_called = False
-                fetch_stalls = False
-                fetch_progress = False
-                blocked = fetch_blocked_on >= 0
-                stalled = cycle < fetch_stalled_until
-                if fetch_index < total or blocked or stalled:
-                    fetch_called = True
-                    if blocked or stalled:
-                        fetch_stalls = True
-                    elif fetch_index >= total:
-                        fetch_stalls = False
-                    elif len(front_end) >= fetch_buffer_limit:
-                        fetch_stalls = True
-                    else:
-                        fetch_progress = True
-                if not fetch_progress:
-                    rename_counter = 0
-                    rename_progress = False
-                    if front_end:
-                        head = front_end[0]
-                        while busy_heap and busy_heap[0] <= cycle:
-                            heappop(busy_heap)
-                        if fetch_cycle_arr[head] > cycle - front_end_depth:
-                            rename_counter = 1    # not yet rename-eligible
-                        elif len(rob) >= rob_size:
-                            rename_counter = 2
-                        elif iq_count + len(busy_heap) >= iq_size:
-                            rename_counter = 3
-                        elif (flags_col[head] & TF_MEMORY) \
-                                and len(lsq) >= lsq_size:
-                            rename_counter = 4
-                        elif needs_dest_col[head] and not free_list:
-                            rename_counter = 5
-                        else:
-                            rename_progress = True
-                    if not rename_progress:
-                        candidates = []
-                        if rob and head_complete != NEVER:
-                            candidates.append(head_complete)
-                        if wake_buckets:
-                            candidates.append(min(wake_buckets))
-                        if complete_buckets:
-                            candidates.append(min(complete_buckets))
-                        if busy_heap:
-                            candidates.append(busy_heap[0])
-                        if fetch_stalled_until > cycle:
-                            candidates.append(fetch_stalled_until)
-                        if front_end:
-                            eligible = fetch_cycle_arr[front_end[0]] \
-                                + front_end_depth
-                            if eligible > cycle:
-                                candidates.append(eligible)
-                        target = min(candidates) if candidates \
-                            else watchdog_limit
-                        if target <= cycle:
-                            target = cycle + 1
-                        elif target > watchdog_limit:
-                            target = watchdog_limit
-                        span = target - cycle
-                        rob_occupancy_sum += len(rob) * span
-                        while busy_heap and busy_heap[0] <= cycle:
-                            heappop(busy_heap)
-                        iq_occupancy_sum += (iq_count + len(busy_heap)) * span
-                        registers_in_use_sum += \
-                            (physical_registers - len(free_list)) * span
-                        if fetch_called and fetch_stalls:
-                            fetch_stall_cycles += span
-                        if front_end:
-                            if rename_counter == 2:
-                                stall_rob_full += span
-                            elif rename_counter == 3:
-                                stall_iq_full += span
-                            elif rename_counter == 4:
-                                stall_lsq_full += span
-                            elif rename_counter == 5:
-                                stall_no_physical_register += span
-                            rename_stall_cycles += span
-                        cycle = target
-                        continue
-
-        # ---- retire ---------------------------------------------------------
-        if rob:
-            seq = rob[0]
-            head_complete = complete_cycle[seq]
-            if head_complete != NEVER and head_complete <= cycle:
-                retired = 0
-                while rob and retired < retire_width:
-                    seq = rob[0]
-                    head_complete = complete_cycle[seq]
-                    if head_complete == NEVER or head_complete > cycle:
-                        break
-                    rob.popleft()
-                    previous = prev_phys[seq]
-                    if previous >= 0:
-                        free_list.append(previous)
-                    if (flags_col[seq] & TF_MEMORY) and lsq \
-                            and lsq[0] == seq:
-                        lsq.popleft()
-                        lsq_present[seq] = 0
-                    committed_instructions += size_col[seq]
-                    committed_slots += 1
-                    if is_handle_col[seq]:
-                        committed_handles += 1
-                    retired += 1
-                retired_entries += retired
-
-        # ---- complete -------------------------------------------------------
-        finishing = complete_buckets.pop(cycle, None)
-        if finishing:
-            for seq in finishing:
-                flags = flags_col[seq]
-                if flags & TF_CONTROL:
-                    # Control resolution: train the hybrid direction
-                    # predictor and the BTB with the resolved outcome.
-                    taken = bool(flags & TF_TAKEN)
-                    pc = pc_col[seq]
-                    shifted = pc >> 2
-                    if is_cond_col[seq]:
-                        base = shifted & pred_mask
-                        hashed = (shifted ^ history) & pred_mask
-                        bimodal_counter = bimodal[base]
-                        gshare_counter = gshare[hashed]
-                        bimodal_correct = (bimodal_counter >= 2) == taken
-                        if bimodal_correct != ((gshare_counter >= 2) == taken):
-                            counter = chooser[base]
-                            if bimodal_correct:
-                                if counter > 0:
-                                    chooser[base] = counter - 1
-                            elif counter < 3:
-                                chooser[base] = counter + 1
-                        if taken:
-                            if bimodal_counter < 3:
-                                bimodal[base] = bimodal_counter + 1
-                            if gshare_counter < 3:
-                                gshare[hashed] = gshare_counter + 1
-                            history = ((history << 1) | 1) & history_mask
-                        else:
-                            if bimodal_counter > 0:
-                                bimodal[base] = bimodal_counter - 1
-                            if gshare_counter > 0:
-                                gshare[hashed] = gshare_counter - 1
-                            history = (history << 1) & history_mask
-                        if bool(pred_taken[seq]) != taken:
-                            mispredictions += 1
-                    if taken:
-                        bucket = btb_table[shifted % btb_sets]
-                        for position, entry in enumerate(bucket):
-                            if entry[0] == pc:
-                                del bucket[position]
-                                break
-                        bucket.insert(0, (pc, next_pc_col[seq]))
-                        if len(bucket) > btb_assoc:
-                            del bucket[btb_assoc:]
-                    if fetch_blocked_on == seq:
-                        fetch_blocked_on = -1
-                        resume = cycle + redirect_penalty
-                        if resume > fetch_stalled_until:
-                            fetch_stalled_until = resume
-                if flags & TF_MEMORY:
-                    lsq_completed[seq] = 1
-                    if flags & TF_STORE:
-                        set_id = ssit.get((pc_col[seq] >> 2)
-                                          % store_set_entries)
-                        if set_id is not None and lfst.get(set_id) == seq:
-                            del lfst[set_id]
-
-        # ---- issue ----------------------------------------------------------
-        woken = wake_buckets.pop(cycle, None)
-        if woken or ready_heap:
-            # Functional-unit begin_cycle: reset per-cycle port usage, drop
-            # stale reservations and cache this cycle's reserved counts.
-            plain_used = 0
-            pipeline_used = 0
-            fp_used = 0
-            load_used = 0
-            store_used = 0
-            memory_handles_issued = 0
-            now = None
-            if reservations:
-                stale = [key for key in reservations if key < cycle]
-                for key in stale:
-                    del reservations[key]
-                now = reservations.get(cycle)
-            if now:
-                now_alu = now.get(FU_ALU, 0)
-                now_pipeline = now.get(FU_ALU_PIPELINE, 0)
-                now_load = now.get(FU_LOAD, 0)
-                now_store = now.get(FU_STORE, 0)
-            else:
-                now_alu = now_pipeline = now_load = now_store = 0
-
-            if woken:
-                for seq in woken:
-                    heappush(ready_heap, seq)
-            issued = 0
-            deferred: List[int] = []
-            while ready_heap and issued < issue_width:
-                seq = heappop(ready_heap)
-                flags = flags_col[seq]
-                if flags & TF_MEMORY and not flags & TF_STORE:
-                    # Store-sets scheduling: only *older* in-flight stores
-                    # can hold a load back (the LFST may name younger ones).
-                    set_id = ssit.get((pc_col[seq] >> 2) % store_set_entries)
-                    predicted = None if set_id is None else lfst.get(set_id)
-                    if predicted is not None and predicted < seq \
-                            and lsq_present[predicted] \
-                            and flags_col[predicted] & TF_STORE \
-                            and not lsq_completed[predicted]:
-                        deferred.append(seq)
-                        continue
-                kind = kind_col[seq]
-                if kind == kind_int:
-                    if plain_alu_units - plain_used - now_alu > 0:
-                        plain_used += 1
-                    elif alu_pipelines - pipeline_used - now_pipeline > 0:
-                        pipeline_used += 1
-                    else:
-                        deferred.append(seq)
-                        continue
-                    latency = latency_col[seq]
-                    output_latency = latency
-                elif kind == kind_load:
-                    if load_used + now_load >= load_ports:
-                        deferred.append(seq)
-                        continue
-                    load_used += 1
-                    address = ea_col[seq]
-                    # Data access walks L1D then the unified L2 (inclusive:
-                    # a miss installs the line at every level).
-                    dcache_accesses += 1
-                    tag = address // d_line_bytes
-                    entries = d_sets[tag % d_num_sets]
-                    if tag in entries:
-                        if entries[0] != tag:
-                            entries.remove(tag)
-                            entries.insert(0, tag)
-                        latency = dcache_hit
-                    else:
-                        dcache_misses += 1
-                        entries.insert(0, tag)
-                        if len(entries) > d_assoc:
-                            del entries[d_assoc:]
-                        tag = address // l2_line_bytes
-                        entries = l2_sets[tag % l2_num_sets]
-                        if tag in entries:
-                            if entries[0] != tag:
-                                entries.remove(tag)
-                                entries.insert(0, tag)
-                            latency = dcache_hit + l2_hit
-                        else:
-                            entries.insert(0, tag)
-                            if len(entries) > l2_assoc:
-                                del entries[l2_assoc:]
-                            latency = dcache_hit + l2_hit + memory_latency
-                    loads_executed += 1
-                    if flags & TF_HAS_EA:
-                        # Ordering check: an older conflicting store that has
-                        # not executed means this load issued too early.
-                        for other in lsq:
-                            if other >= seq:
-                                break
-                            other_flags = flags_col[other]
-                            if not other_flags & TF_STORE \
-                                    or lsq_completed[other]:
-                                continue
-                            has_address = other_flags & TF_HAS_EA
-                            if has_address and lsq_issued[other]:
-                                continue
-                            if has_address and ea_col[other] == address:
-                                ordering_violations += 1
-                                load_index = (pc_col[seq] >> 2) \
-                                    % store_set_entries
-                                store_index = (pc_col[other] >> 2) \
-                                    % store_set_entries
-                                load_set = ssit.get(load_index)
-                                store_set = ssit.get(store_index)
-                                if load_set is None and store_set is None:
-                                    ssit[load_index] = next_set_id
-                                    ssit[store_index] = next_set_id
-                                    next_set_id += 1
-                                elif load_set is None:
-                                    ssit[load_index] = store_set
-                                elif store_set is None:
-                                    ssit[store_index] = load_set
-                                else:
-                                    winner = load_set if load_set < store_set \
-                                        else store_set
-                                    ssit[load_index] = winner
-                                    ssit[store_index] = winner
-                                resume = cycle + ordering_penalty
-                                if resume > fetch_stalled_until:
-                                    fetch_stalled_until = resume
-                                break
-                    lsq_issued[seq] = 1
-                    output_latency = latency
-                elif kind == kind_store:
-                    if store_used + now_store >= store_ports:
-                        deferred.append(seq)
-                        continue
-                    store_used += 1
-                    stores_executed += 1
-                    lsq_issued[seq] = 1
-                    # Stores write the cache at retirement; scheduling-wise
-                    # the store computes address/data in one cycle.
-                    latency = 1
-                    output_latency = 1
-                elif kind == kind_fp:
-                    if fp_used >= fp_units:
-                        deferred.append(seq)
-                        continue
-                    fp_used += 1
-                    latency = latency_col[seq]
-                    output_latency = latency
-                elif kind == kind_handle:
-                    op = feed[seq]
-                    if op.integer_only and alu_pipelines > 0:
-                        if alu_pipelines - pipeline_used - now_pipeline <= 0:
-                            deferred.append(seq)
-                            continue
-                        pipeline_used += 1
-                    else:
-                        if not sliding_window and not op.integer_only:
-                            raise TimingError(
-                                "integer-memory handles require the "
-                                "sliding-window scheduler; config "
-                                f"{config.name!r} does not enable it")
-                        # can_issue_memory_handle, inlined: first-cycle port
-                        # availability plus the sliding-window reservation.
-                        ok = memory_handles_issued < max_memory_handles
-                        if ok:
-                            unit = op.fu0
-                            if unit.startswith(FU_ALU_PIPELINE):
-                                unit = FU_ALU_PIPELINE
-                            elif unit == FU_BRANCH:
-                                unit = FU_ALU
-                            if unit == FU_LOAD:
-                                ok = load_used + now_load < load_ports
-                            elif unit == FU_STORE:
-                                ok = store_used + now_store < store_ports
-                            elif unit == FU_ALU_PIPELINE:
-                                ok = alu_pipelines - pipeline_used \
-                                    - now_pipeline > 0
-                            else:
-                                ok = (plain_alu_units - plain_used
-                                      - now_alu > 0
-                                      or alu_pipelines - pipeline_used
-                                      - now_pipeline > 0)
-                        if ok:
-                            for offset, unit in enumerate(op.fubmp, 1):
-                                if unit is None:
-                                    continue
-                                if unit.startswith(FU_ALU_PIPELINE):
-                                    unit = FU_ALU_PIPELINE
-                                elif unit == FU_BRANCH:
-                                    unit = FU_ALU
-                                bucket = reservations.get(cycle + offset)
-                                reserved = 0 if bucket is None \
-                                    else bucket.get(unit, 0)
-                                if unit == FU_LOAD:
-                                    capacity = load_ports
-                                elif unit == FU_STORE:
-                                    capacity = store_ports
-                                elif unit == FU_ALU_PIPELINE:
-                                    capacity = pipeline_future_cap
-                                else:
-                                    capacity = alu_future_cap
-                                if reserved >= capacity:
-                                    ok = False
-                                    break
-                        if not ok:
-                            # A reservation conflict consumes the issue slot
-                            # without issuing anything (Section 4.3).
-                            issued += 1
-                            sliding_window_conflicts += 1
-                            deferred.append(seq)
-                            continue
-                        # issue_memory_handle: consume the first-cycle unit
-                        # and reserve the future ones.
-                        unit = op.fu0
-                        if unit.startswith(FU_ALU_PIPELINE):
-                            unit = FU_ALU_PIPELINE
-                        elif unit == FU_BRANCH:
-                            unit = FU_ALU
-                        if unit == FU_LOAD:
-                            load_used += 1
-                        elif unit == FU_STORE:
-                            store_used += 1
-                        elif unit == FU_ALU_PIPELINE:
-                            pipeline_used += 1
-                        elif plain_alu_units - plain_used - now_alu > 0:
-                            plain_used += 1
-                        else:
-                            pipeline_used += 1
-                        for offset, unit in enumerate(op.fubmp, 1):
-                            if unit is None:
-                                continue
-                            if unit.startswith(FU_ALU_PIPELINE):
-                                unit = FU_ALU_PIPELINE
-                            elif unit == FU_BRANCH:
-                                unit = FU_ALU
-                            bucket = reservations.get(cycle + offset)
-                            if bucket is None:
-                                reservations[cycle + offset] = {unit: 1}
-                            else:
-                                bucket[unit] = bucket.get(unit, 0) + 1
-                        memory_handles_issued += 1
-
-                    execution_cycles = op.execution_cycles
-                    output_latency = op.header_lat
-                    extra_memory = 0
-                    if op.has_load:
-                        address = ea_col[seq]
-                        dcache_accesses += 1
-                        tag = address // d_line_bytes
-                        entries = d_sets[tag % d_num_sets]
-                        if tag in entries:
-                            if entries[0] != tag:
-                                entries.remove(tag)
-                                entries.insert(0, tag)
-                            mem_latency = dcache_hit
-                        else:
-                            dcache_misses += 1
-                            entries.insert(0, tag)
-                            if len(entries) > d_assoc:
-                                del entries[d_assoc:]
-                            tag = address // l2_line_bytes
-                            entries = l2_sets[tag % l2_num_sets]
-                            if tag in entries:
-                                if entries[0] != tag:
-                                    entries.remove(tag)
-                                    entries.insert(0, tag)
-                                mem_latency = dcache_hit + l2_hit
-                            else:
-                                entries.insert(0, tag)
-                                if len(entries) > l2_assoc:
-                                    del entries[l2_assoc:]
-                                mem_latency = dcache_hit + l2_hit \
-                                    + memory_latency
-                        loads_executed += 1
-                        if flags & TF_HAS_EA:
-                            for other in lsq:
-                                if other >= seq:
-                                    break
-                                other_flags = flags_col[other]
-                                if not other_flags & TF_STORE \
-                                        or lsq_completed[other]:
-                                    continue
-                                has_address = other_flags & TF_HAS_EA
-                                if has_address and lsq_issued[other]:
-                                    continue
-                                if has_address and ea_col[other] == address:
-                                    ordering_violations += 1
-                                    load_index = (pc_col[seq] >> 2) \
-                                        % store_set_entries
-                                    store_index = (pc_col[other] >> 2) \
-                                        % store_set_entries
-                                    load_set = ssit.get(load_index)
-                                    store_set = ssit.get(store_index)
-                                    if load_set is None \
-                                            and store_set is None:
-                                        ssit[load_index] = next_set_id
-                                        ssit[store_index] = next_set_id
-                                        next_set_id += 1
-                                    elif load_set is None:
-                                        ssit[load_index] = store_set
-                                    elif store_set is None:
-                                        ssit[store_index] = load_set
-                                    else:
-                                        winner = load_set \
-                                            if load_set < store_set \
-                                            else store_set
-                                        ssit[load_index] = winner
-                                        ssit[store_index] = winner
-                                    resume = cycle + ordering_penalty
-                                    if resume > fetch_stalled_until:
-                                        fetch_stalled_until = resume
-                                    break
-                        lsq_issued[seq] = 1
-                        extra_memory = mem_latency - dcache_hit
-                        if extra_memory < 0:
-                            extra_memory = 0
-                        if extra_memory > 0 and op.has_interior_load:
-                            # An interior load missed: the whole mini-graph
-                            # replays once the miss returns (Section 4.3).
-                            minigraph_replays += 1
-                            extra_memory += replay_penalty + execution_cycles
-                            output_latency = execution_cycles + extra_memory
-                        elif extra_memory > 0 and op.out_is_last:
-                            output_latency += extra_memory
-                    elif op.has_store:
-                        stores_executed += 1
-                        lsq_issued[seq] = 1
-                    latency = execution_cycles + extra_memory
-                    # The MGST sequencer frees the scheduler entry only when
-                    # the terminal instruction issues.
-                    heappush(busy_heap, cycle + execution_cycles)
-                else:
-                    raise TimingError(f"cannot issue opcode {feed[seq].op}")
-
-                # -- finish_issue, inlined --------------------------------
-                iq_count -= 1
-                finish = cycle + register_read_latency + latency
-                complete_cycle[seq] = finish
-                bucket = complete_buckets.get(finish)
-                if bucket is None:
-                    complete_buckets[finish] = [seq]
-                else:
-                    bucket.append(seq)
-                dest = dest_phys[seq]
-                if dest >= 0:
-                    broadcast = cycle + (output_latency
-                                         if output_latency > scheduler_latency
-                                         else scheduler_latency)
-                    ready_cycle[dest] = broadcast
-                    waiters = reg_waiters.pop(dest, None)
-                    if waiters:
-                        for consumer in waiters:
-                            pending_arr[consumer] -= 1
-                            if wake_arr[consumer] < broadcast:
-                                wake_arr[consumer] = broadcast
-                            if pending_arr[consumer] == 0:
-                                wake = wake_arr[consumer]
-                                wake_bucket = wake_buckets.get(wake)
-                                if wake_bucket is None:
-                                    wake_buckets[wake] = [consumer]
-                                else:
-                                    wake_bucket.append(consumer)
-                issued += 1
-                issue_slots_used += 1
-            for seq in deferred:
-                heappush(ready_heap, seq)
-
-        # ---- rename ---------------------------------------------------------
-        if front_end:
-            renamed = 0
-            horizon = cycle - front_end_depth
-            while front_end and renamed < rename_width:
-                seq = front_end[0]
-                if fetch_cycle_arr[seq] > horizon:
-                    break
-                if len(rob) >= rob_size:
-                    stall_rob_full += 1
-                    break
-                while busy_heap and busy_heap[0] <= cycle:
-                    heappop(busy_heap)
-                if iq_count + len(busy_heap) >= iq_size:
-                    stall_iq_full += 1
-                    break
-                flags = flags_col[seq]
-                if flags & TF_MEMORY and len(lsq) >= lsq_size:
-                    stall_lsq_full += 1
-                    break
-                needs_destination = needs_dest_col[seq]
-                if needs_destination and not free_list:
-                    stall_no_physical_register += 1
-                    break
-                front_end.popleft()
-                # -- rename_one, inlined ----------------------------------
-                source0 = src0_col[seq]
-                source1 = src1_col[seq]
-                physical0 = rename_map.get(source0) if source0 >= 0 else None
-                physical1 = rename_map.get(source1) if source1 >= 0 else None
-                if needs_destination:
-                    physical = free_list.popleft()
-                    destination = dest_col[seq]
-                    previous = rename_map.get(destination)
-                    prev_phys[seq] = -1 if previous is None else previous
-                    rename_map[destination] = physical
-                    dest_phys[seq] = physical
-                    ready_cycle[physical] = FOREVER
-                pending = 0
-                wake = cycle + 1
-                if physical0 is not None:
-                    broadcast = ready_cycle.get(physical0, 0)
-                    if broadcast >= FOREVER:
-                        pending = 1
-                        waiters = reg_waiters.get(physical0)
-                        if waiters is None:
-                            reg_waiters[physical0] = [seq]
-                        else:
-                            waiters.append(seq)
-                    elif broadcast > wake:
-                        wake = broadcast
-                if physical1 is not None:
-                    broadcast = ready_cycle.get(physical1, 0)
-                    if broadcast >= FOREVER:
-                        pending += 1
-                        waiters = reg_waiters.get(physical1)
-                        if waiters is None:
-                            reg_waiters[physical1] = [seq]
-                        else:
-                            waiters.append(seq)
-                    elif broadcast > wake:
-                        wake = broadcast
-                if pending:
-                    pending_arr[seq] = pending
-                    wake_arr[seq] = wake
-                else:
-                    bucket = wake_buckets.get(wake)
-                    if bucket is None:
-                        wake_buckets[wake] = [seq]
-                    else:
-                        bucket.append(seq)
-                iq_count += 1
-                rob.append(seq)
-                if flags & TF_MEMORY:
-                    lsq_present[seq] = 1
-                    lsq.append(seq)
-                    if flags & TF_STORE:
-                        set_id = ssit.get((pc_col[seq] >> 2)
-                                          % store_set_entries)
-                        if set_id is not None:
-                            lfst[set_id] = seq
-                renamed += 1
-            if renamed == 0:
-                rename_stall_cycles += 1
-
-        # ---- fetch ----------------------------------------------------------
-        if fetch_index < total or fetch_blocked_on >= 0 \
-                or cycle < fetch_stalled_until:
-            if fetch_blocked_on >= 0 or cycle < fetch_stalled_until:
-                fetch_stall_cycles += 1
-            elif fetch_index < total:
-                if len(front_end) >= fetch_buffer_limit:
-                    fetch_stall_cycles += 1
-                else:
-                    fetched = 0
-                    current_line = -1
-                    seq = fetch_index
-                    while fetched < fetch_width and seq < total:
-                        line = line_col[seq]
-                        if line != current_line:
-                            # L1I access (tag == line), then the unified L2.
-                            entries = i_sets[line % i_num_sets]
-                            if line in entries:
-                                if entries[0] != line:
-                                    entries.remove(line)
-                                    entries.insert(0, line)
-                                latency = icache_hit
-                            else:
-                                icache_misses += 1
-                                entries.insert(0, line)
-                                if len(entries) > i_assoc:
-                                    del entries[i_assoc:]
-                                tag = addr_col[seq] // l2_line_bytes
-                                entries = l2_sets[tag % l2_num_sets]
-                                if tag in entries:
-                                    if entries[0] != tag:
-                                        entries.remove(tag)
-                                        entries.insert(0, tag)
-                                    latency = icache_hit + l2_hit
-                                else:
-                                    entries.insert(0, tag)
-                                    if len(entries) > l2_assoc:
-                                        del entries[l2_assoc:]
-                                    latency = icache_hit + l2_hit \
-                                        + memory_latency
-                            if latency > icache_hit:
-                                # Instruction-cache miss: charge it and stop
-                                # fetching this cycle.
-                                resume = cycle + latency
-                                if resume > fetch_stalled_until:
-                                    fetch_stalled_until = resume
-                                if fetched == 0:
-                                    fetch_stall_cycles += 1
-                                break
-                            current_line = line
-                        fetch_cycle_arr[seq] = cycle
-                        front_end.append(seq)
-                        fetched += 1
-                        fetched_slots += 1
-                        flags = flags_col[seq]
-                        seq += 1
-                        if flags & TF_CONTROL:
-                            branch_lookups += 1
-                            here = seq - 1
-                            pc = pc_col[here]
-                            shifted = pc >> 2
-                            # BTB lookup, then the hybrid direction predict.
-                            bucket = btb_table[shifted % btb_sets]
-                            target = None
-                            for position, entry in enumerate(bucket):
-                                if entry[0] == pc:
-                                    if position:
-                                        bucket.insert(0, bucket.pop(position))
-                                    target = entry[1]
-                                    break
-                            if is_cond_col[here]:
-                                taken = (gshare[(shifted ^ history)
-                                                & pred_mask]
-                                         if chooser[shifted & pred_mask] >= 2
-                                         else bimodal[shifted
-                                                      & pred_mask]) >= 2
-                            else:
-                                taken = True
-                            if taken and target is None:
-                                # Without a BTB target the front end cannot
-                                # redirect; falls back to not-taken.
-                                taken = False
-                            pred_taken[here] = 1 if taken else 0
-                            actual_taken = bool(flags & TF_TAKEN)
-                            target_correct = (not actual_taken) \
-                                or target == next_pc_col[here]
-                            if taken != actual_taken or not target_correct:
-                                fetch_blocked_on = here
-                                break
-                            if actual_taken:
-                                # Correctly predicted taken branches still
-                                # end the fetch group.
-                                break
-                    fetch_index = seq
-
-        # ---- per-cycle occupancy accounting ---------------------------------
-        rob_occupancy_sum += len(rob)
-        while busy_heap and busy_heap[0] <= cycle:
-            heappop(busy_heap)
-        iq_occupancy_sum += iq_count + len(busy_heap)
-        registers_in_use_sum += physical_registers - len(free_list)
-        cycle += 1
-
-    stats = PipelineStats()
-    stats.cycles = cycle
-    stats.committed_instructions = committed_instructions
-    stats.committed_slots = committed_slots
-    stats.committed_handles = committed_handles
-    stats.fetched_slots = fetched_slots
-    stats.fetch_stall_cycles = fetch_stall_cycles
-    stats.rename_stall_cycles = rename_stall_cycles
-    stats.issue_slots_used = issue_slots_used
-    stats.branch_lookups = branch_lookups
-    stats.branch_mispredictions = mispredictions
-    stats.icache_misses = icache_misses
-    stats.dcache_accesses = dcache_accesses
-    stats.dcache_misses = dcache_misses
-    stats.loads_executed = loads_executed
-    stats.stores_executed = stores_executed
-    stats.ordering_violations = ordering_violations
-    stats.minigraph_replays = minigraph_replays
-    stats.sliding_window_conflicts = sliding_window_conflicts
-    stats.stall_rob_full = stall_rob_full
-    stats.stall_iq_full = stall_iq_full
-    stats.stall_lsq_full = stall_lsq_full
-    stats.stall_no_physical_register = stall_no_physical_register
-    stats.rob_occupancy_sum = rob_occupancy_sum
-    stats.iq_occupancy_sum = iq_occupancy_sum
-    stats.physical_registers_in_use_sum = registers_in_use_sum
+    stats = lane_kernel.simulate(facts, config, max_cycles)
+    if stats is None:
+        stats = TimingSimulator(
+            facts.program, facts.trace, config, mgt=facts.mgt,
+            compressed_layout=facts.compressed).run(max_cycles=max_cycles)
     return stats

@@ -1,0 +1,338 @@
+"""Build, load and call the compiled per-lane timing kernel.
+
+``lane_kernel.c`` is the fused per-lane kernel behind
+:class:`~repro.uarch.batch.BatchedTimingSimulator`.  It is compiled with the
+system C compiler the first time a lane group actually runs — never at
+import — and called through :mod:`ctypes`:
+
+* the shared library is cached in this package's ``__pycache__`` under a
+  name keyed by a hash of the C source and the compiler command, written to
+  a temporary file and moved into place with :func:`os.replace`, so
+  processes that build at the same moment each load a complete library;
+  when that directory is not writable the library is built into a
+  per-process temporary directory instead;
+* :func:`simulate` packs a lane's :class:`~repro.uarch.batch.TraceFacts` into
+  typed buffers once per trace, runs one machine over them and rebuilds the
+  scalar path's exact :class:`~repro.uarch.pipeline.TimingError` text from
+  the kernel's error code;
+* without a working compiler (or for geometry beyond 32 bits) it returns
+  ``None`` and the caller runs the reference
+  :class:`~repro.uarch.pipeline.TimingSimulator`, which gives the same stats
+  and errors, only slower.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import dataclasses
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
+from array import array
+from importlib import resources
+from operator import attrgetter
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Optional, Tuple
+
+from ..minigraph.mgt import (
+    FU_ALU,
+    FU_ALU_PIPELINE,
+    FU_BRANCH,
+    FU_LOAD,
+    FU_STORE,
+)
+from .config import MachineConfig
+from .decode import decode_table
+from .pipeline import (
+    FetchLayout,
+    TimingError,
+    sliding_window_error,
+    unissuable_error,
+    watchdog_error,
+)
+from .stats import PipelineStats
+
+if TYPE_CHECKING:
+    from .batch import TraceFacts
+
+SOURCE = "lane_kernel.c"
+CFLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
+#: Where built libraries are cached: this package's own ``__pycache__``.
+CACHE_DIR = Path(__file__).with_name("__pycache__")
+
+#: Result codes of ``repro_lane_run`` (``LANE_*`` in the C source).
+LANE_OK, LANE_WATCHDOG, LANE_NEEDS_SLIDING_WINDOW, LANE_UNISSUABLE, \
+    LANE_NO_MEMORY = range(5)
+
+#: Per-static-op decode bits (``OP_*`` in the C source), by DecodedOp field.
+OP_BITS = (
+    ("needs_destination", 0x01), ("is_conditional_branch", 0x02),
+    ("mgt_entry", 0x04), ("integer_only", 0x08), ("has_load", 0x10),
+    ("has_interior_load", 0x20), ("has_store", 0x40), ("out_is_last", 0x80),
+)
+
+#: The machine configuration vector, in ``CF_*`` order.
+CONFIG_FIELDS = (
+    "fetch_width", "rename_width", "issue_width", "retire_width",
+    "front_end_depth", "register_read_latency", "scheduler_latency",
+    "rob_size", "issue_queue_size", "lsq_size",
+    "physical_registers", "architected_registers",
+    "plain_alu_units", "alu_pipelines", "fp_units", "load_ports",
+    "store_ports", "max_memory_handles_per_cycle", "sliding_window_scheduler",
+    "minigraph_replay_penalty", "misprediction_redirect_penalty",
+    "ordering_violation_penalty",
+    "predictor_entries", "btb_entries", "btb_associativity",
+    "icache.size_bytes", "icache.associativity", "icache.line_bytes",
+    "icache.hit_latency",
+    "dcache.size_bytes", "dcache.associativity", "dcache.line_bytes",
+    "dcache.hit_latency",
+    "l2cache.size_bytes", "l2cache.associativity", "l2cache.line_bytes",
+    "l2cache.hit_latency",
+    "memory_latency", "store_set_entries",
+)
+_CONFIG_GETTERS = tuple(attrgetter(name) for name in CONFIG_FIELDS)
+
+#: The kernel keeps geometry and cycle arithmetic in 64-bit integers; every
+#: config value below this bound keeps every sum and product exact.
+GEOMETRY_LIMIT = 1 << 31
+
+#: The kernel's buffers in ``lane_trace`` order: name, C item type, and
+#: the count that sizes it (trace entries, static ops or FUBMP codes).
+_TRACE_COLUMNS = tuple(
+    (name, ctype, count)
+    for names, ctype, count in (
+        (("flags",), ctypes.c_uint8, "total"),
+        (("pc",), ctypes.c_uint64, "total"),
+        (("size",), ctypes.c_uint16, "total"),
+        (("next_pc", "ea", "addr"), ctypes.c_uint64, "total"),
+        (("index",), ctypes.c_uint32, "total"),
+        (("kind", "bits"), ctypes.c_uint8, "ops"),
+        (("latency", "src0", "src1", "dest", "execution_cycles",
+          "header_lat"), ctypes.c_int32, "ops"),
+        (("fu0",), ctypes.c_int8, "ops"),
+        (("fubmp_start", "fubmp_count"), ctypes.c_int32, "ops"),
+        (("fubmp",), ctypes.c_int8, "fubmp_len"),
+    )
+    for name in names)
+
+_STAT_COUNT = len(dataclasses.fields(PipelineStats))
+
+
+class _LaneTrace(ctypes.Structure):
+    _fields_ = ([(count, ctypes.c_int64)
+                 for count in ("total", "ops", "fubmp_len")]
+                + [(name, ctypes.c_void_p) for name, _, _ in _TRACE_COLUMNS])
+
+
+def _unit_code(unit: Optional[str]) -> int:
+    """``FU_*`` code of an MGHT unit name, normalized as the funits pool."""
+    if unit is None:
+        return -1
+    if unit.startswith(FU_ALU_PIPELINE):
+        return 1
+    return {FU_ALU: 0, FU_BRANCH: 0, FU_LOAD: 2, FU_STORE: 3}.get(unit, 4)
+
+
+# -- build and load -----------------------------------------------------------
+
+_UNTRIED = object()
+_entry: Any = _UNTRIED
+_lock = threading.Lock()
+
+
+def find_compiler() -> Optional[str]:
+    """The system C compiler on ``PATH``, or None."""
+    for name in ("cc", "gcc", "clang"):
+        path = shutil.which(name)
+        if path is not None:
+            return path
+    return None
+
+
+def kernel() -> Optional[Any]:
+    """The loaded ``repro_lane_run`` entry point, or None without one.
+
+    Built and loaded once per process, on first call; later calls (from any
+    thread) reuse the outcome.
+    """
+    global _entry
+    if _entry is _UNTRIED:
+        with _lock:
+            if _entry is _UNTRIED:
+                _entry = _load()
+    return _entry
+
+
+def _load() -> Optional[Any]:
+    compiler = find_compiler()
+    if compiler is None:
+        return None
+    command = (compiler,) + CFLAGS
+    source = resources.files(__package__).joinpath(SOURCE)
+    digest = hashlib.sha256(source.read_bytes())
+    digest.update("\0".join(command).encode())
+    name = f"lane_kernel-{digest.hexdigest()[:16]}.so"
+    library = CACHE_DIR / name
+    try:
+        if not library.is_file():
+            library.parent.mkdir(exist_ok=True)
+            if not _compile(command, source, library):
+                return None
+        return _open(library)
+    except OSError:
+        pass    # the package cache cannot be written (or holds a bad file)
+    scratch = Path(tempfile.mkdtemp(prefix="repro-lane-kernel-"))
+    try:
+        library = scratch / name
+        return _open(library) if _compile(command, source, library) else None
+    finally:
+        # The loaded mapping outlives the file.
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+def _compile(command: Tuple[str, ...], source: Any, library: Path) -> bool:
+    """Compile ``source`` into ``library`` atomically; False if it fails.
+
+    Raises :class:`OSError` when ``library``'s directory is not writable.
+    """
+    handle, partial = tempfile.mkstemp(dir=library.parent,
+                                       prefix=library.name, suffix=".tmp")
+    os.close(handle)
+    try:
+        with resources.as_file(source) as path:
+            result = subprocess.run(
+                [*command, "-o", partial, str(path)],
+                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL, check=False, timeout=300)
+        if result.returncode != 0:
+            return False
+        os.replace(partial, library)
+        return True
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+
+
+def _open(library: Path) -> Any:
+    entry = ctypes.CDLL(str(library)).repro_lane_run
+    entry.argtypes = (ctypes.POINTER(_LaneTrace), ctypes.c_void_p,
+                      ctypes.c_int64, ctypes.POINTER(ctypes.c_int64))
+    entry.restype = ctypes.c_int
+    return entry
+
+
+# -- call ---------------------------------------------------------------------
+
+
+def _pack(facts: "TraceFacts") -> Tuple[_LaneTrace, Tuple[array, ...]]:
+    """The kernel's view of ``facts`` plus the buffers it points into.
+
+    Trace columns are passed zero-copy; decode metadata becomes one row per
+    static instruction (indexed by each entry's static index), with handle
+    metadata as small integer codes.
+    """
+    program = facts.program
+    columns = facts.trace.columns()
+    table = decode_table(program, facts.mgt)
+    ops = len(program.instructions)
+    kind, bits = array("B", bytes(ops)), array("B", bytes(ops))
+    fu0 = array("b", bytes(ops))
+    latency, execution_cycles, header_lat, fubmp_start, fubmp_count = (
+        array("i", bytes(4 * ops)) for _ in range(5))
+    src0, src1, dest = (array("i", [-1]) * ops for _ in range(3))
+    fubmp = array("b")
+    for index in set(columns.index):
+        op = table.op_at(index)
+        kind[index] = op.kind
+        latency[index] = op.latency
+        source0, source1 = op.renamed_sources
+        if source0 is not None:
+            src0[index] = source0
+        if source1 is not None:
+            src1[index] = source1
+        if op.dest is not None:
+            dest[index] = op.dest
+        bits[index] = sum(bit for field, bit in OP_BITS
+                          if getattr(op, field) not in (None, False))
+        if op.mgt_entry is not None:
+            execution_cycles[index] = op.execution_cycles
+            header_lat[index] = op.header_lat
+            fu0[index] = _unit_code(op.fu0)
+            fubmp_start[index] = len(fubmp)
+            fubmp_count[index] = len(op.fubmp)
+            fubmp.extend(_unit_code(unit) for unit in op.fubmp)
+    if facts.compressed:
+        layout = FetchLayout(program, compressed=True)
+        by_index = [layout.address_for_index(index) for index in range(ops)]
+        addr = array("Q", map(by_index.__getitem__, columns.index))
+    else:
+        addr = columns.pc
+    buffers = {
+        "flags": columns.flags, "pc": columns.pc, "size": columns.size,
+        "next_pc": columns.next_pc, "ea": columns.effective_address,
+        "addr": addr, "index": columns.index, "kind": kind, "bits": bits,
+        "latency": latency, "src0": src0, "src1": src1, "dest": dest,
+        "execution_cycles": execution_cycles, "header_lat": header_lat,
+        "fu0": fu0, "fubmp_start": fubmp_start, "fubmp_count": fubmp_count,
+        "fubmp": fubmp,
+    }
+    counts = {"total": facts.total, "ops": ops, "fubmp_len": len(fubmp)}
+    for name, ctype, count in _TRACE_COLUMNS:
+        buffer = buffers[name]
+        if buffer.itemsize != ctypes.sizeof(ctype) \
+                or len(buffer) != counts[count]:
+            raise TimingError(
+                f"{program.name}: timing kernel buffer {name!r} holds "
+                f"{len(buffer)} x {buffer.itemsize} bytes, expected "
+                f"{counts[count]} x {ctypes.sizeof(ctype)}")
+    packed = _LaneTrace(*counts.values(),
+                        *(buffers[name].buffer_info()[0]
+                          for name, _, _ in _TRACE_COLUMNS))
+    return packed, tuple(buffers.values())
+
+
+def config_vector(config: MachineConfig) -> Optional[array]:
+    """The ``CF_*`` vector of ``config``, or None beyond the kernel's range."""
+    values = [int(getter(config)) for getter in _CONFIG_GETTERS]
+    if max(values) >= GEOMETRY_LIMIT:
+        return None
+    return array("q", values)
+
+
+def simulate(facts: "TraceFacts", config: MachineConfig,
+             max_cycles: int) -> Optional[PipelineStats]:
+    """One machine over ``facts`` in the compiled kernel.
+
+    Returns the statistics, raises the scalar path's error, or returns None
+    when the compiled kernel is unavailable or ``config`` is out of its
+    range — the caller then runs the reference simulator.
+    """
+    entry = kernel()
+    vector = config_vector(config) if entry is not None else None
+    if vector is None:
+        return None
+    packed = facts.kernel_trace
+    if packed is None:
+        packed = facts.kernel_trace = _pack(facts)
+    out = (ctypes.c_int64 * _STAT_COUNT)()
+    code = entry(ctypes.byref(packed[0]), vector.buffer_info()[0],
+                 max(-1, min(max_cycles, 1 << 62)), out)
+    if code == LANE_OK:
+        return PipelineStats(*out)
+    entry_index, retired, cycle = out[0], out[1], out[2]
+    if code == LANE_WATCHDOG:
+        raise watchdog_error(facts.program, max_cycles, retired, facts.total)
+    if code == LANE_NEEDS_SLIDING_WINDOW:
+        raise sliding_window_error(config)
+    if code == LANE_UNISSUABLE:
+        raise unissuable_error(facts.feed[entry_index].op)
+    if code == LANE_NO_MEMORY:
+        raise MemoryError(f"{facts.program.name}: timing kernel state for "
+                          f"{config.name!r} does not fit in memory")
+    raise TimingError(f"{facts.program.name}: timing kernel invariant failed "
+                      f"(code {code}) at entry {entry_index}, cycle {cycle}")

@@ -95,6 +95,30 @@ class TimingError(RuntimeError):
     """Raised for inconsistent timing-model configurations."""
 
 
+# The runtime errors of a timing run.  The compiled lane kernel reports them
+# as codes and rebuilds the same text from these, so both paths raise alike.
+
+def watchdog_error(program: Program, max_cycles: int, retired: int,
+                   total: int) -> TimingError:
+    """The cycle watchdog fired before the whole trace retired."""
+    return TimingError(
+        f"{program.name}: exceeded {max_cycles} cycles "
+        f"({retired}/{total} entries retired); "
+        f"the pipeline is probably deadlocked")
+
+
+def sliding_window_error(config: MachineConfig) -> TimingError:
+    """An integer-memory handle reached a machine without the scheduler."""
+    return TimingError(
+        "integer-memory handles require the sliding-window scheduler; "
+        f"config {config.name!r} does not enable it")
+
+
+def unissuable_error(op: str) -> TimingError:
+    """An entry with no issue path reached select."""
+    return TimingError(f"cannot issue opcode {op}")
+
+
 @dataclass
 class _LsqEntry:
     """One load/store queue entry."""
@@ -269,10 +293,8 @@ class TimingSimulator:
         # skipped reset can never hide a reservation).
         while retired_entries < total_entries:
             if cycle > max_cycles:
-                raise TimingError(
-                    f"{self._program.name}: exceeded {max_cycles} cycles "
-                    f"({retired_entries}/{total_entries} entries retired); "
-                    f"the pipeline is probably deadlocked")
+                raise watchdog_error(self._program, max_cycles,
+                                     retired_entries, total_entries)
             if rob:
                 head_complete = rob[0].complete_cycle
                 if head_complete != NEVER and head_complete <= cycle:
@@ -449,7 +471,7 @@ class TimingSimulator:
             return _ISSUED
         if kind == KIND_HANDLE:
             return self._try_issue_handle(inst, cycle)
-        raise TimingError(f"cannot issue opcode {decoded.op}")
+        raise unissuable_error(decoded.op)
 
     # -- singleton issue helpers ---------------------------------------------------
 
@@ -540,9 +562,7 @@ class TimingSimulator:
                 return _BLOCKED
         else:
             if not self._sliding_window and not decoded.integer_only:
-                raise TimingError(
-                    "integer-memory handles require the sliding-window scheduler; "
-                    f"config {self._config.name!r} does not enable it")
+                raise sliding_window_error(self._config)
             if not self._funits.can_issue_memory_handle(decoded.fu0, decoded.fubmp):
                 return _SLOT_LOST
             self._funits.issue_memory_handle(decoded.fu0, decoded.fubmp)
