@@ -31,7 +31,6 @@ from rendered text to JSON built on :mod:`repro.experiments.reporting`.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -147,13 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "extension, else jsonl)")
     grid.add_argument("--no-table", action="store_true",
                       help="skip rendering the grid's result tables")
-    grid.add_argument("--no-batch", action="store_true",
-                      help="disable the batched multi-machine timing kernel "
-                           "and pay the scalar per-cell timing loop (rows "
-                           "are bit-identical either way)")
-    grid.add_argument("--max-lanes", type=int, default=None, metavar="N",
-                      help="lane cap per batched timing pass (default: the "
-                           "kernel's DEFAULT_MAX_LANES); N >= 1")
 
     bench = commands.add_parser("bench", help="sweep a suite through Session.sweep")
     bench.add_argument("--suite", default=None,
@@ -175,10 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--compare", default=None, metavar="BENCH_JSON",
                        help="earlier BENCH_*.json to embed as the 'before' "
                             "half of a before/after throughput comparison")
-    bench.add_argument("--max-lanes", type=int, default=None, metavar="N",
-                       help="lane cap per batched timing pass in the grid "
-                            "kernel measurements (default: the kernel's "
-                            "DEFAULT_MAX_LANES); N >= 1")
 
     fuzz = commands.add_parser(
         "fuzz", help="differential fuzzing over seeded synthetic programs")
@@ -189,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--oracles", nargs="+", default=None,
                       metavar="ORACLE",
                       help="oracle subset (default: rewrite selection codec "
-                           "timing geometry batch)")
+                           "timing geometry kernel)")
     fuzz.add_argument("--budget", type=int, default=None,
                       help="dynamic-instruction budget per functional run")
     fuzz.add_argument("--input", default="reference",
@@ -489,10 +477,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         print("repro: error: grid needs --name (or --list)", file=sys.stderr)
         return 2
 
-    if args.max_lanes is not None and args.max_lanes < 1:
-        print(f"repro: error: --max-lanes must be >= 1, got {args.max_lanes}",
-              file=sys.stderr)
-        return 2
     definition = get_grid(args.name)
     benchmarks = args.benchmarks if args.benchmarks is not None else \
         list(definition.default_benchmarks or QUICK_BENCHMARKS)
@@ -511,9 +495,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     try:
         for row in session.run_grid(plan, resume=args.resume,
-                                    workers=args.workers,
-                                    batch=not args.no_batch,
-                                    max_lanes=args.max_lanes):
+                                    workers=args.workers):
             rows.append(row)
             writer.write(row)
     finally:
@@ -570,10 +552,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("repro: error: --compare requires --record (the comparison is "
               "written into the new BENCH_*.json)", file=sys.stderr)
         return 2
-    if args.max_lanes is not None and args.max_lanes < 1:
-        print(f"repro: error: --max-lanes must be >= 1, got {args.max_lanes}",
-              file=sys.stderr)
-        return 2
     before: Optional[Dict[str, Any]] = None
     if args.compare is not None:
         # Read the baseline record up front: a missing or malformed file must
@@ -611,10 +589,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     frontend_metrics = _frontend_metrics(results, policy, session)
     grid_metrics = _grid_metrics(session, names, policy, args.budget,
                                  args.workers)
-    grid_batched_metrics = _grid_batched_metrics(session, names, args.budget,
-                                                 max_lanes=args.max_lanes)
-    grid_crosstrace_metrics = _grid_crosstrace_metrics(
-        max_lanes=args.max_lanes)
     serve_metrics = _serve_metrics(names, policy, args.budget)
     fuzz_metrics = _fuzz_metrics()
     truncation = ""
@@ -640,26 +614,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"specs/s planned, {grid_metrics['dedup_ratio']:.2f}x "
               f"shared-artifact dedup, resume hit rate "
               f"{grid_metrics['resume_hit_rate'] * 100:.0f}%"
-            + f"\ngrid batched  : "
-              f"{grid_batched_metrics['speedup_vs_scalar']:.2f}x vs scalar "
-              f"({grid_batched_metrics['cells_per_second_batched']:,.1f} "
-              f"cells/s batched vs "
-              f"{grid_batched_metrics['cells_per_second_scalar']:,.1f} "
-              f"scalar, {grid_batched_metrics['lanes_per_pass']:.1f} "
-              f"lanes/pass vs "
-              f"{grid_batched_metrics['lanes_per_pass_shared_trace_planner']:.1f} "
-              f"shared-trace, rows "
-              f"{'identical' if grid_batched_metrics['row_union_identical'] else 'DIVERGED'})"
-            + f"\ngrid x-trace  : "
-              f"{grid_crosstrace_metrics['speedup_vs_scalar']:.2f}x vs scalar "
-              f"end-to-end on the mixed campaign "
-              f"({grid_crosstrace_metrics['lanes_per_pass']:.1f} lanes/pass vs "
-              f"{grid_crosstrace_metrics['lanes_per_pass_shared_trace_planner']:.1f} "
-              f"shared-trace, "
-              f"{grid_crosstrace_metrics['cross_trace_lanes']} cross-trace / "
-              f"{grid_crosstrace_metrics['shared_trace_lanes']} shared lanes, "
-              f"rows "
-              f"{'identical' if grid_crosstrace_metrics['row_union_identical'] else 'DIVERGED'})"
             + f"\nserve         : cold first row "
               f"{serve_metrics['cold_first_row_seconds'] * 1000:.0f} ms, warm "
               f"p50 {serve_metrics['warm_first_row_p50_seconds'] * 1000:.1f} ms"
@@ -677,16 +631,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                "trace": trace_metrics,
                "frontend": frontend_metrics,
                "grid": grid_metrics,
-               "grid_batched": grid_batched_metrics,
-               "grid_crosstrace": grid_crosstrace_metrics,
                "serve": serve_metrics,
                "fuzz": fuzz_metrics}
     if args.record is not None:
         record_path = _write_bench_record(args, session, names, throughput,
                                           trace_metrics, frontend_metrics,
-                                          grid_metrics, grid_batched_metrics,
-                                          grid_crosstrace_metrics,
-                                          serve_metrics, fuzz_metrics, before)
+                                          grid_metrics, serve_metrics,
+                                          fuzz_metrics, before)
         payload["record_path"] = record_path
         text += f"\nrecorded      : {record_path}"
     _emit(args, session, text, payload)
@@ -816,222 +767,6 @@ def _grid_metrics(session: Session, names: List[str],
         "executed_cells": sum(1 for row in first if not row.resumed),
         "resume_hit_rate": resumed / cells if cells else 0.0,
         "resumed_cells": resumed,
-    }
-
-
-#: Benchmarks of the batched-kernel measurement.  The Figure 8 grid's
-#: variant axis supplies the machine lanes; two benchmarks keep the scalar
-#: reference pass (one interpreter loop per lane) affordable.
-_GRID_BATCH_BENCHMARKS = 2
-
-
-def _shared_trace_passes(batches, cap: int) -> int:
-    """Pass count the PR-8-style per-trace planner would need for the same
-    lanes: one chunked run per decoded trace, never mixing traces."""
-    sizes: Dict[Any, int] = {}
-    for batch in batches:
-        for group in batch.groups:
-            sizes[group.trace_key] = sizes.get(group.trace_key, 0) \
-                + len(group.lanes)
-    return sum(-(-size // cap) for size in sizes.values())
-
-
-def _grid_batched_metrics(session: Session, names: List[str], budget: int,
-                          max_lanes: Optional[int] = None) -> Dict[str, Any]:
-    """Batched multi-machine timing kernel vs the scalar per-cell path.
-
-    Replays the timing work of the Figure 8 grid (the machine-space sweep
-    the batched kernel exists for) over the first
-    ``_GRID_BATCH_BENCHMARKS`` benchmarks: the planner's
-    ``timing_batches`` bin-packs every cell's machine into cross-trace
-    passes, each distinct trace is materialised once through the (warm)
-    session, and the same lane set is then timed twice — one scalar
-    ``simulate_program`` per lane, and one ``BatchedTimingSimulator`` pass
-    per batch.  Per-lane outcomes (stats, or the admission error) are
-    compared for bit-identity, so the recorded speedup is only meaningful
-    when ``row_union_identical`` is true.
-    """
-    from ..grid.planner import plan_grid
-    from ..experiments.fig8_amplification import figure8_grid
-    from ..uarch.batch import (
-        DEFAULT_MAX_LANES,
-        BatchedTimingSimulator,
-        TimingLane,
-    )
-    from ..uarch.config import ConfigError
-    from ..uarch.pipeline import TimingError, simulate_program
-
-    grid = figure8_grid(benchmarks=names[:_GRID_BATCH_BENCHMARKS],
-                        budget=budget)
-    batches = plan_grid(grid).timing_batches(max_lanes)
-    inputs_by_trace: Dict[Any, Tuple[Any, Any, Any, bool]] = {}
-    work = []                      # per batch: [(inputs, configs), ...]
-    for batch in batches:
-        group_work = []
-        for group in batch.groups:
-            inputs = inputs_by_trace.get(group.trace_key)
-            if inputs is None:
-                anchor = group.lanes[0][0]
-                if group.minigraph:
-                    inputs = (session.rewritten(anchor),
-                              session.minigraph_trace(anchor),
-                              session.mgt(anchor), anchor.compressed_layout)
-                else:
-                    inputs = (session.program(anchor),
-                              session.baseline_trace(anchor), None, False)
-                inputs_by_trace[group.trace_key] = inputs
-            group_work.append((inputs,
-                               [config for _, config in group.lanes]))
-        work.append(group_work)
-    lanes = sum(len(configs) for group_work in work
-                for _, configs in group_work)
-
-    def scalar_lane(program, trace, mgt, compressed, config):
-        try:
-            return simulate_program(program, trace, config, mgt=mgt,
-                                    compressed_layout=compressed)
-        except (ConfigError, TimingError) as error:
-            return (type(error).__name__, str(error))
-
-    start = time.perf_counter()
-    scalar_outcomes = []
-    for group_work in work:
-        for (program, trace, mgt, compressed), configs in group_work:
-            for config in configs:
-                scalar_outcomes.append(
-                    scalar_lane(program, trace, mgt, compressed, config))
-    scalar_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    batched_outcomes = []
-    for group_work in work:
-        pass_lanes = [
-            TimingLane(program, trace, config, mgt=mgt,
-                       compressed_layout=compressed)
-            for (program, trace, mgt, compressed), configs in group_work
-            for config in configs]
-        batch = BatchedTimingSimulator.from_lanes(pass_lanes)
-        results = batch.run()
-        for lane in range(len(pass_lanes)):
-            error = batch.lane_errors.get(lane)
-            batched_outcomes.append(
-                results[lane] if error is None
-                else (type(error).__name__, str(error)))
-    batched_seconds = time.perf_counter() - start
-
-    def canonical(outcome):
-        return outcome if isinstance(outcome, tuple) \
-            else dataclasses.asdict(outcome)
-
-    identical = [canonical(item) for item in scalar_outcomes] \
-        == [canonical(item) for item in batched_outcomes]
-    cap = max_lanes if max_lanes is not None else DEFAULT_MAX_LANES
-    shared_passes = _shared_trace_passes(batches, cap)
-    peak_rss_kb: Optional[float] = None
-    peak_rss_kb_per_lane: Optional[float] = None
-    lanes_per_pass = lanes / len(batches) if batches else 0.0
-    if resource is not None:
-        peak_rss_kb = float(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-        if sys.platform == "darwin":
-            peak_rss_kb /= 1024
-        if lanes_per_pass:
-            peak_rss_kb_per_lane = peak_rss_kb / lanes_per_pass
-    return {
-        "grid": grid.name,
-        "benchmarks": list(names[:_GRID_BATCH_BENCHMARKS]),
-        "cells": lanes,
-        "passes": len(batches),
-        "cross_trace_passes":
-            sum(1 for batch in batches if batch.cross_trace),
-        "lanes_per_pass": lanes_per_pass,
-        "lanes_per_pass_shared_trace_planner":
-            lanes / shared_passes if shared_passes else 0.0,
-        "max_lanes": cap,
-        "scalar_seconds": scalar_seconds,
-        "batched_seconds": batched_seconds,
-        "cells_per_second_scalar":
-            lanes / scalar_seconds if scalar_seconds else 0.0,
-        "cells_per_second_batched":
-            lanes / batched_seconds if batched_seconds else 0.0,
-        "speedup_vs_scalar":
-            scalar_seconds / batched_seconds if batched_seconds else 0.0,
-        "row_union_identical": identical,
-        "peak_rss_kb": peak_rss_kb,
-        "peak_rss_kb_per_lane": peak_rss_kb_per_lane,
-    }
-
-
-#: The mixed-workload campaign of the cross-trace measurement: one small
-#: benchmark against one ~40k-entry workload at a budget that lets the long
-#: trace run out, so lane groups of very different lengths share passes.
-_CROSSTRACE_BENCHMARKS = ("bitcount", "listchase")
-_CROSSTRACE_BUDGET = 45_000
-
-
-def _grid_crosstrace_metrics(max_lanes: Optional[int] = None
-                             ) -> Dict[str, Any]:
-    """End-to-end mixed-workload campaign: cross-trace batched vs scalar.
-
-    Runs a fig6+fig8-style grid (register-file variants × baseline/int-mem
-    modes over one small and one ~40k-entry benchmark) twice through
-    ``run_grid`` on fresh in-memory sessions — once with the cross-trace
-    batched kernel, once with ``batch=False`` — and compares the full row
-    unions for bit-identity.  Unlike ``grid_batched`` (which isolates the
-    kernel), this measures the campaign end to end, so the recorded speedup
-    is what ``repro grid`` users see; the occupancy pair
-    (``lanes_per_pass`` vs ``lanes_per_pass_shared_trace_planner``) shows
-    the packing win over the per-trace planner on the same lane set.
-    """
-    from ..experiments.fig8_amplification import figure8_grid
-    from ..grid.planner import plan_grid
-    from ..uarch.batch import DEFAULT_MAX_LANES
-
-    grid = figure8_grid(benchmarks=list(_CROSSTRACE_BENCHMARKS),
-                        budget=_CROSSTRACE_BUDGET,
-                        register_sizes=(164, 144, 124, 104), variants=(),
-                        modes=("baseline", "int-mem"))
-    plan = plan_grid(grid)
-    batches = plan.timing_batches(max_lanes)
-    lanes = sum(batch.lane_count for batch in batches)
-    cap = max_lanes if max_lanes is not None else DEFAULT_MAX_LANES
-    shared_passes = _shared_trace_passes(batches, cap)
-
-    start = time.perf_counter()
-    batched_session = Session()
-    batched_rows = [row.as_dict()
-                    for row in batched_session.run_grid(
-                        plan, workers=0, batch=True, max_lanes=max_lanes)]
-    batched_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    scalar_session = Session()
-    scalar_rows = [row.as_dict()
-                   for row in scalar_session.run_grid(
-                       plan, workers=0, batch=False)]
-    scalar_seconds = time.perf_counter() - start
-
-    stats = batched_session.stats
-    return {
-        "grid": grid.name,
-        "benchmarks": list(_CROSSTRACE_BENCHMARKS),
-        "budget": _CROSSTRACE_BUDGET,
-        "cells": plan.cell_count,
-        "lanes": lanes,
-        "passes": len(batches),
-        "cross_trace_passes":
-            sum(1 for batch in batches if batch.cross_trace),
-        "lanes_per_pass": lanes / len(batches) if batches else 0.0,
-        "lanes_per_pass_shared_trace_planner":
-            lanes / shared_passes if shared_passes else 0.0,
-        "cross_trace_lanes": stats.batched_timing_cross_trace_lanes,
-        "shared_trace_lanes": stats.batched_timing_shared_trace_lanes,
-        "max_lanes": cap,
-        "scalar_seconds": scalar_seconds,
-        "batched_seconds": batched_seconds,
-        "speedup_vs_scalar":
-            scalar_seconds / batched_seconds if batched_seconds else 0.0,
-        "row_union_identical": batched_rows == scalar_rows,
     }
 
 
@@ -1218,8 +953,6 @@ def _write_bench_record(args: argparse.Namespace, session: Session,
                         trace_metrics: Dict[str, Any],
                         frontend_metrics: Dict[str, Any],
                         grid_metrics: Dict[str, Any],
-                        grid_batched_metrics: Dict[str, Any],
-                        grid_crosstrace_metrics: Dict[str, Any],
                         serve_metrics: Dict[str, Any],
                         fuzz_metrics: Dict[str, Any],
                         before: Optional[Dict[str, Any]]) -> str:
@@ -1242,8 +975,6 @@ def _write_bench_record(args: argparse.Namespace, session: Session,
         "trace": trace_metrics,
         "frontend": frontend_metrics,
         "grid": grid_metrics,
-        "grid_batched": grid_batched_metrics,
-        "grid_crosstrace": grid_crosstrace_metrics,
         "serve": serve_metrics,
         "fuzz": fuzz_metrics,
         # Cache context: with a warm artifact cache no simulation runs and

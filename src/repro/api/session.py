@@ -76,11 +76,10 @@ class SessionStats:
     rewrite_runs: int = 0
     mgt_builds: int = 0
     timing_runs: int = 0
-    batched_timing_passes: int = 0
+    #: Timing runs computed by :meth:`Session.prime_timing`.
     batched_timing_lanes: int = 0
+    #: Always 0: nothing deduplicates timing runs beyond the stage cache.
     batched_timing_deduped: int = 0
-    batched_timing_cross_trace_lanes: int = 0
-    batched_timing_shared_trace_lanes: int = 0
     frontend_enumeration_seconds: float = 0.0
     frontend_selection_seconds: float = 0.0
     frontend_candidates: int = 0
@@ -95,18 +94,6 @@ class SessionStats:
         """Functional plus timing simulations actually executed."""
         return self.functional_runs + self.timing_runs
 
-    @property
-    def batched_timing_lanes_per_pass(self) -> float:
-        """Mean active lanes per batched pass (0.0 when nothing batched).
-
-        The occupancy headline: cross-trace packing exists so this stays
-        near ``max_lanes`` even when no single trace has that many
-        machines.  Derived, so it survives :meth:`merge` aggregation.
-        """
-        if not self.batched_timing_passes:
-            return 0.0
-        return self.batched_timing_lanes / self.batched_timing_passes
-
     def as_dict(self) -> Dict[str, Any]:
         return {"assemble_runs": self.assemble_runs,
                 "functional_runs": self.functional_runs,
@@ -114,13 +101,8 @@ class SessionStats:
                 "rewrite_runs": self.rewrite_runs,
                 "mgt_builds": self.mgt_builds,
                 "timing_runs": self.timing_runs,
-                "batched_timing_passes": self.batched_timing_passes,
                 "batched_timing_lanes": self.batched_timing_lanes,
                 "batched_timing_deduped": self.batched_timing_deduped,
-                "batched_timing_cross_trace_lanes":
-                    self.batched_timing_cross_trace_lanes,
-                "batched_timing_shared_trace_lanes":
-                    self.batched_timing_shared_trace_lanes,
                 "frontend_enumeration_seconds": self.frontend_enumeration_seconds,
                 "frontend_selection_seconds": self.frontend_selection_seconds,
                 "frontend_candidates": self.frontend_candidates,
@@ -138,13 +120,8 @@ class SessionStats:
         self.rewrite_runs += other.rewrite_runs
         self.mgt_builds += other.mgt_builds
         self.timing_runs += other.timing_runs
-        self.batched_timing_passes += other.batched_timing_passes
         self.batched_timing_lanes += other.batched_timing_lanes
         self.batched_timing_deduped += other.batched_timing_deduped
-        self.batched_timing_cross_trace_lanes += \
-            other.batched_timing_cross_trace_lanes
-        self.batched_timing_shared_trace_lanes += \
-            other.batched_timing_shared_trace_lanes
         self.frontend_enumeration_seconds += other.frontend_enumeration_seconds
         self.frontend_selection_seconds += other.frontend_selection_seconds
         self.frontend_candidates += other.frontend_candidates
@@ -410,127 +387,19 @@ class Session:
             return float("nan")
         return timing.ipc / baseline.ipc
 
-    def prime_timing(self, specs: Iterable[RunSpec], *,
-                     max_lanes: Optional[int] = None) -> int:
-        """Batched timing pre-pass: fill the scalar timing stage cache.
+    def prime_timing(self, specs: Iterable[RunSpec]) -> int:
+        """Compute the timing stages :meth:`run` needs for each spec.
 
-        Groups the timing runs the given specs will need by their decoded
-        trace (baseline runs by profile identity, mini-graph runs by trace
-        identity + layout), filters each group down to its *cache-miss*
-        lanes, then bin-packs the surviving lane groups globally —
-        longest estimated trace first, remainders riding in other groups'
-        leftover cells — into cross-trace passes of at most ``max_lanes``
-        lanes, each driven through one :meth:`~repro.uarch.batch.
-        BatchedTimingSimulator.from_lanes` pass.  Every lane's stats land
-        in the store under the exact key :meth:`baseline_timing` /
-        :meth:`minigraph_timing` would use — the batched kernel is
-        bit-identical to ``simulate_program`` — so subsequent :meth:`run`
-        calls for these specs hit the cache instead of paying the scalar
-        per-cell interpreter loop.
-
-        Purely an optimisation: upstream (front-end) failures drop that
-        trace's lanes from the pack, per-lane timing/admission errors
-        leave those lanes unprimed, and the scalar path surfaces the
-        identical error at the cell that owns it.  Returns the number of
-        lanes primed.
+        Stops at the first error, as :meth:`run` does.  Returns the number
+        of timing runs computed (cache misses), also counted in
+        ``stats.batched_timing_lanes``.
         """
-        from ..grid.planner import pack_lane_groups
-        from ..uarch.batch import (
-            DEFAULT_MAX_LANES,
-            BatchedTimingSimulator,
-            TimingLane,
-        )
-        if max_lanes is None:
-            max_lanes = DEFAULT_MAX_LANES
-        if max_lanes < 1:
-            raise ValueError(f"max_lanes must be positive, got {max_lanes}")
-        specs = list(specs)
-        if self._remote is not None or not specs:
-            return 0
-        # Lane collection: one dict per decoded trace, keyed by the scalar
-        # stage-cache key (which folds in the resolved machine) so duplicate
-        # (trace, machine) requests collapse to one lane.  Group keys are
-        # namespaced so a baseline profile and a mini-graph trace of the
-        # same spec stay distinct groups (they decode different traces).
-        groups: Dict[Tuple[Any, ...],
-                     Dict[str, Tuple[RunSpec, MachineConfig]]] = {}
+        before = self.stats.timing_runs
         for spec in specs:
-            profile_key = ("baseline", spec.source_id, spec.input_name,
-                           spec.budget)
-            lanes = groups.setdefault(profile_key, {})
-            configs = [spec.resolved_baseline_machine]
-            if spec.policy is None:
-                configs.append(spec.resolved_machine)
-            for config in configs:
-                key = self._key("time_baseline", spec,
-                                extra=(config.resolve().key,))
-                lanes.setdefault(key, (spec, config))
-            if spec.policy is not None:
-                config = spec.resolved_machine
-                trace_key = ("minigraph",) + spec.stage_material("trace") \
-                    + (spec.compressed_layout,)
-                key = self._key("time", spec,
-                                extra=("minigraph", config.resolve().key,
-                                       spec.compressed_layout))
-                groups.setdefault(trace_key, {}) \
-                    .setdefault(key, (spec, config))
-        # Cache-miss filter first, then resolve each surviving group's trace
-        # once; upstream stages run (or hit the cache) exactly as the scalar
-        # path would, and any front-end failure drops the group (deferred to
-        # the scalar path, which surfaces it at the owning cell).
-        resolved: List[Tuple[List[Tuple[str, RunSpec, MachineConfig]],
-                             Program, Trace,
-                             Optional[MiniGraphTable], bool]] = []
-        for group_key, lanes in groups.items():
-            missing = [(key, spec, config)
-                       for key, (spec, config) in lanes.items()
-                       if key not in self._store]
-            if not missing:
-                continue
-            anchor = missing[0][1]
-            try:
-                if group_key[0] == "minigraph":
-                    program = self.rewritten(anchor)
-                    trace = self.minigraph_trace(anchor)
-                    mgt = self.mgt(anchor)
-                    compressed = anchor.compressed_layout
-                else:
-                    program = self.program(anchor)
-                    trace = self.baseline_trace(anchor)
-                    mgt = None
-                    compressed = False
-            except Exception:
-                continue
-            resolved.append((missing, program, trace, mgt, compressed))
-        if not resolved:
-            return 0
-        bins = pack_lane_groups([(len(missing), missing[0][1].budget)
-                                 for missing, *_ in resolved], max_lanes)
-        primed = 0
-        for chunks in bins:
-            part: List[Tuple[str, TimingLane]] = []
-            for index, start, stop in chunks:
-                missing, program, trace, mgt, compressed = resolved[index]
-                part.extend(
-                    (key, TimingLane(program, trace, config, mgt=mgt,
-                                     compressed_layout=compressed))
-                    for key, _, config in missing[start:stop])
-            batch = BatchedTimingSimulator.from_lanes(
-                [lane for _, lane in part])
-            results = batch.run()
-            self.stats.batched_timing_passes += 1
-            self.stats.batched_timing_lanes += len(part)
-            self.stats.batched_timing_deduped += batch.deduped_lanes
-            if batch.cross_trace:
-                self.stats.batched_timing_cross_trace_lanes += len(part)
-            else:
-                self.stats.batched_timing_shared_trace_lanes += len(part)
-            for lane, (key, _) in enumerate(part):
-                if lane in batch.lane_errors:
-                    continue        # scalar path re-raises at the owning cell
-                self._store.put(key, results[lane])
-                self.stats.timing_runs += 1
-                primed += 1
+            self.timing(spec)
+            self.baseline_timing(spec)
+        primed = self.stats.timing_runs - before
+        self.stats.batched_timing_lanes += primed
         return primed
 
     # -- end-to-end ----------------------------------------------------------------
@@ -625,10 +494,8 @@ class Session:
                  for positions in positions_by_group], workers)
         if outcomes is None:
             # Serial (or pool-unavailable fallback): group order keeps each
-            # benchmark's shared artifacts hot in the memory cache, and the
-            # batched timing pre-pass runs each group's machines in one go.
+            # benchmark's shared artifacts hot in the memory cache.
             for positions in positions_by_group:
-                self.prime_timing(specs[position] for position in positions)
                 for position in positions:
                     results[position] = self.run(specs[position])
             return results  # type: ignore[return-value]
@@ -645,14 +512,12 @@ class Session:
         from ..grid.planner import plan_grid
         return plan_grid(grid)
 
-    def run_grid(self, grid, *, shard=None, resume=False, workers=None,
-                 batch=True, max_lanes=None):
+    def run_grid(self, grid, *, shard=None, resume=False, workers=None):
         """Execute a grid (or plan), streaming one row per cell.
 
         Thin front door to :func:`repro.grid.engine.run_grid`: supports
         ``shard=(index, count)`` stage-partitioning, ``resume=True`` (serve
-        cells whose terminal row artifact is already stored), a
-        ``max_lanes`` override for the batched timing passes, and the same
+        cells whose terminal row artifact is already stored) and the same
         process-pool fan-out/accounting as :meth:`sweep`.  Returns a lazy
         iterator of :class:`~repro.grid.engine.GridRow`.
 
@@ -665,7 +530,7 @@ class Session:
             return self._remote_grid(grid, shard=shard, resume=resume)
         from ..grid.engine import run_grid
         return run_grid(self, grid, shard=shard, resume=resume,
-                        workers=workers, batch=batch, max_lanes=max_lanes)
+                        workers=workers)
 
     # -- remote execution (repro serve) ---------------------------------------------
 
@@ -768,6 +633,5 @@ def _run_group_job(job: Tuple[List[RunSpec], Optional[str], str]
     """Process-pool worker: run one artifact-sharing group in one session."""
     group, cache_dir, version = job
     session = Session(cache_dir=cache_dir, version=version)
-    session.prime_timing(group)
     artifacts = [session.run(spec) for spec in group]
     return artifacts, session.stats, session.cache_stats

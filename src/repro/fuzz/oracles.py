@@ -38,25 +38,21 @@ The oracle matrix:
     at construction/admission, or complete a timing run without
     deadlocking.  Any other exception — or hitting the cycle watchdog —
     is a finding.
-``batch``
-    The batched multi-machine kernel
-    (:class:`~repro.uarch.batch.BatchedTimingSimulator`) must be
-    lane-for-lane equivalent to scalar ``simulate_program``: identical
-    :class:`~repro.uarch.stats.PipelineStats` for every admissible lane,
-    and per-lane errors (admission ``ConfigError``, scheduler
-    ``TimingError``) matching the scalar exception by type and message
-    without poisoning sibling lanes.  Lanes mix the baseline machine with
-    seeded random geometries, so divergent widths/units/cache shapes ride
-    one pass.  A final cross-trace pass batches 2–4 sibling synth programs
-    of deliberately skewed trace lengths — plus the campaign's own baseline
-    and mini-graph traces — through one ``from_lanes`` call and checks each
-    lane against its own scalar reference.
+``kernel``
+    The compiled timing kernel behind
+    :func:`~repro.uarch.pipeline.simulate_program` must equal the reference
+    :class:`~repro.uarch.pipeline.TimingSimulator` machine for machine:
+    identical :class:`~repro.uarch.stats.PipelineStats`, or the same error
+    (admission ``ConfigError``, scheduler ``TimingError``) by type and
+    message.  The machines are the baseline plus seeded random geometries
+    on the baseline trace, and the policy machine plus the same geometries
+    on the mini-graph trace.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..minigraph import MiniGraphTable
@@ -66,7 +62,7 @@ from ..program import rewrite_program
 from ..sim import run_program
 from ..sim.trace import decode_trace, encode_trace
 from ..uarch.config import ConfigError, MachineConfig, baseline_config
-from ..uarch.pipeline import TimingError, TimingSimulator
+from ..uarch.pipeline import TimingError, TimingSimulator, simulate_program
 from .generator import SYNTH_BUDGET, SplitMix64, SynthSpec, generate_program
 
 
@@ -222,8 +218,8 @@ def _timing_check(ctx: FuzzContext, program, trace, mgt, label: str,
                   config: MachineConfig) -> Optional[str]:
     watchdog = ctx.watchdog_cycles(len(trace))
     try:
-        simulator = TimingSimulator(program, trace, config, mgt=mgt)
-        stats = simulator.run(max_cycles=watchdog)
+        stats = simulate_program(program, trace, config, mgt=mgt,
+                                 max_cycles=watchdog)
     except TimingError as error:
         return f"{label}: timing pipeline stalled or rejected: {error}"
     if stats.committed_slots != len(trace):
@@ -340,8 +336,8 @@ def oracle_geometry(ctx: FuzzContext) -> OracleResult:
                 geometry["dcache"] = CacheConfig(*shape)
             config = MachineConfig(**geometry)
             config.resolve()
-            simulator = TimingSimulator(ctx.program, trace, config)
-            simulator.run(max_cycles=ctx.watchdog_cycles(len(trace)))
+            simulate_program(ctx.program, trace, config,
+                             max_cycles=ctx.watchdog_cycles(len(trace)))
         except ConfigError:
             continue            # validated rejection: exactly what we want
         except TimingError as error:
@@ -370,119 +366,44 @@ def _geometry_summary(geometry: Dict[str, Any]) -> str:
     return ", ".join(parts)
 
 
-# -- oracle 6: batched kernel == scalar timing, lane for lane -------------------
+# -- oracle 6: compiled kernel == reference simulator ---------------------------
 
-#: Random geometries mixed into each batched pass alongside the baseline
-#: machine — divergent lanes (widths, unit mixes, cache/predictor shapes,
-#: inadmissible fp_units=0 configs) are where batching can go wrong.
-_BATCH_SAMPLED_LANES = 3
+#: Random geometries timed beside the baseline machine: divergent widths, unit
+#: mixes, cache/predictor shapes and inadmissible fp_units=0 machines.
+_KERNEL_SAMPLED_MACHINES = 3
 
 
-def _scalar_outcome(ctx: FuzzContext, program, trace, mgt,
-                    config: MachineConfig, watchdog: int):
-    """One scalar reference lane: its stats, or its (type, message) error."""
+def _outcome(run: Callable[[], Any]):
+    """A timing run's stats as a dict, or its error as ``(type, message)``."""
     try:
-        simulator = TimingSimulator(program, trace, config, mgt=mgt)
-        return simulator.run(max_cycles=watchdog)
+        return asdict(run())
     except (ConfigError, TimingError) as error:
         return (type(error).__name__, str(error))
 
 
-def _compare_lane(label: str, lane: int, expect, error, result
-                  ) -> Optional[str]:
-    """One lane's batched outcome against its scalar reference."""
-    import dataclasses
-
-    if isinstance(expect, tuple):
-        if error is None:
-            return (f"{label}: lane {lane} should have raised "
-                    f"{expect[0]} but produced stats")
-        got = (type(error).__name__, str(error))
-        if got != expect:
-            return (f"{label}: lane {lane} error mismatch: "
-                    f"batched {got} vs scalar {expect}")
-    elif error is not None:
-        return (f"{label}: lane {lane} raised "
-                f"{type(error).__name__}: {error} but the scalar run "
-                f"completed")
-    elif dataclasses.asdict(result) != dataclasses.asdict(expect):
-        diffs = [field.name for field in dataclasses.fields(expect)
-                 if getattr(result, field.name)
-                 != getattr(expect, field.name)]
-        return (f"{label}: lane {lane} stats diverged from scalar "
-                f"simulate_program in {', '.join(diffs)}")
-    return None
-
-
-def _batch_check(ctx: FuzzContext, program, trace, mgt, label: str,
-                 configs: Sequence[MachineConfig]) -> Optional[str]:
-    from ..uarch.batch import BatchedTimingSimulator
-
+def _kernel_check(ctx: FuzzContext, program, trace, mgt, label: str,
+                  configs: Sequence[MachineConfig]) -> Optional[str]:
     watchdog = ctx.watchdog_cycles(len(trace))
-    expected = [_scalar_outcome(ctx, program, trace, mgt, config, watchdog)
-                for config in configs]
-    batch = BatchedTimingSimulator(program, trace, configs, mgt=mgt)
-    results = batch.run(max_cycles=watchdog)
-    for lane, expect in enumerate(expected):
-        problem = _compare_lane(label, lane, expect,
-                                batch.lane_errors.get(lane), results[lane])
-        if problem is not None:
-            return problem
-    return None
-
-
-def _mixed_batch_check(ctx: FuzzContext, rng: SplitMix64,
-                       configs: Sequence[MachineConfig]) -> Optional[str]:
-    """Cross-trace lane groups: one ``from_lanes`` pass over several traces.
-
-    Each campaign draws 2–4 sibling synth programs whose traces run under
-    sharply shrinking budgets — deliberately skewed lengths, so the pass
-    must retire short lanes early while long ones keep going — plus ctx's
-    own baseline trace and (when the selection is non-empty) its
-    handle-bearing mini-graph trace.  Every trace fields at least one lane
-    and the machine set is spread round-robin across the traces; each
-    lane's stats or error must match its scalar reference exactly.
-    """
-    from ..uarch.batch import BatchedTimingSimulator, TimingLane
-
-    members = [(ctx.program, ctx.baseline.trace, None)]
-    for sibling in range(1, 2 + rng.below(3)):        # 2-4 synth traces
-        spec = SynthSpec.sample((ctx.spec.seed + sibling) ^ 0x5EED5)
-        program = generate_program(spec, ctx.input_name)
-        run = run_program(program,
-                          max_instructions=max(64,
-                                               ctx.budget >> (3 * sibling)),
-                          input_name=ctx.input_name)
-        members.append((program, run.trace, None))
-    if ctx.selection.selected:
-        members.append((ctx.rewritten, ctx.rewritten_run.trace, ctx.mgt))
-    lanes = [(program, trace, mgt, configs[index % len(configs)])
-             for index, (program, trace, mgt) in enumerate(members)]
     for index, config in enumerate(configs):
-        program, trace, mgt = members[index % len(members)]
-        lanes.append((program, trace, mgt, config))
-    watchdog = ctx.watchdog_cycles(max(len(trace)
-                                       for _, trace, _, _ in lanes))
-    expected = [_scalar_outcome(ctx, program, trace, mgt, config, watchdog)
-                for program, trace, mgt, config in lanes]
-    batch = BatchedTimingSimulator.from_lanes(
-        [TimingLane(program, trace, config, mgt=mgt)
-         for program, trace, mgt, config in lanes])
-    results = batch.run(max_cycles=watchdog)
-    if not batch.cross_trace:
-        return "mixed: pass failed to span multiple decoded traces"
-    for lane, expect in enumerate(expected):
-        problem = _compare_lane("mixed", lane, expect,
-                                batch.lane_errors.get(lane), results[lane])
-        if problem is not None:
-            return problem
+        expect = _outcome(lambda: TimingSimulator(
+            program, trace, config, mgt=mgt).run(max_cycles=watchdog))
+        got = _outcome(lambda: simulate_program(
+            program, trace, config, mgt=mgt, max_cycles=watchdog))
+        if got == expect:
+            continue
+        machine = f"{label}: machine {index} ({config.name})"
+        if isinstance(expect, dict) and isinstance(got, dict):
+            diffs = [name for name in expect if got[name] != expect[name]]
+            return (f"{machine}: kernel stats diverged from TimingSimulator "
+                    f"in {', '.join(diffs)}")
+        return f"{machine}: kernel {got!r} vs TimingSimulator {expect!r}"
     return None
 
 
-def oracle_batch(ctx: FuzzContext) -> OracleResult:
+def oracle_kernel(ctx: FuzzContext) -> OracleResult:
     rng = SplitMix64((ctx.spec.seed * 2 + 1) ^ 0xBA7C8ED51DE5EED5)
-    lanes: List[MachineConfig] = [baseline_config()]
-    for _ in range(_BATCH_SAMPLED_LANES):
+    configs: List[MachineConfig] = [baseline_config()]
+    for _ in range(_KERNEL_SAMPLED_MACHINES):
         geometry = sample_geometry(rng)
         shape = geometry.get("dcache")
         try:
@@ -493,24 +414,19 @@ def oracle_batch(ctx: FuzzContext) -> OracleResult:
             config.resolve()
         except ConfigError:
             continue        # construction-time rejection is geometry's domain
-        lanes.append(config)
-    problem = _batch_check(ctx, ctx.program, ctx.baseline.trace, None,
-                           "baseline", lanes)
+        configs.append(config)
+    problem = _kernel_check(ctx, ctx.program, ctx.baseline.trace, None,
+                            "baseline", configs)
     if problem is None and ctx.selection.selected:
         from ..api.spec import RunSpec
 
         machine = RunSpec(benchmark=ctx.spec.name,
                           policy=DEFAULT_POLICY).resolved_machine
-        # The handle-bearing trace with the policy machine first, then the
-        # same mixed lanes — inadmissible ones must error without poisoning
-        # this lane.
-        problem = _batch_check(ctx, ctx.rewritten, ctx.rewritten_run.trace,
-                               ctx.mgt, "minigraph", [machine] + lanes)
-    if problem is None:
-        problem = _mixed_batch_check(ctx, rng, lanes)
+        problem = _kernel_check(ctx, ctx.rewritten, ctx.rewritten_run.trace,
+                                ctx.mgt, "minigraph", [machine] + configs)
     if problem is not None:
-        return OracleResult("batch", False, problem)
-    return OracleResult("batch", True)
+        return OracleResult("kernel", False, problem)
+    return OracleResult("kernel", True)
 
 
 # -- registry -------------------------------------------------------------------
@@ -521,12 +437,12 @@ ORACLES: Dict[str, Callable[[FuzzContext], OracleResult]] = {
     "timing": oracle_timing,
     "codec": oracle_codec,
     "geometry": oracle_geometry,
-    "batch": oracle_batch,
+    "kernel": oracle_kernel,
 }
 
 #: Canonical oracle order (cheap architectural checks before timing runs).
 ORACLE_NAMES: Tuple[str, ...] = ("rewrite", "selection", "codec", "timing",
-                                 "geometry", "batch")
+                                 "geometry", "kernel")
 
 
 def run_oracles(spec: SynthSpec, *, oracles: Optional[Sequence[str]] = None,

@@ -162,25 +162,17 @@ def _row(cell: GridCell, payload: Dict[str, Any], *, resumed: bool) -> GridRow:
 
 
 #: One pool job: the stage's cells (index, point, spec — GridSpec builders
-#: never cross the process boundary), the shared cache directory, the
-#: version, whether the batched timing pre-pass runs first, and its
-#: ``max_lanes`` override (None = kernel default).
+#: never cross the process boundary), the shared cache directory and the
+#: version.
 _StageJob = Tuple[List[Tuple[int, Tuple[Tuple[str, Any], ...], RunSpec]],
-                  Optional[str], str, bool, Optional[int]]
+                  Optional[str], str]
 
 
 def _run_stage_job(job: _StageJob) -> Tuple[List[Tuple[int, Dict[str, Any]]],
                                             SessionStats, CacheStats]:
     """Process-pool worker: run one shared-artifact stage in one session."""
-    cells, cache_dir, version, batch, max_lanes = job
+    cells, cache_dir, version = job
     session = Session(cache_dir=cache_dir, version=version)
-    if batch:
-        # Batched timing pre-pass: the stage's lanes — its baseline trace's
-        # machines plus each policy's mini-graph trace's — pack into
-        # cross-trace BatchedTimingSimulator passes, so the per-cell run()
-        # calls below hit the timing stage cache.
-        session.prime_timing([spec for _, _, spec in cells],
-                             max_lanes=max_lanes)
     rows: List[Tuple[int, Dict[str, Any]]] = []
     for index, point, spec in cells:
         payload = _cell_payload(session.run(spec))
@@ -192,9 +184,7 @@ def _run_stage_job(job: _StageJob) -> Tuple[List[Tuple[int, Dict[str, Any]]],
 def run_grid(session: Session, grid: Union[GridSpec, GridPlan], *,
              shard: Optional[Tuple[int, int]] = None,
              resume: bool = False,
-             workers: Optional[int] = None,
-             batch: bool = True,
-             max_lanes: Optional[int] = None) -> Iterator[GridRow]:
+             workers: Optional[int] = None) -> Iterator[GridRow]:
     """Execute a grid (or a prepared plan), streaming rows in plan order.
 
     Args:
@@ -208,14 +198,6 @@ def run_grid(session: Session, grid: Union[GridSpec, GridPlan], *,
         workers: process-pool width (0/1 = serial in the parent session,
             where the plan's grouping keeps shared artifacts hot in the
             memory cache).
-        batch: drive the plan's timing runs through the batched
-            multi-machine kernel (:meth:`Session.prime_timing`) before the
-            per-cell loops — serially, the whole plan's cache-miss lanes
-            bin-pack into cross-trace passes up front; with a pool, each
-            stage-worker packs its own stage's trace groups.  Rows stay
-            bit-identical to the scalar path (``batch=False``).
-        max_lanes: lane cap per batched pass (None = the kernel default,
-            :data:`repro.uarch.batch.DEFAULT_MAX_LANES`).
     """
     plan = grid if isinstance(grid, GridPlan) else plan_grid(grid)
     if shard is not None:
@@ -237,7 +219,7 @@ def run_grid(session: Session, grid: Union[GridSpec, GridPlan], *,
                 remaining.append(cell)
         pending.append(_PendingStage(stage, remaining, served))
 
-    for stage_rows in _execute(session, pending, workers, batch, max_lanes):
+    for stage_rows in _execute(session, pending, workers):
         for row in sorted(stage_rows, key=lambda row: row.index):
             yield row
 
@@ -252,26 +234,18 @@ class _PendingStage:
 
 
 def _execute(session: Session, pending: List[_PendingStage],
-             workers: Optional[int], batch: bool,
-             max_lanes: Optional[int]) -> Iterator[List[GridRow]]:
+             workers: Optional[int]) -> Iterator[List[GridRow]]:
     """Yield each stage's complete row list (resumed + computed), in order."""
     jobs = [entry.cells for entry in pending if entry.cells]
     resolved = session._resolve_workers(workers, len(jobs))
     if resolved > 1 and len(jobs) > 1:
-        outcomes = _pool_outcomes(session, jobs, resolved, batch, max_lanes)
+        outcomes = _pool_outcomes(session, jobs, resolved)
         if outcomes is not None:
             yield from _merge_pool_outcomes(session, pending, outcomes)
             return
     # Serial (or pool-unavailable fallback): compute in the parent session,
     # in execution order, so shared artifacts stay hot in the memory cache.
-    # The batched pre-pass runs over the *whole* plan's pending cells up
-    # front: one session sees every stage's lanes, so the bin-pack fills
-    # passes across stage boundaries — small stages' leftover lanes ride in
-    # large stages' passes instead of under-filling their own.
     version = session.version
-    if batch and jobs:
-        session.prime_timing([cell.spec for cells in jobs for cell in cells],
-                             max_lanes=max_lanes)
     for entry in pending:
         rows = list(entry.served)
         for cell in entry.cells:
@@ -282,14 +256,14 @@ def _execute(session: Session, pending: List[_PendingStage],
 
 
 def _pool_outcomes(session: Session, jobs: List[List[GridCell]],
-                   workers: int, batch: bool, max_lanes: Optional[int]):
+                   workers: int):
     """An ordered, streaming iterator of stage-job results — or ``None``
     when process pools are unavailable in the environment."""
     cache_dir = session.store.cache_dir
     cache_dir_name = None if cache_dir is None else str(cache_dir)
     payloads: List[_StageJob] = [
         ([(cell.index, cell.point, cell.spec) for cell in cells],
-         cache_dir_name, session.version, batch, max_lanes)
+         cache_dir_name, session.version)
         for cells in jobs]
     pool = None
     try:

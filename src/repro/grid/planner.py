@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..api.keys import canonical_key
-from ..api.spec import RunSpec
 from .spec import GridCell, GridError, GridSpec
 
 
@@ -103,20 +102,6 @@ class GridPlan:
         """Every planned cell, stage-major in execution order."""
         return [cell for stage in self.stages for cell in stage.cells]
 
-    def timing_batches(self, max_lanes: Optional[int] = None
-                       ) -> List["TimingBatch"]:
-        """The machine-batched timing passes this plan's cells will ride.
-
-        Batches are packed across the whole plan — lanes from *different*
-        stages' decoded traces share passes whenever a stage's lane groups
-        leave cells free (see :func:`timing_batches`'s greedy bin-pack) —
-        mirroring what :meth:`Session.prime_timing` executes on the serial
-        path, where one session sees every stage's lanes.  (A process-pool
-        run primes per stage-worker, so its passes pack only that stage's
-        trace groups.)
-        """
-        return timing_batches(self.cells(), max_lanes)
-
     def take_shard(self, index: int, count: int) -> "GridPlan":
         """Shard ``index`` of ``count``: every ``count``-th stage.
 
@@ -144,162 +129,6 @@ class GridPlan:
             "shard": None if self.shard is None
                      else f"{self.shard[0]}/{self.shard[1]}",
         }
-
-
-@dataclass
-class LaneGroup:
-    """Machine lanes sharing one decoded trace inside a batched pass.
-
-    ``trace_key`` identifies the shared trace artifact (profile identity
-    for baseline lanes, trace identity + layout for mini-graph lanes);
-    ``lanes`` holds one ``(spec, machine)`` pair per distinct machine;
-    ``est_length`` is the planner's trace-length estimate (the owning
-    spec's budget caps committed entries), which drives the longest-first
-    bin-pack.
-    """
-
-    trace_key: Tuple[Any, ...]
-    minigraph: bool
-    est_length: int
-    lanes: List[Tuple[RunSpec, Any]]   # (owning spec, machine config)
-
-
-@dataclass
-class TimingBatch:
-    """One batched timing pass: ≤ ``max_lanes`` machine lanes, possibly
-    spanning several decoded traces.
-
-    A batch holds one :class:`LaneGroup` per distinct trace it drives —
-    the cross-trace kernel (:meth:`repro.uarch.batch.BatchedTimingSimulator.
-    from_lanes`) runs them as one pass, retiring short-trace lanes early.
-    This is the planner's view of what :meth:`repro.api.session.Session.
-    prime_timing` executes — inspectable before anything runs, and already
-    partitioned to ``max_lanes`` so the per-pass memory bound is visible in
-    the plan.
-    """
-
-    groups: List[LaneGroup]
-
-    @property
-    def lanes(self) -> List[Tuple[RunSpec, Any]]:
-        """Every lane of the pass, group-major in execution order."""
-        return [lane for group in self.groups for lane in group.lanes]
-
-    @property
-    def lane_count(self) -> int:
-        return sum(len(group.lanes) for group in self.groups)
-
-    @property
-    def trace_count(self) -> int:
-        return len(self.groups)
-
-    @property
-    def cross_trace(self) -> bool:
-        """Whether the pass interleaves lanes over different traces."""
-        return len(self.groups) > 1
-
-    @property
-    def minigraph(self) -> bool:
-        return any(group.minigraph for group in self.groups)
-
-
-def pack_lane_groups(shapes: List[Tuple[int, int]], max_lanes: int
-                     ) -> List[List[Tuple[int, int, int]]]:
-    """Greedy longest-first best-fit bin-pack of lane groups into passes.
-
-    ``shapes`` is one ``(lane_count, est_length)`` per lane group in
-    first-seen order; the result is one list per pass (bin) of
-    ``(group_index, start, stop)`` lane slices, at most ``max_lanes`` lanes
-    per pass.  Groups are packed longest-trace-first (ties broken by input
-    order): each group first fills whole passes of ``max_lanes`` lanes, and
-    its remainder is placed *whole* into the open pass with the least
-    sufficient free space (earliest on ties) — never split, so sibling
-    lanes over one trace stay in one pass and keep the kernel's
-    behavior-key dedup — or opens a new pass.  Deterministic throughout;
-    passes are returned in creation order.
-    """
-    order = sorted(range(len(shapes)),
-                   key=lambda index: (-shapes[index][1], index))
-    bins: List[List[Tuple[int, int, int]]] = []
-    free: List[int] = []
-    for index in order:
-        count = shapes[index][0]
-        start = 0
-        while count - start >= max_lanes:
-            bins.append([(index, start, start + max_lanes)])
-            free.append(0)
-            start += max_lanes
-        remainder = count - start
-        if not remainder:
-            continue
-        best = -1
-        for position, slots in enumerate(free):
-            if slots >= remainder and (best < 0 or slots < free[best]):
-                best = position
-        if best < 0:
-            bins.append([(index, start, count)])
-            free.append(max_lanes - remainder)
-        else:
-            bins[best].append((index, start, count))
-            free[best] -= remainder
-    return bins
-
-
-def timing_batches(cells_or_specs: Iterable[Any],
-                   max_lanes: Optional[int] = None) -> List[TimingBatch]:
-    """Group the timing runs of cells (or bare specs) into batched passes.
-
-    Mirrors the runtime grouping of :meth:`Session.prime_timing`: baseline
-    timing lanes group by profile identity ``(source, input, budget)``,
-    mini-graph lanes by trace identity + compressed layout, and duplicate
-    (trace, machine) lanes collapse.  The lane groups are then bin-packed
-    (:func:`pack_lane_groups`) into cross-trace passes of at most
-    ``max_lanes`` machines (default
-    :data:`repro.uarch.batch.DEFAULT_MAX_LANES`, bounding per-pass memory):
-    a pass left under-filled by one trace's machines takes on the leftover
-    lanes of other traces — longest estimated trace first, so small
-    benchmarks ride along with large ones instead of serializing behind
-    them.  Deterministic: groups form in first-lane order with lanes in
-    input order, and the pack is a pure function of the group shapes.
-    """
-    from ..uarch.batch import DEFAULT_MAX_LANES
-    if max_lanes is None:
-        max_lanes = DEFAULT_MAX_LANES
-    if max_lanes < 1:
-        raise GridError(f"max_lanes must be positive, got {max_lanes}")
-    groups: Dict[Tuple[Any, ...], Dict[Any, Tuple[RunSpec, Any]]] = {}
-    for item in cells_or_specs:
-        spec = item.spec if isinstance(item, GridCell) else item
-        base_key = ("baseline",) + spec.stage_material("time_baseline")
-        lanes = groups.setdefault(base_key, {})
-        configs = [spec.resolved_baseline_machine]
-        if spec.policy is None:
-            configs.append(spec.resolved_machine)
-        for config in configs:
-            lanes.setdefault(config.resolve().key, (spec, config))
-        if spec.policy is not None:
-            config = spec.resolved_machine
-            mg_key = ("minigraph",) + spec.stage_material("trace") \
-                + (spec.compressed_layout,)
-            groups.setdefault(mg_key, {}) \
-                .setdefault(config.resolve().key, (spec, config))
-    ordered: List[LaneGroup] = []
-    for trace_key, lane_map in groups.items():
-        lanes = list(lane_map.values())
-        ordered.append(LaneGroup(
-            trace_key=trace_key,
-            minigraph=trace_key[0] == "minigraph",
-            est_length=lanes[0][0].budget,
-            lanes=lanes))
-    bins = pack_lane_groups([(len(group.lanes), group.est_length)
-                             for group in ordered], max_lanes)
-    return [TimingBatch(groups=[
-                LaneGroup(trace_key=ordered[index].trace_key,
-                          minigraph=ordered[index].minigraph,
-                          est_length=ordered[index].est_length,
-                          lanes=ordered[index].lanes[start:stop])
-                for index, start, stop in chunks])
-            for chunks in bins]
 
 
 def plan_cells(cells: Iterable[GridCell],

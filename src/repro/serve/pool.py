@@ -96,11 +96,6 @@ def _execute_task(session, task: PoolTask,
     before_session = session.stats.as_dict()
     before_cache = session.cache_stats.as_dict()
     try:
-        # Batched timing pre-pass: the stage's cache-miss lanes — baseline
-        # and mini-graph traces alike — bin-pack into cross-trace
-        # BatchedTimingSimulator passes that prime the timing cache the
-        # per-cell runs below hit.
-        session.prime_timing([spec for _, spec in task.cells])
         for index, spec in task.cells:
             payload = _compute_cell(session, task, index, spec)
             emit(("row", task.key, index, payload))

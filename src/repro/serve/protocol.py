@@ -62,7 +62,7 @@ from typing import Any, BinaryIO, Dict, Optional
 
 #: Bump on any incompatible message-shape change; the handshake rejects
 #: mismatches with ``protocol-mismatch`` instead of mis-parsing mid-stream.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Structured rejection/failure codes carried in ``error.code``.
 ERROR_CODES = (

@@ -1,12 +1,14 @@
 /*
- * The fused per-lane timing kernel: one machine configuration over one
- * decoded trace, in C.
+ * The timing kernel: one machine configuration over one decoded trace, in C.
  *
  * This is TimingSimulator's stage sequence (retire -> complete -> issue ->
  * rename -> fetch -> occupancy accounting) flattened into one loop over flat
- * per-sequence arrays, plus the idle-span jump described in batch.py.  Every
- * branch mirrors repro.uarch.pipeline exactly; the golden-equivalence tests
- * and the `batch` fuzz oracle compare the two bit for bit.
+ * per-sequence arrays.  Provably idle cycle spans are skipped by jumping
+ * straight to the next scheduled event and bulk-charging the per-cycle
+ * accounting, so a skipped span is bit-identical to a stepped one.  Every
+ * branch mirrors repro.uarch.pipeline exactly; the golden-equivalence tests,
+ * tests/test_lane_kernel.py and the `kernel` fuzz oracle compare the two bit
+ * for bit.
  *
  * The replayed trace has no wrong path, so a dynamic entity's sequence number
  * is its trace index.  The front end is the sequence range [renamed, fetched)

@@ -1,9 +1,10 @@
-"""Build, load and call the compiled per-lane timing kernel.
+"""Build, load and call the compiled timing kernel.
 
-``lane_kernel.c`` is the fused per-lane kernel behind
-:class:`~repro.uarch.batch.BatchedTimingSimulator`.  It is compiled with the
-system C compiler the first time a lane group actually runs — never at
-import — and called through :mod:`ctypes`:
+``lane_kernel.c`` is the timing pipeline flattened into one loop over flat
+per-sequence arrays; :func:`repro.uarch.pipeline.simulate_program` runs
+every timing simulation through it.  It is compiled with the system C
+compiler the first time a trace is timed — never at import — and called
+through :mod:`ctypes`:
 
 * the shared library is cached in this package's ``__pycache__`` under a
   name keyed by a hash of the C source and the compiler command, written to
@@ -11,10 +12,11 @@ import — and called through :mod:`ctypes`:
   processes that build at the same moment each load a complete library;
   when that directory is not writable the library is built into a
   per-process temporary directory instead;
-* :func:`simulate` packs a lane's :class:`~repro.uarch.batch.TraceFacts` into
-  typed buffers once per trace, runs one machine over them and rebuilds the
-  scalar path's exact :class:`~repro.uarch.pipeline.TimingError` text from
-  the kernel's error code;
+* :func:`trace_facts` interns, once per (program, trace, MGT, layout), the
+  decode feed and, on the first kernel call, the kernel's typed buffers;
+  :func:`simulate` runs one machine over them and rebuilds the reference
+  path's exact :class:`~repro.uarch.pipeline.TimingError` text from the
+  kernel's error code;
 * without a working compiler (or for geometry beyond 32 bits) it returns
   ``None`` and the caller runs the reference
   :class:`~repro.uarch.pipeline.TimingSimulator`, which gives the same stats
@@ -31,11 +33,12 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import weakref
 from array import array
 from importlib import resources
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..minigraph.mgt import (
     FU_ALU,
@@ -43,9 +46,12 @@ from ..minigraph.mgt import (
     FU_BRANCH,
     FU_LOAD,
     FU_STORE,
+    MiniGraphTable,
 )
+from ..program.program import Program
+from ..sim.trace import Trace
 from .config import MachineConfig
-from .decode import decode_table
+from .decode import KIND_FP, DecodeError, decode_table
 from .pipeline import (
     FetchLayout,
     TimingError,
@@ -54,9 +60,6 @@ from .pipeline import (
     watchdog_error,
 )
 from .stats import PipelineStats
-
-if TYPE_CHECKING:
-    from .batch import TraceFacts
 
 SOURCE = "lane_kernel.c"
 CFLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
@@ -226,10 +229,61 @@ def _open(library: Path) -> Any:
     return entry
 
 
+# -- trace facts --------------------------------------------------------------
+
+
+class TraceFacts:
+    """What every machine timed over one (program, trace, MGT, layout) shares.
+
+    Holds the trace's columns, never the trace itself, so interning facts
+    does not keep a trace (or its packed kernel buffers) alive.
+    """
+
+    __slots__ = ("program", "columns", "mgt", "compressed", "feed", "total",
+                 "has_fp", "kernel_trace")
+
+    def __init__(self, program: Program, trace: Trace,
+                 mgt: Optional[MiniGraphTable], compressed: bool) -> None:
+        self.program = program
+        self.columns = trace.columns()
+        self.mgt = mgt
+        self.compressed = compressed
+        try:
+            self.feed = decode_table(program, mgt).trace_feed(trace)
+        except DecodeError as error:
+            raise TimingError(str(error)) from None
+        self.total = len(self.feed)
+        #: Feeds the ``fp_units=0`` admission check.
+        self.has_fp = any(op.kind == KIND_FP for op in set(self.feed))
+        #: The kernel's packed view, built on the first :func:`simulate`.
+        self.kernel_trace: Optional[Tuple[Any, ...]] = None
+
+
+#: ``trace -> {(decode table, compressed) -> TraceFacts}``.  Weak on the
+#: trace so facts die with it; the decode table key keeps (program, MGT)
+#: variants of one trace distinct.
+_FACTS: "weakref.WeakKeyDictionary[Trace, Dict]" = weakref.WeakKeyDictionary()
+
+
+def trace_facts(program: Program, trace: Trace,
+                mgt: Optional[MiniGraphTable] = None,
+                compressed_layout: bool = False) -> TraceFacts:
+    """The process-wide interned :class:`TraceFacts` for one quadruple."""
+    per_trace = _FACTS.get(trace)
+    if per_trace is None:
+        per_trace = _FACTS[trace] = {}
+    key = (decode_table(program, mgt), compressed_layout)
+    facts = per_trace.get(key)
+    if facts is None:
+        facts = per_trace[key] = TraceFacts(program, trace, mgt,
+                                            compressed_layout)
+    return facts
+
+
 # -- call ---------------------------------------------------------------------
 
 
-def _pack(facts: "TraceFacts") -> Tuple[_LaneTrace, Tuple[array, ...]]:
+def _pack(facts: TraceFacts) -> Tuple[_LaneTrace, Tuple[array, ...]]:
     """The kernel's view of ``facts`` plus the buffers it points into.
 
     Trace columns are passed zero-copy; decode metadata becomes one row per
@@ -237,7 +291,7 @@ def _pack(facts: "TraceFacts") -> Tuple[_LaneTrace, Tuple[array, ...]]:
     metadata as small integer codes.
     """
     program = facts.program
-    columns = facts.trace.columns()
+    columns = facts.columns
     table = decode_table(program, facts.mgt)
     ops = len(program.instructions)
     kind, bits = array("B", bytes(ops)), array("B", bytes(ops))
@@ -304,11 +358,11 @@ def config_vector(config: MachineConfig) -> Optional[array]:
     return array("q", values)
 
 
-def simulate(facts: "TraceFacts", config: MachineConfig,
+def simulate(facts: TraceFacts, config: MachineConfig,
              max_cycles: int) -> Optional[PipelineStats]:
     """One machine over ``facts`` in the compiled kernel.
 
-    Returns the statistics, raises the scalar path's error, or returns None
+    Returns the statistics, raises the reference path's error, or returns None
     when the compiled kernel is unavailable or ``config`` is out of its
     range — the caller then runs the reference simulator.
     """

@@ -37,6 +37,10 @@ preserving the relative effects the paper measures:
 * memory-ordering violations are charged as a fetch-redirect penalty at the
   offending load (plus store-set training) rather than by rolling back
   renamed state.
+
+:func:`simulate_program` runs this model in the compiled kernel
+(:mod:`repro.uarch.lane_kernel`); :class:`TimingSimulator` is the reference
+it is tested against and its fallback on a host without a C compiler.
 """
 
 from __future__ import annotations
@@ -82,8 +86,8 @@ _SLOT_LOST = 2
 def fp_admission_error(config: MachineConfig, program: Program) -> ConfigError:
     """The admission error for an FP trace on a machine with no FP units.
 
-    Shared between the scalar simulator and the batched kernel so a lane
-    rejected at batch construction raises exactly the scalar error.
+    Shared between :class:`TimingSimulator` and :func:`simulate_program`'s
+    kernel path, so both reject the pairing with the same text.
     """
     return ConfigError(
         f"machine {config.name!r} has fp_units=0 but the trace for "
@@ -95,8 +99,8 @@ class TimingError(RuntimeError):
     """Raised for inconsistent timing-model configurations."""
 
 
-# The runtime errors of a timing run.  The compiled lane kernel reports them
-# as codes and rebuilds the same text from these, so both paths raise alike.
+# The runtime errors of a timing run.  The compiled kernel reports them as
+# codes and rebuilds the same text from these, so both paths raise alike.
 
 def watchdog_error(program: Program, max_cycles: int, retired: int,
                    total: int) -> TimingError:
@@ -780,8 +784,23 @@ class TimingSimulator:
 
 def simulate_program(program: Program, trace: Trace, config: MachineConfig, *,
                      mgt: Optional[MiniGraphTable] = None,
-                     compressed_layout: bool = False) -> PipelineStats:
-    """Convenience wrapper: build a :class:`TimingSimulator` and run it."""
-    simulator = TimingSimulator(program, trace, config, mgt=mgt,
-                                compressed_layout=compressed_layout)
-    return simulator.run()
+                     compressed_layout: bool = False,
+                     max_cycles: int = 5_000_000) -> PipelineStats:
+    """Time ``trace`` on ``config``: the one timing path of the package.
+
+    Runs the compiled kernel (:mod:`repro.uarch.lane_kernel`).  Without a
+    working C compiler, or for a geometry value beyond the kernel's 32-bit
+    range, it runs :class:`TimingSimulator` instead, which gives the same
+    statistics and raises the same errors.
+    """
+    from . import lane_kernel     # ctypes: loaded on the first timing run
+
+    facts = lane_kernel.trace_facts(program, trace, mgt, compressed_layout)
+    if facts.has_fp and config.fp_units == 0:
+        raise fp_admission_error(config, program)
+    stats = lane_kernel.simulate(facts, config, max_cycles)
+    if stats is None:
+        stats = TimingSimulator(program, trace, config, mgt=mgt,
+                                compressed_layout=compressed_layout
+                                ).run(max_cycles=max_cycles)
+    return stats

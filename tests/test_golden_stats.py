@@ -5,7 +5,9 @@ simulator, whose issue stage rescanned the whole issue queue every cycle.
 These tests pin the event-driven wakeup/select scheduler (plus the interned
 decode path and the plan-compiled functional simulator feeding it) to those
 statistics *bit-for-bit* across every embedded workload, on both the
-baseline and the mini-graph machine.  Any scheduling divergence — an entity
+baseline and the mini-graph machine, and on both timing paths: the compiled
+kernel behind ``Session.run`` and the reference ``TimingSimulator`` it falls
+back to without a C compiler.  Any scheduling divergence — an entity
 selected a cycle early or late, a changed structural-conflict outcome, a
 different replay count — shows up as a failed equality on the full stats
 dictionary.
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import RunSpec, Session
+from repro.uarch.pipeline import TimingSimulator
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "timing_stats.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -47,3 +50,19 @@ def test_scheduler_rewrite_matches_golden_stats(workload: str, session: Session)
     assert artifacts.timing.as_dict() == expected["minigraph"], \
         f"{workload}: mini-graph timing diverged from the pre-rewrite simulator"
     assert artifacts.coverage == expected["coverage"]
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN))
+def test_reference_simulator_matches_golden_stats(workload: str,
+                                                  session: Session):
+    expected = GOLDEN[workload]
+    spec = RunSpec(benchmark=workload, budget=expected["budget"])
+    artifacts = session.run(spec)
+    baseline = TimingSimulator(artifacts.program, artifacts.baseline_trace,
+                               spec.resolved_baseline_machine).run()
+    minigraph = TimingSimulator(artifacts.rewritten, artifacts.minigraph_trace,
+                                spec.resolved_machine, mgt=artifacts.mgt).run()
+    assert baseline.as_dict() == expected["baseline"], \
+        f"{workload}: reference baseline timing diverged from golden"
+    assert minigraph.as_dict() == expected["minigraph"], \
+        f"{workload}: reference mini-graph timing diverged from golden"

@@ -1,16 +1,19 @@
-"""The compiled per-lane timing kernel: build, fallback, watchdog, races.
+"""The compiled timing kernel against the reference ``TimingSimulator``.
 
-``repro.uarch.lane_kernel`` compiles ``lane_kernel.c`` on first use and
-``BatchedTimingSimulator`` calls it once per lane group; without a C
-compiler each group runs the reference ``TimingSimulator``.  These tests pin
-that both paths give the same stats and errors, that the watchdog reports
-exactly the scalar error from both of the kernel's loop exits, that the
+``simulate_program`` runs every timing simulation in ``lane_kernel.c``,
+which ``repro.uarch.lane_kernel`` compiles on first use; without a C
+compiler it runs the reference ``TimingSimulator``.  These tests pin that
+the kernel gives the reference's stats and errors on every catalog machine,
+that the watchdog reports exactly the reference error from both of the
+kernel's loop exits, that both fallbacks give the same results, that the
 compiled kernel really is the one used wherever a compiler exists (so a CI
-run cannot go green on the slow path), and that concurrent first builds and
-an unwritable cache still load a complete library.
+run cannot go green on the slow path), that interning a trace's facts does
+not keep the trace alive, and that concurrent first builds and an
+unwritable cache still load a complete library.
 """
 
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -19,20 +22,20 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.api import Session
+from repro.api import RunSpec, Session
 from repro.grid.catalog import get_grid
 from repro.sim.functional import run_program
-from repro.uarch import batch, lane_kernel
-from repro.uarch.batch import BatchedTimingSimulator, trace_facts
+from repro.uarch import lane_kernel, pipeline
 from repro.uarch.catalog import machine_config, machine_names
 from repro.uarch.config import ConfigError, baseline_config
-from repro.uarch.pipeline import TimingError, TimingSimulator
+from repro.uarch.pipeline import TimingError, TimingSimulator, simulate_program
 from repro.uarch.stats import PipelineStats
 from repro.workloads import load_benchmark
 
@@ -48,35 +51,93 @@ def bitcount():
     return program, run_program(program, max_instructions=BUDGET).trace
 
 
-def _outcomes(batch_sim, results):
-    return [(type(batch_sim.lane_errors[lane]).__name__,
-             str(batch_sim.lane_errors[lane]))
-            if lane in batch_sim.lane_errors
-            else dataclasses.asdict(result)
-            for lane, result in enumerate(results)]
+@pytest.fixture(scope="module")
+def crc_run():
+    return repro.prepare_minigraph_run(load_benchmark("crc", "reference"),
+                                       budget=BUDGET)
 
 
-def _scalar_outcome(program, trace, config, **kwargs):
-    max_cycles = kwargs.pop("max_cycles", 5_000_000)
+def _outcome(run):
+    """A timing run's stats as a dict, or its error as ``(type, message)``."""
     try:
-        stats = TimingSimulator(program, trace, config, **kwargs).run(
-            max_cycles=max_cycles)
+        return dataclasses.asdict(run())
     except (ConfigError, TimingError) as error:
         return (type(error).__name__, str(error))
-    return dataclasses.asdict(stats)
+
+
+def _kernel(program, trace, config, **kwargs):
+    return _outcome(lambda: simulate_program(program, trace, config,
+                                             **kwargs))
+
+
+def _reference(program, trace, config, max_cycles=5_000_000, **kwargs):
+    return _outcome(lambda: TimingSimulator(program, trace, config, **kwargs)
+                    .run(max_cycles=max_cycles))
+
+
+class TestReferenceEquivalence:
+    """The kernel's stats or error is the reference simulator's."""
+
+    def test_baseline_trace_all_catalog_machines(self, bitcount):
+        program, trace = bitcount
+        for name in machine_names():
+            config = machine_config(name)
+            expected = _reference(program, trace, config)
+            assert isinstance(expected, dict), f"{name}: {expected}"
+            assert _kernel(program, trace, config) == expected, name
+
+    @pytest.mark.parametrize("compressed", (False, True))
+    def test_minigraph_trace_all_catalog_machines(self, crc_run, compressed):
+        """Handle-bearing traces: stats and errors both match."""
+        program, trace = crc_run.rewritten, crc_run.rewritten_result.trace
+        outcomes = []
+        for name in machine_names():
+            config = machine_config(name)
+            expected = _reference(program, trace, config, mgt=crc_run.mgt,
+                                  compressed_layout=compressed)
+            assert _kernel(program, trace, config, mgt=crc_run.mgt,
+                           compressed_layout=compressed) == expected, name
+            outcomes.append(expected)
+        # The catalog mixes handle-capable and plain machines, so some must
+        # reject the handle trace.
+        assert any(isinstance(item, tuple) for item in outcomes)
+        assert any(isinstance(item, dict) for item in outcomes)
+
+    def test_fp_units_zero_admission_error(self):
+        from repro.fuzz.generator import SynthSpec, generate_program
+        spec = SynthSpec.sample(1004).with_dials(fp_density=40)
+        program = generate_program(spec, "reference")
+        trace = run_program(program, max_instructions=10_000).trace
+        good = baseline_config()
+        bad = dataclasses.replace(good, name="fp-less", fp_units=0)
+        expected = _reference(program, trace, bad)
+        assert expected == (
+            "ConfigError",
+            "machine 'fp-less' has fp_units=0 but the trace for "
+            f"{program.name!r} contains floating-point instructions; "
+            "they could never issue")
+        assert _kernel(program, trace, bad) == expected
+        assert _kernel(program, trace, good) == _reference(program, trace,
+                                                           good)
+
+    def test_one_entry_trace(self):
+        program = load_benchmark("bitcount", "reference")
+        trace = run_program(program, max_instructions=1).trace
+        assert len(trace) == 1
+        config = baseline_config()
+        assert _kernel(program, trace, config) == _reference(program, trace,
+                                                             config)
 
 
 class TestWatchdogParity:
-    """A too-small ``max_cycles`` raises exactly the scalar watchdog error."""
+    """A too-small ``max_cycles`` raises exactly the reference error."""
 
     def _check(self, program, trace, max_cycles):
         config = baseline_config()
-        batch_sim = BatchedTimingSimulator(program, trace, [config])
-        results = batch_sim.run(max_cycles=max_cycles)
-        expected = _scalar_outcome(program, trace, config,
-                                   max_cycles=max_cycles)
+        expected = _reference(program, trace, config, max_cycles=max_cycles)
         assert expected[0] == "TimingError" and "exceeded" in expected[1]
-        assert _outcomes(batch_sim, results) == [expected]
+        assert _kernel(program, trace, config,
+                       max_cycles=max_cycles) == expected
 
     def test_watchdog_after_a_stepped_cycle(self, bitcount):
         # At a cycle where an entry retires no stage is idle, so the loop
@@ -109,31 +170,23 @@ class TestWatchdogParity:
 class TestFallback:
     """No compiler: identical stats, errors and grid rows, just slower."""
 
-    def _catalog_pass(self):
-        crc = load_benchmark("crc", "reference")
-        run = repro.prepare_minigraph_run(crc, budget=BUDGET)
-        configs = [machine_config(name) for name in machine_names()]
-        batch_sim = BatchedTimingSimulator(run.rewritten,
-                                           run.rewritten_result.trace,
-                                           configs, mgt=run.mgt)
-        return _outcomes(batch_sim, batch_sim.run())
+    def _catalog_outcomes(self, crc_run):
+        return [_kernel(crc_run.rewritten, crc_run.rewritten_result.trace,
+                        machine_config(name), mgt=crc_run.mgt)
+                for name in machine_names()]
 
     def _grid_rows(self):
         grid = get_grid("fig8").build(benchmarks=["bitcount", "crc"],
                                       budget=1_000)
-        return [row.as_dict() for row in
-                Session().run_grid(grid, workers=0, batch=True)]
+        return [row.as_dict() for row in Session().run_grid(grid, workers=0)]
 
-    def test_fallback_matches_compiled(self, monkeypatch):
-        compiled = self._catalog_pass()
+    def test_fallback_matches_compiled(self, monkeypatch, crc_run):
+        compiled = self._catalog_outcomes(crc_run)
         compiled_rows = self._grid_rows()
-        # The catalog pass mixes successful lanes and per-lane errors.
-        assert any(isinstance(item, tuple) for item in compiled)
-        assert any(isinstance(item, dict) for item in compiled)
         # Force the build to fail: the compiler lookup finds nothing.
         monkeypatch.setattr(lane_kernel, "find_compiler", lambda: None)
         monkeypatch.setattr(lane_kernel, "_entry", lane_kernel._UNTRIED)
-        assert self._catalog_pass() == compiled
+        assert self._catalog_outcomes(crc_run) == compiled
         assert self._grid_rows() == compiled_rows
         assert lane_kernel.kernel() is None
 
@@ -145,44 +198,56 @@ class TestFallback:
         monkeypatch.setattr(lane_kernel, "_entry", lane_kernel._UNTRIED)
         program, trace = bitcount
         config = baseline_config()
-        [stats] = BatchedTimingSimulator(program, trace, [config]).run()
+        stats = _kernel(program, trace, config)
         assert lane_kernel.kernel() is None
-        assert dataclasses.asdict(stats) == _scalar_outcome(program, trace,
-                                                            config)
+        assert stats == _reference(program, trace, config)
 
     def test_geometry_beyond_the_kernel_range_falls_back(self, bitcount):
         program, trace = bitcount
         config = dataclasses.replace(baseline_config(),
                                      lsq_size=lane_kernel.GEOMETRY_LIMIT)
         assert lane_kernel.config_vector(config) is None
-        batch_sim = BatchedTimingSimulator(program, trace, [config])
-        assert _outcomes(batch_sim, batch_sim.run()) == [
-            _scalar_outcome(program, trace, config)]
+        assert _kernel(program, trace, config) == _reference(program, trace,
+                                                             config)
+
+
+class TestTraceFacts:
+    def test_timed_trace_is_freed(self):
+        # Interned facts hold the trace's columns, never the trace, so a
+        # dropped trace is collected along with its packed kernel buffers.
+        program = load_benchmark("bitcount", "reference")
+        trace = run_program(program, max_instructions=BUDGET).trace
+        simulate_program(program, trace, baseline_config())
+        alive = weakref.ref(trace)
+        del trace
+        gc.collect()
+        assert alive() is None
 
 
 @needs_compiler
 class TestCompiledKernelIsUsed:
     """With a compiler on PATH the slow path must never run silently."""
 
-    def test_batched_run_never_reaches_the_reference(self, monkeypatch,
-                                                     bitcount):
+    def test_timing_never_reaches_the_reference(self, monkeypatch, bitcount):
         assert lane_kernel.kernel() is not None
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("batched lanes ran the reference simulator")
+            raise AssertionError("timing ran the reference simulator")
 
-        monkeypatch.setattr(batch, "TimingSimulator", forbidden)
+        monkeypatch.setattr(pipeline, "TimingSimulator", forbidden)
         program, trace = bitcount
-        configs = [machine_config(name) for name in machine_names()]
-        results = BatchedTimingSimulator(program, trace, configs).run()
-        assert all(result is not None for result in results)
+        for name in machine_names():
+            simulate_program(program, trace, machine_config(name))
+        Session().run(RunSpec(benchmark="crc", budget=BUDGET))
+        grid = get_grid("fig8").build(benchmarks=["fnvmix"], budget=1_000)
+        assert list(Session().run_grid(grid, workers=0))
 
     def test_broken_invariant_is_a_timing_error(self, bitcount):
         # A packed view whose static-op table is empty: every entry's
         # index is out of range, which the kernel reports instead of
         # reading past the table.
         program, trace = bitcount
-        facts = trace_facts(program, trace)
+        facts = lane_kernel.trace_facts(program, trace)
         lane_kernel.simulate(facts, baseline_config(), 5_000_000)
         packed, buffers = facts.kernel_trace
         broken = type(packed).from_buffer_copy(packed)
@@ -195,23 +260,22 @@ class TestCompiledKernelIsUsed:
             facts.kernel_trace = (packed, buffers)
 
     def test_concurrent_lanes_in_threads(self, monkeypatch, bitcount):
-        # ctypes releases the GIL, so lanes run at once; more threads than
-        # cores race on the first load and on packing the shared facts.
+        # ctypes releases the GIL, so kernel calls run at once; more threads
+        # than cores race on the first load and on packing the shared facts.
         program, trace = bitcount
         configs = [machine_config(name) for name in machine_names()[:6]]
-        expected = [_scalar_outcome(program, trace, config)
-                    for config in configs]
-        facts = trace_facts(program, trace)
+        expected = [_reference(program, trace, config) for config in configs]
+        facts = lane_kernel.trace_facts(program, trace)
         monkeypatch.setattr(facts, "kernel_trace", None)
         monkeypatch.setattr(lane_kernel, "_entry", lane_kernel._UNTRIED)
         got = [None] * len(configs)
 
-        def work(lane):
-            got[lane] = dataclasses.asdict(
-                lane_kernel.simulate(facts, configs[lane], 5_000_000))
+        def work(index):
+            got[index] = dataclasses.asdict(
+                lane_kernel.simulate(facts, configs[index], 5_000_000))
 
-        threads = [threading.Thread(target=work, args=(lane,))
-                   for lane in range(len(configs))]
+        threads = [threading.Thread(target=work, args=(index,))
+                   for index in range(len(configs))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -232,25 +296,25 @@ class TestCompiledKernelIsUsed:
         monkeypatch.setattr(lane_kernel, "_entry", lane_kernel._UNTRIED)
         assert lane_kernel.kernel() is not None
         program, trace = bitcount
-        facts = trace_facts(program, trace)
+        facts = lane_kernel.trace_facts(program, trace)
         stats = lane_kernel.simulate(facts, baseline_config(), 5_000_000)
-        assert dataclasses.asdict(stats) == _scalar_outcome(
-            program, trace, baseline_config())
+        assert dataclasses.asdict(stats) == _reference(program, trace,
+                                                       baseline_config())
 
 
 _RACE_SCRIPT = """
 import dataclasses, json, os, sys, time
 from repro.sim.functional import run_program
 from repro.uarch import lane_kernel
-from repro.uarch.batch import BatchedTimingSimulator
 from repro.uarch.config import baseline_config
+from repro.uarch.pipeline import simulate_program
 from repro.workloads import load_benchmark
 
 program = load_benchmark("bitcount", "reference")
 trace = run_program(program, max_instructions=int(sys.argv[2])).trace
 while not os.path.exists(sys.argv[1]):
     time.sleep(0.001)
-[stats] = BatchedTimingSimulator(program, trace, [baseline_config()]).run()
+stats = simulate_program(program, trace, baseline_config())
 print(json.dumps({"compiled": lane_kernel.kernel() is not None,
                   "stats": dataclasses.asdict(stats)}))
 """
@@ -276,7 +340,7 @@ def test_concurrent_first_builds(tmp_path, bitcount):
         assert process.returncode == 0, stderr.decode()
         outputs.append(json.loads(stdout))
     program, trace = bitcount
-    expected = _scalar_outcome(program, trace, baseline_config())
+    expected = _reference(program, trace, baseline_config())
     for output in outputs:
         assert output == {"compiled": True, "stats": expected}
     cache = tmp_path / "repro" / "uarch" / "__pycache__"

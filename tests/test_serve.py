@@ -74,8 +74,9 @@ class TestProtocol:
     def test_stream_round_trip_over_socketpair(self):
         left, right = socket_module.socketpair()
         a, b = protocol.MessageStream(left), protocol.MessageStream(right)
-        a.send({"op": "hello", "protocol": 1})
-        assert b.recv() == {"op": "hello", "protocol": 1}
+        hello = {"op": "hello", "protocol": protocol.PROTOCOL_VERSION}
+        a.send(hello)
+        assert b.recv() == hello
         b.close()
         assert a.recv() is None  # clean close reads as None
         a.close()
@@ -97,6 +98,20 @@ class TestProtocol:
         stream.close()
         assert response["ok"] is False
         assert response["error"]["code"] == "protocol-mismatch"
+
+    def test_handshake_rejects_protocol_1_peers(self, daemon):
+        # Protocol 1 jobs reported session_stats fields this version no
+        # longer has; a peer still speaking it must fail at hello.
+        assert protocol.PROTOCOL_VERSION == 2
+        sock = socket_module.socket(socket_module.AF_UNIX,
+                                    socket_module.SOCK_STREAM)
+        sock.connect(str(daemon.socket_path))
+        stream = protocol.MessageStream(sock)
+        stream.send({"op": "hello", "protocol": 1})
+        response = stream.recv()
+        stream.close()
+        assert response["error"]["code"] == "protocol-mismatch"
+        assert response["error"]["details"] == {"server_protocol": 2}
 
 
 # -- job queue ----------------------------------------------------------------------

@@ -33,29 +33,6 @@ Serve-daemon gates (``BENCH_6.json`` onwards):
   1.0: a warm resubmission of a finished grid must be answered entirely
   from stored row artifacts, executing zero cells (deterministic).
 
-Batched timing-kernel gates (``BENCH_8.json`` onwards):
-
-* ``--min-batch-speedup 2.0`` asserts ``grid_batched.speedup_vs_scalar`` —
-  the batched multi-machine kernel versus one scalar ``simulate_program``
-  per lane over the same Figure 8 lane set (wall clock, so CI passes a
-  looser bound than the committed record's);
-* the gate additionally requires ``grid_batched.row_union_identical``:
-  a record whose batched lanes diverged from the scalar reference is a
-  failing record regardless of its speedup.
-
-Cross-trace packing gates (``BENCH_9.json`` onwards):
-
-* ``--min-crosstrace-speedup 1.2`` asserts
-  ``grid_crosstrace.speedup_vs_scalar`` — the cross-trace packed kernel
-  versus ``--no-batch`` over a mixed campaign of sharply skewed trace
-  lengths (wall clock, so CI passes a looser bound than the committed
-  record's);
-* the gate additionally requires ``grid_crosstrace.row_union_identical``
-  and that ``grid_crosstrace.lanes_per_pass`` beats
-  ``grid_crosstrace.lanes_per_pass_shared_trace_planner`` — packing that
-  fails to raise mean lane occupancy over the shared-trace planner is a
-  failing record regardless of its speedup.
-
 Fuzzing gates (``BENCH_7.json`` onwards):
 
 * ``--min-fuzz-rate 20`` asserts ``fuzz.programs_per_second`` — seeded
@@ -98,14 +75,6 @@ def main(argv=None) -> int:
     parser.add_argument("--require-serve-store-hits", action="store_true",
                         help="require record.serve.warm_resumed_fraction "
                              "== 1.0")
-    parser.add_argument("--min-batch-speedup", type=float, default=None,
-                        help="require record.grid_batched.speedup_vs_scalar "
-                             ">= this value (and bit-identical rows)")
-    parser.add_argument("--min-crosstrace-speedup", type=float, default=None,
-                        help="require record.grid_crosstrace."
-                             "speedup_vs_scalar >= this value (plus "
-                             "bit-identical rows and higher lane occupancy "
-                             "than the shared-trace planner)")
     parser.add_argument("--min-fuzz-rate", type=float, default=None,
                         help="require record.fuzz.programs_per_second >= "
                              "this value (and zero oracle failures)")
@@ -161,58 +130,6 @@ def main(argv=None) -> int:
                 "re-executed cells")
         else:
             print(f"{args.record}: serve warm resubmits 100% store-served")
-
-    if args.min_batch_speedup is not None:
-        batched = record.get("grid_batched") or {}
-        speedup = batched.get("speedup_vs_scalar")
-        if speedup is None:
-            failures.append(f"{args.record}: no grid_batched."
-                            "speedup_vs_scalar recorded")
-        elif speedup < args.min_batch_speedup:
-            failures.append(
-                f"{args.record}: batched timing-kernel speedup "
-                f"{speedup:.2f}x < required {args.min_batch_speedup:.2f}x")
-        else:
-            print(f"{args.record}: batched timing-kernel speedup "
-                  f"{speedup:.2f}x (>= {args.min_batch_speedup:.2f}x, "
-                  f"{batched.get('lanes_per_pass', 0.0):.1f} lanes/pass)")
-        if speedup is not None and not batched.get("row_union_identical"):
-            failures.append(
-                f"{args.record}: grid_batched.row_union_identical is false — "
-                "the batched kernel diverged from the scalar reference")
-
-    if args.min_crosstrace_speedup is not None:
-        crosstrace = record.get("grid_crosstrace") or {}
-        speedup = crosstrace.get("speedup_vs_scalar")
-        if speedup is None:
-            failures.append(f"{args.record}: no grid_crosstrace."
-                            "speedup_vs_scalar recorded")
-        elif speedup < args.min_crosstrace_speedup:
-            failures.append(
-                f"{args.record}: cross-trace packed speedup {speedup:.2f}x "
-                f"< required {args.min_crosstrace_speedup:.2f}x")
-        else:
-            print(f"{args.record}: cross-trace packed speedup "
-                  f"{speedup:.2f}x (>= {args.min_crosstrace_speedup:.2f}x, "
-                  f"{crosstrace.get('lanes_per_pass', 0.0):.1f} lanes/pass)")
-        if speedup is not None:
-            if not crosstrace.get("row_union_identical"):
-                failures.append(
-                    f"{args.record}: grid_crosstrace.row_union_identical is "
-                    "false — the cross-trace kernel diverged from the "
-                    "scalar reference")
-            occupancy = crosstrace.get("lanes_per_pass") or 0.0
-            shared = crosstrace.get("lanes_per_pass_shared_trace_planner") \
-                or 0.0
-            if occupancy <= shared:
-                failures.append(
-                    f"{args.record}: cross-trace occupancy "
-                    f"{occupancy:.1f} lanes/pass does not beat the "
-                    f"shared-trace planner's {shared:.1f} — packing is "
-                    "not interleaving traces")
-            else:
-                print(f"{args.record}: occupancy {occupancy:.1f} lanes/pass "
-                      f"vs shared-trace planner {shared:.1f}")
 
     if args.min_fuzz_rate is not None:
         fuzz = record.get("fuzz") or {}
