@@ -7,10 +7,9 @@ This package is the single front door to the reproduction's tool chain:
   normalizes into a stable content hash;
 * :class:`Session` — the stage graph ``assemble -> profile -> select ->
   rewrite -> build_mgt -> trace -> time`` with typed artifacts, plus
-  :meth:`Session.map` process-pool fan-out for multi-benchmark sweeps and
-  the :meth:`Session.sweep` fast path that groups specs sharing upstream
-  artifacts (one functional profile per benchmark per pool, shared interned
-  decode metadata);
+  :meth:`Session.run_grid`, which runs a batch of specs as shared-artifact
+  stages (one functional profile per benchmark, shared interned decode
+  metadata) fanned out across a process pool;
 * :class:`ArtifactStore` — the in-memory + on-disk content-addressed cache
   (keyed by spec hash, stage and ``repro.__version__``) that lets repeated
   runs skip redundant simulation entirely;
@@ -23,7 +22,8 @@ over this API.
 
 ``docs/api.md`` documents the full contract, including the cache
 invalidation semantics (stage-scoped key material, field-derived canonical
-keys, version-based invalidation) and a ``map()``/``sweep()`` cookbook.
+keys, version-based invalidation) and a recipe for running an ad-hoc
+spec list as a one-axis grid.
 """
 
 from .keys import canonical_key, content_hash

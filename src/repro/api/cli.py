@@ -8,11 +8,7 @@ Sub-commands:
   (``--name fig6``), sharded (``--shard i/N``), resumable (``--resume``:
   cells whose terminal row artifact is already stored are served from it),
   with streaming JSONL/CSV row output (``--output``);
-* ``repro bench`` — sweep a benchmark suite through :meth:`Session.sweep`,
-  optionally recording simulator throughput (``--record`` writes a
-  ``BENCH_*.json`` with simulated cycles/second plus trace-pipeline,
-  front-end and grid-engine metrics; ``--compare`` embeds an earlier record
-  as the *before* half of a before/after pair and derives speedup ratios);
+* ``repro fuzz`` — differential fuzzing over seeded synthetic programs;
 * ``repro cache {info,clear,prune}`` — inspect, drop or GC the on-disk
   artifact cache (``prune`` evicts entries persisted by other
   ``__version__``\\ s, which the current build can never serve again);
@@ -36,12 +32,7 @@ import math
 import os
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-try:
-    import resource
-except ImportError:  # pragma: no cover - Windows has no resource module
-    resource = None  # type: ignore[assignment]
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..experiments.reporting import ResultTable
 from ..workloads.base import WorkloadError
@@ -146,27 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "extension, else jsonl)")
     grid.add_argument("--no-table", action="store_true",
                       help="skip rendering the grid's result tables")
-
-    bench = commands.add_parser("bench", help="sweep a suite through Session.sweep")
-    bench.add_argument("--suite", default=None,
-                       help="suite to sweep (spec, media, comm, embedded); "
-                            "default: all suites")
-    bench.add_argument("--limit", type=int, default=None,
-                       help="truncate the benchmark list")
-    bench.add_argument("--budget", type=int, default=8_000,
-                       help="dynamic-instruction budget per benchmark")
-    bench.add_argument("--policy", choices=sorted(_POLICIES), default="int-mem",
-                       help="selection policy family")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="process-pool width (1 = serial)")
-    bench.add_argument("--record", nargs="?", const="", default=None,
-                       metavar="PATH",
-                       help="write a BENCH_<suite>.json simulator-throughput "
-                            "record (simulated cycles/second) to PATH "
-                            "(default: ./BENCH_<suite>.json)")
-    bench.add_argument("--compare", default=None, metavar="BENCH_JSON",
-                       help="earlier BENCH_*.json to embed as the 'before' "
-                            "half of a before/after throughput comparison")
 
     fuzz = commands.add_parser(
         "fuzz", help="differential fuzzing over seeded synthetic programs")
@@ -540,502 +510,14 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    session = Session(cache_dir=_cache_dir(args))
-    names = REGISTRY.names(args.suite)
-    if args.limit is not None:
-        names = names[:args.limit]
-    if not names:
-        print(f"no benchmarks in suite {args.suite!r}", file=sys.stderr)
-        return 1
-    if args.compare is not None and args.record is None:
-        print("repro: error: --compare requires --record (the comparison is "
-              "written into the new BENCH_*.json)", file=sys.stderr)
-        return 2
-    before: Optional[Dict[str, Any]] = None
-    if args.compare is not None:
-        # Read the baseline record up front: a missing or malformed file must
-        # fail before the sweep runs, not after the measurement is made.
-        try:
-            with open(args.compare, "r", encoding="utf-8") as handle:
-                before = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"repro: error: cannot read --compare file "
-                  f"{args.compare!r}: {error}", file=sys.stderr)
-            return 2
-    policy = _policy(args.policy)
-    specs = [RunSpec(benchmark=name, budget=args.budget, policy=policy)
-             for name in names]
-    start = time.perf_counter()
-    results = session.sweep(specs, workers=args.workers)
-    wall_seconds = time.perf_counter() - start
-    table = ResultTable(title=f"bench sweep (budget {args.budget}, "
-                              f"policy {args.policy})",
-                        columns=["coverage", "base-ipc", "ipc", "speedup"])
-    for artifacts in results:
-        name = artifacts.spec.label
-        suite = REGISTRY.get(name).suite
-        table.add(name, "coverage", artifacts.coverage, suite=suite)
-        table.add(name, "base-ipc", artifacts.baseline_timing.ipc, suite=suite)
-        table.add(name, "ipc", artifacts.timing.ipc, suite=suite)
-        table.add(name, "speedup", artifacts.speedup, suite=suite)
-    simulated_cycles = sum(artifacts.timing.cycles + artifacts.baseline_timing.cycles
-                           for artifacts in results)
-    cycles_per_second = simulated_cycles / wall_seconds if wall_seconds > 0 else 0.0
-    throughput = {"wall_seconds": wall_seconds,
-                  "simulated_cycles": simulated_cycles,
-                  "cycles_per_second": cycles_per_second}
-    trace_metrics = _trace_metrics(results)
-    frontend_metrics = _frontend_metrics(results, policy, session)
-    grid_metrics = _grid_metrics(session, names, policy, args.budget,
-                                 args.workers)
-    serve_metrics = _serve_metrics(names, policy, args.budget)
-    fuzz_metrics = _fuzz_metrics()
-    truncation = ""
-    if frontend_metrics["truncated_selections"]:
-        truncation = (f" [TRUNCATED: {frontend_metrics['truncated_selections']} "
-                      f"selections dropped >= "
-                      f"{frontend_metrics['dropped_candidates']} candidates]")
-    text = (table.render()
-            + f"\n\nthroughput    : {cycles_per_second:,.0f} simulated cycles/s "
-              f"({simulated_cycles:,} cycles in {wall_seconds:.2f}s)"
-            + f"\ntrace codec   : {trace_metrics['encode_MBps']:.1f} MB/s encode, "
-              f"{trace_metrics['decode_MBps']:.1f} MB/s decode, "
-              f"{trace_metrics['artifact_bytes_per_entry']:.2f} B/entry "
-              f"({trace_metrics['entries']:,} entries)"
-            + f"\nfront-end     : {frontend_metrics['candidates_per_sec']:,.0f} "
-              f"candidates/s, enumerate+select "
-              f"{frontend_metrics['enumerate_select_seconds'] * 1000:.2f} ms/sweep "
-              f"(cold {frontend_metrics['cold_seconds'] * 1000:.2f} ms), "
-              f"block-memo hit rate "
-              f"{frontend_metrics['block_memo_hit_rate'] * 100:.0f}%"
-            + truncation
-            + f"\ngrid          : {grid_metrics['specs_per_second']:,.0f} "
-              f"specs/s planned, {grid_metrics['dedup_ratio']:.2f}x "
-              f"shared-artifact dedup, resume hit rate "
-              f"{grid_metrics['resume_hit_rate'] * 100:.0f}%"
-            + f"\nserve         : cold first row "
-              f"{serve_metrics['cold_first_row_seconds'] * 1000:.0f} ms, warm "
-              f"p50 {serve_metrics['warm_first_row_p50_seconds'] * 1000:.1f} ms"
-              f" / p99 {serve_metrics['warm_first_row_p99_seconds'] * 1000:.1f}"
-              f" ms ({serve_metrics['warm_speedup']:.0f}x), "
-              f"{serve_metrics['jobs_per_second_warm']:,.0f} jobs/s at "
-              f"{serve_metrics['warm_resumed_fraction'] * 100:.0f}% store hits"
-            + f"\nfuzz          : {fuzz_metrics['programs_per_second']:,.0f} "
-              f"programs/s generated, "
-              f"{fuzz_metrics['differential_runs_per_second']:,.0f} "
-              f"differential runs/s over {fuzz_metrics['seeds']} seeds")
-    payload = {"bench": _table_to_dict(table),
-               "results": [artifacts.report() for artifacts in results],
-               "throughput": throughput,
-               "trace": trace_metrics,
-               "frontend": frontend_metrics,
-               "grid": grid_metrics,
-               "serve": serve_metrics,
-               "fuzz": fuzz_metrics}
-    if args.record is not None:
-        record_path = _write_bench_record(args, session, names, throughput,
-                                          trace_metrics, frontend_metrics,
-                                          grid_metrics, serve_metrics,
-                                          fuzz_metrics, before)
-        payload["record_path"] = record_path
-        text += f"\nrecorded      : {record_path}"
-    _emit(args, session, text, payload)
-    return 0
-
-
-def _trace_metrics(results: List[Any]) -> Dict[str, Any]:
-    """Trace-pipeline throughput over the sweep's baseline traces.
-
-    Measures the binary trace codec (encode/decode over the raw column
-    payload), the encode+profile path (serializing a trace artifact plus
-    reconstructing its block profile from the index column), artifact bytes
-    per entry (what one trace costs in the cache directory) and the process
-    peak RSS.
-    """
-    from ..sim.functional import profile_from_trace
-    from ..sim.trace import TRACE_ROW_BYTES, decode_trace, encode_trace
-
-    entries = 0
-    payload_bytes = 0
-    artifact_bytes = 0
-    encode_seconds = 0.0
-    decode_seconds = 0.0
-    profile_seconds = 0.0
-    for artifacts in results:
-        trace = artifacts.baseline_trace
-        start = time.perf_counter()
-        blob = encode_trace(trace)
-        encode_seconds += time.perf_counter() - start
-        start = time.perf_counter()
-        decode_trace(blob)
-        decode_seconds += time.perf_counter() - start
-        start = time.perf_counter()
-        profile_from_trace(artifacts.program, trace)
-        profile_seconds += time.perf_counter() - start
-        entries += len(trace)
-        payload_bytes += len(trace) * TRACE_ROW_BYTES
-        artifact_bytes += len(blob)
-    megabytes = payload_bytes / 1e6
-    peak_rss_kb: Optional[float] = None
-    if resource is not None:
-        # Include waited-for pool workers: with --workers N the simulation's
-        # memory peak is in the children, not the parent.
-        peak_rss_kb = max(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-        if sys.platform == "darwin":
-            # ru_maxrss is bytes on macOS, kilobytes elsewhere.
-            peak_rss_kb /= 1024
-    return {
-        "entries": entries,
-        "column_payload_bytes": payload_bytes,
-        "artifact_bytes": artifact_bytes,
-        "artifact_bytes_per_entry":
-            artifact_bytes / entries if entries else 0.0,
-        "encode_MBps": megabytes / encode_seconds if encode_seconds else 0.0,
-        "decode_MBps": megabytes / decode_seconds if decode_seconds else 0.0,
-        "encode_entries_per_sec":
-            entries / encode_seconds if encode_seconds else 0.0,
-        "decode_entries_per_sec":
-            entries / decode_seconds if decode_seconds else 0.0,
-        "encode_profile_entries_per_sec":
-            entries / (encode_seconds + profile_seconds)
-            if encode_seconds + profile_seconds else 0.0,
-        "peak_rss_kb": peak_rss_kb,
-    }
-
-
-#: Planning passes of the grid measurement (pure in-memory work; several
-#: passes smooth out timer noise on the specs/s figure).
-_GRID_PLAN_PASSES = 5
-
-
-def _grid_metrics(session: Session, names: List[str],
-                  policy: Optional[SelectionPolicy], budget: int,
-                  workers: Optional[int]) -> Dict[str, Any]:
-    """Grid-engine throughput over the sweep's benchmarks.
-
-    Builds the benchmark × {minigraph, baseline} grid the sweep implies,
-    measures planning speed (specs/s expanded+grouped), the shared-artifact
-    dedup ratio the planner achieves, then executes the grid once (warm:
-    every pipeline artifact exists from the sweep) and re-runs it with
-    ``resume`` — the hit rate of that second pass is the resume guarantee
-    long campaigns rely on, and must be 1.0.
-    """
-    from ..grid.planner import plan_grid
-    from ..grid.spec import Axis, GridSpec
-
-    axes = (Axis("benchmark", tuple(names)),
-            Axis("config", ("minigraph", "baseline")))
-
-    def build(point):
-        if point["config"] == "minigraph":
-            if policy is None:
-                return None  # baseline-only bench: one cell per benchmark
-            return RunSpec(benchmark=point["benchmark"], budget=budget,
-                           policy=policy)
-        return RunSpec(benchmark=point["benchmark"], budget=budget,
-                       policy=None)
-
-    grid = GridSpec(name="bench-grid", axes=axes, build=build,
-                    title="bench sweep as a grid")
-    plan = None
-    plan_seconds: List[float] = []
-    for _ in range(_GRID_PLAN_PASSES):
-        start = time.perf_counter()
-        plan = plan_grid(grid)
-        plan_seconds.append(time.perf_counter() - start)
-    mean_plan_seconds = sum(plan_seconds) / len(plan_seconds)
-    cells = plan.cell_count
-
-    start = time.perf_counter()
-    first = list(session.run_grid(plan, workers=workers))
-    execute_seconds = time.perf_counter() - start
-    resumed_pass = list(session.run_grid(plan, resume=True, workers=workers))
-    resumed = sum(1 for row in resumed_pass if row.resumed)
-    return {
-        "cells": cells,
-        "stages": plan.stage_count,
-        "frontend_compiles": plan.frontend_compiles,
-        "dedup_ratio": plan.dedup_ratio,
-        "plan_passes": _GRID_PLAN_PASSES,
-        "plan_seconds_per_pass": mean_plan_seconds,
-        "specs_per_second":
-            cells / mean_plan_seconds if mean_plan_seconds else 0.0,
-        "execute_seconds": execute_seconds,
-        "executed_cells": sum(1 for row in first if not row.resumed),
-        "resume_hit_rate": resumed / cells if cells else 0.0,
-        "resumed_cells": resumed,
-    }
-
-
-#: Warm-latency samples of the serve measurement (p99 needs a population).
-_SERVE_WARM_SAMPLES = 20
-
-
-def _serve_metrics(names: List[str], policy: Optional[SelectionPolicy],
-                   budget: int) -> Dict[str, Any]:
-    """``repro serve`` daemon throughput: cold vs warm submit→first-row.
-
-    Boots a private daemon (own socket, own empty store) and submits the
-    same cell set repeatedly.  The *cold* submission computes everything;
-    every *warm* one must be answered entirely from the daemon's store —
-    zero recompilation, ``resumed_fraction`` 1.0 — so the p50/p99 warm
-    latencies and jobs/s measure pure serving overhead, and
-    ``warm_speedup`` (cold / warm p50) is the paper-repro claim that a warm
-    daemon beats a cold ``repro grid`` by a wide margin.
-    """
-    import shutil
-    import tempfile
-    from pathlib import Path
-
-    from ..grid.spec import GridCell
-    from ..serve.client import ServeClient
-    from ..serve.server import ServeServer
-
-    tmp = Path(tempfile.mkdtemp(prefix="repro-serve-bench-"))
-    server = ServeServer(tmp / "serve.sock", cache_dir=tmp / "cache",
-                         workers=2)
-    server.start()
-    try:
-        client = ServeClient(tmp / "serve.sock", retry_connect=10.0)
-        specs = [RunSpec(benchmark=names[0], budget=budget, policy=policy)]
-        if policy is not None:
-            specs.append(RunSpec(benchmark=names[0], budget=budget,
-                                 policy=None))
-        cells = [GridCell(index=index, point=(("config", str(index)),),
-                          spec=spec) for index, spec in enumerate(specs)]
-
-        def submit_and_stream() -> Tuple[float, float, int]:
-            start = time.perf_counter()
-            response = client.submit_cells(cells, label="bench",
-                                           resume=True)
-            first_row = None
-            resumed = 0
-            for row in client.stream(response["job_id"]):
-                if first_row is None:
-                    first_row = time.perf_counter() - start
-                resumed += int(row["resumed"])
-            return (time.perf_counter() - start,
-                    first_row if first_row is not None else 0.0, resumed)
-
-        cold_total, cold_first_row, _ = submit_and_stream()
-        warm_first_rows: List[float] = []
-        warm_resumed = 0
-        warm_start = time.perf_counter()
-        for _ in range(_SERVE_WARM_SAMPLES):
-            _, first_row, resumed = submit_and_stream()
-            warm_first_rows.append(first_row)
-            warm_resumed += resumed
-        warm_seconds = time.perf_counter() - warm_start
-        client.shutdown(drain=True)
-        client.close()
-    finally:
-        server.stop()
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    ranked = sorted(warm_first_rows)
-    p50 = ranked[len(ranked) // 2]
-    p99 = ranked[min(len(ranked) - 1, int(len(ranked) * 0.99))]
-    return {
-        "workers": server.workers,
-        "backend": server.pool.backend if server.pool is not None else None,
-        "cells": len(cells),
-        "cold_first_row_seconds": cold_first_row,
-        "cold_total_seconds": cold_total,
-        "warm_jobs": _SERVE_WARM_SAMPLES,
-        "warm_first_row_p50_seconds": p50,
-        "warm_first_row_p99_seconds": p99,
-        "warm_speedup": cold_first_row / p50 if p50 > 0 else 0.0,
-        "jobs_per_second_warm":
-            _SERVE_WARM_SAMPLES / warm_seconds if warm_seconds else 0.0,
-        "warm_resumed_fraction":
-            warm_resumed / (len(cells) * _SERVE_WARM_SAMPLES),
-    }
-
-
-#: Passes of the front-end measurement; pass 1 runs against whatever block
-#: memo state the sweep left behind (cold in pool mode), later passes measure
-#: the steady state that repeated sweeps (Figure 5, domain selection) see.
-_FRONTEND_PASSES = 5
-
-
-def _frontend_metrics(results: List[Any], policy: Optional[SelectionPolicy],
-                      session: Session) -> Dict[str, Any]:
-    """Compilation front-end throughput over the sweep's programs.
-
-    Like :func:`_trace_metrics`, measured post-hoc over the artifacts the
-    sweep produced: ``_FRONTEND_PASSES`` passes of enumerate+select over
-    every (program, profile) pair.  ``enumerate_select_seconds`` is the mean
-    seconds per pass (the steady-state front-end cost of one suite sweep);
-    ``cold_seconds`` is the first pass.  Truncation counts come from the
-    sweep's own select stages (via the session's ``frontend_*`` stats) plus
-    this measurement, so silently capped enumerations are never invisible.
-    """
-    from ..minigraph.registry import FRONTEND_STATS
-    from ..minigraph.selection import select_minigraphs
-
-    selection_policy = policy if policy is not None else DEFAULT_POLICY
-    before = FRONTEND_STATS.snapshot()
-    pass_seconds: List[float] = []
-    admissible = 0
-    truncated_selections = 0
-    for iteration in range(_FRONTEND_PASSES):
-        start = time.perf_counter()
-        for artifacts in results:
-            selection = select_minigraphs(artifacts.program, artifacts.profile,
-                                          policy=selection_policy)
-            if iteration == 0:
-                admissible += selection.candidate_count
-                truncated_selections += int(selection.truncated)
-        pass_seconds.append(time.perf_counter() - start)
-    delta = FRONTEND_STATS.delta_since(before)
-    mean_seconds = sum(pass_seconds) / len(pass_seconds) if pass_seconds else 0.0
-    memo_lookups = delta.block_memo_hits + delta.block_memo_misses
-    stats = session.stats
-    return {
-        "passes": _FRONTEND_PASSES,
-        "pass_seconds": pass_seconds,
-        "cold_seconds": pass_seconds[0] if pass_seconds else 0.0,
-        "enumerate_select_seconds": mean_seconds,
-        "enumeration_seconds": delta.enumeration_seconds / _FRONTEND_PASSES,
-        "selection_seconds": delta.selection_seconds / _FRONTEND_PASSES,
-        "admissible_candidates": admissible,
-        "candidates_per_sec": admissible / mean_seconds if mean_seconds else 0.0,
-        "block_memo_hit_rate":
-            delta.block_memo_hits / memo_lookups if memo_lookups else 0.0,
-        "truncated_selections": truncated_selections,
-        "dropped_candidates": delta.dropped_candidates // _FRONTEND_PASSES,
-        "sweep_enumeration_seconds": stats.frontend_enumeration_seconds,
-        "sweep_selection_seconds": stats.frontend_selection_seconds,
-        "sweep_truncated_blocks": stats.frontend_truncated_blocks,
-        "sweep_dropped_candidates": stats.frontend_dropped_candidates,
-    }
-
-
-#: Seeds measured by the bench fuzz block (generation probe runs the full
-#: block; the differential probe runs a prefix — the oracles dominate the
-#: per-seed cost, and the bench only needs a stable rate, not coverage).
-_FUZZ_BENCH_SEEDS = 24
-_FUZZ_BENCH_DIFFERENTIAL_SEEDS = 8
-
-
-def _fuzz_metrics() -> Dict[str, Any]:
-    """Fuzzing throughput: program generation and differential-oracle rates.
-
-    Two probes over a fixed seed block, so the figures are comparable
-    across commits: pure generation (spec sampling + assembly into a
-    :class:`Program`) and full differential runs (all six oracles).
-    """
-    from ..fuzz import SynthSpec, generate_program, run_fuzz
-
-    start = time.perf_counter()
-    for seed in range(_FUZZ_BENCH_SEEDS):
-        generate_program(SynthSpec.sample(seed), "reference")
-    generate_seconds = time.perf_counter() - start
-    report = run_fuzz(_FUZZ_BENCH_DIFFERENTIAL_SEEDS, shrink=False)
-    return {
-        "seeds": _FUZZ_BENCH_SEEDS,
-        "generate_seconds": generate_seconds,
-        "programs_per_second":
-            _FUZZ_BENCH_SEEDS / generate_seconds if generate_seconds else 0.0,
-        "differential_seeds": report.seeds,
-        "differential_runs": report.differential_runs,
-        "differential_seconds": report.elapsed_seconds,
-        "differential_runs_per_second": report.runs_per_second,
-        "failures": len(report.failures),
-    }
-
-
-def _write_bench_record(args: argparse.Namespace, session: Session,
-                        names: List[str], throughput: Dict[str, Any],
-                        trace_metrics: Dict[str, Any],
-                        frontend_metrics: Dict[str, Any],
-                        grid_metrics: Dict[str, Any],
-                        serve_metrics: Dict[str, Any],
-                        fuzz_metrics: Dict[str, Any],
-                        before: Optional[Dict[str, Any]]) -> str:
-    """Write the ``BENCH_*.json`` simulator-throughput record.
-
-    The record captures everything needed to compare simulator speed across
-    commits; with ``--compare OLD.json`` the previous measurement (already
-    parsed by the caller) is embedded under ``before`` so one file carries
-    the before/after pair.
-    """
-    record: Dict[str, Any] = {
-        "suite": args.suite or "all",
-        "budget": args.budget,
-        "policy": args.policy,
-        "workers": args.workers,
-        "benchmarks": list(names),
-        "version": session.version,
-        "recorded_at": time.time(),
-        **throughput,
-        "trace": trace_metrics,
-        "frontend": frontend_metrics,
-        "grid": grid_metrics,
-        "serve": serve_metrics,
-        "fuzz": fuzz_metrics,
-        # Cache context: with a warm artifact cache no simulation runs and
-        # cycles_per_second measures cache-load speed, not the simulator.
-        "session_stats": session.stats.as_dict(),
-        "cache_stats": session.cache_stats.as_dict(),
-    }
-    if session.stats.simulations == 0:
-        print("repro: warning: bench served entirely from the artifact cache; "
-              "the recorded cycles_per_second measures cache loading, not the "
-              "simulator (rerun with --no-disk-cache for a clean measurement)",
-              file=sys.stderr)
-    if before is not None:
-        record["before"] = {key: before.get(key) for key in
-                            ("wall_seconds", "simulated_cycles",
-                             "cycles_per_second", "version", "recorded_at",
-                             "trace", "frontend", "grid")}
-        previous = before.get("cycles_per_second") or 0.0
-        if previous > 0:
-            record["speedup_vs_before"] = throughput["cycles_per_second"] / previous
-        previous_trace = before.get("trace") or {}
-        trace_speedups: Dict[str, float] = {}
-        for key in ("encode_entries_per_sec", "decode_entries_per_sec",
-                    "encode_profile_entries_per_sec"):
-            old = previous_trace.get(key) or 0.0
-            if old > 0:
-                trace_speedups[key] = trace_metrics[key] / old
-        old_bytes = previous_trace.get("artifact_bytes_per_entry") or 0.0
-        if old_bytes > 0 and trace_metrics["artifact_bytes_per_entry"] > 0:
-            trace_speedups["artifact_bytes_per_entry_ratio"] = \
-                trace_metrics["artifact_bytes_per_entry"] / old_bytes
-        if trace_speedups:
-            record["trace_speedup_vs_before"] = trace_speedups
-        previous_frontend = before.get("frontend") or {}
-        frontend_speedups: Dict[str, float] = {}
-        old_seconds = previous_frontend.get("enumerate_select_seconds") or 0.0
-        if old_seconds > 0 and frontend_metrics["enumerate_select_seconds"] > 0:
-            frontend_speedups["enumerate_select_speedup"] = \
-                old_seconds / frontend_metrics["enumerate_select_seconds"]
-        old_rate = previous_frontend.get("candidates_per_sec") or 0.0
-        if old_rate > 0:
-            frontend_speedups["candidates_per_sec_ratio"] = \
-                frontend_metrics["candidates_per_sec"] / old_rate
-        old_cold = previous_frontend.get("cold_seconds") or 0.0
-        if old_cold > 0 and frontend_metrics["cold_seconds"] > 0:
-            frontend_speedups["cold_speedup"] = \
-                old_cold / frontend_metrics["cold_seconds"]
-        if frontend_speedups:
-            record["frontend_speedup_vs_before"] = frontend_speedups
-    path = args.record or f"BENCH_{args.suite or 'all'}.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from ..fuzz import ORACLE_NAMES, run_fuzz
 
     if args.seeds <= 0:
         print("repro: error: --seeds must be positive", file=sys.stderr)
+        return 2
+    if args.budget is not None and args.budget <= 0:
+        print("repro: error: --budget must be positive", file=sys.stderr)
         return 2
     if args.oracles is not None:
         unknown = [name for name in args.oracles if name not in ORACLE_NAMES]
@@ -1269,8 +751,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_figure(args)
         if args.command == "grid":
             return _cmd_grid(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "fuzz":
             return _cmd_fuzz(args)
         if args.command == "serve":

@@ -9,13 +9,10 @@ as named stages with typed artifacts.  Every stage result is cached in an
 from the :class:`~repro.api.spec.RunSpec`, the stage name and
 ``repro.__version__`` — so repeated experiment and benchmark runs (within a
 process via the memory layer, across processes via the disk layer) skip
-redundant simulation entirely.  :meth:`Session.map` fans independent specs
-out across a process pool for multi-benchmark sweeps; :meth:`Session.sweep`
-is the fast path for machine/policy sweeps, grouping specs that share
-upstream artifacts so each benchmark is profiled once per pool and the
-interned decode metadata (:mod:`repro.uarch.decode`) is reused by every
-timing run of a group.  Trace artifacts ride everywhere — pool job results,
-disk cache entries, artifacts embedding a trace — as flat packed-column
+redundant simulation entirely.  Batches of specs run through
+:meth:`Session.run_grid`, which groups them into shared-artifact stages and
+fans the stages out across a process pool.  Trace artifacts ride everywhere
+— disk cache entries, artifacts embedding a trace — as flat packed-column
 buffers (:mod:`repro.sim.trace`'s binary codec), never as per-entry object
 graphs.  See ``docs/api.md`` for the full contract and cache-invalidation
 semantics.
@@ -25,9 +22,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..minigraph.mgt import MiniGraphTable
 from ..minigraph.registry import FRONTEND_STATS
@@ -51,8 +47,7 @@ class ProfileArtifact:
     """Output of the ``profile`` stage: the baseline functional run.
 
     Pickles compactly: the embedded trace serializes as one flat binary
-    column blob (``Trace.__reduce__``), both on disk and across the
-    :meth:`Session.map` / :meth:`Session.sweep` process pool.
+    column blob (``Trace.__reduce__``).
     """
 
     profile: BlockProfile
@@ -113,7 +108,7 @@ class SessionStats:
                 "frontend_dropped_candidates": self.frontend_dropped_candidates}
 
     def merge(self, other: "SessionStats") -> None:
-        """Accumulate another session's work (e.g. a map() worker's)."""
+        """Accumulate another session's work (e.g. a grid pool worker's)."""
         self.assemble_runs += other.assemble_runs
         self.functional_runs += other.functional_runs
         self.selection_runs += other.selection_runs
@@ -197,9 +192,7 @@ class Session:
     def __init__(self, *, store: Optional[ArtifactStore] = None,
                  cache_dir: Optional[os.PathLike] = None,
                  workers: Optional[int] = None,
-                 version: Optional[str] = None,
-                 remote: Optional[os.PathLike] = None,
-                 namespace: str = "") -> None:
+                 version: Optional[str] = None) -> None:
         if store is not None and cache_dir is not None:
             raise ValueError("pass either a store or a cache_dir, not both")
         if version is None:
@@ -212,13 +205,6 @@ class Session:
             else ArtifactStore(cache_dir, version=version)
         self._workers = workers
         self.stats = SessionStats()
-        # Remote mode: run/map/sweep/run_grid execute on a `repro serve`
-        # daemon (remote is its socket path; True means the default socket).
-        # The daemon's warm workers do the work; this session only absorbs
-        # the returned artifacts and accounting.
-        self._remote = remote
-        self._namespace = namespace
-        self._client = None
 
     @property
     def store(self) -> ArtifactStore:
@@ -232,21 +218,12 @@ class Session:
     def version(self) -> str:
         return self._version
 
-    @property
-    def remote(self) -> bool:
-        """True when this session executes on a ``repro serve`` daemon."""
-        return self._remote is not None
-
     def close(self) -> None:
-        """Release the daemon connection and the store's activity lock.
+        """Release the store's activity lock.
 
-        The session stays usable afterwards — the connection and lock are
-        re-acquired on demand — so ``close()`` marks a quiet point, not the
-        end of life.
+        The session stays usable afterwards — the lock is re-acquired on
+        demand — so ``close()`` marks a quiet point, not the end of life.
         """
-        if self._client is not None:
-            self._client.close()
-            self._client = None
         self.store.close()
 
     def __enter__(self) -> "Session":
@@ -406,8 +383,6 @@ class Session:
 
     def run(self, spec: RunSpec) -> RunArtifacts:
         """Run (or reuse) the full stage graph for one spec."""
-        if self._remote is not None:
-            return self._remote_artifacts([spec], label=spec.label)[0]
         program = self.program(spec)
         profile_artifact = self._profile_artifact(spec)
         if spec.policy is None:
@@ -429,81 +404,6 @@ class Session:
             timing=self.minigraph_timing(spec),
             baseline_timing=self.baseline_timing(spec))
 
-    def map(self, specs: Iterable[RunSpec], *,
-            workers: Optional[int] = None) -> List[RunArtifacts]:
-        """Run independent specs, fanning out across a process pool.
-
-        Results come back in input order and are bit-identical to serial
-        execution (every stage is deterministic).  ``workers=0`` or ``1``
-        forces serial in-process execution; the default sizes the pool to
-        ``min(len(specs), cpu_count)``.  Workers share this session's disk
-        cache (when one is configured), so artifacts computed in the pool are
-        reused by later in-process runs.
-        """
-        specs = list(specs)
-        if self._remote is not None:
-            return self._remote_artifacts(specs, label="map")
-        workers = self._resolve_workers(workers, len(specs))
-        if workers <= 1 or len(specs) <= 1:
-            return [self.run(spec) for spec in specs]
-        outcomes = self._fan_out([[spec] for spec in specs], workers)
-        if outcomes is None:
-            # Process pools can be unavailable in restricted environments;
-            # fall back to the (identical) serial execution.
-            return [self.run(spec) for spec in specs]
-        return [artifacts for group in outcomes for artifacts in group]
-
-    def sweep(self, specs: Iterable[RunSpec], *,
-              workers: Optional[int] = None) -> List[RunArtifacts]:
-        """Fast-path :meth:`map`: group specs that share upstream artifacts.
-
-        :meth:`map` ships every spec to its own worker, so a sweep of N
-        machine configurations or policies over one benchmark re-derives the
-        shared prefix stages (assemble, profile, and often select/rewrite/
-        trace) N times — once per worker process.  ``sweep`` instead groups
-        specs by their profile-stage identity ``(source, input, budget)`` and
-        fans *groups* out across the pool: each group runs inside one worker
-        session, where the shared stages are computed once and the interned
-        decode/plan artifacts (:mod:`repro.uarch.decode`) are reused by every
-        timing run of the group.
-
-        Results come back in input order and are bit-identical to serial
-        execution and to :meth:`map` (every stage is deterministic).
-        ``workers=0`` or ``1`` forces serial in-process execution, which
-        still applies the same grouping so shared artifacts stay hot in the
-        memory cache.
-        """
-        specs = list(specs)
-        if not specs:
-            return []
-        if self._remote is not None:
-            # The daemon plans artifact jobs through the same profile-identity
-            # grouping, so the sweep dedup happens in its warm workers.
-            return self._remote_artifacts(specs, label="sweep")
-        groups: Dict[Tuple[str, str, int], List[int]] = {}
-        for position, spec in enumerate(specs):
-            key = (spec.source_id, spec.input_name, spec.budget)
-            groups.setdefault(key, []).append(position)
-        positions_by_group = list(groups.values())
-        workers = self._resolve_workers(workers, len(groups))
-        results: List[Optional[RunArtifacts]] = [None] * len(specs)
-        outcomes = None
-        if workers > 1 and len(groups) > 1:
-            outcomes = self._fan_out(
-                [[specs[position] for position in positions]
-                 for positions in positions_by_group], workers)
-        if outcomes is None:
-            # Serial (or pool-unavailable fallback): group order keeps each
-            # benchmark's shared artifacts hot in the memory cache.
-            for positions in positions_by_group:
-                for position in positions:
-                    results[position] = self.run(specs[position])
-            return results  # type: ignore[return-value]
-        for positions, group_artifacts in zip(positions_by_group, outcomes):
-            for position, artifacts in zip(positions, group_artifacts):
-                results[position] = artifacts
-        return results  # type: ignore[return-value]
-
     # -- grids ---------------------------------------------------------------------
 
     def plan(self, grid) -> "GridPlan":  # noqa: F821 - forward ref, see repro.grid
@@ -517,77 +417,16 @@ class Session:
 
         Thin front door to :func:`repro.grid.engine.run_grid`: supports
         ``shard=(index, count)`` stage-partitioning, ``resume=True`` (serve
-        cells whose terminal row artifact is already stored) and the same
-        process-pool fan-out/accounting as :meth:`sweep`.  Returns a lazy
-        iterator of :class:`~repro.grid.engine.GridRow`.
-
-        Remote sessions submit the (locally expanded and sharded) cells to
-        the daemon and stream rows back as its warm workers complete them —
-        in completion order, not plan order, since stages of one job
-        interleave with other clients' work on the daemon.
+        cells whose terminal row artifact is already stored) and process-pool
+        fan-out of the plan's stages (``workers``; 0/1 runs serially here),
+        with the workers' accounting merged back into this session.  Returns
+        a lazy iterator of :class:`~repro.grid.engine.GridRow`.
         """
-        if self._remote is not None:
-            return self._remote_grid(grid, shard=shard, resume=resume)
         from ..grid.engine import run_grid
         return run_grid(self, grid, shard=shard, resume=resume,
                         workers=workers)
 
-    # -- remote execution (repro serve) ---------------------------------------------
-
-    def _serve_client(self):
-        if self._client is None:
-            from ..serve.client import ServeClient
-            path = None if self._remote is True else self._remote
-            self._client = ServeClient(path, namespace=self._namespace)
-        return self._client
-
-    def _absorb_job_stats(self, job: Dict[str, Any]) -> None:
-        """Fold a finished daemon job's accounting into this session."""
-        stats = job.get("session_stats") or {}
-        if stats:
-            self.stats.merge(SessionStats(**stats))
-        cache = job.get("cache_stats") or {}
-        if cache:
-            self._merge_cache_stats(CacheStats(
-                memory_hits=cache.get("memory_hits", 0),
-                disk_hits=cache.get("disk_hits", 0),
-                misses=cache.get("misses", 0),
-                puts=cache.get("puts", 0)))
-
-    def _remote_artifacts(self, specs: List[RunSpec],
-                          label: str) -> List[RunArtifacts]:
-        """Run specs on the daemon; full artifacts come back pickled."""
-        import base64
-        import pickle
-
-        if not specs:
-            return []
-        client = self._serve_client()
-        response = client.submit_specs(specs, label=label)
-        rows, job = client.run_to_completion(response)
-        self._absorb_job_stats(job)
-        by_index = {row["index"]:
-                    pickle.loads(base64.b64decode(row["artifact_b64"]))
-                    for row in rows}
-        return [by_index[index] for index in range(len(specs))]
-
-    def _remote_grid(self, grid, *, shard, resume):
-        from ..grid.engine import GridRow
-        from ..grid.planner import GridPlan, plan_grid
-
-        plan = grid if isinstance(grid, GridPlan) else plan_grid(grid)
-        if shard is not None:
-            plan = plan.take_shard(*shard)
-        name = None if plan.grid is None else plan.grid.name
-        client = self._serve_client()
-        response = client.submit_cells(
-            plan.cells(), label=f"grid:{name}" if name else "cells",
-            resume=resume)
-        for row in client.stream(response["job_id"]):
-            yield GridRow.from_dict(row)
-        self._absorb_job_stats(client.poll(response["job_id"]))
-
-    # -- pool plumbing shared by map() and sweep() ---------------------------------
+    # -- pool plumbing shared with repro.grid.engine -------------------------------
 
     def _resolve_workers(self, workers: Optional[int], job_count: int) -> int:
         if workers is None:
@@ -596,42 +435,9 @@ class Session:
             workers = min(job_count, os.cpu_count() or 1)
         return workers
 
-    def _fan_out(self, groups: List[List[RunSpec]],
-                 workers: int) -> Optional[List[List[RunArtifacts]]]:
-        """Run spec groups across a process pool, one worker session each.
-
-        Returns the per-group artifact lists in input order, folding the
-        workers' accounting back in so ``--stats`` and cache-hit assertions
-        see the work the pool actually performed — or ``None`` when process
-        pools are unavailable (the caller falls back to serial execution).
-        """
-        cache_dir = self._store.cache_dir
-        cache_dir_name = None if cache_dir is None else str(cache_dir)
-        jobs = [(group, cache_dir_name, self._version) for group in groups]
-        try:
-            with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-                outcomes = list(pool.map(_run_group_job, jobs))
-        except (OSError, PermissionError):
-            return None
-        results: List[List[RunArtifacts]] = []
-        for group_artifacts, worker_stats, worker_cache in outcomes:
-            results.append(group_artifacts)
-            self.stats.merge(worker_stats)
-            self._merge_cache_stats(worker_cache)
-        return results
-
     def _merge_cache_stats(self, worker_cache: CacheStats) -> None:
         stats = self._store.stats
         stats.memory_hits += worker_cache.memory_hits
         stats.disk_hits += worker_cache.disk_hits
         stats.misses += worker_cache.misses
         stats.puts += worker_cache.puts
-
-
-def _run_group_job(job: Tuple[List[RunSpec], Optional[str], str]
-                   ) -> Tuple[List[RunArtifacts], SessionStats, CacheStats]:
-    """Process-pool worker: run one artifact-sharing group in one session."""
-    group, cache_dir, version = job
-    session = Session(cache_dir=cache_dir, version=version)
-    artifacts = [session.run(spec) for spec in group]
-    return artifacts, session.stats, session.cache_stats

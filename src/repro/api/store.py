@@ -219,7 +219,7 @@ class ArtifactStore:
         if self._cache_dir is None:
             return
         path = self._path(key)
-        # Write-then-rename so concurrent readers (Session.map workers sharing
+        # Write-then-rename so concurrent readers (grid pool workers sharing
         # one cache directory) never observe a partial entry.
         try:
             self._entry_dir.mkdir(parents=True, exist_ok=True)

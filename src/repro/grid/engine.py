@@ -16,8 +16,9 @@ or sharded — campaign only executes the missing cells, and the union of
 shard runs plus one resumed pass equals the unsharded result exactly.
 
 Stages fan out across a process pool (one worker session per stage, sharing
-the disk cache) with the same serial fallback and accounting merge-back as
-:meth:`Session.map`/:meth:`Session.sweep`.
+the disk cache), falling back to serial execution in the driving session
+when process pools are unavailable; the workers' accounting is merged back
+into that session.
 """
 
 from __future__ import annotations
@@ -82,29 +83,6 @@ class GridRow:
             "templates": self.templates,
             "resumed": self.resumed,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "GridRow":
-        """Inverse of :meth:`as_dict` (the serve protocol's row transport).
-
-        JSON has no NaN, so ``as_dict`` surfaced NaN metrics as ``null``;
-        they come back as NaN here, keeping round-tripped rows equal to the
-        originals field for field.
-        """
-        def metric(name: str) -> float:
-            value = data[name]
-            return float("nan") if value is None else value
-        return cls(index=data["index"], labels=dict(data["point"]),
-                   spec_hash=data["spec_hash"], benchmark=data["benchmark"],
-                   input=data["input"], budget=data["budget"],
-                   machine=data["machine"], machine_hash=data["machine_hash"],
-                   baseline_machine=data["baseline_machine"],
-                   coverage=metric("coverage"),
-                   baseline_ipc=metric("baseline_ipc"), ipc=metric("ipc"),
-                   speedup=metric("speedup"), cycles=data["cycles"],
-                   baseline_cycles=data["baseline_cycles"],
-                   templates=data["templates"],
-                   resumed=data.get("resumed", False))
 
 
 def cell_key(spec: RunSpec, version: str,

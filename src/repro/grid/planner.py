@@ -5,8 +5,8 @@ policy × workload × budget) point, but executing each cell independently
 would re-derive the expensive shared prefix of the pipeline — one functional
 profile per (program, input, budget) and one front-end compile
 (select/rewrite/trace) per (program, policy) — once per cell.  The planner
-generalizes :meth:`repro.api.session.Session.sweep`'s grouping into an
-explicit, inspectable plan:
+groups cells by the artifacts they share into an explicit, inspectable
+plan:
 
 * a :class:`PlanStage` per distinct profile identity ``(source, input,
   budget)`` — the unit shipped to one process-pool worker, where the shared

@@ -26,8 +26,8 @@ Ids are **process-local and never serialized**: artifacts (selections, MGTs,
 cached candidates) carry the template *objects*, and a worker process
 re-interns them lazily on first use — :func:`candidate_template_id` caches
 the id on the candidate in-process and strips it on pickling, so ids can
-never leak across the :meth:`repro.api.Session.map` / ``sweep`` process pool
-or the on-disk artifact store.
+never leak across the :meth:`repro.api.Session.run_grid` process pool or the
+on-disk artifact store.
 """
 
 from __future__ import annotations
@@ -221,7 +221,8 @@ class FrontendStats:
 
     Sampled by :class:`repro.api.Session` around the select stage (deltas are
     folded into :class:`~repro.api.session.SessionStats`, which merges across
-    the process pool) and reported by ``repro bench``.
+    the process pool) and read by ``perfbench/`` for its front-end
+    metrics.
     """
 
     enumeration_seconds: float = 0.0

@@ -2,8 +2,8 @@
 
 The serve package turns the one-shot pipeline into a daemon: a persistent
 process-pool of workers holding warm interned registries and artifact
-caches, accepting :class:`~repro.api.spec.RunSpec`/
-:class:`~repro.grid.spec.GridSpec` jobs over a local socket speaking
+caches, accepting grid jobs (catalog grids by name, or the expanded cells
+of a :class:`~repro.grid.spec.GridSpec`) over a local socket speaking
 newline-delimited JSON, and streaming :class:`~repro.grid.engine.GridRow`\\ s
 back to clients as cells complete.
 
@@ -18,7 +18,7 @@ Modules:
 * :mod:`repro.serve.server` — the daemon: socket front end, scheduler,
   graceful drain;
 * :mod:`repro.serve.client` — the thin client library behind
-  ``repro submit`` / ``repro jobs`` and ``Session(remote=...)``.
+  ``repro submit`` / ``repro jobs``.
 
 Imports are lazy so ``import repro.serve`` stays cheap for clients that
 only need the protocol constants.

@@ -1,8 +1,8 @@
 """Client library for the ``repro serve`` daemon.
 
 :class:`ServeClient` wraps one NDJSON connection (handshake included) and
-exposes the protocol ops as methods.  Job payloads that carry
-:class:`~repro.api.spec.RunSpec` objects are pickled and base64-wrapped on
+exposes the protocol ops as methods.  Grid cells, which carry
+:class:`~repro.api.spec.RunSpec` objects, are pickled and base64-wrapped on
 this side — the daemon listens on a local, trusted Unix socket owned by the
 same user, which is the only reason pickle is acceptable as transport.
 
@@ -28,7 +28,6 @@ import socket
 import time
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..api.spec import RunSpec
 from ..grid.spec import GridCell, GridSpec
 from . import protocol
 
@@ -150,14 +149,6 @@ class ServeClient:
             job["input"] = input_name
         return self._request({"op": "submit", "priority": priority,
                               "resume": resume, "job": job})
-
-    def submit_specs(self, specs: Sequence[RunSpec], *, label: str = "artifacts",
-                     priority: int = 0) -> Dict[str, Any]:
-        """Submit bare specs whose full :class:`RunArtifacts` come back."""
-        return self._request({
-            "op": "submit", "priority": priority, "resume": False,
-            "job": {"kind": "artifacts", "label": label,
-                    "specs_b64": _pickle_b64(list(specs))}})
 
     # -- job management ------------------------------------------------------------
 

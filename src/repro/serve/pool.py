@@ -32,9 +32,7 @@ Both pools report through four callbacks, keyed by the task's
 
 from __future__ import annotations
 
-import base64
 import os
-import pickle
 import queue as stdlib_queue
 import threading
 from dataclasses import dataclass
@@ -54,7 +52,6 @@ class PoolTask:
     """One dispatched stage: the cells a single worker runs back to back."""
 
     key: TaskKey
-    kind: str                           # "cells" | "artifacts"
     namespace: str
     cells: Tuple[Tuple[int, RunSpec], ...]   # (cell index, spec)
 
@@ -77,12 +74,7 @@ def _compute_cell(session, task: PoolTask, index: int,
     """Run one cell in the worker's warm session and build its row payload."""
     from ..grid.engine import _cell_payload, cell_key
 
-    artifacts = session.run(spec)
-    if task.kind == "artifacts":
-        blob = pickle.dumps(artifacts, protocol=pickle.HIGHEST_PROTOCOL)
-        return {"index": index,
-                "artifact_b64": base64.b64encode(blob).decode("ascii")}
-    payload = _cell_payload(artifacts)
+    payload = _cell_payload(session.run(spec))
     # Persist the terminal row artifact (namespaced per client) so resumed
     # submissions and `repro grid --resume` runs are served without work.
     session.store.put(cell_key(spec, session.version,

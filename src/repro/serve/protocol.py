@@ -42,10 +42,8 @@ Job descriptors
   (base64-pickled ``(index, point, RunSpec)`` triples) from
   ``repro.serve.client``; the server groups them into shared-artifact
   stages with the grid planner.
-* ``{"kind": "artifacts", "specs_b64": ...}`` — base64-pickled
-  ``RunSpec`` list; each result row carries the base64-pickled
-  :class:`~repro.api.session.RunArtifacts` (``Session(remote=...)``'s
-  transport).
+
+Any other ``kind`` is rejected with ``bad-request``.
 
 Pickled payloads are accepted only because the socket is local and
 filesystem-permission guarded (the socket file is created ``0o700``-dirred
@@ -77,7 +75,7 @@ ERROR_CODES = (
     "internal",            # unexpected server-side error
 )
 
-#: Largest accepted message line (a pickled artifact row can be large, a
+#: Largest accepted message line (a pickled cells payload can be large, a
 #: runaway line should still be bounded).
 MAX_MESSAGE_BYTES = 256 * 1024 * 1024
 

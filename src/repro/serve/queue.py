@@ -1,7 +1,7 @@
 """The daemon's job queue: bounded admission, priorities, explicit backpressure.
 
-A :class:`JobRecord` is one submitted ``RunSpec``/``GridSpec`` job, already
-planned into shared-artifact *stages* (lists of
+A :class:`JobRecord` is one submitted grid job (a catalog grid or expanded
+cells), already planned into shared-artifact *stages* (lists of
 :class:`~repro.grid.spec.GridCell`); the scheduler dispatches one stage at a
 time to one warm worker, and each completed cell appends one row to the
 record, waking any streaming clients.
@@ -68,7 +68,7 @@ class JobRecord:
     """One admitted job: its plan, its accumulated rows, its accounting."""
 
     id: str
-    kind: str                       # "grid" | "cells" | "artifacts"
+    kind: str                       # "grid" | "cells"
     namespace: str
     priority: int
     seq: int                        # admission order, the FIFO tiebreak

@@ -204,8 +204,6 @@ class ServeServer:
                     job, index = claim
                     task = PoolTask(
                         key=(job.id, index, job.stage_attempts[index]),
-                        kind="artifacts" if job.kind == "artifacts"
-                             else "cells",
                         namespace=job.namespace,
                         cells=tuple((cell.index, cell.spec)
                                     for cell in job.stages[index]))
@@ -230,12 +228,8 @@ class ServeServer:
             if index in delivered:
                 return  # replay from a retried stage
             delivered.add(index)
-        if job.kind == "artifacts":
-            row = payload
-        else:
-            cell = self._cells[job_id][index]
-            row = _row(cell, payload, resumed=False).as_dict()
-        self.queue.append_row(job, row)
+        row = _row(self._cells[job_id][index], payload, resumed=False)
+        self.queue.append_row(job, row.as_dict())
 
     def _on_stage_done(self, key: TaskKey, session_stats: Dict[str, Any],
                        cache_stats: Dict[str, Any]) -> None:
@@ -377,7 +371,7 @@ class ServeServer:
         kind, cells, label = self._decode_job(descriptor)
 
         served: List[Dict[str, Any]] = []
-        if resume and kind != "artifacts":
+        if resume:
             remaining: List[GridCell] = []
             for cell in cells:
                 payload = self._probe_store.get(
@@ -416,14 +410,6 @@ class ServeServer:
                 raise _BadRequest(f"malformed cells payload: {error}") \
                     from None
             return "cells", cells, str(descriptor.get("label") or "cells")
-        if kind == "artifacts":
-            specs = self._unpickle(descriptor, "specs_b64")
-            if not isinstance(specs, (list, tuple)):
-                raise _BadRequest("artifacts payload must be a RunSpec list")
-            cells = [GridCell(index=index, point=(), spec=spec)
-                     for index, spec in enumerate(specs)]
-            return "artifacts", cells, \
-                str(descriptor.get("label") or "artifacts")
         raise _BadRequest(f"unknown job kind {kind!r}")
 
     def _decode_grid_job(self, descriptor: Dict[str, Any]

@@ -338,8 +338,8 @@ class Trace:
 
     def __reduce__(self):
         # Pickling (the artifact store's object-graph path, and every
-        # Session.map/sweep pool transfer) ships the packed columns as one
-        # flat binary blob instead of an object per entry.
+        # process-pool transfer) ships the packed columns as one flat binary
+        # blob instead of an object per entry.
         return (decode_trace, (encode_trace(self),))
 
 

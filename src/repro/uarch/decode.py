@@ -11,8 +11,8 @@ for handles) into a :class:`DecodedOp`: a flat ``__slots__`` record the
 pipeline reads with plain attribute loads.  Decode tables are cached per
 ``(program, mgt)`` pair in process-wide weak maps, so every simulation of the
 same program — across machine configurations, across
-:class:`~repro.api.session.Session` stages, and across the specs of one
-:meth:`~repro.api.session.Session.sweep` — shares one decode pass.  The same
+:class:`~repro.api.session.Session` stages, and across the cells of one
+grid stage (:mod:`repro.grid.planner`) — shares one decode pass.  The same
 cache also interns the *trace feed*: the per-trace list of ``DecodedOp``
 references the fetch stage consumes in one batched lookup instead of
 re-dispatching ``program.at(pc)`` one entry at a time.

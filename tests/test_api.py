@@ -1,6 +1,6 @@
 """Tests for the unified pipeline API (repro.api): spec hashing, the
-content-addressed artifact store, session stage caching, parallel fan-out
-and the ``python -m repro`` CLI."""
+content-addressed artifact store, session stage caching and the
+``python -m repro`` CLI."""
 
 import json
 import math
@@ -227,90 +227,6 @@ class TestSessionCaching:
         assert result.table.value("bitcount", "int") > 0.0
 
 
-# -- parallel fan-out -------------------------------------------------------------
-
-
-class TestSessionMap:
-    BENCHMARKS = ["bitcount", "crc", "frag", "gsm.toast"]
-
-    def test_parallel_results_identical_to_serial(self):
-        specs = [RunSpec(benchmark=name, budget=BUDGET) for name in self.BENCHMARKS]
-        serial = Session().map(specs, workers=1)
-        parallel = Session().map(specs, workers=4)
-        assert [a.spec.label for a in parallel] == self.BENCHMARKS
-        serial_bytes = pickle.dumps([(a.timing, a.baseline_timing, a.coverage)
-                                     for a in serial])
-        parallel_bytes = pickle.dumps([(a.timing, a.baseline_timing, a.coverage)
-                                       for a in parallel])
-        assert serial_bytes == parallel_bytes
-
-    def test_map_workers_share_the_disk_cache(self, tmp_path):
-        specs = [RunSpec(benchmark=name, budget=BUDGET)
-                 for name in self.BENCHMARKS[:2]]
-        Session(cache_dir=tmp_path).map(specs, workers=2)
-        warm = Session(cache_dir=tmp_path)
-        warm.map(specs, workers=1)
-        assert warm.stats.simulations == 0
-
-    def test_map_merges_worker_accounting(self):
-        specs = [RunSpec(benchmark=name, budget=BUDGET)
-                 for name in self.BENCHMARKS[:2]]
-        session = Session()
-        session.map(specs, workers=2)
-        # The pool did the work, but the parent session must report it.
-        assert session.stats.simulations > 0
-        assert session.cache_stats.puts > 0
-
-
-class TestSessionSweep:
-    """The artifact-sharing fast path over :meth:`Session.map`."""
-
-    BENCHMARKS = ["bitcount", "crc"]
-
-    def _machine_sweep_specs(self):
-        # Two benchmarks x three policy/machine variants: each benchmark's
-        # baseline functional stages are shared by its three specs.
-        from repro.minigraph import INTEGER_POLICY
-        specs = []
-        for name in self.BENCHMARKS:
-            base = RunSpec(benchmark=name, budget=BUDGET)
-            specs.extend([
-                base,
-                base.baseline_only(),
-                base.with_policy(INTEGER_POLICY),
-            ])
-        return specs
-
-    def test_sweep_matches_map(self):
-        specs = self._machine_sweep_specs()
-        mapped = Session().map(specs, workers=1)
-        swept = Session().sweep(specs, workers=2)
-        assert [a.spec.label for a in swept] == [a.spec.label for a in mapped]
-        mapped_bytes = pickle.dumps([(a.timing, a.baseline_timing, a.coverage)
-                                     for a in mapped])
-        swept_bytes = pickle.dumps([(a.timing, a.baseline_timing, a.coverage)
-                                    for a in swept])
-        assert mapped_bytes == swept_bytes
-
-    def test_sweep_shares_functional_runs_within_groups(self):
-        specs = self._machine_sweep_specs()
-        session = Session()
-        session.sweep(specs, workers=2)
-        # Per benchmark: one baseline profile run plus one rewritten-trace run
-        # per selection policy (2).  map() with per-spec workers would have
-        # re-profiled in every worker.
-        assert session.stats.functional_runs == 3 * len(self.BENCHMARKS)
-
-    def test_sweep_serial_keeps_input_order(self):
-        specs = self._machine_sweep_specs()
-        results = Session().sweep(specs, workers=1)
-        assert [a.spec.spec_hash for a in results] == \
-            [spec.spec_hash for spec in specs]
-
-    def test_sweep_empty(self):
-        assert Session().sweep([]) == []
-
-
 # -- zero-baseline speedups -------------------------------------------------------
 
 
@@ -413,12 +329,3 @@ class TestCli:
         assert json.loads(cleared.stdout)["removed"] > 0
         info = _run_cli("--cache-dir", str(tmp_path), "--json", "cache", "info")
         assert json.loads(info.stdout)["disk_entries"] == 0
-
-    def test_bench_sweep(self, tmp_path):
-        result = _run_cli("--cache-dir", str(tmp_path), "--json", "bench",
-                          "--suite", "embedded", "--limit", "2",
-                          "--budget", str(BUDGET), "--workers", "1")
-        assert result.returncode == 0, result.stderr
-        payload = json.loads(result.stdout)
-        assert len(payload["results"]) == 2
-        assert payload["bench"]["columns"] == ["coverage", "base-ipc", "ipc", "speedup"]

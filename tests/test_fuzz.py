@@ -242,6 +242,18 @@ class TestOracleSensitivity:
         assert report.differential_runs == 4 * len(ORACLE_NAMES)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_cli_rejects_non_positive_budget(budget, tmp_path, capsys):
+    """A budget no program can halt within is a usage error, not a failing
+    seed: no seed runs and no bogus repro lands in the corpus directory."""
+    from repro.api.cli import main
+    code = main(["fuzz", "--seeds", "2", "--budget", str(budget),
+                 "--corpus-dir", str(tmp_path)])
+    assert code == 2
+    assert "repro: error: --budget must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- quarantined geometries ---------------------------------------------------------
 
 

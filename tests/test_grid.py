@@ -168,14 +168,23 @@ class TestEngine:
         assert _row_fingerprint(rows0 + rows1) == _row_fingerprint(full)
         assert _row_fingerprint(union) == _row_fingerprint(full)
 
-    def test_pool_execution_matches_serial(self):
+    def test_pool_execution_matches_serial(self, tmp_path):
         grid = _two_axis_grid(("bitcount", "crc"))
         serial = list(Session().run_grid(grid, workers=0))
-        parallel_session = Session()
+        parallel_session = Session(cache_dir=tmp_path)
         parallel = list(parallel_session.run_grid(grid, workers=2))
         assert _row_fingerprint(serial) == _row_fingerprint(parallel)
-        # Worker accounting merged back into the parent session.
-        assert parallel_session.stats.simulations > 0
+        # Worker accounting merged back into the parent session, and each
+        # benchmark's stage shared its artifacts inside one worker: one
+        # profile plus one rewritten trace per selection policy (int-mem,
+        # int) per benchmark.
+        assert parallel_session.stats.functional_runs == 6
+        # The workers filled the shared disk cache: a fresh session reruns
+        # the grid without resume on stored stage artifacts alone.
+        warm = Session(cache_dir=tmp_path)
+        assert _row_fingerprint(list(warm.run_grid(grid, workers=0))) \
+            == _row_fingerprint(serial)
+        assert warm.stats.simulations == 0
 
     def test_duplicate_geometry_cells_resume_with_their_own_labels(self):
         """Cells with identical run identity but different machine display

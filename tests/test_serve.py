@@ -1,8 +1,10 @@
 """The ``repro serve`` daemon: protocol, queue, pool, server, client, CLI."""
 
+import base64
 import io
 import json
 import os
+import pickle
 import signal
 import socket as socket_module
 import threading
@@ -13,7 +15,6 @@ import pytest
 from repro.api import RunSpec, Session
 from repro.api.store import MISS, ArtifactStore
 from repro.grid import Axis, GridSpec, cell_key, plan_cells
-from repro.grid.engine import GridRow
 from repro.grid.spec import GridCell
 from repro.minigraph.policies import DEFAULT_POLICY
 from repro.serve import protocol
@@ -200,6 +201,8 @@ class TestServeEndToEnd:
             rows, job = client.run_to_completion(
                 client.submit_grid(grid, resume=True))
         assert job["state"] == "done"
+        # The workers' accounting comes back with the job.
+        assert job["session_stats"]["timing_runs"] > 0
         reference = Session(cache_dir=None)
         serial = {row.index: row.as_dict()
                   for row in reference.run_grid(grid, workers=0)}
@@ -252,32 +255,32 @@ class TestServeEndToEnd:
         # ...but the same namespace does.
         assert again["resumed"] == len(list(grid.cells()))
 
-    def test_artifact_jobs_return_full_run_artifacts(self, daemon):
-        spec = RunSpec(benchmark="bitcount", budget=BUDGET,
-                       policy=DEFAULT_POLICY)
-        remote = Session(remote=daemon.socket_path)
-        artifacts = remote.run(spec)
-        remote.close()
-        reference = Session(cache_dir=None).run(spec)
-        assert artifacts.timing.cycles == reference.timing.cycles
-        assert artifacts.timing.ipc == reference.timing.ipc
-        assert artifacts.coverage == reference.coverage
-
-    def test_remote_session_absorbs_worker_accounting(self, daemon):
-        remote = Session(remote=daemon.socket_path)
-        remote.run(RunSpec(benchmark="bitcount", budget=BUDGET,
-                           policy=DEFAULT_POLICY))
-        assert remote.stats.simulations > 0
-        remote.close()
-
-    def test_remote_run_grid_streams_grid_rows(self, daemon):
-        grid = _mini_grid()
-        remote = Session(remote=daemon.socket_path)
-        rows = list(remote.run_grid(grid, resume=True))
-        remote.close()
-        assert all(isinstance(row, GridRow) for row in rows)
-        assert sorted(row.index for row in rows) \
-            == [cell.index for cell in grid.cells()]
+    def test_removed_artifacts_job_kind_is_a_typed_rejection(self, daemon):
+        """Older clients (``Session(remote=...).run``) submitted bare specs
+        as an ``artifacts`` job, a kind the daemon no longer has: it must
+        answer ``bad-request`` without admitting a job and keep serving."""
+        spec = RunSpec(benchmark="bitcount", budget=BUDGET)
+        specs_b64 = base64.b64encode(pickle.dumps([spec])).decode("ascii")
+        sock = socket_module.socket(socket_module.AF_UNIX,
+                                    socket_module.SOCK_STREAM)
+        sock.connect(str(daemon.socket_path))
+        stream = protocol.MessageStream(sock)
+        try:
+            stream.send({"op": "hello", "protocol": protocol.PROTOCOL_VERSION})
+            assert stream.recv()["ok"] is True
+            stream.send({"op": "submit", "priority": 0, "resume": False,
+                         "job": {"kind": "artifacts", "label": "artifacts",
+                                 "specs_b64": specs_b64}})
+            response = stream.recv()
+            stream.send({"op": "status"})
+            status = stream.recv()
+        finally:
+            stream.close()
+        assert response["ok"] is False
+        assert response["error"]["code"] == "bad-request"
+        assert response["error"]["message"] == "unknown job kind 'artifacts'"
+        assert status["ok"] is True
+        assert status["server"]["jobs"]["total"] == 0
 
     def test_unknown_job_poll_is_structured(self, daemon):
         with _client(daemon) as client:
