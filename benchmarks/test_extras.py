@@ -3,22 +3,20 @@ instruction-cache/compression effect (E9) and selected ablations."""
 
 import pytest
 
-from repro.experiments import (
-    geometric_mean,
-    run_icache_effect,
-    run_robustness,
-)
+from repro.experiments import geometric_mean, run_robustness
 from repro.minigraph import DEFAULT_POLICY, select_minigraphs
 from repro.minigraph.enumeration import EnumerationLimits, enumerate_minigraphs
+from repro.workloads import REGISTRY
 
-from conftest import full_sweep, write_result
+from conftest import baseline, bench_budget, full_sweep, grid_report, write_result
 
 
 @pytest.mark.benchmark(group="extras")
-def test_profile_robustness(benchmark, runner, benchmarks):
+def test_profile_robustness(benchmark, session, benchmarks):
     names = benchmarks if full_sweep() else benchmarks[:8]
-    result = benchmark.pedantic(lambda: run_robustness(runner, benchmarks=names),
-                                rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: run_robustness(session, benchmarks=names, budget=bench_budget()),
+        rounds=1, iterations=1)
     write_result("robustness", result.render())
     # The paper reports ~15% average relative coverage loss across inputs;
     # anything between "no loss" and "half the coverage" matches the shape.
@@ -26,21 +24,22 @@ def test_profile_robustness(benchmark, runner, benchmarks):
 
 
 @pytest.mark.benchmark(group="extras")
-def test_icache_compression_effect(benchmark, runner):
-    spec_names = [name for name in runner.benchmarks("spec")]
+def test_icache_compression_effect(benchmark, session):
+    spec_names = REGISTRY.names("spec")
     if not full_sweep():
         spec_names = spec_names[:4]
-    result = benchmark.pedantic(lambda: run_icache_effect(runner, benchmarks=spec_names),
-                                rounds=1, iterations=1)
-    write_result("icache_effect", result.render())
-    padded = result.table.overall_mean("padded")
-    compressed = result.table.overall_mean("compressed")
+    text, (table,) = benchmark.pedantic(
+        lambda: grid_report(session, "icache", spec_names),
+        rounds=1, iterations=1)
+    write_result("icache_effect", text)
+    padded = table.overall_mean("padded")
+    compressed = table.overall_mean("compressed")
     # Compression can only help (fewer instruction-cache lines touched).
     assert compressed >= padded - 0.02
 
 
 @pytest.mark.benchmark(group="ablation")
-def test_ablation_selection_order(benchmark, runner, benchmarks):
+def test_ablation_selection_order(benchmark, session, benchmarks):
     """Ablation: greedy coverage-driven selection vs. a small MGT.
 
     The selection ordering is a design choice worth ablating; the measurable proxy recorded here is how much coverage a
@@ -52,10 +51,9 @@ def test_ablation_selection_order(benchmark, runner, benchmarks):
     def run():
         rows = []
         for name in names:
-            artifacts = runner.baseline(name)
-            full = select_minigraphs(artifacts.program, artifacts.profile,
-                                     policy=DEFAULT_POLICY)
-            small = select_minigraphs(artifacts.program, artifacts.profile,
+            program, profile = baseline(session, name)
+            full = select_minigraphs(program, profile, policy=DEFAULT_POLICY)
+            small = select_minigraphs(program, profile,
                                       policy=DEFAULT_POLICY.with_mgt_entries(16))
             retained = small.coverage / full.coverage if full.coverage else 1.0
             rows.append((name, full.coverage, small.coverage, retained))
@@ -72,20 +70,20 @@ def test_ablation_selection_order(benchmark, runner, benchmarks):
 
 
 @pytest.mark.benchmark(group="ablation")
-def test_ablation_graph_size_limit(benchmark, runner, benchmarks):
+def test_ablation_graph_size_limit(benchmark, session, benchmarks):
     """Ablation: two-instruction mini-graphs carry most of the coverage."""
     names = benchmarks if full_sweep() else benchmarks[:8]
 
     def run():
         rows = []
         for name in names:
-            artifacts = runner.baseline(name)
+            program, profile = baseline(session, name)
             limits = EnumerationLimits(max_size=8)
-            candidates = enumerate_minigraphs(artifacts.program, limits)
-            size2 = select_minigraphs(artifacts.program, artifacts.profile,
+            candidates = enumerate_minigraphs(program, limits)
+            size2 = select_minigraphs(program, profile,
                                       policy=DEFAULT_POLICY.with_max_size(2),
                                       candidates=candidates).coverage
-            size8 = select_minigraphs(artifacts.program, artifacts.profile,
+            size8 = select_minigraphs(program, profile,
                                       policy=DEFAULT_POLICY.with_max_size(8),
                                       candidates=candidates).coverage
             rows.append((name, size2, size8))

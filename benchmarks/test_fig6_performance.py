@@ -2,19 +2,16 @@
 
 import pytest
 
-from repro.experiments import run_figure6
-
-from conftest import write_result
+from conftest import grid_report, write_result
 
 
 @pytest.mark.benchmark(group="figure6")
-def test_fig6_performance(benchmark, runner, benchmarks):
-    result = benchmark.pedantic(
-        lambda: run_figure6(runner, benchmarks=benchmarks),
+def test_fig6_performance(benchmark, session, benchmarks):
+    text, (table,) = benchmark.pedantic(
+        lambda: grid_report(session, "fig6", benchmarks),
         rounds=1, iterations=1)
-    write_result("fig6_performance", result.render())
+    write_result("fig6_performance", text)
 
-    table = result.table
     media_gain = table.suite_means("int-mem").get("media", 1.0)
     spec_gain = table.suite_means("int-mem").get("spec", 1.0)
     # Shape checks from the paper: MediaBench benefits the most, SPECint the

@@ -2,32 +2,30 @@
 
 import pytest
 
-from repro.experiments import FIGURE7_BENCHMARKS, run_best_policy, run_figure7
+from repro.experiments import FIGURE7_BENCHMARKS, best_policy
 
-from conftest import full_sweep, write_result
+from conftest import full_sweep, grid_report, write_result
 
 
 @pytest.mark.benchmark(group="figure7")
-def test_fig7_serialization(benchmark, runner):
-    result = benchmark.pedantic(
-        lambda: run_figure7(runner, benchmarks=FIGURE7_BENCHMARKS),
+def test_fig7_serialization(benchmark, session):
+    _, (table,) = benchmark.pedantic(
+        lambda: grid_report(session, "fig7", FIGURE7_BENCHMARKS),
         rounds=1, iterations=1)
-    write_result("fig7_serialization", result.render())
-    table = result.table
+    write_result("fig7_serialization", table.render())
     # mcf is the paper's replay-loss poster child: removing serialization and
     # replay-vulnerable graphs must not make it worse.
     assert table.value("mcf", "int-mem-noserial-noreplay") >= table.value("mcf", "int-mem") - 0.02
 
 
 @pytest.mark.benchmark(group="figure7")
-def test_best_policy(benchmark, runner, benchmarks):
+def test_best_policy(benchmark, session, benchmarks):
     names = benchmarks if full_sweep() else benchmarks[:8]
-    figure7_default = run_figure7(runner, benchmarks=names)
-    result = benchmark.pedantic(
-        lambda: run_best_policy(runner, benchmarks=names),
+    _, (table,) = benchmark.pedantic(
+        lambda: grid_report(session, "fig7", names),
         rounds=1, iterations=1)
-    lines = [result.render()]
-    write_result("best_policy", "\n".join(lines))
+    result = best_policy(table)
+    write_result("best_policy", result.render())
     # Choosing the best policy per benchmark can only improve on any fixed policy.
     for name in names:
-        assert result.best_speedup[name] >= figure7_default.table.value(name, "int-mem") - 1e-9
+        assert result.best_speedup[name] >= table.value(name, "int-mem") - 1e-9

@@ -2,16 +2,14 @@
 
 import pytest
 
-from repro.experiments import run_bandwidth_panel
-
-from conftest import full_sweep, write_result
+from conftest import full_sweep, grid_report, write_result
 
 
 @pytest.mark.benchmark(group="figure8")
-def test_fig8_bandwidth_and_scheduler(benchmark, runner, benchmarks):
+def test_fig8_bandwidth_and_scheduler(benchmark, session, benchmarks):
     names = benchmarks if full_sweep() else benchmarks[:8]
-    table = benchmark.pedantic(
-        lambda: run_bandwidth_panel(runner, benchmarks=names),
+    _, (_, table) = benchmark.pedantic(
+        lambda: grid_report(session, "fig8", names),
         rounds=1, iterations=1)
     write_result("fig8_bandwidth", table.render())
 

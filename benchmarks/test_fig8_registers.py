@@ -2,17 +2,14 @@
 
 import pytest
 
-from repro.experiments import run_register_panel
-
-from conftest import full_sweep, write_result
+from conftest import full_sweep, grid_report, write_result
 
 
 @pytest.mark.benchmark(group="figure8")
-def test_fig8_register_file(benchmark, runner, benchmarks):
+def test_fig8_register_file(benchmark, session, benchmarks):
     names = benchmarks if full_sweep() else benchmarks[:8]
-    table = benchmark.pedantic(
-        lambda: run_register_panel(runner, benchmarks=names,
-                                   register_sizes=(164, 144, 124, 104)),
+    _, (table, _) = benchmark.pedantic(
+        lambda: grid_report(session, "fig8", names),
         rounds=1, iterations=1)
     write_result("fig8_registers", table.render())
 

@@ -16,9 +16,9 @@ This package is the single front door to the reproduction's tool chain:
 * a command-line interface, reachable as ``python -m repro`` (see
   :mod:`repro.api.cli`).
 
-The legacy entry points — :func:`repro.prepare_minigraph_run` and
-:class:`repro.experiments.ExperimentRunner` — are thin compatibility shims
-over this API.
+The paper's figures are built on the same API: :mod:`repro.experiments`
+declares the timed ones as catalog grids run through
+:meth:`Session.run_grid`.
 
 ``docs/api.md`` documents the full contract, including the cache
 invalidation semantics (stage-scoped key material, field-derived canonical

@@ -312,53 +312,60 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _figure_benchmarks(args: argparse.Namespace) -> Optional[List[str]]:
+#: ``repro figure`` numbers backed by a catalog grid.
+_FIGURE_GRIDS = {"6": "fig6", "7": "fig7", "8": "fig8"}
+
+
+def _figure_benchmarks(args: argparse.Namespace) -> List[str]:
+    """``--benchmarks``, else every registered benchmark with ``--full``,
+    else the figure's own default set."""
+    from ..grid import get_grid
     if args.benchmarks is not None:
         return list(args.benchmarks)
     if args.full:
-        return None  # harness default: every registered benchmark
-    return list(QUICK_BENCHMARKS)
+        return REGISTRY.names()
+    default = None
+    if args.number in _FIGURE_GRIDS:
+        default = get_grid(_FIGURE_GRIDS[args.number]).default_benchmarks
+    return list(default or QUICK_BENCHMARKS)
+
+
+def _grid_report(session: Session, name: str, benchmarks: Sequence[str],
+                 budget: int):
+    """Run catalog grid ``name`` serially and render its report.
+
+    An empty benchmark list renders the report's empty tables without
+    building a grid (a grid axis needs at least one value).
+    """
+    from ..grid import get_grid
+    definition = get_grid(name)
+    rows = []
+    if benchmarks:
+        grid = definition.build(benchmarks=benchmarks, budget=budget)
+        rows = list(session.run_grid(grid, workers=0))
+    return definition.report(rows)
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     # Imported here to keep CLI start-up cheap and avoid import cycles.
-    from ..experiments import (
-        ExperimentRunner,
-        run_figure5,
-        run_figure6,
-        run_figure7,
-        run_figure8,
-        run_icache_effect,
-        run_robustness,
-    )
+    from ..experiments import run_figure5, run_robustness
     session = Session(cache_dir=_cache_dir(args))
-    runner = ExperimentRunner(budget=args.budget, session=session)
     names = _figure_benchmarks(args)
     number = args.number
     if number == "5":
-        result = run_figure5(runner, benchmarks=names)
-        tables = [result.integer.table, result.integer_memory.table,
-                  result.domain.table]
-        text = result.render()
-    elif number == "6":
-        result = run_figure6(runner, benchmarks=names)
-        tables = [result.table]
-        text = result.render()
-    elif number == "7":
-        result = run_figure7(runner, benchmarks=args.benchmarks)
-        tables = [result.table]
-        text = result.render()
-    elif number == "8":
-        result = run_figure8(runner, benchmarks=names)
-        tables = [result.register_table, result.bandwidth_table]
-        text = result.render()
+        result = run_figure5(session, benchmarks=names, budget=args.budget)
+        text, tables = result.render(), result.tables
+    elif number == "extras":
+        robustness = run_robustness(session, benchmarks=names,
+                                    budget=args.budget)
+        icache_text, tables = _grid_report(
+            session, "icache",
+            [name for name in names if REGISTRY.get(name).suite == "spec"],
+            args.budget)
+        text = robustness.render() + "\n\n" + icache_text
     else:
-        robustness = run_robustness(runner, benchmarks=names)
-        icache = run_icache_effect(
-            runner, benchmarks=[n for n in (names or runner.benchmarks("spec"))
-                                if REGISTRY.get(n).suite == "spec"])
-        tables = [icache.table]
-        text = robustness.render() + "\n\n" + icache.render()
+        text, tables = _grid_report(session, _FIGURE_GRIDS[number], names,
+                                    args.budget)
     payload: Dict[str, Any] = {"figure": number,
                                "tables": [_table_to_dict(table) for table in tables]}
     _emit(args, session, text, payload)

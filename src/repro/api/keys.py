@@ -1,10 +1,10 @@
 """Canonical keying and content hashing for cache keys.
 
-Every cache key in :mod:`repro.api` — and the policy key of the legacy
-:class:`~repro.experiments.runner.ExperimentRunner` — is derived from the
-*fields* of the participating dataclasses rather than from hand-maintained
-tuples.  Adding a field to :class:`~repro.minigraph.policies.SelectionPolicy`
-or :class:`~repro.uarch.config.MachineConfig` therefore changes the key
+Every cache key in :mod:`repro.api` — and the grid planner's policy
+grouping key — is derived from the *fields* of the participating
+dataclasses rather than from hand-maintained tuples.  Adding a field to
+:class:`~repro.minigraph.policies.SelectionPolicy` or
+:class:`~repro.uarch.config.MachineConfig` therefore changes the key
 automatically instead of silently aliasing cache entries.
 """
 

@@ -1,75 +1,57 @@
-"""Experiment harnesses: one module per figure of the paper's evaluation."""
+"""Experiment harnesses: one module per figure of the paper's evaluation.
 
-from .runner import BaselineArtifacts, ExperimentRunner, MiniGraphArtifacts
-from .reporting import (
-    ResultTable,
-    arithmetic_mean,
-    comparison_line,
-    format_percent,
-    geometric_mean,
-)
+Figures 6-8 and the i-cache study are timed sweeps, declared as catalog
+grids (``fig6``, ``fig7``, ``fig8``, ``icache``) that ``repro grid`` and
+``repro figure`` run through :meth:`repro.api.Session.run_grid`; each
+grid's report folds the streamed rows into the figure's tables.  Figure 5
+and the robustness study time nothing, so they are plain functions over a
+:class:`~repro.api.Session`.
+"""
+
+from .reporting import ResultTable, arithmetic_mean, geometric_mean
 from .fig5_coverage import (
-    CoverageExperimentResult,
     Figure5Result,
     run_coverage_panel,
     run_domain_panel,
     run_figure5,
 )
-from .fig6_performance import FIGURE6_CONFIGS, Figure6Result, run_figure6
+from .fig6_performance import FIGURE6_CONFIGS, Figure6Result, figure6_grid
 from .fig7_serialization import (
     FIGURE7_BENCHMARKS,
     BestPolicyResult,
-    Figure7Result,
-    run_best_policy,
-    run_figure7,
+    best_policy,
+    figure7_grid,
 )
 from .fig8_amplification import (
     FIGURE8_BANDWIDTH_VARIANTS,
     FIGURE8_MODES,
     FIGURE8_REGISTER_SIZES,
     Figure8Result,
-    run_bandwidth_panel,
-    run_figure8,
-    run_register_panel,
+    figure8_grid,
 )
-from .extras import (
-    ICacheEffectResult,
-    RobustnessResult,
-    run_icache_effect,
-    run_robustness,
-)
+from .extras import RobustnessResult, icache_grid, run_robustness
 
 __all__ = [
-    "BaselineArtifacts",
-    "ExperimentRunner",
-    "MiniGraphArtifacts",
     "ResultTable",
     "arithmetic_mean",
-    "comparison_line",
-    "format_percent",
     "geometric_mean",
-    "CoverageExperimentResult",
     "Figure5Result",
     "run_coverage_panel",
     "run_domain_panel",
     "run_figure5",
     "FIGURE6_CONFIGS",
     "Figure6Result",
-    "run_figure6",
+    "figure6_grid",
     "FIGURE7_BENCHMARKS",
     "BestPolicyResult",
-    "Figure7Result",
-    "run_best_policy",
-    "run_figure7",
+    "best_policy",
+    "figure7_grid",
     "FIGURE8_BANDWIDTH_VARIANTS",
     "FIGURE8_MODES",
     "FIGURE8_REGISTER_SIZES",
     "Figure8Result",
-    "run_bandwidth_panel",
-    "run_figure8",
-    "run_register_panel",
-    "ICacheEffectResult",
+    "figure8_grid",
     "RobustnessResult",
-    "run_icache_effect",
+    "icache_grid",
     "run_robustness",
 ]

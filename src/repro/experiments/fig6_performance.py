@@ -13,15 +13,14 @@ benchmark.
 
 The figure is a declarative grid (benchmark × config, see
 :func:`figure6_grid`) registered in the grid catalog as ``fig6``, so it is
-reproducible as ``repro grid --name fig6`` — sharded, resumable, streaming —
-and :func:`run_figure6` is a thin harness that runs the same grid serially
-and folds the rows into the figure's table.
+reproducible as ``repro grid --name fig6`` (sharded, resumable, streaming)
+or ``repro figure 6``, which runs the same grid serially.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..grid.catalog import GridDefinition, register_grid
 from ..grid.engine import GridRow
@@ -36,7 +35,6 @@ from ..uarch.config import (
 )
 from ..workloads import REGISTRY
 from .reporting import ResultTable
-from .runner import ExperimentRunner
 
 #: Column labels, in the order the paper's figure stacks them.
 FIGURE6_CONFIGS = ("int", "int+collapse", "int-mem", "int-mem+collapse")
@@ -59,8 +57,7 @@ class Figure6Result:
 
 
 def figure6_grid(*, benchmarks: Sequence[str], budget: int,
-                 input_name: str = "reference",
-                 configs: Sequence[str] = FIGURE6_CONFIGS) -> GridSpec:
+                 input_name: str = "reference") -> GridSpec:
     """The Figure 6 sweep as a declarative grid: benchmark × config.
 
     Each config name resolves to its (policy, machine) pair — the machine
@@ -68,7 +65,7 @@ def figure6_grid(*, benchmarks: Sequence[str], budget: int,
     against the shared 6-wide baseline.
     """
     axes = (Axis("benchmark", tuple(benchmarks)),
-            Axis("config", tuple(configs)))
+            Axis("config", FIGURE6_CONFIGS))
 
     def build(point) -> RunSpec:
         config_name = point["config"]
@@ -106,17 +103,6 @@ def figure6_result(rows: Iterable[GridRow]) -> Figure6Result:
                   suite=REGISTRY.get(name).suite)
     table.notes.append("values are IPC relative to the baseline (1.0 = no change)")
     return result
-
-
-def run_figure6(runner: ExperimentRunner, *,
-                benchmarks: Optional[Sequence[str]] = None,
-                configs: Sequence[str] = FIGURE6_CONFIGS) -> Figure6Result:
-    """Run the Figure 6 performance comparison (serially, via the grid)."""
-    names = list(benchmarks) if benchmarks is not None else runner.benchmarks()
-    grid = figure6_grid(benchmarks=names, budget=runner.budget,
-                        input_name=runner.input_name, configs=configs)
-    rows = runner.session.run_grid(grid, workers=0)
-    return figure6_result(rows)
 
 
 def _figure6_report(rows: List[GridRow]):

@@ -12,13 +12,22 @@ more restrictive policies:
 The best-policy experiment (Section 6.2's closing paragraph) picks, per
 benchmark, whichever policy gives the highest speedup and reports the
 resulting per-suite averages.
+
+Both come from one declarative grid (benchmark × policy variant, see
+:func:`figure7_grid`) registered in the grid catalog as ``fig7``: its
+report prints the Figure 7 table and then the best-policy block derived
+from the same rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
+from ..api.spec import RunSpec
+from ..grid.catalog import GridDefinition, register_grid
+from ..grid.engine import GridRow
+from ..grid.spec import Axis, GridSpec
 from ..minigraph.policies import DEFAULT_POLICY, INTEGER_POLICY, SelectionPolicy
 from ..uarch.config import (
     baseline_config,
@@ -27,65 +36,55 @@ from ..uarch.config import (
 )
 from ..workloads import REGISTRY
 from .reporting import ResultTable, geometric_mean
-from .runner import ExperimentRunner
 
 #: The benchmarks Figure 7 highlights (our closest stand-ins).
 FIGURE7_BENCHMARKS = ("gsm.untoast", "mpeg2.decode", "reed.encode", "mcf", "sha",
                       "adpcm.encode")
 
-#: (column label, base policy name, policy transform) for each Figure 7 bar.
-_INTEGER_VARIANTS: Sequence[Tuple[str, SelectionPolicy]] = (
-    ("int", INTEGER_POLICY),
-    ("int-noext", INTEGER_POLICY.without_external_serialization()),
-    ("int-noint", INTEGER_POLICY.without_internal_serialization()),
-    ("int-noserial", INTEGER_POLICY.without_external_serialization()
-                                   .without_internal_serialization()),
-)
-
-_MEMORY_VARIANTS: Sequence[Tuple[str, SelectionPolicy]] = (
-    ("int-mem", DEFAULT_POLICY),
-    ("int-mem-noserial", DEFAULT_POLICY.without_external_serialization()
-                                        .without_internal_serialization()),
-    ("int-mem-noserial-noreplay", DEFAULT_POLICY.without_external_serialization()
-                                                 .without_internal_serialization()
-                                                 .without_replay_vulnerable()),
-)
-
-
-@dataclass
-class Figure7Result:
-    """Relative performance for every policy variant."""
-
-    table: ResultTable
-
-    def render(self) -> str:
-        return self.table.render()
+#: Column label -> selection policy for each Figure 7 bar, in the figure's
+#: order.  ``int-mem*`` variants run on the sliding-window machine, the rest
+#: on the integer mini-graph machine.
+_VARIANTS: Dict[str, SelectionPolicy] = {
+    "int": INTEGER_POLICY,
+    "int-noext": INTEGER_POLICY.without_external_serialization(),
+    "int-noint": INTEGER_POLICY.without_internal_serialization(),
+    "int-noserial": INTEGER_POLICY.without_external_serialization()
+                                  .without_internal_serialization(),
+    "int-mem": DEFAULT_POLICY,
+    "int-mem-noserial": DEFAULT_POLICY.without_external_serialization()
+                                      .without_internal_serialization(),
+    "int-mem-noserial-noreplay": DEFAULT_POLICY.without_external_serialization()
+                                               .without_internal_serialization()
+                                               .without_replay_vulnerable(),
+}
 
 
-def run_figure7(runner: ExperimentRunner, *,
-                benchmarks: Optional[Sequence[str]] = None) -> Figure7Result:
-    """Run the Figure 7 serialization study."""
-    names = list(benchmarks) if benchmarks is not None else list(FIGURE7_BENCHMARKS)
-    base = baseline_config()
-    table = ResultTable(
-        title="Figure 7: serialization and replay effects (relative performance)",
-        columns=[label for label, _ in _INTEGER_VARIANTS]
-        + [label for label, _ in _MEMORY_VARIANTS])
+def figure7_grid(*, benchmarks: Sequence[str], budget: int,
+                 input_name: str = "reference") -> GridSpec:
+    """The Figure 7 sweep as a declarative grid: benchmark × policy variant.
 
-    for name in names:
-        suite = REGISTRY.get(name).suite
-        for label, policy in _INTEGER_VARIANTS:
-            machine = integer_minigraph_config()
-            table.add(name, label,
-                      runner.speedup(name, policy, machine, baseline_config=base),
-                      suite=suite)
-        for label, policy in _MEMORY_VARIANTS:
-            machine = integer_memory_minigraph_config()
-            table.add(name, label,
-                      runner.speedup(name, policy, machine, baseline_config=base),
-                      suite=suite)
-    table.notes.append("restrictive policies trade coverage for fewer serialization/replay losses")
-    return Figure7Result(table=table)
+    Every cell measures its variant's machine against the shared 6-wide
+    baseline.
+    """
+    axes = (Axis("benchmark", tuple(benchmarks)),
+            Axis("policy", tuple(_VARIANTS)))
+
+    def build(point) -> RunSpec:
+        label = point["policy"]
+        machine = integer_memory_minigraph_config() if label.startswith("int-mem") \
+            else integer_minigraph_config()
+        return RunSpec(
+            benchmark=point["benchmark"],
+            input_name=input_name,
+            budget=budget,
+            policy=_VARIANTS[label],
+            machine=machine,
+            baseline_machine=baseline_config(),
+        )
+
+    return GridSpec(name="fig7", axes=axes, build=build,
+                    title="Figure 7: serialization and replay policies vs "
+                          "the 6-wide baseline")
 
 
 @dataclass
@@ -107,33 +106,41 @@ class BestPolicyResult:
         return "\n".join(lines)
 
 
-def run_best_policy(runner: ExperimentRunner, *,
-                    benchmarks: Optional[Sequence[str]] = None) -> BestPolicyResult:
-    """Pick the best serialization/replay policy per benchmark (E10)."""
-    names = list(benchmarks) if benchmarks is not None else runner.benchmarks()
-    base = baseline_config()
-    best_policy: Dict[str, str] = {}
-    best_speedup: Dict[str, float] = {}
+def best_policy(table: ResultTable) -> BestPolicyResult:
+    """Pick the best serialization/replay policy per benchmark (E10).
+
+    Reads the Figure 7 table: each benchmark's best column wins (the first
+    in figure order on ties), and suites average in benchmark order.
+    """
+    result = BestPolicyResult(best_policy={}, best_speedup={}, suite_gmean={})
     per_suite: Dict[str, List[float]] = {}
+    for name, cells in table.rows.items():
+        label = max(table.columns, key=cells.__getitem__)
+        result.best_policy[name] = label
+        result.best_speedup[name] = cells[label]
+        per_suite.setdefault(table.row_suites[name], []).append(cells[label])
+    result.suite_gmean = {suite: geometric_mean(values)
+                          for suite, values in per_suite.items()}
+    return result
 
-    for name in names:
-        suite = REGISTRY.get(name).suite
-        candidates: List[Tuple[str, float]] = []
-        for label, policy in _INTEGER_VARIANTS:
-            machine = integer_minigraph_config()
-            candidates.append((label, runner.speedup(name, policy, machine,
-                                                     baseline_config=base)))
-        for label, policy in _MEMORY_VARIANTS:
-            machine = integer_memory_minigraph_config()
-            candidates.append((label, runner.speedup(name, policy, machine,
-                                                     baseline_config=base)))
-        label, value = max(candidates, key=lambda item: item[1])
-        best_policy[name] = label
-        best_speedup[name] = value
-        per_suite.setdefault(suite, []).append(value)
 
-    return BestPolicyResult(
-        best_policy=best_policy,
-        best_speedup=best_speedup,
-        suite_gmean={suite: geometric_mean(values) for suite, values in per_suite.items()},
-    )
+def _figure7_report(rows: List[GridRow]):
+    """Fold streamed grid rows into the Figure 7 table (cell order in), then
+    render it followed by the best-policy block derived from it."""
+    table = ResultTable(
+        title="Figure 7: serialization and replay effects (relative performance)",
+        columns=list(_VARIANTS))
+    for row in rows:
+        table.add(row.benchmark, row.labels["policy"], row.speedup,
+                  suite=REGISTRY.get(row.benchmark).suite)
+    table.notes.append("restrictive policies trade coverage for fewer serialization/replay losses")
+    return table.render() + "\n\n" + best_policy(table).render(), [table]
+
+
+register_grid(GridDefinition(
+    name="fig7",
+    description="Figure 7: benchmark × serialization/replay policy vs baseline",
+    factory=figure7_grid,
+    report=_figure7_report,
+    default_benchmarks=FIGURE7_BENCHMARKS,
+))

@@ -11,8 +11,7 @@ Both panels are one declarative grid (benchmark × variant × mode, see
 :func:`figure8_grid`) registered in the grid catalog as ``fig8`` — register
 variants are labelled ``prf164`` … ``prf104``, bandwidth variants keep their
 names — so the whole figure is reproducible as ``repro grid --name fig8``;
-:func:`run_figure8` runs the same grid serially and splits the rows back
-into the two panel tables.
+its report splits the rows back into the two panel tables.
 """
 
 from __future__ import annotations
@@ -25,11 +24,10 @@ from ..grid.engine import GridRow
 from ..grid.spec import Axis, GridSpec
 from ..api.spec import RunSpec
 from ..minigraph.policies import DEFAULT_POLICY, INTEGER_POLICY, SelectionPolicy
-from ..uarch.catalog import MACHINE_CATALOG, machine_config
+from ..uarch.catalog import machine_config
 from ..uarch.config import MachineConfig, baseline_config
 from ..workloads import REGISTRY
 from .reporting import ResultTable
-from .runner import ExperimentRunner
 
 #: Register-file sizes swept by the top panel.
 FIGURE8_REGISTER_SIZES = (164, 144, 124, 104)
@@ -52,18 +50,6 @@ def _mode_machines(base: MachineConfig) -> Dict[str, Tuple[Optional[SelectionPol
     }
 
 
-def _variant_base(variant: str) -> MachineConfig:
-    """The reduced-resource base machine of one Figure 8 variant label.
-
-    Labels resolve through the machine catalog (one source of truth for the
-    Section 6 parameters); ``prf<N>`` sizes outside the catalog's swept set
-    are derived from the baseline directly so custom register sweeps work.
-    """
-    if variant.startswith("prf") and variant not in MACHINE_CATALOG:
-        return baseline_config().with_physical_registers(int(variant[3:]))
-    return machine_config(variant)
-
-
 @dataclass
 class Figure8Result:
     """Both panels of Figure 8."""
@@ -76,26 +62,23 @@ class Figure8Result:
 
 
 def figure8_grid(*, benchmarks: Sequence[str], budget: int,
-                 input_name: str = "reference",
-                 register_sizes: Sequence[int] = FIGURE8_REGISTER_SIZES,
-                 variants: Sequence[str] = FIGURE8_BANDWIDTH_VARIANTS,
-                 modes: Sequence[str] = FIGURE8_MODES) -> GridSpec:
+                 input_name: str = "reference") -> GridSpec:
     """Both Figure 8 panels as one grid: benchmark × variant × mode.
 
-    ``register_sizes`` become ``prf<N>`` variant labels ahead of the
-    bandwidth variants; every cell is measured against the shared full
-    6-wide reference machine.  Passing an empty ``register_sizes`` or
-    ``variants`` restricts the grid to one panel.
+    The register sizes become ``prf<N>`` variant labels ahead of the
+    bandwidth variants; each label names its base machine in the machine
+    catalog, and every cell is measured against the shared full 6-wide
+    reference machine.
     """
-    variant_labels = tuple(f"prf{size}" for size in register_sizes) \
-        + tuple(variants)
+    variant_labels = tuple(f"prf{size}" for size in FIGURE8_REGISTER_SIZES) \
+        + FIGURE8_BANDWIDTH_VARIANTS
     axes = (Axis("benchmark", tuple(benchmarks)),
             Axis("variant", variant_labels),
-            Axis("mode", tuple(modes)))
+            Axis("mode", FIGURE8_MODES))
 
     def build(point) -> RunSpec:
         policy, machine = _mode_machines(
-            _variant_base(point["variant"]))[point["mode"]]
+            machine_config(point["variant"]))[point["mode"]]
         return RunSpec(
             benchmark=point["benchmark"],
             input_name=input_name,
@@ -117,82 +100,32 @@ def _relative(row: GridRow) -> float:
     return row.ipc / row.baseline_ipc
 
 
-def register_table_from_rows(rows: Iterable[GridRow]) -> ResultTable:
-    """Fold register-panel rows (``prf*`` variants) into the top table."""
-    table = ResultTable(
+def figure8_result(rows: Iterable[GridRow]) -> Figure8Result:
+    """Split streamed grid rows into the two panel tables (cell order in)."""
+    register_table = ResultTable(
         title="Figure 8 (top): performance vs physical register file size "
               "(relative to the 164-register baseline)",
         columns=[])
-    for row in rows:
-        registers = row.labels["variant"][3:]
-        table.add(row.benchmark, f"{row.labels['mode']}@{registers}",
-                  _relative(row), suite=REGISTRY.get(row.benchmark).suite)
-    table.notes.append("164 registers = 64 architected + 100 in-flight (the baseline)")
-    return table
-
-
-def bandwidth_table_from_rows(rows: Iterable[GridRow]) -> ResultTable:
-    """Fold bandwidth-panel rows into the bottom table."""
-    table = ResultTable(
+    bandwidth_table = ResultTable(
         title="Figure 8 (bottom): reduced bandwidth and pipelined scheduler "
               "(relative to the 6-wide, 1-cycle-scheduler baseline)",
         columns=[])
     for row in rows:
-        table.add(row.benchmark, f"{row.labels['mode']}@{row.labels['variant']}",
-                  _relative(row), suite=REGISTRY.get(row.benchmark).suite)
-    table.notes.append("the 4-wide machine fetches/renames/retires 4 per cycle; "
-                       "4-wide+6-exec keeps six execution units and two load ports")
-    return table
-
-
-def run_register_panel(runner: ExperimentRunner, *,
-                       benchmarks: Optional[Sequence[str]] = None,
-                       register_sizes: Sequence[int] = FIGURE8_REGISTER_SIZES,
-                       modes: Sequence[str] = FIGURE8_MODES) -> ResultTable:
-    """Figure 8 top: shrinking the physical register file."""
-    names = list(benchmarks) if benchmarks is not None else runner.benchmarks()
-    grid = figure8_grid(benchmarks=names, budget=runner.budget,
-                        input_name=runner.input_name,
-                        register_sizes=register_sizes, variants=(),
-                        modes=modes)
-    return register_table_from_rows(runner.session.run_grid(grid, workers=0))
-
-
-def run_bandwidth_panel(runner: ExperimentRunner, *,
-                        benchmarks: Optional[Sequence[str]] = None,
-                        variants: Sequence[str] = FIGURE8_BANDWIDTH_VARIANTS,
-                        modes: Sequence[str] = FIGURE8_MODES) -> ResultTable:
-    """Figure 8 bottom: narrower pipelines and a pipelined scheduler."""
-    names = list(benchmarks) if benchmarks is not None else runner.benchmarks()
-    grid = figure8_grid(benchmarks=names, budget=runner.budget,
-                        input_name=runner.input_name,
-                        register_sizes=(), variants=variants, modes=modes)
-    return bandwidth_table_from_rows(runner.session.run_grid(grid, workers=0))
-
-
-def run_figure8(runner: ExperimentRunner, *,
-                benchmarks: Optional[Sequence[str]] = None,
-                register_sizes: Sequence[int] = FIGURE8_REGISTER_SIZES,
-                variants: Sequence[str] = FIGURE8_BANDWIDTH_VARIANTS) -> Figure8Result:
-    """Run both Figure 8 panels."""
-    return Figure8Result(
-        register_table=run_register_panel(runner, benchmarks=benchmarks,
-                                          register_sizes=register_sizes),
-        bandwidth_table=run_bandwidth_panel(runner, benchmarks=benchmarks,
-                                            variants=variants),
-    )
-
-
-def figure8_result(rows: Iterable[GridRow]) -> Figure8Result:
-    """Split combined-grid rows back into the two panel tables."""
-    materialized = list(rows)
-    register_rows = [row for row in materialized
-                     if row.labels["variant"].startswith("prf")]
-    bandwidth_rows = [row for row in materialized
-                      if not row.labels["variant"].startswith("prf")]
-    return Figure8Result(
-        register_table=register_table_from_rows(register_rows),
-        bandwidth_table=bandwidth_table_from_rows(bandwidth_rows))
+        variant, mode = row.labels["variant"], row.labels["mode"]
+        suite = REGISTRY.get(row.benchmark).suite
+        if variant.startswith("prf"):
+            register_table.add(row.benchmark, f"{mode}@{variant[3:]}",
+                               _relative(row), suite=suite)
+        else:
+            bandwidth_table.add(row.benchmark, f"{mode}@{variant}",
+                                _relative(row), suite=suite)
+    register_table.notes.append(
+        "164 registers = 64 architected + 100 in-flight (the baseline)")
+    bandwidth_table.notes.append(
+        "the 4-wide machine fetches/renames/retires 4 per cycle; "
+        "4-wide+6-exec keeps six execution units and two load ports")
+    return Figure8Result(register_table=register_table,
+                         bandwidth_table=bandwidth_table)
 
 
 def _figure8_report(rows: List[GridRow]):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..workloads import SUITE_NAMES, SUITE_TITLES
 
@@ -108,12 +108,3 @@ class ResultTable:
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
 
-
-def format_percent(value: float) -> str:
-    """Format a relative-performance value as a percentage gain/loss."""
-    return f"{(value - 1.0) * 100.0:+.1f}%"
-
-
-def comparison_line(label: str, paper_value: str, measured: float) -> str:
-    """One line of the EXPERIMENTS.md paper-vs-measured record."""
-    return f"{label}: paper {paper_value}, measured {format_percent(measured)}"

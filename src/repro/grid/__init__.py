@@ -16,8 +16,9 @@ first-class subsystem:
   process pool, streaming one :class:`GridRow` per cell; terminal row
   artifacts are content-addressed, which makes runs resumable (``--resume``)
   and shard unions exact.
-* :mod:`repro.grid.catalog` — named grids (``fig6``, ``fig8``, ``mini``)
-  behind ``repro grid --name``.
+* :mod:`repro.grid.catalog` — named grids (``fig6``, ``fig7``, ``fig8``,
+  ``icache``, ``mini``) behind ``repro grid --name``, ``repro figure`` and
+  ``repro submit --grid``.
 
 See ``docs/architecture.md`` ("Grid engine") for the full design.
 """

@@ -3,10 +3,11 @@
 A :class:`GridDefinition` bundles a grid factory (benchmarks/budget/input in,
 :class:`~repro.grid.spec.GridSpec` out) with an optional report hook that
 derives the figure's result tables from the streamed rows.  The paper's
-figure grids (``fig6``, ``fig8`` and its panels) register themselves from
-:mod:`repro.experiments` — imported lazily on first lookup so the grid
-package stays import-light — and ``mini``, the 2-axis smoke grid used by CI
-and quick sanity checks, is registered here.
+figure grids (``fig6``, ``fig7``, ``fig8`` and the §6.2 i-cache study
+``icache``) register themselves from :mod:`repro.experiments` — imported
+lazily on first lookup so the grid package stays import-light — and
+``mini``, the 2-axis smoke grid used by CI and quick sanity checks, is
+registered here.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def register_grid(definition: GridDefinition) -> GridDefinition:
 
 def _ensure_builtin() -> None:
     """Load the modules that register the built-in figure grids."""
-    from ..experiments import fig6_performance, fig8_amplification  # noqa: F401
+    from .. import experiments  # noqa: F401
 
 
 def grid_names() -> List[str]:

@@ -66,11 +66,6 @@ class CoverageSweep:
         return self.cell(mgt_entries, max_graph_size).coverage
 
 
-def coverage_of_selection(selection: SelectionResult) -> float:
-    """Coverage of one selection (fraction of dynamic instructions removed)."""
-    return selection.coverage
-
-
 def sweep_coverage(program: Program, profile: BlockProfile, *,
                    base_policy: SelectionPolicy,
                    mgt_sizes: Sequence[int] = FIGURE5_MGT_SIZES,

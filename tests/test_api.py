@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import MiniGraphRun, prepare_minigraph_run
 from repro.api import (
     ArtifactStore,
     RunSpec,
@@ -22,10 +21,10 @@ from repro.api import (
     content_hash,
 )
 from repro.api.store import MISS
-from repro.experiments import ExperimentRunner, run_figure6
+from repro.grid import get_grid
 from repro.minigraph import DEFAULT_POLICY, INTEGER_POLICY, MgtBuildOptions
 from repro.program import Program
-from repro.uarch import PipelineStats, baseline_config
+from repro.uarch import PipelineStats
 from repro.workloads import load_benchmark
 
 BUDGET = 2_000
@@ -47,14 +46,6 @@ class TestKeys:
 
     def test_content_hash_is_stable(self):
         assert content_hash(DEFAULT_POLICY) == content_hash(DEFAULT_POLICY)
-
-    def test_runner_policy_key_tracks_fields(self):
-        # The legacy hand-maintained tuple silently aliased entries when
-        # SelectionPolicy grew a field; the derived key cannot.
-        from repro.experiments.runner import _policy_key
-        assert _policy_key(DEFAULT_POLICY) != _policy_key(
-            DEFAULT_POLICY.with_mgt_entries(16))
-        assert _policy_key(DEFAULT_POLICY) == _policy_key(DEFAULT_POLICY)
 
 
 # -- specs ------------------------------------------------------------------------
@@ -213,18 +204,16 @@ class TestSessionCaching:
         assert artifacts.timing.cycles > 0
 
     def test_figure_harness_warm_cache_regenerates_without_simulation(self, tmp_path):
-        names = ["bitcount"]
-        configs = ("int", "int-mem")
+        definition = get_grid("fig6")
+        grid = definition.build(benchmarks=["bitcount"], budget=BUDGET)
         first = Session(cache_dir=tmp_path)
-        run_figure6(ExperimentRunner(budget=BUDGET, session=first),
-                    benchmarks=names, configs=configs)
+        list(first.run_grid(grid, workers=0))
         assert first.stats.simulations > 0
         second = Session(cache_dir=tmp_path)
-        result = run_figure6(ExperimentRunner(budget=BUDGET, session=second),
-                             benchmarks=names, configs=configs)
+        _, (table,) = definition.report(list(second.run_grid(grid, workers=0)))
         assert second.stats.functional_runs == 0
         assert second.stats.timing_runs == 0
-        assert result.table.value("bitcount", "int") > 0.0
+        assert table.value("bitcount", "int") > 0.0
 
 
 # -- zero-baseline speedups -------------------------------------------------------
@@ -245,56 +234,6 @@ class TestZeroBaselineSpeedup:
             baseline_timing=PipelineStats())
         assert math.isnan(artifacts.speedup)
         assert artifacts.report()["speedup"] is None
-
-    def test_experiment_runner_speedup_nan(self, monkeypatch):
-        runner = ExperimentRunner(budget=BUDGET)
-        monkeypatch.setattr(runner, "run_baseline",
-                            lambda benchmark, config: PipelineStats())
-        monkeypatch.setattr(runner, "run_minigraph",
-                            lambda *args, **kwargs: _stub_stats(1.0))
-        speedup = runner.speedup("bitcount", DEFAULT_POLICY,
-                                 baseline_config(), baseline_config=baseline_config())
-        assert math.isnan(speedup)
-
-    def test_minigraph_run_speedup_nan(self, monkeypatch):
-        monkeypatch.setattr(MiniGraphRun, "baseline_stats",
-                            lambda self, config=None: PipelineStats())
-        monkeypatch.setattr(MiniGraphRun, "minigraph_stats",
-                            lambda self, config=None: _stub_stats(1.0))
-        run = MiniGraphRun(original=None, baseline_result=None, selection=None,
-                           mgt=None, rewritten=None, rewritten_result=None)
-        assert math.isnan(run.speedup())
-
-
-# -- legacy shims -----------------------------------------------------------------
-
-
-class TestCompatibilityShims:
-    def test_prepare_minigraph_run_matches_legacy_shape(self):
-        program = load_benchmark("gsm.toast")
-        run = prepare_minigraph_run(program, budget=BUDGET)
-        assert run.selection.template_count > 0
-        assert 0.0 < run.coverage <= 1.0
-        assert run.baseline_result.trace is not None
-        assert run.rewritten_result.trace is not None
-        stats = run.minigraph_stats()
-        assert stats.cycles > 0
-
-    def test_prepare_minigraph_run_shares_a_session(self):
-        session = Session()
-        program = load_benchmark("bitcount")
-        prepare_minigraph_run(program, budget=BUDGET, session=session)
-        work = session.stats.as_dict()
-        prepare_minigraph_run(program, budget=BUDGET, session=session)
-        assert session.stats.as_dict() == work
-
-    def test_experiment_runner_rides_on_session(self):
-        session = Session()
-        runner = ExperimentRunner(budget=BUDGET, session=session)
-        first = runner.baseline("bitcount")
-        second = runner.baseline("bitcount")
-        assert first is second
-        assert session.stats.functional_runs == 1
 
 
 # -- CLI --------------------------------------------------------------------------

@@ -190,10 +190,11 @@ class TestEngine:
         """Cells with identical run identity but different machine display
         names share one row artifact; resumed rows must still carry the
         cell's own names, bit-identical to the fresh run."""
-        from repro.experiments.fig8_amplification import figure8_grid
-        grid = figure8_grid(benchmarks=("bitcount",), budget=BUDGET,
-                            register_sizes=(164,), variants=("6-wide",),
-                            modes=("baseline",))
+        fig8 = get_grid("fig8").build(benchmarks=("bitcount",), budget=BUDGET)
+        grid = GridSpec(name="fig8", build=fig8.build,
+                        axes=(Axis("benchmark", ("bitcount",)),
+                              Axis("variant", ("prf164", "6-wide")),
+                              Axis("mode", ("baseline",))))
         session = Session()
         fresh = list(session.run_grid(grid, workers=0))
         resumed = list(session.run_grid(grid, resume=True, workers=0))
@@ -220,7 +221,19 @@ class TestEngine:
 
 class TestCatalog:
     def test_builtin_grids_are_registered(self):
-        assert {"mini", "fig6", "fig8"} <= set(grid_names())
+        assert set(grid_names()) == {"mini", "fig6", "fig7", "fig8", "icache"}
+
+    @pytest.mark.parametrize("name", grid_names())
+    def test_grid_resumes_to_identical_rows_and_report(self, name):
+        definition = get_grid(name)
+        grid = definition.build(benchmarks=("mcf",), budget=2_000)
+        session = Session()
+        fresh = list(session.run_grid(grid, workers=0))
+        resumed = list(session.run_grid(grid, resume=True, workers=0))
+        assert fresh and all(row.resumed for row in resumed)
+        assert [row.as_dict() | {"resumed": True} for row in fresh] == \
+            [row.as_dict() for row in resumed]
+        assert definition.report(fresh)[0] == definition.report(resumed)[0]
 
     def test_unknown_grid_is_actionable(self):
         with pytest.raises(GridError, match="unknown grid"):

@@ -53,8 +53,10 @@ def bitcount():
 
 @pytest.fixture(scope="module")
 def crc_run():
-    return repro.prepare_minigraph_run(load_benchmark("crc", "reference"),
-                                       budget=BUDGET)
+    """crc's rewritten program, its trace and its MGT."""
+    session, spec = Session(), RunSpec(benchmark="crc", budget=BUDGET)
+    return (session.rewritten(spec), session.minigraph_trace(spec),
+            session.mgt(spec))
 
 
 def _outcome(run):
@@ -89,13 +91,13 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("compressed", (False, True))
     def test_minigraph_trace_all_catalog_machines(self, crc_run, compressed):
         """Handle-bearing traces: stats and errors both match."""
-        program, trace = crc_run.rewritten, crc_run.rewritten_result.trace
+        program, trace, mgt = crc_run
         outcomes = []
         for name in machine_names():
             config = machine_config(name)
-            expected = _reference(program, trace, config, mgt=crc_run.mgt,
+            expected = _reference(program, trace, config, mgt=mgt,
                                   compressed_layout=compressed)
-            assert _kernel(program, trace, config, mgt=crc_run.mgt,
+            assert _kernel(program, trace, config, mgt=mgt,
                            compressed_layout=compressed) == expected, name
             outcomes.append(expected)
         # The catalog mixes handle-capable and plain machines, so some must
@@ -171,8 +173,8 @@ class TestFallback:
     """No compiler: identical stats, errors and grid rows, just slower."""
 
     def _catalog_outcomes(self, crc_run):
-        return [_kernel(crc_run.rewritten, crc_run.rewritten_result.trace,
-                        machine_config(name), mgt=crc_run.mgt)
+        program, trace, mgt = crc_run
+        return [_kernel(program, trace, machine_config(name), mgt=mgt)
                 for name in machine_names()]
 
     def _grid_rows(self):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import prepare_minigraph_run
-from repro.minigraph import DEFAULT_POLICY, INTEGER_POLICY
+from repro.api import RunSpec, Session
+from repro.minigraph import INTEGER_POLICY, MgtBuildOptions
 from repro.program import Program
 from repro.sim import run_program
 from repro.uarch import (
@@ -16,6 +16,11 @@ from repro.uarch import (
 from repro.workloads import load_benchmark
 
 BUDGET = 6_000
+
+
+def _minigraph_run(benchmark, budget=BUDGET, **spec_fields):
+    """A fresh session and a mini-graph spec for ``benchmark``."""
+    return Session(), RunSpec(benchmark=benchmark, budget=budget, **spec_fields)
 
 
 def _baseline_stats(source_or_program, config=None, budget=BUDGET):
@@ -135,72 +140,64 @@ class TestBaselinePipeline:
 
 class TestMiniGraphPipeline:
     def test_handles_retire_and_amplify_bandwidth(self):
-        run = prepare_minigraph_run(load_benchmark("gsm.toast"), budget=BUDGET)
-        stats = run.minigraph_stats(integer_memory_minigraph_config())
+        session, spec = _minigraph_run("gsm.toast")
+        stats = session.minigraph_timing(spec, integer_memory_minigraph_config())
         assert stats.committed_handles > 0
         assert stats.dynamic_coverage > 0.1
         assert stats.committed_instructions > stats.committed_slots
 
     def test_minigraphs_speed_up_bandwidth_bound_code(self):
-        run = prepare_minigraph_run(load_benchmark("adpcm.encode"),
-                                    policy=INTEGER_POLICY, budget=BUDGET)
-        baseline = run.baseline_stats()
-        minigraph = run.minigraph_stats(integer_minigraph_config())
+        session, spec = _minigraph_run("adpcm.encode", policy=INTEGER_POLICY)
+        baseline = session.baseline_timing(spec)
+        minigraph = session.minigraph_timing(spec, integer_minigraph_config())
         assert minigraph.ipc > baseline.ipc
 
     def test_same_committed_work_as_baseline(self):
-        run = prepare_minigraph_run(load_benchmark("frag"), budget=BUDGET)
-        baseline = run.baseline_stats()
-        minigraph = run.minigraph_stats(integer_memory_minigraph_config())
+        session, spec = _minigraph_run("frag")
+        baseline = session.baseline_timing(spec)
+        minigraph = session.minigraph_timing(spec, integer_memory_minigraph_config())
         assert minigraph.committed_instructions == baseline.committed_instructions
 
     def test_collapsing_is_at_least_as_fast(self):
-        from repro.minigraph import MgtBuildOptions
-        program = load_benchmark("bitcount")
-        plain = prepare_minigraph_run(program, policy=INTEGER_POLICY, budget=BUDGET)
-        collapsed = prepare_minigraph_run(program, policy=INTEGER_POLICY, budget=BUDGET,
-                                          mgt_options=MgtBuildOptions(collapsing=True))
-        plain_ipc = plain.minigraph_stats(integer_minigraph_config()).ipc
-        collapsed_ipc = collapsed.minigraph_stats(
-            integer_minigraph_config(collapsing=True)).ipc
+        session, plain = _minigraph_run("bitcount", policy=INTEGER_POLICY)
+        collapsed = plain.with_mgt_options(MgtBuildOptions(collapsing=True))
+        plain_ipc = session.minigraph_timing(plain, integer_minigraph_config()).ipc
+        collapsed_ipc = session.minigraph_timing(
+            collapsed, integer_minigraph_config(collapsing=True)).ipc
         assert collapsed_ipc >= plain_ipc * 0.98
 
     def test_integer_memory_handles_require_sliding_window(self):
-        run = prepare_minigraph_run(load_benchmark("rtr"), budget=BUDGET)
+        session, spec = _minigraph_run("rtr")
         with pytest.raises(Exception):
-            run.minigraph_stats(integer_minigraph_config())  # no sliding window
+            # no sliding window
+            session.minigraph_timing(spec, integer_minigraph_config())
 
     def test_minigraphs_help_reduced_register_file(self):
-        run = prepare_minigraph_run(load_benchmark("frag"), budget=BUDGET)
+        session, spec = _minigraph_run("frag")
         reduced = baseline_config().with_physical_registers(124)
-        baseline_reduced = simulate_program(run.original, run.baseline_result.trace, reduced)
-        minigraph_reduced = simulate_program(
-            run.rewritten, run.rewritten_result.trace,
-            reduced.with_minigraph_alu_pipelines(2).with_sliding_window(), mgt=run.mgt)
+        baseline_reduced = session.baseline_timing(spec, reduced)
+        minigraph_reduced = session.minigraph_timing(
+            spec, reduced.with_minigraph_alu_pipelines(2).with_sliding_window())
         assert minigraph_reduced.ipc > baseline_reduced.ipc
 
     def test_minigraphs_tolerate_two_cycle_scheduler(self):
-        run = prepare_minigraph_run(load_benchmark("bitcount"), budget=BUDGET)
-        base = baseline_config()
-        slow = base.with_scheduler_latency(2)
-        baseline_slow = simulate_program(run.original, run.baseline_result.trace, slow)
-        minigraph_slow = simulate_program(
-            run.rewritten, run.rewritten_result.trace,
-            slow.with_minigraph_alu_pipelines(2).with_sliding_window(), mgt=run.mgt)
+        session, spec = _minigraph_run("bitcount")
+        slow = baseline_config().with_scheduler_latency(2)
+        baseline_slow = session.baseline_timing(spec, slow)
+        minigraph_slow = session.minigraph_timing(
+            spec, slow.with_minigraph_alu_pipelines(2).with_sliding_window())
         assert minigraph_slow.ipc > baseline_slow.ipc
 
     def test_interior_load_misses_cause_replays(self):
-        run = prepare_minigraph_run(load_benchmark("mcf"), budget=10_000)
-        stats = run.minigraph_stats(integer_memory_minigraph_config())
+        session, spec = _minigraph_run("mcf", budget=10_000)
+        stats = session.minigraph_timing(spec, integer_memory_minigraph_config())
         assert stats.minigraph_replays > 0
 
     def test_compressed_layout_reduces_icache_pressure(self):
-        run = prepare_minigraph_run(load_benchmark("gcc"), budget=BUDGET)
+        session, spec = _minigraph_run("gcc")
         config = integer_memory_minigraph_config()
-        padded = simulate_program(run.rewritten, run.rewritten_result.trace, config,
-                                  mgt=run.mgt, compressed_layout=False)
-        compressed = simulate_program(run.rewritten, run.rewritten_result.trace, config,
-                                      mgt=run.mgt, compressed_layout=True)
+        padded = session.minigraph_timing(spec, config)
+        compressed = session.minigraph_timing(spec.with_compressed_layout(), config)
         assert compressed.icache_misses <= padded.icache_misses
 
     def test_stats_dictionary_is_complete(self):
@@ -268,12 +265,12 @@ class TestEventDrivenScheduler:
             self._timeline(program, baseline_config()))
 
     def test_no_early_wakeups_with_handles(self):
-        run = prepare_minigraph_run(load_benchmark("gsm.toast"), budget=BUDGET)
-        functional = run_program(run.rewritten, mgt=run.mgt,
-                                 max_instructions=BUDGET)
-        simulator = TimingSimulator(run.rewritten, functional.trace,
+        session, spec = _minigraph_run("gsm.toast")
+        rewritten, mgt = session.rewritten(spec), session.mgt(spec)
+        functional = run_program(rewritten, mgt=mgt, max_instructions=BUDGET)
+        simulator = TimingSimulator(rewritten, functional.trace,
                                     integer_memory_minigraph_config(),
-                                    mgt=run.mgt, record_timeline=True)
+                                    mgt=mgt, record_timeline=True)
         stats = simulator.run()
         assert stats.committed_handles > 0
         self._assert_no_early_wakeups(simulator.timeline)
