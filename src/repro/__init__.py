@@ -4,13 +4,12 @@ Capacity and Bandwidth" (Bracy, Prahlad, Roth — MICRO-37, 2004).
 The package is organised bottom-up:
 
 * :mod:`repro.isa` — the Alpha-inspired MGA instruction set and assembler;
-* :mod:`repro.program` — static program model, basic blocks, CFG, liveness,
-  profiles and the binary rewriter that plants mini-graph handles;
+* :mod:`repro.program` — static program model, basic blocks and their
+  successors, liveness, profiles and the binary rewriter that plants
+  mini-graph handles;
 * :mod:`repro.minigraph` — the paper's contribution: candidate enumeration,
   greedy coverage-driven selection, selection policies and the MGT
   (MGHT/MGST);
-* :mod:`repro.dise` — the DISE substrate used to commission application
-  specific mini-graphs (productions, MGTT, MGPP);
 * :mod:`repro.sim` — the functional (architectural) golden-model simulator;
 * :mod:`repro.uarch` — the cycle-level out-of-order timing model with ALU
   pipelines and the sliding-window scheduler;

@@ -32,7 +32,7 @@ and land inside the program's own data arrays.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 #: Bump when emitted code changes shape: the version is baked into every
@@ -210,11 +210,6 @@ class SynthSpec:
 
     def with_dials(self, **overrides: int) -> "SynthSpec":
         return replace(self, **overrides)
-
-    def dials(self) -> Dict[str, int]:
-        """All dial values by field name (seed excluded)."""
-        return {f.name: getattr(self, f.name)
-                for f in fields(self) if f.name != "seed"}
 
 
 def synth(seed: int, **dials: int) -> str:

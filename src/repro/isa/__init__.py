@@ -9,8 +9,6 @@ reproduction is built on.  The public surface is:
 * :mod:`repro.isa.instruction` — the :class:`Instruction` dataclass and the
   handle constructor :func:`make_handle`.
 * :mod:`repro.isa.assembler` — a two-pass assembler for textual kernels.
-* :mod:`repro.isa.encoding` — fixed-width binary encoding, used to verify that
-  handles fit in a singleton instruction word and to measure code size.
 """
 
 from .instruction import (
@@ -28,7 +26,6 @@ from .opcodes import (
     all_opcodes,
     has_opcode,
     opcode,
-    opcodes_in_class,
 )
 from .registers import (
     NUM_ARCH_REGS,
@@ -46,15 +43,6 @@ from .registers import (
     reg_name,
 )
 from .assembler import Assembler, AssemblerError, AssembledUnit, assemble
-from .encoding import (
-    EncodedInstruction,
-    EncodingError,
-    MAX_MGID,
-    decode_handle,
-    decode_opcode,
-    encode_instruction,
-    static_code_bytes,
-)
 
 __all__ = [
     "INSTRUCTION_BYTES",
@@ -69,7 +57,6 @@ __all__ = [
     "all_opcodes",
     "has_opcode",
     "opcode",
-    "opcodes_in_class",
     "NUM_ARCH_REGS",
     "NUM_FP_REGS",
     "NUM_INT_REGS",
@@ -87,11 +74,4 @@ __all__ = [
     "AssemblerError",
     "AssembledUnit",
     "assemble",
-    "EncodedInstruction",
-    "EncodingError",
-    "MAX_MGID",
-    "decode_handle",
-    "decode_opcode",
-    "encode_instruction",
-    "static_code_bytes",
 ]

@@ -36,7 +36,8 @@ class Instruction:
             displacement once resolved, or the MGID of a handle).
         target: symbolic label for control transfers; resolved by the
             assembler into ``imm`` (an absolute target PC) but kept for
-            readability and for re-layout by the binary rewriter.
+            readability and so the program model can resolve it against its
+            label table.
     """
 
     op: str
@@ -74,17 +75,9 @@ class Instruction:
         return self.spec.is_branch
 
     @property
-    def is_conditional(self) -> bool:
-        return self.spec.op_class is OpClass.BRANCH
-
-    @property
     def is_direct_control(self) -> bool:
         """True for control transfers whose target is encoded statically."""
         return self.spec.op_class in (OpClass.BRANCH, OpClass.JUMP, OpClass.CALL)
-
-    @property
-    def is_indirect_control(self) -> bool:
-        return self.spec.op_class is OpClass.INDIRECT
 
     @property
     def is_load(self) -> bool:
@@ -157,36 +150,11 @@ class Instruction:
             return None
         return self.rd
 
-    def reads_register(self, reg: int) -> bool:
-        """True if this instruction reads architectural register ``reg``."""
-        return reg in self.source_registers()
-
-    def writes_register(self, reg: int) -> bool:
-        """True if this instruction writes architectural register ``reg``."""
-        return self.destination_register() == reg
-
     # -- rewriting helpers ---------------------------------------------------
 
     def with_target(self, target: str, imm: Optional[int] = None) -> "Instruction":
         """Return a copy with a new control-transfer target."""
         return replace(self, target=target, imm=imm)
-
-    def with_imm(self, imm: int) -> "Instruction":
-        """Return a copy with a new immediate."""
-        return replace(self, imm=imm)
-
-    def renamed(self, mapping: dict[int, int]) -> "Instruction":
-        """Return a copy with register operands substituted via ``mapping``.
-
-        Registers not present in the mapping are left untouched.  Used by the
-        DISE engine when instantiating replacement-sequence templates.
-        """
-        def sub(reg: Optional[int]) -> Optional[int]:
-            if reg is None:
-                return None
-            return mapping.get(reg, reg)
-
-        return replace(self, rd=sub(self.rd), rs1=sub(self.rs1), rs2=sub(self.rs2))
 
     # -- formatting ----------------------------------------------------------
 

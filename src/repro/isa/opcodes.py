@@ -308,23 +308,3 @@ def has_opcode(name: str) -> bool:
 def all_opcodes() -> Dict[str, OpSpec]:
     """Return a copy of the full opcode table keyed by mnemonic."""
     return dict(_OPCODES)
-
-
-def opcodes_in_class(op_class: OpClass) -> list[OpSpec]:
-    """Return all opcode specs belonging to ``op_class``."""
-    return [spec for spec in _OPCODES.values() if spec.op_class is op_class]
-
-
-#: Register-form counterparts of immediate-form ALU opcodes (and vice versa).
-#: The optimizer and the DISE parameter substitution use this to normalise
-#: templates.
-IMM_TO_REG_FORM: Dict[str, str] = {
-    "addli": "addl", "addqi": "addq", "subli": "subl", "subqi": "subq",
-    "andi": "and", "bisi": "bis", "xori": "xor",
-    "slli": "sll", "srli": "srl", "srai": "sra",
-    "cmpeqi": "cmpeq", "cmplti": "cmplt", "cmplei": "cmple",
-    "cmpulti": "cmpult", "s4addli": "s4addl", "s8addli": "s8addl",
-    "mulli": "mull",
-}
-
-REG_TO_IMM_FORM: Dict[str, str] = {v: k for k, v in IMM_TO_REG_FORM.items()}

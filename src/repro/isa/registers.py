@@ -98,13 +98,3 @@ def parse_reg(name: str) -> int:
             return int_reg(index)
         return fp_reg(index)
     raise RegisterError(f"malformed register name: {name!r}")
-
-
-def all_int_regs() -> list[int]:
-    """Return the list of all integer register numbers."""
-    return list(range(NUM_INT_REGS))
-
-
-def all_fp_regs() -> list[int]:
-    """Return the list of all floating-point register numbers."""
-    return list(range(NUM_INT_REGS, NUM_ARCH_REGS))

@@ -39,8 +39,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, T
 from ..isa.instruction import Instruction
 from ..isa.opcodes import OpClass, opcode
 from ..isa.registers import is_zero_reg
-from ..program.basic_block import BasicBlock, BlockIndex
-from ..program.cfg import ControlFlowGraph
+from ..program.basic_block import BasicBlock, split_basic_blocks
 from ..program.liveness import analyze_liveness
 from ..program.program import Program
 from ..program.weakcache import PerProgramCache
@@ -178,9 +177,9 @@ def _dest_of(insn: Instruction, flags: _OpFlags) -> Optional[int]:
 class _ProgramAnalysis:
     """Blocks and live-out sets, shared by every enumeration of a program.
 
-    Deliberately holds no reference to the :class:`Program` itself (nor to a
-    CFG/BlockIndex, which do) so the :class:`PerProgramCache` finalizer can
-    fire; basic blocks only reference the shared instruction objects.
+    Deliberately holds no reference to the :class:`Program` itself so the
+    :class:`PerProgramCache` finalizer can fire; basic blocks only reference
+    the shared instruction objects.
     """
 
     blocks: List[BasicBlock]
@@ -188,10 +187,9 @@ class _ProgramAnalysis:
 
 
 def _build_analysis(program: Program) -> _ProgramAnalysis:
-    cfg = ControlFlowGraph(program)
-    liveness = analyze_liveness(cfg)
-    return _ProgramAnalysis(blocks=cfg.block_index.blocks,
-                            live_out=dict(liveness.live_out))
+    blocks = split_basic_blocks(program)
+    return _ProgramAnalysis(blocks=blocks,
+                            live_out=dict(analyze_liveness(blocks).live_out))
 
 
 _ANALYSIS_CACHE: PerProgramCache[_ProgramAnalysis] = PerProgramCache(_build_analysis)
@@ -284,14 +282,6 @@ class _BlockContext:
                 return False
         return True
 
-    def producer_of(self, position: int, reg: int) -> Optional[int]:
-        """Most recent block-local definition of ``reg`` before ``position``."""
-        sources = self.reads[position]
-        for slot, read_reg in enumerate(sources):
-            if read_reg == reg:
-                return self.read_producers[position][slot]
-        return None
-
 
 # -- memoized relative candidates ----------------------------------------------
 
@@ -347,20 +337,8 @@ class MiniGraphEnumerator:
     """Enumerates legal mini-graph candidates for one program."""
 
     def __init__(self, program: Program, limits: Optional[EnumerationLimits] = None) -> None:
-        self._program = program
         self._limits = limits or EnumerationLimits()
         self._analysis = _ANALYSIS_CACHE.get(program)
-        self._block_index: Optional[BlockIndex] = None
-
-    @property
-    def limits(self) -> EnumerationLimits:
-        return self._limits
-
-    @property
-    def block_index(self) -> BlockIndex:
-        if self._block_index is None:
-            self._block_index = BlockIndex(self._program)
-        return self._block_index
 
     # -- public API ----------------------------------------------------------
 
@@ -400,21 +378,6 @@ class MiniGraphEnumerator:
         stats.truncated_blocks += result.truncated_blocks
         stats.dropped_candidates += result.dropped_subsets
         return result
-
-    def enumerate_block(self, block: BasicBlock) -> List[MiniGraphCandidate]:
-        """Enumerate all legal candidates within one basic block."""
-        entry, _ = self._block_entry(block)
-        base = block.start_index
-        return [MiniGraphCandidate(
-                    block_id=block.block_id,
-                    member_indices=tuple(base + position
-                                         for position in rel.members),
-                    anchor_index=base + rel.anchor,
-                    template=rel.template,
-                    input_regs=rel.input_regs,
-                    output_reg=rel.output_reg,
-                    template_id=rel.template_id)
-                for rel in entry.candidates]
 
     # -- memo ----------------------------------------------------------------
 

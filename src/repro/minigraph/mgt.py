@@ -14,22 +14,17 @@ The MGT is the central component of the mini-graph execution core
   the following ``latency - 1`` banks empty so that one pipelined sequencer
   per issued handle can simply advance one bank per cycle.
 
-This module builds MGHT/MGST entries from templates, exposes a
-:class:`MiniGraphTable` keyed by MGID, and provides the functional expansion
-used by the verification path (expand a handle back into concrete
-instructions).
+This module builds MGHT/MGST entries from templates and exposes a
+:class:`MiniGraphTable` keyed by MGID.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..isa.instruction import Instruction
-from ..isa.opcodes import OpClass, opcode
-from ..isa.registers import ZERO_REG
-from .selection import SelectedMiniGraph, SelectionResult
-from .templates import MiniGraphTemplate, OperandKind, OperandRef, TemplateInstruction
+from .selection import SelectionResult
+from .templates import MiniGraphTemplate, OperandRef, TemplateInstruction
 
 #: Functional-unit names used in MGHT/MGST entries.
 FU_ALU_PIPELINE = "AP"
@@ -212,12 +207,6 @@ def build_mgt_entry(mgid: int, template: MiniGraphTemplate,
     return MgtEntry(mgid=mgid, template=template, header=header, banks=banks)
 
 
-#: Scratch registers used when expanding a handle back into concrete
-#: instructions (the DISE dedicated register set, modelled as registers that
-#: the 64-register architectural namespace never uses for program values).
-_SCRATCH_REGS = (25, 27)
-
-
 class MiniGraphTable:
     """The on-chip MGT: MGID -> (template, MGHT header, MGST banks)."""
 
@@ -278,60 +267,6 @@ class MiniGraphTable:
 
     def mgids(self) -> List[int]:
         return sorted(self._entries)
-
-    @property
-    def options(self) -> MgtBuildOptions:
-        return self._options
-
-    # -- functional expansion ---------------------------------------------------
-
-    def expand_handle(self, handle: Instruction) -> List[Instruction]:
-        """Expand a handle into concrete instructions (DISE expansion path).
-
-        Interior values are carried in scratch registers drawn from the DISE
-        dedicated register set; the interface output is written to the
-        handle's destination register.  The expansion is only used for
-        functional verification and for processors that do not support a
-        given MGID — a mini-graph processor executes the handle directly from
-        the MGST.
-        """
-        if not handle.is_handle:
-            raise MgtError("expand_handle requires an mg handle")
-        entry = self.lookup(handle.mgid)
-        template = entry.template
-        external_regs = [handle.rs1, handle.rs2]
-        value_reg: Dict[int, int] = {}
-        expansion: List[Instruction] = []
-
-        for position, template_insn in enumerate(template.instructions):
-            if position == template.out_index:
-                dest = handle.rd if handle.rd is not None else ZERO_REG
-            elif template_insn.spec.writes_rd:
-                dest = _SCRATCH_REGS[position % len(_SCRATCH_REGS)]
-            else:
-                dest = None
-            value_reg[position] = dest if dest is not None else ZERO_REG
-
-            def resolve(ref: Optional[OperandRef]) -> Optional[int]:
-                if ref is None:
-                    return None
-                if ref.kind is OperandKind.EXTERNAL:
-                    return external_regs[ref.index]
-                if ref.kind is OperandKind.INTERNAL:
-                    return value_reg[ref.index]
-                return ZERO_REG
-
-            spec = opcode(template_insn.op)
-            rs1 = resolve(template_insn.src0) if spec.reads_rs1 or spec.is_memory else None
-            rs2 = resolve(template_insn.src1) if spec.reads_rs2 else None
-            expansion.append(Instruction(
-                template_insn.op,
-                rd=dest if spec.writes_rd else None,
-                rs1=rs1,
-                rs2=rs2,
-                imm=template_insn.imm,
-            ))
-        return expansion
 
     # -- formatting -------------------------------------------------------------
 

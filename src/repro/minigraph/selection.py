@@ -52,10 +52,6 @@ class SelectedMiniGraph:
     instances: List[MiniGraphCandidate] = field(default_factory=list)
     dynamic_benefit: int = 0
 
-    @property
-    def static_instances(self) -> int:
-        return len(self.instances)
-
 
 @dataclass
 class SelectionResult:
@@ -391,11 +387,6 @@ class DomainSelectionResult:
     @property
     def template_count(self) -> int:
         return len(self.templates)
-
-    def mean_coverage(self) -> float:
-        if not self.per_program:
-            return 0.0
-        return sum(result.coverage for result in self.per_program.values()) / len(self.per_program)
 
 
 def select_domain_minigraphs(programs: Mapping[str, Tuple[Program, BlockProfile]], *,

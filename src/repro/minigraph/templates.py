@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Tuple
 
-from ..isa.opcodes import OpClass, opcode
+from ..isa.opcodes import opcode
 
 #: Maximum number of interface (external) register inputs.
 MAX_EXTERNAL_INPUTS = 2
@@ -122,10 +122,6 @@ class TemplateInstruction:
     @property
     def is_control(self) -> bool:
         return self.spec.is_control
-
-    @property
-    def is_alu(self) -> bool:
-        return self.spec.op_class is OpClass.ALU
 
     def operand_refs(self) -> Tuple[OperandRef, ...]:
         """All non-None operand references."""

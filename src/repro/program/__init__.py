@@ -1,4 +1,4 @@
-"""Static program model: programs, basic blocks, CFGs, profiles, rewriting."""
+"""Static program model: programs, basic blocks, liveness, profiles, rewriting."""
 
 from .program import Program, ProgramError
 from .basic_block import (
@@ -8,9 +8,8 @@ from .basic_block import (
     find_leaders,
     split_basic_blocks,
 )
-from .cfg import CfgEdge, ControlFlowGraph, build_cfg
-from .liveness import LivenessInfo, analyze_liveness, analyze_program_liveness
-from .profile import BlockProfile, coverage_weight, profile_from_block_counts
+from .liveness import LivenessInfo, analyze_liveness, block_successors
+from .profile import BlockProfile
 from .rewriter import RewriteError, RewriteResult, RewriteSite, rewrite_program
 
 __all__ = [
@@ -21,15 +20,10 @@ __all__ = [
     "average_block_size",
     "find_leaders",
     "split_basic_blocks",
-    "CfgEdge",
-    "ControlFlowGraph",
-    "build_cfg",
     "LivenessInfo",
     "analyze_liveness",
-    "analyze_program_liveness",
+    "block_successors",
     "BlockProfile",
-    "coverage_weight",
-    "profile_from_block_counts",
     "RewriteError",
     "RewriteResult",
     "RewriteSite",

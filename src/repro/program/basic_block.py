@@ -7,7 +7,7 @@ a single entry (its first instruction) and a single exit (its last).
 
 Leaders are: the program entry, every direct control-transfer target, and
 every instruction following a control transfer.  Nops are kept inside blocks
-(the rewriter's nop-padding mode relies on this) but are never mini-graph
+(the rewriter's nop padding relies on this) but are never mini-graph
 members.
 """
 
@@ -49,29 +49,13 @@ class BasicBlock:
         return sum(1 for insn in self.instructions if not insn.is_nop)
 
     @property
-    def last_index(self) -> int:
-        """Layout index of the last instruction."""
-        return self.end_index - 1
-
-    @property
     def terminator(self) -> Instruction:
         """The last instruction of the block."""
         return self.instructions[-1]
 
-    @property
-    def ends_in_control(self) -> bool:
-        """True if the block ends with a control transfer."""
-        return self.terminator.is_control
-
     def indices(self) -> range:
         """Layout indices covered by the block."""
         return range(self.start_index, self.end_index)
-
-    def local_index(self, layout_index: int) -> int:
-        """Convert a program layout index into a block-local index."""
-        if not self.start_index <= layout_index < self.end_index:
-            raise IndexError(f"index {layout_index} outside block {self.block_id}")
-        return layout_index - self.start_index
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
@@ -136,10 +120,6 @@ class BlockIndex:
     def block_of_pc(self, pc: int) -> BasicBlock:
         """Return the block containing ``pc``."""
         return self.block_of_index(self._program.index_of(pc))
-
-    def block_by_id(self, block_id: int) -> BasicBlock:
-        """Return the block with dense id ``block_id``."""
-        return self._blocks[block_id]
 
     def __len__(self) -> int:
         return len(self._blocks)

@@ -5,7 +5,7 @@ physical register) from *interior* values (transient, living only in the
 bypass network).  A member instruction's result is interior only if nothing
 outside the mini-graph ever reads it, which requires knowing which registers
 are live at the end of each basic block — a classic backward dataflow
-problem solved here over the program CFG.
+problem solved here over the blocks' static successor edges.
 
 The analysis is conservative in the usual ways:
 
@@ -17,13 +17,11 @@ The analysis is conservative in the usual ways:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set
+from typing import Dict, FrozenSet, List, Sequence, Set
 
 from ..isa.opcodes import OpClass
 from ..isa.registers import NUM_ARCH_REGS, is_zero_reg
 from .basic_block import BasicBlock
-from .cfg import ControlFlowGraph
-from .program import Program
 
 #: Register set used when control leaves the analysed program (conservative).
 ALL_REGISTERS: FrozenSet[int] = frozenset(
@@ -59,6 +57,31 @@ class LivenessInfo:
         return live
 
 
+def block_successors(blocks: Sequence[BasicBlock]) -> Dict[int, List[int]]:
+    """Map each block id to the sorted ids of the blocks that can follow it.
+
+    Only static edges count: a conditional branch or a call goes to its
+    target or falls through, a jump goes to its target, and a block that
+    does not end in a control transfer falls through.  Indirect jumps and
+    halts have no static successors.  Every in-program direct target is a
+    block leader, so a target is found by its start PC.
+    """
+    block_at = {block.start_pc: block.block_id for block in blocks}
+    successors: Dict[int, List[int]] = {}
+    for block in blocks:
+        terminator = block.terminator
+        op_class = terminator.spec.op_class
+        found: Set[int] = set()
+        if op_class in (OpClass.BRANCH, OpClass.JUMP, OpClass.CALL) \
+                and terminator.imm in block_at:
+            found.add(block_at[terminator.imm])
+        if op_class not in (OpClass.JUMP, OpClass.INDIRECT, OpClass.HALT) \
+                and block.block_id + 1 < len(blocks):
+            found.add(block.block_id + 1)
+        successors[block.block_id] = sorted(found)
+    return successors
+
+
 def _block_gen_kill(block: BasicBlock) -> tuple[Set[int], Set[int]]:
     """Return (gen, kill): registers read before written / written in block."""
     gen: Set[int] = set()
@@ -84,9 +107,13 @@ def _is_terminating_block(block: BasicBlock) -> bool:
     return block.terminator.spec.op_class is OpClass.HALT
 
 
-def analyze_liveness(cfg: ControlFlowGraph) -> LivenessInfo:
-    """Run iterative backward liveness analysis over ``cfg``."""
-    blocks = cfg.block_index.blocks
+def analyze_liveness(blocks: Sequence[BasicBlock]) -> LivenessInfo:
+    """Run iterative backward liveness analysis over a program's ``blocks``.
+
+    ``blocks`` is the whole program in layout order, as
+    :func:`~repro.program.basic_block.split_basic_blocks` returns it.
+    """
+    successors = block_successors(blocks)
     gen_kill = {block.block_id: _block_gen_kill(block) for block in blocks}
     live_in: Dict[int, Set[int]] = {block.block_id: set() for block in blocks}
     live_out: Dict[int, Set[int]] = {block.block_id: set() for block in blocks}
@@ -103,11 +130,11 @@ def analyze_liveness(cfg: ControlFlowGraph) -> LivenessInfo:
                 out_set = set(ALL_REGISTERS)
             else:
                 out_set = set()
-                for successor in cfg.successors(block_id):
+                for successor in successors[block_id]:
                     out_set |= live_in[successor]
                 # A block with no successors at all (e.g. trailing padding)
                 # is treated conservatively.
-                if not cfg.successors(block_id):
+                if not successors[block_id]:
                     out_set = set(ALL_REGISTERS)
             gen, kill = gen_kill[block_id]
             in_set = gen | (out_set - kill)
@@ -121,7 +148,3 @@ def analyze_liveness(cfg: ControlFlowGraph) -> LivenessInfo:
         live_out={bid: frozenset(regs) for bid, regs in live_out.items()},
     )
 
-
-def analyze_program_liveness(program: Program) -> LivenessInfo:
-    """Convenience wrapper building the CFG and running liveness on it."""
-    return analyze_liveness(ControlFlowGraph(program))

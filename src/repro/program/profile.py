@@ -3,17 +3,14 @@
 The paper's mini-graph selection algorithm ranks candidates by estimated
 coverage ``(n - 1) * f`` where ``f`` is the execution frequency of the
 enclosing basic block, derived from a basic-block frequency profile.  This
-module defines that profile and the helpers to produce one from a functional
-simulation run.
+module defines that profile; :mod:`repro.sim.functional` produces one from a
+run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional
-
-from .basic_block import BasicBlock, BlockIndex
-from .program import Program
+from typing import Dict
 
 
 @dataclass
@@ -36,69 +33,3 @@ class BlockProfile:
     def frequency(self, block_id: int) -> int:
         """Execution count of block ``block_id`` (0 if never executed)."""
         return self.counts.get(block_id, 0)
-
-    def record_block(self, block_id: int, useful_size: int, times: int = 1) -> None:
-        """Record ``times`` executions of a block with ``useful_size`` instructions."""
-        self.counts[block_id] = self.counts.get(block_id, 0) + times
-        self.dynamic_instructions += useful_size * times
-
-    def executed_blocks(self) -> list[int]:
-        """Block ids with a non-zero count."""
-        return sorted(block_id for block_id, count in self.counts.items() if count > 0)
-
-    def total_block_entries(self) -> int:
-        """Total number of block entries recorded."""
-        return sum(self.counts.values())
-
-    def hottest_blocks(self, limit: int = 10) -> list[tuple[int, int]]:
-        """The ``limit`` most frequently executed blocks as (id, count) pairs."""
-        ranked = sorted(self.counts.items(), key=lambda item: (-item[1], item[0]))
-        return ranked[:limit]
-
-    def merge(self, other: "BlockProfile") -> "BlockProfile":
-        """Return a new profile combining this one with ``other``.
-
-        Profiles may only be merged for the same program; merging profiles
-        from multiple inputs is the paper's suggested fix for input-sensitive
-        selection.
-        """
-        if other.program_name != self.program_name:
-            raise ValueError(
-                f"cannot merge profiles of {self.program_name!r} and {other.program_name!r}")
-        merged = BlockProfile(
-            program_name=self.program_name,
-            counts=dict(self.counts),
-            dynamic_instructions=self.dynamic_instructions + other.dynamic_instructions,
-            input_name=f"{self.input_name}+{other.input_name}",
-        )
-        for block_id, count in other.counts.items():
-            merged.counts[block_id] = merged.counts.get(block_id, 0) + count
-        return merged
-
-    def scaled(self, factor: float) -> "BlockProfile":
-        """Return a copy with all counts scaled by ``factor`` (rounded)."""
-        return BlockProfile(
-            program_name=self.program_name,
-            counts={block_id: int(round(count * factor))
-                    for block_id, count in self.counts.items()},
-            dynamic_instructions=int(round(self.dynamic_instructions * factor)),
-            input_name=f"{self.input_name}*{factor:g}",
-        )
-
-
-def profile_from_block_counts(program: Program, block_counts: Mapping[int, int],
-                              input_name: str = "reference") -> BlockProfile:
-    """Build a :class:`BlockProfile` from raw per-block entry counts."""
-    index = BlockIndex(program)
-    profile = BlockProfile(program_name=program.name, input_name=input_name)
-    for block_id, count in block_counts.items():
-        block = index.block_by_id(block_id)
-        profile.record_block(block_id, block.useful_size, count)
-    return profile
-
-
-def coverage_weight(block: BasicBlock, profile: BlockProfile, graph_size: int) -> int:
-    """The paper's benefit function: ``(n - 1) * f`` for one candidate."""
-    if graph_size < 2:
-        return 0
-    return (graph_size - 1) * profile.frequency(block.block_id)

@@ -147,20 +147,6 @@ class Program:
 
     # -- queries -------------------------------------------------------------
 
-    def label_at(self, pc: int) -> Optional[str]:
-        """Return a label attached to ``pc`` if one exists."""
-        for label, label_pc in self.labels.items():
-            if label_pc == pc:
-                return label
-        return None
-
-    def static_counts(self) -> Dict[str, int]:
-        """Count static instructions by opcode (nops included)."""
-        counts: Dict[str, int] = {}
-        for insn in self.instructions:
-            counts[insn.op] = counts.get(insn.op, 0) + 1
-        return counts
-
     def handle_count(self) -> int:
         """Number of static mini-graph handles in the program."""
         return sum(1 for insn in self.instructions if insn.is_handle)
@@ -169,14 +155,13 @@ class Program:
 
     def with_instructions(self, instructions: List[Instruction], *,
                           name: Optional[str] = None,
-                          labels: Optional[Dict[str, int]] = None,
                           metadata: Optional[Dict[str, object]] = None) -> "Program":
         """Return a copy with a replaced text segment (used by the rewriter)."""
         return Program(
             name=name or self.name,
             instructions=list(instructions),
             text_base=self.text_base,
-            labels=dict(labels if labels is not None else self.labels),
+            labels=dict(self.labels),
             data=dict(self.data),
             data_labels=dict(self.data_labels),
             entry_label=self.entry_label,

@@ -5,21 +5,17 @@ static mini-graph instance it:
 
 * replaces the *anchor* instruction with a ``mg`` handle carrying the
   interface registers and the MGID, and
-* removes the other member instructions.
+* replaces the other member instructions with nops.
 
-Two layout modes are supported, matching Section 6.2 of the paper:
-
-* ``pad_with_nops=True`` (default): removed members become nops so the static
-  layout, PCs and branch targets are unchanged.  This isolates mini-graph
-  amplification from instruction-cache compression effects, as the paper does
-  for all of its figures.
-* ``pad_with_nops=False``: removed members are deleted and the program is
-  re-laid out (branch targets are re-resolved from labels).  This exposes the
-  compression effect used in the instruction-cache experiment.
+Padding with nops keeps the static layout, PCs and branch targets unchanged,
+which isolates mini-graph amplification from instruction-cache compression
+effects, as the paper does for all of its figures.  The compressed layout of
+Section 6.2, where absorbed members take no space, is modelled at fetch by
+:class:`~repro.uarch.pipeline.FetchLayout`.
 
 The rewriter is deliberately independent of the selection machinery: it
-consumes :class:`RewritePlan` items that name layout indices, so it can also
-be used to plant hand-written handles (e.g. for DISE-aware executables).
+consumes :class:`RewriteSite` items that name layout indices, so it can also
+plant hand-written handles.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isa.instruction import Instruction, make_handle, make_nop
-from .program import Program, ProgramError
+from .program import Program
 
 
 class RewriteError(ValueError):
@@ -77,16 +73,13 @@ class RewriteResult:
     Attributes:
         program: the rewritten program.
         handle_pcs: PC of each planted handle -> MGID.
-        removed_instructions: number of member instructions removed (i.e.
-            turned into nops or deleted), not counting the anchors.
-        index_map: original layout index -> new layout index (only for
-            instructions that survive; compression mode drops members).
+        removed_instructions: number of member instructions turned into
+            nops, not counting the anchors.
     """
 
     program: Program
     handle_pcs: Dict[int, int] = field(default_factory=dict)
     removed_instructions: int = 0
-    index_map: Dict[int, int] = field(default_factory=dict)
 
 
 def _validate_sites(program: Program, sites: Sequence[RewriteSite]) -> None:
@@ -107,18 +100,17 @@ def _validate_sites(program: Program, sites: Sequence[RewriteSite]) -> None:
             used[index] = site_number
 
 
-def rewrite_program(program: Program, sites: Sequence[RewriteSite], *,
-                    pad_with_nops: bool = True,
-                    name_suffix: str = ".mg") -> RewriteResult:
+def rewrite_program(program: Program, sites: Sequence[RewriteSite]) -> RewriteResult:
     """Collapse every site in ``sites`` and return the rewritten program.
+
+    The rewritten program is named ``<name>.mg`` and keeps the original
+    layout: each site's anchor becomes its handle and the other members
+    become nops.
 
     Args:
         program: the original program.
         sites: static instances to collapse; instructions may appear in at
             most one site.
-        pad_with_nops: keep the original layout by replacing removed members
-            with nops (paper default); otherwise compress the layout.
-        name_suffix: appended to the program name of the rewritten image.
     """
     _validate_sites(program, sites)
 
@@ -130,13 +122,6 @@ def rewrite_program(program: Program, sites: Sequence[RewriteSite], *,
             if index != site.anchor_index:
                 removed.add(index)
 
-    if pad_with_nops:
-        return _rewrite_padded(program, replacement, removed, name_suffix)
-    return _rewrite_compressed(program, replacement, removed, name_suffix)
-
-
-def _rewrite_padded(program: Program, replacement: Dict[int, Instruction],
-                    removed: set[int], name_suffix: str) -> RewriteResult:
     new_instructions: List[Instruction] = []
     for index, insn in enumerate(program.instructions):
         if index in replacement:
@@ -147,60 +132,10 @@ def _rewrite_padded(program: Program, replacement: Dict[int, Instruction],
             new_instructions.append(insn)
     rewritten = program.with_instructions(
         new_instructions,
-        name=program.name + name_suffix,
+        name=program.name + ".mg",
         metadata={**program.metadata, "rewritten": True, "compressed": False},
     )
-    result = RewriteResult(program=rewritten,
-                           removed_instructions=len(removed),
-                           index_map={i: i for i in range(len(new_instructions))})
+    result = RewriteResult(program=rewritten, removed_instructions=len(removed))
     for index, handle in replacement.items():
         result.handle_pcs[rewritten.pc_of(index)] = handle.mgid
-    return result
-
-
-def _rewrite_compressed(program: Program, replacement: Dict[int, Instruction],
-                        removed: set[int], name_suffix: str) -> RewriteResult:
-    # Build the surviving instruction list and an old->new index map, then
-    # re-resolve branch targets via labels on the new layout.
-    index_map: Dict[int, int] = {}
-    survivors: List[Tuple[int, Instruction]] = []
-    for index, insn in enumerate(program.instructions):
-        if index in removed:
-            continue
-        new_index = len(survivors)
-        index_map[index] = new_index
-        survivors.append((index, replacement.get(index, insn)))
-
-    # Remap labels.  A label that pointed at a removed member is moved to the
-    # next surviving instruction (this only happens when a block leader was
-    # absorbed, which the legality checker forbids for branch targets, but we
-    # handle it defensively).
-    new_labels: Dict[str, int] = {}
-    for label, pc in program.labels.items():
-        old_index = program.index_of(pc)
-        while old_index not in index_map and old_index < len(program.instructions) - 1:
-            old_index += 1
-        new_index = index_map.get(old_index, len(survivors) - 1)
-        new_labels[label] = program.text_base + new_index * 4
-
-    # Strip stale numeric targets; Program.__post_init__ re-resolves them from
-    # the remapped label table.
-    new_instructions = []
-    for _, insn in survivors:
-        if insn.is_direct_control and insn.target is not None:
-            new_instructions.append(insn.with_target(insn.target, None))
-        else:
-            new_instructions.append(insn)
-
-    rewritten = program.with_instructions(
-        new_instructions,
-        name=program.name + name_suffix,
-        labels=new_labels,
-        metadata={**program.metadata, "rewritten": True, "compressed": True},
-    )
-    result = RewriteResult(program=rewritten,
-                           removed_instructions=len(removed),
-                           index_map=index_map)
-    for index, handle in replacement.items():
-        result.handle_pcs[rewritten.pc_of(index_map[index])] = handle.mgid
     return result

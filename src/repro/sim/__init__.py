@@ -4,7 +4,6 @@ from .functional import (
     FunctionalResult,
     FunctionalSimulator,
     SimulationError,
-    profile_from_trace,
     run_program,
 )
 from .memory import Memory, MemoryError_
@@ -14,7 +13,6 @@ __all__ = [
     "FunctionalResult",
     "FunctionalSimulator",
     "SimulationError",
-    "profile_from_trace",
     "run_program",
     "Memory",
     "MemoryError_",

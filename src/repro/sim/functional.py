@@ -641,16 +641,3 @@ def run_program(program: Program, *, mgt: Optional[MiniGraphTable] = None,
     return simulator.run(max_instructions=max_instructions,
                          collect_trace=collect_trace, input_name=input_name)
 
-
-def profile_from_trace(program: Program, trace: Trace, *,
-                       input_name: str = "reference") -> BlockProfile:
-    """Reconstruct the basic-block profile of a run from its stored trace.
-
-    One Counter pass over the trace's packed index column against the
-    program's compiled plan tables — the same computation the simulator
-    performs at the end of a run, usable on a trace loaded from an artifact
-    store without re-executing the program.
-    """
-    simulator = FunctionalSimulator(program)
-    return simulator._profile_from_index_column(
-        trace.columns().index, trace.original_instruction_count(), input_name)

@@ -9,7 +9,7 @@ dragging in a full byte-array memory system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping
 
 _WORD_BYTES = 8
 _WORD_MASK = 0xFFFFFFFFFFFFFFFF
@@ -89,14 +89,6 @@ class Memory:
     def store_word(self, address: int, value: int) -> None:
         """Store an aligned 64-bit word."""
         self.store(address, value, 8)
-
-    def words_in_range(self, start: int, count: int) -> Tuple[int, ...]:
-        """Read ``count`` consecutive quadwords starting at ``start``."""
-        return tuple(self.load_word(start + index * _WORD_BYTES) for index in range(count))
-
-    def footprint(self) -> int:
-        """Number of distinct quadwords ever touched."""
-        return len(self.words)
 
     def checksum(self) -> int:
         """Order-independent checksum of memory contents (used in tests)."""

@@ -32,7 +32,7 @@ import zlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 # ---------------------------------------------------------------------------
 # Flags bitfield (one byte per entry in the flags column).
@@ -162,8 +162,6 @@ class _Summary(NamedTuple):
     absorbed: int
     loads: int
     stores: int
-    controls: int
-    taken: int
 
 
 class Trace:
@@ -214,14 +212,6 @@ class Trace:
             raise ValueError(f"ragged trace columns: lengths {sorted(lengths)}")
         return trace
 
-    @classmethod
-    def from_packed_rows(cls, rows: Sequence[Tuple[int, ...]]) -> "Trace":
-        """Build a trace from packed ``(pc, index, size, next_pc, flags, ea,
-        mgid)`` row tuples (see :meth:`TraceEntry.packed_row`)."""
-        if not rows:
-            return cls()
-        return cls.from_columns(*zip(*rows))
-
     def append(self, entry: TraceEntry) -> None:
         """Append one entry (packs it into the columns; invalidates stats)."""
         (pc, index, size, next_pc, flags, effective_address,
@@ -259,11 +249,6 @@ class Trace:
             self._next_pc[position], self._flags[position],
             self._effective_address[position], self._mgid[position])
 
-    @property
-    def entries(self) -> "Trace":
-        """Lazy entry view (the trace itself is the sequence of entries)."""
-        return self
-
     def columns(self) -> TraceColumns:
         """The seven packed columns (zero-copy; do not mutate)."""
         return TraceColumns(self._pc, self._index, self._size, self._next_pc,
@@ -279,7 +264,7 @@ class Trace:
             # per-entry Python loop for absorbed instructions only runs when
             # the trace actually contains handles.
             flag_counts = Counter(self._flags)
-            handles = loads = stores = controls = taken = 0
+            handles = loads = stores = 0
             for flags, times in flag_counts.items():
                 if flags & TF_HAS_MGID:
                     handles += times
@@ -287,10 +272,6 @@ class Trace:
                     loads += times
                 if flags & TF_STORE:
                     stores += times
-                if flags & TF_CONTROL:
-                    controls += times
-                if flags & TF_TAKEN:
-                    taken += times
             original = sum(self._size)
             if handles:
                 absorbed = sum(size - 1 for size, flags
@@ -298,8 +279,7 @@ class Trace:
                                if flags & TF_HAS_MGID)
             else:
                 absorbed = 0
-            summary = _Summary(original, handles, absorbed, loads, stores,
-                               controls, taken)
+            summary = _Summary(original, handles, absorbed, loads, stores)
             self._summary = summary
         return summary
 
@@ -327,12 +307,6 @@ class Trace:
 
     def store_count(self) -> int:
         return self._summarize().stores
-
-    def control_count(self) -> int:
-        return self._summarize().controls
-
-    def taken_branch_count(self) -> int:
-        return self._summarize().taken
 
     # -- serialization ---------------------------------------------------------
 

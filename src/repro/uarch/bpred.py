@@ -29,12 +29,6 @@ class PredictorStats:
     btb_lookups: int = 0
     btb_misses: int = 0
 
-    @property
-    def direction_accuracy(self) -> float:
-        if self.direction_lookups == 0:
-            return 1.0
-        return 1.0 - self.direction_mispredictions / self.direction_lookups
-
 
 class HybridBranchPredictor:
     """Bimodal/gshare hybrid with a chooser, indexed by (handle) PC."""

@@ -21,12 +21,6 @@ class CacheStats:
     accesses: int = 0
     misses: int = 0
 
-    @property
-    def miss_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
 
 class Cache:
     """A set-associative tag store with LRU replacement."""
@@ -101,10 +95,6 @@ class MemoryHierarchy:
             return self._config.dcache.hit_latency + self._config.l2cache.hit_latency
         return (self._config.dcache.hit_latency + self._config.l2cache.hit_latency
                 + self._config.memory_latency)
-
-    def data_hits_in_l1(self, address: int) -> bool:
-        """Non-destructive check used by replay accounting."""
-        return self.dcache.probe(address)
 
     def line_address(self, address: int, *, instruction: bool = True) -> int:
         line_bytes = (self._config.icache.line_bytes if instruction

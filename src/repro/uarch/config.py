@@ -301,11 +301,6 @@ class MachineConfig:
         return replace(self, physical_registers=total,
                        name=f"{self.name}-prf{total}")
 
-    def with_issue_queue(self, entries: int) -> "MachineConfig":
-        """Change the scheduler capacity (Section 6.3)."""
-        return replace(self, issue_queue_size=entries,
-                       name=f"{self.name}-iq{entries}")
-
     def with_width(self, width: int, *, execute_width: Optional[int] = None,
                    load_ports: Optional[int] = None) -> "MachineConfig":
         """Reduce pipeline bandwidth (Figure 8 bottom).

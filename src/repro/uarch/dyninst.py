@@ -31,8 +31,6 @@ from ..sim.trace import (
     TF_LOAD,
     TF_MEMORY,
     TF_STORE,
-    TF_TAKEN,
-    TF_TAKEN_KNOWN,
     TraceEntry,
     entry_from_row,
     pack_flags,
@@ -190,16 +188,6 @@ class DynInst:
     def original_instructions(self) -> int:
         """Original program instructions represented (handles expand)."""
         return self.size
-
-    @property
-    def actual_taken(self) -> Optional[bool]:
-        if self.flags & TF_TAKEN_KNOWN:
-            return bool(self.flags & TF_TAKEN)
-        return None
-
-    @property
-    def actual_target(self) -> int:
-        return self.next_pc
 
     # -- status --------------------------------------------------------------------
 

@@ -175,15 +175,6 @@ class FunctionalUnitPool:
         self.stats.handle_issues += 1
         return True
 
-    def can_issue_fp(self) -> bool:
-        return self._fp_used < self._fp_units
-
-    def issue_fp(self) -> bool:
-        if self.take_fp():
-            return True
-        self.stats.structural_stalls += 1
-        return False
-
     def can_issue_load(self) -> bool:
         return self._load_used + self._now_load < self._load_ports
 

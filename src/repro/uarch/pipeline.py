@@ -141,8 +141,9 @@ class FetchLayout:
 
     In the paper's default setup mini-graph interiors are replaced by nops, so
     the static layout (and hence instruction-cache behaviour) is unchanged;
-    the compression experiment removes them.  ``compressed=True`` models the
-    compressed layout by renumbering every non-nop instruction densely.
+    the compression experiment of Section 6.2 removes them.
+    ``compressed=True`` models that compressed layout by renumbering every
+    non-nop instruction densely.
     """
 
     program: Program
@@ -157,14 +158,8 @@ class FetchLayout:
                     self._dense_index[index] = dense
                     dense += 1
 
-    def fetch_address(self, pc: int) -> int:
-        if not self.compressed:
-            return pc
-        index = self.program.index_of(pc)
-        return self.address_for_index(index)
-
     def address_for_index(self, index: int) -> int:
-        """Fetch address for a known layout index (skips the PC lookup)."""
+        """Fetch address of the instruction at layout index ``index``."""
         if not self.compressed:
             return self.program.text_base + index * 4
         dense = self._dense_index.get(index, index)

@@ -365,14 +365,6 @@ def switch_dispatch_loop(prefix: str, *, input_base: str, count: str,
     return lines
 
 
-def unrolled_block(body_builder, iterations: int) -> List[str]:
-    """Concatenate ``iterations`` copies of a body produced by ``body_builder(i)``."""
-    lines: List[str] = []
-    for iteration in range(iterations):
-        lines += body_builder(iteration)
-    return lines
-
-
 def kernel(name: str, data_directives: Sequence[str], setup: Sequence[str],
            body: Sequence[str], teardown: Sequence[str] = ()) -> str:
     """Assemble a full kernel source: data, setup, body, teardown, halt."""

@@ -11,7 +11,6 @@ from repro.minigraph import (
     select_minigraphs,
     sweep_coverage,
 )
-from repro.program import BlockProfile, profile_from_block_counts
 from repro.sim import run_program
 from repro.workloads import load_benchmark
 
@@ -20,44 +19,6 @@ def _artifacts(name, budget=5000):
     program = load_benchmark(name)
     result = run_program(program, max_instructions=budget)
     return program, result.profile
-
-
-class TestBlockProfile:
-    def test_record_and_frequency(self):
-        profile = BlockProfile(program_name="p")
-        profile.record_block(0, useful_size=4, times=3)
-        assert profile.frequency(0) == 3
-        assert profile.frequency(1) == 0
-        assert profile.dynamic_instructions == 12
-
-    def test_merge_accumulates(self):
-        a = BlockProfile(program_name="p", counts={0: 2}, dynamic_instructions=8)
-        b = BlockProfile(program_name="p", counts={0: 1, 1: 5}, dynamic_instructions=20)
-        merged = a.merge(b)
-        assert merged.counts == {0: 3, 1: 5}
-        assert merged.dynamic_instructions == 28
-
-    def test_merge_rejects_other_program(self):
-        a = BlockProfile(program_name="p")
-        b = BlockProfile(program_name="q")
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_hottest_blocks_sorted(self):
-        profile = BlockProfile(program_name="p", counts={0: 5, 1: 50, 2: 10})
-        assert [block for block, _ in profile.hottest_blocks(2)] == [1, 2]
-
-    def test_profile_from_block_counts(self):
-        program = load_benchmark("bitcount")
-        profile = profile_from_block_counts(program, {0: 2})
-        assert profile.frequency(0) == 2
-        assert profile.dynamic_instructions > 0
-
-    def test_scaled(self):
-        profile = BlockProfile(program_name="p", counts={0: 10}, dynamic_instructions=40)
-        scaled = profile.scaled(0.5)
-        assert scaled.counts[0] == 5
-        assert scaled.dynamic_instructions == 20
 
 
 class TestCoverageSweep:

@@ -1,9 +1,14 @@
-"""Documentation health: the docs tree exists, links resolve, CLI help runs.
+"""Documentation health: the docs tree exists, links resolve, CLI help runs,
+the examples run, and the package imports with the standard library alone.
 
-Mirrors the CI docs job so broken docs fail tier-1 locally too.
+Mirrors the CI docs job, which installs no third-party package, so broken
+docs or a stray dependency fail tier-1 locally too.
 """
 
 import argparse
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +22,13 @@ import check_links  # noqa: E402
 
 REQUIRED_DOCS = ("architecture.md", "api.md", "figures.md", "serve.md",
                  "fuzzing.md")
+
+EXAMPLES = sorted(path.name for path in (REPO_ROOT / "examples").glob("*.py"))
+
+#: Every entry point a user or a worker process imports.
+ENTRY_MODULES = ("repro", "repro.api.cli", "repro.grid.catalog",
+                 "repro.experiments", "repro.serve.server",
+                 "repro.fuzz.harness")
 
 
 @pytest.mark.parametrize("name", REQUIRED_DOCS)
@@ -57,3 +69,32 @@ def test_cli_help_smoke(capsys):
         main(["--help"])
     assert excinfo.value.code == 0
     assert "repro" in capsys.readouterr().out
+
+
+def test_package_imports_with_the_standard_library_alone():
+    """``pyproject.toml`` declares ``dependencies = []``: with site-packages
+    off (``-S``), every entry point imports and loads only stdlib modules."""
+    script = (
+        "import importlib, json, sys\n"
+        f"for name in {ENTRY_MODULES!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(json.dumps(sorted({name.split('.')[0] for name in sys.modules})))\n")
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    result = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    foreign = [name for name in json.loads(result.stdout)
+               if name != "repro" and name not in sys.stdlib_module_names
+               and not name.startswith("__")]
+    assert foreign == []
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_example_runs(name, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"),
+           "REPRO_CACHE_DIR": str(tmp_path / "cache")}
+    result = subprocess.run([sys.executable, str(REPO_ROOT / "examples" / name)],
+                            env=env, cwd=tmp_path, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()

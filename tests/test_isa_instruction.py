@@ -104,11 +104,6 @@ class TestInstruction:
         assert make_nop().is_nop
         assert Instruction("halt").is_halt
 
-    def test_renamed_substitution(self):
-        insn = Instruction("addl", rd=3, rs1=1, rs2=2)
-        renamed = insn.renamed({1: 10, 3: 30})
-        assert renamed.rs1 == 10 and renamed.rs2 == 2 and renamed.rd == 30
-
     def test_with_target(self):
         branch = Instruction("bne", rs1=7, target="a")
         retargeted = branch.with_target("b", 0x2000)

@@ -8,9 +8,6 @@ from repro.isa.opcodes import (
     all_opcodes,
     has_opcode,
     opcode,
-    opcodes_in_class,
-    IMM_TO_REG_FORM,
-    REG_TO_IMM_FORM,
 )
 
 
@@ -89,20 +86,12 @@ def test_handle_opcode():
 
 
 def test_all_alu_ops_single_cycle():
-    for spec in opcodes_in_class(OpClass.ALU):
+    alu_specs = [spec for spec in all_opcodes().values()
+                 if spec.op_class is OpClass.ALU]
+    assert alu_specs
+    for spec in alu_specs:
         assert spec.latency == 1, spec.name
         assert spec.minigraph_eligible
-
-
-def test_immediate_forms_have_imm_flag():
-    for imm_name, reg_name in IMM_TO_REG_FORM.items():
-        assert opcode(imm_name).has_imm, imm_name
-        assert has_opcode(reg_name)
-
-
-def test_reg_imm_mapping_is_inverse():
-    for reg_name, imm_name in REG_TO_IMM_FORM.items():
-        assert IMM_TO_REG_FORM[imm_name] == reg_name
 
 
 def test_opcode_table_is_copied():

@@ -1,8 +1,7 @@
-"""Tests for the mini-graph table (MGHT + MGST) and handle expansion."""
+"""Tests for the mini-graph table (MGHT + MGST)."""
 
 import pytest
 
-from repro.isa.instruction import make_handle
 from repro.minigraph import (
     FU_ALU_PIPELINE,
     FU_LOAD,
@@ -115,27 +114,3 @@ class TestMiniGraphTable:
     def test_describe_covers_all_entries(self):
         table = MiniGraphTable.from_templates([chain_template(), load_template()])
         assert len(table.describe().splitlines()) == 2
-
-
-class TestHandleExpansion:
-    def test_expansion_reproduces_constituents(self):
-        table = MiniGraphTable.from_templates([load_template()])
-        handle = make_handle(4, None, 17, 0)
-        expansion = table.expand_handle(handle)
-        assert [insn.op for insn in expansion] == ["ldq", "srli", "andi"]
-        # The load reads the handle's first interface register, the final and
-        # writes the handle's destination.
-        assert expansion[0].rs1 == 4
-        assert expansion[-1].rd == 17
-
-    def test_expansion_requires_handle(self):
-        table = MiniGraphTable.from_templates([chain_template()])
-        from repro.isa.instruction import Instruction
-        with pytest.raises(MgtError):
-            table.expand_handle(Instruction("addl", rd=1, rs1=1, rs2=2))
-
-    def test_expansion_interior_values_use_scratch_registers(self):
-        table = MiniGraphTable.from_templates([load_template()])
-        expansion = table.expand_handle(make_handle(4, None, 17, 0))
-        interior_dests = {insn.rd for insn in expansion[:-1]}
-        assert 17 not in interior_dests

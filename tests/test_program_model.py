@@ -1,15 +1,15 @@
-"""Tests for the static program model: programs, basic blocks, CFG, liveness."""
+"""Tests for the static program model: programs, basic blocks, successors, liveness."""
 
 import pytest
 
 from repro.isa.instruction import Instruction
 from repro.program import (
     BlockIndex,
-    ControlFlowGraph,
     Program,
     ProgramError,
-    analyze_program_liveness,
+    analyze_liveness,
     average_block_size,
+    block_successors,
     split_basic_blocks,
 )
 
@@ -61,11 +61,6 @@ class TestProgram:
         assert "loop:" in text
         assert "bne" in text
 
-    def test_static_counts(self, loop_program):
-        counts = loop_program.static_counts()
-        assert counts["bne"] == 1
-        assert counts["halt"] == 1
-
     def test_with_instructions_preserves_data(self, loop_program):
         clone = loop_program.with_instructions(list(loop_program.instructions))
         assert clone.labels == loop_program.labels
@@ -97,36 +92,19 @@ class TestBasicBlocks:
 
 
 class TestCfg:
-    def test_loop_has_back_edge(self, loop_program):
-        cfg = ControlFlowGraph(loop_program)
-        headers = cfg.loop_headers()
-        loop_block = cfg.block_index.block_of_pc(loop_program.labels["loop"])
-        assert loop_block.block_id in headers
-
     def test_successors_of_branch_block(self, loop_program):
-        cfg = ControlFlowGraph(loop_program)
-        loop_block = cfg.block_index.block_of_pc(loop_program.labels["loop"])
-        successors = cfg.successors(loop_block.block_id)
+        index = BlockIndex(loop_program)
+        loop_block = index.block_of_pc(loop_program.labels["loop"])
+        successors = block_successors(index.blocks)[loop_block.block_id]
         assert loop_block.block_id in successors  # taken edge back to itself
         assert len(successors) == 2               # plus fall-through to halt
-
-    def test_entry_block_and_reachability(self, loop_program):
-        cfg = ControlFlowGraph(loop_program)
-        reachable = cfg.reachable_blocks()
-        assert cfg.entry_block().block_id in reachable
-        assert len(reachable) == 3
-
-    def test_block_statistics(self, loop_program):
-        stats = ControlFlowGraph(loop_program).block_statistics()
-        assert stats["num_blocks"] == 3
-        assert stats["conditional_block_fraction"] > 0
 
 
 class TestLiveness:
     def test_loop_counter_is_live_across_back_edge(self, loop_program):
-        liveness = analyze_program_liveness(loop_program)
-        cfg = ControlFlowGraph(loop_program)
-        loop_block = cfg.block_index.block_of_pc(loop_program.labels["loop"])
+        index = BlockIndex(loop_program)
+        liveness = analyze_liveness(index.blocks)
+        loop_block = index.block_of_pc(loop_program.labels["loop"])
         # r1 (counter) and r2 (accumulator) are live into the loop block.
         assert 1 in liveness.live_in[loop_block.block_id]
         assert 2 in liveness.live_in[loop_block.block_id]
@@ -140,16 +118,16 @@ class TestLiveness:
           halt
         """
         program = Program.from_assembly("t", source)
-        liveness = analyze_program_liveness(program)
-        cfg = ControlFlowGraph(program)
-        block = cfg.block_index.block_of_pc(program.labels["start"])
+        index = BlockIndex(program)
+        liveness = analyze_liveness(index.blocks)
+        block = index.block_of_pc(program.labels["start"])
         # r5 is recomputed before use on every path, so it is not live into
         # the block.
         assert 5 not in liveness.live_in[block.block_id]
 
     def test_live_after_walks_backward(self, loop_program):
-        liveness = analyze_program_liveness(loop_program)
-        cfg = ControlFlowGraph(loop_program)
-        loop_block = cfg.block_index.block_of_pc(loop_program.labels["loop"])
+        index = BlockIndex(loop_program)
+        liveness = analyze_liveness(index.blocks)
+        loop_block = index.block_of_pc(loop_program.labels["loop"])
         live_after_first = liveness.live_after(loop_block, 0)
         assert 1 in live_after_first  # counter still read by subqi/bne

@@ -2,8 +2,6 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.isa.encoding import encode_instruction
-from repro.isa.instruction import Instruction, make_handle
 from repro.minigraph import (
     DEFAULT_POLICY,
     MiniGraphTemplate,
@@ -87,18 +85,6 @@ class TestCacheProperties:
         cache = Cache(CacheConfig(1024, 2, 32, 1))
         cache.access(address)
         assert cache.access(address)
-
-
-class TestEncodingProperties:
-    @given(rd=st.integers(0, 63), rs1=st.integers(0, 63), rs2=st.integers(0, 63))
-    def test_alu_encoding_is_word_sized(self, rd, rs1, rs2):
-        encoded = encode_instruction(Instruction("addq", rd=rd, rs1=rs1, rs2=rs2))
-        assert encoded.size_bytes == 4
-
-    @given(mgid=st.integers(0, 2047), rs1=st.integers(0, 63), rd=st.integers(0, 63))
-    def test_handles_always_fit_in_one_word(self, mgid, rs1, rd):
-        encoded = encode_instruction(make_handle(rs1, None, rd, mgid))
-        assert encoded.size_bytes == 4
 
 
 class TestTemplateProperties:

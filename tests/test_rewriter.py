@@ -4,6 +4,7 @@ import pytest
 
 from repro.isa.instruction import Instruction
 from repro.program import Program, RewriteError, RewriteSite, rewrite_program
+from repro.uarch import FetchLayout
 
 SOURCE = """
 start:
@@ -61,13 +62,21 @@ def test_handle_pcs_map(program):
     assert result.handle_pcs[pc] == 9
 
 
-def test_compressed_rewrite_shrinks_program(program):
-    site = _site(program, (2, 3), 3)
-    result = rewrite_program(program, [site], pad_with_nops=False)
-    assert len(result.program) == len(program) - 1
-    # Branch target still resolves to the loop label after re-layout.
-    branch = [insn for insn in result.program if insn.is_branch][0]
-    assert branch.imm == result.program.labels["loop"]
+def test_fetch_layout_models_the_compressed_layout(program):
+    rewritten = rewrite_program(program, [_site(program, (2, 3), 3)]).program
+    indices = range(len(rewritten))
+
+    padded = FetchLayout(rewritten)
+    assert [padded.address_for_index(i) for i in indices] == \
+        [rewritten.pc_of(i) for i in indices]
+
+    # Section 6.2: the absorbed srli's nop takes no space, so every other
+    # instruction, the handle included, gets the next dense fetch address.
+    compressed = FetchLayout(rewritten, compressed=True)
+    kept = [i for i in indices if not rewritten.instructions[i].is_nop]
+    assert kept == [0, 1, 3, 4, 5, 6]
+    assert [compressed.address_for_index(i) for i in kept] == \
+        [rewritten.text_base + 4 * dense for dense in range(len(kept))]
 
 
 def test_overlapping_sites_rejected(program):

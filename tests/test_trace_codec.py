@@ -73,8 +73,6 @@ class TestColumnarRoundTrip:
         assert trace.handle_count() == sum(1 for e in entries if e.is_handle)
         assert trace.load_count() == sum(1 for e in entries if e.is_load)
         assert trace.store_count() == sum(1 for e in entries if e.is_store)
-        assert trace.control_count() == sum(1 for e in entries if e.is_control)
-        assert trace.taken_branch_count() == sum(1 for e in entries if e.taken)
 
     def test_uncompressed_codec_round_trip(self):
         entries = [TraceEntry(0x1000, 0, 1, 0x1004),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.program import ControlFlowGraph
+from repro.program import BlockIndex, average_block_size
 from repro.sim import run_program
 from repro.workloads import (
     REGISTRY,
@@ -100,8 +100,7 @@ def test_suite_structure_matches_its_character(suite):
     """SPEC-like kernels must be branchier / smaller-blocked than media kernels."""
     sizes = []
     for name in benchmark_names(suite):
-        cfg = ControlFlowGraph(load_benchmark(name))
-        sizes.append(cfg.block_statistics()["mean_block_size"])
+        sizes.append(average_block_size(BlockIndex(load_benchmark(name)).blocks))
     mean_block_size = sum(sizes) / len(sizes)
     if suite == "spec":
         assert mean_block_size < 9.0
