@@ -15,8 +15,9 @@ Sub-commands:
 * ``repro serve {start,stop,status}`` — the long-lived simulation daemon:
   a warm worker pool behind a local socket, accepting jobs from many
   clients and deduplicating their work through the shared store;
-* ``repro submit`` — submit a named grid to a running daemon (optionally
-  ``--follow``\\ ing its streamed rows);
+* ``repro submit`` — build a catalog grid as ``repro grid`` does and submit
+  its cells to a running daemon (optionally ``--follow``\\ ing its streamed
+  rows);
 * ``repro jobs`` — list or cancel the daemon's jobs.
 
 Every command accepts ``--cache-dir`` (defaulting to ``$REPRO_CACHE_DIR`` or
@@ -174,9 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "<cache-dir>/serve.sock)")
     serve.add_argument("--workers", type=int, default=None,
                        help="warm worker count (default: min(4, cpus))")
-    serve.add_argument("--queue-limit", type=int, default=None,
-                       help="max concurrently admitted jobs before submits "
-                            "are rejected queue-full (default: 32)")
     serve.add_argument("--backend", choices=("auto", "process", "thread"),
                        default="auto",
                        help="worker pool backend (auto prefers processes)")
@@ -190,17 +188,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "submit", help="submit a catalog grid to a running serve daemon")
     submit.add_argument("--grid", required=True,
                         help="named grid from the catalog (see `repro grid "
-                             "--list`); expanded daemon-side")
+                             "--list`); built here, as `repro grid` builds it")
     submit.add_argument("--benchmarks", nargs="+", default=None,
                         help="benchmark axis override")
     submit.add_argument("--budget", type=int, default=None,
                         help="dynamic-instruction budget override")
-    submit.add_argument("--input", default=None, help="benchmark input set")
-    submit.add_argument("--priority", type=int, default=0,
-                        help="scheduling priority (higher first)")
-    submit.add_argument("--namespace", default="",
-                        help="client namespace: isolates this client's row "
-                             "artifacts from other tenants of the daemon")
+    submit.add_argument("--input", default="reference",
+                        help="benchmark input set")
     submit.add_argument("--socket", default=None, metavar="PATH",
                         help="daemon socket")
     submit.add_argument("--no-resume", action="store_true",
@@ -437,8 +431,21 @@ _ROW_FIELDS = ("spec_hash", "benchmark", "input", "budget", "machine",
                "resumed")
 
 
+def _catalog_grid(name: str, args: argparse.Namespace):
+    """Catalog grid ``name`` with the ``--benchmarks``/``--budget``/
+    ``--input`` overrides applied: ``(definition, grid)``."""
+    from ..grid import get_grid
+    definition = get_grid(name)
+    benchmarks = args.benchmarks if args.benchmarks is not None else \
+        list(definition.default_benchmarks or QUICK_BENCHMARKS)
+    budget = args.budget if args.budget is not None \
+        else definition.default_budget
+    return definition, definition.build(benchmarks=benchmarks, budget=budget,
+                                        input_name=args.input)
+
+
 def _cmd_grid(args: argparse.Namespace) -> int:
-    from ..grid import get_grid, grid_definitions, plan_grid
+    from ..grid import grid_definitions, plan_grid
 
     if args.list:
         lines = ["registered grids:"]
@@ -454,13 +461,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         print("repro: error: grid needs --name (or --list)", file=sys.stderr)
         return 2
 
-    definition = get_grid(args.name)
-    benchmarks = args.benchmarks if args.benchmarks is not None else \
-        list(definition.default_benchmarks or QUICK_BENCHMARKS)
-    budget = args.budget if args.budget is not None \
-        else definition.default_budget
-    grid = definition.build(benchmarks=benchmarks, budget=budget,
-                            input_name=args.input)
+    definition, grid = _catalog_grid(args.name, args)
     plan = plan_grid(grid)
     if args.shard is not None:
         plan = plan.take_shard(*_parse_shard(args.shard))
@@ -595,12 +596,12 @@ def _serve_socket(args: argparse.Namespace):
     return protocol.default_socket_path()
 
 
-def _serve_connect(args: argparse.Namespace, *, namespace: str = ""):
+def _serve_connect(args: argparse.Namespace):
     """A connected client, or ``None`` (after printing) if no daemon."""
     from ..serve.client import ServeClient, ServeError
     socket_path = _serve_socket(args)
     try:
-        return ServeClient(socket_path, namespace=namespace)
+        return ServeClient(socket_path)
     except ServeError as error:
         print(f"repro: error: no serve daemon at {socket_path} ({error})",
               file=sys.stderr)
@@ -609,7 +610,7 @@ def _serve_connect(args: argparse.Namespace, *, namespace: str = ""):
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
-    from ..serve.server import DEFAULT_QUEUE_LIMIT, ServeServer
+    from ..serve.server import ServeServer
 
     socket_path = _serve_socket(args)
     pidfile = socket_path.with_name(socket_path.name + ".pid")
@@ -670,7 +671,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     server = ServeServer(
         socket_path, cache_dir=_cache_dir(args), workers=args.workers,
-        queue_limit=args.queue_limit or DEFAULT_QUEUE_LIMIT,
         backend=args.backend)
 
     def _drain(signum, frame) -> None:
@@ -693,14 +693,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    client = _serve_connect(args, namespace=args.namespace)
+    _, grid = _catalog_grid(args.grid, args)
+    client = _serve_connect(args)
     if client is None:
         return 1
     try:
-        response = client.submit_named_grid(
-            args.grid, benchmarks=args.benchmarks, budget=args.budget,
-            input_name=args.input, priority=args.priority,
-            resume=not args.no_resume)
+        response = client.submit_grid(grid, resume=not args.no_resume)
         job_id = response["job_id"]
         if not args.follow:
             _emit(args, None,
@@ -733,11 +731,11 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         if not jobs:
             _emit(args, None, "no jobs", {"jobs": []})
             return 0
-        lines = [f"{'id':10s} {'state':12s} {'prio':>4s} {'cells':>6s} "
+        lines = [f"{'id':10s} {'state':12s} {'cells':>6s} "
                  f"{'rows':>6s} {'hit%':>5s}  label"]
         for job in jobs:
             lines.append(
-                f"{job['id']:10s} {job['state']:12s} {job['priority']:4d} "
+                f"{job['id']:10s} {job['state']:12s} "
                 f"{job['cells']:6d} {job['rows']:6d} "
                 f"{job['cache_hit_rate'] * 100:5.0f}  {job['label']}")
         _emit(args, None, "\n".join(lines), {"jobs": jobs})

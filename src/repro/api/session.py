@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from ..minigraph.mgt import MiniGraphTable
 from ..minigraph.registry import FRONTEND_STATS
@@ -37,7 +37,7 @@ from ..uarch.config import MachineConfig
 from ..uarch.pipeline import simulate_program
 from ..uarch.stats import PipelineStats
 from ..workloads import load_benchmark
-from .keys import canonical_key, content_hash
+from .keys import content_hash
 from .spec import RunSpec
 from .store import MISS, ArtifactStore, CacheStats
 
@@ -90,41 +90,12 @@ class SessionStats:
         return self.functional_runs + self.timing_runs
 
     def as_dict(self) -> Dict[str, Any]:
-        return {"assemble_runs": self.assemble_runs,
-                "functional_runs": self.functional_runs,
-                "selection_runs": self.selection_runs,
-                "rewrite_runs": self.rewrite_runs,
-                "mgt_builds": self.mgt_builds,
-                "timing_runs": self.timing_runs,
-                "batched_timing_lanes": self.batched_timing_lanes,
-                "batched_timing_deduped": self.batched_timing_deduped,
-                "frontend_enumeration_seconds": self.frontend_enumeration_seconds,
-                "frontend_selection_seconds": self.frontend_selection_seconds,
-                "frontend_candidates": self.frontend_candidates,
-                "frontend_blocks": self.frontend_blocks,
-                "frontend_memo_hits": self.frontend_memo_hits,
-                "frontend_memo_misses": self.frontend_memo_misses,
-                "frontend_truncated_blocks": self.frontend_truncated_blocks,
-                "frontend_dropped_candidates": self.frontend_dropped_candidates}
+        return asdict(self)
 
     def merge(self, other: "SessionStats") -> None:
         """Accumulate another session's work (e.g. a grid pool worker's)."""
-        self.assemble_runs += other.assemble_runs
-        self.functional_runs += other.functional_runs
-        self.selection_runs += other.selection_runs
-        self.rewrite_runs += other.rewrite_runs
-        self.mgt_builds += other.mgt_builds
-        self.timing_runs += other.timing_runs
-        self.batched_timing_lanes += other.batched_timing_lanes
-        self.batched_timing_deduped += other.batched_timing_deduped
-        self.frontend_enumeration_seconds += other.frontend_enumeration_seconds
-        self.frontend_selection_seconds += other.frontend_selection_seconds
-        self.frontend_candidates += other.frontend_candidates
-        self.frontend_blocks += other.frontend_blocks
-        self.frontend_memo_hits += other.frontend_memo_hits
-        self.frontend_memo_misses += other.frontend_memo_misses
-        self.frontend_truncated_blocks += other.frontend_truncated_blocks
-        self.frontend_dropped_candidates += other.frontend_dropped_candidates
+        for name in self.as_dict():
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def record_frontend_delta(self, delta) -> None:
         """Fold a :class:`~repro.minigraph.registry.FrontendStats` delta in."""
@@ -191,7 +162,6 @@ class Session:
 
     def __init__(self, *, store: Optional[ArtifactStore] = None,
                  cache_dir: Optional[os.PathLike] = None,
-                 workers: Optional[int] = None,
                  version: Optional[str] = None) -> None:
         if store is not None and cache_dir is not None:
             raise ValueError("pass either a store or a cache_dir, not both")
@@ -203,7 +173,6 @@ class Session:
         # in the per-version directory `repro cache prune` can GC.
         self._store = store if store is not None \
             else ArtifactStore(cache_dir, version=version)
-        self._workers = workers
         self.stats = SessionStats()
 
     @property
@@ -425,19 +394,3 @@ class Session:
         from ..grid.engine import run_grid
         return run_grid(self, grid, shard=shard, resume=resume,
                         workers=workers)
-
-    # -- pool plumbing shared with repro.grid.engine -------------------------------
-
-    def _resolve_workers(self, workers: Optional[int], job_count: int) -> int:
-        if workers is None:
-            workers = self._workers
-        if workers is None:
-            workers = min(job_count, os.cpu_count() or 1)
-        return workers
-
-    def _merge_cache_stats(self, worker_cache: CacheStats) -> None:
-        stats = self._store.stats
-        stats.memory_hits += worker_cache.memory_hits
-        stats.disk_hits += worker_cache.disk_hits
-        stats.misses += worker_cache.misses
-        stats.puts += worker_cache.puts

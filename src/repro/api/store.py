@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple
 
@@ -82,8 +82,12 @@ class CacheStats:
         return self.hits / lookups if lookups else 0.0
 
     def as_dict(self) -> Dict[str, int]:
-        return {"memory_hits": self.memory_hits, "disk_hits": self.disk_hits,
-                "misses": self.misses, "puts": self.puts}
+        return asdict(self)
+
+    def merge(self, other: "CacheStats") -> None:
+        """Accumulate another store's accounting (a grid pool worker's)."""
+        for name in self.as_dict():
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 @dataclass

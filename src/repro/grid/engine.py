@@ -19,20 +19,26 @@ Stages fan out across a process pool (one worker session per stage, sharing
 the disk cache), falling back to serial execution in the driving session
 when process pools are unavailable; the workers' accounting is merged back
 into that session.
+
+This module is the only one that knows how a cell is keyed, computed,
+stored, resumed and turned into a row: :func:`resume_rows` is the resume
+probe and :func:`run_cells` the cell runner, and the ``repro serve`` daemon
+calls both, so its rows are the rows :func:`run_grid` streams.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..api.keys import content_hash
 from ..api.session import RunArtifacts, Session, SessionStats
 from ..api.spec import RunSpec
-from ..api.store import MISS, CacheStats
-from .planner import GridPlan, PlanStage, plan_grid
+from ..api.store import MISS, ArtifactStore, CacheStats
+from .planner import GridPlan, plan_grid
 from .spec import GridCell, GridSpec
 
 
@@ -85,21 +91,21 @@ class GridRow:
         }
 
 
-def cell_key(spec: RunSpec, version: str,
-             namespace: Optional[str] = None) -> str:
+def cell_key(spec: RunSpec, version: str) -> str:
     """Store key of one cell's terminal row artifact.
 
     Grid-independent by design — only the run spec's identity and the
     package version participate — so two grids whose cells resolve to the
-    same run share one row artifact, and ``resume`` works across grid
-    declarations.  A ``repro serve`` client that declares a *namespace*
-    gets namespaced row artifacts (isolation between tenants sharing one
-    daemon store); the empty/default namespace keeps the shared key, so
-    daemon rows and ``repro grid --resume`` runs serve each other.
+    same run share one row artifact, ``resume`` works across grid
+    declarations, and daemon rows and ``repro grid --resume`` runs serve
+    each other.
     """
-    if namespace:
-        return f"gridcell-{content_hash((version, spec.spec_hash, namespace))}"
     return f"gridcell-{content_hash((version, spec.spec_hash))}"
+
+
+#: The :class:`GridRow` fields a row artifact stores (:func:`_cell_payload`).
+_PAYLOAD_FIELDS = ("coverage", "baseline_ipc", "ipc", "speedup", "cycles",
+                   "baseline_cycles", "templates")
 
 
 def _cell_payload(artifacts: RunArtifacts) -> Dict[str, Any]:
@@ -139,24 +145,52 @@ def _row(cell: GridCell, payload: Dict[str, Any], *, resumed: bool) -> GridRow:
                    **payload)
 
 
-#: One pool job: the stage's cells (index, point, spec — GridSpec builders
-#: never cross the process boundary), the shared cache directory and the
-#: version.
-_StageJob = Tuple[List[Tuple[int, Tuple[Tuple[str, Any], ...], RunSpec]],
-                  Optional[str], str]
+def run_cells(session: Session,
+              cells: Iterable[GridCell]) -> Iterator[GridRow]:
+    """Run each cell in ``session``, store its row artifact, yield its row.
+
+    The only code that computes a cell: :func:`run_grid`'s serial loop, its
+    process-pool worker and the ``repro serve`` workers all call it.
+    """
+    version = session.version
+    for cell in cells:
+        payload = _cell_payload(session.run(cell.spec))
+        session.store.put(cell_key(cell.spec, version), payload)
+        yield _row(cell, payload, resumed=False)
 
 
-def _run_stage_job(job: _StageJob) -> Tuple[List[Tuple[int, Dict[str, Any]]],
+def resume_rows(store: ArtifactStore, version: str, cells: Iterable[GridCell]
+                ) -> Tuple[List[GridRow], List[GridCell]]:
+    """The resume probe: split ``cells`` into rows served from their stored
+    row artifacts (``resumed=True``) and the cells still to run."""
+    served: List[GridRow] = []
+    remaining: List[GridCell] = []
+    for cell in cells:
+        payload = store.get(cell_key(cell.spec, version))
+        if payload is MISS:
+            remaining.append(cell)
+        else:
+            served.append(_row(cell, payload, resumed=True))
+    return served, remaining
+
+
+#: One pool job: the stage's cells (GridSpec builders never cross the
+#: process boundary), the shared cache directory and the version.
+_StageJob = Tuple[List[GridCell], Optional[str], str]
+
+
+def _run_stage_job(job: _StageJob) -> Tuple[List[Dict[str, Any]],
                                             SessionStats, CacheStats]:
-    """Process-pool worker: run one shared-artifact stage in one session."""
+    """Process-pool worker: run one shared-artifact stage in one session.
+
+    Returns each cell's row payload; the parent turns it into the row with
+    its own cell, as a resumed row is built.
+    """
     cells, cache_dir, version = job
     session = Session(cache_dir=cache_dir, version=version)
-    rows: List[Tuple[int, Dict[str, Any]]] = []
-    for index, point, spec in cells:
-        payload = _cell_payload(session.run(spec))
-        session.store.put(cell_key(spec, version), payload)
-        rows.append((index, payload))
-    return rows, session.stats, session.cache_stats
+    payloads = [{name: getattr(row, name) for name in _PAYLOAD_FIELDS}
+                for row in run_cells(session, cells)]
+    return payloads, session.stats, session.cache_stats
 
 
 def run_grid(session: Session, grid: Union[GridSpec, GridPlan], *,
@@ -173,29 +207,23 @@ def run_grid(session: Session, grid: Union[GridSpec, GridPlan], *,
         shard: ``(index, count)`` — run only that stage-partition shard.
         resume: serve cells whose row artifact is already stored without
             executing them (``row.resumed`` marks them).
-        workers: process-pool width (0/1 = serial in the parent session,
+        workers: process-pool width (default: one worker per stage to
+            run, up to the CPU count; 0/1 = serial in the parent session,
             where the plan's grouping keeps shared artifacts hot in the
             memory cache).
     """
     plan = grid if isinstance(grid, GridPlan) else plan_grid(grid)
     if shard is not None:
         plan = plan.take_shard(*shard)
-    version = session.version
-    store = session.store
 
     # Probe phase: with resume, serve every already-stored cell row up front
     # and only ship the remainder to the executors.
     pending: List[_PendingStage] = []
     for stage in plan.stages:
-        served: List[GridRow] = []
-        remaining: List[GridCell] = []
-        for cell in stage.cells:
-            payload = store.get(cell_key(cell.spec, version)) if resume else MISS
-            if payload is not MISS:
-                served.append(_row(cell, payload, resumed=True))
-            else:
-                remaining.append(cell)
-        pending.append(_PendingStage(stage, remaining, served))
+        served, remaining = resume_rows(session.store, session.version,
+                                        stage.cells) \
+            if resume else ([], list(stage.cells))
+        pending.append(_PendingStage(remaining, served))
 
     for stage_rows in _execute(session, pending, workers):
         for row in sorted(stage_rows, key=lambda row: row.index):
@@ -206,7 +234,6 @@ def run_grid(session: Session, grid: Union[GridSpec, GridPlan], *,
 class _PendingStage:
     """One plan stage split into resumed rows and cells still to run."""
 
-    stage: PlanStage
     cells: List[GridCell]      # still to execute
     served: List[GridRow]      # already resumed from the store
 
@@ -215,22 +242,17 @@ def _execute(session: Session, pending: List[_PendingStage],
              workers: Optional[int]) -> Iterator[List[GridRow]]:
     """Yield each stage's complete row list (resumed + computed), in order."""
     jobs = [entry.cells for entry in pending if entry.cells]
-    resolved = session._resolve_workers(workers, len(jobs))
-    if resolved > 1 and len(jobs) > 1:
-        outcomes = _pool_outcomes(session, jobs, resolved)
+    if workers is None:
+        workers = min(len(jobs), os.cpu_count() or 1)
+    if workers > 1 and len(jobs) > 1:
+        outcomes = _pool_outcomes(session, jobs, workers)
         if outcomes is not None:
             yield from _merge_pool_outcomes(session, pending, outcomes)
             return
     # Serial (or pool-unavailable fallback): compute in the parent session,
     # in execution order, so shared artifacts stay hot in the memory cache.
-    version = session.version
     for entry in pending:
-        rows = list(entry.served)
-        for cell in entry.cells:
-            payload = _cell_payload(session.run(cell.spec))
-            session.store.put(cell_key(cell.spec, version), payload)
-            rows.append(_row(cell, payload, resumed=False))
-        yield rows
+        yield entry.served + list(run_cells(session, entry.cells))
 
 
 def _pool_outcomes(session: Session, jobs: List[List[GridCell]],
@@ -239,10 +261,8 @@ def _pool_outcomes(session: Session, jobs: List[List[GridCell]],
     when process pools are unavailable in the environment."""
     cache_dir = session.store.cache_dir
     cache_dir_name = None if cache_dir is None else str(cache_dir)
-    payloads: List[_StageJob] = [
-        ([(cell.index, cell.point, cell.spec) for cell in cells],
-         cache_dir_name, session.version)
-        for cells in jobs]
+    payloads: List[_StageJob] = [(cells, cache_dir_name, session.version)
+                                 for cells in jobs]
     pool = None
     try:
         pool = ProcessPoolExecutor(max_workers=min(workers, len(payloads)))
@@ -268,12 +288,10 @@ def _merge_pool_outcomes(session: Session, pending: List[_PendingStage],
     for entry in pending:
         rows = list(entry.served)
         if entry.cells:
-            worker_rows, worker_stats, worker_cache = next(outcomes)
+            payloads, worker_stats, worker_cache = next(outcomes)
             session.stats.merge(worker_stats)
-            session._merge_cache_stats(worker_cache)
-            by_index = {cell.index: cell for cell in entry.cells}
-            for index, payload in worker_rows:
-                cell = by_index[index]
+            session.cache_stats.merge(worker_cache)
+            for cell, payload in zip(entry.cells, payloads):
                 # Mirror the row artifact into the parent store so a later
                 # resumed pass hits even without a shared disk cache.
                 session.store.put(cell_key(cell.spec, version), payload)

@@ -2,17 +2,19 @@
 
 The serve package turns the one-shot pipeline into a daemon: a persistent
 process-pool of workers holding warm interned registries and artifact
-caches, accepting grid jobs (catalog grids by name, or the expanded cells
-of a :class:`~repro.grid.spec.GridSpec`) over a local socket speaking
-newline-delimited JSON, and streaming :class:`~repro.grid.engine.GridRow`\\ s
-back to clients as cells complete.
+caches, accepting grid jobs (the expanded cells of a
+:class:`~repro.grid.spec.GridSpec`) over a local socket speaking
+newline-delimited JSON, and streaming :class:`~repro.grid.engine.GridRow`
+dicts back to clients as cells complete.  Cells are resumed, run, stored
+and turned into rows by the grid engine, exactly as in ``repro grid``.
 
 Modules:
 
 * :mod:`repro.serve.protocol` — message framing, the versioned handshake,
   job descriptors and structured error codes;
-* :mod:`repro.serve.queue` — the bounded priority job queue (admission
-  control, backpressure, cancellation, retry/quarantine bookkeeping);
+* :mod:`repro.serve.queue` — the bounded first-come-first-served job queue
+  (admission control, backpressure, cancellation, retry/quarantine
+  bookkeeping);
 * :mod:`repro.serve.pool` — the warm worker pool (process-backed, with a
   thread fallback for restricted environments);
 * :mod:`repro.serve.server` — the daemon: socket front end, scheduler,

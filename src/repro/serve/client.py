@@ -10,9 +10,9 @@ Grid submissions are **expanded on the client**: a
 :class:`~repro.grid.spec.GridSpec` holds arbitrary build closures that must
 never cross the wire, so :meth:`submit_grid` ships the expanded ``(index,
 point, spec)`` cells and the daemon re-plans them into shared-artifact
-stages with :func:`~repro.grid.planner.plan_cells`.  Catalog grids can
-alternatively be submitted **by name** (:meth:`submit_named_grid`) and
-expanded daemon-side.
+stages with :func:`~repro.grid.planner.plan_cells`.  Catalog grids are no
+exception: ``repro submit --grid`` builds them locally, as ``repro grid``
+does, and submits their cells.
 
 Structured protocol errors surface as :class:`ServeError` with the error
 ``code`` (``queue-full``, ``draining``, ...) preserved for programmatic
@@ -26,7 +26,7 @@ import os
 import pickle
 import socket
 import time
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..grid.spec import GridCell, GridSpec
 from . import protocol
@@ -55,12 +55,10 @@ class ServeClient:
     """One connection to a serve daemon; usable as a context manager."""
 
     def __init__(self, socket_path: Optional[os.PathLike] = None, *,
-                 namespace: str = "",
                  timeout: Optional[float] = 60.0,
                  retry_connect: float = 0.0) -> None:
         self.socket_path = str(socket_path if socket_path is not None
                                else protocol.default_socket_path())
-        self.namespace = namespace
         self.server_info: Dict[str, Any] = {}
         self._stream = self._connect(timeout, retry_connect)
         self._hello()
@@ -85,8 +83,7 @@ class ServeClient:
 
     def _hello(self) -> None:
         self.server_info = self._request({
-            "op": "hello", "protocol": protocol.PROTOCOL_VERSION,
-            "namespace": self.namespace})
+            "op": "hello", "protocol": protocol.PROTOCOL_VERSION})
 
     # -- transport -----------------------------------------------------------------
 
@@ -119,36 +116,19 @@ class ServeClient:
 
     # -- submissions ---------------------------------------------------------------
 
-    def submit_grid(self, grid: GridSpec, *, priority: int = 0,
+    def submit_grid(self, grid: GridSpec, *,
                     resume: bool = True) -> Dict[str, Any]:
         """Submit a locally-built grid: expand here, plan daemon-side."""
         return self.submit_cells(grid.cells(), label=f"grid:{grid.name}",
-                                 priority=priority, resume=resume)
+                                 resume=resume)
 
     def submit_cells(self, cells: Iterable[GridCell], *, label: str = "cells",
-                     priority: int = 0, resume: bool = True) -> Dict[str, Any]:
+                     resume: bool = True) -> Dict[str, Any]:
         triples = [(cell.index, cell.point, cell.spec) for cell in cells]
         return self._request({
-            "op": "submit", "priority": priority, "resume": resume,
+            "op": "submit", "resume": resume,
             "job": {"kind": "cells", "label": label,
                     "cells_b64": _pickle_b64(triples)}})
-
-    def submit_named_grid(self, name: str, *,
-                          benchmarks: Optional[Sequence[str]] = None,
-                          budget: Optional[int] = None,
-                          input_name: Optional[str] = None,
-                          priority: int = 0,
-                          resume: bool = True) -> Dict[str, Any]:
-        """Submit a catalog grid by name; the daemon expands it."""
-        job: Dict[str, Any] = {"kind": "grid", "grid": name}
-        if benchmarks is not None:
-            job["benchmarks"] = list(benchmarks)
-        if budget is not None:
-            job["budget"] = budget
-        if input_name is not None:
-            job["input"] = input_name
-        return self._request({"op": "submit", "priority": priority,
-                              "resume": resume, "job": job})
 
     # -- job management ------------------------------------------------------------
 

@@ -22,7 +22,8 @@ preserved because everything lives in one process).
 Both pools report through four callbacks, keyed by the task's
 ``(job id, stage index, attempt)`` triple:
 
-* ``on_row(key, index, payload)`` — one cell completed (streamed live);
+* ``on_row(key, row)`` — one cell completed, with its finished row dict
+  (:meth:`~repro.grid.engine.GridRow.as_dict`; streamed live);
 * ``on_stage_done(key, session_stats, cache_stats)`` — stage finished,
   with the worker's accounting *delta* for the stage;
 * ``on_stage_failed(key, message)`` — the stage raised;
@@ -38,7 +39,8 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..api.spec import RunSpec
+from ..grid.engine import run_cells
+from ..grid.spec import GridCell
 
 #: (job id, stage index, attempt) — unique per stage *execution*.
 TaskKey = Tuple[str, int, int]
@@ -52,13 +54,12 @@ class PoolTask:
     """One dispatched stage: the cells a single worker runs back to back."""
 
     key: TaskKey
-    namespace: str
-    cells: Tuple[Tuple[int, RunSpec], ...]   # (cell index, spec)
+    cells: Tuple[GridCell, ...]
 
 
 @dataclass
 class PoolCallbacks:
-    on_row: Callable[[TaskKey, int, Dict[str, Any]], None]
+    on_row: Callable[[TaskKey, Dict[str, Any]], None]
     on_stage_done: Callable[[TaskKey, Dict[str, Any], Dict[str, Any]], None]
     on_stage_failed: Callable[[TaskKey, str], None]
     on_worker_death: Callable[[TaskKey], None]
@@ -69,28 +70,14 @@ def _stats_delta(before: Dict[str, Any], after: Dict[str, Any]
     return {key: after[key] - before.get(key, 0) for key in after}
 
 
-def _compute_cell(session, task: PoolTask, index: int,
-                  spec: RunSpec) -> Dict[str, Any]:
-    """Run one cell in the worker's warm session and build its row payload."""
-    from ..grid.engine import _cell_payload, cell_key
-
-    payload = _cell_payload(session.run(spec))
-    # Persist the terminal row artifact (namespaced per client) so resumed
-    # submissions and `repro grid --resume` runs are served without work.
-    session.store.put(cell_key(spec, session.version,
-                               namespace=task.namespace), payload)
-    return payload
-
-
 def _execute_task(session, task: PoolTask,
                   emit: Callable[[Tuple[Any, ...]], None]) -> None:
     """Run one stage, emitting ``row`` per cell then ``done`` (or ``failed``)."""
     before_session = session.stats.as_dict()
     before_cache = session.cache_stats.as_dict()
     try:
-        for index, spec in task.cells:
-            payload = _compute_cell(session, task, index, spec)
-            emit(("row", task.key, index, payload))
+        for row in run_cells(session, task.cells):
+            emit(("row", task.key, row.as_dict()))
     except Exception as error:
         emit(("failed", task.key, f"{type(error).__name__}: {error}"))
         return
@@ -235,7 +222,7 @@ class ProcessWorkerPool:
     def _handle_message(self, message: Tuple[Any, ...]) -> None:
         kind, key = message[0], message[1]
         if kind == "row":
-            self._callbacks.on_row(key, message[2], message[3])
+            self._callbacks.on_row(key, message[2])
             return
         with self._lock:
             worker = self._by_key.pop(key, None)
@@ -358,7 +345,7 @@ class ThreadWorkerPool:
     def _emit(self, message: Tuple[Any, ...]) -> None:
         kind, key = message[0], message[1]
         if kind == "row":
-            self._callbacks.on_row(key, message[2], message[3])
+            self._callbacks.on_row(key, message[2])
         elif kind == "done":
             self._callbacks.on_stage_done(key, message[2], message[3])
         else:

@@ -14,14 +14,15 @@ Requests
 ========  =====================================================================
 ``op``    payload
 ========  =====================================================================
-hello     ``protocol`` (int), optional ``namespace``/``client`` strings
-submit    ``job`` (a job descriptor, below), optional ``priority`` (int,
-          higher first) and ``resume`` (bool: serve cells whose row artifact
-          is already stored without re-executing them)
+hello     ``protocol`` (int)
+submit    ``job`` (a job descriptor, below), optional ``resume`` (bool:
+          serve cells whose row artifact is already stored without
+          re-executing them)
 poll      ``job_id``
 jobs      (no payload) — list every job the daemon knows about
 cancel    ``job_id``
-stream    ``job_id``, optional ``from`` (row cursor, default 0)
+stream    ``job_id``, optional ``from`` (non-negative int row cursor,
+          default 0)
 status    (no payload) — daemon liveness/occupancy snapshot
 shutdown  optional ``drain`` (bool, default true)
 ========  =====================================================================
@@ -35,19 +36,19 @@ draining daemon rejects with ``draining``.
 Job descriptors
 ---------------
 
-* ``{"kind": "grid", "grid": NAME, ...}`` — a named grid from the catalog
-  (``benchmarks``/``budget``/``input`` override its defaults).  Expanded
-  and planned server-side.
-* ``{"kind": "cells", "cells_b64": ...}`` — pre-expanded grid cells
-  (base64-pickled ``(index, point, RunSpec)`` triples) from
-  ``repro.serve.client``; the server groups them into shared-artifact
-  stages with the grid planner.
-
-Any other ``kind`` is rejected with ``bad-request``.
+There is one job kind: ``{"kind": "cells", "cells_b64": ..., "label": ...}``
+— the expanded cells of a grid (base64-pickled ``(index, point, RunSpec)``
+triples) from ``repro.serve.client``; the server groups them into
+shared-artifact stages with the grid planner.  Catalog grids are expanded
+on the client too (``repro submit --grid``).  Any other ``kind`` —
+including the ``grid`` and ``artifacts`` kinds of older daemons — is
+rejected with ``bad-request``.
 
 Pickled payloads are accepted only because the socket is local and
 filesystem-permission guarded (the socket file is created ``0o700``-dirred
-by the daemon); this protocol is not designed for untrusted networks.
+by the daemon): any client that can reach the socket can run code inside
+the daemon, so this protocol is not designed for untrusted networks or
+mutually untrusted users.
 """
 
 from __future__ import annotations
@@ -60,12 +61,14 @@ from typing import Any, BinaryIO, Dict, Optional
 
 #: Bump on any incompatible message-shape change; the handshake rejects
 #: mismatches with ``protocol-mismatch`` instead of mis-parsing mid-stream.
-PROTOCOL_VERSION = 2
+#: Version 3 dropped the per-client row keys, the job ordering field and the
+#: ``grid`` job kind, so an older client asking for them fails at ``hello``.
+PROTOCOL_VERSION = 3
 
 #: Structured rejection/failure codes carried in ``error.code``.
 ERROR_CODES = (
     "protocol-mismatch",   # handshake version skew
-    "bad-request",         # malformed message or unknown op
+    "bad-request",         # malformed message, unknown op or job kind
     "unknown-job",         # poll/cancel/stream of an id the daemon never saw
     "queue-full",          # admission control: bounded queue at capacity
     "draining",            # daemon is draining; no new jobs accepted

@@ -1,7 +1,7 @@
-"""The daemon's job queue: bounded admission, priorities, explicit backpressure.
+"""The daemon's job queue: bounded admission, first come first served.
 
-A :class:`JobRecord` is one submitted grid job (a catalog grid or expanded
-cells), already planned into shared-artifact *stages* (lists of
+A :class:`JobRecord` is one submitted job (the expanded cells of a grid),
+already planned into shared-artifact *stages* (lists of
 :class:`~repro.grid.spec.GridCell`); the scheduler dispatches one stage at a
 time to one warm worker, and each completed cell appends one row to the
 record, waking any streaming clients.
@@ -15,9 +15,9 @@ job, so a misbehaving client cannot deadlock the daemon.  A draining queue
 (SIGTERM / ``shutdown``) rejects every submit with ``draining`` while
 in-flight jobs run to completion.
 
-Scheduling order is ``(-priority, submission sequence)``: strictly higher
-priority first, FIFO within a priority.  Stages of distinct jobs interleave
-freely across the pool; stages of one job run in plan order.
+Jobs are scheduled in admission order: the oldest job with a pending stage
+goes first.  Stages of distinct jobs interleave freely across the pool;
+stages of one job run in plan order.
 
 One lock-and-condition pair (:attr:`JobQueue.cond`) covers every record —
 scheduler, pool callbacks and per-connection streaming threads all
@@ -31,9 +31,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..grid.spec import GridCell
+
+#: Default bound on concurrently admitted (non-terminal) jobs.
+DEFAULT_QUEUE_LIMIT = 32
 
 
 class JobState(str, Enum):
@@ -68,15 +71,13 @@ class JobRecord:
     """One admitted job: its plan, its accumulated rows, its accounting."""
 
     id: str
-    kind: str                       # "grid" | "cells"
-    namespace: str
-    priority: int
-    seq: int                        # admission order, the FIFO tiebreak
     stages: List[List[GridCell]]
     label: str = ""
     state: JobState = JobState.QUEUED
     error: Optional[Dict[str, Any]] = None
     rows: List[Dict[str, Any]] = field(default_factory=list)
+    #: Cell indices already in ``rows`` (drops a retried stage's replay).
+    delivered: Set[int] = field(default_factory=set, init=False)
     stage_state: List[str] = field(default_factory=list)
     stage_attempts: List[int] = field(default_factory=list)
     #: Worker accounting folded in per completed stage.
@@ -87,6 +88,7 @@ class JobRecord:
     finished_at: Optional[float] = None
 
     def __post_init__(self) -> None:
+        self.delivered.update(row["index"] for row in self.rows)
         if not self.stage_state:
             self.stage_state = [_PENDING] * len(self.stages)
         if not self.stage_attempts:
@@ -118,10 +120,7 @@ class JobRecord:
         """JSON-friendly job snapshot (``poll``/``jobs`` responses)."""
         return {
             "id": self.id,
-            "kind": self.kind,
             "label": self.label,
-            "namespace": self.namespace,
-            "priority": self.priority,
             "state": self.state.value,
             "error": self.error,
             "cells": self.cell_count,
@@ -141,9 +140,9 @@ class JobRecord:
 
 
 class JobQueue:
-    """Bounded, priority-ordered registry of jobs (live and terminal)."""
+    """Bounded, first-come-first-served registry of live and terminal jobs."""
 
-    def __init__(self, limit: int = 32) -> None:
+    def __init__(self, limit: int = DEFAULT_QUEUE_LIMIT) -> None:
         if limit <= 0:
             raise ValueError(f"queue limit must be positive, got {limit}")
         self.limit = limit
@@ -168,8 +167,7 @@ class JobQueue:
         with self.cond:
             return sum(1 for job in self._jobs.values() if not job.terminal)
 
-    def submit(self, kind: str, namespace: str, priority: int,
-               stages: List[List[GridCell]], *, label: str = "",
+    def submit(self, stages: List[List[GridCell]], *, label: str = "",
                rows: Optional[List[Dict[str, Any]]] = None) -> JobRecord:
         """Admit one job or raise :class:`AdmissionError` (never blocks).
 
@@ -188,10 +186,8 @@ class JobQueue:
                     f"retry after a job completes",
                     active=active, limit=self.limit)
             self._seq += 1
-            job = JobRecord(id=f"job-{self._seq:04d}", kind=kind,
-                            namespace=namespace, priority=priority,
-                            seq=self._seq, stages=stages, label=label,
-                            rows=list(rows) if rows else [])
+            job = JobRecord(id=f"job-{self._seq:04d}", stages=stages,
+                            label=label, rows=list(rows) if rows else [])
             if not stages:
                 # A fully resume-served (or empty) job is born terminal.
                 job.state = JobState.DONE
@@ -207,8 +203,9 @@ class JobQueue:
             return self._jobs.get(job_id)
 
     def jobs(self) -> List[JobRecord]:
+        """Every job, in admission order."""
         with self.cond:
-            return sorted(self._jobs.values(), key=lambda job: job.seq)
+            return list(self._jobs.values())
 
     def all_terminal(self) -> bool:
         with self.cond:
@@ -219,17 +216,14 @@ class JobQueue:
     def next_stage(self) -> Optional[Tuple[JobRecord, int]]:
         """Claim the next runnable ``(job, stage index)``, if any.
 
-        Order: priority descending, then admission order.  The claimed
-        stage is marked running; the caller must finish it via
-        :meth:`stage_done` / :meth:`stage_failed` / :meth:`worker_died`.
+        Order: admission order.  The claimed stage is marked running; the
+        caller must finish it via :meth:`stage_done` / :meth:`stage_failed`
+        / :meth:`worker_died`.
         """
         with self.cond:
-            runnable = sorted(
-                (job for job in self._jobs.values()
-                 if job.state in (JobState.QUEUED, JobState.RUNNING)
-                 and _PENDING in job.stage_state),
-                key=lambda job: (-job.priority, job.seq))
-            for job in runnable:
+            for job in self._jobs.values():
+                if job.terminal or _PENDING not in job.stage_state:
+                    continue
                 index = job.stage_state.index(_PENDING)
                 job.stage_state[index] = _RUNNING
                 job.stage_attempts[index] += 1
@@ -253,8 +247,11 @@ class JobQueue:
 
     def append_row(self, job: JobRecord, row: Dict[str, Any]) -> None:
         with self.cond:
-            if job.terminal:
-                return  # late row from a cancelled job's in-flight stage
+            if job.terminal or row["index"] in job.delivered:
+                # A late row from a cancelled job's in-flight stage, or the
+                # replay a retried stage performs after its worker died.
+                return
+            job.delivered.add(row["index"])
             job.rows.append(row)
             self.cond.notify_all()
 

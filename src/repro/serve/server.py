@@ -4,23 +4,28 @@ One :class:`ServeServer` owns four moving parts:
 
 * a Unix-domain **listener** accepting NDJSON connections
   (:mod:`repro.serve.protocol`), one handler thread per client;
-* the bounded **job queue** (:mod:`repro.serve.queue`) — admission control
-  and priorities;
+* the bounded **job queue** (:mod:`repro.serve.queue`) — admission control,
+  first come first served;
 * the warm **worker pool** (:mod:`repro.serve.pool`) — persistent sessions
   with hot registries and caches;
 * a **scheduler** thread marrying the two: whenever a worker is idle it
-  claims the highest-priority pending stage and dispatches it.  Stages are
+  claims the oldest job's next pending stage and dispatches it.  Stages are
   :func:`~repro.grid.planner.plan_cells` shared-artifact groups, so
   concurrent clients submitting overlapping work dedup against each other
   through the shared store — the second client's cells are store hits, not
   recomputations.
 
-Rows stream back live: each completed cell appends one row to its job
-record and wakes every connection streaming that job.  A worker killed
-mid-stage is respawned, its stage retried once, then the job is
-quarantined.  ``SIGTERM`` (or the ``shutdown`` op) triggers a **graceful
-drain**: new submits are rejected with a structured ``draining`` error,
-in-flight jobs run to completion, then the daemon exits.
+How a cell is keyed, resumed, computed, stored and turned into a row is the
+grid engine's business: submits go through its resume probe
+(:func:`~repro.grid.engine.resume_rows`) and workers through its cell
+runner (:func:`~repro.grid.engine.run_cells`), exactly as ``repro grid``
+does, so the daemon holds no cells of its own.  Rows stream back live:
+each completed cell appends its row dict to its job record and wakes every
+connection streaming that job.  A worker killed mid-stage is respawned,
+its stage retried once, then the job is quarantined.  ``SIGTERM`` (or the
+``shutdown`` op) triggers a **graceful drain**: new submits are rejected
+with a structured ``draining`` error, in-flight jobs run to completion,
+then the daemon exits.
 """
 
 from __future__ import annotations
@@ -35,17 +40,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .. import __version__
-from ..api.store import MISS
-from ..grid.engine import _row, cell_key
+from ..api.store import ArtifactStore
+from ..grid.engine import resume_rows
 from ..grid.planner import plan_cells
-from ..grid.spec import GridCell, GridError
-from ..workloads.base import WorkloadError
+from ..grid.spec import GridCell
 from . import protocol
 from .pool import PoolCallbacks, PoolTask, TaskKey, make_pool
-from .queue import AdmissionError, JobQueue, JobRecord
-
-#: Default bound on concurrently admitted (non-terminal) jobs.
-DEFAULT_QUEUE_LIMIT = 32
+from .queue import AdmissionError, JobQueue
 
 #: Scheduler idle poll (also the drain-completion check cadence).
 _SCHEDULE_INTERVAL_SECONDS = 0.05
@@ -62,7 +63,6 @@ class ServeServer:
     def __init__(self, socket_path: Optional[os.PathLike] = None, *,
                  cache_dir: Optional[os.PathLike] = None,
                  workers: Optional[int] = None,
-                 queue_limit: int = DEFAULT_QUEUE_LIMIT,
                  version: Optional[str] = None,
                  backend: str = "auto") -> None:
         self.socket_path = Path(socket_path) if socket_path is not None \
@@ -72,7 +72,7 @@ class ServeServer:
         self.workers = workers if workers is not None \
             else min(4, os.cpu_count() or 1)
         self.backend = backend
-        self.queue = JobQueue(queue_limit)
+        self.queue = JobQueue()
         self.pool = None
         self.started_at: Optional[float] = None
         self._listener: Optional[socket.socket] = None
@@ -82,12 +82,7 @@ class ServeServer:
         self._stop_event = threading.Event()
         self._draining = False
         self._drain_lock = threading.Lock()
-        #: (job id) -> {cell index -> GridCell} for row reconstruction.
-        self._cells: Dict[str, Dict[int, GridCell]] = {}
-        #: (job id) -> cell indices already delivered (dedups the replay a
-        #: retried stage performs after its first worker died mid-stream).
-        self._delivered: Dict[str, Set[int]] = {}
-        self._probe_store = None
+        self._probe_store: Optional[ArtifactStore] = None
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -106,9 +101,8 @@ class ServeServer:
             # store sees memory entries even without a disk layer.
             self._probe_store = self.pool.session.store
         else:
-            from ..api.session import Session
-            self._probe_store = Session(cache_dir=self.cache_dir,
-                                        version=self.version).store
+            self._probe_store = ArtifactStore(self.cache_dir,
+                                              version=self.version)
         self._bind()
         self._spawn(self._accept_loop, "repro-serve-accept")
         self._spawn(self._scheduler_loop, "repro-serve-scheduler")
@@ -204,9 +198,7 @@ class ServeServer:
                     job, index = claim
                     task = PoolTask(
                         key=(job.id, index, job.stage_attempts[index]),
-                        namespace=job.namespace,
-                        cells=tuple((cell.index, cell.spec)
-                                    for cell in job.stages[index]))
+                        cells=tuple(job.stages[index]))
                     if self.pool.dispatch(task):
                         dispatched = True
                     else:
@@ -217,19 +209,10 @@ class ServeServer:
 
     # -- pool callbacks ------------------------------------------------------------
 
-    def _on_row(self, key: TaskKey, index: int,
-                payload: Dict[str, Any]) -> None:
-        job_id = key[0]
-        job = self.queue.get(job_id)
-        if job is None or job.terminal:
-            return
-        delivered = self._delivered.setdefault(job_id, set())
-        with self.queue.cond:
-            if index in delivered:
-                return  # replay from a retried stage
-            delivered.add(index)
-        row = _row(self._cells[job_id][index], payload, resumed=False)
-        self.queue.append_row(job, row.as_dict())
+    def _on_row(self, key: TaskKey, row: Dict[str, Any]) -> None:
+        job = self.queue.get(key[0])
+        if job is not None:
+            self.queue.append_row(job, row)
 
     def _on_stage_done(self, key: TaskKey, session_stats: Dict[str, Any],
                        cache_stats: Dict[str, Any]) -> None:
@@ -263,8 +246,7 @@ class ServeServer:
 
     def _handle_connection(self, stream: protocol.MessageStream) -> None:
         try:
-            namespace = self._handshake(stream)
-            if namespace is None:
+            if not self._handshake(stream):
                 return
             while True:
                 try:
@@ -275,7 +257,7 @@ class ServeServer:
                     return
                 if message is None:
                     return
-                if not self._handle_request(stream, message, namespace):
+                if not self._handle_request(stream, message):
                     return
         except (OSError, ValueError):
             pass  # client went away mid-message
@@ -284,36 +266,34 @@ class ServeServer:
             with self._streams_lock:
                 self._streams.discard(stream)
 
-    def _handshake(self, stream: protocol.MessageStream) -> Optional[str]:
+    def _handshake(self, stream: protocol.MessageStream) -> bool:
         message = stream.recv()
         if message is None:
-            return None
+            return False
         if message.get("op") != "hello":
             stream.send(protocol.error_response(
                 str(message.get("op")), "bad-request",
                 "the first message must be a hello handshake"))
-            return None
+            return False
         if message.get("protocol") != protocol.PROTOCOL_VERSION:
             stream.send(protocol.error_response(
                 "hello", "protocol-mismatch",
                 f"server speaks protocol {protocol.PROTOCOL_VERSION}, "
                 f"client sent {message.get('protocol')!r}",
                 server_protocol=protocol.PROTOCOL_VERSION))
-            return None
-        namespace = str(message.get("namespace") or "")
+            return False
         stream.send(protocol.ok_response(
             "hello", protocol=protocol.PROTOCOL_VERSION,
-            server_version=self.version, pid=os.getpid(),
-            namespace=namespace))
-        return namespace
+            server_version=self.version, pid=os.getpid()))
+        return True
 
     def _handle_request(self, stream: protocol.MessageStream,
-                        message: Dict[str, Any], namespace: str) -> bool:
+                        message: Dict[str, Any]) -> bool:
         """Dispatch one request; returns False to close the connection."""
         op = str(message.get("op"))
         try:
             if op == "submit":
-                stream.send(self._handle_submit(message, namespace))
+                stream.send(self._handle_submit(message))
             elif op == "poll":
                 stream.send(self._job_response(op, message))
             elif op == "jobs":
@@ -361,98 +341,54 @@ class ServeServer:
                 op, "unknown-job", f"unknown job {message.get('job_id')!r}")
         return protocol.ok_response(op, job=job.describe())
 
-    def _handle_submit(self, message: Dict[str, Any],
-                       namespace: str) -> Dict[str, Any]:
+    def _handle_submit(self, message: Dict[str, Any]) -> Dict[str, Any]:
         descriptor = message.get("job")
         if not isinstance(descriptor, dict):
             raise _BadRequest("submit needs a job descriptor object")
-        priority = int(message.get("priority", 0))
-        resume = bool(message.get("resume", False))
-        kind, cells, label = self._decode_job(descriptor)
-
-        served: List[Dict[str, Any]] = []
-        if resume:
-            remaining: List[GridCell] = []
-            for cell in cells:
-                payload = self._probe_store.get(
-                    cell_key(cell.spec, self.version, namespace=namespace))
-                if payload is not MISS:
-                    served.append(_row(cell, payload, resumed=True).as_dict())
-                else:
-                    remaining.append(cell)
-            planned = remaining
-        else:
-            planned = cells
-        plan = plan_cells(planned)
-        stages = [stage.cells for stage in plan.stages]
-        job = self.queue.submit(kind=kind, namespace=namespace,
-                                priority=priority, stages=stages,
-                                label=label, rows=served)
-        self._cells[job.id] = {cell.index: cell for cell in cells}
-        self._delivered[job.id] = {row["index"] for row in served}
+        cells, label = self._decode_job(descriptor)
+        served, remaining = resume_rows(self._probe_store, self.version,
+                                        cells) \
+            if message.get("resume", False) else ([], cells)
+        stages = [stage.cells for stage in plan_cells(remaining).stages]
+        job = self.queue.submit(stages, label=label,
+                                rows=[row.as_dict() for row in served])
         return protocol.ok_response(
             "submit", job_id=job.id, state=job.state.value,
             cells=len(cells), resumed=len(served),
             stages=len(stages), queue_depth=self.queue.active_count())
 
-    def _decode_job(self, descriptor: Dict[str, Any]
-                    ) -> Tuple[str, List[GridCell], str]:
-        kind = descriptor.get("kind")
-        if kind == "grid":
-            return self._decode_grid_job(descriptor)
-        if kind == "cells":
-            triples = self._unpickle(descriptor, "cells_b64")
-            try:
-                cells = [GridCell(index=int(index),
-                                  point=tuple(point or ()), spec=spec)
-                         for index, point, spec in triples]
-            except (TypeError, ValueError) as error:
-                raise _BadRequest(f"malformed cells payload: {error}") \
-                    from None
-            return "cells", cells, str(descriptor.get("label") or "cells")
-        raise _BadRequest(f"unknown job kind {kind!r}")
-
-    def _decode_grid_job(self, descriptor: Dict[str, Any]
-                         ) -> Tuple[str, List[GridCell], str]:
-        from ..grid.catalog import get_grid
-        from ..workloads import QUICK_BENCHMARKS
-
-        name = descriptor.get("grid")
-        if not name:
-            raise _BadRequest("grid jobs need a 'grid' catalog name")
-        try:
-            definition = get_grid(str(name))
-            benchmarks = descriptor.get("benchmarks") \
-                or definition.default_benchmarks or QUICK_BENCHMARKS
-            budget = int(descriptor.get("budget")
-                         or definition.default_budget)
-            grid = definition.build(
-                benchmarks=list(benchmarks), budget=budget,
-                input_name=str(descriptor.get("input") or "reference"))
-            cells = list(grid.cells())
-        except (GridError, WorkloadError, ValueError) as error:
-            raise _BadRequest(str(error)) from None
-        return "grid", cells, f"grid:{name}"
-
     @staticmethod
-    def _unpickle(descriptor: Dict[str, Any], field: str) -> Any:
-        blob = descriptor.get(field)
+    def _decode_job(descriptor: Dict[str, Any]) -> Tuple[List[GridCell], str]:
+        kind = descriptor.get("kind")
+        if kind != "cells":
+            raise _BadRequest(f"unknown job kind {kind!r}")
+        blob = descriptor.get("cells_b64")
         if not isinstance(blob, str):
-            raise _BadRequest(f"job descriptor needs {field}")
+            raise _BadRequest("job descriptor needs cells_b64")
         try:
-            return pickle.loads(base64.b64decode(blob.encode("ascii")))
+            triples = pickle.loads(base64.b64decode(blob.encode("ascii")))
         except Exception as error:  # noqa: BLE001 - any unpickling failure
-            raise _BadRequest(f"undecodable {field}: {error}") from None
+            raise _BadRequest(f"undecodable cells_b64: {error}") from None
+        try:
+            cells = [GridCell(index=int(index), point=tuple(point or ()),
+                              spec=spec)
+                     for index, point, spec in triples]
+        except (TypeError, ValueError) as error:
+            raise _BadRequest(f"malformed cells payload: {error}") from None
+        return cells, str(descriptor.get("label") or "cells")
 
     def _handle_stream(self, stream: protocol.MessageStream,
                        message: Dict[str, Any]) -> None:
+        cursor = message.get("from", 0)
+        if type(cursor) is not int or cursor < 0:
+            raise _BadRequest(f"stream cursor 'from' must be a non-negative "
+                              f"integer, got {cursor!r}")
         job = self.queue.get(str(message.get("job_id")))
         if job is None:
             stream.send(protocol.error_response(
                 "stream", "unknown-job",
                 f"unknown job {message.get('job_id')!r}"))
             return
-        cursor = max(0, int(message.get("from", 0)))
         while True:
             with self.queue.cond:
                 while len(job.rows) <= cursor and not job.terminal:

@@ -2,6 +2,7 @@
 content-addressed artifact store, session stage caching and the
 ``python -m repro`` CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,8 +15,10 @@ import pytest
 
 from repro.api import (
     ArtifactStore,
+    CacheStats,
     RunSpec,
     Session,
+    SessionStats,
     SpecError,
     canonical_key,
     content_hash,
@@ -137,6 +140,24 @@ class TestArtifactStore:
         assert info.disk_bytes > 0
         assert store.clear() == 2
         assert store.info().disk_entries == 0
+
+
+# -- statistics -------------------------------------------------------------------
+
+
+class TestStats:
+    @pytest.mark.parametrize("stats_cls", [SessionStats, CacheStats])
+    def test_as_dict_and_merge_cover_every_field(self, stats_cls):
+        """``--stats`` and the serve protocol print ``as_dict()``; pool
+        workers' accounting comes back through ``merge``."""
+        names = [field.name for field in dataclasses.fields(stats_cls)]
+        values = {name: position + 1 for position, name in enumerate(names)}
+        stats = stats_cls(**values)
+        assert list(stats.as_dict()) == names
+        assert stats.as_dict() == values
+        stats.merge(stats_cls(**values))
+        assert stats.as_dict() == {name: 2 * value
+                                   for name, value in values.items()}
 
 
 # -- session caching --------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The ``repro serve`` daemon: protocol, queue, pool, server, client, CLI."""
 
 import base64
+import gc
 import io
 import json
 import os
@@ -57,12 +58,32 @@ def _client(server, **kwargs):
     return ServeClient(server.socket_path, retry_connect=10.0, **kwargs)
 
 
+def _raw_stream(server):
+    """A raw protocol stream to ``server``, past the ``hello`` handshake."""
+    sock = socket_module.socket(socket_module.AF_UNIX,
+                                socket_module.SOCK_STREAM)
+    sock.connect(str(server.socket_path))
+    stream = protocol.MessageStream(sock)
+    stream.send({"op": "hello", "protocol": protocol.PROTOCOL_VERSION})
+    assert stream.recv()["ok"] is True
+    return stream
+
+
+def _strip_resumed(rows):
+    """Row dicts keyed by index, without the ``resumed`` bookkeeping flag."""
+    return {row["index"]: {key: value for key, value in row.items()
+                           if key != "resumed"}
+            for row in rows}
+
+
 # -- protocol -----------------------------------------------------------------------
 
 
 class TestProtocol:
     def test_message_round_trip(self):
-        message = {"op": "submit", "priority": 3, "job": {"kind": "grid"}}
+        message = {"op": "submit", "resume": True,
+                   "job": {"kind": "cells", "label": "cells",
+                           "cells_b64": ""}}
         assert protocol.decode_message(protocol.encode_message(message)) \
             == message
 
@@ -100,19 +121,22 @@ class TestProtocol:
         assert response["ok"] is False
         assert response["error"]["code"] == "protocol-mismatch"
 
-    def test_handshake_rejects_protocol_1_peers(self, daemon):
+    @pytest.mark.parametrize("old_protocol", [1, 2])
+    def test_handshake_rejects_older_protocols(self, daemon, old_protocol):
         # Protocol 1 jobs reported session_stats fields this version no
-        # longer has; a peer still speaking it must fail at hello.
-        assert protocol.PROTOCOL_VERSION == 2
+        # longer has, and protocol 2 clients could ask for namespaces and
+        # priorities it no longer honours: both must fail at hello.
+        assert protocol.PROTOCOL_VERSION == 3
         sock = socket_module.socket(socket_module.AF_UNIX,
                                     socket_module.SOCK_STREAM)
         sock.connect(str(daemon.socket_path))
         stream = protocol.MessageStream(sock)
-        stream.send({"op": "hello", "protocol": 1})
+        stream.send({"op": "hello", "protocol": old_protocol,
+                     "namespace": "tenant-a"})
         response = stream.recv()
         stream.close()
         assert response["error"]["code"] == "protocol-mismatch"
-        assert response["error"]["details"] == {"server_protocol": 2}
+        assert response["error"]["details"] == {"server_protocol": 3}
 
 
 # -- job queue ----------------------------------------------------------------------
@@ -122,11 +146,9 @@ class TestJobQueue:
     def test_queue_full_submission_is_structured_rejection(self):
         queue = JobQueue(limit=2)
         for _ in range(2):
-            queue.submit(kind="cells", namespace="", priority=0,
-                         stages=[_stage()])
+            queue.submit([_stage()])
         with pytest.raises(AdmissionError) as excinfo:
-            queue.submit(kind="cells", namespace="", priority=0,
-                         stages=[_stage()])
+            queue.submit([_stage()])
         assert excinfo.value.code == "queue-full"
         assert excinfo.value.details == {"active": 2, "limit": 2}
 
@@ -134,25 +156,19 @@ class TestJobQueue:
         queue = JobQueue(limit=4)
         queue.begin_drain()
         with pytest.raises(AdmissionError) as excinfo:
-            queue.submit(kind="cells", namespace="", priority=0,
-                         stages=[_stage()])
+            queue.submit([_stage()])
         assert excinfo.value.code == "draining"
 
-    def test_priority_order_then_fifo(self):
+    def test_first_come_first_served(self):
         queue = JobQueue(limit=8)
-        low = queue.submit(kind="cells", namespace="", priority=0,
-                           stages=[_stage()])
-        high = queue.submit(kind="cells", namespace="", priority=5,
-                            stages=[_stage()])
-        low2 = queue.submit(kind="cells", namespace="", priority=0,
-                            stages=[_stage()])
+        jobs = [queue.submit([_stage()]) for _ in range(3)]
         order = [queue.next_stage()[0].id for _ in range(3)]
-        assert order == [high.id, low.id, low2.id]
+        assert order == [job.id for job in jobs]
+        assert queue.next_stage() is None
 
     def test_terminal_job_drops_late_rows(self):
         queue = JobQueue(limit=4)
-        job = queue.submit(kind="cells", namespace="", priority=0,
-                           stages=[_stage()])
+        job = queue.submit([_stage()])
         queue.next_stage()
         queue.cancel(job.id)
         queue.append_row(job, {"index": 0})
@@ -161,8 +177,7 @@ class TestJobQueue:
 
     def test_worker_death_retries_once_then_quarantines(self):
         queue = JobQueue(limit=4)
-        job = queue.submit(kind="cells", namespace="", priority=0,
-                           stages=[_stage()])
+        job = queue.submit([_stage()])
         claimed, index = queue.next_stage()
         assert claimed is job
         queue.worker_died(job, index)           # first death: re-queued
@@ -176,8 +191,7 @@ class TestJobQueue:
 
     def test_release_stage_does_not_count_an_attempt(self):
         queue = JobQueue(limit=4)
-        job = queue.submit(kind="cells", namespace="", priority=0,
-                           stages=[_stage()])
+        job = queue.submit([_stage()])
         _, index = queue.next_stage()
         queue.release_stage(job, index)
         assert job.stage_attempts[index] == 0
@@ -185,10 +199,19 @@ class TestJobQueue:
 
     def test_empty_job_is_born_done_with_prepopulated_rows(self):
         queue = JobQueue(limit=4)
-        job = queue.submit(kind="cells", namespace="", priority=0,
-                          stages=[], rows=[{"index": 0, "resumed": True}])
+        job = queue.submit([], rows=[{"index": 0, "resumed": True}])
         assert job.state is JobState.DONE
         assert job.rows == [{"index": 0, "resumed": True}]
+
+    def test_retried_stage_replay_is_delivered_once(self):
+        """A stage retried after its worker died re-emits every cell; rows
+        already delivered (or resume-served) are not appended again."""
+        queue = JobQueue(limit=4)
+        job = queue.submit([_stage()], rows=[{"index": 7}])
+        queue.append_row(job, {"index": 0})
+        queue.append_row(job, {"index": 0})
+        queue.append_row(job, {"index": 7})
+        assert job.rows == [{"index": 7}, {"index": 0}]
 
 
 # -- daemon end-to-end --------------------------------------------------------------
@@ -242,45 +265,95 @@ class TestServeEndToEnd:
         assert sorted(map(strip, rows_first), key=key) \
             == sorted(map(strip, rows_second), key=key)
 
-    def test_namespaces_isolate_row_artifacts(self, daemon):
-        grid = _mini_grid()
-        with _client(daemon, namespace="tenant-a") as tenant_a:
-            tenant_a.run_to_completion(tenant_a.submit_grid(grid))
-        with _client(daemon, namespace="tenant-b") as tenant_b:
-            response = tenant_b.submit_grid(grid, resume=True)
-        # A different namespace never resumes from tenant-a's rows...
-        assert response["resumed"] == 0
-        with _client(daemon, namespace="tenant-a") as tenant_a:
-            again = tenant_a.submit_grid(grid, resume=True)
-        # ...but the same namespace does.
-        assert again["resumed"] == len(list(grid.cells()))
-
     def test_removed_artifacts_job_kind_is_a_typed_rejection(self, daemon):
-        """Older clients (``Session(remote=...).run``) submitted bare specs
-        as an ``artifacts`` job, a kind the daemon no longer has: it must
-        answer ``bad-request`` without admitting a job and keep serving."""
+        """Older clients submitted bare specs as an ``artifacts`` job
+        (``Session(remote=...).run``) and catalog grids by name as a
+        ``grid`` job, kinds the daemon no longer has: each must answer
+        ``bad-request`` without admitting a job and keep serving."""
         spec = RunSpec(benchmark="bitcount", budget=BUDGET)
         specs_b64 = base64.b64encode(pickle.dumps([spec])).decode("ascii")
-        sock = socket_module.socket(socket_module.AF_UNIX,
-                                    socket_module.SOCK_STREAM)
-        sock.connect(str(daemon.socket_path))
-        stream = protocol.MessageStream(sock)
+        removed = {"artifacts": {"label": "artifacts",
+                                 "specs_b64": specs_b64},
+                   "grid": {"grid": "mini", "benchmarks": ["bitcount"],
+                            "budget": BUDGET}}
+        stream = _raw_stream(daemon)
         try:
-            stream.send({"op": "hello", "protocol": protocol.PROTOCOL_VERSION})
-            assert stream.recv()["ok"] is True
-            stream.send({"op": "submit", "priority": 0, "resume": False,
-                         "job": {"kind": "artifacts", "label": "artifacts",
-                                 "specs_b64": specs_b64}})
-            response = stream.recv()
+            for kind, fields in removed.items():
+                stream.send({"op": "submit", "resume": False,
+                             "job": {"kind": kind, **fields}})
+                response = stream.recv()
+                assert response["ok"] is False
+                assert response["error"]["code"] == "bad-request"
+                assert response["error"]["message"] \
+                    == f"unknown job kind {kind!r}"
             stream.send({"op": "status"})
             status = stream.recv()
         finally:
             stream.close()
-        assert response["ok"] is False
-        assert response["error"]["code"] == "bad-request"
-        assert response["error"]["message"] == "unknown job kind 'artifacts'"
         assert status["ok"] is True
         assert status["server"]["jobs"]["total"] == 0
+
+    @pytest.mark.parametrize("cursor", ["x", None, -1, True])
+    def test_malformed_stream_cursor_is_a_bad_request(self, daemon, cursor):
+        with _client(daemon) as client:
+            job_id = client.submit_cells([], label="empty")["job_id"]
+        stream = _raw_stream(daemon)
+        try:
+            stream.send({"op": "stream", "job_id": job_id, "from": cursor})
+            response = stream.recv()
+            stream.send({"op": "stream", "job_id": job_id, "from": 0})
+            end = stream.recv()
+        finally:
+            stream.close()
+        assert response["ok"] is False
+        assert response["error"]["code"] == "bad-request"
+        assert "cursor" in response["error"]["message"]
+        # The connection stays usable: a well-formed cursor streams.
+        assert end["op"] == "end" and end["state"] == "done"
+
+    def test_memory_only_daemon_runs_on_threads(self, tmp_path):
+        """``cache_dir=None`` runs on the thread pool, whose one shared
+        session is the only store every worker and the resume probe see."""
+        server = ServeServer(tmp_path / "serve.sock", cache_dir=None,
+                             workers=2)
+        server.start()
+        try:
+            assert server.pool.backend == "thread"
+            grid = _mini_grid()
+            with _client(server) as client:
+                rows, job = client.run_to_completion(
+                    client.submit_grid(grid, resume=True))
+                response = client.submit_grid(grid, resume=True)
+                again, _ = client.run_to_completion(response)
+        finally:
+            server.stop(drain=False)
+        assert job["state"] == "done"
+        serial = [row.as_dict()
+                  for row in Session(cache_dir=None).run_grid(grid, workers=0)]
+        assert _strip_resumed(rows) == _strip_resumed(serial)
+        assert response["state"] == "done"
+        assert response["resumed"] == len(serial)
+        assert all(row["resumed"] for row in again)
+        assert _strip_resumed(again) == _strip_resumed(serial)
+
+    def test_warm_jobs_do_not_accumulate_run_specs(self, daemon):
+        """Regression: the daemon used to keep every job's unpickled cells
+        (two specs per job here) for the life of the process."""
+        def live_specs():
+            gc.collect()
+            return sum(1 for obj in gc.get_objects()
+                       if isinstance(obj, RunSpec))
+
+        grid = _mini_grid()
+        with _client(daemon) as client:
+            client.run_to_completion(client.submit_grid(grid, resume=True))
+            before = live_specs()
+            for _ in range(20):
+                response = client.submit_grid(grid, resume=True)
+                assert response["resumed"] == 2
+                client.run_to_completion(response)
+            grown = live_specs() - before
+        assert grown < 20
 
     def test_unknown_job_poll_is_structured(self, daemon):
         with _client(daemon) as client:
@@ -290,8 +363,8 @@ class TestServeEndToEnd:
 
     def test_queue_full_round_trips_to_client(self, tmp_path):
         server = ServeServer(tmp_path / "serve.sock",
-                             cache_dir=tmp_path / "cache", workers=1,
-                             queue_limit=1)
+                             cache_dir=tmp_path / "cache", workers=1)
+        server.queue = JobQueue(limit=1)
         server.start()
         try:
             grid = _mini_grid(budget=20_000)
@@ -638,3 +711,16 @@ class TestServeCli:
         code = main(["jobs", "--socket", str(daemon.socket_path)])
         assert code == 0
         assert "done" in capsys.readouterr().out
+
+    def test_cli_submit_unknown_grid_fails_like_repro_grid(self, tmp_path,
+                                                           capsys):
+        """``repro submit --grid`` builds the grid locally, before it needs
+        a daemon, so an unknown name is the same usage error as in
+        ``repro grid``."""
+        from repro.api.cli import main
+        assert main(["grid", "--name", "nosuch"]) == 2
+        expected = capsys.readouterr().err
+        assert "unknown grid" in expected
+        assert main(["submit", "--grid", "nosuch", "--socket",
+                     str(tmp_path / "nope.sock")]) == 2
+        assert capsys.readouterr().err == expected
