@@ -7,7 +7,7 @@ Sub-commands:
 * ``repro grid`` — run a declarative experiment grid from the catalog
   (``--name fig6``), sharded (``--shard i/N``), resumable (``--resume``:
   cells whose terminal row artifact is already stored are served from it),
-  with streaming JSONL/CSV row output (``--output``);
+  with streaming JSONL row output (``--output``);
 * ``repro fuzz`` — differential fuzzing over seeded synthetic programs;
 * ``repro cache {info,clear,prune}`` — inspect, drop or GC the on-disk
   artifact cache (``prune`` evicts entries persisted by other
@@ -61,6 +61,21 @@ _POLICIES: Dict[str, Optional[SelectionPolicy]] = {
     "nonserial": NON_SERIAL_NON_REPLAY_POLICY,
     "baseline": None,
 }
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return count
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,13 +144,11 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--resume", action="store_true",
                       help="serve cells whose terminal row artifact is "
                            "already in the store without re-executing them")
-    grid.add_argument("--workers", type=int, default=None,
+    grid.add_argument("--workers", type=_at_least(0), default=None,
                       help="process-pool width (0/1 = serial)")
     grid.add_argument("--output", default=None, metavar="PATH",
-                      help="stream result rows to PATH as they complete")
-    grid.add_argument("--format", choices=("jsonl", "csv"), default=None,
-                      help="row output format (default: from the --output "
-                           "extension, else jsonl)")
+                      help="stream result rows to PATH as JSONL as they "
+                           "complete")
     grid.add_argument("--no-table", action="store_true",
                       help="skip rendering the grid's result tables")
 
@@ -153,8 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="dynamic-instruction budget per functional run")
     fuzz.add_argument("--input", default="reference",
                       help="input set to generate (reference or train)")
-    fuzz.add_argument("--workers", type=int, default=1,
-                      help="process-pool width (1 = serial)")
+    fuzz.add_argument("--workers", type=_at_least(0), default=1,
+                      help="process-pool width (0/1 = serial)")
     fuzz.add_argument("--no-shrink", action="store_true",
                       help="report failing seeds without dial reduction")
     fuzz.add_argument("--corpus-dir", default=None, metavar="DIR",
@@ -173,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--socket", default=None, metavar="PATH",
                        help="daemon socket (default: $REPRO_SERVE_SOCKET or "
                             "<cache-dir>/serve.sock)")
-    serve.add_argument("--workers", type=int, default=None,
+    serve.add_argument("--workers", type=_at_least(1), default=None,
                        help="warm worker count (default: min(4, cpus))")
     serve.add_argument("--backend", choices=("auto", "process", "thread"),
                        default="auto",
@@ -380,40 +393,16 @@ def _parse_shard(text: str):
 
 
 class _RowWriter:
-    """Streams grid rows to a JSONL or CSV file as they complete."""
+    """Streams grid rows to a JSONL file as they complete."""
 
-    def __init__(self, path: Optional[str], fmt: Optional[str],
-                 axis_names: Sequence[str]) -> None:
-        self._handle = None
-        self._csv = None
-        self._axis_names = list(axis_names)
-        if path is None:
-            return
-        if fmt is None:
-            fmt = "csv" if path.endswith(".csv") else "jsonl"
-        self.format = fmt
-        self._handle = open(path, "w", encoding="utf-8", newline="")
-        if fmt == "csv":
-            import csv
-            self._csv = csv.writer(self._handle)
-            self._csv.writerow(["index", *self._axis_names, *_ROW_FIELDS])
-            # Flush the header immediately: a shard whose every planned
-            # stage resolves to zero rows must still leave a parseable CSV,
-            # and a tailed campaign shows its columns before the first row.
-            self._handle.flush()
+    def __init__(self, path: Optional[str]) -> None:
+        self._handle = None if path is None \
+            else open(path, "w", encoding="utf-8")
 
     def write(self, row) -> None:
         if self._handle is None:
             return
-        data = row.as_dict()
-        if self._csv is not None:
-            point = data["point"]
-            self._csv.writerow(
-                [data["index"],
-                 *[point.get(name) for name in self._axis_names],
-                 *[data[field] for field in _ROW_FIELDS]])
-        else:
-            self._handle.write(json.dumps(data, sort_keys=True) + "\n")
+        self._handle.write(json.dumps(row.as_dict(), sort_keys=True) + "\n")
         # Flush per row: a campaign killed mid-flight keeps every completed
         # cell, which is exactly what --resume restarts from.
         self._handle.flush()
@@ -422,13 +411,6 @@ class _RowWriter:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-#: Flat row fields streamed to CSV, in column order (JSONL carries them all).
-_ROW_FIELDS = ("spec_hash", "benchmark", "input", "budget", "machine",
-               "machine_hash", "baseline_machine", "coverage", "baseline_ipc",
-               "ipc", "speedup", "cycles", "baseline_cycles", "templates",
-               "resumed")
 
 
 def _catalog_grid(name: str, args: argparse.Namespace):
@@ -467,8 +449,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         plan = plan.take_shard(*_parse_shard(args.shard))
 
     session = Session(cache_dir=_cache_dir(args))
-    writer = _RowWriter(args.output, args.format,
-                        [axis.name for axis in grid.axes])
+    writer = _RowWriter(args.output)
     rows = []
     start = time.perf_counter()
     try:
@@ -495,7 +476,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
              f"cache         : {cache.hits}/{cache.lookups} hits "
              f"({cache.hit_rate * 100:.0f}%)"]
     if args.output is not None:
-        lines.append(f"rows          : {args.output} ({writer.format})")
+        lines.append(f"rows          : {args.output} (jsonl)")
     text = "\n".join(lines)
 
     tables = []

@@ -6,16 +6,13 @@ from stage name, spec material and package version, so a bump of
 are arbitrary picklable stage artifacts (programs, profiles, traces, MGTs,
 timing statistics).
 
-Disk entries carry one of two codecs, distinguished by their leading bytes:
-
-* **trace** — a bare :class:`~repro.sim.trace.Trace` value is written with
-  the versioned binary trace codec (:func:`repro.sim.trace.encode_trace`:
-  header + raw column bytes) and loaded back without unpickling an object
-  graph.  An entry written by an *unknown* codec version is treated as a
-  cache miss — never an error — and left on disk for the build that wrote it.
-* **pickle** — everything else.  Artifacts that *contain* a trace (e.g. the
-  profile stage's trace+profile pair) still serialize its columns as one
-  flat binary blob via ``Trace.__reduce__``.
+Every disk entry is a pickle.  A :class:`~repro.sim.trace.Trace` — bare (the
+``trace`` stage) or embedded (the profile stage's trace+profile pair) —
+pickles as one versioned binary codec blob through ``Trace.__reduce__``
+(:func:`repro.sim.trace.encode_trace`: header + raw column bytes), never as
+an object per entry.  A blob written by an *unknown* codec version makes the
+entry a cache miss — never an error — and the entry is left on disk for the
+build that wrote it; any other unreadable entry is a miss and is deleted.
 
 A value that cannot be serialized is kept in the memory layer and the disk
 write is skipped (the temp file is cleaned up); the cache is an optimization
@@ -36,15 +33,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None  # type: ignore[assignment]
 
-from ..sim.trace import (
-    TRACE_MAGIC,
-    Trace,
-    TraceCodecError,
-    UnknownTraceCodecVersion,
-    decode_trace,
-    encode_trace,
-    is_trace_blob,
-)
+from ..sim.trace import UnknownTraceCodecVersion
 
 #: Sentinel distinguishing "not cached" from a cached ``None``.
 MISS = object()
@@ -180,31 +169,18 @@ class ArtifactStore:
 
     @staticmethod
     def _load_disk_entry(path: Path) -> Any:
-        """Decode one disk entry, sniffing the codec from its leading bytes."""
+        """Unpickle one disk entry, or :data:`MISS`."""
         try:
+            # Stream from the handle: no whole-file copy next to the
+            # deserialized object.
             with path.open("rb") as handle:
-                head = handle.read(len(TRACE_MAGIC))
-                if is_trace_blob(head):
-                    try:
-                        return decode_trace(head + handle.read())
-                    except UnknownTraceCodecVersion:
-                        # Another build's codec: a miss for us, but leave the
-                        # entry for the writer (keys are version-hashed, so
-                        # collisions are corruption, not contention).
-                        return MISS
-                    except TraceCodecError:
-                        path.unlink(missing_ok=True)
-                        return MISS
-                # Pickle entries stream from the handle (no whole-file copy
-                # next to the deserialized object).
-                handle.seek(0)
                 return pickle.load(handle)
         except OSError:
             return MISS
         except UnknownTraceCodecVersion:
-            # A pickle entry embedding a foreign-version trace blob (via
-            # Trace.__reduce__): same policy as a bare trace — miss, leave
-            # the entry for the build that wrote it.
+            # A trace blob from another build's codec: a miss for us, but
+            # leave the entry for the writer (keys are version-hashed, so
+            # collisions are corruption, not contention).
             return MISS
         except Exception:
             # A truncated or unreadable entry is just a miss.
@@ -235,12 +211,7 @@ class ArtifactStore:
             return
         try:
             with os.fdopen(fd, "wb") as handle:
-                if isinstance(value, Trace):
-                    # Bare traces take the binary codec: header + raw column
-                    # bytes, loaded back without unpickling an object graph.
-                    handle.write(encode_trace(value))
-                else:
-                    pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp_name, path)
         except BaseException as error:
             try:

@@ -78,6 +78,8 @@ class JobRecord:
     rows: List[Dict[str, Any]] = field(default_factory=list)
     #: Cell indices already in ``rows`` (drops a retried stage's replay).
     delivered: Set[int] = field(default_factory=set, init=False)
+    #: Cells served from the store at submit: the rows the job starts with.
+    resumed: int = field(default=0, init=False)
     stage_state: List[str] = field(default_factory=list)
     stage_attempts: List[int] = field(default_factory=list)
     #: Worker accounting folded in per completed stage.
@@ -89,6 +91,7 @@ class JobRecord:
 
     def __post_init__(self) -> None:
         self.delivered.update(row["index"] for row in self.rows)
+        self.resumed = len(self.rows)
         if not self.stage_state:
             self.stage_state = [_PENDING] * len(self.stages)
         if not self.stage_attempts:
@@ -100,7 +103,7 @@ class JobRecord:
 
     @property
     def cell_count(self) -> int:
-        return sum(len(stage) for stage in self.stages)
+        return self.resumed + sum(len(stage) for stage in self.stages)
 
     @property
     def cache_hit_rate(self) -> float:

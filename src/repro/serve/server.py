@@ -69,6 +69,9 @@ class ServeServer:
             else protocol.default_socket_path()
         self.cache_dir = None if cache_dir is None else str(cache_dir)
         self.version = version if version is not None else __version__
+        if workers is not None and workers < 1:
+            raise ValueError(f"a daemon needs at least one worker, "
+                             f"got workers={workers}")
         self.workers = workers if workers is not None \
             else min(4, os.cpu_count() or 1)
         self.backend = backend

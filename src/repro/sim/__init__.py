@@ -7,7 +7,7 @@ from .functional import (
     run_program,
 )
 from .memory import Memory, MemoryError_
-from .trace import Trace, TraceEntry, decode_trace, encode_trace
+from .trace import Trace, decode_trace, encode_trace
 
 __all__ = [
     "FunctionalResult",
@@ -17,7 +17,6 @@ __all__ = [
     "Memory",
     "MemoryError_",
     "Trace",
-    "TraceEntry",
     "decode_trace",
     "encode_trace",
 ]

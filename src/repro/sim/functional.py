@@ -14,12 +14,12 @@ mini-graph microarchitecture treats them as transient.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..isa.instruction import INSTRUCTION_BYTES, Instruction
 from ..isa.opcodes import OpClass
-from ..isa.registers import NUM_ARCH_REGS, NUM_INT_REGS, is_zero_reg
+from ..isa.registers import NUM_ARCH_REGS, is_zero_reg
 from ..minigraph.mgt import MiniGraphTable
 from ..minigraph.templates import OperandKind, OperandRef
 from ..program.basic_block import BlockIndex
@@ -63,7 +63,7 @@ class FunctionalResult:
         registers: final architectural register values.
         memory: final memory image.
         profile: basic-block frequency profile of the run.
-        trace: committed-order dynamic trace (None if tracing was disabled).
+        trace: committed-order dynamic trace.
     """
 
     program_name: str
@@ -73,7 +73,7 @@ class FunctionalResult:
     registers: List[int]
     memory: Memory
     profile: BlockProfile
-    trace: Optional[Trace]
+    trace: Trace
 
     def register(self, reg: int) -> int:
         """Final value of architectural register ``reg``."""
@@ -367,7 +367,6 @@ class FunctionalSimulator:
     # -- execution -------------------------------------------------------------
 
     def run(self, *, max_instructions: int = 200_000,
-            collect_trace: bool = True,
             input_name: str = "reference") -> FunctionalResult:
         """Execute the program until ``halt`` or the instruction budget expires.
 
@@ -382,15 +381,8 @@ class FunctionalSimulator:
         # branch outcomes, jumps, calls, halt) are interned in the plan, so
         # committing one is a single list append of a shared tuple; dynamic
         # rows (loads, stores, indirect jumps, handles) are plain tuples.
-        # Trace-free runs keep only the index column (the profile input), not
-        # the rows themselves.
         rows: List[Tuple[int, int, int, int, int, int, int]] = []
-        if collect_trace:
-            rows_append = rows.append
-        else:
-            indices: List[int] = []
-            indices_append = indices.append
-            rows_append = lambda row: indices_append(row[1])  # noqa: E731
+        rows_append = rows.append
 
         plan = self._plan
         steps = plan.steps
@@ -499,21 +491,14 @@ class FunctionalSimulator:
 
         # One C-level transpose turns the committed rows into the packed
         # columns; the block profile falls out of the index column.
-        trace: Optional[Trace] = None
-        if collect_trace:
-            columns = tuple(zip(*rows)) if rows else ((),) * 7
-            index_column: Sequence[int] = columns[1]
-            trace = Trace.from_columns(*columns)
-            committed = len(rows)
-        else:
-            index_column = indices
-            committed = len(indices)
-        profile = self._profile_from_index_column(index_column, executed,
+        columns = tuple(zip(*rows)) if rows else ((),) * 7
+        trace = Trace.from_columns(*columns)
+        profile = self._profile_from_index_column(columns[1], executed,
                                                   input_name)
         return FunctionalResult(
             program_name=program.name,
             instructions_executed=executed,
-            entries_committed=committed,
+            entries_committed=len(rows),
             halted=halted,
             registers=registers,
             memory=memory,
@@ -634,10 +619,10 @@ class FunctionalSimulator:
 
 
 def run_program(program: Program, *, mgt: Optional[MiniGraphTable] = None,
-                max_instructions: int = 200_000, collect_trace: bool = True,
+                max_instructions: int = 200_000,
                 input_name: str = "reference") -> FunctionalResult:
     """Convenience wrapper: build a simulator and run it once."""
     simulator = FunctionalSimulator(program, mgt=mgt)
     return simulator.run(max_instructions=max_instructions,
-                         collect_trace=collect_trace, input_name=input_name)
+                         input_name=input_name)
 

@@ -7,21 +7,19 @@ data dependent — control outcome, next PC and effective address.  The timing
 model re-derives everything else (operands, opcode class, latency) from the
 static program and the MGT.
 
-Storage is *columnar*: a :class:`Trace` holds seven fixed-width stdlib
-:class:`array.array` columns (pc, index, size, next_pc, flags bitfield,
-effective_address, mgid) instead of one object per committed instruction.  A
-200k-instruction run therefore allocates a handful of buffers rather than
-200k records, batch consumers (the timing pipeline's fetch stage, the decode
-trace feed, profile construction) read the columns directly at C speed, and
-the whole trace serializes as raw column bytes (:func:`encode_trace`) without
-pickling an object graph.  :class:`TraceEntry` remains the one-record view:
-``trace[i]`` / ``iter(trace)`` materialize entries on demand, so existing
-object-at-a-time callers keep working unchanged.
+A :class:`Trace` *is* its seven fixed-width stdlib :class:`array.array`
+columns (pc, index, size, next_pc, flags bitfield, effective_address, mgid):
+there is no per-record object.  A 200k-instruction run therefore allocates a
+handful of buffers rather than 200k records, every consumer (the timing
+kernel, the reference pipeline's fetch stage, profile construction) reads the
+columns directly at C speed, and the whole trace serializes as raw column
+bytes (:func:`encode_trace`) — also when it is pickled, through
+``Trace.__reduce__``.
 
 Optional fields are packed with explicit presence bits in the flags column
-(:data:`TF_TAKEN_KNOWN`, :data:`TF_HAS_EA`, :data:`TF_HAS_MGID`), so ``taken
-= None`` / ``effective_address = None`` / ``mgid = None`` survive the packed
-representation exactly.
+(:data:`TF_TAKEN_KNOWN`, :data:`TF_HAS_EA`, :data:`TF_HAS_MGID`), so an
+unknown branch outcome, a missing effective address and a singleton's absent
+MGID survive the packed representation exactly.
 """
 
 from __future__ import annotations
@@ -31,8 +29,7 @@ import sys
 import zlib
 from array import array
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple
 
 # ---------------------------------------------------------------------------
 # Flags bitfield (one byte per entry in the flags column).
@@ -69,64 +66,6 @@ def pack_flags(is_control: bool, taken: Optional[bool], is_load: bool,
     return flags
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEntry:
-    """One committed instruction (or mini-graph handle) in dynamic order.
-
-    Attributes:
-        pc: program counter of the instruction / handle.
-        index: layout index within the program.
-        size: number of original program instructions this entry represents
-            (1 for singletons, the mini-graph size for handles).
-        next_pc: PC of the next committed entry (follow-through or target).
-        is_control: whether the entry ends with a control transfer.
-        taken: branch outcome (None for non-control entries).
-        is_load / is_store: whether the entry contains a memory operation.
-        effective_address: address of the memory operation, if any.
-        mgid: MGID for handles, None for singletons.
-    """
-
-    pc: int
-    index: int
-    size: int
-    next_pc: int
-    is_control: bool = False
-    taken: Optional[bool] = None
-    is_load: bool = False
-    is_store: bool = False
-    effective_address: Optional[int] = None
-    mgid: Optional[int] = None
-
-    @property
-    def is_handle(self) -> bool:
-        return self.mgid is not None
-
-    def packed_row(self) -> Tuple[int, int, int, int, int, int, int]:
-        """This entry as one row of column values (see :meth:`Trace.append`)."""
-        return (
-            self.pc, self.index, self.size, self.next_pc,
-            pack_flags(self.is_control, self.taken, self.is_load,
-                       self.is_store, self.effective_address is not None,
-                       self.mgid is not None),
-            self.effective_address if self.effective_address is not None else 0,
-            self.mgid if self.mgid is not None else -1,
-        )
-
-
-def entry_from_row(pc: int, index: int, size: int, next_pc: int, flags: int,
-                   effective_address: int, mgid: int) -> TraceEntry:
-    """Materialize a :class:`TraceEntry` from one row of column values."""
-    return TraceEntry(
-        pc=pc, index=index, size=size, next_pc=next_pc,
-        is_control=bool(flags & TF_CONTROL),
-        taken=bool(flags & TF_TAKEN) if flags & TF_TAKEN_KNOWN else None,
-        is_load=bool(flags & TF_LOAD),
-        is_store=bool(flags & TF_STORE),
-        effective_address=effective_address if flags & TF_HAS_EA else None,
-        mgid=mgid if flags & TF_HAS_MGID else None,
-    )
-
-
 class TraceColumns(NamedTuple):
     """Zero-copy view of a trace's seven columns (batch consumers)."""
 
@@ -158,37 +97,22 @@ class _Summary(NamedTuple):
     """One-pass aggregate statistics over the columns (cached per trace)."""
 
     original_instructions: int
-    handles: int
     absorbed: int
     loads: int
     stores: int
 
 
 class Trace:
-    """A committed-order dynamic trace with summary statistics.
+    """A committed-order dynamic trace: seven packed columns plus cached
+    summary statistics.
 
-    The packed columns are the storage; entries are materialized lazily by
-    ``__getitem__`` / ``__iter__``.  Summary statistics are computed once
-    from the columns and cached; :meth:`append` invalidates the cache.
+    Built by :meth:`from_columns` (the functional simulator) or
+    :func:`decode_trace` (the codec); read through :meth:`columns`.  A trace
+    is immutable once built, so its summary is computed once and cached.
     """
 
     __slots__ = ("_pc", "_index", "_size", "_next_pc", "_flags",
                  "_effective_address", "_mgid", "_summary", "__weakref__")
-
-    def __init__(self, entries: Optional[List[TraceEntry]] = None) -> None:
-        self._pc = array("Q")
-        self._index = array("I")
-        self._size = array("H")
-        self._next_pc = array("Q")
-        self._flags = array("B")
-        self._effective_address = array("Q")
-        self._mgid = array("i")
-        self._summary: Optional[_Summary] = None
-        if entries:
-            for entry in entries:
-                self.append(entry)
-
-    # -- construction ----------------------------------------------------------
 
     @classmethod
     def from_columns(cls, pc, index, size, next_pc, flags, effective_address,
@@ -212,42 +136,8 @@ class Trace:
             raise ValueError(f"ragged trace columns: lengths {sorted(lengths)}")
         return trace
 
-    def append(self, entry: TraceEntry) -> None:
-        """Append one entry (packs it into the columns; invalidates stats)."""
-        (pc, index, size, next_pc, flags, effective_address,
-         mgid) = entry.packed_row()
-        self._pc.append(pc)
-        self._index.append(index)
-        self._size.append(size)
-        self._next_pc.append(next_pc)
-        self._flags.append(flags)
-        self._effective_address.append(effective_address)
-        self._mgid.append(mgid)
-        self._summary = None
-
-    # -- sequence protocol -----------------------------------------------------
-
     def __len__(self) -> int:
         return len(self._index)
-
-    def __iter__(self) -> Iterator[TraceEntry]:
-        return map(entry_from_row, self._pc, self._index, self._size,
-                   self._next_pc, self._flags, self._effective_address,
-                   self._mgid)
-
-    def __getitem__(self, position: Union[int, slice]
-                    ) -> Union[TraceEntry, List[TraceEntry]]:
-        if isinstance(position, slice):
-            return [entry_from_row(*row) for row in
-                    zip(self._pc[position], self._index[position],
-                        self._size[position], self._next_pc[position],
-                        self._flags[position],
-                        self._effective_address[position],
-                        self._mgid[position])]
-        return entry_from_row(
-            self._pc[position], self._index[position], self._size[position],
-            self._next_pc[position], self._flags[position],
-            self._effective_address[position], self._mgid[position])
 
     def columns(self) -> TraceColumns:
         """The seven packed columns (zero-copy; do not mutate)."""
@@ -279,21 +169,13 @@ class Trace:
                                if flags & TF_HAS_MGID)
             else:
                 absorbed = 0
-            summary = _Summary(original, handles, absorbed, loads, stores)
+            summary = _Summary(original, absorbed, loads, stores)
             self._summary = summary
         return summary
 
     def original_instruction_count(self) -> int:
         """Number of original program instructions represented by the trace."""
         return self._summarize().original_instructions
-
-    def pipeline_slot_count(self) -> int:
-        """Number of pipeline slots consumed (handles count once)."""
-        return len(self._index)
-
-    def handle_count(self) -> int:
-        """Number of dynamic handle executions."""
-        return self._summarize().handles
 
     def dynamic_coverage(self) -> float:
         """Fraction of original instructions absorbed into handles."""
@@ -311,9 +193,8 @@ class Trace:
     # -- serialization ---------------------------------------------------------
 
     def __reduce__(self):
-        # Pickling (the artifact store's object-graph path, and every
-        # process-pool transfer) ships the packed columns as one flat binary
-        # blob instead of an object per entry.
+        # Pickling (every artifact store disk entry, and every process-pool
+        # transfer) ships the packed columns as one codec blob.
         return (decode_trace, (encode_trace(self),))
 
 
@@ -381,11 +262,6 @@ def encode_trace(trace: Trace, *, compress: bool = True) -> bytes:
     header = _HEADER.pack(TRACE_MAGIC, TRACE_CODEC_VERSION, compression, 0,
                           len(trace), len(payload))
     return header + payload
-
-
-def is_trace_blob(data: bytes) -> bool:
-    """Does ``data`` start with the binary trace magic?"""
-    return data[:len(TRACE_MAGIC)] == TRACE_MAGIC
 
 
 def decode_trace(data: bytes) -> Trace:

@@ -12,16 +12,17 @@ pipeline reads with plain attribute loads.  Decode tables are cached per
 ``(program, mgt)`` pair in process-wide weak maps, so every simulation of the
 same program — across machine configurations, across
 :class:`~repro.api.session.Session` stages, and across the cells of one
-grid stage (:mod:`repro.grid.planner`) — shares one decode pass.  The same
-cache also interns the *trace feed*: the per-trace list of ``DecodedOp``
-references the fetch stage consumes in one batched lookup instead of
-re-dispatching ``program.at(pc)`` one entry at a time.
+grid stage (:mod:`repro.grid.planner`) — shares one decode pass.  A table
+keeps nothing per trace: the compiled kernel reads one row per distinct
+static op, and only the reference
+:class:`~repro.uarch.pipeline.TimingSimulator` gathers a per-entry
+:meth:`DecodeTable.trace_feed`.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..isa.instruction import Instruction
 from ..isa.opcodes import OpClass
@@ -133,9 +134,6 @@ class DecodeTable:
         self._instructions = program.instructions
         self._mgt = mgt
         self._ops: List[Optional[DecodedOp]] = [None] * len(program.instructions)
-        # Trace feeds interned per trace (weakly, so traces can be collected).
-        self._feeds: "weakref.WeakKeyDictionary[Trace, List[DecodedOp]]" = \
-            weakref.WeakKeyDictionary()
 
     def op_at(self, index: int) -> DecodedOp:
         """The interned decode record for the instruction at ``index``."""
@@ -155,23 +153,15 @@ class DecodeTable:
     def trace_feed(self, trace: Trace) -> List[DecodedOp]:
         """Decode records for every trace entry, in trace order.
 
-        The feed is computed once per trace and shared by every simulator
-        replaying it (e.g. one trace timed on many machine configurations).
-        It is built straight from the trace's packed index column: one decode
-        per *unique* static index, then a C-level gather over the column —
-        no per-entry materialization.
+        One decode per *unique* static index, then a C-level gather over the
+        trace's packed index column.
         """
-        feed = self._feeds.get(trace)
-        if feed is None:
-            index_column = trace.columns().index
-            ops = self._ops
-            op_at = self.op_at
-            for index in set(index_column):
-                if ops[index] is None:
-                    op_at(index)
-            feed = list(map(ops.__getitem__, index_column))
-            self._feeds[trace] = feed
-        return feed
+        index_column = trace.columns().index
+        ops = self._ops
+        for index in set(index_column):
+            if ops[index] is None:
+                self.op_at(index)
+        return list(map(ops.__getitem__, index_column))
 
 
 class _NoMgt:

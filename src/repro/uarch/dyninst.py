@@ -14,8 +14,8 @@ dataclass were a measurable share of simulation time.  Static facts
 (operands, opcode class, latency, MGT header) live on the shared decode
 record; the trace row's dynamic facts are copied in as plain scalars (``pc``,
 ``size``, ``next_pc``, the :mod:`repro.sim.trace` flags byte and the
-normalized effective address) straight from the columnar trace, so fetching
-never materializes a :class:`~repro.sim.trace.TraceEntry`; only genuinely
+normalized effective address) straight from the trace's columns by the fetch
+stage, the only place a :class:`DynInst` is built; only genuinely
 per-instance state lives here.
 """
 
@@ -25,16 +25,7 @@ from typing import Optional, Tuple
 
 from ..isa.instruction import Instruction
 from ..minigraph.mgt import MgtEntry
-from ..sim.trace import (
-    TF_CONTROL,
-    TF_HAS_MGID,
-    TF_LOAD,
-    TF_MEMORY,
-    TF_STORE,
-    TraceEntry,
-    entry_from_row,
-    pack_flags,
-)
+from ..sim.trace import TF_CONTROL, TF_LOAD, TF_MEMORY, TF_STORE
 from .decode import DecodedOp
 
 #: Sentinel cycle value meaning "has not happened yet".
@@ -101,30 +92,6 @@ class DynInst:
         self.pending_sources = 0
         self.wake_cycle = NEVER
 
-    @classmethod
-    def from_entry(cls, sequence: int, entry: TraceEntry,
-                   decoded: DecodedOp) -> "DynInst":
-        """Build an instance from a materialized :class:`TraceEntry`."""
-        return cls(sequence, decoded, entry.pc, entry.size, entry.next_pc,
-                   pack_flags(entry.is_control, entry.taken, entry.is_load,
-                              entry.is_store,
-                              entry.effective_address is not None,
-                              entry.mgid is not None),
-                   entry.effective_address)
-
-    @classmethod
-    def from_static(cls, sequence: int, trace: TraceEntry, static: Instruction,
-                    mgt_entry: Optional[MgtEntry] = None,
-                    index: Optional[int] = None) -> "DynInst":
-        """Build a standalone instance (tests, debugging) without a table.
-
-        ``index`` defaults to the trace entry's own layout index so that the
-        ``trace`` property round-trips the entry it was built from.
-        """
-        if index is None:
-            index = trace.index
-        return cls.from_entry(sequence, trace, DecodedOp(index, static, mgt_entry))
-
     # -- static views (delegate to the interned decode record) ---------------------
 
     @property
@@ -158,15 +125,6 @@ class DynInst:
         return self.decoded.static.source_registers()
 
     # -- dynamic views (from the packed trace-row scalars) -------------------------
-
-    @property
-    def trace(self) -> TraceEntry:
-        """The trace entry this entity was fetched from (materialized lazily)."""
-        effective_address = self.effective_address
-        mgid = self.decoded.static.mgid if self.flags & TF_HAS_MGID else -1
-        return entry_from_row(
-            self.pc, self.decoded.index, self.size, self.next_pc, self.flags,
-            effective_address if effective_address is not None else 0, mgid)
 
     @property
     def is_load(self) -> bool:

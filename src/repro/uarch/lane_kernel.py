@@ -13,7 +13,9 @@ through :mod:`ctypes`:
   when that directory is not writable the library is built into a
   per-process temporary directory instead;
 * :func:`trace_facts` interns, once per (program, trace, MGT, layout), the
-  decode feed and, on the first kernel call, the kernel's typed buffers;
+  facts read from the decode table's distinct static ops (entry count, FP
+  presence, decode errors) and, on the first kernel call, the kernel's typed
+  buffers;
   :func:`simulate` runs one machine over them and rebuilds the reference
   path's exact :class:`~repro.uarch.pipeline.TimingError` text from the
   kernel's error code;
@@ -236,10 +238,12 @@ class TraceFacts:
     """What every machine timed over one (program, trace, MGT, layout) shares.
 
     Holds the trace's columns, never the trace itself, so interning facts
-    does not keep a trace (or its packed kernel buffers) alive.
+    does not keep a trace (or its packed kernel buffers) alive.  Everything
+    else is read from the decode table's distinct static ops; no per-entry
+    list is built.
     """
 
-    __slots__ = ("program", "columns", "mgt", "compressed", "feed", "total",
+    __slots__ = ("program", "columns", "mgt", "compressed", "total",
                  "has_fp", "kernel_trace")
 
     def __init__(self, program: Program, trace: Trace,
@@ -248,13 +252,14 @@ class TraceFacts:
         self.columns = trace.columns()
         self.mgt = mgt
         self.compressed = compressed
+        self.total = len(trace)
+        table = decode_table(program, mgt)
         try:
-            self.feed = decode_table(program, mgt).trace_feed(trace)
+            ops = [table.op_at(index) for index in set(self.columns.index)]
         except DecodeError as error:
             raise TimingError(str(error)) from None
-        self.total = len(self.feed)
         #: Feeds the ``fp_units=0`` admission check.
-        self.has_fp = any(op.kind == KIND_FP for op in set(self.feed))
+        self.has_fp = any(op.kind == KIND_FP for op in ops)
         #: The kernel's packed view, built on the first :func:`simulate`.
         self.kernel_trace: Optional[Tuple[Any, ...]] = None
 
@@ -384,7 +389,9 @@ def simulate(facts: TraceFacts, config: MachineConfig,
     if code == LANE_NEEDS_SLIDING_WINDOW:
         raise sliding_window_error(config)
     if code == LANE_UNISSUABLE:
-        raise unissuable_error(facts.feed[entry_index].op)
+        index = facts.columns.index[entry_index]
+        raise unissuable_error(
+            decode_table(facts.program, facts.mgt).op_at(index).op)
     if code == LANE_NO_MEMORY:
         raise MemoryError(f"{facts.program.name}: timing kernel state for "
                           f"{config.name!r} does not fit in memory")

@@ -191,11 +191,10 @@ class TimingSimulator:
         self._funits = FunctionalUnitPool(config)
         self._layout = FetchLayout(program, compressed=compressed_layout)
 
-        # Interned decode metadata and the batched trace feed: one DecodedOp
-        # per trace entry, shared with every other simulation of this program.
-        self._decode = decode_table(program, mgt)
+        # Interned decode metadata, gathered into this run's trace feed: one
+        # DecodedOp reference per trace entry.
         try:
-            self._feed = self._decode.trace_feed(trace)
+            self._feed = decode_table(program, mgt).trace_feed(trace)
         except DecodeError as error:
             raise TimingError(str(error)) from None
         # Admission check: an FP instruction on a machine with no FP units
@@ -206,8 +205,7 @@ class TimingSimulator:
         if config.fp_units == 0 and any(op.kind == KIND_FP
                                         for op in self._feed):
             raise fp_admission_error(config, program)
-        # The packed trace columns, read directly by the fetch stage — no
-        # per-entry record is ever materialized on the replay path.
+        # The packed trace columns, read directly by the fetch stage.
         columns = trace.columns()
         self._pc_col = columns.pc
         self._index_col = columns.index
@@ -728,8 +726,7 @@ class TimingSimulator:
         size_col = self._size_col
         next_pc_col = self._next_pc_col
         ea_col = self._ea_col
-        # Each slot is read straight out of the packed columns; no trace
-        # record is materialized.
+        # Each slot is read straight out of the packed columns.
         while fetched < width and index < total:
             flags = flags_col[index]
             pc = pc_col[index]

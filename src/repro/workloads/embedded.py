@@ -353,8 +353,8 @@ def _crc(input_name: str) -> str:
 #
 # Both kernels run an order of magnitude more iterations than the rest of the
 # suite, so a full run commits tens of thousands of trace entries — they
-# exist to exercise the columnar trace pipeline (packed trace storage, batch
-# feeds, binary trace artifacts) at realistic volume.  listchase is
+# exist to exercise the columnar trace pipeline (packed trace columns, the
+# timing kernel, binary trace artifacts) at realistic volume.  listchase is
 # latency-bound pointer chasing (health/patricia-style linked structures);
 # fnvmix is a serial FNV-style multiply-xor recurrence, prime mini-graph
 # material with one load per round.

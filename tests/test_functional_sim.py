@@ -5,6 +5,13 @@ import pytest
 from repro.program import Program
 from repro.sim import Memory, MemoryError_, run_program
 from repro.sim.functional import SimulationError
+from repro.sim.trace import (
+    TF_CONTROL,
+    TF_HAS_EA,
+    TF_LOAD,
+    TF_TAKEN,
+    TF_TAKEN_KNOWN,
+)
 
 
 class TestMemory:
@@ -151,11 +158,13 @@ class TestFunctionalExecution:
         skip:
           halt
         """)
-        entries = list(result.trace)
-        load_entry = next(entry for entry in entries if entry.is_load)
-        assert load_entry.effective_address is not None
-        branch_entry = next(entry for entry in entries if entry.is_control)
-        assert branch_entry.taken is False
+        flags = result.trace.columns().flags
+        load = next(row for row, bits in enumerate(flags) if bits & TF_LOAD)
+        assert flags[load] & TF_HAS_EA
+        branch = next(row for row, bits in enumerate(flags)
+                      if bits & TF_CONTROL)
+        # Not taken: the outcome is known, and it is false.
+        assert flags[branch] & (TF_TAKEN_KNOWN | TF_TAKEN) == TF_TAKEN_KNOWN
 
     def test_nops_are_skipped_silently(self):
         result = _run("nop\nnop\nldi r1, 3\nhalt\n")

@@ -300,21 +300,6 @@ class TestCli:
         assert second["executed"] == 0
         assert second["resumed"] == second["cells"] == 4
 
-    def test_grid_csv_output(self, tmp_path, capsys):
-        import csv
-        from repro.api.cli import main
-        output = str(tmp_path / "rows.csv")
-        assert main(["--no-disk-cache", "grid", "--name", "mini",
-                     "--budget", str(BUDGET), "--workers", "0",
-                     "--benchmarks", "bitcount",
-                     "--output", output, "--no-table"]) == 0
-        capsys.readouterr()
-        with open(output, encoding="utf-8", newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == 2
-        assert rows[0]["benchmark"] == "bitcount"
-        assert rows[0]["policy"] == "int-mem"
-
     def test_grid_shard_runs_subset(self, tmp_path, capsys):
         from repro.api.cli import main
         assert main(["--cache-dir", str(tmp_path), "--json", "grid",

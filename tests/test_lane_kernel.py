@@ -7,9 +7,10 @@ the kernel gives the reference's stats and errors on every catalog machine,
 that the watchdog reports exactly the reference error from both of the
 kernel's loop exits, that both fallbacks give the same results, that the
 compiled kernel really is the one used wherever a compiler exists (so a CI
-run cannot go green on the slow path), that interning a trace's facts does
-not keep the trace alive, and that concurrent first builds and an
-unwritable cache still load a complete library.
+run cannot go green on the slow path) and never gathers a per-entry decode
+feed, that interning a trace's facts does not keep the trace alive, and
+that concurrent first builds and an unwritable cache still load a complete
+library.
 """
 
 import dataclasses
@@ -35,6 +36,7 @@ from repro.sim.functional import run_program
 from repro.uarch import lane_kernel, pipeline
 from repro.uarch.catalog import machine_config, machine_names
 from repro.uarch.config import ConfigError, baseline_config
+from repro.uarch.decode import DecodeTable
 from repro.uarch.pipeline import TimingError, TimingSimulator, simulate_program
 from repro.uarch.stats import PipelineStats
 from repro.workloads import load_benchmark
@@ -121,6 +123,15 @@ class TestReferenceEquivalence:
         assert _kernel(program, trace, bad) == expected
         assert _kernel(program, trace, good) == _reference(program, trace,
                                                            good)
+
+    def test_handle_trace_without_an_mgt_is_a_timing_error(self, crc_run):
+        program, trace, _ = crc_run
+        assert trace.dynamic_coverage() > 0
+        expected = ("TimingError",
+                    "trace contains handles but no MGT was supplied")
+        config = baseline_config()
+        assert _reference(program, trace, config) == expected
+        assert _kernel(program, trace, config) == expected
 
     def test_one_entry_trace(self):
         program = load_benchmark("bitcount", "reference")
@@ -243,6 +254,21 @@ class TestCompiledKernelIsUsed:
         Session().run(RunSpec(benchmark="crc", budget=BUDGET))
         grid = get_grid("fig8").build(benchmarks=["fnvmix"], budget=1_000)
         assert list(Session().run_grid(grid, workers=0))
+
+    def test_kernel_path_gathers_no_trace_feed(self, monkeypatch):
+        # The kernel reads one row per distinct static op; only the
+        # reference simulator gathers a decode record per trace entry.
+        def forbidden(table, trace):
+            raise AssertionError("simulate_program gathered a trace feed")
+
+        monkeypatch.setattr(DecodeTable, "trace_feed", forbidden)
+        session, spec = Session(), RunSpec(benchmark="crc", budget=BUDGET)
+        simulate_program(session.program(spec), session.baseline_trace(spec),
+                         baseline_config())
+        trace = session.minigraph_trace(spec)
+        assert trace.dynamic_coverage() > 0
+        simulate_program(session.rewritten(spec), trace,
+                         spec.resolved_machine, mgt=session.mgt(spec))
 
     def test_broken_invariant_is_a_timing_error(self, bitcount):
         # A packed view whose static-op table is empty: every entry's

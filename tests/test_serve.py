@@ -250,6 +250,17 @@ class TestServeEndToEnd:
         assert all(row["resumed"] for row in rows)
         assert job["session_stats"] == {}        # zero simulations
 
+    def test_fully_resumed_job_counts_its_cells(self, daemon):
+        """``poll`` counts resume-served cells, so a warm resubmit reads
+        as many cells as rows."""
+        grid = _mini_grid()
+        with _client(daemon) as client:
+            client.run_to_completion(client.submit_grid(grid, resume=True))
+            response = client.submit_grid(grid, resume=True)
+            job = client.poll(response["job_id"])
+        assert response["cells"] == response["resumed"] == 2
+        assert job["cells"] == job["rows"] == 2
+
     def test_second_client_dedups_through_shared_store(self, daemon):
         grid = _mini_grid()
         with _client(daemon) as first:
@@ -692,6 +703,27 @@ class TestBrokenPipe:
 
 
 class TestServeCli:
+    @pytest.mark.parametrize("argv", [
+        ["serve", "start", "--workers", "0"],
+        ["grid", "--name", "mini", "--workers", "-3"],
+        ["fuzz", "--workers", "-2"],
+    ])
+    def test_worker_counts_that_cannot_work_are_usage_errors(self, argv,
+                                                             capsys):
+        from repro.api.cli import _build_parser
+        with pytest.raises(SystemExit) as excinfo:
+            _build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "argument --workers: must be at least" \
+            in capsys.readouterr().err
+
+    def test_daemon_without_workers_is_rejected_before_binding(self,
+                                                               tmp_path):
+        socket_path = tmp_path / "serve.sock"
+        with pytest.raises(ValueError, match="at least one worker"):
+            ServeServer(socket_path, cache_dir=tmp_path / "cache", workers=0)
+        assert not socket_path.exists()
+
     def test_cli_serve_status_without_daemon(self, tmp_path, capsys):
         from repro.api.cli import main
         code = main(["serve", "status", "--socket",

@@ -1,10 +1,11 @@
 """Tests for the columnar trace representation and its binary codec.
 
-Covers the property-based round trip columnar <-> :class:`TraceEntry`
-objects (including ``None`` effective addresses/mgids, ``None`` branch
-outcomes and empty traces), the versioned header checks, and the artifact
-store's cross-codec behaviour (binary trace entries next to pickle entries,
-unknown codec versions degrading to cache misses).
+Covers the property-based round trip of rows of column values through the
+packed columns, the codec and pickle (including empty traces and every flags
+combination), the versioned header checks, and the artifact store's disk
+format (every entry a pickle whose traces are codec blobs; unknown codec
+versions, damaged entries and bare codec entries written by older builds
+degrading to cache misses).
 """
 
 import pickle
@@ -15,104 +16,112 @@ from hypothesis import given, strategies as st
 
 from repro.api.store import MISS, ArtifactStore
 from repro.sim.trace import (
+    TF_HAS_MGID,
+    TF_LOAD,
+    TF_STORE,
     TRACE_CODEC_VERSION,
     TRACE_MAGIC,
     Trace,
     TraceCodecError,
-    TraceEntry,
     UnknownTraceCodecVersion,
     decode_trace,
     encode_trace,
-    is_trace_blob,
+    pack_flags,
 )
 
 _WORD = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
-_entries = st.builds(
-    TraceEntry,
-    pc=_WORD,
-    index=st.integers(min_value=0, max_value=(1 << 32) - 1),
-    size=st.integers(min_value=0, max_value=(1 << 16) - 1),
-    next_pc=_WORD,
-    is_control=st.booleans(),
-    taken=st.none() | st.booleans(),
-    is_load=st.booleans(),
-    is_store=st.booleans(),
-    effective_address=st.none() | _WORD,
-    mgid=st.none() | st.integers(min_value=0, max_value=(1 << 31) - 1),
+#: One trace row: a value per column, in ``Trace.columns()`` order.
+_rows = st.tuples(
+    _WORD,                                                  # pc
+    st.integers(min_value=0, max_value=(1 << 32) - 1),      # index
+    st.integers(min_value=0, max_value=(1 << 16) - 1),      # size
+    _WORD,                                                  # next_pc
+    st.builds(pack_flags, st.booleans(), st.none() | st.booleans(),
+              st.booleans(), st.booleans(), st.booleans(),
+              st.booleans()),                               # flags
+    _WORD,                                                  # effective_address
+    st.integers(min_value=-1, max_value=(1 << 31) - 1),     # mgid
 )
 
-_entry_lists = st.lists(_entries, max_size=40)
+_row_lists = st.lists(_rows, max_size=40)
+
+
+def _trace(rows):
+    """A trace holding ``rows``."""
+    return Trace.from_columns(*(zip(*rows) if rows else [()] * 7))
+
+
+def _rows_of(trace):
+    """The rows of ``trace``, read back from its columns."""
+    return list(zip(*trace.columns()))
 
 
 class TestColumnarRoundTrip:
-    @given(entries=_entry_lists)
-    def test_entries_survive_the_packed_columns(self, entries):
-        trace = Trace(entries)
-        assert len(trace) == len(entries)
-        assert list(trace) == entries
-        assert [trace[i] for i in range(len(entries))] == entries
+    @given(rows=_row_lists)
+    def test_entries_survive_the_packed_columns(self, rows):
+        trace = _trace(rows)
+        assert len(trace) == len(rows)
+        assert _rows_of(trace) == rows
 
-    @given(entries=_entry_lists)
-    def test_binary_codec_round_trip(self, entries):
-        trace = Trace(entries)
-        blob = encode_trace(trace)
-        assert is_trace_blob(blob)
-        assert list(decode_trace(blob)) == entries
+    @given(rows=_row_lists)
+    def test_binary_codec_round_trip(self, rows):
+        blob = encode_trace(_trace(rows))
+        assert blob[:len(TRACE_MAGIC)] == TRACE_MAGIC
+        assert _rows_of(decode_trace(blob)) == rows
 
-    @given(entries=_entry_lists)
-    def test_pickle_ships_the_packed_columns(self, entries):
-        trace = Trace(entries)
-        assert list(pickle.loads(pickle.dumps(trace))) == entries
+    @given(rows=_row_lists)
+    def test_pickle_ships_the_packed_columns(self, rows):
+        trace = _trace(rows)
+        data = pickle.dumps(trace)
+        assert encode_trace(trace) in data
+        assert _rows_of(pickle.loads(data)) == rows
 
-    @given(entries=_entry_lists)
-    def test_summary_statistics_match_entry_views(self, entries):
-        trace = Trace(entries)
-        assert trace.original_instruction_count() == sum(e.size for e in entries)
-        assert trace.pipeline_slot_count() == len(entries)
-        assert trace.handle_count() == sum(1 for e in entries if e.is_handle)
-        assert trace.load_count() == sum(1 for e in entries if e.is_load)
-        assert trace.store_count() == sum(1 for e in entries if e.is_store)
+    @given(rows=_row_lists)
+    def test_summary_statistics_match_entry_views(self, rows):
+        trace = _trace(rows)
+        original = sum(row[2] for row in rows)
+        absorbed = sum(row[2] - 1 for row in rows if row[4] & TF_HAS_MGID)
+        assert trace.original_instruction_count() == original
+        assert trace.dynamic_coverage() == \
+            (absorbed / original if original else 0.0)
+        assert trace.load_count() == sum(1 for row in rows if row[4] & TF_LOAD)
+        assert trace.store_count() == \
+            sum(1 for row in rows if row[4] & TF_STORE)
 
     def test_uncompressed_codec_round_trip(self):
-        entries = [TraceEntry(0x1000, 0, 1, 0x1004),
-                   TraceEntry(0x1004, 1, 1, 0x1000, is_control=True, taken=True)]
-        blob = encode_trace(Trace(entries), compress=False)
-        assert list(decode_trace(blob)) == entries
+        rows = [(0x1000, 0, 1, 0x1004, 0, 0, -1),
+                (0x1004, 1, 1, 0x1000,
+                 pack_flags(True, True, False, False, False, False), 0, -1)]
+        blob = encode_trace(_trace(rows), compress=False)
+        assert _rows_of(decode_trace(blob)) == rows
 
     def test_empty_trace_round_trip(self):
-        blob = encode_trace(Trace())
-        decoded = decode_trace(blob)
-        assert len(decoded) == 0 and list(decoded) == []
+        decoded = decode_trace(encode_trace(_trace([])))
+        assert len(decoded) == 0 and _rows_of(decoded) == []
         assert decoded.original_instruction_count() == 0
         assert decoded.dynamic_coverage() == 0.0
 
-    def test_slicing_and_negative_indexing(self):
-        entries = [TraceEntry(0x1000 + 4 * i, i, 1, 0x1004 + 4 * i)
-                   for i in range(5)]
-        trace = Trace(entries)
-        assert trace[-1] == entries[-1]
-        assert trace[1:4] == entries[1:4]
-
 
 class TestSummaryCache:
-    def test_counts_are_cached_and_append_invalidates(self):
-        trace = Trace([TraceEntry(0x1000, 0, 1, 0x1004)])
-        assert trace.original_instruction_count() == 1
-        assert trace.pipeline_slot_count() == 1
-        trace.append(TraceEntry(0x1004, 1, 3, 0x1008, mgid=2))
+    def test_counts_are_cached_and_measure_coverage(self):
+        # A singleton, then a three-instruction handle that absorbs two.
+        trace = _trace([(0x1000, 0, 1, 0x1004, 0, 0, -1),
+                        (0x1004, 1, 3, 0x1008,
+                         pack_flags(False, None, False, False, False, True),
+                         0, 2)])
+        summary = trace._summarize()
+        assert trace._summarize() is summary
         assert trace.original_instruction_count() == 4
-        assert trace.pipeline_slot_count() == 2
-        assert trace.handle_count() == 1
         assert trace.dynamic_coverage() == pytest.approx(2 / 4)
 
 
 class TestCodecValidation:
     def _blob(self):
-        return encode_trace(Trace([TraceEntry(0x1000, 0, 1, 0x1004),
-                                   TraceEntry(0x1004, 1, 1, 0x1008,
-                                              is_load=True,
-                                              effective_address=0x2000)]))
+        return encode_trace(_trace([
+            (0x1000, 0, 1, 0x1004, 0, 0, -1),
+            (0x1004, 1, 1, 0x1008,
+             pack_flags(False, None, True, False, True, False), 0x2000, -1)]))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(TraceCodecError):
@@ -138,42 +147,47 @@ class TestCodecValidation:
 
 class TestStoreCrossCodec:
     def _trace(self):
-        return Trace([TraceEntry(0x1000, 0, 1, 0x1004),
-                      TraceEntry(0x1004, 1, 2, 0x1000, is_control=True,
-                                 taken=True, mgid=3),
-                      TraceEntry(0x1000, 0, 1, 0x1004, is_store=True,
-                                 effective_address=0x2008)])
+        return _trace([
+            (0x1000, 0, 1, 0x1004, 0, 0, -1),
+            (0x1004, 1, 2, 0x1000,
+             pack_flags(True, True, False, False, False, True), 0, 3),
+            (0x1000, 0, 1, 0x1004,
+             pack_flags(False, None, False, True, True, False), 0x2008, -1)])
 
     def test_bare_traces_are_stored_binary_and_read_back(self, tmp_path):
         writer = ArtifactStore(tmp_path)
         trace = self._trace()
         writer.put("trace-abc", trace)
         (path,) = tmp_path.glob("*.pkl")
-        assert path.read_bytes()[:4] == TRACE_MAGIC
+        # A pickle whose payload is the trace's codec blob.
+        data = path.read_bytes()
+        assert data[:len(TRACE_MAGIC)] != TRACE_MAGIC
+        assert encode_trace(trace) in data
         reader = ArtifactStore(tmp_path)  # fresh store: no memory layer
-        assert list(reader.get("trace-abc")) == list(trace)
+        assert _rows_of(reader.get("trace-abc")) == _rows_of(trace)
 
     def test_pickle_entries_containing_traces_still_read(self, tmp_path):
-        # Cross-codec: an artifact embedding a trace goes through pickle
-        # (whose Trace payload is the same flat binary blob) and must load
-        # from the same directory as binary entries.
+        # An artifact embedding a trace carries the same codec blob as a
+        # bare trace, and both load from the same directory.
         store = ArtifactStore(tmp_path)
         trace = self._trace()
-        store.put("trace-bin", trace)
+        store.put("trace-bare", trace)
         store.put("pair-pickle", {"trace": trace, "label": "embedded"})
         reader = ArtifactStore(tmp_path)
-        assert list(reader.get("pair-pickle")["trace"]) == list(trace)
-        assert list(reader.get("trace-bin")) == list(trace)
+        assert _rows_of(reader.get("pair-pickle")["trace"]) == _rows_of(trace)
+        assert _rows_of(reader.get("trace-bare")) == _rows_of(trace)
 
     def test_unknown_codec_version_is_a_miss_not_a_crash(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        store.put("trace-future", self._trace())
+        store.put("pair-future", {"trace": self._trace()})
         (path,) = tmp_path.glob("*.pkl")
-        blob = bytearray(path.read_bytes())
-        struct.pack_into("<H", blob, 4, TRACE_CODEC_VERSION + 1)
-        path.write_bytes(bytes(blob))
+        data = bytearray(path.read_bytes())
+        # The version field is the u16 right after the embedded blob's magic.
+        struct.pack_into("<H", data, data.index(TRACE_MAGIC) + 4,
+                         TRACE_CODEC_VERSION + 1)
+        path.write_bytes(bytes(data))
         reader = ArtifactStore(tmp_path)
-        assert reader.get("trace-future") is MISS
+        assert reader.get("pair-future") is MISS
         assert reader.stats.misses == 1
         # The foreign-version entry is left for the build that wrote it.
         assert path.exists()
@@ -185,6 +199,16 @@ class TestStoreCrossCodec:
         path.write_bytes(path.read_bytes()[:-3])
         reader = ArtifactStore(tmp_path)
         assert reader.get("trace-corrupt") is MISS
+        assert not path.exists()
+
+    def test_bare_codec_entry_from_an_older_build_is_dropped_and_missed(
+            self, tmp_path):
+        # Older builds wrote a bare trace as its codec blob, not a pickle.
+        path = tmp_path / "trace-old.pkl"
+        path.write_bytes(encode_trace(self._trace()))
+        reader = ArtifactStore(tmp_path)
+        assert reader.get("trace-old") is MISS
+        assert reader.stats.misses == 1
         assert not path.exists()
 
     def test_put_serialization_failure_cleans_temp_and_degrades(self, tmp_path):

@@ -207,23 +207,6 @@ class TestMiniGraphPipeline:
         assert "ipc" in table and "dynamic_coverage" in table
 
 
-class TestDynInstFromStatic:
-    def test_standalone_construction_classifies_like_the_pipeline(self):
-        from repro.isa.instruction import Instruction
-        from repro.sim.trace import TraceEntry
-        from repro.uarch import DynInst
-        static = Instruction("ldq", rd=2, rs1=4, imm=16)
-        entry = TraceEntry(pc=0x1010, index=4, size=1, next_pc=0x1014,
-                           is_load=True, effective_address=0x2000)
-        inst = DynInst.from_static(7, entry, static, index=4)
-        assert inst.is_load and inst.is_memory and not inst.is_store
-        assert not inst.is_handle and inst.needs_destination
-        assert inst.decoded.index == 4
-        assert inst.static is static and inst.mgt_entry is None
-        assert inst.pc == 0x1010 and inst.effective_address == 0x2000
-        assert not inst.issued and not inst.completed
-
-
 class TestEventDrivenScheduler:
     """Regression tests for the wakeup/select event queue."""
 
