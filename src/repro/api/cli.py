@@ -730,6 +730,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from ..grid.spec import GridError
     from ..serve.client import ServeError
     from ..uarch.config import ConfigError
+    from ..uarch.pipeline import TimingError
     try:
         if args.command == "run":
             return _cmd_run(args)
@@ -766,7 +767,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ServeError as error:
         print(f"repro: error [{error.code}]: {error}", file=sys.stderr)
         return 3
-    except (WorkloadError, SpecError, GridError, ConfigError) as error:
+    except (WorkloadError, SpecError, GridError, ConfigError,
+            TimingError) as error:
         print(f"repro: error: {error}", file=sys.stderr)
         return 2
 

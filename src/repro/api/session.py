@@ -321,18 +321,6 @@ class Session:
             return self.baseline_timing(spec, spec.resolved_machine)
         return self.minigraph_timing(spec)
 
-    def speedup(self, spec: RunSpec) -> float:
-        """Relative IPC of the spec's machine over its baseline machine.
-
-        Returns ``nan`` (rather than a misleading 1.0) when the baseline
-        retired no instructions.
-        """
-        baseline = self.baseline_timing(spec)
-        timing = self.timing(spec)
-        if baseline.ipc == 0.0:
-            return float("nan")
-        return timing.ipc / baseline.ipc
-
     def prime_timing(self, specs: Iterable[RunSpec]) -> int:
         """Compute the timing stages :meth:`run` needs for each spec.
 

@@ -84,6 +84,14 @@ class RunSpec:
             raise SpecError("a RunSpec takes a benchmark name or a program, not both")
         if self.budget <= 0:
             raise SpecError(f"budget must be positive, got {self.budget}")
+        if self.policy is not None:
+            if self.policy.max_templates < 1:
+                raise SpecError("policy.max_templates (MGT entries) must be at "
+                                f"least 1, got {self.policy.max_templates}")
+            if self.policy.max_size < 2:
+                raise SpecError("policy.max_size must be at least 2 (a "
+                                "mini-graph has two or more instructions), "
+                                f"got {self.policy.max_size}")
 
     # -- construction helpers -----------------------------------------------------
 

@@ -2,9 +2,12 @@
 
 Keys are opaque strings produced by the :class:`~repro.api.session.Session`
 from stage name, spec material and package version, so a bump of
-``repro.__version__`` naturally invalidates every persisted artifact.  Values
-are arbitrary picklable stage artifacts (programs, profiles, traces, MGTs,
-timing statistics).
+``repro.__version__`` naturally invalidates every persisted artifact.  Every
+store is built for one version and keeps its disk entries in that version's
+directory, ``<cache_dir>/v-<version>/``, which is what lets :meth:`ArtifactStore.
+prune` evict the entries of every other version.  Values are arbitrary
+picklable stage artifacts (programs, profiles, traces, MGTs, timing
+statistics).
 
 Every disk entry is a pickle.  A :class:`~repro.sim.trace.Trace` — bare (the
 ``trace`` stage) or embedded (the profile stage's trace+profile pair) —
@@ -87,21 +90,20 @@ class StoreInfo:
     memory_entries: int
     disk_entries: int
     disk_bytes: int
-    version: Optional[str] = None
+    version: str
     stale_entries: int = 0
     stale_bytes: int = 0
 
     def render(self) -> str:
-        lines = [f"cache directory : {self.cache_dir or '(memory only)'}",
-                 f"store version   : {self.version or '(unversioned)'}",
-                 f"memory entries  : {self.memory_entries}",
-                 f"disk entries    : {self.disk_entries}",
-                 f"disk bytes      : {self.disk_bytes}"]
-        if self.version is not None:
-            lines.append(f"stale entries   : {self.stale_entries} "
-                         f"({self.stale_bytes} bytes from other versions; "
-                         f"`repro cache prune` evicts them)")
-        return "\n".join(lines)
+        return "\n".join([
+            f"cache directory : {self.cache_dir or '(memory only)'}",
+            f"store version   : {self.version}",
+            f"memory entries  : {self.memory_entries}",
+            f"disk entries    : {self.disk_entries}",
+            f"disk bytes      : {self.disk_bytes}",
+            f"stale entries   : {self.stale_entries} "
+            f"({self.stale_bytes} bytes from other versions; "
+            f"`repro cache prune` evicts them)"])
 
 
 def _version_dirname(version: str) -> str:
@@ -114,24 +116,21 @@ def _version_dirname(version: str) -> str:
 class ArtifactStore:
     """Two-level (memory + optional disk) cache for pipeline artifacts.
 
-    When a ``version`` is given, disk entries live under a per-version
-    subdirectory (``<cache_dir>/v-<version>/``); entries from other versions
-    are never read (keys embed the version anyway) but keep accumulating
-    across upgrades, so :meth:`prune` can evict every stale-version entry
-    while leaving the live set intact.  A version-less store keeps the flat
-    legacy layout.
+    Disk entries live under a per-version subdirectory
+    (``<cache_dir>/v-<version>/``); entries from other versions are never
+    read (keys embed the version anyway) but keep accumulating across
+    upgrades, so :meth:`prune` can evict every stale-version entry while
+    leaving the live set intact.
     """
 
     def __init__(self, cache_dir: Optional[os.PathLike] = None, *,
-                 version: Optional[str] = None) -> None:
+                 version: str) -> None:
         self._memory: Dict[str, Any] = {}
         self._cache_dir: Optional[Path] = Path(cache_dir) if cache_dir is not None else None
         self._version = version
-        if self._cache_dir is not None and version is not None:
-            self._entry_dir: Optional[Path] = \
-                self._cache_dir / _version_dirname(version)
-        else:
-            self._entry_dir = self._cache_dir
+        self._entry_dir: Optional[Path] = (
+            self._cache_dir / _version_dirname(version)
+            if self._cache_dir is not None else None)
         #: Shared flock on this version directory's ``.lock`` while the
         #: store has written to disk; see :meth:`prune`.
         self._activity_lock_fd: Optional[int] = None
@@ -142,7 +141,7 @@ class ArtifactStore:
         return self._cache_dir
 
     @property
-    def version(self) -> Optional[str]:
+    def version(self) -> str:
         return self._version
 
     # -- lookup / insert -----------------------------------------------------------
@@ -239,9 +238,7 @@ class ArtifactStore:
         entries, closing the race where a prune sweeping "stale" versions
         deletes an entry a live store just renamed into place.
         """
-        if (self._activity_lock_fd is not None or fcntl is None
-                or self._entry_dir is None
-                or not self._entry_dir.name.startswith("v-")):
+        if self._activity_lock_fd is not None or fcntl is None:
             return
         try:
             lock_fd = os.open(str(self._entry_dir / ".lock"),
@@ -283,8 +280,8 @@ class ArtifactStore:
     # -- maintenance ---------------------------------------------------------------
 
     def _disk_entries(self) -> Iterator[Path]:
-        """Every disk entry, across all version directories (and the flat
-        legacy layout), in a deterministic order."""
+        """Every disk entry, across all version directories (and stray
+        entries at the cache root), in a deterministic order."""
         if self._cache_dir is None or not self._cache_dir.is_dir():
             return iter(())
         return iter(sorted(self._cache_dir.rglob("*.pkl")))
@@ -375,7 +372,7 @@ class ArtifactStore:
                 size = 0
             disk_entries += 1
             disk_bytes += size
-            if self._version is not None and not self._is_current(path):
+            if not self._is_current(path):
                 stale_entries += 1
                 stale_bytes += size
         return StoreInfo(

@@ -6,9 +6,9 @@ across every workload.  This package turns that cross-product into a
 first-class subsystem:
 
 * :mod:`repro.grid.spec` — :class:`Axis` / :class:`GridSpec`: declare axes
-  (machine × policy × workload × budget) with include/exclude predicates;
-  expansion to :class:`~repro.api.spec.RunSpec`\\ s is lazy and
-  deterministic.
+  (machine × policy × workload × budget) and a ``build`` function that maps
+  each point to its :class:`~repro.api.spec.RunSpec` (``None`` drops the
+  point); expansion is lazy and deterministic.
 * :mod:`repro.grid.planner` — :func:`plan_grid` groups cells into
   shared-artifact stages (one functional profile per program, one front-end
   compile per (program, policy), N timing runs each) and shards by stage.

@@ -2,13 +2,13 @@
 
 A :class:`GridSpec` declares a configuration-space sweep — the cross-product
 of named :class:`Axis` values (machine × selection policy × workload × trace
-length × anything else) — together with include/exclude predicates and a
-``build`` function mapping each grid *point* (one value per axis) to the
-:class:`~repro.api.spec.RunSpec` that realizes it.  Expansion is lazy: points
-stream out of :func:`itertools.product` in axis order and are filtered and
-built one at a time, so a million-cell grid costs nothing to declare.
+length × anything else) — together with a ``build`` function mapping each
+grid *point* (one value per axis) to the :class:`~repro.api.spec.RunSpec`
+that realizes it, or to ``None`` to drop the point.  Expansion is lazy:
+points stream out of :func:`itertools.product` in axis order and are built
+one at a time, so a million-cell grid costs nothing to declare.
 
-Every included, built point becomes a :class:`GridCell` carrying a dense
+Every built point becomes a :class:`GridCell` carrying a dense
 ``index`` (its position in the deterministic expansion order); the planner
 (:mod:`repro.grid.planner`) groups cells into shared-artifact stages and the
 engine (:mod:`repro.grid.engine`) executes them — sharded, resumable,
@@ -52,9 +52,6 @@ GridPoint = Dict[str, Any]
 #: Maps a point to its RunSpec; ``None`` excludes the point from the grid.
 SpecBuilder = Callable[[GridPoint], Optional[RunSpec]]
 
-#: Predicate over points; ``True`` excludes the point.
-PointPredicate = Callable[[GridPoint], bool]
-
 
 @dataclass(frozen=True)
 class GridCell:
@@ -78,18 +75,14 @@ class GridSpec:
         name: stable identifier (catalog key, CLI ``--name``).
         axes: the grid's dimensions, outermost first; expansion order is
             the row-major product of the axis values.
-        build: maps each surviving point to its ``RunSpec`` (``None`` drops
-            the point — an inline include predicate).
-        exclude: predicates applied before ``build``; a point matching any
-            of them is dropped.
+        build: maps each point to its ``RunSpec`` (``None`` drops the
+            point).
         title: human-readable description for listings and reports.
     """
 
     name: str
     axes: Tuple[Axis, ...]
     build: SpecBuilder = field(compare=False, repr=False, default=None)  # type: ignore[assignment]
-    exclude: Tuple[PointPredicate, ...] = field(
-        compare=False, repr=False, default=())
     title: str = ""
 
     def __post_init__(self) -> None:
@@ -105,46 +98,17 @@ class GridSpec:
         if self.build is None:
             raise GridError(f"grid {self.name!r} needs a build function")
 
-    # -- geometry ------------------------------------------------------------------
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return tuple(len(axis.values) for axis in self.axes)
-
-    @property
-    def point_count(self) -> int:
-        """Points before predicates/build filtering (the full product)."""
-        count = 1
-        for axis in self.axes:
-            count *= len(axis.values)
-        return count
-
-    def axis(self, name: str) -> Axis:
-        for axis in self.axes:
-            if axis.name == name:
-                return axis
-        raise GridError(f"grid {self.name!r} has no axis {name!r}")
-
-    # -- expansion -----------------------------------------------------------------
-
-    def points(self) -> Iterator[GridPoint]:
-        """Lazily yield the surviving points in deterministic product order."""
-        names = [axis.name for axis in self.axes]
-        for combo in product(*(axis.values for axis in self.axes)):
-            point = dict(zip(names, combo))
-            if any(predicate(point) for predicate in self.exclude):
-                continue
-            yield point
-
     def cells(self) -> Iterator[GridCell]:
         """Lazily expand to :class:`GridCell`\\ s (points with built specs).
 
-        Cell indices are dense over the *included* cells, in expansion
+        Cell indices are dense over the built cells, in row-major product
         order — the deterministic ordering sharding and result streaming
         key on.
         """
+        names = [axis.name for axis in self.axes]
         index = 0
-        for point in self.points():
+        for combo in product(*(axis.values for axis in self.axes)):
+            point = dict(zip(names, combo))
             spec = self.build(point)
             if spec is None:
                 continue

@@ -3,6 +3,8 @@
 A *candidate* binds a :class:`~repro.minigraph.templates.MiniGraphTemplate`
 to one static location: the basic block, the layout indices of the member
 instructions, the chosen anchor, and the concrete interface register names.
+Only the enumerator (:mod:`repro.minigraph.enumeration`) creates candidates,
+and it gives each one its template's interned id.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ class MiniGraphCandidate:
         input_regs: architectural registers bound to E0/E1 (in order).
         output_reg: architectural register bound to the output, or None.
         template_id: process-local interned id of ``template`` (see
-            :mod:`repro.minigraph.registry`).  A cache, not part of the
-            candidate's identity: excluded from equality/hash and stripped on
-            pickling because ids never transfer across processes.
+            :mod:`repro.minigraph.registry`), set by the enumerator.  Not
+            part of the candidate's identity: excluded from equality/hash
+            and stripped on pickling because ids never transfer across
+            processes, so an unpickled candidate cannot be selected.
     """
 
     block_id: int
@@ -44,9 +47,6 @@ class MiniGraphCandidate:
         state = dict(self.__dict__)
         state["template_id"] = None
         return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
 
     @property
     def size(self) -> int:

@@ -27,7 +27,10 @@ Incremental core (see ``docs/architecture.md``, "Compilation front-end"):
   search runs on int bitsets;
 * templates are interned through :mod:`repro.minigraph.registry` from raw
   structural keys, so a dataflow shape is constructed and validated at most
-  once per process.
+  once per process, and every candidate leaves the enumerator carrying its
+  template's id.  A shape that fails validation raises
+  :class:`~repro.minigraph.templates.TemplateError`: the legality checks
+  here admit only valid shapes, so one that does not is a bug.
 """
 
 from __future__ import annotations
@@ -44,12 +47,11 @@ from ..program.liveness import analyze_liveness
 from ..program.program import Program
 from ..program.weakcache import PerProgramCache
 from .candidates import MiniGraphCandidate
-from .registry import FRONTEND_STATS, TEMPLATE_REGISTRY, TemplateFlags
+from .registry import FRONTEND_STATS, TEMPLATE_REGISTRY
 from .templates import (
     MAX_EXTERNAL_INPUTS,
     MiniGraphTemplate,
     OperandRef,
-    TemplateError,
     TemplateInstruction,
     external,
     internal,
@@ -85,16 +87,14 @@ class EnumerationResult(List[MiniGraphCandidate]):
     A ``list`` subclass so every existing consumer of
     :func:`enumerate_minigraphs` keeps working; the extra attributes surface
     what the safety valves silently dropped (``truncated_blocks`` /
-    ``dropped_subsets``) and how the block memo behaved.  Slicing or
-    filtering returns plain lists — the attributes describe this exact
-    enumeration, not derived views.
+    ``dropped_subsets``).  Slicing or filtering returns plain lists — the
+    attributes describe this exact enumeration, not derived views.  Block
+    memo traffic is counted in :data:`~repro.minigraph.registry.
+    FRONTEND_STATS`.
     """
 
     truncated_blocks: int = 0
     dropped_subsets: int = 0
-    blocks_enumerated: int = 0
-    memo_hits: int = 0
-    memo_misses: int = 0
 
     @property
     def truncated(self) -> bool:
@@ -120,11 +120,11 @@ class _OpFlags(NamedTuple):
 
 _OP_FLAGS: Dict[str, _OpFlags] = {}
 
-#: Encoded operand references (see :func:`repro.minigraph.registry.
-#: raw_template_key`): ``(kind << 8) | index`` with kind E=0, M=1, IM=2, Z=3.
-_ENC_EXTERNAL_BASE = 0 << 8
-_ENC_INTERNAL_BASE = 1 << 8
-_ENC_ZERO_BASE = 3 << 8
+#: Encoded operand references in the registry's raw structural keys:
+#: ``(kind << 8) | index`` with kind E=0, M=1, Z=3 (see :func:`_decode_ref`).
+_ENC_EXTERNAL = 0 << 8
+_ENC_INTERNAL = 1 << 8
+_ENC_ZERO = 3 << 8
 
 
 def _op_flags(op: str) -> _OpFlags:
@@ -346,13 +346,10 @@ class MiniGraphEnumerator:
         """Enumerate all legal candidates in the whole program."""
         start = time.perf_counter()
         result = EnumerationResult()
+        hits = 0
         for block in self._analysis.blocks:
             entry, hit = self._block_entry(block)
-            result.blocks_enumerated += 1
-            if hit:
-                result.memo_hits += 1
-            else:
-                result.memo_misses += 1
+            hits += hit
             if entry.truncated:
                 result.truncated_blocks += 1
                 result.dropped_subsets += entry.dropped_subsets
@@ -371,10 +368,11 @@ class MiniGraphEnumerator:
                 ))
         stats = FRONTEND_STATS
         stats.enumeration_seconds += time.perf_counter() - start
+        blocks = len(self._analysis.blocks)
         stats.candidates_enumerated += len(result)
-        stats.blocks_enumerated += result.blocks_enumerated
-        stats.block_memo_hits += result.memo_hits
-        stats.block_memo_misses += result.memo_misses
+        stats.blocks_enumerated += blocks
+        stats.block_memo_hits += hits
+        stats.block_memo_misses += blocks - hits
         stats.truncated_blocks += result.truncated_blocks
         stats.dropped_candidates += result.dropped_subsets
         return result
@@ -533,11 +531,8 @@ class MiniGraphEnumerator:
         if not self._movement_is_legal(context, members, member_mask, anchor):
             return None
 
-        built = self._intern_template(context, members, member_mask,
-                                      input_regs, out_member)
-        if built is None:
-            return None
-        template_id, template = built
+        template_id, template = self._intern_template(
+            context, members, member_mask, input_regs, out_member)
 
         return _RelCandidate(
             members=members,
@@ -637,22 +632,14 @@ class MiniGraphEnumerator:
                     return False
         return True
 
-    #: Encoded operand references for raw template keys: (kind << 8) | index.
-    _ENC_EXTERNAL = _ENC_EXTERNAL_BASE
-    _ENC_INTERNAL = _ENC_INTERNAL_BASE
-    _ENC_ZERO = _ENC_ZERO_BASE
-
     def _intern_template(self, context: _BlockContext, members: Tuple[int, ...],
                          member_mask: int, input_regs: Tuple[int, ...],
                          out_member: Optional[int]
-                         ) -> Optional[Tuple[int, MiniGraphTemplate]]:
+                         ) -> Tuple[int, MiniGraphTemplate]:
         """Build the raw structural key and intern it (construct on first use)."""
         position_to_slot = {position: slot for slot, position in enumerate(members)}
         input_index = {reg: index for index, reg in enumerate(input_regs)}
         rows: List[Tuple[str, Optional[int], Optional[int], Optional[int]]] = []
-        enc_zero = self._ENC_ZERO
-        enc_internal = self._ENC_INTERNAL
-        enc_external = self._ENC_EXTERNAL
 
         for position in members:
             insn = context.instructions[position]
@@ -669,29 +656,25 @@ class MiniGraphEnumerator:
                     if read_reg == reg:
                         producer = producers[slot]
                         if producer is not None and (member_mask >> producer) & 1:
-                            encoded[operand] = enc_internal | position_to_slot[producer]
+                            encoded[operand] = _ENC_INTERNAL | position_to_slot[producer]
                         else:
-                            encoded[operand] = enc_external | input_index[reg]
+                            encoded[operand] = _ENC_EXTERNAL | input_index[reg]
                         break
                 else:
                     # Reads of the hardwired zero register.
-                    encoded[operand] = enc_zero
+                    encoded[operand] = _ENC_ZERO
 
             rows.append((insn.op, encoded[0], encoded[1], insn.imm))
 
         out_index = position_to_slot[out_member] if out_member is not None else None
         raw_key = (tuple(rows), len(input_regs), out_index)
         template_id = TEMPLATE_REGISTRY.intern_raw(
-            raw_key, lambda: _build_registration(rows, len(input_regs), out_index))
-        if template_id is None:
-            return None
+            raw_key, lambda: _build_template(rows, len(input_regs), out_index))
         return template_id, TEMPLATE_REGISTRY.template(template_id)
 
 
-#: Interned OperandRef instances and their exact reprs, keyed by encoding.
+#: Interned OperandRef instances, keyed by encoding.
 _REF_CACHE: Dict[Optional[int], Optional[OperandRef]] = {None: None}
-_REF_REPRS: Dict[Optional[int], str] = {None: "None"}
-_OP_REPRS: Dict[str, str] = {}
 
 
 def _decode_ref(encoded: Optional[int]) -> Optional[OperandRef]:
@@ -705,91 +688,20 @@ def _decode_ref(encoded: Optional[int]) -> Optional[OperandRef]:
         else:
             ref = zero()
         _REF_CACHE[encoded] = ref
-        _REF_REPRS[encoded] = repr(ref)
     return ref
 
 
-def _sort_key_from_rows(rows: Sequence[Tuple[str, Optional[int], Optional[int], Optional[int]]],
-                        num_inputs: int, out_index: Optional[int]) -> str:
-    """``repr(template.key())`` assembled from cached piece reprs.
-
-    The registry's tie-break order must equal the seed's ``repr`` of the
-    canonical key byte-for-byte; operand-reference reprs are produced by
-    ``repr()`` itself (once per distinct encoding) so dataclass/enum repr
-    formatting can never drift from this fast path (asserted by the test
-    suite against the slow form).
-    """
-    op_reprs = _OP_REPRS
-    ref_reprs = _REF_REPRS
-    parts = []
-    for op, enc0, enc1, imm in rows:
-        op_repr = op_reprs.get(op)
-        if op_repr is None:
-            op_repr = op_reprs[op] = repr(op)
-        if enc0 not in ref_reprs:
-            _decode_ref(enc0)
-        if enc1 not in ref_reprs:
-            _decode_ref(enc1)
-        parts.append(f"({op_repr}, {ref_reprs[enc0]}, {ref_reprs[enc1]}, {imm!r})")
-    return f"(({', '.join(parts)}), {num_inputs!r}, {out_index!r})"
-
-
-def _flags_from_rows(rows: Sequence[Tuple[str, Optional[int], Optional[int], Optional[int]]]
-                     ) -> "TemplateFlags":
-    """Structural flags computed directly from encoded rows (intern miss)."""
-    size = len(rows)
-    has_memory = False
-    has_branch = False
-    load_position: Optional[int] = None
-    externally_serial = False
-    internally_parallel = False
-    for position, (op, enc0, enc1, _imm) in enumerate(rows):
-        flags = _op_flags(op)
-        if flags.is_memory:
-            has_memory = True
-        if flags.is_control:
-            has_branch = True
-        if flags.is_load and load_position is None:
-            load_position = position
-        if position > 0:
-            previous = _ENC_INTERNAL_BASE | (position - 1)
-            consumes_previous = False
-            for enc in (enc0, enc1):
-                if enc is None:
-                    continue
-                if enc >> 8 == 0:
-                    externally_serial = True
-                if enc == previous:
-                    consumes_previous = True
-            if not consumes_previous:
-                internally_parallel = True
-    return TemplateFlags(
-        size=size,
-        has_memory=has_memory,
-        has_branch=has_branch,
-        externally_serial=externally_serial,
-        internally_parallel=internally_parallel,
-        interior_load=load_position is not None and load_position != size - 1,
+def _build_template(rows: Sequence[Tuple[str, Optional[int], Optional[int], Optional[int]]],
+                    num_inputs: int, out_index: Optional[int]) -> MiniGraphTemplate:
+    """Construct and validate the template raw ``rows`` encode (intern miss)."""
+    return MiniGraphTemplate(
+        instructions=tuple(
+            TemplateInstruction(op=op, src0=_decode_ref(enc0),
+                                src1=_decode_ref(enc1), imm=imm)
+            for op, enc0, enc1, imm in rows),
+        num_inputs=num_inputs,
+        out_index=out_index,
     )
-
-
-def _build_registration(rows: Sequence[Tuple[str, Optional[int], Optional[int], Optional[int]]],
-                        num_inputs: int, out_index: Optional[int]
-                        ) -> Optional[Tuple[MiniGraphTemplate, str, "TemplateFlags"]]:
-    """Construct, validate and characterise a template (first intern only)."""
-    try:
-        template = MiniGraphTemplate(
-            instructions=tuple(
-                TemplateInstruction(op=op, src0=_decode_ref(enc0),
-                                    src1=_decode_ref(enc1), imm=imm)
-                for op, enc0, enc1, imm in rows),
-            num_inputs=num_inputs,
-            out_index=out_index,
-        )
-    except TemplateError:
-        return None
-    return (template, _sort_key_from_rows(rows, num_inputs, out_index),
-            _flags_from_rows(rows))
 
 
 def enumerate_minigraphs(program: Program,
@@ -798,6 +710,7 @@ def enumerate_minigraphs(program: Program,
     """Enumerate all legal mini-graph candidates of ``program``.
 
     Returns an :class:`EnumerationResult` — a plain candidate list carrying
-    truncation and memoization bookkeeping as attributes.
+    truncation bookkeeping as attributes.  Every candidate carries its
+    template's interned id.
     """
     return MiniGraphEnumerator(program, limits).enumerate()

@@ -12,7 +12,9 @@ coverage against serialization and replay costs:
 
 A :class:`SelectionPolicy` bundles these switches together with the basic
 size and composition limits so that the Figure 5 and Figure 7 sweeps are just
-different policy values.
+different policy values.  Admission tests the structural flags the template
+registry computed when the candidate's shape was interned
+(:class:`repro.minigraph.registry.TemplateFlags`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Iterable, List
 
 from .candidates import MiniGraphCandidate
 from .registry import TEMPLATE_REGISTRY, TemplateFlags
-from .templates import MiniGraphTemplate
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,8 @@ class SelectionPolicy:
     allow_interior_loads: bool = True
     max_templates: int = 512
 
-    def admits_structure(self, flags) -> bool:
-        """Admission on precomputed structural flags (see
-        :class:`repro.minigraph.registry.TemplateFlags`)."""
+    def admits_structure(self, flags: TemplateFlags) -> bool:
+        """Admission on a template's interned structural flags."""
         if flags.size > self.max_size:
             return False
         if flags.has_memory and not self.allow_memory:
@@ -66,27 +66,25 @@ class SelectionPolicy:
             return False
         return True
 
-    def admits_template(self, template: MiniGraphTemplate) -> bool:
-        """True if ``template`` satisfies every enabled restriction."""
-        return self.admits_structure(TemplateFlags.of(template))
-
     def filter_candidates(self, candidates: Iterable[MiniGraphCandidate]
                           ) -> List[MiniGraphCandidate]:
         """Return the candidates admitted by this policy.
 
-        Candidates carrying an interned template id (everything the
-        enumerator produces) go through the registry's per-``(policy, id)``
-        admission memo, so the structural predicates run once per distinct
-        dataflow shape instead of once per static instance.
+        Every selection path calls this first.  Each candidate must carry
+        the template id the enumerator interned for it: ids are stripped on
+        pickling and never re-established, so a candidate from another
+        process (or the artifact store) raises ``ValueError``.
         """
-        registry = TEMPLATE_REGISTRY
+        flags_of = TEMPLATE_REGISTRY.flags
         admitted: List[MiniGraphCandidate] = []
         for candidate in candidates:
             template_id = candidate.template_id
-            if template_id is not None:
-                if registry.admits(self, template_id):
-                    admitted.append(candidate)
-            elif self.admits_template(candidate.template):
+            if template_id is None:
+                raise ValueError(
+                    f"candidate {candidate.describe()} has no template_id: "
+                    "ids are process-local and stripped on pickling, so only "
+                    "candidates enumerated in this process can be selected")
+            if self.admits_structure(flags_of(template_id)):
                 admitted.append(candidate)
         return admitted
 

@@ -39,7 +39,7 @@ from ..program.rewriter import RewriteSite
 from .candidates import MiniGraphCandidate
 from .enumeration import EnumerationLimits, EnumerationResult, enumerate_minigraphs
 from .policies import DEFAULT_POLICY, SelectionPolicy
-from .registry import FRONTEND_STATS, TEMPLATE_REGISTRY, candidate_template_id
+from .registry import FRONTEND_STATS, TEMPLATE_REGISTRY
 from .templates import MiniGraphTemplate
 
 
@@ -208,7 +208,7 @@ def _greedy_select(admissible: Sequence[MiniGraphCandidate],
     groups: Dict[int, _Group] = {}
     inverted: Dict[int, List[_Instance]] = {}
     for candidate in admissible:
-        tid = candidate_template_id(candidate, registry)
+        tid = candidate.template_id
         group = groups.get(tid)
         if group is None:
             group = groups[tid] = _Group(tid, candidate.template)
@@ -293,7 +293,6 @@ def select_minigraphs(program: Program, profile: BlockProfile, *,
     admissible = policy.filter_candidates(candidates)
     selected, covered = _greedy_select(admissible, profile, policy.max_templates)
 
-    stats.selection_runs += 1
     stats.selection_seconds += ((time.perf_counter() - start)
                                 - (stats.enumeration_seconds - enum_seconds_before))
     return SelectionResult(
@@ -418,7 +417,7 @@ def select_domain_minigraphs(programs: Mapping[str, Tuple[Program, BlockProfile]
         # claimed; the cross-suite ranking uses the uncontended benefit, which
         # is the standard (and the paper's implied) approximation.
         for candidate in policy.filter_candidates(enumerate_minigraphs(program, limits)):
-            tid = candidate_template_id(candidate)
+            tid = candidate.template_id
             total_benefit[tid] = (total_benefit.get(tid, 0)
                                   + candidate.instructions_removed
                                   * profile.frequency(candidate.block_id))
@@ -435,7 +434,7 @@ def select_domain_minigraphs(programs: Mapping[str, Tuple[Program, BlockProfile]
         enumerated = enumerate_minigraphs(program, limits)
         restricted = EnumerationResult(
             candidate for candidate in policy.filter_candidates(enumerated)
-            if candidate_template_id(candidate) in shared_ids)
+            if candidate.template_id in shared_ids)
         restricted.truncated_blocks = enumerated.truncated_blocks
         restricted.dropped_subsets = enumerated.dropped_subsets
         per_program_results[name] = select_minigraphs(

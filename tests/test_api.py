@@ -107,8 +107,13 @@ class TestRunSpec:
 
 
 class TestArtifactStore:
+    VERSION = "1.0"
+
+    def _store(self, cache_dir=None):
+        return ArtifactStore(cache_dir, version=self.VERSION)
+
     def test_memory_hit_and_miss_accounting(self):
-        store = ArtifactStore()
+        store = self._store()
         assert store.get("missing") is MISS
         store.put("key", 42)
         assert store.get("key") == 42
@@ -117,22 +122,24 @@ class TestArtifactStore:
         assert store.stats.puts == 1
 
     def test_disk_round_trip(self, tmp_path):
-        first = ArtifactStore(tmp_path)
+        first = self._store(tmp_path)
         first.put("key", {"value": [1, 2, 3]})
-        second = ArtifactStore(tmp_path)
+        assert (tmp_path / f"v-{self.VERSION}" / "key.pkl").exists()
+        second = self._store(tmp_path)
         assert second.get("key") == {"value": [1, 2, 3]}
         assert second.stats.disk_hits == 1
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+        store = self._store(tmp_path)
         store.put("key", 1)
-        (tmp_path / "key.pkl").write_bytes(b"not a pickle")
-        fresh = ArtifactStore(tmp_path)
+        entry = tmp_path / f"v-{self.VERSION}" / "key.pkl"
+        entry.write_bytes(b"not a pickle")
+        fresh = self._store(tmp_path)
         assert fresh.get("key") is MISS
-        assert not (tmp_path / "key.pkl").exists()
+        assert not entry.exists()
 
     def test_clear_and_info(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+        store = self._store(tmp_path)
         store.put("a", 1)
         store.put("b", 2)
         info = store.info()
@@ -289,3 +296,22 @@ class TestCli:
         assert json.loads(cleared.stdout)["removed"] > 0
         info = _run_cli("--cache-dir", str(tmp_path), "--json", "cache", "info")
         assert json.loads(info.stdout)["disk_entries"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "nosuch"],
+        ["run", "gsm.toast", "--budget", "-5"],
+        ["grid", "--name", "nosuch"],
+        ["grid", "--name", "mini", "--shard", "3/2"],
+        ["run", "gsm.toast", "--budget", "2000",
+         "--machine", "int", "--policy", "int-mem"],
+        ["run", "gsm.toast", "--budget", "2000", "--mgt-entries", "0"],
+        ["run", "gsm.toast", "--budget", "2000", "--mgt-entries", "-3"],
+        ["run", "gsm.toast", "--budget", "2000", "--max-size", "1"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_requests_are_one_line_errors(self, argv, capsys):
+        from repro.api.cli import main
+        assert main(["--no-disk-cache", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("repro: error:")

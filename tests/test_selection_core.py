@@ -10,7 +10,8 @@ Three families of guarantees:
   block for block, and the safety valves surface truncation instead of
   silently dropping candidates;
 * the template registry's cached sort keys realise the seed's ``repr``
-  tie-break order exactly, and interned ids never survive pickling.
+  tie-break order exactly, interned ids never survive pickling, and a
+  candidate without one is rejected rather than re-interned.
 """
 
 import pickle
@@ -21,14 +22,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.minigraph import (
     DEFAULT_POLICY,
+    FRONTEND_STATS,
     INTEGER_POLICY,
     NON_SERIAL_NON_REPLAY_POLICY,
     TEMPLATE_REGISTRY,
     EnumerationLimits,
     EnumerationResult,
-    candidate_template_id,
+    MiniGraphTemplate,
+    TemplateError,
+    TemplateInstruction,
     clear_block_memo,
     enumerate_minigraphs,
+    external,
     select_domain_minigraphs,
     select_minigraphs,
     select_minigraphs_reference,
@@ -131,6 +136,14 @@ class TestHeapSelectorMatchesReference:
 
 # -- memoized enumeration equals fresh enumeration -----------------------------
 
+def _enumerate_counting_memo(program, limits):
+    """(candidates, memo hits, memo misses) of one enumeration."""
+    before = FRONTEND_STATS.snapshot()
+    result = enumerate_minigraphs(program, limits)
+    delta = FRONTEND_STATS.delta_since(before)
+    return result, delta.block_memo_hits, delta.block_memo_misses
+
+
 class TestEnumerationMemo:
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -138,10 +151,10 @@ class TestEnumerationMemo:
         program = _random_program(seed)
         limits = EnumerationLimits()
         clear_block_memo()
-        fresh = enumerate_minigraphs(program, limits)
-        assert fresh.memo_hits == 0
-        memoized = enumerate_minigraphs(program, limits)
-        assert memoized.memo_misses == 0
+        fresh, hits, _ = _enumerate_counting_memo(program, limits)
+        assert hits == 0
+        memoized, _, misses = _enumerate_counting_memo(program, limits)
+        assert misses == 0
         assert list(memoized) == list(fresh)
         assert memoized.truncated_blocks == fresh.truncated_blocks
         assert memoized.dropped_subsets == fresh.dropped_subsets
@@ -150,8 +163,9 @@ class TestEnumerationMemo:
         program = _random_program(7)
         clear_block_memo()
         wide = enumerate_minigraphs(program, EnumerationLimits(max_size=4))
-        narrow = enumerate_minigraphs(program, EnumerationLimits(max_size=2))
-        assert narrow.memo_misses > 0  # different limits never share entries
+        narrow, _, misses = _enumerate_counting_memo(
+            program, EnumerationLimits(max_size=2))
+        assert misses > 0  # different limits never share entries
         assert all(candidate.size <= 2 for candidate in narrow)
         assert len(wide) >= len(narrow)
 
@@ -172,9 +186,9 @@ class TestEnumerationMemo:
         """
         program = Program.from_assembly("repeated", body)
         clear_block_memo()
-        result = enumerate_minigraphs(program, EnumerationLimits())
+        _, hits, _ = _enumerate_counting_memo(program, EnumerationLimits())
         # The first two blocks are identical in content and live-out slice.
-        assert result.memo_hits >= 1
+        assert hits >= 1
 
 
 # -- truncation is surfaced ----------------------------------------------------
@@ -242,8 +256,36 @@ class TestTemplateRegistry:
         assert candidate.template_id is not None
         clone = pickle.loads(pickle.dumps(candidate))
         assert clone.template_id is None
-        assert clone == candidate  # identity excludes the cached id
-        assert candidate_template_id(clone) == candidate.template_id
+        assert clone == candidate  # identity excludes the id
+        assert candidate.template_id is not None  # the original keeps its id
+
+    def test_selection_rejects_a_candidate_without_an_id(self):
+        program = _random_program(11)
+        candidates = enumerate_minigraphs(program, EnumerationLimits())
+        if not candidates:
+            pytest.skip("random program produced no candidates")
+        clone = pickle.loads(pickle.dumps(candidates[0]))
+        profile = _random_profile(program, 11)
+        with pytest.raises(ValueError, match="template_id"):
+            select_minigraphs(program, profile, candidates=[clone])
+
+    def test_a_shape_that_fails_validation_raises_and_registers_nothing(self):
+        size = len(TEMPLATE_REGISTRY)
+        builds = []
+
+        def build():
+            builds.append(1)
+            return MiniGraphTemplate(
+                instructions=(TemplateInstruction("addq", external(0),
+                                                  external(1)),),
+                num_inputs=2, out_index=0)
+
+        raw_key = ((("addq", 0, 1, None),), 2, 0)
+        for _ in range(2):  # nothing is memoized: each miss builds again
+            with pytest.raises(TemplateError, match="two instructions"):
+                TEMPLATE_REGISTRY.intern_raw(raw_key, build)
+        assert len(builds) == 2
+        assert len(TEMPLATE_REGISTRY) == size
 
     def test_ranks_realise_sort_key_order(self):
         for seed in range(5):

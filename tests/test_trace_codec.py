@@ -145,6 +145,18 @@ class TestCodecValidation:
         assert isinstance(excinfo.value, TraceCodecError)
 
 
+_STORE_VERSION = "1.0"
+
+
+def _store(cache_dir):
+    return ArtifactStore(cache_dir, version=_STORE_VERSION)
+
+
+def _entry_dir(cache_dir):
+    """Where a store of ``_STORE_VERSION`` keeps its disk entries."""
+    return cache_dir / f"v-{_STORE_VERSION}"
+
+
 class TestStoreCrossCodec:
     def _trace(self):
         return _trace([
@@ -155,68 +167,71 @@ class TestStoreCrossCodec:
              pack_flags(False, None, False, True, True, False), 0x2008, -1)])
 
     def test_bare_traces_are_stored_binary_and_read_back(self, tmp_path):
-        writer = ArtifactStore(tmp_path)
+        writer = _store(tmp_path)
         trace = self._trace()
         writer.put("trace-abc", trace)
-        (path,) = tmp_path.glob("*.pkl")
+        (path,) = _entry_dir(tmp_path).glob("*.pkl")
         # A pickle whose payload is the trace's codec blob.
         data = path.read_bytes()
         assert data[:len(TRACE_MAGIC)] != TRACE_MAGIC
         assert encode_trace(trace) in data
-        reader = ArtifactStore(tmp_path)  # fresh store: no memory layer
+        reader = _store(tmp_path)  # fresh store: no memory layer
         assert _rows_of(reader.get("trace-abc")) == _rows_of(trace)
 
     def test_pickle_entries_containing_traces_still_read(self, tmp_path):
         # An artifact embedding a trace carries the same codec blob as a
         # bare trace, and both load from the same directory.
-        store = ArtifactStore(tmp_path)
+        store = _store(tmp_path)
         trace = self._trace()
         store.put("trace-bare", trace)
         store.put("pair-pickle", {"trace": trace, "label": "embedded"})
-        reader = ArtifactStore(tmp_path)
+        reader = _store(tmp_path)
         assert _rows_of(reader.get("pair-pickle")["trace"]) == _rows_of(trace)
         assert _rows_of(reader.get("trace-bare")) == _rows_of(trace)
 
     def test_unknown_codec_version_is_a_miss_not_a_crash(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+        store = _store(tmp_path)
         store.put("pair-future", {"trace": self._trace()})
-        (path,) = tmp_path.glob("*.pkl")
+        (path,) = _entry_dir(tmp_path).glob("*.pkl")
         data = bytearray(path.read_bytes())
         # The version field is the u16 right after the embedded blob's magic.
         struct.pack_into("<H", data, data.index(TRACE_MAGIC) + 4,
                          TRACE_CODEC_VERSION + 1)
         path.write_bytes(bytes(data))
-        reader = ArtifactStore(tmp_path)
+        reader = _store(tmp_path)
         assert reader.get("pair-future") is MISS
         assert reader.stats.misses == 1
         # The foreign-version entry is left for the build that wrote it.
         assert path.exists()
 
     def test_corrupt_trace_entry_is_dropped_and_missed(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+        store = _store(tmp_path)
         store.put("trace-corrupt", self._trace())
-        (path,) = tmp_path.glob("*.pkl")
+        (path,) = _entry_dir(tmp_path).glob("*.pkl")
         path.write_bytes(path.read_bytes()[:-3])
-        reader = ArtifactStore(tmp_path)
+        reader = _store(tmp_path)
         assert reader.get("trace-corrupt") is MISS
         assert not path.exists()
 
     def test_bare_codec_entry_from_an_older_build_is_dropped_and_missed(
             self, tmp_path):
         # Older builds wrote a bare trace as its codec blob, not a pickle.
-        path = tmp_path / "trace-old.pkl"
+        path = _entry_dir(tmp_path) / "trace-old.pkl"
+        path.parent.mkdir()
         path.write_bytes(encode_trace(self._trace()))
-        reader = ArtifactStore(tmp_path)
+        reader = _store(tmp_path)
         assert reader.get("trace-old") is MISS
         assert reader.stats.misses == 1
         assert not path.exists()
 
     def test_put_serialization_failure_cleans_temp_and_degrades(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+        store = _store(tmp_path)
         unpicklable = lambda: None  # noqa: E731 - locals cannot be pickled
         store.put("bad-artifact", unpicklable)
-        # Memory layer still serves the value; nothing (tmp or entry) on disk.
+        # Memory layer still serves the value; nothing (tmp or entry) on
+        # disk beyond the version directory's activity lock.
         assert store.get("bad-artifact") is unpicklable
-        assert list(tmp_path.iterdir()) == []
-        reader = ArtifactStore(tmp_path)
+        assert list(tmp_path.rglob("*.pkl")) == []
+        assert list(tmp_path.rglob("*.tmp")) == []
+        reader = _store(tmp_path)
         assert reader.get("bad-artifact") is MISS
