@@ -12,7 +12,12 @@ The oracle matrix:
 ``rewrite``
     The rewritten program's architectural behaviour under the functional
     simulator must equal the original's: identical memory image, committed
-    instruction count and halt state, with no more committed slots.  (Final
+    instruction count and halt state, with no more committed slots.  Its
+    trace must also carry the original's memory-access stream and control
+    stream (:func:`memory_access_stream`, :func:`control_stream`): the
+    enumerator anchors a branch-bearing graph at its branch, keeps control
+    transfers terminal and never moves a memory member across another
+    memory operation, so handles reorder neither.  (Final
     registers are deliberately *not* compared wholesale: interior values
     that liveness proves dead at exit are never materialized by the
     rewritten program — the paper's transient-value optimisation.  The
@@ -60,7 +65,8 @@ from ..minigraph.policies import DEFAULT_POLICY
 from ..minigraph.selection import select_minigraphs, select_minigraphs_reference
 from ..program import rewrite_program
 from ..sim import run_program
-from ..sim.trace import decode_trace, encode_trace
+from ..sim.trace import (TF_CONTROL, TF_MEMORY, TF_TAKEN, Trace, decode_trace,
+                         encode_trace)
 from ..uarch.config import ConfigError, MachineConfig, baseline_config
 from ..uarch.pipeline import TimingError, TimingSimulator, simulate_program
 from .generator import SYNTH_BUDGET, SplitMix64, SynthSpec, generate_program
@@ -162,6 +168,34 @@ def _fingerprint(selection) -> Dict[str, Any]:
 # -- oracle 1: rewritten == original under the functional simulator -------------
 
 
+def memory_access_stream(trace: Trace) -> List[Tuple[int, int]]:
+    """``(TF_LOAD/TF_STORE bits, effective address)`` of every entry that
+    touches memory, in commit order."""
+    columns = trace.columns()
+    return [(flags & TF_MEMORY, address) for flags, address
+            in zip(columns.flags, columns.effective_address)
+            if flags & TF_MEMORY]
+
+
+def control_stream(trace: Trace) -> List[Tuple[int, int]]:
+    """``(next_pc, TF_TAKEN bit)`` of every control entry, halt included, in
+    commit order."""
+    columns = trace.columns()
+    return [(next_pc, flags & TF_TAKEN) for flags, next_pc
+            in zip(columns.flags, columns.next_pc) if flags & TF_CONTROL]
+
+
+def _stream_divergence(name: str, rewritten: List[Tuple[int, int]],
+                       original: List[Tuple[int, int]]) -> Optional[str]:
+    if rewritten == original:
+        return None
+    for position, (mine, theirs) in enumerate(zip(rewritten, original)):
+        if mine != theirs:
+            return (f"{name} stream diverged at element {position}: "
+                    f"{mine} vs {theirs}")
+    return f"{name} stream has {len(rewritten)} elements vs {len(original)}"
+
+
 def oracle_rewrite(ctx: FuzzContext) -> OracleResult:
     baseline = ctx.baseline
     if not baseline.halted:
@@ -183,6 +217,13 @@ def oracle_rewrite(ctx: FuzzContext) -> OracleResult:
         problems.append(
             f"rewritten committed more slots ({result.entries_committed}) "
             f"than the original ({baseline.entries_committed})")
+    if result.halted:
+        for name, stream in (("memory-access", memory_access_stream),
+                             ("control", control_stream)):
+            divergence = _stream_divergence(name, stream(result.trace),
+                                            stream(baseline.trace))
+            if divergence is not None:
+                problems.append(divergence)
     if problems:
         return OracleResult("rewrite", False, "; ".join(problems))
     return OracleResult("rewrite", True)

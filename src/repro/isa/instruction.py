@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .opcodes import OpClass, OpSpec, opcode
+from .opcodes import CONDITIONAL_MOVES, OpClass, OpSpec, opcode
 from .registers import ZERO_REG, is_zero_reg, reg_name
 
 #: Instruction size in bytes (fixed-width encoding).
@@ -134,7 +134,7 @@ class Instruction:
             sources.append(self.rs1)
         if spec.reads_rs2 and self.rs2 is not None and not is_zero_reg(self.rs2):
             sources.append(self.rs2)
-        if self.op in ("cmovne", "cmoveq") and self.rd is not None \
+        if self.op in CONDITIONAL_MOVES and self.rd is not None \
                 and not is_zero_reg(self.rd) and self.rd not in sources:
             sources.append(self.rd)
         return tuple(sources)

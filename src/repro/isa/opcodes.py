@@ -50,6 +50,12 @@ MINIGRAPH_ELIGIBLE_CLASSES = frozenset(
     {OpClass.ALU, OpClass.LOAD, OpClass.STORE, OpClass.BRANCH, OpClass.JUMP}
 )
 
+#: Conditional moves.  They read their destination register implicitly (the
+#: not-moved case keeps the old value), so liveness must count ``rd`` as a
+#: source, and a mini-graph template, which cannot name that register, may
+#: not contain them.
+CONDITIONAL_MOVES = frozenset({"cmovne", "cmoveq"})
+
 
 @dataclass(frozen=True)
 class OpSpec:

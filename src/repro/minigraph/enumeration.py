@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..isa.instruction import Instruction
-from ..isa.opcodes import OpClass, opcode
+from ..isa.opcodes import CONDITIONAL_MOVES, OpClass, opcode
 from ..isa.registers import is_zero_reg
 from ..program.basic_block import BasicBlock, split_basic_blocks
 from ..program.liveness import analyze_liveness
@@ -142,7 +142,7 @@ def _op_flags(op: str) -> _OpFlags:
             reads_rs1=spec.reads_rs1,
             reads_rs2=spec.reads_rs2,
             writes_rd=spec.writes_rd,
-            is_cmov=op in ("cmovne", "cmoveq"),
+            is_cmov=op in CONDITIONAL_MOVES,
         )
     return flags
 
@@ -237,7 +237,7 @@ class _BlockContext:
             self.writes.append(dest)
             self.is_memory.append(flags.is_memory)
             self.is_control.append(flags.is_control)
-            if self._is_eligible(insn, flags, position, length, limits):
+            if self._is_eligible(flags, position, length, limits):
                 self.eligible.append(position)
             if dest is not None:
                 last_def[dest] = position
@@ -261,14 +261,12 @@ class _BlockContext:
             out_events.append(tuple(events))
         self.out_events = out_events
 
-    #: Conditional moves read their destination register implicitly, which the
-    #: interface analysis does not model; they stay singletons.
-    _INELIGIBLE_OPS = frozenset({"cmovne", "cmoveq"})
-
-    @classmethod
-    def _is_eligible(cls, insn: Instruction, flags: _OpFlags, position: int,
-                     block_length: int, limits: EnumerationLimits) -> bool:
-        if not flags.eligible or insn.op in cls._INELIGIBLE_OPS:
+    @staticmethod
+    def _is_eligible(flags: _OpFlags, position: int, block_length: int,
+                     limits: EnumerationLimits) -> bool:
+        # Conditional moves read their destination implicitly, which a
+        # template cannot name; they stay singletons.
+        if not flags.eligible or flags.is_cmov:
             return False
         if flags.is_memory and not limits.allow_memory:
             return False

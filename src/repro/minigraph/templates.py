@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Tuple
 
-from ..isa.opcodes import opcode
+from ..isa.opcodes import CONDITIONAL_MOVES, opcode
 
 #: Maximum number of interface (external) register inputs.
 MAX_EXTERNAL_INPUTS = 2
@@ -183,6 +183,10 @@ class MiniGraphTemplate:
             if not template_insn.spec.minigraph_eligible:
                 raise TemplateError(
                     f"{template_insn.op} is not eligible for mini-graph inclusion")
+            if template_insn.op in CONDITIONAL_MOVES:
+                raise TemplateError(
+                    f"{template_insn.op} reads its destination register, which "
+                    f"a template cannot name")
             for ref in template_insn.operand_refs():
                 if ref.is_internal and ref.index >= position:
                     raise TemplateError(

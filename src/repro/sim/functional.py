@@ -5,10 +5,12 @@ architectural semantics, producing final register/memory state, a basic-block
 frequency profile and a committed-order dynamic trace for the timing model.
 
 It executes both unmodified programs and mini-graph rewritten programs.  For
-the latter it evaluates handles directly from the
-:class:`~repro.minigraph.mgt.MiniGraphTable` templates — interior values are
-computed without touching the architectural register file, exactly as the
-mini-graph microarchitecture treats them as transient.
+the latter it evaluates handles from the
+:class:`~repro.minigraph.mgt.MiniGraphTable` templates: the first time a run
+executes an MGID it compiles that entry's template into flat op tuples, and
+the plan loop dispatches the handle as one step.  Interior values live in a
+per-handle value list and never touch the architectural register file,
+exactly as the mini-graph microarchitecture treats them as transient.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..isa.instruction import INSTRUCTION_BYTES, Instruction
+from ..isa.instruction import INSTRUCTION_BYTES
 from ..isa.opcodes import OpClass
 from ..isa.registers import NUM_ARCH_REGS, is_zero_reg
 from ..minigraph.mgt import MiniGraphTable
-from ..minigraph.templates import OperandKind, OperandRef
+from ..minigraph.templates import MiniGraphTemplate, OperandRef
 from ..program.basic_block import BlockIndex
 from ..program.profile import BlockProfile
 from ..program.program import Program
@@ -92,6 +94,8 @@ class FunctionalResult:
 # ALU semantics, shared by singleton execution and handle evaluation.
 # Each function maps (a, b, imm) -> 64-bit result, where ``b`` is the second
 # register operand for register forms and ``imm`` is used by immediate forms.
+# Conditional moves also read their destination, so they are plan steps of
+# their own and never appear here (nor inside a mini-graph).
 # ---------------------------------------------------------------------------
 
 def _alu_semantics() -> Dict[str, Callable[[int, int, Optional[int]], int]]:
@@ -129,8 +133,6 @@ def _alu_semantics() -> Dict[str, Callable[[int, int, Optional[int]], int]]:
         "cmplei": lambda a, b, imm: int(_signed(a) <= imm),
         "cmpult": lambda a, b, imm: int(a < b),
         "cmpulti": lambda a, b, imm: int(a < _wrap(imm)),
-        "cmovne": lambda a, b, imm: b,   # applied conditionally by the caller
-        "cmoveq": lambda a, b, imm: b,   # applied conditionally by the caller
         "s4addl": lambda a, b, imm: _wrap(_signed32((_signed(a) << 2) + _signed(b))),
         "s8addl": lambda a, b, imm: _wrap(_signed32((_signed(a) << 3) + _signed(b))),
         "s4addli": lambda a, b, imm: _wrap(_signed32((_signed(a) << 2) + imm)),
@@ -175,8 +177,8 @@ _ACCESS_SIZE = {"ldq": 8, "ldl": 4, "ldwu": 2, "ldbu": 1, "ldt": 8,
 _UNSIGNED_LOADS = {"ldbu", "ldwu", "ldq", "ldt"}
 
 
-#: Per-opcode branch predicates, resolved once at plan-build time instead of
-#: per committed branch; :func:`_branch_taken` delegates here.
+#: Per-opcode branch predicates, resolved once at plan-build (or handle
+#: compile) time instead of per committed branch.
 _BRANCH_FNS: Dict[str, Callable[[int], bool]] = {
     "beq": lambda v: v == 0,
     "bne": lambda v: v != 0,
@@ -185,13 +187,6 @@ _BRANCH_FNS: Dict[str, Callable[[int], bool]] = {
     "bgt": lambda v: _signed(v) > 0,
     "ble": lambda v: _signed(v) <= 0,
 }
-
-
-def _branch_taken(op: str, value: int) -> bool:
-    try:
-        return _BRANCH_FNS[op](value)
-    except KeyError:
-        raise SimulationError(f"not a conditional branch: {op}") from None
 
 #: Per-opcode FP semantics (FP values are carried as 64-bit integers; the
 #: workloads use FP only lightly, so fixed-point-style integer arithmetic is
@@ -225,6 +220,12 @@ _FP_FNS: Dict[str, Callable[[int, int], int]] = {
 # per-index block id / profile increment tables) instead of two dict
 # operations per committed instruction.  Plans are cached per program in a
 # process-wide id-keyed weak map, mirroring :mod:`repro.uarch.decode`.
+#
+# A handle is one more step kind, carrying its MGID and normalized registers.
+# Its template lives in the MGT, not the program, so the plan cannot hold it:
+# each run compiles an MGID's template the first time it executes (see
+# :func:`_compile_handle`) into a dict local to the run, and the hot loop
+# then walks flat op tuples over the handle's value list.
 # ---------------------------------------------------------------------------
 
 _K_NOP = 0
@@ -299,7 +300,7 @@ def _build_plan(program: Program) -> _Plan:
         if spec.op_class is OpClass.NOP:
             steps.append((_K_NOP,))
         elif spec.op_class is OpClass.MG:
-            steps.append((_K_HANDLE, insn))
+            steps.append((_K_HANDLE, insn.imm, rd, rs1, rs2))
         elif spec.op_class in (OpClass.ALU, OpClass.MUL):
             row = (pc, index, 1, next_pc, _ROW_PLAIN, 0, -1)
             if insn.op == "cmovne":
@@ -352,6 +353,63 @@ def _build_plan(program: Program) -> _Plan:
 _PLANS: PerProgramCache[_Plan] = PerProgramCache(_build_plan)
 
 
+#: Slots of a handle's value list ``[E0, E1, 0, M0, M1, ...]``: the two
+#: interface inputs, a constant zero for absent/immediate/zero operands, then
+#: one interior value per constituent instruction, appended as it executes.
+_ZERO_SLOT = 2
+_FIRST_INTERIOR_SLOT = 3
+
+
+def _operand_slot(ref: Optional[OperandRef]) -> int:
+    if ref is None:
+        return _ZERO_SLOT
+    if ref.is_external:
+        return ref.index
+    if ref.is_internal:
+        return _FIRST_INTERIOR_SLOT + ref.index
+    return _ZERO_SLOT
+
+
+def _compile_handle(template: MiniGraphTemplate) -> Tuple[Any, ...]:
+    """Compile ``template`` into ``(ops, size, out, flags...)`` for the run loop.
+
+    ``ops`` holds one flat tuple per constituent instruction with operands
+    as value-list slots and everything static resolved: the ALU function,
+    access size and signedness, branch predicate and immediates.  ``out`` is
+    the output's slot (None without an interface output).  The last three
+    fields are the entry's flags byte with no control outcome, taken and
+    fall-through.
+    """
+    ops: List[Tuple[Any, ...]] = []
+    for template_insn in template.instructions:
+        op = template_insn.op
+        spec = template_insn.spec
+        a = _operand_slot(template_insn.src0)
+        b = _operand_slot(template_insn.src1)
+        if spec.op_class in (OpClass.ALU, OpClass.MUL):
+            ops.append((_K_ALU, _ALU[op], a, b, template_insn.imm))
+        elif spec.is_load:
+            ops.append((_K_LOAD, a, template_insn.imm or 0, _ACCESS_SIZE[op],
+                        op not in _UNSIGNED_LOADS))
+        elif spec.is_store:
+            ops.append((_K_STORE, a, b, template_insn.imm or 0,
+                        _ACCESS_SIZE[op]))
+        elif spec.op_class is OpClass.BRANCH:
+            ops.append((_K_BRANCH, _BRANCH_FNS[op], a, template_insn.imm))
+        elif spec.op_class is OpClass.JUMP:
+            ops.append((_K_JUMP, template_insn.imm))
+        else:
+            raise SimulationError(f"opcode {op} not allowed inside a mini-graph")
+    out = (None if template.out_index is None
+           else _FIRST_INTERIOR_SLOT + template.out_index)
+    control = template.has_branch
+    access = (template.has_load, template.has_store, template.has_memory, True)
+    return (tuple(ops), template.size, out,
+            pack_flags(control, None, *access),
+            pack_flags(control, True, *access),
+            pack_flags(control, False, *access))
+
+
 class FunctionalSimulator:
     """Architectural simulator for one program (optionally with an MGT)."""
 
@@ -375,6 +433,7 @@ class FunctionalSimulator:
         original with the same budget.
         """
         program = self._program
+        mgt = self._mgt
         registers = [0] * NUM_ARCH_REGS
         memory = Memory.from_image(program.data)
         # Committed rows: column value tuples.  Fully static rows (ALU, both
@@ -383,6 +442,8 @@ class FunctionalSimulator:
         # rows (loads, stores, indirect jumps, handles) are plain tuples.
         rows: List[Tuple[int, int, int, int, int, int, int]] = []
         rows_append = rows.append
+        # MGID -> compiled template (see _compile_handle), filled on first use.
+        handles: Dict[int, Tuple[Any, ...]] = {}
 
         plan = self._plan
         steps = plan.steps
@@ -441,11 +502,53 @@ class FunctionalSimulator:
                 mem_store(address, registers[rs2] if rs2 is not None else 0, size)
                 row = (entry_pc, index, 1, next_pc, _ROW_STORE, address, -1)
             elif kind == _K_HANDLE:
-                _, insn = step
-                row, next_pc, count = self._execute_handle(
-                    insn, pc, index, registers, memory)
-                executed += count
-                rows_append(row)
+                _, mgid, rd, rs1, rs2 = step
+                handle = handles.get(mgid)
+                if handle is None:
+                    if mgt is None:
+                        raise SimulationError(
+                            f"{program.name}: handle at {pc:#x} but no MGT "
+                            f"was supplied")
+                    handle = handles[mgid] = _compile_handle(
+                        mgt.lookup(mgid).template)
+                ops, size, out, flags, taken_flags, fall_flags = handle
+                values = [registers[rs1] if rs1 is not None else 0,
+                          registers[rs2] if rs2 is not None else 0, 0]
+                push = values.append
+                next_pc = pc + INSTRUCTION_BYTES
+                address = 0
+                # Interior ALU results stay unmasked, as the registers never
+                # see them; loaded values and addresses are masked.
+                for op in ops:
+                    code = op[0]
+                    if code == _K_ALU:
+                        _, fn, a, b, imm = op
+                        push(fn(values[a], values[b], imm))
+                    elif code == _K_BRANCH:
+                        _, fn, a, target = op
+                        if fn(values[a]):
+                            flags = taken_flags
+                            next_pc = target
+                        else:
+                            flags = fall_flags
+                        push(0)
+                    elif code == _K_LOAD:
+                        _, a, imm, width, signed = op
+                        address = (values[a] + imm) & mask
+                        push(mem_load(address, width, signed=signed) & mask)
+                    elif code == _K_STORE:
+                        _, a, b, imm, width = op
+                        address = (values[a] + imm) & mask
+                        mem_store(address, values[b], width)
+                        push(0)
+                    else:  # _K_JUMP
+                        flags = taken_flags
+                        next_pc = op[1]
+                        push(0)
+                if out is not None and rd is not None:
+                    registers[rd] = values[out] & mask
+                executed += size
+                rows_append((pc, index, size, next_pc, flags, address, mgid))
                 pc = next_pc
                 continue
             elif kind == _K_CMOVNE or kind == _K_CMOVEQ:
@@ -538,84 +641,6 @@ class FunctionalSimulator:
             if not insn.is_nop:
                 return block.start_index + offset
         return block.start_index
-
-    def _read(self, registers: List[int], reg: Optional[int]) -> int:
-        if reg is None or is_zero_reg(reg):
-            return 0
-        return registers[reg]
-
-    def _write(self, registers: List[int], reg: Optional[int], value: int) -> None:
-        if reg is None or is_zero_reg(reg):
-            return
-        registers[reg] = _wrap(value)
-
-    def _execute_handle(self, handle: Instruction, pc: int, index: int,
-                        registers: List[int], memory: Memory
-                        ) -> Tuple[Tuple[int, int, int, int, int, int, int],
-                                   int, int]:
-        if self._mgt is None:
-            raise SimulationError(
-                f"{self._program.name}: handle at {pc:#x} but no MGT was supplied")
-        entry = self._mgt.lookup(handle.mgid)
-        template = entry.template
-        external_values = (self._read(registers, handle.rs1),
-                           self._read(registers, handle.rs2))
-        interior: Dict[int, int] = {}
-        next_pc = pc + INSTRUCTION_BYTES
-        taken: Optional[bool] = None
-        effective_address: Optional[int] = None
-        is_load = is_store = False
-        output_value: Optional[int] = None
-
-        def resolve(ref: Optional[OperandRef]) -> int:
-            if ref is None:
-                return 0
-            if ref.kind is OperandKind.EXTERNAL:
-                return external_values[ref.index]
-            if ref.kind is OperandKind.INTERNAL:
-                return interior[ref.index]
-            return 0
-
-        for position, template_insn in enumerate(template.instructions):
-            op = template_insn.op
-            spec = template_insn.spec
-            a = resolve(template_insn.src0)
-            b = resolve(template_insn.src1)
-            result = 0
-            if spec.op_class in (OpClass.ALU, OpClass.MUL):
-                result = _ALU[op](a, b, template_insn.imm)
-            elif spec.is_load:
-                is_load = True
-                effective_address = _wrap(a + (template_insn.imm or 0))
-                size = _ACCESS_SIZE[op]
-                result = _wrap(memory.load(effective_address, size,
-                                           signed=op not in _UNSIGNED_LOADS))
-            elif spec.is_store:
-                is_store = True
-                effective_address = _wrap(a + (template_insn.imm or 0))
-                memory.store(effective_address, b, _ACCESS_SIZE[op])
-            elif spec.op_class is OpClass.BRANCH:
-                taken = _branch_taken(op, a)
-                if taken:
-                    next_pc = template_insn.imm
-            elif spec.op_class is OpClass.JUMP:
-                taken = True
-                next_pc = template_insn.imm
-            else:
-                raise SimulationError(f"opcode {op} not allowed inside a mini-graph")
-            interior[position] = result
-            if template.out_index == position:
-                output_value = result
-
-        if template.out_index is not None:
-            self._write(registers, handle.rd, output_value or 0)
-
-        flags = pack_flags(template.has_branch, taken, is_load, is_store,
-                           effective_address is not None, True)
-        row = (pc, index, template.size, next_pc, flags,
-               effective_address if effective_address is not None else 0,
-               handle.mgid)
-        return row, next_pc, template.size
 
 
 def run_program(program: Program, *, mgt: Optional[MiniGraphTable] = None,

@@ -37,11 +37,16 @@ class Memory:
 
     @classmethod
     def from_image(cls, image: Mapping[int, int]) -> "Memory":
-        """Build a memory from a program's initial data segment."""
-        memory = cls()
-        for address, value in image.items():
-            memory.store(address, value, 8)
-        return memory
+        """Build a memory from a program's initial data segment.
+
+        Each image entry is one aligned quadword, so it needs no
+        read-modify-write: only the alignment check and the 64-bit mask.
+        """
+        words = {address: value & _WORD_MASK for address, value in image.items()}
+        for address in words:
+            if address % _WORD_BYTES:
+                raise MemoryError_(f"misaligned 8-byte store at {address:#x}")
+        return cls(words)
 
     # -- raw word access -------------------------------------------------------
 

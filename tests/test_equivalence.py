@@ -7,6 +7,7 @@ mini-graphs into handles must not change architectural semantics.
 
 import pytest
 
+from repro.fuzz.oracles import control_stream, memory_access_stream
 from repro.minigraph import (
     DEFAULT_POLICY,
     INTEGER_POLICY,
@@ -52,6 +53,14 @@ def _equivalence_case(benchmark: str, policy) -> None:
     assert result.halted
     # Handles really do absorb work: slots committed must not exceed original.
     assert result.entries_committed <= baseline.entries_committed
+    # Handles reorder neither memory accesses nor control transfers: a
+    # branch-bearing graph is anchored at its terminal branch, and memory
+    # members never cross other memory operations.  So the per-entry flags,
+    # effective addresses and successor PCs the timing model reads agree
+    # with the original's, in commit order.
+    assert memory_access_stream(result.trace) == \
+        memory_access_stream(baseline.trace)
+    assert control_stream(result.trace) == control_stream(baseline.trace)
 
 
 @pytest.mark.parametrize("benchmark_name", EQUIVALENCE_BENCHMARKS)

@@ -2,6 +2,14 @@
 
 import pytest
 
+from repro.minigraph import (
+    MgtError,
+    MiniGraphTable,
+    MiniGraphTemplate,
+    TemplateInstruction,
+    external,
+    internal,
+)
 from repro.program import Program
 from repro.sim import Memory, MemoryError_, run_program
 from repro.sim.functional import SimulationError
@@ -48,6 +56,14 @@ class TestMemory:
         a = Memory.from_image({0x100: 1})
         b = Memory.from_image({0x100: 2})
         assert a.checksum() != b.checksum()
+
+    def test_from_image_rejects_misaligned_words(self):
+        with pytest.raises(MemoryError_, match="misaligned 8-byte store at 0x3"):
+            Memory.from_image({0x100: 1, 0x3: 2})
+
+    def test_from_image_masks_negative_values(self):
+        memory = Memory.from_image({8: -1})
+        assert memory.load_word(8) == 0xFFFFFFFFFFFFFFFF
 
 
 def _run(source, **kwargs):
@@ -196,3 +212,44 @@ class TestFunctionalExecution:
           halt
         """
         assert _run(source).checksum() == _run(source).checksum()
+
+
+def _add_pair_mgt():
+    """MGT 0: ``addqi E0,1 ; addq M0,E1`` with the sum as its output."""
+    template = MiniGraphTemplate(
+        instructions=(
+            TemplateInstruction("addqi", src0=external(0), imm=1),
+            TemplateInstruction("addq", src0=internal(0), src1=external(1)),
+        ),
+        num_inputs=2, out_index=1)
+    return MiniGraphTable.from_templates([template])
+
+
+_HANDLE_SOURCE = """
+  ldi r1, 4
+  ldi r2, 10
+  mg r1,r2,r3,{mgid}
+  halt
+"""
+
+
+class TestHandleErrors:
+    """Handle errors are raised when the handle executes, never before."""
+
+    def test_handle_without_mgt_names_its_pc(self):
+        program = Program.from_assembly("h", _HANDLE_SOURCE.format(mgid=0))
+        with pytest.raises(SimulationError,
+                           match=rf"h: handle at {program.pc_of(2):#x} "
+                                 rf"but no MGT was supplied"):
+            run_program(program)
+
+    def test_unreached_handle_needs_no_mgt(self):
+        program = Program.from_assembly("h", _HANDLE_SOURCE.format(mgid=0))
+        result = run_program(program, max_instructions=2)   # stops before mg
+        assert result.instructions_executed == 2
+        assert not result.halted
+
+    def test_unknown_mgid_raises_mgt_error(self):
+        program = Program.from_assembly("h", _HANDLE_SOURCE.format(mgid=7))
+        with pytest.raises(MgtError, match="MGID 7 not present"):
+            run_program(program, mgt=_add_pair_mgt())

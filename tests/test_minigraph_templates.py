@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.isa.opcodes import CONDITIONAL_MOVES
 from repro.minigraph import (
     MiniGraphTemplate,
     TemplateError,
@@ -154,3 +155,14 @@ class TestTemplateValidation:
                     TemplateInstruction("addq", src0=internal(0), src1=external(2)),
                 ),
                 num_inputs=3, out_index=1)
+
+    @pytest.mark.parametrize("op", sorted(CONDITIONAL_MOVES))
+    def test_conditional_moves_rejected(self, op):
+        # A conditional move also reads its destination, which a template
+        # cannot name: the cmovne graph run as ``mg r1,r2,r3`` with r1 = 0
+        # used to leave r3 = r2 instead of keeping r3.
+        with pytest.raises(TemplateError, match=op):
+            MiniGraphTemplate(
+                (TemplateInstruction(op, external(0), external(1)),
+                 TemplateInstruction("addqi", internal(0), None, 0)),
+                2, 1)
