@@ -6,6 +6,10 @@ dataclasses rather than from hand-maintained tuples.  Adding a field to
 :class:`~repro.minigraph.policies.SelectionPolicy` or
 :class:`~repro.uarch.config.MachineConfig` therefore changes the key
 automatically instead of silently aliasing cache entries.
+
+:func:`canonical_key` returns canonical material unchanged, so a key built
+from canonical pieces (a spec's memoized policy key, a machine's resolved
+key) is hashed directly with :func:`digest` instead of being walked again.
 """
 
 from __future__ import annotations
@@ -47,7 +51,12 @@ def canonical_key(value: Any) -> Any:
     raise KeyError_(f"cannot derive a canonical key from {type(value).__name__}")
 
 
+def digest(material: Any) -> str:
+    """Stable hex digest of ``material``, which must already be canonical
+    (``canonical_key(material) == material``, with the same ``repr``)."""
+    return hashlib.sha256(repr(material).encode("utf-8")).hexdigest()[:24]
+
+
 def content_hash(value: Any) -> str:
     """Stable hex digest of ``value``'s canonical key."""
-    digest = hashlib.sha256(repr(canonical_key(value)).encode("utf-8"))
-    return digest.hexdigest()[:24]
+    return digest(canonical_key(value))

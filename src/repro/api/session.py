@@ -37,7 +37,7 @@ from ..uarch.config import MachineConfig
 from ..uarch.pipeline import simulate_program
 from ..uarch.stats import PipelineStats
 from ..workloads import load_benchmark
-from .keys import content_hash
+from .keys import digest
 from .spec import RunSpec
 from .store import MISS, ArtifactStore, CacheStats
 
@@ -205,7 +205,7 @@ class Session:
 
     def _key(self, stage: str, spec: RunSpec, extra: Tuple[Any, ...] = ()) -> str:
         material = (self._version, stage) + spec.stage_material(stage) + extra
-        return f"{stage}-{content_hash(material)}"
+        return f"{stage}-{digest(material)}"
 
     def _stage(self, stage: str, spec: RunSpec, compute: Callable[[], Any],
                extra: Tuple[Any, ...] = ()) -> Any:

@@ -13,7 +13,7 @@ content-addressed rather than identity-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..minigraph.mgt import MgtBuildOptions
 from ..minigraph.policies import DEFAULT_POLICY, SelectionPolicy
@@ -24,7 +24,7 @@ from ..uarch.config import (
     integer_memory_minigraph_config,
     integer_minigraph_config,
 )
-from .keys import canonical_key, content_hash
+from .keys import canonical_key, content_hash, digest
 
 #: Stage names, in pipeline order.  ``assemble`` produces the program,
 #: ``profile`` the baseline functional run, ``select`` the mini-graph
@@ -134,18 +134,24 @@ class RunSpec:
             return self.benchmark
         return self.program.name  # type: ignore[union-attr]
 
+    def _memo(self, name: str, compute: Callable[[], Any]) -> Any:
+        """``compute()``, once per spec: the spec is frozen, so a value
+        derived from it can never change."""
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            value = compute()
+            object.__setattr__(self, name, value)
+            return value
+
     @property
     def source_id(self) -> str:
         """Content-addressed identity of the program source."""
         if self.benchmark is not None:
             return self.benchmark
-        # Hashing walks the whole program; memoize (the spec is frozen, so
-        # the digest can never change).
-        cached = self.__dict__.get("_source_id")
-        if cached is None:
-            cached = "adhoc-" + content_hash(self.program)
-            object.__setattr__(self, "_source_id", cached)
-        return cached
+        # Hashing walks the whole program.
+        return self._memo("_source_id",
+                          lambda: "adhoc-" + content_hash(self.program))
 
     @property
     def resolved_mgt_options(self) -> MgtBuildOptions:
@@ -169,6 +175,22 @@ class RunSpec:
             else baseline_config()
 
     # -- keying --------------------------------------------------------------------
+    #
+    # Every key component is canonicalized once per spec and memoized, so
+    # the material below is canonical as built and hashes with
+    # :func:`~repro.api.keys.digest` without another walk.
+
+    @property
+    def policy_key(self) -> Any:
+        """Canonical key of the selection policy (``None`` for a
+        baseline-only spec)."""
+        return self._memo("_policy_key", lambda: canonical_key(self.policy))
+
+    @property
+    def _mgt_key(self) -> Any:
+        """Canonical key of the resolved MGT build options."""
+        return self._memo("_mgt_options_key",
+                          lambda: canonical_key(self.resolved_mgt_options))
 
     def stage_material(self, stage: str) -> Tuple[Any, ...]:
         """Cache-key material for ``stage``: exactly the spec fields that
@@ -180,13 +202,9 @@ class RunSpec:
         if stage == "profile":
             return source + (self.budget,)
         if stage in ("select", "rewrite"):
-            return source + (self.budget, canonical_key(self.policy))
-        if stage == "build_mgt":
-            return source + (self.budget, canonical_key(self.policy),
-                             canonical_key(self.resolved_mgt_options))
-        if stage in ("trace", "time"):
-            return source + (self.budget, canonical_key(self.policy),
-                             canonical_key(self.resolved_mgt_options))
+            return source + (self.budget, self.policy_key)
+        if stage in ("build_mgt", "trace", "time"):
+            return source + (self.budget, self.policy_key, self._mgt_key)
         if stage == "time_baseline":
             # Baseline timing simulates the *original* program and trace; it
             # depends on neither the policy nor the MGT options, so every
@@ -199,21 +217,16 @@ class RunSpec:
 
         Machines enter through their canonical :class:`MachineSpec` keys
         (name-free, derived fields normalized), so two specs differing only
-        in a machine's display name are the same run.  Memoized: the spec is
-        frozen, so the identity can never change.
+        in a machine's display name are the same run.
         """
-        cached = self.__dict__.get("_identity_key")
-        if cached is None:
-            cached = (
-                self.source_id, self.input_name, self.budget,
-                canonical_key(self.policy),
-                self.resolved_machine.resolve().key,
-                self.resolved_baseline_machine.resolve().key,
-                canonical_key(self.resolved_mgt_options),
-                self.compressed_layout,
-            )
-            object.__setattr__(self, "_identity_key", cached)
-        return cached
+        return self._memo("_identity_key", lambda: (
+            self.source_id, self.input_name, self.budget,
+            self.policy_key,
+            self.resolved_machine.resolve().key,
+            self.resolved_baseline_machine.resolve().key,
+            self._mgt_key,
+            self.compressed_layout,
+        ))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RunSpec):
@@ -226,7 +239,7 @@ class RunSpec:
     @property
     def spec_hash(self) -> str:
         """Stable content hash of the fully-normalized spec."""
-        return content_hash(self._identity())
+        return self._memo("_spec_hash", lambda: digest(self._identity()))
 
     def describe(self) -> Dict[str, Any]:
         """JSON-friendly summary used by reports and the CLI."""

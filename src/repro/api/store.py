@@ -15,7 +15,9 @@ pickles as one versioned binary codec blob through ``Trace.__reduce__``
 (:func:`repro.sim.trace.encode_trace`: header + raw column bytes), never as
 an object per entry.  A blob written by an *unknown* codec version makes the
 entry a cache miss — never an error — and the entry is left on disk for the
-build that wrote it; any other unreadable entry is a miss and is deleted.
+build that wrote it; any other unreadable entry is a miss and is deleted.  A
+put never replaces an existing entry: keys are content addresses, so the
+entry already holds the value.
 
 A value that cannot be serialized is kept in the memory layer and the disk
 write is skipped (the temp file is cleaned up); the cache is an optimization
@@ -189,6 +191,9 @@ class ArtifactStore:
     def put(self, key: str, value: Any) -> None:
         """Insert ``value`` into the memory layer and, if enabled, the disk layer.
 
+        An existing disk entry is kept as it is: keys are content addresses,
+        so it already holds this value.
+
         Serialization failures are contained: the temp file is removed, the
         value stays served from memory and no exception escapes — a cache
         that cannot persist must degrade, not crash the pipeline.
@@ -203,6 +208,8 @@ class ArtifactStore:
         try:
             self._entry_dir.mkdir(parents=True, exist_ok=True)
             self._mark_active()
+            if path.exists():
+                return
             fd, tmp_name = tempfile.mkstemp(dir=str(self._entry_dir),
                                             suffix=".tmp")
         except OSError:

@@ -34,10 +34,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..api.keys import content_hash
+from ..api.keys import digest
 from ..api.session import RunArtifacts, Session, SessionStats
 from ..api.spec import RunSpec
-from ..api.store import MISS, ArtifactStore, CacheStats
+from ..api.store import ArtifactStore, CacheStats
 from .planner import GridPlan, plan_grid
 from .spec import GridCell, GridSpec
 
@@ -100,12 +100,13 @@ def cell_key(spec: RunSpec, version: str) -> str:
     declarations, and daemon rows and ``repro grid --resume`` runs serve
     each other.
     """
-    return f"gridcell-{content_hash((version, spec.spec_hash))}"
+    return f"gridcell-{digest((version, spec.spec_hash))}"
 
 
 #: The :class:`GridRow` fields a row artifact stores (:func:`_cell_payload`).
 _PAYLOAD_FIELDS = ("coverage", "baseline_ipc", "ipc", "speedup", "cycles",
                    "baseline_cycles", "templates")
+_PAYLOAD_KEYS = frozenset(_PAYLOAD_FIELDS)
 
 
 def _cell_payload(artifacts: RunArtifacts) -> Dict[str, Any]:
@@ -162,15 +163,19 @@ def run_cells(session: Session,
 def resume_rows(store: ArtifactStore, version: str, cells: Iterable[GridCell]
                 ) -> Tuple[List[GridRow], List[GridCell]]:
     """The resume probe: split ``cells`` into rows served from their stored
-    row artifacts (``resumed=True``) and the cells still to run."""
+    row artifacts (``resumed=True``) and the cells still to run.
+
+    A stored value that is not a row payload (a dict of exactly
+    :data:`_PAYLOAD_FIELDS`) is a miss: its cell runs again.
+    """
     served: List[GridRow] = []
     remaining: List[GridCell] = []
     for cell in cells:
         payload = store.get(cell_key(cell.spec, version))
-        if payload is MISS:
-            remaining.append(cell)
-        else:
+        if isinstance(payload, dict) and payload.keys() == _PAYLOAD_KEYS:
             served.append(_row(cell, payload, resumed=True))
+        else:
+            remaining.append(cell)
     return served, remaining
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..api.keys import canonical_key
 from .spec import GridCell, GridError, GridSpec
 
 
@@ -153,7 +152,7 @@ def plan_cells(cells: Iterable[GridCell],
         stage = stages.get(stage_key)
         if stage is None:
             stage = stages[stage_key] = PlanStage(key=stage_key)
-        policy_key = None if spec.policy is None else canonical_key(spec.policy)
+        policy_key = spec.policy_key
         group_key = (stage_key, policy_key)
         group = groups.get(group_key)
         if group is None:

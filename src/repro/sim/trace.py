@@ -29,6 +29,7 @@ import sys
 import zlib
 from array import array
 from collections import Counter
+from itertools import compress
 from typing import NamedTuple, Optional, Tuple
 
 # ---------------------------------------------------------------------------
@@ -45,6 +46,9 @@ TF_HAS_MGID = 0x40     #: mgid column holds a real MGID (entry is a handle)
 
 TF_MEMORY = TF_LOAD | TF_STORE
 _TF_TAKEN_BOTH = TF_TAKEN_KNOWN | TF_TAKEN
+
+#: ``bytes.translate`` table mapping a flags byte to 1 for a handle, else 0.
+_HANDLE_TABLE = bytes(1 if flags & TF_HAS_MGID else 0 for flags in range(256))
 
 
 def pack_flags(is_control: bool, taken: Optional[bool], is_load: bool,
@@ -149,10 +153,11 @@ class Trace:
     def _summarize(self) -> _Summary:
         summary = self._summary
         if summary is None:
-            # One Counter pass over the one-byte flags column (C speed) plus
-            # a C-level sum of the size column covers every statistic; the
-            # per-entry Python loop for absorbed instructions only runs when
-            # the trace actually contains handles.
+            # One Counter pass over the one-byte flags column plus C-level
+            # sums of the size column cover every statistic: a handle of
+            # size n absorbs n - 1 instructions, so the absorbed count is the
+            # handles' size sum (selected by a flags-to-0/1 translation)
+            # minus the handle count.
             flag_counts = Counter(self._flags)
             handles = loads = stores = 0
             for flags, times in flag_counts.items():
@@ -163,12 +168,8 @@ class Trace:
                 if flags & TF_STORE:
                     stores += times
             original = sum(self._size)
-            if handles:
-                absorbed = sum(size - 1 for size, flags
-                               in zip(self._size, self._flags)
-                               if flags & TF_HAS_MGID)
-            else:
-                absorbed = 0
+            is_handle = self._flags.tobytes().translate(_HANDLE_TABLE)
+            absorbed = sum(compress(self._size, is_handle)) - handles
             summary = _Summary(original, absorbed, loads, stores)
             self._summary = summary
         return summary

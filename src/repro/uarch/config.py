@@ -24,6 +24,7 @@ geometry therefore share one timing artifact.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Tuple
@@ -335,16 +336,23 @@ def _canonical_field(value: Any) -> Any:
     return value
 
 
+# The paper-default machines are shared: configs are frozen, so one object
+# per argument keeps its resolved spec memo for the whole process.
+
+
+@functools.cache
 def baseline_config() -> MachineConfig:
     """The paper's baseline 6-wide processor."""
     return MachineConfig()
 
 
+@functools.cache
 def integer_minigraph_config(*, collapsing: bool = False) -> MachineConfig:
     """Figure 6 "int": two ALUs replaced with 4-stage ALU pipelines."""
     return baseline_config().with_minigraph_alu_pipelines(2, collapsing=collapsing)
 
 
+@functools.cache
 def integer_memory_minigraph_config(*, collapsing: bool = False) -> MachineConfig:
     """Figure 6 "int-mem": ALU pipelines plus a sliding-window scheduler."""
     return integer_minigraph_config(collapsing=collapsing).with_sliding_window()

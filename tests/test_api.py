@@ -23,11 +23,17 @@ from repro.api import (
     canonical_key,
     content_hash,
 )
+from repro.api import session as session_module
+from repro.api.keys import digest
 from repro.api.store import MISS
-from repro.grid import get_grid
+from repro.grid import cell_key, get_grid
 from repro.minigraph import DEFAULT_POLICY, INTEGER_POLICY, MgtBuildOptions
 from repro.program import Program
-from repro.uarch import PipelineStats
+from repro.uarch import (
+    PipelineStats,
+    baseline_config,
+    integer_memory_minigraph_config,
+)
 from repro.workloads import load_benchmark
 
 BUDGET = 2_000
@@ -49,6 +55,126 @@ class TestKeys:
 
     def test_content_hash_is_stable(self):
         assert content_hash(DEFAULT_POLICY) == content_hash(DEFAULT_POLICY)
+
+
+#: The version the pinned keys below were derived under.
+PINNED_VERSION = "1.4.0"
+
+_LOOP = ("start:\n  ldi r1, 40\n  ldi r2, 0\nloop:\n  addq r2, r1, r2\n"
+         "  subqi r1, 1, r1\n  bne r1, loop\n  halt\n")
+
+
+def _pinned_spec(name):
+    if name == "baseline":
+        return RunSpec(benchmark="bitcount", budget=BUDGET, policy=None)
+    if name == "default":
+        return RunSpec(benchmark="bitcount", budget=BUDGET)
+    if name == "fig6-int-mem+collapse":
+        return RunSpec(benchmark="bitcount", budget=BUDGET,
+                       policy=DEFAULT_POLICY,
+                       machine=integer_memory_minigraph_config(collapsing=True),
+                       baseline_machine=baseline_config(),
+                       mgt_options=MgtBuildOptions(collapsing=True))
+    return RunSpec.for_program(Program.from_assembly("loop", _LOOP),
+                               budget=BUDGET)
+
+
+_BITCOUNT_UPSTREAM = {
+    "assemble": "b9cbb4501934ea1f0d635fc5",
+    "profile": "101918ca087cf8c91e17eb8b",
+    "time_baseline": "8427ff8eadc2c7865e8ef940",
+}
+
+#: Per spec: every stage key ``Session.run`` derives (stage -> digest), the
+#: ``spec_hash``, the row artifact's ``cell_key`` and the machine's
+#: ``machine_hash``, as earlier builds wrote them into stores.
+PINNED_KEYS = {
+    "baseline": (
+        _BITCOUNT_UPSTREAM,
+        "73e2a7d89b0fef56b2fcedaa", "gridcell-b08cf5e8e8f821ac03bf2b39",
+        "e0900befed538e05091bd06f"),
+    "default": (
+        dict(_BITCOUNT_UPSTREAM,
+             select="f8d8db983781649089dd484e",
+             rewrite="2d0773576cc237e5e2f130c2",
+             build_mgt="47a15f60b880966a9b83204f",
+             trace="9f7d10f4e4d1aa6f6c65d684",
+             time="515e13c1e4b48abfd9fdb736"),
+        "aaa91a7fef57f603ec633fae", "gridcell-1a8028f4a422730ac5ff9247",
+        "9427920b51a5eca988069f0c"),
+    "fig6-int-mem+collapse": (
+        dict(_BITCOUNT_UPSTREAM,
+             select="f8d8db983781649089dd484e",
+             rewrite="2d0773576cc237e5e2f130c2",
+             build_mgt="7864ba8a5a9bb44d36d9fa9c",
+             trace="24b1eea210bdf1814fcf3766",
+             time="c0db77f984f9e2313bcab245"),
+        "5fef61c3ffcdf714d2d149d7", "gridcell-9b49867aada2b29f2bdb8443",
+        "42f0b3031475a63df42392ac"),
+    "for-program": (
+        {"assemble": "102b0869b9074b70e9b21932",
+         "profile": "b848bed1b38acfb96c14bfe0",
+         "time_baseline": "a7425a25b571697bdf595c2b",
+         "select": "552136d772ded126409c6628",
+         "rewrite": "7f8b87b0ebd3766046ccbc16",
+         "build_mgt": "1ab234c7bddc0e7644e5a661",
+         "trace": "79bb45c899d1ebcfb4ebb2c6",
+         "time": "06c811bdaac85eab9ba9f711"},
+        "b2e8b8248ff8ddc471b4b677", "gridcell-59722b42636a7fed37d73e82",
+        "9427920b51a5eca988069f0c"),
+}
+
+
+class _KeyRecordingStore(ArtifactStore):
+    """A memory store noting every key it is asked to get or put."""
+
+    def __init__(self):
+        super().__init__(version=PINNED_VERSION)
+        self.keys = set()
+
+    def get(self, key):
+        self.keys.add(key)
+        return super().get(key)
+
+    def put(self, key, value):
+        self.keys.add(key)
+        super().put(key, value)
+
+
+class TestPinnedKeys:
+    """Stores written by earlier builds keep serving only while every key
+    derives the same bytes, so the bytes themselves are pinned."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+    def test_keys_match_their_pins(self, name):
+        stages, spec_hash, row_key, machine_hash = PINNED_KEYS[name]
+        spec = _pinned_spec(name)
+        store = _KeyRecordingStore()
+        Session(store=store, version=PINNED_VERSION).run(spec)
+        assert dict(key.rsplit("-", 1) for key in store.keys) == stages
+        assert len(store.keys) == len(stages)
+        assert spec.spec_hash == spec_hash
+        assert cell_key(spec, PINNED_VERSION) == row_key
+        assert spec.resolved_machine.resolve().machine_hash == machine_hash
+
+    @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+    def test_key_material_is_already_canonical(self, name, monkeypatch):
+        # ``digest`` hashes material as given, which equals the canonical
+        # key's hash only while the material is canonical already.
+        materials = []
+
+        def recording_digest(material):
+            materials.append(material)
+            return digest(material)
+
+        monkeypatch.setattr(session_module, "digest", recording_digest)
+        spec = _pinned_spec(name)
+        Session(version=PINNED_VERSION).run(spec)
+        assert {material[1] for material in materials} == \
+            set(PINNED_KEYS[name][0])
+        for material in materials + [spec._identity()]:
+            assert canonical_key(material) == material
+            assert repr(canonical_key(material)) == repr(material)
 
 
 # -- specs ------------------------------------------------------------------------
@@ -137,6 +263,36 @@ class TestArtifactStore:
         fresh = self._store(tmp_path)
         assert fresh.get("key") is MISS
         assert not entry.exists()
+
+    def test_put_keeps_an_existing_entry(self, tmp_path):
+        writer = self._store(tmp_path)
+        writer.put("key", {"value": 1})
+        writer.close()
+        entry = tmp_path / f"v-{self.VERSION}" / "key.pkl"
+        before = entry.stat()
+        second = self._store(tmp_path)
+        second.put("key", {"value": 1})
+        after = entry.stat()
+        assert (after.st_ino, after.st_mtime_ns) == \
+            (before.st_ino, before.st_mtime_ns)
+        assert list(entry.parent.glob("*.tmp")) == []
+        assert second.stats.puts == 1
+        assert self._store(tmp_path).get("key") == {"value": 1}
+        # The put still marks the version directory live for pruners.
+        other = ArtifactStore(tmp_path, version="other")
+        other.put("mine", 2)
+        assert other.prune() == (0, 0)
+        second.close()
+
+    def test_put_rewrites_an_entry_get_deleted(self, tmp_path):
+        self._store(tmp_path).put("key", {"value": 1})
+        entry = tmp_path / f"v-{self.VERSION}" / "key.pkl"
+        entry.write_bytes(entry.read_bytes()[:-3])
+        store = self._store(tmp_path)
+        assert store.get("key") is MISS
+        assert not entry.exists()
+        store.put("key", {"value": 1})
+        assert self._store(tmp_path).get("key") == {"value": 1}
 
     def test_clear_and_info(self, tmp_path):
         store = self._store(tmp_path)

@@ -195,6 +195,30 @@ class TestEngine:
             assert after.resumed
             assert before.as_dict() | {"resumed": True} == after.as_dict()
 
+    @pytest.mark.parametrize("stored", [
+        {"ipc": 1.0}, None, [1, 2],
+        {name: 0 for name in ("coverage", "baseline_ipc", "ipc", "speedup",
+                              "cycles", "baseline_cycles", "templates",
+                              "extra")}])
+    def test_a_stored_row_of_the_wrong_shape_is_a_miss(self, tmp_path,
+                                                       stored):
+        """A damaged row artifact runs its cell again instead of crashing
+        the resume probe (``repro grid --resume``, the daemon's submit)."""
+        grid = _two_axis_grid(("bitcount",))
+        expected = list(Session().run_grid(grid, workers=0))
+        session = Session(cache_dir=tmp_path)
+        first = next(iter(grid.cells()))
+        session.store.put(cell_key(first.spec, session.version), stored)
+        rows = list(session.run_grid(grid, resume=True, workers=0))
+        assert [row.resumed for row in rows] == [False, False, False]
+        assert _row_fingerprint(rows) == _row_fingerprint(expected)
+        # The entry stays on disk (a put keeps existing entries), so a
+        # fresh resume runs that cell again and serves the others.
+        again = list(Session(cache_dir=tmp_path)
+                     .run_grid(grid, resume=True, workers=0))
+        assert [row.resumed for row in again] == [False, True, True]
+        assert _row_fingerprint(again) == _row_fingerprint(expected)
+
     def test_cell_keys_are_version_scoped(self):
         spec = RunSpec(benchmark="bitcount", budget=BUDGET)
         assert cell_key(spec, "1") != cell_key(spec, "2")

@@ -171,6 +171,19 @@ class TestMachineSpec:
         assert key["plain_alu_units"] == 2
         assert key["in_flight_registers"] == 100
 
+    def test_paper_default_machines_are_shared(self):
+        assert baseline_config() is baseline_config()
+        assert integer_minigraph_config(collapsing=True) is \
+            integer_minigraph_config(collapsing=True)
+        assert integer_memory_minigraph_config() is \
+            integer_memory_minigraph_config()
+        assert baseline_config().resolve() is baseline_config().resolve()
+        wider = dataclasses.replace(baseline_config(), rob_size=256)
+        assert wider is not baseline_config()
+        assert baseline_config().rob_size == 128
+        assert dict(wider.resolve().key[1:])["rob_size"] == 256
+        assert wider.resolve() != baseline_config().resolve()
+
     def test_spec_round_trips_pickle(self):
         spec = machine_config("int-mem").resolve()
         clone = pickle.loads(pickle.dumps(spec))

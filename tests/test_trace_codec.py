@@ -10,6 +10,7 @@ degrading to cache misses).
 
 import pickle
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -103,7 +104,68 @@ class TestColumnarRoundTrip:
         assert decoded.dynamic_coverage() == 0.0
 
 
+def _summary_by_entry(trace):
+    """Reference summary: one Python pass over the trace's entries."""
+    columns = trace.columns()
+    original = absorbed = loads = stores = 0
+    for size, flags in zip(columns.size, columns.flags):
+        original += size
+        if flags & TF_HAS_MGID:
+            absorbed += size - 1
+        loads += bool(flags & TF_LOAD)
+        stores += bool(flags & TF_STORE)
+    return (original, absorbed, loads, stores)
+
+
+def _session_traces(specs):
+    """Baseline and (for policy specs) rewritten traces of ``specs``."""
+    from repro.api import Session
+    session = Session()
+    for spec in specs:
+        yield session.baseline_trace(spec)
+        if spec.policy is not None:
+            yield session.minigraph_trace(spec)
+
+
 class TestSummaryCache:
+    def test_summary_matches_the_entry_loop_on_kernels(self):
+        from repro.api import RunSpec
+        from repro.minigraph import DEFAULT_POLICY, INTEGER_POLICY
+        from repro.workloads import QUICK_BENCHMARKS
+        specs = [RunSpec(benchmark=name, budget=2_000, policy=policy)
+                 for name in QUICK_BENCHMARKS
+                 for policy in (DEFAULT_POLICY, INTEGER_POLICY)]
+        absorbed = 0
+        for trace in _session_traces(specs):
+            assert tuple(trace._summarize()) == _summary_by_entry(trace)
+            absorbed += trace._summarize().absorbed
+        assert absorbed > 0
+
+    def test_summary_matches_the_entry_loop_on_the_corpus(self):
+        from repro.api import RunSpec
+        from repro.fuzz.corpus import load_corpus
+        corpus = load_corpus(Path(__file__).parent / "corpus")
+        specs = [RunSpec(benchmark=entry.spec, input_name=entry.input,
+                         budget=entry.budget or 2_000) for entry in corpus]
+        for trace in _session_traces(specs):
+            assert tuple(trace._summarize()) == _summary_by_entry(trace)
+
+    def test_summary_of_hand_built_traces(self):
+        handle = pack_flags(False, None, False, False, False, True)
+        memory_handle = pack_flags(False, None, True, True, True, True)
+        trace = _trace([(0x1000, 0, 1, 0x1004, 0, 0, -1),
+                        (0x1004, 1, 2, 0x1008, handle, 0, 0),
+                        (0x1008, 2, 3, 0x100c, memory_handle, 0x2000, 1),
+                        (0x100c, 3, 4, 0x1010, handle, 0, 2),
+                        (0x1010, 4, 1, 0x1014,
+                         pack_flags(False, None, True, False, True, False),
+                         0x2008, -1)])
+        assert tuple(trace._summarize()) == _summary_by_entry(trace) \
+            == (11, 6, 2, 1)
+        empty = _trace([])
+        assert tuple(empty._summarize()) == _summary_by_entry(empty) \
+            == (0, 0, 0, 0)
+
     def test_counts_are_cached_and_measure_coverage(self):
         # A singleton, then a three-instruction handle that absorbs two.
         trace = _trace([(0x1000, 0, 1, 0x1004, 0, 0, -1),
@@ -203,6 +265,22 @@ class TestStoreCrossCodec:
         assert reader.stats.misses == 1
         # The foreign-version entry is left for the build that wrote it.
         assert path.exists()
+
+    def test_put_leaves_an_unknown_codec_entry_for_its_writer(self, tmp_path):
+        store = _store(tmp_path)
+        store.put("pair-future", {"trace": self._trace()})
+        (path,) = _entry_dir(tmp_path).glob("*.pkl")
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<H", data, data.index(TRACE_MAGIC) + 4,
+                         TRACE_CODEC_VERSION + 1)
+        path.write_bytes(bytes(data))
+        reader = _store(tmp_path)
+        assert reader.get("pair-future") is MISS
+        reader.put("pair-future", {"trace": self._trace()})
+        assert path.read_bytes() == bytes(data)
+        # This build still serves its own value from memory.
+        assert _rows_of(reader.get("pair-future")["trace"]) == \
+            _rows_of(self._trace())
 
     def test_corrupt_trace_entry_is_dropped_and_missed(self, tmp_path):
         store = _store(tmp_path)
