@@ -289,6 +289,7 @@ def _emit(args: argparse.Namespace, session: Optional[Session],
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from ..grid.engine import cell_payload
     session = Session(cache_dir=_cache_dir(args))
     spec = RunSpec(
         benchmark=args.benchmark,
@@ -299,22 +300,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         mgt_options=MgtBuildOptions(collapsing=args.collapsing),
         compressed_layout=args.compressed,
     )
-    artifacts = session.run(spec)
-    report = artifacts.report()
+    row = cell_payload(session, spec)
     lines = [f"benchmark     : {spec.label} ({args.input}, budget {args.budget})",
              f"spec hash     : {spec.spec_hash}"]
-    if artifacts.selection is not None:
-        lines.append(f"templates     : {artifacts.selection.template_count} "
-                     f"(coverage {artifacts.coverage * 100:.1f}%)")
-    lines.append(f"baseline      : {artifacts.baseline_timing.cycles} cycles, "
-                 f"IPC {artifacts.baseline_timing.ipc:.2f} "
+    if row["templates"] is not None:
+        lines.append(f"templates     : {row['templates']} "
+                     f"(coverage {row['coverage'] * 100:.1f}%)")
+    lines.append(f"baseline      : {row['baseline_cycles']} cycles, "
+                 f"IPC {row['baseline_ipc']:.2f} "
                  f"({spec.resolved_baseline_machine.name})")
-    lines.append(f"this machine  : {artifacts.timing.cycles} cycles, "
-                 f"IPC {artifacts.timing.ipc:.2f} ({spec.resolved_machine.name})")
-    speedup = report["speedup"]
+    lines.append(f"this machine  : {row['cycles']} cycles, "
+                 f"IPC {row['ipc']:.2f} ({spec.resolved_machine.name})")
+    speedup = row["speedup"]
     lines.append("speedup       : " +
-                 ("n/a (baseline retired nothing)" if speedup is None
+                 ("n/a (baseline retired nothing)" if math.isnan(speedup)
                   else f"{(speedup - 1.0) * 100.0:+.1f}%"))
+    report = {"spec": spec.describe(),
+              **{name: _json_cell(value) for name, value in row.items()}}
     _emit(args, session, "\n".join(lines), report)
     return 0
 

@@ -20,7 +20,6 @@ semantics.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
@@ -35,7 +34,7 @@ from ..sim.functional import run_program
 from ..sim.trace import Trace
 from ..uarch.config import MachineConfig
 from ..uarch.pipeline import simulate_program
-from ..uarch.stats import PipelineStats
+from ..uarch.stats import PipelineStats, ipc_speedup
 from ..workloads import load_benchmark
 from .keys import digest
 from .spec import RunSpec
@@ -127,34 +126,13 @@ class RunArtifacts:
     @property
     def coverage(self) -> float:
         """Fraction of dynamic instructions absorbed into handles."""
-        if self.minigraph_trace is None:
-            return 0.0
-        return self.minigraph_trace.dynamic_coverage()
+        return self.timing.dynamic_coverage
 
     @property
     def speedup(self) -> float:
-        """IPC of this spec's machine relative to its baseline machine.
-
-        ``nan`` when the baseline retired nothing — a silent 1.0 would hide
-        a broken reference run.
-        """
-        if self.baseline_timing.ipc == 0.0:
-            return float("nan")
-        return self.timing.ipc / self.baseline_timing.ipc
-
-    def report(self) -> Dict[str, Any]:
-        """JSON-friendly result summary."""
-        speedup = self.speedup
-        return {
-            "spec": self.spec.describe(),
-            "coverage": self.coverage,
-            "baseline_ipc": self.baseline_timing.ipc,
-            "ipc": self.timing.ipc,
-            "speedup": None if math.isnan(speedup) else speedup,
-            "cycles": self.timing.cycles,
-            "baseline_cycles": self.baseline_timing.cycles,
-            "templates": None if self.selection is None else self.selection.template_count,
-        }
+        """IPC of this spec's machine relative to its baseline machine
+        (``nan`` when the baseline retired nothing)."""
+        return ipc_speedup(self.timing, self.baseline_timing)
 
 
 class Session:

@@ -108,8 +108,7 @@ class FuzzContext:
     def baseline(self):
         """Baseline functional run of the original program (with trace)."""
         return self._memo("baseline", lambda: run_program(
-            self.program, max_instructions=self.budget,
-            input_name=self.input_name))
+            self.program, max_instructions=self.budget))
 
     @property
     def selection(self):
@@ -136,8 +135,7 @@ class FuzzContext:
     @property
     def rewritten_run(self):
         return self._memo("rewritten_run", lambda: run_program(
-            self.rewritten, mgt=self.mgt, max_instructions=self.budget,
-            input_name=self.input_name))
+            self.rewritten, mgt=self.mgt, max_instructions=self.budget))
 
     def watchdog_cycles(self, trace_length: int) -> int:
         """Cycle budget that catches deadlocks without false positives.

@@ -35,9 +35,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..api.keys import digest
-from ..api.session import RunArtifacts, Session, SessionStats
+from ..api.session import Session, SessionStats
 from ..api.spec import RunSpec
 from ..api.store import ArtifactStore, CacheStats
+from ..uarch.stats import ipc_speedup
 from .planner import GridPlan, plan_grid
 from .spec import GridCell, GridSpec
 
@@ -103,14 +104,20 @@ def cell_key(spec: RunSpec, version: str) -> str:
     return f"gridcell-{digest((version, spec.spec_hash))}"
 
 
-#: The :class:`GridRow` fields a row artifact stores (:func:`_cell_payload`).
+#: The :class:`GridRow` fields a row artifact stores (:func:`cell_payload`).
 _PAYLOAD_FIELDS = ("coverage", "baseline_ipc", "ipc", "speedup", "cycles",
                    "baseline_cycles", "templates")
 _PAYLOAD_KEYS = frozenset(_PAYLOAD_FIELDS)
 
 
-def _cell_payload(artifacts: RunArtifacts) -> Dict[str, Any]:
-    """The cached part of a row: metrics only, from one run's artifacts.
+def cell_payload(session: Session, spec: RunSpec) -> Dict[str, Any]:
+    """The cached part of a row: one run's seven result numbers.
+
+    Reads only what they depend on: the spec's two timing stages and, for a
+    policy spec, its selection's template count.  A warm cell therefore
+    costs three store reads (two for a baseline-only spec) and decodes no
+    trace.  Coverage is the timed run's absorbed share of its committed
+    instructions.
 
     Deliberately excludes anything derivable from the spec — in particular
     display *names*: two cells with identical run identity but different
@@ -120,15 +127,17 @@ def _cell_payload(artifacts: RunArtifacts) -> Dict[str, Any]:
     from the cell's own spec, keeping resumed rows bit-identical to fresh
     ones.
     """
-    selection = artifacts.selection
+    timing = session.timing(spec)
+    baseline = session.baseline_timing(spec)
     return {
-        "coverage": artifacts.coverage,
-        "baseline_ipc": artifacts.baseline_timing.ipc,
-        "ipc": artifacts.timing.ipc,
-        "speedup": artifacts.speedup,
-        "cycles": artifacts.timing.cycles,
-        "baseline_cycles": artifacts.baseline_timing.cycles,
-        "templates": None if selection is None else selection.template_count,
+        "coverage": timing.dynamic_coverage,
+        "baseline_ipc": baseline.ipc,
+        "ipc": timing.ipc,
+        "speedup": ipc_speedup(timing, baseline),
+        "cycles": timing.cycles,
+        "baseline_cycles": baseline.cycles,
+        "templates": (None if spec.policy is None
+                      else session.selection(spec).template_count),
     }
 
 
@@ -155,7 +164,7 @@ def run_cells(session: Session,
     """
     version = session.version
     for cell in cells:
-        payload = _cell_payload(session.run(cell.spec))
+        payload = cell_payload(session, cell.spec)
         session.store.put(cell_key(cell.spec, version), payload)
         yield _row(cell, payload, resumed=False)
 

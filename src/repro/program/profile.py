@@ -21,14 +21,11 @@ class BlockProfile:
         program_name: name of the profiled program.
         counts: block id -> number of times the block was entered.
         dynamic_instructions: total committed (non-nop) instructions observed.
-        input_name: which input set produced this profile (for the
-            robustness study).
     """
 
     program_name: str
     counts: Dict[int, int] = field(default_factory=dict)
     dynamic_instructions: int = 0
-    input_name: str = "reference"
 
     def frequency(self, block_id: int) -> int:
         """Execution count of block ``block_id`` (0 if never executed)."""

@@ -38,8 +38,10 @@ Job descriptors
 
 There is one job kind: ``{"kind": "cells", "cells_b64": ..., "label": ...}``
 — the expanded cells of a grid (base64-pickled ``(index, point, RunSpec)``
-triples) from ``repro.serve.client``; the server groups them into
-shared-artifact stages with the grid planner.  Catalog grids are expanded
+triples, with unique int indices >= 0 and points of ``(str, value)``
+pairs) from ``repro.serve.client``; the server groups them into
+shared-artifact stages with the grid planner.  Malformed cells are
+rejected with ``bad-request`` and admit nothing.  Catalog grids are expanded
 on the client too (``repro submit --grid``).  Any other ``kind`` —
 including the ``grid`` and ``artifacts`` kinds of older daemons — is
 rejected with ``bad-request``.

@@ -17,7 +17,9 @@ in-flight jobs run to completion.
 
 Jobs are scheduled in admission order: the oldest job with a pending stage
 goes first.  Stages of distinct jobs interleave freely across the pool;
-stages of one job run in plan order.
+stages of one job run in plan order, except that a stage whose specs another
+stage is running right now waits for it and then reads the results from the
+shared store.
 
 One lock-and-condition pair (:attr:`JobQueue.cond`) covers every record —
 scheduler, pool callbacks and per-connection streaming threads all
@@ -55,6 +57,11 @@ TERMINAL_STATES = frozenset(
 
 #: Stage lifecycle inside a running job.
 _PENDING, _RUNNING, _DONE = "pending", "running", "done"
+
+
+def _stage_runs(stage: List[GridCell]) -> Tuple[str, ...]:
+    """The runs a stage computes, as the spec hashes of its cells."""
+    return tuple(cell.spec.spec_hash for cell in stage)
 
 
 class AdmissionError(Exception):
@@ -219,21 +226,29 @@ class JobQueue:
     def next_stage(self) -> Optional[Tuple[JobRecord, int]]:
         """Claim the next runnable ``(job, stage index)``, if any.
 
-        Order: admission order.  The claimed stage is marked running; the
-        caller must finish it via :meth:`stage_done` / :meth:`stage_failed`
-        / :meth:`worker_died`.
+        Order: admission order, then plan order.  A stage that runs the
+        same specs as a stage already running waits for it, so it reads
+        their results from the store instead of computing them a second
+        time (two clients submitting one grid at once).  The claimed stage
+        is marked running; the caller must finish it via
+        :meth:`stage_done` / :meth:`stage_failed` / :meth:`worker_died`.
         """
         with self.cond:
-            for job in self._jobs.values():
-                if job.terminal or _PENDING not in job.stage_state:
-                    continue
-                index = job.stage_state.index(_PENDING)
-                job.stage_state[index] = _RUNNING
-                job.stage_attempts[index] += 1
-                if job.state is JobState.QUEUED:
-                    job.state = JobState.RUNNING
-                    job.started_at = time.monotonic()
-                return job, index
+            live = [job for job in self._jobs.values() if not job.terminal]
+            running = {_stage_runs(job.stages[index]) for job in live
+                       for index, state in enumerate(job.stage_state)
+                       if state == _RUNNING}
+            for job in live:
+                for index, state in enumerate(job.stage_state):
+                    if state != _PENDING \
+                            or _stage_runs(job.stages[index]) in running:
+                        continue
+                    job.stage_state[index] = _RUNNING
+                    job.stage_attempts[index] += 1
+                    if job.state is JobState.QUEUED:
+                        job.state = JobState.RUNNING
+                        job.started_at = time.monotonic()
+                    return job, index
             return None
 
     def release_stage(self, job: JobRecord, index: int) -> None:

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .. import __version__
+from ..api.spec import RunSpec
 from ..api.store import ArtifactStore
 from ..grid.engine import resume_rows
 from ..grid.planner import plan_cells
@@ -54,6 +55,31 @@ _SCHEDULE_INTERVAL_SECONDS = 0.05
 
 class _BadRequest(ValueError):
     """Internal: maps to a ``bad-request`` protocol error."""
+
+
+def _decode_cell(triple: Any) -> GridCell:
+    """One submitted ``(index, point, spec)`` triple as a cell.
+
+    The index must be an int >= 0, the point a sequence of ``(axis name,
+    value)`` pairs and the spec a :class:`RunSpec`; anything else is a
+    :class:`_BadRequest`, so a malformed submit admits nothing.
+    """
+    if not isinstance(triple, (list, tuple)) or len(triple) != 3:
+        raise _BadRequest("malformed cells payload: a cell is an "
+                          "(index, point, spec) triple")
+    index, point, spec = triple
+    if type(index) is not int or index < 0:
+        raise _BadRequest(f"malformed cells payload: cell index must be a "
+                          f"non-negative integer, got {index!r}")
+    if not isinstance(point, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2
+            and isinstance(pair[0], str) for pair in point):
+        raise _BadRequest(f"malformed cells payload: cell {index}'s point "
+                          f"must be a sequence of (axis name, value) pairs")
+    if not isinstance(spec, RunSpec):
+        raise _BadRequest(f"malformed cells payload: cell {index}'s spec is "
+                          f"a {type(spec).__name__}, not a RunSpec")
+    return GridCell(index=index, point=tuple(map(tuple, point)), spec=spec)
 
 
 class ServeServer:
@@ -372,12 +398,11 @@ class ServeServer:
             triples = pickle.loads(base64.b64decode(blob.encode("ascii")))
         except Exception as error:  # noqa: BLE001 - any unpickling failure
             raise _BadRequest(f"undecodable cells_b64: {error}") from None
-        try:
-            cells = [GridCell(index=int(index), point=tuple(point or ()),
-                              spec=spec)
-                     for index, point, spec in triples]
-        except (TypeError, ValueError) as error:
-            raise _BadRequest(f"malformed cells payload: {error}") from None
+        if not isinstance(triples, (list, tuple)):
+            raise _BadRequest("malformed cells payload: not a list of cells")
+        cells = [_decode_cell(triple) for triple in triples]
+        if len({cell.index for cell in cells}) != len(cells):
+            raise _BadRequest("malformed cells payload: duplicate cell index")
         return cells, str(descriptor.get("label") or "cells")
 
     def _handle_stream(self, stream: protocol.MessageStream,

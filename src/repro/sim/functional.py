@@ -424,8 +424,7 @@ class FunctionalSimulator:
 
     # -- execution -------------------------------------------------------------
 
-    def run(self, *, max_instructions: int = 200_000,
-            input_name: str = "reference") -> FunctionalResult:
+    def run(self, *, max_instructions: int = 200_000) -> FunctionalResult:
         """Execute the program until ``halt`` or the instruction budget expires.
 
         ``max_instructions`` counts *original* instructions, so a run of a
@@ -596,8 +595,7 @@ class FunctionalSimulator:
         # columns; the block profile falls out of the index column.
         columns = tuple(zip(*rows)) if rows else ((),) * 7
         trace = Trace.from_columns(*columns)
-        profile = self._profile_from_index_column(columns[1], executed,
-                                                  input_name)
+        profile = self._profile_from_index_column(columns[1], executed)
         return FunctionalResult(
             program_name=program.name,
             instructions_executed=executed,
@@ -610,8 +608,7 @@ class FunctionalSimulator:
         )
 
     def _profile_from_index_column(self, index_column: Sequence[int],
-                                   executed: int,
-                                   input_name: str) -> BlockProfile:
+                                   executed: int) -> BlockProfile:
         """Build the block profile from the committed index column.
 
         One Counter pass over the indices (C speed) replaces the two dict
@@ -619,8 +616,7 @@ class FunctionalSimulator:
         instruction; the per-unique-index accumulation below reproduces the
         old first-touch insertion order and counts exactly.
         """
-        profile = BlockProfile(program_name=self._program.name,
-                               input_name=input_name)
+        profile = BlockProfile(program_name=self._program.name)
         counts = profile.counts
         counts_get = counts.get
         bids = self._plan.bids
@@ -644,10 +640,8 @@ class FunctionalSimulator:
 
 
 def run_program(program: Program, *, mgt: Optional[MiniGraphTable] = None,
-                max_instructions: int = 200_000,
-                input_name: str = "reference") -> FunctionalResult:
+                max_instructions: int = 200_000) -> FunctionalResult:
     """Convenience wrapper: build a simulator and run it once."""
     simulator = FunctionalSimulator(program, mgt=mgt)
-    return simulator.run(max_instructions=max_instructions,
-                         input_name=input_name)
+    return simulator.run(max_instructions=max_instructions)
 

@@ -28,8 +28,6 @@ import struct
 import sys
 import zlib
 from array import array
-from collections import Counter
-from itertools import compress
 from typing import NamedTuple, Optional, Tuple
 
 # ---------------------------------------------------------------------------
@@ -46,9 +44,6 @@ TF_HAS_MGID = 0x40     #: mgid column holds a real MGID (entry is a handle)
 
 TF_MEMORY = TF_LOAD | TF_STORE
 _TF_TAKEN_BOTH = TF_TAKEN_KNOWN | TF_TAKEN
-
-#: ``bytes.translate`` table mapping a flags byte to 1 for a handle, else 0.
-_HANDLE_TABLE = bytes(1 if flags & TF_HAS_MGID else 0 for flags in range(256))
 
 
 def pack_flags(is_control: bool, taken: Optional[bool], is_load: bool,
@@ -97,26 +92,15 @@ assert tuple(name for name, _, _ in _COLUMN_LAYOUT) == TraceColumns._fields
 TRACE_ROW_BYTES = sum(item_size for _, _, item_size in _COLUMN_LAYOUT)
 
 
-class _Summary(NamedTuple):
-    """One-pass aggregate statistics over the columns (cached per trace)."""
-
-    original_instructions: int
-    absorbed: int
-    loads: int
-    stores: int
-
-
 class Trace:
-    """A committed-order dynamic trace: seven packed columns plus cached
-    summary statistics.
+    """A committed-order dynamic trace: seven packed columns.
 
     Built by :meth:`from_columns` (the functional simulator) or
-    :func:`decode_trace` (the codec); read through :meth:`columns`.  A trace
-    is immutable once built, so its summary is computed once and cached.
+    :func:`decode_trace` (the codec); read through :meth:`columns`.
     """
 
     __slots__ = ("_pc", "_index", "_size", "_next_pc", "_flags",
-                 "_effective_address", "_mgid", "_summary", "__weakref__")
+                 "_effective_address", "_mgid", "__weakref__")
 
     @classmethod
     def from_columns(cls, pc, index, size, next_pc, flags, effective_address,
@@ -134,7 +118,6 @@ class Trace:
         trace._flags = array("B", flags)
         trace._effective_address = array("Q", effective_address)
         trace._mgid = array("i", mgid)
-        trace._summary = None
         lengths = {len(column) for column in trace.columns()}
         if len(lengths) > 1:
             raise ValueError(f"ragged trace columns: lengths {sorted(lengths)}")
@@ -150,46 +133,17 @@ class Trace:
 
     # -- statistics ------------------------------------------------------------
 
-    def _summarize(self) -> _Summary:
-        summary = self._summary
-        if summary is None:
-            # One Counter pass over the one-byte flags column plus C-level
-            # sums of the size column cover every statistic: a handle of
-            # size n absorbs n - 1 instructions, so the absorbed count is the
-            # handles' size sum (selected by a flags-to-0/1 translation)
-            # minus the handle count.
-            flag_counts = Counter(self._flags)
-            handles = loads = stores = 0
-            for flags, times in flag_counts.items():
-                if flags & TF_HAS_MGID:
-                    handles += times
-                if flags & TF_LOAD:
-                    loads += times
-                if flags & TF_STORE:
-                    stores += times
-            original = sum(self._size)
-            is_handle = self._flags.tobytes().translate(_HANDLE_TABLE)
-            absorbed = sum(compress(self._size, is_handle)) - handles
-            summary = _Summary(original, absorbed, loads, stores)
-            self._summary = summary
-        return summary
-
     def original_instruction_count(self) -> int:
         """Number of original program instructions represented by the trace."""
-        return self._summarize().original_instructions
-
-    def dynamic_coverage(self) -> float:
-        """Fraction of original instructions absorbed into handles."""
-        summary = self._summarize()
-        if summary.original_instructions == 0:
-            return 0.0
-        return summary.absorbed / summary.original_instructions
+        return sum(self._size)
 
     def load_count(self) -> int:
-        return self._summarize().loads
+        """Number of entries that contain a load."""
+        return sum(1 for flags in self._flags if flags & TF_LOAD)
 
     def store_count(self) -> int:
-        return self._summarize().stores
+        """Number of entries that contain a store."""
+        return sum(1 for flags in self._flags if flags & TF_STORE)
 
     # -- serialization ---------------------------------------------------------
 
@@ -307,5 +261,4 @@ def decode_trace(data: bytes) -> Trace:
             column.byteswap()
         setattr(trace, "_" + name, column)
         offset = end
-    trace._summary = None
     return trace

@@ -26,7 +26,7 @@ from .bpred import (
 )
 from .caches import Cache, CacheStats, MemoryHierarchy
 from .storesets import StoreSetPredictor, StoreSetStats
-from .funits import FunctionalUnitPool, FunctionalUnitStats
+from .funits import FunctionalUnitPool
 from .decode import DecodedOp, DecodeTable, decode_table
 from .dyninst import NEVER, DynInst
 from .stats import PipelineStats
@@ -57,7 +57,6 @@ __all__ = [
     "StoreSetPredictor",
     "StoreSetStats",
     "FunctionalUnitPool",
-    "FunctionalUnitStats",
     "DecodedOp",
     "DecodeTable",
     "decode_table",

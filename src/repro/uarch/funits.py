@@ -21,24 +21,10 @@ reserving a plain ALU for each execution cycle of the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..minigraph.mgt import FU_ALU, FU_ALU_PIPELINE, FU_BRANCH, FU_LOAD, FU_STORE
 from .config import MachineConfig
-
-
-@dataclass
-class FunctionalUnitStats:
-    """Issue-port utilisation counters."""
-
-    int_issues: int = 0
-    fp_issues: int = 0
-    load_issues: int = 0
-    store_issues: int = 0
-    handle_issues: int = 0
-    structural_stalls: int = 0
-    reservation_conflicts: int = 0
 
 
 class FunctionalUnitPool:
@@ -46,7 +32,6 @@ class FunctionalUnitPool:
 
     def __init__(self, config: MachineConfig) -> None:
         self._config = config
-        self.stats = FunctionalUnitStats()
         self._cycle = -1
         self._plain_used = 0
         self._pipeline_used = 0
@@ -112,25 +97,7 @@ class FunctionalUnitPool:
     def _pipeline_free(self) -> int:
         return self._alu_pipelines - self._pipeline_used - self._now_pipeline
 
-    # -- singleton issue -----------------------------------------------------------
-
-    def can_issue_int(self) -> bool:
-        """Can another singleton integer operation issue this cycle?"""
-        return self._plain_free() > 0 or self._pipeline_free() > 0
-
-    def issue_int(self) -> bool:
-        """Issue one singleton integer operation (plain ALU preferred)."""
-        if self.take_int():
-            return True
-        self.stats.structural_stalls += 1
-        return False
-
-    # -- combined claim helpers (hot path: one check-and-consume call) ------------
-    #
-    # take_* is the single source of truth for issue arbitration; the
-    # can_issue_*/issue_* pairs below are the legacy interface (issue_*
-    # additionally counts a structural stall on failure, which the pipeline's
-    # check-first callers never hit).
+    # -- singleton issue: one check-and-consume call per operation -------------
 
     def take_int(self) -> bool:
         """Claim one integer issue slot (plain ALU preferred), if any is free."""
@@ -140,7 +107,6 @@ class FunctionalUnitPool:
             self._pipeline_used += 1
         else:
             return False
-        self.stats.int_issues += 1
         return True
 
     def take_fp(self) -> bool:
@@ -148,7 +114,6 @@ class FunctionalUnitPool:
         if self._fp_used >= self._fp_units:
             return False
         self._fp_used += 1
-        self.stats.fp_issues += 1
         return True
 
     def take_load(self) -> bool:
@@ -156,7 +121,6 @@ class FunctionalUnitPool:
         if self._load_used + self._now_load >= self._load_ports:
             return False
         self._load_used += 1
-        self.stats.load_issues += 1
         return True
 
     def take_store(self) -> bool:
@@ -164,7 +128,6 @@ class FunctionalUnitPool:
         if self._store_used + self._now_store >= self._store_ports:
             return False
         self._store_used += 1
-        self.stats.store_issues += 1
         return True
 
     def take_integer_handle(self) -> bool:
@@ -172,26 +135,7 @@ class FunctionalUnitPool:
         if self._pipeline_free() <= 0:
             return False
         self._pipeline_used += 1
-        self.stats.handle_issues += 1
         return True
-
-    def can_issue_load(self) -> bool:
-        return self._load_used + self._now_load < self._load_ports
-
-    def issue_load(self) -> bool:
-        if self.take_load():
-            return True
-        self.stats.structural_stalls += 1
-        return False
-
-    def can_issue_store(self) -> bool:
-        return self._store_used + self._now_store < self._store_ports
-
-    def issue_store(self) -> bool:
-        if self.take_store():
-            return True
-        self.stats.structural_stalls += 1
-        return False
 
     # -- handle issue ----------------------------------------------------------------
 
@@ -202,16 +146,6 @@ class FunctionalUnitPool:
         if unit == FU_BRANCH:
             return FU_ALU
         return unit
-
-    def can_issue_integer_handle(self) -> bool:
-        """Integer-only handles execute on an ALU pipeline (one input per cycle)."""
-        return self._pipeline_free() > 0
-
-    def issue_integer_handle(self) -> bool:
-        if self.take_integer_handle():
-            return True
-        self.stats.structural_stalls += 1
-        return False
 
     def can_issue_memory_handle(self, fu0: str, fubmp: Tuple[Optional[str], ...]) -> bool:
         """Check first-cycle availability and the sliding-window reservation.
@@ -235,7 +169,6 @@ class FunctionalUnitPool:
     def issue_memory_handle(self, fu0: str, fubmp: Tuple[Optional[str], ...]) -> bool:
         """Issue an integer-memory handle, reserving its future functional units."""
         if not self.can_issue_memory_handle(fu0, fubmp):
-            self.stats.reservation_conflicts += 1
             return False
         self._consume_unit_now(self._normalise_unit(fu0))
         for offset, unit in enumerate(fubmp, start=1):
@@ -243,29 +176,28 @@ class FunctionalUnitPool:
                 continue
             self._reserve(self._cycle + offset, self._normalise_unit(unit))
         self._memory_handles_issued += 1
-        self.stats.handle_issues += 1
         return True
 
     # -- unit availability -------------------------------------------------------
 
     def _unit_available_now(self, unit: str) -> bool:
         if unit == FU_LOAD:
-            return self.can_issue_load()
+            return self._load_used + self._now_load < self._load_ports
         if unit == FU_STORE:
-            return self.can_issue_store()
+            return self._store_used + self._now_store < self._store_ports
         if unit == FU_ALU_PIPELINE:
             return self._pipeline_free() > 0
-        return self.can_issue_int()
+        return self._plain_free() > 0 or self._pipeline_free() > 0
 
     def _consume_unit_now(self, unit: str) -> None:
         if unit == FU_LOAD:
-            self.issue_load()
+            self.take_load()
         elif unit == FU_STORE:
-            self.issue_store()
+            self.take_store()
         elif unit == FU_ALU_PIPELINE:
             self._pipeline_used += 1
         else:
-            self.issue_int()
+            self.take_int()
 
     def _unit_available_future(self, cycle: int, unit: str) -> bool:
         if unit == FU_LOAD:

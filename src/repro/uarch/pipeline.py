@@ -454,12 +454,12 @@ class TimingSimulator:
         if kind == KIND_LOAD:
             if not funits.take_load():
                 return _BLOCKED
-            self._issue_load(inst, cycle)
+            self._execute_load(inst, cycle)
             return _ISSUED
         if kind == KIND_STORE:
             if not funits.take_store():
                 return _BLOCKED
-            self._issue_store(inst, cycle)
+            self._execute_store(inst, cycle)
             return _ISSUED
         if kind == KIND_FP:
             if not funits.take_fp():
@@ -505,7 +505,7 @@ class TimingSimulator:
                         else:
                             wake.append(consumer)
 
-    def _issue_load(self, inst: DynInst, cycle: int) -> None:
+    def _execute_load(self, inst: DynInst, cycle: int) -> None:
         address = inst.effective_address or 0
         latency = self._memory.data_latency(address)
         self.stats.loads_executed += 1
@@ -513,7 +513,7 @@ class TimingSimulator:
         self._mark_lsq_issued(inst.sequence, address)
         self._finish_issue(inst, cycle, latency=latency)
 
-    def _issue_store(self, inst: DynInst, cycle: int) -> None:
+    def _execute_store(self, inst: DynInst, cycle: int) -> None:
         self.stats.stores_executed += 1
         self._mark_lsq_issued(inst.sequence, inst.effective_address)
         # Stores write the data cache at retirement; for scheduling purposes

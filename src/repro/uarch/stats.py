@@ -126,3 +126,14 @@ class PipelineStats:
             "stall_lsq_full": float(self.stall_lsq_full),
             "stall_no_physical_register": float(self.stall_no_physical_register),
         }
+
+
+def ipc_speedup(timing: PipelineStats, baseline: PipelineStats) -> float:
+    """IPC of ``timing`` relative to ``baseline``.
+
+    ``nan`` when the baseline retired nothing — a silent 1.0 would hide a
+    broken reference run.
+    """
+    if baseline.ipc == 0.0:
+        return float("nan")
+    return timing.ipc / baseline.ipc

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import __version__
 from repro.api import (
     ArtifactStore,
     CacheStats,
@@ -27,6 +28,7 @@ from repro.api import session as session_module
 from repro.api.keys import digest
 from repro.api.store import MISS
 from repro.grid import cell_key, get_grid
+from repro.grid.engine import cell_payload
 from repro.minigraph import DEFAULT_POLICY, INTEGER_POLICY, MgtBuildOptions
 from repro.program import Program
 from repro.uarch import (
@@ -34,6 +36,7 @@ from repro.uarch import (
     baseline_config,
     integer_memory_minigraph_config,
 )
+from repro.uarch.stats import ipc_speedup
 from repro.workloads import load_benchmark
 
 BUDGET = 2_000
@@ -126,14 +129,17 @@ PINNED_KEYS = {
 
 
 class _KeyRecordingStore(ArtifactStore):
-    """A memory store noting every key it is asked to get or put."""
+    """A store noting every key it is asked to get or put (memory-only
+    unless given a directory), and every get in order."""
 
-    def __init__(self):
-        super().__init__(version=PINNED_VERSION)
+    def __init__(self, cache_dir=None, version=PINNED_VERSION):
+        super().__init__(cache_dir, version=version)
         self.keys = set()
+        self.gets = []
 
     def get(self, key):
         self.keys.add(key)
+        self.gets.append(key)
         return super().get(key)
 
     def put(self, key, value):
@@ -400,6 +406,45 @@ class TestSessionCaching:
         assert table.value("bitcount", "int") > 0.0
 
 
+# -- rows -------------------------------------------------------------------------
+
+
+class TestRowReads:
+    """A row is its two timing results: a warm cell reads the timing stages
+    and the selection, never the program, profile, MGT, binary or traces."""
+
+    def test_warm_rows_read_only_timing_and_selection(self, tmp_path):
+        grids = [get_grid("mini").build(benchmarks=["bitcount", "crc"],
+                                        budget=BUDGET),
+                 get_grid("fig6").build(benchmarks=["bitcount"],
+                                        budget=BUDGET)]
+        # The spec `repro run bitcount` builds.
+        spec = RunSpec(benchmark="bitcount", budget=BUDGET,
+                       mgt_options=MgtBuildOptions(collapsing=False))
+
+        def rows(session):
+            return ([[row.as_dict() for row in session.run_grid(grid,
+                                                                 workers=0)]
+                     for grid in grids], cell_payload(session, spec))
+
+        cold = rows(Session(cache_dir=tmp_path))
+        store = _KeyRecordingStore(tmp_path, version=__version__)
+        warm = Session(store=store)
+        assert rows(warm) == cold
+        assert warm.stats.simulations == 0
+        stages = {key.rsplit("-", 1)[0] for key in store.gets}
+        assert stages == {"time", "time_baseline", "select"}, stages
+
+    def test_policy_and_baseline_cells_read_three_and_two_entries(
+            self, tmp_path):
+        spec = RunSpec(benchmark="crc", budget=BUDGET)
+        for cell_spec, reads in ((spec, 3), (spec.baseline_only(), 2)):
+            cell_payload(Session(cache_dir=tmp_path), cell_spec)
+            store = _KeyRecordingStore(tmp_path, version=__version__)
+            cell_payload(Session(store=store), cell_spec)
+            assert len(store.gets) == reads, store.gets
+
+
 # -- zero-baseline speedups -------------------------------------------------------
 
 
@@ -417,7 +462,8 @@ class TestZeroBaselineSpeedup:
             baseline_trace=None, timing=_stub_stats(1.0),
             baseline_timing=PipelineStats())
         assert math.isnan(artifacts.speedup)
-        assert artifacts.report()["speedup"] is None
+        assert math.isnan(ipc_speedup(_stub_stats(1.0), PipelineStats()))
+        assert ipc_speedup(_stub_stats(1.5), _stub_stats(1.0)) == 1.5
 
 
 # -- CLI --------------------------------------------------------------------------
@@ -441,6 +487,21 @@ class TestCli:
         assert payload["spec"]["benchmark"] == "bitcount"
         assert payload["speedup"] is not None
         assert payload["session_stats"]["functional_runs"] > 0
+
+    @pytest.mark.parametrize("policy", ["int-mem", "baseline"])
+    def test_run_prints_the_mini_grid_row(self, tmp_path, policy):
+        result = _run_cli("--cache-dir", str(tmp_path), "--json", "run",
+                          "bitcount", "--budget", str(BUDGET),
+                          "--policy", policy)
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        grid = get_grid("mini").build(benchmarks=["bitcount"], budget=BUDGET)
+        (row,) = [row.as_dict() for row in Session().run_grid(grid, workers=0)
+                  if row.labels["policy"] == policy]
+        assert payload["spec"]["spec_hash"] == row["spec_hash"]
+        for name in ("coverage", "baseline_ipc", "ipc", "speedup", "cycles",
+                     "baseline_cycles", "templates"):
+            assert payload[name] == row[name], name
 
     def test_cache_info_and_clear(self, tmp_path):
         _run_cli("--cache-dir", str(tmp_path), "run", "bitcount",

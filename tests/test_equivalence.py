@@ -17,6 +17,7 @@ from repro.minigraph import (
 )
 from repro.program import rewrite_program
 from repro.sim import run_program
+from repro.uarch import integer_memory_minigraph_config, simulate_program
 from repro.workloads import REGISTRY, load_benchmark
 
 #: A representative subset spanning all four suites (full sweeps live in the
@@ -92,4 +93,6 @@ def test_rewritten_trace_coverage_matches_selection_estimate():
     mgt = MiniGraphTable.from_selection(selection)
     rewritten = rewrite_program(program, selection.rewrite_sites()).program
     result = run_program(rewritten, mgt=mgt, max_instructions=BUDGET)
-    assert result.trace.dynamic_coverage() == pytest.approx(selection.coverage, abs=0.02)
+    stats = simulate_program(rewritten, result.trace,
+                             integer_memory_minigraph_config(), mgt=mgt)
+    assert stats.dynamic_coverage == pytest.approx(selection.coverage, abs=0.02)

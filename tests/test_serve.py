@@ -39,6 +39,10 @@ def _mini_grid(benchmarks=("bitcount",), budget=BUDGET, name="serve-test"):
     return GridSpec(name=name, axes=axes, build=build, title="serve test")
 
 
+_SPEC = RunSpec(benchmark="bitcount", budget=BUDGET)
+_POINT = (("benchmark", "bitcount"),)
+
+
 def _stage(spec=None):
     spec = spec or RunSpec(benchmark="bitcount", budget=BUDGET)
     return [GridCell(index=0, point=(("benchmark", "bitcount"),), spec=spec)]
@@ -161,10 +165,25 @@ class TestJobQueue:
 
     def test_first_come_first_served(self):
         queue = JobQueue(limit=8)
-        jobs = [queue.submit([_stage()]) for _ in range(3)]
+        jobs = [queue.submit([_stage(_SPEC.with_budget(BUDGET + offset))])
+                for offset in range(3)]
         order = [queue.next_stage()[0].id for _ in range(3)]
         assert order == [job.id for job in jobs]
         assert queue.next_stage() is None
+
+    def test_stage_waits_while_its_specs_run_elsewhere(self):
+        """Two jobs of one grid: the later job's stage waits while the
+        earlier job runs the same specs, then reads them from the store."""
+        queue = JobQueue(limit=4)
+        stages = [_stage(), _stage(_SPEC.baseline_only())]
+        first, second = queue.submit(stages), queue.submit(list(stages))
+        assert queue.next_stage() == (first, 0)
+        assert queue.next_stage() == (first, 1)
+        assert queue.next_stage() is None
+        queue.stage_done(first, 1, {}, {})
+        assert queue.next_stage() == (second, 1)
+        queue.stage_done(first, 0, {}, {})
+        assert queue.next_stage() == (second, 0)
 
     def test_terminal_job_drops_late_rows(self):
         queue = JobQueue(limit=4)
@@ -297,6 +316,40 @@ class TestServeEndToEnd:
                 assert response["error"]["code"] == "bad-request"
                 assert response["error"]["message"] \
                     == f"unknown job kind {kind!r}"
+            stream.send({"op": "status"})
+            status = stream.recv()
+        finally:
+            stream.close()
+        assert status["ok"] is True
+        assert status["server"]["jobs"]["total"] == 0
+
+    @pytest.mark.parametrize("triples", [
+        [(0, _POINT, "bitcount")],
+        [(0, _POINT, 7)],
+        [(0, (1, 2, 3), _SPEC)],
+        [(0, _POINT, _SPEC), (0, _POINT, _SPEC.baseline_only())],
+        [(-1, _POINT, _SPEC)],
+        [(True, _POINT, _SPEC)],
+        [("0", _POINT, _SPEC)],
+        [(0, _POINT)],
+        {"index": 0},
+    ], ids=["str-spec", "int-spec", "point-of-ints", "duplicate-index",
+            "negative-index", "bool-index", "str-index", "pair", "dict"])
+    def test_malformed_cells_are_a_typed_rejection(self, daemon, triples):
+        """A submit whose cells are not ``(index, point, spec)`` triples
+        with unique non-negative int indices, ``(str, value)`` pairs and
+        ``RunSpec``\\ s answers ``bad-request`` and admits nothing."""
+        blob = base64.b64encode(pickle.dumps(triples)).decode("ascii")
+        stream = _raw_stream(daemon)
+        try:
+            for resume in (False, True):
+                stream.send({"op": "submit", "resume": resume,
+                             "job": {"kind": "cells", "cells_b64": blob}})
+                response = stream.recv()
+                assert response["ok"] is False, response
+                assert response["error"]["code"] == "bad-request"
+                assert response["error"]["message"].startswith(
+                    "malformed cells payload")
             stream.send({"op": "status"})
             status = stream.recv()
         finally:

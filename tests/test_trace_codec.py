@@ -82,10 +82,7 @@ class TestColumnarRoundTrip:
     def test_summary_statistics_match_entry_views(self, rows):
         trace = _trace(rows)
         original = sum(row[2] for row in rows)
-        absorbed = sum(row[2] - 1 for row in rows if row[4] & TF_HAS_MGID)
         assert trace.original_instruction_count() == original
-        assert trace.dynamic_coverage() == \
-            (absorbed / original if original else 0.0)
         assert trace.load_count() == sum(1 for row in rows if row[4] & TF_LOAD)
         assert trace.store_count() == \
             sum(1 for row in rows if row[4] & TF_STORE)
@@ -101,7 +98,6 @@ class TestColumnarRoundTrip:
         decoded = decode_trace(encode_trace(_trace([])))
         assert len(decoded) == 0 and _rows_of(decoded) == []
         assert decoded.original_instruction_count() == 0
-        assert decoded.dynamic_coverage() == 0.0
 
 
 def _summary_by_entry(trace):
@@ -117,40 +113,54 @@ def _summary_by_entry(trace):
     return (original, absorbed, loads, stores)
 
 
-def _session_traces(specs):
-    """Baseline and (for policy specs) rewritten traces of ``specs``."""
-    from repro.api import Session
-    session = Session()
-    for spec in specs:
-        yield session.baseline_trace(spec)
-        if spec.policy is not None:
-            yield session.minigraph_trace(spec)
+class TestTraceCounts:
+    """A trace's counts, and the coverage its timing run reports (the one
+    coverage definition: ``PipelineStats.dynamic_coverage``), match the
+    per-entry reference on real traces."""
 
+    @staticmethod
+    def _check(specs):
+        """Check every baseline and rewritten trace of ``specs``; return
+        the instructions their handles absorbed."""
+        from repro.api import Session
+        from repro.uarch import simulate_program
+        session = Session()
+        absorbed = 0
+        for spec in specs:
+            runs = [(session.program(spec), session.baseline_trace(spec),
+                     None, spec.resolved_baseline_machine)]
+            if spec.policy is not None:
+                runs.append((session.rewritten(spec),
+                             session.minigraph_trace(spec), session.mgt(spec),
+                             spec.resolved_machine))
+            for program, trace, mgt, machine in runs:
+                original, handled, loads, stores = _summary_by_entry(trace)
+                assert (trace.original_instruction_count(), trace.load_count(),
+                        trace.store_count()) == (original, loads, stores)
+                stats = simulate_program(program, trace, machine, mgt=mgt)
+                assert stats.dynamic_coverage == \
+                    (handled / original if original else 0.0)
+                absorbed += handled
+        return absorbed
 
-class TestSummaryCache:
-    def test_summary_matches_the_entry_loop_on_kernels(self):
+    def test_counts_and_coverage_match_the_entry_loop_on_kernels(self):
         from repro.api import RunSpec
         from repro.minigraph import DEFAULT_POLICY, INTEGER_POLICY
         from repro.workloads import QUICK_BENCHMARKS
         specs = [RunSpec(benchmark=name, budget=2_000, policy=policy)
                  for name in QUICK_BENCHMARKS
                  for policy in (DEFAULT_POLICY, INTEGER_POLICY)]
-        absorbed = 0
-        for trace in _session_traces(specs):
-            assert tuple(trace._summarize()) == _summary_by_entry(trace)
-            absorbed += trace._summarize().absorbed
-        assert absorbed > 0
+        assert self._check(specs) > 0
 
-    def test_summary_matches_the_entry_loop_on_the_corpus(self):
+    def test_counts_and_coverage_match_the_entry_loop_on_the_corpus(self):
         from repro.api import RunSpec
         from repro.fuzz.corpus import load_corpus
         corpus = load_corpus(Path(__file__).parent / "corpus")
-        specs = [RunSpec(benchmark=entry.spec, input_name=entry.input,
-                         budget=entry.budget or 2_000) for entry in corpus]
-        for trace in _session_traces(specs):
-            assert tuple(trace._summarize()) == _summary_by_entry(trace)
+        self._check([RunSpec(benchmark=entry.spec, input_name=entry.input,
+                             budget=entry.budget or 2_000)
+                     for entry in corpus])
 
-    def test_summary_of_hand_built_traces(self):
+    def test_counts_of_hand_built_traces(self):
         handle = pack_flags(False, None, False, False, False, True)
         memory_handle = pack_flags(False, None, True, True, True, True)
         trace = _trace([(0x1000, 0, 1, 0x1004, 0, 0, -1),
@@ -160,22 +170,12 @@ class TestSummaryCache:
                         (0x1010, 4, 1, 0x1014,
                          pack_flags(False, None, True, False, True, False),
                          0x2008, -1)])
-        assert tuple(trace._summarize()) == _summary_by_entry(trace) \
-            == (11, 6, 2, 1)
+        assert _summary_by_entry(trace) == (11, 6, 2, 1)
+        assert (trace.original_instruction_count(), trace.load_count(),
+                trace.store_count()) == (11, 2, 1)
         empty = _trace([])
-        assert tuple(empty._summarize()) == _summary_by_entry(empty) \
-            == (0, 0, 0, 0)
-
-    def test_counts_are_cached_and_measure_coverage(self):
-        # A singleton, then a three-instruction handle that absorbs two.
-        trace = _trace([(0x1000, 0, 1, 0x1004, 0, 0, -1),
-                        (0x1004, 1, 3, 0x1008,
-                         pack_flags(False, None, False, False, False, True),
-                         0, 2)])
-        summary = trace._summarize()
-        assert trace._summarize() is summary
-        assert trace.original_instruction_count() == 4
-        assert trace.dynamic_coverage() == pytest.approx(2 / 4)
+        assert (empty.original_instruction_count(), empty.load_count(),
+                empty.store_count()) == (0, 0, 0)
 
 
 class TestCodecValidation:

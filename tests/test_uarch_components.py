@@ -155,34 +155,34 @@ class TestFunctionalUnits:
     def test_baseline_integer_bandwidth(self):
         pool = FunctionalUnitPool(baseline_config())
         pool.begin_cycle(0)
-        issued = sum(1 for _ in range(10) if pool.issue_int())
+        issued = sum(1 for _ in range(10) if pool.take_int())
         assert issued == baseline_config().int_alu_units
 
     def test_load_and_store_ports(self):
         pool = FunctionalUnitPool(baseline_config())
         pool.begin_cycle(0)
-        assert pool.issue_load() and pool.issue_load()
-        assert not pool.issue_load()
-        assert pool.issue_store()
-        assert not pool.issue_store()
+        assert pool.take_load() and pool.take_load()
+        assert not pool.take_load()
+        assert pool.take_store()
+        assert not pool.take_store()
 
     def test_alu_pipelines_accept_singletons(self):
         config = integer_minigraph_config()
         pool = FunctionalUnitPool(config)
         pool.begin_cycle(0)
-        issued = sum(1 for _ in range(10) if pool.issue_int())
+        issued = sum(1 for _ in range(10) if pool.take_int())
         # Two plain ALUs + two pipeline inputs = unchanged singleton bandwidth.
         assert issued == config.int_alu_units
 
     def test_integer_handles_need_a_pipeline(self):
         pool = FunctionalUnitPool(baseline_config())
         pool.begin_cycle(0)
-        assert not pool.can_issue_integer_handle()
+        assert not pool.take_integer_handle()
         pool = FunctionalUnitPool(integer_minigraph_config())
         pool.begin_cycle(0)
-        assert pool.issue_integer_handle()
-        assert pool.issue_integer_handle()
-        assert not pool.issue_integer_handle()
+        assert pool.take_integer_handle()
+        assert pool.take_integer_handle()
+        assert not pool.take_integer_handle()
 
     def test_sliding_window_reserves_future_units(self):
         config = integer_memory_minigraph_config()
@@ -194,7 +194,7 @@ class TestFunctionalUnits:
         assert not pool.can_issue_memory_handle(FU_LOAD, fubmp)
         # The reservation holds ALU capacity two cycles later.
         pool.begin_cycle(2)
-        issued = sum(1 for _ in range(10) if pool.issue_int())
+        issued = sum(1 for _ in range(10) if pool.take_int())
         assert issued == config.plain_alu_units + config.alu_pipelines - 1
 
 
