@@ -161,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--oracles", nargs="+", default=None,
                       metavar="ORACLE",
                       help="oracle subset (default: rewrite selection codec "
-                           "timing geometry kernel)")
+                           "timing geometry kernel functional)")
     fuzz.add_argument("--budget", type=int, default=None,
                       help="dynamic-instruction budget per functional run")
     fuzz.add_argument("--input", default="reference",

@@ -1,10 +1,10 @@
-"""The six differential oracles run against each generated program.
+"""The seven differential oracles run against each generated program.
 
 Every oracle is a named pure function ``(FuzzContext) -> OracleResult``;
 :data:`ORACLES` is the pluggable registry the harness, the CLI and the
 corpus replayer all draw from.  A :class:`FuzzContext` lazily computes and
 memoizes the expensive intermediates (program, baseline functional run,
-selection, rewritten run), so running all six oracles on one seed costs a
+selection, rewritten run), so running all seven oracles on one seed costs a
 single trip through the pipeline.
 
 The oracle matrix:
@@ -52,6 +52,13 @@ The oracle matrix:
     message.  The machines are the baseline plus seeded random geometries
     on the baseline trace, and the policy machine plus the same geometries
     on the mini-graph trace.
+``functional``
+    The compiled functional core behind
+    :func:`~repro.sim.functional.run_program` must equal the reference
+    :class:`~repro.sim.functional.FunctionalSimulator` on the baseline and
+    the rewritten program: the same trace codec bytes, instruction and
+    entry counts, halt state, registers, memory words and profile counts
+    (both in order), or the same error by type and message.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from ..minigraph import MiniGraphTable
 from ..minigraph.policies import DEFAULT_POLICY
 from ..minigraph.selection import select_minigraphs, select_minigraphs_reference
 from ..program import rewrite_program
-from ..sim import run_program
+from ..sim import FunctionalSimulator, run_program
 from ..sim.trace import (TF_CONTROL, TF_MEMORY, TF_TAKEN, Trace, decode_trace,
                          encode_trace)
 from ..uarch.config import ConfigError, MachineConfig, baseline_config
@@ -468,6 +475,53 @@ def oracle_kernel(ctx: FuzzContext) -> OracleResult:
     return OracleResult("kernel", True)
 
 
+# -- oracle 7: compiled functional core == reference simulator ------------------
+
+
+def _functional_outcome(run: Callable[[], Any]):
+    """A functional run's observable state as a dict, or its error as
+    ``(type, message)``."""
+    try:
+        result = run()
+    except Exception as error:  # noqa: BLE001 - errors must match too
+        return (type(error).__name__, str(error))
+    return {
+        "trace": encode_trace(result.trace),
+        "instructions_executed": result.instructions_executed,
+        "entries_committed": result.entries_committed,
+        "halted": result.halted,
+        "registers": result.registers,
+        "memory": list(result.memory.words.items()),
+        "profile": list(result.profile.counts.items()),
+    }
+
+
+def _functional_check(label: str, compiled: Callable[[], Any], program, mgt,
+                      budget: int) -> Optional[str]:
+    got = _functional_outcome(compiled)
+    expect = _functional_outcome(lambda: FunctionalSimulator(
+        program, mgt=mgt).run(max_instructions=budget))
+    if got == expect:
+        return None
+    if isinstance(got, dict) and isinstance(expect, dict):
+        diffs = [name for name in expect if got[name] != expect[name]]
+        return (f"{label}: run_program diverged from FunctionalSimulator in "
+                f"{', '.join(diffs)}")
+    return f"{label}: run_program {got!r:.200} vs FunctionalSimulator " \
+           f"{expect!r:.200}"
+
+
+def oracle_functional(ctx: FuzzContext) -> OracleResult:
+    problem = _functional_check("baseline", lambda: ctx.baseline, ctx.program,
+                                None, ctx.budget)
+    if problem is None and ctx.selection.selected:
+        problem = _functional_check("rewritten", lambda: ctx.rewritten_run,
+                                    ctx.rewritten, ctx.mgt, ctx.budget)
+    if problem is not None:
+        return OracleResult("functional", False, problem)
+    return OracleResult("functional", True)
+
+
 # -- registry -------------------------------------------------------------------
 
 ORACLES: Dict[str, Callable[[FuzzContext], OracleResult]] = {
@@ -477,17 +531,18 @@ ORACLES: Dict[str, Callable[[FuzzContext], OracleResult]] = {
     "codec": oracle_codec,
     "geometry": oracle_geometry,
     "kernel": oracle_kernel,
+    "functional": oracle_functional,
 }
 
 #: Canonical oracle order (cheap architectural checks before timing runs).
 ORACLE_NAMES: Tuple[str, ...] = ("rewrite", "selection", "codec", "timing",
-                                 "geometry", "kernel")
+                                 "geometry", "kernel", "functional")
 
 
 def run_oracles(spec: SynthSpec, *, oracles: Optional[Sequence[str]] = None,
                 input_name: str = "reference",
                 budget: Optional[int] = None) -> List[OracleResult]:
-    """Run the requested oracles (default: all six) against one spec."""
+    """Run the requested oracles (default: all seven) against one spec."""
     names = tuple(oracles) if oracles is not None else ORACLE_NAMES
     unknown = [name for name in names if name not in ORACLES]
     if unknown:

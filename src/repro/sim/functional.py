@@ -11,13 +11,18 @@ executes an MGID it compiles that entry's template into flat op tuples, and
 the plan loop dispatches the handle as one step.  Interior values live in a
 per-handle value list and never touch the architectural register file,
 exactly as the mini-graph microarchitecture treats them as transient.
+
+:func:`run_program` is the one entry point for a run: it runs the compiled
+core (:mod:`.functional_kernel`) and falls back to
+:class:`FunctionalSimulator`, which stays the reference the core is tested
+against, without a compiler and whenever the core stops on an error.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..isa.instruction import INSTRUCTION_BYTES
 from ..isa.opcodes import OpClass
@@ -259,40 +264,19 @@ _ROW_LOAD = TF_LOAD | TF_HAS_EA
 _ROW_STORE = TF_STORE | TF_HAS_EA
 
 
-@dataclass
-class _Plan:
-    """Compiled dispatch steps plus the per-index profile tables.
-
-    ``bids[i]`` / ``incs[i]`` are the basic-block id and profile increment of
-    static instruction ``i``; the run loop never touches them — the block
-    profile is reconstructed from the committed index column afterwards.
-    """
-
-    steps: List[Tuple[Any, ...]]
-    bids: List[int]
-    incs: List[int]
-
-
-def _build_plan(program: Program) -> _Plan:
+def _build_plan(program: Program) -> List[Tuple[Any, ...]]:
     """Compile ``program`` into per-index dispatch tuples.
 
-    The returned plan references instructions and interned packed trace rows
+    The returned steps reference instructions and interned packed trace rows
     but never the program itself, so the plan cache cannot keep programs
     alive.
     """
-    block_index = BlockIndex(program)
     text_base = program.text_base
     steps: List[Tuple[Any, ...]] = []
-    bids: List[int] = []
-    incs: List[int] = []
     for index, insn in enumerate(program.instructions):
         pc = text_base + index * INSTRUCTION_BYTES
         next_pc = pc + INSTRUCTION_BYTES
         spec = insn.spec
-        block = block_index.block_of_index(index)
-        first_useful = FunctionalSimulator._first_useful_index(block)
-        bids.append(block.block_id)
-        incs.append(1 if index in (block.start_index, first_useful) else 0)
         rd = _norm_reg(insn.rd)
         rs1 = _norm_reg(insn.rs1)
         rs2 = _norm_reg(insn.rs2)
@@ -345,12 +329,58 @@ def _build_plan(program: Program) -> _Plan:
             steps.append((_K_HALT, row))
         else:  # pragma: no cover - the opcode table has no other classes
             raise SimulationError(f"cannot compile opcode {insn.op}")
-    return _Plan(steps=steps, bids=bids, incs=incs)
+    return steps
 
 
-#: Only the plan is cached — a BlockIndex holds a strong reference to its
+_PLANS: PerProgramCache[List[Tuple[Any, ...]]] = PerProgramCache(_build_plan)
+
+
+def _block_tables(program: Program) -> Tuple[List[int], List[int]]:
+    """Per static index: its basic block's id and its profile increment.
+
+    An entry into a block is counted at the block's first instruction, or at
+    its first non-nop one when it starts with nops (nops never commit), so
+    the increment is 1 at those indices and 0 elsewhere.
+    """
+    block_index = BlockIndex(program)
+    bids: List[int] = []
+    incs: List[int] = []
+    for index in range(len(program.instructions)):
+        block = block_index.block_of_index(index)
+        first_useful = block.start_index
+        for offset, insn in enumerate(block.instructions):
+            if not insn.is_nop:
+                first_useful = block.start_index + offset
+                break
+        bids.append(block.block_id)
+        incs.append(1 if index in (block.start_index, first_useful) else 0)
+    return bids, incs
+
+
+#: Only the tables are cached — a BlockIndex holds a strong reference to its
 #: program, which would pin every program in the cache forever.
-_PLANS: PerProgramCache[_Plan] = PerProgramCache(_build_plan)
+_BLOCK_TABLES: PerProgramCache[Tuple[List[int], List[int]]] = \
+    PerProgramCache(_block_tables)
+
+
+def block_profile(program: Program, touched: Iterable[Tuple[int, int]],
+                  executed: int) -> BlockProfile:
+    """The block profile of a run from each committed static index and its
+    commit count, in first-commit order.
+
+    Accumulating per distinct index reproduces the per-instruction profile's
+    insertion order and counts exactly.  Every committed entry contributes
+    its original-instruction count to the total, so it is ``executed``.
+    """
+    bids, incs = _BLOCK_TABLES.get(program)
+    profile = BlockProfile(program_name=program.name)
+    counts = profile.counts
+    counts_get = counts.get
+    for index, times in touched:
+        bid = bids[index]
+        counts[bid] = counts_get(bid, 0) + incs[index] * times
+    profile.dynamic_instructions = executed
+    return profile
 
 
 #: Slots of a handle's value list ``[E0, E1, 0, M0, M1, ...]``: the two
@@ -444,8 +474,7 @@ class FunctionalSimulator:
         # MGID -> compiled template (see _compile_handle), filled on first use.
         handles: Dict[int, Tuple[Any, ...]] = {}
 
-        plan = self._plan
-        steps = plan.steps
+        steps = self._plan
         plan_size = len(steps)
         text_base = program.text_base
         mem_load = memory.load
@@ -595,7 +624,8 @@ class FunctionalSimulator:
         # columns; the block profile falls out of the index column.
         columns = tuple(zip(*rows)) if rows else ((),) * 7
         trace = Trace.from_columns(*columns)
-        profile = self._profile_from_index_column(columns[1], executed)
+        profile = block_profile(program, Counter(columns[1]).items(),
+                                executed)
         return FunctionalResult(
             program_name=program.name,
             instructions_executed=executed,
@@ -607,41 +637,21 @@ class FunctionalSimulator:
             trace=trace,
         )
 
-    def _profile_from_index_column(self, index_column: Sequence[int],
-                                   executed: int) -> BlockProfile:
-        """Build the block profile from the committed index column.
-
-        One Counter pass over the indices (C speed) replaces the two dict
-        operations the interpreter loop used to perform per committed
-        instruction; the per-unique-index accumulation below reproduces the
-        old first-touch insertion order and counts exactly.
-        """
-        profile = BlockProfile(program_name=self._program.name)
-        counts = profile.counts
-        counts_get = counts.get
-        bids = self._plan.bids
-        incs = self._plan.incs
-        for index, times in Counter(index_column).items():
-            bid = bids[index]
-            counts[bid] = counts_get(bid, 0) + incs[index] * times
-        # Every committed entry contributes its original-instruction count to
-        # both tallies, so the profile total is exactly `executed`.
-        profile.dynamic_instructions = executed
-        return profile
-
-    # -- helpers ---------------------------------------------------------------
-
-    @staticmethod
-    def _first_useful_index(block) -> int:
-        for offset, insn in enumerate(block.instructions):
-            if not insn.is_nop:
-                return block.start_index + offset
-        return block.start_index
-
 
 def run_program(program: Program, *, mgt: Optional[MiniGraphTable] = None,
                 max_instructions: int = 200_000) -> FunctionalResult:
-    """Convenience wrapper: build a simulator and run it once."""
-    simulator = FunctionalSimulator(program, mgt=mgt)
-    return simulator.run(max_instructions=max_instructions)
+    """Run ``program`` once, until ``halt`` or the instruction budget.
 
+    The run goes through the compiled core (:mod:`.functional_kernel`)
+    whenever there is one.  Without a compiler, for a program the core
+    cannot express, and whenever the core stops on an error, the whole run
+    is repeated in the reference :class:`FunctionalSimulator`, so every
+    result and every error (with its type and text) is the reference's.
+    """
+    from . import functional_kernel  # ctypes: loaded on the first run
+
+    result = functional_kernel.run(program, mgt, max_instructions)
+    if result is None:
+        result = FunctionalSimulator(program, mgt=mgt).run(
+            max_instructions=max_instructions)
+    return result

@@ -21,7 +21,8 @@
  * heap allocations, so concurrent calls (ctypes releases the GIL) never
  * share anything mutable.
  *
- * Built on first use by lane_kernel.py and called through ctypes.
+ * Built on first use by repro/native.py (into one library with the functional
+ * core) and called through ctypes from lane_kernel.py.
  */
 
 #include <stdint.h>

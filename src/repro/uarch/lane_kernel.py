@@ -1,17 +1,11 @@
-"""Build, load and call the compiled timing kernel.
+"""Call the compiled timing kernel.
 
 ``lane_kernel.c`` is the timing pipeline flattened into one loop over flat
 per-sequence arrays; :func:`repro.uarch.pipeline.simulate_program` runs
-every timing simulation through it.  It is compiled with the system C
-compiler the first time a trace is timed — never at import — and called
-through :mod:`ctypes`:
+every timing simulation through it.  :mod:`repro.native` compiles it (with
+the functional core) the first time a trace is timed — never at import —
+and this module calls it through :mod:`ctypes`:
 
-* the shared library is cached in this package's ``__pycache__`` under a
-  name keyed by a hash of the C source and the compiler command, written to
-  a temporary file and moved into place with :func:`os.replace`, so
-  processes that build at the same moment each load a complete library;
-  when that directory is not writable the library is built into a
-  per-process temporary directory instead;
 * :func:`trace_facts` interns, once per (program, trace, MGT, layout), the
   facts read from the decode table's distinct static ops (entry count, FP
   presence, decode errors) and, on the first kernel call, the kernel's typed
@@ -29,19 +23,12 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-import threading
 import weakref
 from array import array
-from importlib import resources
 from operator import attrgetter
-from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from .. import native
 from ..minigraph.mgt import (
     FU_ALU,
     FU_ALU_PIPELINE,
@@ -62,11 +49,6 @@ from .pipeline import (
     watchdog_error,
 )
 from .stats import PipelineStats
-
-SOURCE = "lane_kernel.c"
-CFLAGS = ("-O2", "-std=c99", "-shared", "-fPIC")
-#: Where built libraries are cached: this package's own ``__pycache__``.
-CACHE_DIR = Path(__file__).with_name("__pycache__")
 
 #: Result codes of ``repro_lane_run`` (``LANE_*`` in the C source).
 LANE_OK, LANE_WATCHDOG, LANE_NEEDS_SLIDING_WINDOW, LANE_UNISSUABLE, \
@@ -141,94 +123,13 @@ def _unit_code(unit: Optional[str]) -> int:
     return {FU_ALU: 0, FU_BRANCH: 0, FU_LOAD: 2, FU_STORE: 3}.get(unit, 4)
 
 
-# -- build and load -----------------------------------------------------------
-
-_UNTRIED = object()
-_entry: Any = _UNTRIED
-_lock = threading.Lock()
-
-
-def find_compiler() -> Optional[str]:
-    """The system C compiler on ``PATH``, or None."""
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path is not None:
-            return path
-    return None
+# -- entry point --------------------------------------------------------------
 
 
 def kernel() -> Optional[Any]:
-    """The loaded ``repro_lane_run`` entry point, or None without one.
-
-    Built and loaded once per process, on first call; later calls (from any
-    thread) reuse the outcome.
-    """
-    global _entry
-    if _entry is _UNTRIED:
-        with _lock:
-            if _entry is _UNTRIED:
-                _entry = _load()
-    return _entry
-
-
-def _load() -> Optional[Any]:
-    compiler = find_compiler()
-    if compiler is None:
-        return None
-    command = (compiler,) + CFLAGS
-    source = resources.files(__package__).joinpath(SOURCE)
-    digest = hashlib.sha256(source.read_bytes())
-    digest.update("\0".join(command).encode())
-    name = f"lane_kernel-{digest.hexdigest()[:16]}.so"
-    library = CACHE_DIR / name
-    try:
-        if not library.is_file():
-            library.parent.mkdir(exist_ok=True)
-            if not _compile(command, source, library):
-                return None
-        return _open(library)
-    except OSError:
-        pass    # the package cache cannot be written (or holds a bad file)
-    scratch = Path(tempfile.mkdtemp(prefix="repro-lane-kernel-"))
-    try:
-        library = scratch / name
-        return _open(library) if _compile(command, source, library) else None
-    finally:
-        # The loaded mapping outlives the file.
-        shutil.rmtree(scratch, ignore_errors=True)
-
-
-def _compile(command: Tuple[str, ...], source: Any, library: Path) -> bool:
-    """Compile ``source`` into ``library`` atomically; False if it fails.
-
-    Raises :class:`OSError` when ``library``'s directory is not writable.
-    """
-    handle, partial = tempfile.mkstemp(dir=library.parent,
-                                       prefix=library.name, suffix=".tmp")
-    os.close(handle)
-    try:
-        with resources.as_file(source) as path:
-            result = subprocess.run(
-                [*command, "-o", partial, str(path)],
-                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL, check=False, timeout=300)
-        if result.returncode != 0:
-            return False
-        os.replace(partial, library)
-        return True
-    except (OSError, subprocess.SubprocessError):
-        return False
-    finally:
-        if os.path.exists(partial):
-            os.unlink(partial)
-
-
-def _open(library: Path) -> Any:
-    entry = ctypes.CDLL(str(library)).repro_lane_run
-    entry.argtypes = (ctypes.POINTER(_LaneTrace), ctypes.c_void_p,
-                      ctypes.c_int64, ctypes.POINTER(ctypes.c_int64))
-    entry.restype = ctypes.c_int
-    return entry
+    """The ``repro_lane_run`` entry point, or None without a library."""
+    library = native.library()
+    return None if library is None else library.repro_lane_run
 
 
 # -- trace facts --------------------------------------------------------------

@@ -6,8 +6,8 @@ Four families of guarantees:
   is bit-identical across generator instantiations, and generation never
   touches Python's global ``random`` state;
 * **the corpus stands** — every committed ``tests/corpus/*.json`` entry
-  replays clean under all six oracles (starter seeds span the dial space;
-  repro entries pin fixed bugs);
+  replays clean under every oracle it names (starter seeds span the dial
+  space; repro entries pin fixed bugs);
 * **the oracles have teeth** — a deliberately injected selection-ordering
   bug is caught within the CI smoke budget of 64 seeds, and the failing
   seed shrinks to smaller dials that still fail;

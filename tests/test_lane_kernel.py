@@ -1,16 +1,17 @@
 """The compiled timing kernel against the reference ``TimingSimulator``.
 
 ``simulate_program`` runs every timing simulation in ``lane_kernel.c``,
-which ``repro.uarch.lane_kernel`` compiles on first use; without a C
-compiler it runs the reference ``TimingSimulator``.  These tests pin that
-the kernel gives the reference's stats and errors on every catalog machine,
-that the watchdog reports exactly the reference error from both of the
-kernel's loop exits, that both fallbacks give the same results, that the
-compiled kernel really is the one used wherever a compiler exists (so a CI
-run cannot go green on the slow path) and never gathers a per-entry decode
-feed, that interning a trace's facts does not keep the trace alive, and
-that concurrent first builds and an unwritable cache still load a complete
-library.
+which ``repro.native`` compiles on first use (into one shared library with
+the functional core); without a C compiler it runs the reference
+``TimingSimulator``.  These tests pin that the kernel gives the reference's
+stats and errors on every catalog machine, that the watchdog reports
+exactly the reference error from both of the kernel's loop exits, that both
+fallbacks give the same results, that the compiled kernel really is the one
+used wherever a compiler exists (so a CI run cannot go green on the slow
+path) and never gathers a per-entry decode feed, that interning a trace's
+facts does not keep the trace alive, and that concurrent first builds and
+an unwritable cache still load a complete library with both cores' entry
+points.
 """
 
 import dataclasses
@@ -30,9 +31,12 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import native
 from repro.api import RunSpec, Session
 from repro.grid.catalog import get_grid
-from repro.sim.functional import run_program
+from repro.sim import functional_kernel
+from repro.sim.functional import FunctionalSimulator, run_program
+from repro.sim.trace import encode_trace
 from repro.uarch import lane_kernel, pipeline
 from repro.uarch.catalog import machine_config, machine_names
 from repro.uarch.config import ConfigError, baseline_config
@@ -43,7 +47,7 @@ from repro.workloads import load_benchmark
 
 BUDGET = 2_000
 
-needs_compiler = pytest.mark.skipif(lane_kernel.find_compiler() is None,
+needs_compiler = pytest.mark.skipif(native.find_compiler() is None,
                                     reason="no C compiler on PATH")
 
 
@@ -197,8 +201,8 @@ class TestFallback:
         compiled = self._catalog_outcomes(crc_run)
         compiled_rows = self._grid_rows()
         # Force the build to fail: the compiler lookup finds nothing.
-        monkeypatch.setattr(lane_kernel, "find_compiler", lambda: None)
-        monkeypatch.setattr(lane_kernel, "_entry", lane_kernel._UNTRIED)
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+        monkeypatch.setattr(native, "_library", native._UNTRIED)
         assert self._catalog_outcomes(crc_run) == compiled
         assert self._grid_rows() == compiled_rows
         assert lane_kernel.kernel() is None
@@ -207,8 +211,8 @@ class TestFallback:
         failing = shutil.which("false")
         if failing is None:
             pytest.skip("no `false` command")
-        monkeypatch.setattr(lane_kernel, "find_compiler", lambda: failing)
-        monkeypatch.setattr(lane_kernel, "_entry", lane_kernel._UNTRIED)
+        monkeypatch.setattr(native, "find_compiler", lambda: failing)
+        monkeypatch.setattr(native, "_library", native._UNTRIED)
         program, trace = bitcount
         config = baseline_config()
         stats = _kernel(program, trace, config)
@@ -295,7 +299,7 @@ class TestCompiledKernelIsUsed:
         expected = [_reference(program, trace, config) for config in configs]
         facts = lane_kernel.trace_facts(program, trace)
         monkeypatch.setattr(facts, "kernel_trace", None)
-        monkeypatch.setattr(lane_kernel, "_entry", lane_kernel._UNTRIED)
+        monkeypatch.setattr(native, "_library", native._UNTRIED)
         got = [None] * len(configs)
 
         def work(index):
@@ -320,37 +324,45 @@ class TestCompiledKernelIsUsed:
                                                    tmp_path, bitcount):
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("", encoding="utf-8")
-        monkeypatch.setattr(lane_kernel, "CACHE_DIR", blocker / "__pycache__")
-        monkeypatch.setattr(lane_kernel, "_entry", lane_kernel._UNTRIED)
+        monkeypatch.setattr(native, "CACHE_DIR", blocker / "__pycache__")
+        monkeypatch.setattr(native, "_library", native._UNTRIED)
         assert lane_kernel.kernel() is not None
+        assert functional_kernel.kernel() is not None
         program, trace = bitcount
         facts = lane_kernel.trace_facts(program, trace)
         stats = lane_kernel.simulate(facts, baseline_config(), 5_000_000)
         assert dataclasses.asdict(stats) == _reference(program, trace,
                                                        baseline_config())
+        core = functional_kernel.run(program, None, BUDGET)
+        assert core is not None and core.trace.columns() == trace.columns()
 
 
 _RACE_SCRIPT = """
 import dataclasses, json, os, sys, time
+from repro.sim import functional_kernel
 from repro.sim.functional import run_program
+from repro.sim.trace import encode_trace
 from repro.uarch import lane_kernel
 from repro.uarch.config import baseline_config
 from repro.uarch.pipeline import simulate_program
 from repro.workloads import load_benchmark
 
 program = load_benchmark("bitcount", "reference")
-trace = run_program(program, max_instructions=int(sys.argv[2])).trace
 while not os.path.exists(sys.argv[1]):
     time.sleep(0.001)
+trace = run_program(program, max_instructions=int(sys.argv[2])).trace
 stats = simulate_program(program, trace, baseline_config())
-print(json.dumps({"compiled": lane_kernel.kernel() is not None,
+print(json.dumps({"compiled": [lane_kernel.kernel() is not None,
+                               functional_kernel.kernel() is not None],
+                  "trace": encode_trace(trace).hex(),
                   "stats": dataclasses.asdict(stats)}))
 """
 
 
 @needs_compiler
 def test_concurrent_first_builds(tmp_path, bitcount):
-    """Two processes build into one empty cache at once; both load it."""
+    """Two processes build into one empty cache at once; both load it and
+    run both cores from it."""
     package = Path(repro.__file__).parent
     shutil.copytree(package, tmp_path / "repro",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -369,19 +381,33 @@ def test_concurrent_first_builds(tmp_path, bitcount):
         outputs.append(json.loads(stdout))
     program, trace = bitcount
     expected = _reference(program, trace, baseline_config())
+    reference_trace = FunctionalSimulator(program).run(
+        max_instructions=BUDGET).trace
     for output in outputs:
-        assert output == {"compiled": True, "stats": expected}
-    cache = tmp_path / "repro" / "uarch" / "__pycache__"
+        assert output == {"compiled": [True, True],
+                          "trace": encode_trace(reference_trace).hex(),
+                          "stats": expected}
+    cache = tmp_path / "repro" / "__pycache__"
     built = sorted(path.name for path in cache.iterdir()
-                   if path.name.startswith("lane_kernel-"))
+                   if path.name.startswith("native-"))
     assert len(built) == 1 and built[0].endswith(".so"), built
 
 
 def test_kernel_source_ships_as_package_data():
-    """The C source is found as a package resource, not a repo path."""
-    source = resources.files("repro.uarch").joinpath(lane_kernel.SOURCE)
-    assert source.is_file()
-    text = source.read_text(encoding="utf-8")
+    """Both C sources are found as package resources, not repo paths, and
+    every entry point the loader binds is defined in exactly one of them."""
+    texts = {}
+    for path in native.SOURCES:
+        source = resources.files("repro")
+        for part in path.split("/"):
+            source = source.joinpath(part)
+        assert source.is_file(), path
+        texts[path] = source.read_text(encoding="utf-8")
+    for name in native.ENTRY_POINTS:
+        defined = [path for path, text in texts.items()
+                   if re.search(rf"^\w[\w ]*\b{name}\(", text, re.M)]
+        assert len(defined) == 1, (name, defined)
+    text = texts["uarch/lane_kernel.c"]
     assert "int repro_lane_run(" in text
     # The stats vector the kernel fills is PipelineStats, field for field.
     block = re.search(r"enum \{([^}]*OUT_COUNT[^}]*)\}", text).group(1)
