@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .opcodes import CONDITIONAL_MOVES, OpClass, OpSpec, opcode
-from .registers import ZERO_REG, is_zero_reg, reg_name
+from .registers import NUM_ARCH_REGS, ZERO_REG, RegisterError, is_zero_reg, reg_name
 
 #: Instruction size in bytes (fixed-width encoding).
 INSTRUCTION_BYTES = 4
@@ -57,6 +57,15 @@ class Instruction:
             raise ValueError(f"{self.op}: missing first source register")
         if spec.reads_rs2 and self.rs2 is None:
             raise ValueError(f"{self.op}: missing second source register")
+        # A memory op's absent displacement means 0; a control transfer may
+        # carry its label alone until the assembler resolves it.
+        if (spec.has_imm and self.imm is None and self.target is None
+                and not spec.is_memory):
+            raise ValueError(f"{self.op}: missing immediate")
+        for reg in (self.rd, self.rs1, self.rs2):
+            if reg is not None and not 0 <= reg < NUM_ARCH_REGS:
+                raise RegisterError(
+                    f"{self.op}: register number out of range: {reg}")
 
     # -- static properties ---------------------------------------------------
 

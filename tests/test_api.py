@@ -3,15 +3,28 @@ content-addressed artifact store, session stage caching and the
 ``python -m repro`` CLI."""
 
 import dataclasses
+import gc
 import json
 import math
 import os
 import pickle
+import signal
+import sqlite3
 import subprocess
 import sys
+import textwrap
+import threading
+import time
+import weakref
+from contextlib import closing
 from pathlib import Path
 
 import pytest
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX
+    fcntl = None
 
 from repro import __version__
 from repro.api import (
@@ -25,6 +38,7 @@ from repro.api import (
     content_hash,
 )
 from repro.api import session as session_module
+from repro.api import store as store_module
 from repro.api.keys import digest
 from repro.api.store import MISS
 from repro.grid import cell_key, get_grid
@@ -238,6 +252,102 @@ class TestRunSpec:
 # -- the artifact store -----------------------------------------------------------
 
 
+def _database(cache_dir, version):
+    return Path(cache_dir) / f"v-{version}" / "store.sqlite3"
+
+
+def _row(cache_dir, version, key):
+    """The bytes stored for ``key``, or ``None`` when it has no row."""
+    with closing(sqlite3.connect(_database(cache_dir, version))) as connection:
+        row = connection.execute("SELECT value FROM entries WHERE key = ?",
+                                 (key,)).fetchone()
+    return None if row is None else row[0]
+
+
+def _set_row(cache_dir, version, key, value):
+    """Store ``value`` (bytes) for ``key`` as another writer would."""
+    with closing(sqlite3.connect(_database(cache_dir, version),
+                                 isolation_level=None)) as connection:
+        connection.execute("INSERT OR REPLACE INTO entries VALUES (?, ?)",
+                           (key, value))
+
+
+def _value(index):
+    """The value every writer of the concurrency tests puts for ``index``."""
+    return {"index": index, "payload": bytes(range(256)) * (index % 7)}
+
+
+#: Puts keys ``first`` .. ``first + count - 1`` once ``go`` exists.
+_WRITER = """
+import os, sys, time
+sys.path.insert(0, sys.argv[5])
+from test_api import _value
+from repro.api import ArtifactStore
+cache_dir, first, count, go = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+store = ArtifactStore(cache_dir, version="1.0")
+open(go + f".ready-{first}", "w").close()
+while not os.path.exists(go):
+    time.sleep(0.001)
+for index in range(first, first + count):
+    store.put(f"key-{index}", _value(index))
+"""
+
+#: Puts keys 0, 1, 2, ... until killed; touches ``started`` after 50 puts.
+_ENDLESS_WRITER = """
+import sys
+sys.path.insert(0, sys.argv[3])
+from test_api import _value
+from repro.api import ArtifactStore
+store = ArtifactStore(sys.argv[1], version="1.0")
+index = 0
+while True:
+    store.put(f"key-{index}", _value(index))
+    if index == 50:
+        open(sys.argv[2], "w").close()
+    index += 1
+"""
+
+
+def _env():
+    """The environment of a subprocess that imports this checkout's repro."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _python(script, *args):
+    return subprocess.Popen([sys.executable, "-c", script, *map(str, args)],
+                            env=_env(), stderr=subprocess.PIPE, text=True)
+
+
+def _wait_for(path, process, seconds=60.0):
+    deadline = time.monotonic() + seconds
+    while not Path(path).exists():
+        assert process.poll() is None, process.stderr.read()
+        assert time.monotonic() < deadline, f"{path} never appeared"
+        time.sleep(0.005)
+
+
+def _reap(pids, seconds):
+    """Each forked child's exit status, ``None`` for one still running after
+    ``seconds`` (it is killed)."""
+    deadline = time.monotonic() + seconds
+    statuses = {}
+    while len(statuses) < len(pids) and time.monotonic() < deadline:
+        for pid in pids:
+            if pid not in statuses:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    statuses[pid] = os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    for pid in pids:
+        if pid not in statuses:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [statuses.get(pid) for pid in pids]
+
+
 class TestArtifactStore:
     VERSION = "1.0"
 
@@ -255,33 +365,35 @@ class TestArtifactStore:
 
     def test_disk_round_trip(self, tmp_path):
         first = self._store(tmp_path)
+        # A lookup creates nothing on disk; the first put creates the
+        # version's database.
+        assert first.get("key") is MISS and "key" not in first
+        assert list(tmp_path.iterdir()) == []
         first.put("key", {"value": [1, 2, 3]})
-        assert (tmp_path / f"v-{self.VERSION}" / "key.pkl").exists()
+        assert pickle.loads(_row(tmp_path, self.VERSION, "key")) == \
+            {"value": [1, 2, 3]}
         second = self._store(tmp_path)
+        assert "key" in second
         assert second.get("key") == {"value": [1, 2, 3]}
         assert second.stats.disk_hits == 1
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         store = self._store(tmp_path)
         store.put("key", 1)
-        entry = tmp_path / f"v-{self.VERSION}" / "key.pkl"
-        entry.write_bytes(b"not a pickle")
+        _set_row(tmp_path, self.VERSION, "key", b"not a pickle")
         fresh = self._store(tmp_path)
         assert fresh.get("key") is MISS
-        assert not entry.exists()
+        assert _row(tmp_path, self.VERSION, "key") is None
 
     def test_put_keeps_an_existing_entry(self, tmp_path):
         writer = self._store(tmp_path)
         writer.put("key", {"value": 1})
         writer.close()
-        entry = tmp_path / f"v-{self.VERSION}" / "key.pkl"
-        before = entry.stat()
+        before = _row(tmp_path, self.VERSION, "key")
         second = self._store(tmp_path)
-        second.put("key", {"value": 1})
-        after = entry.stat()
-        assert (after.st_ino, after.st_mtime_ns) == \
-            (before.st_ino, before.st_mtime_ns)
-        assert list(entry.parent.glob("*.tmp")) == []
+        # A different value shows that the row is not written again.
+        second.put("key", {"value": 2})
+        assert _row(tmp_path, self.VERSION, "key") == before
         assert second.stats.puts == 1
         assert self._store(tmp_path).get("key") == {"value": 1}
         # The put still marks the version directory live for pruners.
@@ -292,11 +404,11 @@ class TestArtifactStore:
 
     def test_put_rewrites_an_entry_get_deleted(self, tmp_path):
         self._store(tmp_path).put("key", {"value": 1})
-        entry = tmp_path / f"v-{self.VERSION}" / "key.pkl"
-        entry.write_bytes(entry.read_bytes()[:-3])
+        damaged = _row(tmp_path, self.VERSION, "key")[:-3]
+        _set_row(tmp_path, self.VERSION, "key", damaged)
         store = self._store(tmp_path)
         assert store.get("key") is MISS
-        assert not entry.exists()
+        assert _row(tmp_path, self.VERSION, "key") is None
         store.put("key", {"value": 1})
         assert self._store(tmp_path).get("key") == {"value": 1}
 
@@ -309,6 +421,261 @@ class TestArtifactStore:
         assert info.disk_bytes > 0
         assert store.clear() == 2
         assert store.info().disk_entries == 0
+        # The store keeps working after its database is gone.
+        store.put("c", 3)
+        assert self._store(tmp_path).get("c") == 3
+
+
+class TestStoreDatabase:
+    """The disk layer is one SQLite database per version directory, shared
+    by processes and threads; failures degrade to the memory layer."""
+
+    VERSION = "1.0"
+
+    def _store(self, cache_dir):
+        return ArtifactStore(cache_dir, version=self.VERSION)
+
+    def _assert_holds(self, cache_dir, indices):
+        reader = self._store(cache_dir)
+        for index in indices:
+            assert reader.get(f"key-{index}") == _value(index), index
+
+    def test_two_processes_put_overlapping_keys_at_once(self, tmp_path):
+        go = tmp_path / "go"
+        cache_dir = tmp_path / "cache"
+        tests = Path(__file__).resolve().parent
+        writers = [_python(_WRITER, cache_dir, first, 300, go, tests)
+                   for first in (0, 150)]
+        for first, writer in zip((0, 150), writers):
+            _wait_for(f"{go}.ready-{first}", writer)
+        go.touch()
+        for writer in writers:
+            _, errors = writer.communicate(timeout=120)
+            assert writer.returncode == 0, errors
+        self._assert_holds(cache_dir, range(450))
+        assert self._store(cache_dir).info().disk_entries == 450
+
+    def test_a_lost_switch_to_wal_is_retried(self, tmp_path, monkeypatch):
+        # Of two processes switching a new database to WAL at once, the
+        # loser's pragma fails at once; its first put must still land.
+        lost = []
+        connect = sqlite3.connect
+
+        class Losing(sqlite3.Connection):
+            def execute(self, statement, *args):
+                if statement.startswith("PRAGMA journal_mode") and not lost:
+                    lost.append(statement)
+                    raise sqlite3.OperationalError("database is locked")
+                return super().execute(statement, *args)
+
+        monkeypatch.setattr(sqlite3, "connect", lambda *args, **kwargs:
+                            connect(*args, factory=Losing, **kwargs))
+        self._store(tmp_path).put("key-0", _value(0))
+        assert lost
+        self._assert_holds(tmp_path, [0])
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="POSIX only")
+    def test_writer_killed_in_a_put_loop_leaves_whole_entries(self, tmp_path):
+        started = tmp_path / "started"
+        writer = _python(_ENDLESS_WRITER, tmp_path, started,
+                         Path(__file__).resolve().parent)
+        try:
+            _wait_for(started, writer)
+            time.sleep(0.05)
+        finally:
+            writer.send_signal(signal.SIGKILL)
+            writer.communicate(timeout=60)
+        reader = self._store(tmp_path)
+        stored = reader.info().disk_entries
+        assert stored > 50
+        for index in range(stored + 100):
+            value = reader.get(f"key-{index}")
+            assert value is MISS or value == _value(index), index
+        assert reader.stats.disk_hits == stored
+
+    def test_threads_share_one_store(self, tmp_path):
+        store = self._store(tmp_path)
+        errors = []
+
+        def work(first):
+            try:
+                for index in range(first, first + 200):
+                    store.put(f"key-{index}", _value(index))
+                    if index % 10 == 0:
+                        # Every thread's next gets go to the database.
+                        store.clear(disk=False)
+                    assert store.get(f"key-{index}") == _value(index)
+                    assert f"key-{first}" in store
+            except Exception as error:  # reported by the main thread
+                errors.append(error)
+
+        threads = [threading.Thread(target=work, args=(first,))
+                   for first in (0, 100, 200, 300)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.stats.disk_hits > 0
+        self._assert_holds(tmp_path, range(500))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+    def test_forked_child_opens_its_own_connection(self, tmp_path,
+                                                   monkeypatch):
+        # Weak references: the test itself keeps no connection alive.
+        opened = []
+        connect = sqlite3.connect
+
+        class Connection(sqlite3.Connection):
+            pass
+
+        def recording_connect(*args, **kwargs):
+            connection = connect(*args, factory=Connection, **kwargs)
+            opened.append(weakref.ref(connection))
+            return connection
+
+        monkeypatch.setattr(sqlite3, "connect", recording_connect)
+        store = self._store(tmp_path)
+        store.put("parent", 0)
+        (parent_connection,) = opened
+        stop = threading.Event()
+
+        def hammer():
+            # Another thread inside store calls while the main thread forks.
+            index = 0
+            while not stop.is_set():
+                store.put(f"thread-{index}", index)
+                store.get(f"thread-{index}")
+                index += 1
+
+        thread = threading.Thread(target=hammer)
+        thread.start()
+        children = []
+        try:
+            for child in range(8):
+                time.sleep(0.01)
+                pid = os.fork()
+                if pid == 0:  # the child: report through the exit status
+                    status = 1
+                    try:
+                        store.put(f"child-{child}", child)
+                        assert store.get("parent") == 0
+                        assert len(opened) == 2
+                        store.close()
+                        gc.collect()
+                        # Neither freed nor closed: still open in the child.
+                        assert parent_connection().in_transaction is False
+                        status = 0
+                    finally:
+                        os._exit(status)
+                children.append(pid)
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert _reap(children, seconds=30) == [0] * len(children)
+        # The parent's connection still works, and every child's put landed.
+        store.put("after", 1)
+        reader = self._store(tmp_path)
+        assert [reader.get(f"child-{child}") for child in range(8)] == \
+            list(range(8))
+        assert reader.get("after") == 1
+        store.close()
+
+    def test_garbage_database_degrades_to_memory(self, tmp_path):
+        database = _database(tmp_path, self.VERSION)
+        database.parent.mkdir()
+        garbage = b"not a database" * 512
+        database.write_bytes(garbage)
+        store = self._store(tmp_path)
+        assert store.get("key") is MISS and "key" not in store
+        store.put("key", 1)
+        assert store.get("key") == 1
+        assert self._store(tmp_path).get("key") is MISS
+        info = store.info()
+        assert (info.memory_entries, info.disk_entries) == (1, 0)
+        assert info.disk_bytes == len(garbage)
+        assert database.read_bytes() == garbage
+
+    def test_locked_database_degrades_to_memory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "BUSY_TIMEOUT_S", 0.05)
+        self._store(tmp_path).put("first", 1)
+        with closing(sqlite3.connect(_database(tmp_path, self.VERSION),
+                                     isolation_level=None)) as holder:
+            holder.execute("BEGIN EXCLUSIVE")
+            store = self._store(tmp_path)
+            store.put("key", 2)
+            assert store.get("key") == 2
+            assert store.get("first") == 1       # readers are not blocked
+            holder.execute("ROLLBACK")
+        assert self._store(tmp_path).get("key") is MISS
+        store.put("later", 3)                    # the store still writes
+        assert self._store(tmp_path).get("later") == 3
+
+    @pytest.mark.skipif(fcntl is None, reason="needs fcntl")
+    def test_a_directory_being_pruned_is_skipped_not_waited_for(self,
+                                                               tmp_path):
+        lock = tmp_path / f"v-{self.VERSION}" / ".lock"
+        lock.parent.mkdir()
+        with open(lock, "w") as pruner:
+            fcntl.flock(pruner, fcntl.LOCK_EX)
+            store = self._store(tmp_path)
+            store.put("key", 1)
+            assert store.get("key") == 1
+            assert not _database(tmp_path, self.VERSION).exists()
+        store.put("later", 2)
+        assert self._store(tmp_path).get("later") == 2
+        store.close()
+
+    def test_unwritable_cache_dir_degrades_to_memory(self, tmp_path):
+        not_a_directory = tmp_path / "file"
+        not_a_directory.write_text("")
+        store = self._store(not_a_directory)
+        store.put("key", 1)
+        assert store.get("key") == 1
+        assert store.info().disk_entries == 0
+        assert store.prune() == (0, 0)
+
+    def test_legacy_pickle_files_are_stale(self, tmp_path):
+        live = self._store(tmp_path)
+        live.put("live", 1)
+        legacy = tmp_path / f"v-{self.VERSION}" / "key.pkl"
+        legacy.write_bytes(pickle.dumps({"value": 1}))
+        stray = tmp_path / "stray.pkl"
+        stray.write_bytes(pickle.dumps(2))
+        reader = self._store(tmp_path)
+        assert reader.get("key") is MISS and "key" not in reader
+        legacy_bytes = legacy.stat().st_size + stray.stat().st_size
+        info = reader.info()
+        assert (info.disk_entries, info.stale_entries) == (3, 2)
+        assert info.stale_bytes == legacy_bytes
+        assert reader.prune() == (2, legacy_bytes)
+        assert not legacy.exists() and not stray.exists()
+        assert reader.get("live") == 1
+        assert reader.info().stale_entries == 0
+        live.close()
+
+    def test_memory_only_session_never_imports_sqlite3(self):
+        script = textwrap.dedent("""
+            import sys
+            from repro.api import RunSpec, Session
+            from repro.grid import get_grid
+            session = Session()
+            session.run(RunSpec(benchmark="bitcount", budget=2000))
+            grid = get_grid("mini").build(benchmarks=["bitcount"], budget=2000)
+            list(session.run_grid(grid, workers=0))
+            assert "sqlite3" not in sys.modules, "sqlite3 imported"
+            """)
+        process = _python(script)
+        _, errors = process.communicate(timeout=300)
+        assert process.returncode == 0, errors
 
 
 # -- statistics -------------------------------------------------------------------
@@ -470,11 +837,8 @@ class TestZeroBaselineSpeedup:
 
 
 def _run_cli(*args: str, cwd=None) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-m", "repro", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd,
+                          capture_output=True, text=True, env=_env(), cwd=cwd,
                           timeout=600)
 
 

@@ -23,6 +23,7 @@ import pytest
 from repro import native
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import CONDITIONAL_MOVES, OpClass, all_opcodes
+from repro.isa.registers import RegisterError
 from repro.minigraph import (
     MgtError,
     MiniGraphTable,
@@ -542,10 +543,12 @@ class TestErrorParity:
             assert isinstance(self._check(program), dict)
         program = _program(*loads, data=data)
         assert isinstance(self._check(program, budget=50.0), dict)
-        self._check(_program(Instruction("addqi", rd=1, rs1=1, imm=None)),
-                    error="TypeError")
-        self._check(_program(Instruction("addqi", rd=70, rs1=1, imm=1)),
-                    error="IndexError")
+        # A missing immediate and an out-of-range register never reach
+        # either path: the instruction fails at construction.
+        with pytest.raises(ValueError, match="missing immediate"):
+            Instruction("addqi", rd=1, rs1=1, imm=None)
+        with pytest.raises(RegisterError, match="out of range: 70"):
+            Instruction("addqi", rd=70, rs1=1, imm=1)
 
     def test_budgets_at_and_below_zero(self):
         program = Program.from_assembly("loop",

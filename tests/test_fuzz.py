@@ -157,6 +157,8 @@ class TestCorpus:
         assert loop_depths == {0, 1, 2}
         assert fp == {True, False}
         assert mem == {True, False}
+        # Replay covers every oracle, the compiled cores' included.
+        assert all(e.oracles == oracles_module.ORACLE_NAMES for e in entries)
 
     def test_corpus_replays_clean_under_all_oracles(self):
         """Every committed entry passes every oracle it names (tier-1)."""

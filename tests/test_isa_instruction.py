@@ -72,6 +72,24 @@ class TestInstruction:
         with pytest.raises(ValueError):
             Instruction("addl", rd=3, rs1=1)  # missing rs2
 
+    def test_missing_immediate_raises(self):
+        for insn in (dict(op="addqi", rd=1, rs1=1), dict(op="zapnot", rd=1, rs1=1),
+                     dict(op="bne", rs1=7), dict(op="mg", rd=1, rs1=2, rs2=3)):
+            with pytest.raises(ValueError, match="missing immediate"):
+                Instruction(**insn)
+        # A control transfer may carry its label alone until it resolves,
+        # and a memory op's absent displacement means 0.
+        assert Instruction("br", target="top").imm is None
+        assert format_instruction(Instruction("ldq", rd=2, rs1=4)) == "ldq r2,0(r4)"
+
+    @pytest.mark.parametrize("field", ["rd", "rs1", "rs2"])
+    def test_register_out_of_range_raises(self, field):
+        operands = dict(rd=3, rs1=1, rs2=2)
+        for reg in (NUM_ARCH_REGS, -1):
+            with pytest.raises(RegisterError, match="out of range"):
+                Instruction("addl", **{**operands, field: reg})
+        Instruction("addl", **{**operands, field: NUM_ARCH_REGS - 1})
+
     def test_load_store_classification(self):
         load = Instruction("ldq", rd=2, rs1=4, imm=16)
         store = Instruction("stq", rs1=4, rs2=2, imm=8)

@@ -9,7 +9,9 @@ degrading to cache misses).
 """
 
 import pickle
+import sqlite3
 import struct
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -214,9 +216,25 @@ def _store(cache_dir):
     return ArtifactStore(cache_dir, version=_STORE_VERSION)
 
 
-def _entry_dir(cache_dir):
+def _database(cache_dir):
     """Where a store of ``_STORE_VERSION`` keeps its disk entries."""
-    return cache_dir / f"v-{_STORE_VERSION}"
+    return cache_dir / f"v-{_STORE_VERSION}" / "store.sqlite3"
+
+
+def _row(cache_dir, key):
+    """The bytes stored for ``key``, or ``None`` when it has no row."""
+    with closing(sqlite3.connect(_database(cache_dir))) as connection:
+        row = connection.execute("SELECT value FROM entries WHERE key = ?",
+                                 (key,)).fetchone()
+    return None if row is None else row[0]
+
+
+def _set_row(cache_dir, key, value):
+    """Store ``value`` (bytes) for ``key`` as another writer would."""
+    with closing(sqlite3.connect(_database(cache_dir),
+                                 isolation_level=None)) as connection:
+        connection.execute("INSERT OR REPLACE INTO entries VALUES (?, ?)",
+                           (key, value))
 
 
 class TestStoreCrossCodec:
@@ -232,9 +250,8 @@ class TestStoreCrossCodec:
         writer = _store(tmp_path)
         trace = self._trace()
         writer.put("trace-abc", trace)
-        (path,) = _entry_dir(tmp_path).glob("*.pkl")
         # A pickle whose payload is the trace's codec blob.
-        data = path.read_bytes()
+        data = _row(tmp_path, "trace-abc")
         assert data[:len(TRACE_MAGIC)] != TRACE_MAGIC
         assert encode_trace(trace) in data
         reader = _store(tmp_path)  # fresh store: no memory layer
@@ -242,7 +259,7 @@ class TestStoreCrossCodec:
 
     def test_pickle_entries_containing_traces_still_read(self, tmp_path):
         # An artifact embedding a trace carries the same codec blob as a
-        # bare trace, and both load from the same directory.
+        # bare trace, and both load from the same database.
         store = _store(tmp_path)
         trace = self._trace()
         store.put("trace-bare", trace)
@@ -251,33 +268,33 @@ class TestStoreCrossCodec:
         assert _rows_of(reader.get("pair-pickle")["trace"]) == _rows_of(trace)
         assert _rows_of(reader.get("trace-bare")) == _rows_of(trace)
 
-    def test_unknown_codec_version_is_a_miss_not_a_crash(self, tmp_path):
-        store = _store(tmp_path)
-        store.put("pair-future", {"trace": self._trace()})
-        (path,) = _entry_dir(tmp_path).glob("*.pkl")
-        data = bytearray(path.read_bytes())
+    def _future_codec_row(self, cache_dir):
+        """Rewrite ``pair-future``'s embedded blob to an unknown codec."""
+        data = bytearray(_row(cache_dir, "pair-future"))
         # The version field is the u16 right after the embedded blob's magic.
         struct.pack_into("<H", data, data.index(TRACE_MAGIC) + 4,
                          TRACE_CODEC_VERSION + 1)
-        path.write_bytes(bytes(data))
+        _set_row(cache_dir, "pair-future", bytes(data))
+        return bytes(data)
+
+    def test_unknown_codec_version_is_a_miss_not_a_crash(self, tmp_path):
+        store = _store(tmp_path)
+        store.put("pair-future", {"trace": self._trace()})
+        data = self._future_codec_row(tmp_path)
         reader = _store(tmp_path)
         assert reader.get("pair-future") is MISS
         assert reader.stats.misses == 1
-        # The foreign-version entry is left for the build that wrote it.
-        assert path.exists()
+        # The foreign-version row is left for the build that wrote it.
+        assert _row(tmp_path, "pair-future") == data
 
     def test_put_leaves_an_unknown_codec_entry_for_its_writer(self, tmp_path):
         store = _store(tmp_path)
         store.put("pair-future", {"trace": self._trace()})
-        (path,) = _entry_dir(tmp_path).glob("*.pkl")
-        data = bytearray(path.read_bytes())
-        struct.pack_into("<H", data, data.index(TRACE_MAGIC) + 4,
-                         TRACE_CODEC_VERSION + 1)
-        path.write_bytes(bytes(data))
+        data = self._future_codec_row(tmp_path)
         reader = _store(tmp_path)
         assert reader.get("pair-future") is MISS
         reader.put("pair-future", {"trace": self._trace()})
-        assert path.read_bytes() == bytes(data)
+        assert _row(tmp_path, "pair-future") == data
         # This build still serves its own value from memory.
         assert _rows_of(reader.get("pair-future")["trace"]) == \
             _rows_of(self._trace())
@@ -285,31 +302,30 @@ class TestStoreCrossCodec:
     def test_corrupt_trace_entry_is_dropped_and_missed(self, tmp_path):
         store = _store(tmp_path)
         store.put("trace-corrupt", self._trace())
-        (path,) = _entry_dir(tmp_path).glob("*.pkl")
-        path.write_bytes(path.read_bytes()[:-3])
+        _set_row(tmp_path, "trace-corrupt", _row(tmp_path, "trace-corrupt")[:-3])
         reader = _store(tmp_path)
         assert reader.get("trace-corrupt") is MISS
-        assert not path.exists()
+        assert _row(tmp_path, "trace-corrupt") is None
 
     def test_bare_codec_entry_from_an_older_build_is_dropped_and_missed(
             self, tmp_path):
-        # Older builds wrote a bare trace as its codec blob, not a pickle.
-        path = _entry_dir(tmp_path) / "trace-old.pkl"
-        path.parent.mkdir()
-        path.write_bytes(encode_trace(self._trace()))
+        # Older builds wrote a bare trace as its codec blob, not a pickle:
+        # a row holding one is unreadable like any other damaged row.
+        _store(tmp_path).put("other", 1)
+        _set_row(tmp_path, "trace-old", encode_trace(self._trace()))
         reader = _store(tmp_path)
         assert reader.get("trace-old") is MISS
         assert reader.stats.misses == 1
-        assert not path.exists()
+        assert _row(tmp_path, "trace-old") is None
 
     def test_put_serialization_failure_cleans_temp_and_degrades(self, tmp_path):
         store = _store(tmp_path)
         unpicklable = lambda: None  # noqa: E731 - locals cannot be pickled
         store.put("bad-artifact", unpicklable)
-        # Memory layer still serves the value; nothing (tmp or entry) on
-        # disk beyond the version directory's activity lock.
+        # Memory layer still serves the value; nothing is written to disk.
         assert store.get("bad-artifact") is unpicklable
-        assert list(tmp_path.rglob("*.pkl")) == []
-        assert list(tmp_path.rglob("*.tmp")) == []
+        assert list(tmp_path.rglob("*")) == []
+        store.put("good-artifact", 1)
+        assert _row(tmp_path, "bad-artifact") is None
         reader = _store(tmp_path)
         assert reader.get("bad-artifact") is MISS
