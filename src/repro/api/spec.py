@@ -18,6 +18,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from ..minigraph.mgt import MgtBuildOptions
 from ..minigraph.policies import DEFAULT_POLICY, SelectionPolicy
 from ..program.program import Program
+from ..sim.trace import TRACE_CODEC_VERSION
 from ..uarch.config import (
     MachineConfig,
     baseline_config,
@@ -195,15 +196,23 @@ class RunSpec:
     def stage_material(self, stage: str) -> Tuple[Any, ...]:
         """Cache-key material for ``stage``: exactly the spec fields that
         stage's output depends on, so unrelated spec changes still share
-        artifacts (e.g. every policy reuses one profile)."""
+        artifacts (e.g. every policy reuses one profile).
+
+        The two stages whose artifacts hold a trace also name the trace
+        codec version, so builds with different codecs never share a row.
+        The rewritten program's functional run reads the selection's
+        templates but no MGT build option, so the ``trace`` stage omits
+        them and every MGT variant of a policy shares one trace."""
         source = (self.source_id, self.input_name)
         if stage == "assemble":
             return source
         if stage == "profile":
-            return source + (self.budget,)
+            return source + (self.budget, TRACE_CODEC_VERSION)
         if stage in ("select", "rewrite"):
             return source + (self.budget, self.policy_key)
-        if stage in ("build_mgt", "trace", "time"):
+        if stage == "trace":
+            return source + (self.budget, self.policy_key, TRACE_CODEC_VERSION)
+        if stage in ("build_mgt", "time"):
             return source + (self.budget, self.policy_key, self._mgt_key)
         if stage == "time_baseline":
             # Baseline timing simulates the *original* program and trace; it

@@ -25,11 +25,11 @@ Every value is a pickle.  A :class:`~repro.sim.trace.Trace` — bare (the
 ``trace`` stage) or embedded (the profile stage's trace+profile pair) —
 pickles as one versioned binary codec blob through ``Trace.__reduce__``
 (:func:`repro.sim.trace.encode_trace`: header + raw column bytes), never as
-an object per entry.  A blob written by an *unknown* codec version makes the
-entry a cache miss — never an error — and the row is left for the build
-that wrote it; any other unreadable row is a miss and is deleted.  A put
-never replaces an existing row: keys are content addresses, so the row
-already holds the value.
+an object per entry.  The codec version is part of those stages' keys, so
+builds with different codecs never share a row.  A row that cannot be
+unpickled, whatever it holds, is a cache miss — never an error — and is
+deleted.  A put never replaces an existing row: keys are content addresses,
+so the row already holds the value.
 
 The cache is an optimization and must never take the pipeline down: a value
 that cannot be pickled, or a database that is locked past the timeout,
@@ -53,8 +53,6 @@ try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None  # type: ignore[assignment]
-
-from ..sim.trace import UnknownTraceCodecVersion
 
 #: Sentinel distinguishing "not cached" from a cached ``None``.
 MISS = object()
@@ -299,11 +297,6 @@ class ArtifactStore:
         """One row's value, or :data:`MISS`."""
         try:
             return pickle.loads(blob)
-        except UnknownTraceCodecVersion:
-            # A trace blob from another build's codec: a miss for us, but
-            # leave the row for the writer (keys are version-hashed, so
-            # collisions are corruption, not contention).
-            return MISS
         except Exception:
             # A truncated or unreadable row is just a miss.
             self._execute(_DELETE, (key,))

@@ -31,9 +31,9 @@ The oracle matrix:
 ``timing``
     The timing pipeline is trace-driven, so its committed stream must match
     the functional commit stream exactly: every trace entry retires (slots
-    == trace length, instructions == the trace's original instruction
-    count) for both the baseline and the rewritten run, within a cycle
-    watchdog that catches scheduler deadlocks.
+    == trace length, instructions == the functional run's executed
+    instructions) for both the baseline and the rewritten run, within a
+    cycle watchdog that catches scheduler deadlocks.
 ``codec``
     ``decode_trace(encode_trace(t))`` must reproduce every column of both
     the baseline and the rewritten trace bit-exactly.
@@ -71,9 +71,9 @@ from ..minigraph import MiniGraphTable
 from ..minigraph.policies import DEFAULT_POLICY
 from ..minigraph.selection import select_minigraphs, select_minigraphs_reference
 from ..program import rewrite_program
-from ..sim import FunctionalSimulator, run_program
-from ..sim.trace import (TF_CONTROL, TF_MEMORY, TF_TAKEN, Trace, decode_trace,
-                         encode_trace)
+from ..sim import FunctionalResult, FunctionalSimulator, run_program
+from ..sim.trace import (TF_CONTROL, TF_MEMORY, TF_TAKEN, Trace, TraceColumns,
+                         decode_trace, encode_trace)
 from ..uarch.config import ConfigError, MachineConfig, baseline_config
 from ..uarch.pipeline import TimingError, TimingSimulator, simulate_program
 from .generator import SYNTH_BUDGET, SplitMix64, SynthSpec, generate_program
@@ -260,8 +260,9 @@ def oracle_selection(ctx: FuzzContext) -> OracleResult:
 # -- oracle 3: timing commit stream == functional commit stream -----------------
 
 
-def _timing_check(ctx: FuzzContext, program, trace, mgt, label: str,
-                  config: MachineConfig) -> Optional[str]:
+def _timing_check(ctx: FuzzContext, program, run: FunctionalResult, mgt,
+                  label: str, config: MachineConfig) -> Optional[str]:
+    trace = run.trace
     watchdog = ctx.watchdog_cycles(len(trace))
     try:
         stats = simulate_program(program, trace, config, mgt=mgt,
@@ -271,23 +272,23 @@ def _timing_check(ctx: FuzzContext, program, trace, mgt, label: str,
     if stats.committed_slots != len(trace):
         return (f"{label}: committed {stats.committed_slots} slots, trace "
                 f"has {len(trace)}")
-    expected = trace.original_instruction_count()
-    if stats.committed_instructions != expected:
+    if stats.committed_instructions != run.instructions_executed:
         return (f"{label}: committed {stats.committed_instructions} "
-                f"instructions, functional stream has {expected}")
+                f"instructions, functional run executed "
+                f"{run.instructions_executed}")
     return None
 
 
 def oracle_timing(ctx: FuzzContext) -> OracleResult:
     config = baseline_config()
-    problem = _timing_check(ctx, ctx.program, ctx.baseline.trace, None,
+    problem = _timing_check(ctx, ctx.program, ctx.baseline, None,
                             "baseline", config)
     if problem is None and ctx.selection.selected:
         from ..api.spec import RunSpec
 
         machine = RunSpec(benchmark=ctx.spec.name,
                           policy=DEFAULT_POLICY).resolved_machine
-        problem = _timing_check(ctx, ctx.rewritten, ctx.rewritten_run.trace,
+        problem = _timing_check(ctx, ctx.rewritten, ctx.rewritten_run,
                                 ctx.mgt, "minigraph", machine)
     if problem is not None:
         return OracleResult("timing", False, problem)
@@ -301,8 +302,7 @@ def _codec_check(trace, label: str) -> Optional[str]:
     decoded = decode_trace(encode_trace(trace))
     before = trace.columns()
     after = decoded.columns()
-    for column in ("pc", "index", "size", "next_pc", "flags",
-                   "effective_address", "mgid"):
+    for column in TraceColumns._fields:
         if getattr(before, column) != getattr(after, column):
             return f"{label}: column {column!r} changed across the codec"
     return None

@@ -218,9 +218,9 @@ _FP_FNS: Dict[str, Callable[[int, int], int]] = {
 # fields are fully static (ALU results, both branch outcomes, direct
 # jumps/calls), so the hot loop is a table dispatch plus raw list/dict
 # operations.  The emitted rows are column value tuples
-# ``(pc, index, size, next_pc, flags, effective_address, mgid)`` that the
-# columnar :class:`~repro.sim.trace.Trace` transposes in one pass at the end
-# of the run; the basic-block profile is likewise derived from the committed
+# ``(index, next_pc, flags, effective_address)`` that the columnar
+# :class:`~repro.sim.trace.Trace` transposes in one pass at the end of the
+# run; the basic-block profile is likewise derived from the committed
 # index column in one :class:`collections.Counter` pass (using the plan's
 # per-index block id / profile increment tables) instead of two dict
 # operations per committed instruction.  Plans are cached per program in a
@@ -257,9 +257,9 @@ def _norm_reg(reg: Optional[int]) -> Optional[int]:
 
 #: Static row flags, resolved once at plan-build time.
 _ROW_PLAIN = 0
-_ROW_TAKEN = pack_flags(True, True, False, False, False, False)
-_ROW_FALL = pack_flags(True, False, False, False, False, False)
-_ROW_HALT = pack_flags(True, None, False, False, False, False)
+_ROW_TAKEN = pack_flags(True, True, False, False, False)
+_ROW_FALL = pack_flags(True, False, False, False, False)
+_ROW_HALT = pack_flags(True, None, False, False, False)
 _ROW_LOAD = TF_LOAD | TF_HAS_EA
 _ROW_STORE = TF_STORE | TF_HAS_EA
 
@@ -286,7 +286,7 @@ def _build_plan(program: Program) -> List[Tuple[Any, ...]]:
         elif spec.op_class is OpClass.MG:
             steps.append((_K_HANDLE, insn.imm, rd, rs1, rs2))
         elif spec.op_class in (OpClass.ALU, OpClass.MUL):
-            row = (pc, index, 1, next_pc, _ROW_PLAIN, 0, -1)
+            row = (index, next_pc, _ROW_PLAIN, 0)
             if insn.op == "cmovne":
                 steps.append((_K_CMOVNE, rd, rs1, rs2, row))
             elif insn.op == "cmoveq":
@@ -295,7 +295,7 @@ def _build_plan(program: Program) -> List[Tuple[Any, ...]]:
                 steps.append((_K_ALU, _ALU[insn.op], rd, rs1, rs2, insn.imm,
                               row))
         elif spec.is_fp:
-            row = (pc, index, 1, next_pc, _ROW_PLAIN, 0, -1)
+            row = (index, next_pc, _ROW_PLAIN, 0)
             try:
                 fp_fn = _FP_FNS[insn.op]
             except KeyError:
@@ -304,28 +304,28 @@ def _build_plan(program: Program) -> List[Tuple[Any, ...]]:
         elif spec.is_load:
             steps.append((_K_LOAD, _ACCESS_SIZE[insn.op],
                           insn.op not in _UNSIGNED_LOADS, rd, rs1,
-                          insn.imm or 0, pc, next_pc, index))
+                          insn.imm or 0, next_pc))
         elif spec.is_store:
             steps.append((_K_STORE, _ACCESS_SIZE[insn.op], rs1, rs2,
-                          insn.imm or 0, pc, next_pc, index))
+                          insn.imm or 0, next_pc))
         elif spec.op_class is OpClass.BRANCH:
             target = insn.imm
-            taken_row = (pc, index, 1, target, _ROW_TAKEN, 0, -1)
-            fall_row = (pc, index, 1, next_pc, _ROW_FALL, 0, -1)
+            taken_row = (index, target, _ROW_TAKEN, 0)
+            fall_row = (index, next_pc, _ROW_FALL, 0)
             steps.append((_K_BRANCH, _BRANCH_FNS[insn.op], rs1, target,
                           taken_row, fall_row))
         elif spec.op_class is OpClass.JUMP:
-            row = (pc, index, 1, insn.imm, _ROW_TAKEN, 0, -1)
+            row = (index, insn.imm, _ROW_TAKEN, 0)
             steps.append((_K_JUMP, insn.imm, row))
         elif spec.op_class is OpClass.CALL:
-            row = (pc, index, 1, insn.imm, _ROW_TAKEN, 0, -1)
+            row = (index, insn.imm, _ROW_TAKEN, 0)
             steps.append((_K_CALL, rd, insn.imm, row))
         elif spec.op_class is OpClass.INDIRECT:
-            steps.append((_K_INDIRECT, rs1, pc, index))
+            steps.append((_K_INDIRECT, rs1))
         elif spec.op_class is OpClass.HALT:
             # halt is classified as a control transfer (CONTROL_CLASSES) but
             # has no outcome: is_control=True, taken=None.
-            row = (pc, index, 1, next_pc, _ROW_HALT, 0, -1)
+            row = (index, next_pc, _ROW_HALT, 0)
             steps.append((_K_HALT, row))
         else:  # pragma: no cover - the opcode table has no other classes
             raise SimulationError(f"cannot compile opcode {insn.op}")
@@ -433,7 +433,7 @@ def _compile_handle(template: MiniGraphTemplate) -> Tuple[Any, ...]:
     out = (None if template.out_index is None
            else _FIRST_INTERIOR_SLOT + template.out_index)
     control = template.has_branch
-    access = (template.has_load, template.has_store, template.has_memory, True)
+    access = (template.has_load, template.has_store, template.has_memory)
     return (tuple(ops), template.size, out,
             pack_flags(control, None, *access),
             pack_flags(control, True, *access),
@@ -469,7 +469,7 @@ class FunctionalSimulator:
         # branch outcomes, jumps, calls, halt) are interned in the plan, so
         # committing one is a single list append of a shared tuple; dynamic
         # rows (loads, stores, indirect jumps, handles) are plain tuples.
-        rows: List[Tuple[int, int, int, int, int, int, int]] = []
+        rows: List[Tuple[int, int, int, int]] = []
         rows_append = rows.append
         # MGID -> compiled template (see _compile_handle), filled on first use.
         handles: Dict[int, Tuple[Any, ...]] = {}
@@ -510,12 +510,12 @@ class FunctionalSimulator:
                     registers[rd] = result & mask
                 next_pc = pc + INSTRUCTION_BYTES
             elif kind == _K_LOAD:
-                _, size, signed, rd, rs1, imm, entry_pc, next_pc, index = step
+                _, size, signed, rd, rs1, imm, next_pc = step
                 address = ((registers[rs1] if rs1 is not None else 0) + imm) & mask
                 value = mem_load(address, size, signed=signed)
                 if rd is not None:
                     registers[rd] = value & mask
-                row = (entry_pc, index, 1, next_pc, _ROW_LOAD, address, -1)
+                row = (index, next_pc, _ROW_LOAD, address)
             elif kind == _K_BRANCH:
                 _, fn, rs1, target, taken_row, fall_row = step
                 if fn(registers[rs1] if rs1 is not None else 0):
@@ -525,10 +525,10 @@ class FunctionalSimulator:
                     row = fall_row
                     next_pc = pc + INSTRUCTION_BYTES
             elif kind == _K_STORE:
-                _, size, rs1, rs2, imm, entry_pc, next_pc, index = step
+                _, size, rs1, rs2, imm, next_pc = step
                 address = ((registers[rs1] if rs1 is not None else 0) + imm) & mask
                 mem_store(address, registers[rs2] if rs2 is not None else 0, size)
-                row = (entry_pc, index, 1, next_pc, _ROW_STORE, address, -1)
+                row = (index, next_pc, _ROW_STORE, address)
             elif kind == _K_HANDLE:
                 _, mgid, rd, rs1, rs2 = step
                 handle = handles.get(mgid)
@@ -576,7 +576,7 @@ class FunctionalSimulator:
                 if out is not None and rd is not None:
                     registers[rd] = values[out] & mask
                 executed += size
-                rows_append((pc, index, size, next_pc, flags, address, mgid))
+                rows_append((index, next_pc, flags, address))
                 pc = next_pc
                 continue
             elif kind == _K_CMOVNE or kind == _K_CMOVEQ:
@@ -604,9 +604,9 @@ class FunctionalSimulator:
                 if rd is not None:
                     registers[rd] = (pc + INSTRUCTION_BYTES) & mask
             elif kind == _K_INDIRECT:
-                _, rs1, entry_pc, index = step
+                _, rs1 = step
                 next_pc = registers[rs1] if rs1 is not None else 0
-                row = (entry_pc, index, 1, next_pc, _ROW_TAKEN, 0, -1)
+                row = (index, next_pc, _ROW_TAKEN, 0)
             elif kind == _K_HALT:
                 _, row = step
                 executed += 1
@@ -622,9 +622,9 @@ class FunctionalSimulator:
 
         # One C-level transpose turns the committed rows into the packed
         # columns; the block profile falls out of the index column.
-        columns = tuple(zip(*rows)) if rows else ((),) * 7
+        columns = tuple(zip(*rows)) if rows else ((),) * 4
         trace = Trace.from_columns(*columns)
-        profile = block_profile(program, Counter(columns[1]).items(),
+        profile = block_profile(program, Counter(columns[0]).items(),
                                 executed)
         return FunctionalResult(
             program_name=program.name,

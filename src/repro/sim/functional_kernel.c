@@ -7,7 +7,7 @@
  * their packed MGT templates over a value list [E0, E1, 0, M0, M1, ...],
  * the same original-instruction budget (a handle may overshoot it by up to
  * its size minus one) and nops skipped without committing.  It writes the
- * trace's seven columns, the final registers, the memory words in the order
+ * trace's four columns, the final registers, the memory words in the order
  * the reference's dict holds them, and every committed static index with
  * its commit count in first-commit order (what the block profile is built
  * from).  tests/test_functional_sim.py and the `functional` fuzz oracle
@@ -95,7 +95,6 @@ typedef struct {
     const uint64_t *image_value;
     int64_t handles;            /* rows of the handle table */
     const uint8_t *handle_status;   /* FN_OK or the status it ends a run with */
-    const int32_t *handle_mgid;
     const int32_t *handle_start;    /* first template op */
     const int32_t *handle_count;    /* template ops (the handle's size) */
     const int32_t *handle_out;      /* value slot of the output, -1: none */
@@ -114,13 +113,10 @@ typedef struct {
     int64_t executed;           /* original instructions */
     int64_t halted;
     uint64_t registers[REGS];
-    uint64_t *pc;               /* the seven trace columns */
-    uint32_t *index;
-    uint16_t *size;
+    uint32_t *index;            /* the four trace columns */
     uint64_t *next_pc;
     uint8_t *flags;
     uint64_t *ea;
-    int32_t *mgid;
     int64_t words;              /* memory words in insertion order */
     uint64_t *word_addr;
     uint64_t *word_value;
@@ -396,13 +392,10 @@ typedef struct {
 
 static int rows_reserve(rows *t, int64_t capacity)
 {
-    GROW(pc);
     GROW(index);
-    GROW(size);
     GROW(next_pc);
     GROW(flags);
     GROW(ea);
-    GROW(mgid);
     t->capacity = capacity;
     return 1;
 }
@@ -411,13 +404,10 @@ static int rows_reserve(rows *t, int64_t capacity)
 
 void repro_functional_free(fn_result *r)
 {
-    free(r->pc);
     free(r->index);
-    free(r->size);
     free(r->next_pc);
     free(r->flags);
     free(r->ea);
-    free(r->mgid);
     free(r->word_addr);
     free(r->word_value);
     free(r->touched_index);
@@ -471,8 +461,7 @@ int repro_functional_run(const fn_program *p, int64_t budget, fn_result *r)
         const int64_t index = (int64_t)(offset >> 2);
         const int code = op[index];
         uint64_t next_pc = pc + INSTRUCTION_BYTES, address = 0;
-        int32_t mgid = -1;
-        uint16_t size = 1;
+        int64_t size = 1;
         uint8_t flags = 0;
 
         switch (code) {
@@ -579,8 +568,7 @@ int repro_functional_run(const fn_program *p, int64_t budget, fn_result *r)
             }
             if (p->handle_out[h] >= 0)
                 regs[rd[index]] = values[p->handle_out[h]];
-            size = (uint16_t)ops;
-            mgid = p->handle_mgid[h];
+            size = ops;
             break;
         }
         default:    /* integer, multiply and floating-point ops */
@@ -594,13 +582,10 @@ int repro_functional_run(const fn_program *p, int64_t budget, fn_result *r)
             status = FN_NO_MEMORY;
             goto done;
         }
-        r->pc[entries] = pc;
         r->index[entries] = (uint32_t)index;
-        r->size[entries] = size;
         r->next_pc[entries] = next_pc;
         r->flags[entries] = flags;
         r->ea[entries] = address;
-        r->mgid[entries] = mgid;
         entries++;
         if (commits[index]++ == 0)
             r->touched_index[touched++] = (uint32_t)index;

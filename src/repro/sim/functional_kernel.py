@@ -98,9 +98,8 @@ class _Packed(ctypes.Structure):
         ("image_words", ctypes.c_int64), ("image_addr", ctypes.c_void_p),
         ("image_value", ctypes.c_void_p),
         ("handles", ctypes.c_int64), ("handle_status", ctypes.c_void_p),
-        ("handle_mgid", ctypes.c_void_p), ("handle_start", ctypes.c_void_p),
-        ("handle_count", ctypes.c_void_p), ("handle_out", ctypes.c_void_p),
-        ("handle_flags", ctypes.c_void_p),
+        ("handle_start", ctypes.c_void_p), ("handle_count", ctypes.c_void_p),
+        ("handle_out", ctypes.c_void_p), ("handle_flags", ctypes.c_void_p),
         ("t_op", ctypes.c_void_p), ("t_a", ctypes.c_void_p),
         ("t_b", ctypes.c_void_p), ("t_imm", ctypes.c_void_p),
     ]
@@ -113,10 +112,8 @@ class _Result(ctypes.Structure):
         ("entries", ctypes.c_int64), ("executed", ctypes.c_int64),
         ("halted", ctypes.c_int64),
         ("registers", ctypes.c_uint64 * NUM_ARCH_REGS),
-        ("pc", ctypes.c_void_p), ("index", ctypes.c_void_p),
-        ("size", ctypes.c_void_p), ("next_pc", ctypes.c_void_p),
+        ("index", ctypes.c_void_p), ("next_pc", ctypes.c_void_p),
         ("flags", ctypes.c_void_p), ("ea", ctypes.c_void_p),
-        ("mgid", ctypes.c_void_p),
         ("words", ctypes.c_int64), ("word_addr", ctypes.c_void_p),
         ("word_value", ctypes.c_void_p),
         ("touched", ctypes.c_int64), ("touched_index", ctypes.c_void_p),
@@ -126,9 +123,8 @@ class _Result(ctypes.Structure):
 
 #: The trace columns in ``Trace.from_columns`` order: result field and
 #: array typecode.
-_TRACE_FIELDS = (("pc", "Q"), ("index", "I"), ("size", "H"),
-                 ("next_pc", "Q"), ("flags", "B"), ("ea", "Q"),
-                 ("mgid", "i"))
+_TRACE_FIELDS = (("index", "I"), ("next_pc", "Q"), ("flags", "B"),
+                 ("ea", "Q"))
 
 
 class _ProgramPack:
@@ -247,7 +243,7 @@ def _pack_template(template: MiniGraphTemplate) -> Optional[Tuple[Any, ...]]:
         return None
     if not 0 < size < 1 << 16:
         return None
-    access = (load, store, load or store, True)
+    access = (load, store, load or store)
     flags = (pack_flags(control, None, *access),
              pack_flags(control, True, *access),
              pack_flags(control, False, *access))
@@ -257,8 +253,8 @@ def _pack_template(template: MiniGraphTemplate) -> Optional[Tuple[Any, ...]]:
 def _pack_handles(mgids: Tuple[int, ...],
                   mgt: Optional[MiniGraphTable]) -> Tuple[array, ...]:
     """The handle table of one run: one row per MGID, in ``mgids`` order."""
-    status, mgid_column, start, count, out = (array(typecode) for typecode
-                                              in ("B", "i", "i", "i", "i"))
+    status, start, count, out = (array(typecode)
+                                 for typecode in ("B", "i", "i", "i"))
     flags, t_op = array("B"), array("B")
     t_a, t_b, t_imm = array("i"), array("i"), array("q")
     for mgid in mgids:
@@ -274,7 +270,6 @@ def _pack_handles(mgids: Tuple[int, ...],
                 packed = _pack_template(template)
                 code = FN_OK if packed is not None else FN_BAD_HANDLE
         status.append(code)
-        mgid_column.append(mgid)
         start.append(len(t_op))
         if packed is None:
             count.append(0)
@@ -289,7 +284,7 @@ def _pack_handles(mgids: Tuple[int, ...],
         t_a.extend(slots_a)
         t_b.extend(slots_b)
         t_imm.extend(imms)
-    return status, mgid_column, start, count, out, flags, t_op, t_a, t_b, t_imm
+    return status, start, count, out, flags, t_op, t_a, t_b, t_imm
 
 
 def _address(buffer: array) -> int:

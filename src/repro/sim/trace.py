@@ -2,24 +2,24 @@
 
 The timing model (:mod:`repro.uarch`) is *functional-first*: the functional
 simulator executes the program and emits one committed-order record per
-instruction (or handle), carrying everything the timing model needs that is
-data dependent — control outcome, next PC and effective address.  The timing
-model re-derives everything else (operands, opcode class, latency) from the
-static program and the MGT.
+instruction (or handle), carrying exactly what the run decided — which
+static instruction committed, its control outcome and successor, and its
+effective address.  The timing model re-derives everything else (pc,
+operands, opcode class, latency, a handle's size) from the static program
+and the MGT.
 
-A :class:`Trace` *is* its seven fixed-width stdlib :class:`array.array`
-columns (pc, index, size, next_pc, flags bitfield, effective_address, mgid):
-there is no per-record object.  A 200k-instruction run therefore allocates a
-handful of buffers rather than 200k records, every consumer (the timing
-kernel, the reference pipeline's fetch stage, profile construction) reads the
-columns directly at C speed, and the whole trace serializes as raw column
-bytes (:func:`encode_trace`) — also when it is pickled, through
+A :class:`Trace` *is* its four fixed-width stdlib :class:`array.array`
+columns (index, next_pc, flags bitfield, effective_address): there is no
+per-record object.  A 200k-instruction run therefore allocates a handful of
+buffers rather than 200k records, every consumer (the timing kernel, the
+reference pipeline's fetch stage, profile construction) reads the columns
+directly at C speed, and the whole trace serializes as raw column bytes
+(:func:`encode_trace`) — also when it is pickled, through
 ``Trace.__reduce__``.
 
 Optional fields are packed with explicit presence bits in the flags column
-(:data:`TF_TAKEN_KNOWN`, :data:`TF_HAS_EA`, :data:`TF_HAS_MGID`), so an
-unknown branch outcome, a missing effective address and a singleton's absent
-MGID survive the packed representation exactly.
+(:data:`TF_TAKEN_KNOWN`, :data:`TF_HAS_EA`), so an unknown branch outcome
+and a missing effective address survive the packed representation exactly.
 """
 
 from __future__ import annotations
@@ -40,14 +40,13 @@ TF_TAKEN = 0x04        #: control outcome was taken (only with TF_TAKEN_KNOWN)
 TF_LOAD = 0x08         #: entry contains a load
 TF_STORE = 0x10        #: entry contains a store
 TF_HAS_EA = 0x20       #: effective_address column holds a real address
-TF_HAS_MGID = 0x40     #: mgid column holds a real MGID (entry is a handle)
 
 TF_MEMORY = TF_LOAD | TF_STORE
 _TF_TAKEN_BOTH = TF_TAKEN_KNOWN | TF_TAKEN
 
 
 def pack_flags(is_control: bool, taken: Optional[bool], is_load: bool,
-               is_store: bool, has_ea: bool, has_mgid: bool) -> int:
+               is_store: bool, has_ea: bool) -> int:
     """Fold the per-entry booleans/presence bits into one flags byte."""
     flags = 0
     if is_control:
@@ -60,30 +59,24 @@ def pack_flags(is_control: bool, taken: Optional[bool], is_load: bool,
         flags |= TF_STORE
     if has_ea:
         flags |= TF_HAS_EA
-    if has_mgid:
-        flags |= TF_HAS_MGID
     return flags
 
 
 class TraceColumns(NamedTuple):
-    """Zero-copy view of a trace's seven columns (batch consumers)."""
+    """Zero-copy view of a trace's four columns (batch consumers)."""
 
-    pc: array               # 'Q' — program counters
     index: array            # 'I' — static layout indices
-    size: array             # 'H' — original instructions per entry
     next_pc: array          # 'Q' — committed successor PCs
     flags: array            # 'B' — TF_* bitfield
     effective_address: array  # 'Q' — 0 unless TF_HAS_EA
-    mgid: array             # 'i' — -1 unless TF_HAS_MGID
 
 
 #: (column name, array typecode, item size) in codec payload order — the
-#: single source of truth for the storage layout: encode/decode, the slot
-#: attributes and :class:`TraceColumns` all follow this tuple.  It must match
-#: the :class:`TraceColumns` field order.
+#: single source of truth for the storage layout: encode/decode and
+#: :class:`TraceColumns` all follow this tuple.
 _COLUMN_LAYOUT: Tuple[Tuple[str, str, int], ...] = (
-    ("pc", "Q", 8), ("index", "I", 4), ("size", "H", 2), ("next_pc", "Q", 8),
-    ("flags", "B", 1), ("effective_address", "Q", 8), ("mgid", "i", 4),
+    ("index", "I", 4), ("next_pc", "Q", 8), ("flags", "B", 1),
+    ("effective_address", "Q", 8),
 )
 
 assert tuple(name for name, _, _ in _COLUMN_LAYOUT) == TraceColumns._fields
@@ -93,57 +86,48 @@ TRACE_ROW_BYTES = sum(item_size for _, _, item_size in _COLUMN_LAYOUT)
 
 
 class Trace:
-    """A committed-order dynamic trace: seven packed columns.
+    """A committed-order dynamic trace: one :class:`TraceColumns`.
 
     Built by :meth:`from_columns` (the functional simulator) or
     :func:`decode_trace` (the codec); read through :meth:`columns`.
     """
 
-    __slots__ = ("_pc", "_index", "_size", "_next_pc", "_flags",
-                 "_effective_address", "_mgid", "__weakref__")
+    __slots__ = ("_columns", "__weakref__")
+
+    def __init__(self, columns: TraceColumns) -> None:
+        lengths = {len(column) for column in columns}
+        if len(lengths) > 1:
+            raise ValueError(f"ragged trace columns: lengths {sorted(lengths)}")
+        self._columns = columns
 
     @classmethod
-    def from_columns(cls, pc, index, size, next_pc, flags, effective_address,
-                     mgid) -> "Trace":
+    def from_columns(cls, index, next_pc, flags,
+                     effective_address) -> "Trace":
         """Build a trace directly from column value sequences (one pass).
 
         This is the functional simulator's bulk path: each argument is any
         iterable of ints (the ``array`` constructor consumes it at C speed).
         """
-        trace = cls.__new__(cls)
-        trace._pc = array("Q", pc)
-        trace._index = array("I", index)
-        trace._size = array("H", size)
-        trace._next_pc = array("Q", next_pc)
-        trace._flags = array("B", flags)
-        trace._effective_address = array("Q", effective_address)
-        trace._mgid = array("i", mgid)
-        lengths = {len(column) for column in trace.columns()}
-        if len(lengths) > 1:
-            raise ValueError(f"ragged trace columns: lengths {sorted(lengths)}")
-        return trace
+        return cls(TraceColumns(*(
+            array(typecode, values) for (_, typecode, _), values
+            in zip(_COLUMN_LAYOUT, (index, next_pc, flags, effective_address)))))
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._columns.index)
 
     def columns(self) -> TraceColumns:
-        """The seven packed columns (zero-copy; do not mutate)."""
-        return TraceColumns(self._pc, self._index, self._size, self._next_pc,
-                            self._flags, self._effective_address, self._mgid)
+        """The four packed columns (zero-copy; do not mutate)."""
+        return self._columns
 
     # -- statistics ------------------------------------------------------------
 
-    def original_instruction_count(self) -> int:
-        """Number of original program instructions represented by the trace."""
-        return sum(self._size)
-
     def load_count(self) -> int:
         """Number of entries that contain a load."""
-        return sum(1 for flags in self._flags if flags & TF_LOAD)
+        return sum(1 for flags in self._columns.flags if flags & TF_LOAD)
 
     def store_count(self) -> int:
         """Number of entries that contain a store."""
-        return sum(1 for flags in self._flags if flags & TF_STORE)
+        return sum(1 for flags in self._columns.flags if flags & TF_STORE)
 
     # -- serialization ---------------------------------------------------------
 
@@ -165,12 +149,12 @@ class Trace:
 #   7       1     reserved (0)
 #   8       8     entry count
 #   16      8     payload byte length (as stored, i.e. after compression)
-#   24      ...   payload: the seven columns' little-endian bytes,
+#   24      ...   payload: the four columns' little-endian bytes,
 #                 concatenated in _COLUMN_LAYOUT order
 # ---------------------------------------------------------------------------
 
 TRACE_MAGIC = b"RTRC"
-TRACE_CODEC_VERSION = 1
+TRACE_CODEC_VERSION = 2
 _HEADER = struct.Struct("<4sHBBQQ")
 
 _COMPRESS_NONE = 0
@@ -187,15 +171,6 @@ class TraceCodecError(ValueError):
     """Raised when a binary trace blob cannot be decoded."""
 
 
-class UnknownTraceCodecVersion(TraceCodecError):
-    """The blob is a trace artifact, but from an unknown codec version."""
-
-    def __init__(self, version: int) -> None:
-        super().__init__(f"unknown trace codec version {version} "
-                         f"(this build reads version {TRACE_CODEC_VERSION})")
-        self.version = version
-
-
 def _column_bytes(column: array) -> bytes:
     if _NATIVE_IS_LITTLE:
         return column.tobytes()
@@ -204,16 +179,15 @@ def _column_bytes(column: array) -> bytes:
     return swapped.tobytes()
 
 
-def encode_trace(trace: Trace, *, compress: bool = True) -> bytes:
-    """Serialize ``trace`` as header + packed column bytes."""
-    payload = b"".join(_column_bytes(getattr(trace, "_" + name))
-                       for name, _, _ in _COLUMN_LAYOUT)
+def encode_trace(trace: Trace) -> bytes:
+    """Serialize ``trace`` as header + packed column bytes, zlib-compressed
+    unless that would not shrink them."""
+    payload = b"".join(map(_column_bytes, trace.columns()))
     compression = _COMPRESS_NONE
-    if compress:
-        packed = zlib.compress(payload, _ZLIB_LEVEL)
-        if len(packed) < len(payload):
-            payload = packed
-            compression = _COMPRESS_ZLIB
+    packed = zlib.compress(payload, _ZLIB_LEVEL)
+    if len(packed) < len(payload):
+        payload = packed
+        compression = _COMPRESS_ZLIB
     header = _HEADER.pack(TRACE_MAGIC, TRACE_CODEC_VERSION, compression, 0,
                           len(trace), len(payload))
     return header + payload
@@ -222,9 +196,8 @@ def encode_trace(trace: Trace, *, compress: bool = True) -> bytes:
 def decode_trace(data: bytes) -> Trace:
     """Deserialize a blob produced by :func:`encode_trace`.
 
-    Raises :class:`UnknownTraceCodecVersion` for artifacts written by a
-    different codec version and :class:`TraceCodecError` for anything
-    structurally invalid (callers treat both as cache misses).
+    Raises :class:`TraceCodecError` for a blob written by another codec
+    version or structurally invalid (callers treat it as a cache miss).
     """
     if len(data) < _HEADER.size:
         raise TraceCodecError(f"trace blob truncated: {len(data)} bytes")
@@ -233,7 +206,9 @@ def decode_trace(data: bytes) -> Trace:
     if magic != TRACE_MAGIC:
         raise TraceCodecError(f"bad trace magic {magic!r}")
     if version != TRACE_CODEC_VERSION:
-        raise UnknownTraceCodecVersion(version)
+        raise TraceCodecError(
+            f"unknown trace codec version {version} "
+            f"(this build reads version {TRACE_CODEC_VERSION})")
     payload = data[_HEADER.size:]
     if len(payload) != payload_length:
         raise TraceCodecError(
@@ -251,14 +226,14 @@ def decode_trace(data: bytes) -> Trace:
             f"trace payload holds {len(payload)} bytes, expected "
             f"{count * TRACE_ROW_BYTES} for {count} entries")
 
-    trace = Trace.__new__(Trace)
+    columns = []
     offset = 0
-    for name, typecode, item_size in _COLUMN_LAYOUT:
+    for _, typecode, item_size in _COLUMN_LAYOUT:
         column = array(typecode)
         end = offset + count * item_size
         column.frombytes(payload[offset:end])
         if not _NATIVE_IS_LITTLE:
             column.byteswap()
-        setattr(trace, "_" + name, column)
+        columns.append(column)
         offset = end
-    return trace
+    return Trace(TraceColumns(*columns))

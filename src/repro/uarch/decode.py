@@ -52,7 +52,7 @@ class DecodedOp:
     """
 
     __slots__ = (
-        "index", "static", "mgt_entry", "op", "kind", "latency",
+        "index", "static", "mgt_entry", "op", "size", "kind", "latency",
         "renamed_sources", "dest", "needs_destination",
         "is_conditional_branch",
         # Handle-only scheduling metadata (None / 0 for singletons).
@@ -79,6 +79,7 @@ class DecodedOp:
         if mgt_entry is not None:
             template = mgt_entry.template
             header = mgt_entry.header
+            self.size = template.size
             self.kind = KIND_HANDLE
             self.latency = header.total_latency
             self.needs_destination = (template.out_index is not None
@@ -95,6 +96,7 @@ class DecodedOp:
             self.out_is_last = template.out_index == template.size - 1
             return
 
+        self.size = 1
         self.needs_destination = self.dest is not None
         self.is_conditional_branch = static.is_branch
         self.execution_cycles = 0

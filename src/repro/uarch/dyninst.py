@@ -12,10 +12,10 @@ The class is ``__slots__``-backed: tens of thousands of instances are created
 per simulation and the per-instance dict plus property dispatch of the old
 dataclass were a measurable share of simulation time.  Static facts
 (operands, opcode class, latency, MGT header) live on the shared decode
-record; the trace row's dynamic facts are copied in as plain scalars (``pc``,
-``size``, ``next_pc``, the :mod:`repro.sim.trace` flags byte and the
-normalized effective address) straight from the trace's columns by the fetch
-stage, the only place a :class:`DynInst` is built; only genuinely
+record; the entry's ``pc`` (derived from its static index) and the trace
+row's dynamic facts (``next_pc``, the :mod:`repro.sim.trace` flags byte and
+the normalized effective address) are copied in as plain scalars by the
+fetch stage, the only place a :class:`DynInst` is built; only genuinely
 per-instance state lives here.
 """
 
@@ -41,9 +41,9 @@ class DynInst:
     Attributes:
         sequence: global dynamic sequence number (age ordering).
         decoded: interned static metadata (shared across dynamic instances).
-        pc / size / next_pc / flags / effective_address: the dynamic facts of
-            the trace row this entity was fetched from (``flags`` is the
-            :mod:`repro.sim.trace` ``TF_*`` bitfield).
+        pc / next_pc / flags / effective_address: the entry's pc and the
+            dynamic facts of the trace row this entity was fetched from
+            (``flags`` is the :mod:`repro.sim.trace` ``TF_*`` bitfield).
         source_physical: physical registers of the (up to two) sources.
         destination_physical: allocated physical destination, or None.
         previous_physical: physical register previously mapped to the
@@ -56,7 +56,7 @@ class DynInst:
 
     __slots__ = (
         "sequence", "decoded",
-        "pc", "size", "next_pc", "flags", "effective_address",
+        "pc", "next_pc", "flags", "effective_address",
         "source_physical", "destination_physical", "previous_physical",
         "predicted_taken", "predicted_target", "mispredicted",
         "fetch_cycle", "rename_cycle", "issue_cycle", "complete_cycle",
@@ -65,13 +65,12 @@ class DynInst:
         "pending_sources", "wake_cycle",
     )
 
-    def __init__(self, sequence: int, decoded: DecodedOp, pc: int, size: int,
+    def __init__(self, sequence: int, decoded: DecodedOp, pc: int,
                  next_pc: int, flags: int,
                  effective_address: Optional[int]) -> None:
         self.sequence = sequence
         self.decoded = decoded
         self.pc = pc
-        self.size = size
         self.next_pc = next_pc
         self.flags = flags
         self.effective_address = effective_address
@@ -141,11 +140,6 @@ class DynInst:
     @property
     def is_control(self) -> bool:
         return bool(self.flags & TF_CONTROL)
-
-    @property
-    def original_instructions(self) -> int:
-        """Original program instructions represented (handles expand)."""
-        return self.size
 
     # -- status --------------------------------------------------------------------
 

@@ -96,7 +96,7 @@ enum {
     OUT_COUNT
 };
 
-/* The shared trace facts: per-entry trace columns plus per-static-op decode
+/* The shared trace facts: per-entry trace columns plus per-static-op
  * tables indexed by each entry's static index.  Field order is mirrored by
  * lane_kernel.py _LaneTrace. */
 typedef struct {
@@ -104,14 +104,14 @@ typedef struct {
     int64_t ops;                /* rows of every per-op table */
     int64_t fubmp_len;          /* length of the flattened FUBMP codes */
     const uint8_t *flags;       /* per entry: TF_* */
-    const uint64_t *pc;
-    const uint16_t *size;
     const uint64_t *next_pc;
     const uint64_t *ea;
-    const uint64_t *addr;       /* fetch address (layout-resolved) */
     const uint32_t *index;      /* static op of the entry */
     const uint8_t *kind;        /* per static op: KIND_* */
     const uint8_t *bits;        /* OP_* */
+    const uint64_t *pc;
+    const uint64_t *addr;       /* fetch address (layout-resolved) */
+    const int32_t *size;        /* original instructions */
     const int32_t *latency;
     const int32_t *src0;        /* -1: no source */
     const int32_t *src1;
@@ -394,7 +394,8 @@ typedef struct {
 
 static int64_t ssit_index(const memory_side *m, int64_t seq)
 {
-    return (int64_t)((m->t->pc[seq] >> 2) % (uint64_t)m->store_set_entries);
+    return (int64_t)((m->t->pc[m->t->index[seq]] >> 2)
+                     % (uint64_t)m->store_set_entries);
 }
 
 /* L1D then the unified L2 (inclusive); the load-to-use latency, or -1 when
@@ -819,7 +820,7 @@ int repro_lane_run(const lane_trace *t, const int64_t *config,
                     m.lsq_count--;
                     m.lsq_present[seq] = 0;
                 }
-                committed_instructions += t->size[seq];
+                committed_instructions += t->size[t->index[seq]];
                 committed_slots++;
                 if (t->bits[t->index[seq]] & OP_IS_HANDLE)
                     committed_handles++;
@@ -838,7 +839,7 @@ int repro_lane_run(const lane_trace *t, const int64_t *config,
                 /* Control resolution: train the hybrid direction predictor
                  * and the BTB with the resolved outcome. */
                 taken = (flags & TF_TAKEN) != 0;
-                pc = t->pc[seq];
+                pc = t->pc[t->index[seq]];
                 shifted = pc >> 2;
                 if (t->bits[t->index[seq]] & OP_IS_COND) {
                     uint64_t base = shifted & pred_mask;
@@ -1241,7 +1242,8 @@ int repro_lane_run(const lane_trace *t, const int64_t *config,
                 uint64_t current_line = 0;
                 seq = fetch_index;
                 while (fetched < fetch_width && seq < total) {
-                    uint64_t line = t->addr[seq] / icache.line;
+                    const uint64_t address = t->addr[t->index[seq]];
+                    uint64_t line = address / icache.line;
                     if (!have_line || line != current_line) {
                         /* L1I access (tag == line), then the unified L2. */
                         int hit = cache_access(&icache, line);
@@ -1251,7 +1253,7 @@ int repro_lane_run(const lane_trace *t, const int64_t *config,
                             latency = icache_hit;
                         } else {
                             icache_misses++;
-                            hit = cache_access(&m.l2, t->addr[seq] / m.l2.line);
+                            hit = cache_access(&m.l2, address / m.l2.line);
                             if (hit < 0)
                                 FAIL(LANE_INTERNAL, seq);
                             latency = icache_hit + m.l2_hit
@@ -1276,7 +1278,8 @@ int repro_lane_run(const lane_trace *t, const int64_t *config,
                     seq++;
                     if (flags & TF_CONTROL) {
                         const int64_t here = seq - 1;
-                        const uint64_t pc = t->pc[here], shifted = pc >> 2;
+                        const uint64_t pc = t->pc[t->index[here]];
+                        const uint64_t shifted = pc >> 2;
                         uint64_t target = 0;
                         int has_target, taken, actual_taken, target_correct;
                         branch_lookups++;

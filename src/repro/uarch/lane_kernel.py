@@ -92,12 +92,11 @@ _TRACE_COLUMNS = tuple(
     (name, ctype, count)
     for names, ctype, count in (
         (("flags",), ctypes.c_uint8, "total"),
-        (("pc",), ctypes.c_uint64, "total"),
-        (("size",), ctypes.c_uint16, "total"),
-        (("next_pc", "ea", "addr"), ctypes.c_uint64, "total"),
+        (("next_pc", "ea"), ctypes.c_uint64, "total"),
         (("index",), ctypes.c_uint32, "total"),
         (("kind", "bits"), ctypes.c_uint8, "ops"),
-        (("latency", "src0", "src1", "dest", "execution_cycles",
+        (("pc", "addr"), ctypes.c_uint64, "ops"),
+        (("size", "latency", "src0", "src1", "dest", "execution_cycles",
           "header_lat"), ctypes.c_int32, "ops"),
         (("fu0",), ctypes.c_int8, "ops"),
         (("fubmp_start", "fubmp_count"), ctypes.c_int32, "ops"),
@@ -192,9 +191,9 @@ def trace_facts(program: Program, trace: Trace,
 def _pack(facts: TraceFacts) -> Tuple[_LaneTrace, Tuple[array, ...]]:
     """The kernel's view of ``facts`` plus the buffers it points into.
 
-    Trace columns are passed zero-copy; decode metadata becomes one row per
-    static instruction (indexed by each entry's static index), with handle
-    metadata as small integer codes.
+    Trace columns are passed zero-copy; the pc, fetch address and decode
+    metadata become one row per static instruction (indexed by each entry's
+    static index), with handle metadata as small integer codes.
     """
     program = facts.program
     columns = facts.columns
@@ -202,13 +201,17 @@ def _pack(facts: TraceFacts) -> Tuple[_LaneTrace, Tuple[array, ...]]:
     ops = len(program.instructions)
     kind, bits = array("B", bytes(ops)), array("B", bytes(ops))
     fu0 = array("b", bytes(ops))
-    latency, execution_cycles, header_lat, fubmp_start, fubmp_count = (
-        array("i", bytes(4 * ops)) for _ in range(5))
+    layout = FetchLayout(program, compressed=facts.compressed)
+    pc = array("Q", map(program.pc_of, range(ops)))
+    addr = array("Q", map(layout.address_for_index, range(ops)))
+    size, latency, execution_cycles, header_lat, fubmp_start, fubmp_count = (
+        array("i", bytes(4 * ops)) for _ in range(6))
     src0, src1, dest = (array("i", [-1]) * ops for _ in range(3))
     fubmp = array("b")
     for index in set(columns.index):
         op = table.op_at(index)
         kind[index] = op.kind
+        size[index] = op.size
         latency[index] = op.latency
         source0, source1 = op.renamed_sources
         if source0 is not None:
@@ -226,16 +229,10 @@ def _pack(facts: TraceFacts) -> Tuple[_LaneTrace, Tuple[array, ...]]:
             fubmp_start[index] = len(fubmp)
             fubmp_count[index] = len(op.fubmp)
             fubmp.extend(_unit_code(unit) for unit in op.fubmp)
-    if facts.compressed:
-        layout = FetchLayout(program, compressed=True)
-        by_index = [layout.address_for_index(index) for index in range(ops)]
-        addr = array("Q", map(by_index.__getitem__, columns.index))
-    else:
-        addr = columns.pc
     buffers = {
-        "flags": columns.flags, "pc": columns.pc, "size": columns.size,
-        "next_pc": columns.next_pc, "ea": columns.effective_address,
-        "addr": addr, "index": columns.index, "kind": kind, "bits": bits,
+        "flags": columns.flags, "next_pc": columns.next_pc,
+        "ea": columns.effective_address, "index": columns.index,
+        "kind": kind, "bits": bits, "pc": pc, "addr": addr, "size": size,
         "latency": latency, "src0": src0, "src1": src1, "dest": dest,
         "execution_cycles": execution_cycles, "header_lat": header_lat,
         "fu0": fu0, "fubmp_start": fubmp_start, "fubmp_count": fubmp_count,

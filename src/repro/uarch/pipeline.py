@@ -207,9 +207,7 @@ class TimingSimulator:
             raise fp_admission_error(config, program)
         # The packed trace columns, read directly by the fetch stage.
         columns = trace.columns()
-        self._pc_col = columns.pc
         self._index_col = columns.index
-        self._size_col = columns.size
         self._next_pc_col = columns.next_pc
         self._flags_col = columns.flags
         self._ea_col = columns.effective_address
@@ -351,7 +349,7 @@ class TimingSimulator:
                     and lsq[0].sequence == head.sequence:
                 lsq.popleft()
                 del self._lsq_by_seq[head.sequence]
-            stats.committed_instructions += head.size
+            stats.committed_instructions += head.decoded.size
             stats.committed_slots += 1
             if head.decoded.mgt_entry is not None:
                 stats.committed_handles += 1
@@ -721,16 +719,16 @@ class TimingSimulator:
         icache_hit = self._icache_hit_latency
         width = self._fetch_width
         compressed = layout.compressed
-        pc_col = self._pc_col
+        pc_of = self._program.pc_of
         index_col = self._index_col
-        size_col = self._size_col
         next_pc_col = self._next_pc_col
         ea_col = self._ea_col
         # Each slot is read straight out of the packed columns.
         while fetched < width and index < total:
             flags = flags_col[index]
-            pc = pc_col[index]
-            address = layout.address_for_index(index_col[index]) if compressed \
+            static_index = index_col[index]
+            pc = pc_of(static_index)
+            address = layout.address_for_index(static_index) if compressed \
                 else pc
             line = memory.line_address(address, instruction=True)
             if line != current_line:
@@ -746,8 +744,7 @@ class TimingSimulator:
                 current_line = line
             decoded = feed[index]
             next_pc = next_pc_col[index]
-            inst = DynInst(self._next_sequence, decoded, pc, size_col[index],
-                           next_pc, flags,
+            inst = DynInst(self._next_sequence, decoded, pc, next_pc, flags,
                            ea_col[index] if flags & TF_HAS_EA else None)
             inst.fetch_cycle = cycle
             self._next_sequence += 1

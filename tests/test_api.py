@@ -38,6 +38,7 @@ from repro.api import (
     content_hash,
 )
 from repro.api import session as session_module
+from repro.api import spec as spec_module
 from repro.api import store as store_module
 from repro.api.keys import digest
 from repro.api.store import MISS
@@ -45,6 +46,8 @@ from repro.grid import cell_key, get_grid
 from repro.grid.engine import cell_payload
 from repro.minigraph import DEFAULT_POLICY, INTEGER_POLICY, MgtBuildOptions
 from repro.program import Program
+from repro.sim import trace as trace_module
+from repro.sim.trace import TRACE_CODEC_VERSION
 from repro.uarch import (
     PipelineStats,
     baseline_config,
@@ -98,13 +101,16 @@ def _pinned_spec(name):
 
 _BITCOUNT_UPSTREAM = {
     "assemble": "b9cbb4501934ea1f0d635fc5",
-    "profile": "101918ca087cf8c91e17eb8b",
+    "profile": "a7ce0ce7e41319a5634076e2",
     "time_baseline": "8427ff8eadc2c7865e8ef940",
 }
 
 #: Per spec: every stage key ``Session.run`` derives (stage -> digest), the
 #: ``spec_hash``, the row artifact's ``cell_key`` and the machine's
-#: ``machine_hash``, as earlier builds wrote them into stores.
+#: ``machine_hash``, as earlier builds wrote them into stores.  The
+#: ``profile`` and ``trace`` keys name the trace codec version, and a
+#: ``trace`` key names no MGT build option, so the plain and collapsing
+#: variants of one policy share a trace.
 PINNED_KEYS = {
     "baseline": (
         _BITCOUNT_UPSTREAM,
@@ -115,7 +121,7 @@ PINNED_KEYS = {
              select="f8d8db983781649089dd484e",
              rewrite="2d0773576cc237e5e2f130c2",
              build_mgt="47a15f60b880966a9b83204f",
-             trace="9f7d10f4e4d1aa6f6c65d684",
+             trace="a06fe5eddc26d51f31c77303",
              time="515e13c1e4b48abfd9fdb736"),
         "aaa91a7fef57f603ec633fae", "gridcell-1a8028f4a422730ac5ff9247",
         "9427920b51a5eca988069f0c"),
@@ -124,18 +130,18 @@ PINNED_KEYS = {
              select="f8d8db983781649089dd484e",
              rewrite="2d0773576cc237e5e2f130c2",
              build_mgt="7864ba8a5a9bb44d36d9fa9c",
-             trace="24b1eea210bdf1814fcf3766",
+             trace="a06fe5eddc26d51f31c77303",
              time="c0db77f984f9e2313bcab245"),
         "5fef61c3ffcdf714d2d149d7", "gridcell-9b49867aada2b29f2bdb8443",
         "42f0b3031475a63df42392ac"),
     "for-program": (
         {"assemble": "102b0869b9074b70e9b21932",
-         "profile": "b848bed1b38acfb96c14bfe0",
+         "profile": "975742e1dee9323c44ef07cb",
          "time_baseline": "a7425a25b571697bdf595c2b",
          "select": "552136d772ded126409c6628",
          "rewrite": "7f8b87b0ebd3766046ccbc16",
          "build_mgt": "1ab234c7bddc0e7644e5a661",
-         "trace": "79bb45c899d1ebcfb4ebb2c6",
+         "trace": "6891cdf1515a672e2a897b79",
          "time": "06c811bdaac85eab9ba9f711"},
         "b2e8b8248ff8ddc471b4b677", "gridcell-59722b42636a7fed37d73e82",
         "9427920b51a5eca988069f0c"),
@@ -771,6 +777,48 @@ class TestSessionCaching:
         assert second.stats.functional_runs == 0
         assert second.stats.timing_runs == 0
         assert table.value("bitcount", "int") > 0.0
+
+
+class TestCodecVersions:
+    """Builds whose trace codecs differ share one store: the codec version
+    is key material of the two stages whose artifacts hold a trace
+    (``profile`` and ``trace``), so neither build reads the other's rows."""
+
+    CODECS = (TRACE_CODEC_VERSION, TRACE_CODEC_VERSION + 1)
+
+    @staticmethod
+    def _fresh_run(monkeypatch, cache_dir, codec, modules):
+        """The work of one fresh session's ``run`` of a bitcount spec, with
+        ``TRACE_CODEC_VERSION`` set to ``codec`` in ``modules``."""
+        with monkeypatch.context() as patch:
+            for module in modules:
+                patch.setattr(module, "TRACE_CODEC_VERSION", codec)
+            with Session(cache_dir=cache_dir) as session:
+                session.run(RunSpec(benchmark="bitcount", budget=BUDGET))
+        return session.stats
+
+    def test_each_codec_reads_only_its_own_rows(self, monkeypatch, tmp_path):
+        def run(codec):
+            return self._fresh_run(monkeypatch, tmp_path, codec,
+                                   (spec_module, trace_module))
+
+        assert run(self.CODECS[0]).simulations > 0
+        second = run(self.CODECS[1])
+        # Its own profile and trace; every other stage is shared.
+        assert (second.functional_runs, second.timing_runs,
+                second.selection_runs) == (2, 0, 0)
+        for codec in self.CODECS:
+            assert run(codec).simulations == 0
+
+    def test_a_codec_outside_the_keys_reruns_in_every_session(
+            self, monkeypatch, tmp_path):
+        # With the codec version only in the blobs, both builds derive the
+        # same keys, and each session finds the other build's profile and
+        # trace rows unreadable.
+        runs = [self._fresh_run(monkeypatch, tmp_path, codec,
+                                (trace_module,)).functional_runs
+                for codec in self.CODECS * 2]
+        assert runs == [2, 2, 2, 2]
 
 
 # -- rows -------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.grid import (
     plan_grid,
 )
 from repro.minigraph.policies import DEFAULT_POLICY, INTEGER_POLICY
+from repro.workloads import QUICK_BENCHMARKS
 
 BUDGET = 1_500
 
@@ -267,6 +268,17 @@ class TestCatalog:
         baselines = {cell.spec.resolved_baseline_machine.resolve()
                      for cell in cells}
         assert len(baselines) == 1  # one shared reference machine shape
+
+    def test_fig6_machine_variants_share_each_policys_trace(self):
+        # A rewritten run reads the selection's templates, not the MGT
+        # build options, so a kernel's plain and collapsing cells share one
+        # trace: one profile per kernel plus one trace per policy.
+        kernels = QUICK_BENCHMARKS[:4]
+        grid = get_grid("fig6").build(benchmarks=kernels, budget=2_000)
+        session = Session()
+        rows = list(session.run_grid(grid, workers=0))
+        assert len(rows) == 4 * len(kernels)
+        assert session.stats.functional_runs == 4 + 8
 
     def test_fig8_grid_panels_split_by_variant(self):
         definition = get_grid("fig8")

@@ -1,14 +1,17 @@
 """Tests for the columnar trace representation and its binary codec.
 
 Covers the property-based round trip of rows of column values through the
-packed columns, the codec and pickle (including empty traces and every flags
-combination), the versioned header checks, and the artifact store's disk
-format (every entry a pickle whose traces are codec blobs; unknown codec
-versions, damaged entries and bare codec entries written by older builds
-degrading to cache misses).
+packed columns, the codec and pickle (including empty and incompressible
+traces and every flags combination), the versioned header checks, the
+counts a timing run derives from a trace with the program and MGT, and the
+artifact store's disk format (every entry a pickle whose traces are codec
+blobs; rows of another codec version, damaged entries and bare codec
+entries written by older builds degrading to cache misses that are
+deleted).
 """
 
 import pickle
+import random
 import sqlite3
 import struct
 from contextlib import closing
@@ -18,15 +21,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.api.store import MISS, ArtifactStore
+from repro.sim.functional import run_program
 from repro.sim.trace import (
-    TF_HAS_MGID,
     TF_LOAD,
     TF_STORE,
     TRACE_CODEC_VERSION,
     TRACE_MAGIC,
+    TRACE_ROW_BYTES,
     Trace,
     TraceCodecError,
-    UnknownTraceCodecVersion,
     decode_trace,
     encode_trace,
     pack_flags,
@@ -36,23 +39,22 @@ _WORD = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
 #: One trace row: a value per column, in ``Trace.columns()`` order.
 _rows = st.tuples(
-    _WORD,                                                  # pc
     st.integers(min_value=0, max_value=(1 << 32) - 1),      # index
-    st.integers(min_value=0, max_value=(1 << 16) - 1),      # size
     _WORD,                                                  # next_pc
     st.builds(pack_flags, st.booleans(), st.none() | st.booleans(),
-              st.booleans(), st.booleans(), st.booleans(),
-              st.booleans()),                               # flags
+              st.booleans(), st.booleans(), st.booleans()),  # flags
     _WORD,                                                  # effective_address
-    st.integers(min_value=-1, max_value=(1 << 31) - 1),     # mgid
 )
 
 _row_lists = st.lists(_rows, max_size=40)
 
+#: Codec header bytes before the column payload.
+_HEADER_BYTES = 24
+
 
 def _trace(rows):
     """A trace holding ``rows``."""
-    return Trace.from_columns(*(zip(*rows) if rows else [()] * 7))
+    return Trace.from_columns(*(zip(*rows) if rows else [()] * 4))
 
 
 def _rows_of(trace):
@@ -83,63 +85,76 @@ class TestColumnarRoundTrip:
     @given(rows=_row_lists)
     def test_summary_statistics_match_entry_views(self, rows):
         trace = _trace(rows)
-        original = sum(row[2] for row in rows)
-        assert trace.original_instruction_count() == original
-        assert trace.load_count() == sum(1 for row in rows if row[4] & TF_LOAD)
+        assert trace.load_count() == sum(1 for row in rows if row[2] & TF_LOAD)
         assert trace.store_count() == \
-            sum(1 for row in rows if row[4] & TF_STORE)
+            sum(1 for row in rows if row[2] & TF_STORE)
 
     def test_uncompressed_codec_round_trip(self):
-        rows = [(0x1000, 0, 1, 0x1004, 0, 0, -1),
-                (0x1004, 1, 1, 0x1000,
-                 pack_flags(True, True, False, False, False, False), 0, -1)]
-        blob = encode_trace(_trace(rows), compress=False)
+        # Random columns give zlib nothing to shrink, so the payload is
+        # stored raw: the four columns' bytes, 21 per entry.
+        generator = random.Random(26)
+        rows = [(generator.getrandbits(32), generator.getrandbits(64),
+                 generator.getrandbits(8), generator.getrandbits(64))
+                for _ in range(64)]
+        blob = encode_trace(_trace(rows))
+        assert TRACE_ROW_BYTES == 21
+        assert blob[6] == 0     # compression byte: raw
+        assert len(blob) == _HEADER_BYTES + len(rows) * TRACE_ROW_BYTES
         assert _rows_of(decode_trace(blob)) == rows
 
     def test_empty_trace_round_trip(self):
         decoded = decode_trace(encode_trace(_trace([])))
         assert len(decoded) == 0 and _rows_of(decoded) == []
-        assert decoded.original_instruction_count() == 0
+        assert (decoded.load_count(), decoded.store_count()) == (0, 0)
 
 
-def _summary_by_entry(trace):
-    """Reference summary: one Python pass over the trace's entries."""
+def _summary_by_entry(program, mgt, trace):
+    """Reference summary: one Python pass over the trace's entries, with
+    each entry's size taken from the program and the MGT."""
     columns = trace.columns()
     original = absorbed = loads = stores = 0
-    for size, flags in zip(columns.size, columns.flags):
+    for index, flags in zip(columns.index, columns.flags):
+        instruction = program.instructions[index]
+        size = (mgt.lookup(instruction.mgid).template.size
+                if instruction.is_handle else 1)
         original += size
-        if flags & TF_HAS_MGID:
-            absorbed += size - 1
+        absorbed += size - 1
         loads += bool(flags & TF_LOAD)
         stores += bool(flags & TF_STORE)
     return (original, absorbed, loads, stores)
 
 
 class TestTraceCounts:
-    """A trace's counts, and the coverage its timing run reports (the one
-    coverage definition: ``PipelineStats.dynamic_coverage``), match the
-    per-entry reference on real traces."""
+    """A trace's counts, the instructions its timing run commits and the
+    coverage it reports (the one coverage definition:
+    ``PipelineStats.dynamic_coverage``) match the per-entry reference on
+    real traces, with sizes taken from the program and the MGT."""
 
     @staticmethod
     def _check(specs):
-        """Check every baseline and rewritten trace of ``specs``; return
-        the instructions their handles absorbed."""
+        """Check every baseline and rewritten run of ``specs``; return the
+        instructions their handles absorbed."""
         from repro.api import Session
         from repro.uarch import simulate_program
         session = Session()
         absorbed = 0
         for spec in specs:
-            runs = [(session.program(spec), session.baseline_trace(spec),
-                     None, spec.resolved_baseline_machine)]
+            runs = [(session.program(spec), None,
+                     spec.resolved_baseline_machine)]
             if spec.policy is not None:
-                runs.append((session.rewritten(spec),
-                             session.minigraph_trace(spec), session.mgt(spec),
+                runs.append((session.rewritten(spec), session.mgt(spec),
                              spec.resolved_machine))
-            for program, trace, mgt, machine in runs:
-                original, handled, loads, stores = _summary_by_entry(trace)
-                assert (trace.original_instruction_count(), trace.load_count(),
+            for program, mgt, machine in runs:
+                result = run_program(program, mgt=mgt,
+                                     max_instructions=spec.budget)
+                trace = result.trace
+                original, handled, loads, stores = \
+                    _summary_by_entry(program, mgt, trace)
+                assert (result.instructions_executed, trace.load_count(),
                         trace.store_count()) == (original, loads, stores)
                 stats = simulate_program(program, trace, machine, mgt=mgt)
+                assert stats.committed_instructions == \
+                    result.instructions_executed
                 assert stats.dynamic_coverage == \
                     (handled / original if original else 0.0)
                 absorbed += handled
@@ -163,29 +178,24 @@ class TestTraceCounts:
                      for entry in corpus])
 
     def test_counts_of_hand_built_traces(self):
-        handle = pack_flags(False, None, False, False, False, True)
-        memory_handle = pack_flags(False, None, True, True, True, True)
-        trace = _trace([(0x1000, 0, 1, 0x1004, 0, 0, -1),
-                        (0x1004, 1, 2, 0x1008, handle, 0, 0),
-                        (0x1008, 2, 3, 0x100c, memory_handle, 0x2000, 1),
-                        (0x100c, 3, 4, 0x1010, handle, 0, 2),
-                        (0x1010, 4, 1, 0x1014,
-                         pack_flags(False, None, True, False, True, False),
-                         0x2008, -1)])
-        assert _summary_by_entry(trace) == (11, 6, 2, 1)
-        assert (trace.original_instruction_count(), trace.load_count(),
-                trace.store_count()) == (11, 2, 1)
+        handle = pack_flags(False, None, False, False, False)
+        memory_handle = pack_flags(False, None, True, True, True)
+        trace = _trace([(0, 0x1004, 0, 0),
+                        (1, 0x1008, handle, 0),
+                        (2, 0x100c, memory_handle, 0x2000),
+                        (3, 0x1010, handle, 0),
+                        (4, 0x1014, pack_flags(False, None, True, False, True),
+                         0x2008)])
+        assert (trace.load_count(), trace.store_count()) == (2, 1)
         empty = _trace([])
-        assert (empty.original_instruction_count(), empty.load_count(),
-                empty.store_count()) == (0, 0, 0)
+        assert (empty.load_count(), empty.store_count()) == (0, 0)
 
 
 class TestCodecValidation:
     def _blob(self):
         return encode_trace(_trace([
-            (0x1000, 0, 1, 0x1004, 0, 0, -1),
-            (0x1004, 1, 1, 0x1008,
-             pack_flags(False, None, True, False, True, False), 0x2000, -1)]))
+            (0, 0x1004, 0, 0),
+            (1, 0x1008, pack_flags(False, None, True, False, True), 0x2000)]))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(TraceCodecError):
@@ -203,10 +213,11 @@ class TestCodecValidation:
         blob = bytearray(self._blob())
         # The version field is the u16 right after the 4-byte magic.
         struct.pack_into("<H", blob, 4, TRACE_CODEC_VERSION + 7)
-        with pytest.raises(UnknownTraceCodecVersion) as excinfo:
+        with pytest.raises(TraceCodecError) as excinfo:
             decode_trace(bytes(blob))
-        assert excinfo.value.version == TRACE_CODEC_VERSION + 7
-        assert isinstance(excinfo.value, TraceCodecError)
+        assert str(excinfo.value) == (
+            f"unknown trace codec version {TRACE_CODEC_VERSION + 7} "
+            f"(this build reads version {TRACE_CODEC_VERSION})")
 
 
 _STORE_VERSION = "1.0"
@@ -240,11 +251,9 @@ def _set_row(cache_dir, key, value):
 class TestStoreCrossCodec:
     def _trace(self):
         return _trace([
-            (0x1000, 0, 1, 0x1004, 0, 0, -1),
-            (0x1004, 1, 2, 0x1000,
-             pack_flags(True, True, False, False, False, True), 0, 3),
-            (0x1000, 0, 1, 0x1004,
-             pack_flags(False, None, False, True, True, False), 0x2008, -1)])
+            (0, 0x1004, 0, 0),
+            (1, 0x1000, pack_flags(True, True, False, False, False), 0),
+            (0, 0x1004, pack_flags(False, None, False, True, True), 0x2008)])
 
     def test_bare_traces_are_stored_binary_and_read_back(self, tmp_path):
         writer = _store(tmp_path)
@@ -275,28 +284,28 @@ class TestStoreCrossCodec:
         struct.pack_into("<H", data, data.index(TRACE_MAGIC) + 4,
                          TRACE_CODEC_VERSION + 1)
         _set_row(cache_dir, "pair-future", bytes(data))
-        return bytes(data)
 
     def test_unknown_codec_version_is_a_miss_not_a_crash(self, tmp_path):
         store = _store(tmp_path)
         store.put("pair-future", {"trace": self._trace()})
-        data = self._future_codec_row(tmp_path)
+        self._future_codec_row(tmp_path)
         reader = _store(tmp_path)
         assert reader.get("pair-future") is MISS
         assert reader.stats.misses == 1
-        # The foreign-version row is left for the build that wrote it.
-        assert _row(tmp_path, "pair-future") == data
+        # Keys name the codec version, so such a row is damaged: deleted.
+        assert _row(tmp_path, "pair-future") is None
 
-    def test_put_leaves_an_unknown_codec_entry_for_its_writer(self, tmp_path):
+    def test_next_put_writes_this_builds_value(self, tmp_path):
         store = _store(tmp_path)
         store.put("pair-future", {"trace": self._trace()})
-        data = self._future_codec_row(tmp_path)
+        self._future_codec_row(tmp_path)
         reader = _store(tmp_path)
         assert reader.get("pair-future") is MISS
         reader.put("pair-future", {"trace": self._trace()})
-        assert _row(tmp_path, "pair-future") == data
-        # This build still serves its own value from memory.
-        assert _rows_of(reader.get("pair-future")["trace"]) == \
+        assert _row(tmp_path, "pair-future") == pickle.dumps(
+            {"trace": self._trace()}, protocol=pickle.HIGHEST_PROTOCOL)
+        # A fresh store reads this build's value from disk.
+        assert _rows_of(_store(tmp_path).get("pair-future")["trace"]) == \
             _rows_of(self._trace())
 
     def test_corrupt_trace_entry_is_dropped_and_missed(self, tmp_path):
