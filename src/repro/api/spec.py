@@ -7,7 +7,10 @@ build options, the machine configurations and the code-layout mode.  A spec
 is a frozen value object: it normalizes into a stable content hash
 (:attr:`RunSpec.spec_hash`) and into per-stage cache-key material
 (:meth:`RunSpec.stage_material`), which is what makes artifact caching
-content-addressed rather than identity-based.
+content-addressed rather than identity-based.  A spec pickles as its field
+values, and an unpickled spec is this process's one object for its value
+(:mod:`repro.interning`): keys derived in another process never arrive
+with it, and the ones derived here are derived once.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..interning import InternTable, field_names, field_values, match_key
 from ..minigraph.mgt import MgtBuildOptions
 from ..minigraph.policies import DEFAULT_POLICY, SelectionPolicy
 from ..program.program import Program
@@ -35,6 +39,11 @@ from .keys import canonical_key, content_hash, digest
 STAGES: Tuple[str, ...] = (
     "assemble", "profile", "select", "rewrite", "build_mgt", "trace", "time",
 )
+
+
+#: Most specs one process keeps interned; the least recently used goes first.
+_INTERNED_SPECS = 1024
+_SPECS = InternTable(_INTERNED_SPECS)
 
 
 class SpecError(ValueError):
@@ -245,6 +254,12 @@ class RunSpec:
     def __hash__(self) -> int:
         return hash(self._identity())
 
+    def __reduce__(self):
+        """Pickle as the class and field values only: the unpickling process
+        validates the spec and derives its keys itself (no memo crosses a
+        process), and equal specs unpickle to one object there."""
+        return (_interned_spec, (type(self), field_values(self)))
+
     @property
     def spec_hash(self) -> str:
         """Stable content hash of the fully-normalized spec."""
@@ -271,3 +286,22 @@ class RunSpec:
             "compressed_layout": self.compressed_layout,
             "spec_hash": self.spec_hash,
         }
+
+
+def _interned_spec(cls: type, values: Tuple[Any, ...]) -> RunSpec:
+    """Unpickle one spec (:meth:`RunSpec.__reduce__`): the process's object
+    for an equal value, or a new, validated one.
+
+    Machines match by identity.  The table keeps each spec, and so its
+    machines, alive, so an id in a key is never another object's.  A spec
+    with an ad-hoc program is never interned.
+    """
+    named = dict(zip(field_names(cls), values))
+    key = None
+    if named["program"] is None:
+        machines = (id(named.pop("machine")),
+                    id(named.pop("baseline_machine")))
+        typed = match_key(named.values())
+        if typed is not None:
+            key = (cls, machines, typed)
+    return _SPECS.get(key, lambda: cls(*values))

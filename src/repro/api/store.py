@@ -299,8 +299,16 @@ class ArtifactStore:
             return pickle.loads(blob)
         except Exception:
             # A truncated or unreadable row is just a miss.
-            self._execute(_DELETE, (key,))
+            self.discard(key)
             return MISS
+
+    def discard(self, key: str) -> None:
+        """Drop ``key`` from both layers, so that the next put of it stores
+        its value: a caller that finds a value it cannot use (a damaged
+        row) discards it instead of leaving it to be found again."""
+        self._memory.pop(key, None)
+        if self._database is not None:
+            self._execute(_DELETE, (key,))
 
     def put(self, key: str, value: Any) -> None:
         """Insert ``value`` into the memory layer and, if enabled, the disk layer.

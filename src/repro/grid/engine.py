@@ -37,7 +37,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 from ..api.keys import digest
 from ..api.session import Session, SessionStats
 from ..api.spec import RunSpec
-from ..api.store import ArtifactStore, CacheStats
+from ..api.store import MISS, ArtifactStore, CacheStats
 from ..uarch.stats import ipc_speedup
 from .planner import GridPlan, plan_grid
 from .spec import GridCell, GridSpec
@@ -175,16 +175,21 @@ def resume_rows(store: ArtifactStore, version: str, cells: Iterable[GridCell]
     row artifacts (``resumed=True``) and the cells still to run.
 
     A stored value that is not a row payload (a dict of exactly
-    :data:`_PAYLOAD_FIELDS`) is a miss: its cell runs again.
+    :data:`_PAYLOAD_FIELDS`) is a miss, and the probe discards it from the
+    store: its cell runs again, and the row it stores then serves the next
+    resume.
     """
     served: List[GridRow] = []
     remaining: List[GridCell] = []
     for cell in cells:
-        payload = store.get(cell_key(cell.spec, version))
+        key = cell_key(cell.spec, version)
+        payload = store.get(key)
         if isinstance(payload, dict) and payload.keys() == _PAYLOAD_KEYS:
             served.append(_row(cell, payload, resumed=True))
-        else:
-            remaining.append(cell)
+            continue
+        if payload is not MISS:
+            store.discard(key)
+        remaining.append(cell)
     return served, remaining
 
 

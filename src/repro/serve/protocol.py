@@ -40,8 +40,11 @@ There is one job kind: ``{"kind": "cells", "cells_b64": ..., "label": ...}``
 — the expanded cells of a grid (base64-pickled ``(index, point, RunSpec)``
 triples, with unique int indices >= 0 and points of ``(str, value)``
 pairs) from ``repro.serve.client``; the server groups them into
-shared-artifact stages with the grid planner.  Malformed cells are
-rejected with ``bad-request`` and admit nothing.  Catalog grids are expanded
+shared-artifact stages with the grid planner.  A spec and its machines
+pickle as their field values (``RunSpec.__reduce__``), so unpickling
+validates them and the daemon derives every key itself.  Malformed cells,
+and specs or machines that fail validation, are rejected with
+``bad-request`` and admit nothing.  Catalog grids are expanded
 on the client too (``repro submit --grid``).  Any other ``kind`` —
 including the ``grid`` and ``artifacts`` kinds of older daemons — is
 rejected with ``bad-request``.
@@ -64,8 +67,10 @@ from typing import Any, BinaryIO, Dict, Optional
 #: Bump on any incompatible message-shape change; the handshake rejects
 #: mismatches with ``protocol-mismatch`` instead of mis-parsing mid-stream.
 #: Version 3 dropped the per-client row keys, the job ordering field and the
-#: ``grid`` job kind, so an older client asking for them fails at ``hello``.
-PROTOCOL_VERSION = 3
+#: ``grid`` job kind.  Version 4 pickles specs and machines as their field
+#: values, which the daemon validates and keys itself; a version-3 client's
+#: pickles carry the keys its own process derived, so it fails at ``hello``.
+PROTOCOL_VERSION = 4
 
 #: Structured rejection/failure codes carried in ``error.code``.
 ERROR_CODES = (
@@ -123,8 +128,9 @@ class MessageStream:
         self._reader: BinaryIO = sock.makefile("rb")
         self._writer: BinaryIO = sock.makefile("wb")
 
-    def send(self, message: Dict[str, Any]) -> None:
-        self._writer.write(encode_message(message))
+    def send(self, *messages: Dict[str, Any]) -> None:
+        """Frame ``messages`` in order, in one write and one flush."""
+        self._writer.write(b"".join(map(encode_message, messages)))
         self._writer.flush()
 
     def recv(self) -> Optional[Dict[str, Any]]:

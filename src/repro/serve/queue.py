@@ -24,7 +24,10 @@ shared store.
 One lock-and-condition pair (:attr:`JobQueue.cond`) covers every record —
 scheduler, pool callbacks and per-connection streaming threads all
 synchronize on it, which is simple and ample at daemon scale (tens of jobs,
-not millions; the millions are the *cells* inside the jobs).
+not millions; the millions are the *cells* inside the jobs).  The queue
+keeps every record for ``poll`` and ``stream``, and the live (non-terminal)
+ones in a map of their own, so admission and scheduling cost O(live jobs)
+however long the daemon has run.
 """
 
 from __future__ import annotations
@@ -158,6 +161,9 @@ class JobQueue:
         self.limit = limit
         self.cond = threading.Condition()
         self._jobs: Dict[str, JobRecord] = {}
+        #: The non-terminal jobs, in admission order; :meth:`_finish` is
+        #: the only way out.
+        self._live: Dict[str, JobRecord] = {}
         self._seq = 0
         self._draining = False
 
@@ -175,7 +181,7 @@ class JobQueue:
 
     def active_count(self) -> int:
         with self.cond:
-            return sum(1 for job in self._jobs.values() if not job.terminal)
+            return len(self._live)
 
     def submit(self, stages: List[List[GridCell]], *, label: str = "",
                rows: Optional[List[Dict[str, Any]]] = None) -> JobRecord:
@@ -188,7 +194,7 @@ class JobQueue:
             if self._draining:
                 raise AdmissionError(
                     "draining", "daemon is draining; submit rejected")
-            active = sum(1 for job in self._jobs.values() if not job.terminal)
+            active = len(self._live)
             if active >= self.limit:
                 raise AdmissionError(
                     "queue-full",
@@ -198,12 +204,13 @@ class JobQueue:
             self._seq += 1
             job = JobRecord(id=f"job-{self._seq:04d}", stages=stages,
                             label=label, rows=list(rows) if rows else [])
-            if not stages:
+            self._jobs[job.id] = self._live[job.id] = job
+            if stages:
+                self.cond.notify_all()
+            else:
                 # A fully resume-served (or empty) job is born terminal.
-                job.state = JobState.DONE
-                job.started_at = job.finished_at = time.monotonic()
-            self._jobs[job.id] = job
-            self.cond.notify_all()
+                job.started_at = time.monotonic()
+                self._finish(job, JobState.DONE)
             return job
 
     # -- lookup --------------------------------------------------------------------
@@ -219,7 +226,7 @@ class JobQueue:
 
     def all_terminal(self) -> bool:
         with self.cond:
-            return all(job.terminal for job in self._jobs.values())
+            return not self._live
 
     # -- scheduling ----------------------------------------------------------------
 
@@ -234,7 +241,7 @@ class JobQueue:
         :meth:`stage_done` / :meth:`stage_failed` / :meth:`worker_died`.
         """
         with self.cond:
-            live = [job for job in self._jobs.values() if not job.terminal]
+            live = list(self._live.values())
             running = {_stage_runs(job.stages[index]) for job in live
                        for index, state in enumerate(job.stage_state)
                        if state == _RUNNING}
@@ -263,6 +270,16 @@ class JobQueue:
 
     # -- completion callbacks (invoked by the scheduler) ----------------------------
 
+    def _finish(self, job: JobRecord, state: JobState,
+                error: Optional[Dict[str, Any]] = None) -> None:
+        """Move ``job`` to the terminal ``state``; every terminal transition
+        goes through here.  The caller holds :attr:`cond`."""
+        job.state = state
+        job.error = error
+        job.finished_at = time.monotonic()
+        del self._live[job.id]
+        self.cond.notify_all()
+
     def append_row(self, job: JobRecord, row: Dict[str, Any]) -> None:
         with self.cond:
             if job.terminal or row["index"] in job.delivered:
@@ -282,9 +299,9 @@ class JobQueue:
                 return  # stage of a cancelled job ran to completion
             job.stage_state[index] = _DONE
             if all(state == _DONE for state in job.stage_state):
-                job.state = JobState.DONE
-                job.finished_at = time.monotonic()
-            self.cond.notify_all()
+                self._finish(job, JobState.DONE)
+            else:
+                self.cond.notify_all()
 
     def stage_failed(self, job: JobRecord, index: int, message: str) -> None:
         """A stage raised in the worker: the whole job fails (no retry —
@@ -293,10 +310,8 @@ class JobQueue:
             if job.terminal:
                 return
             job.stage_state[index] = _DONE
-            job.state = JobState.FAILED
-            job.error = {"code": "failed", "message": message, "stage": index}
-            job.finished_at = time.monotonic()
-            self.cond.notify_all()
+            self._finish(job, JobState.FAILED, {
+                "code": "failed", "message": message, "stage": index})
 
     def worker_died(self, job: JobRecord, index: int) -> None:
         """The worker running this stage died (killed, OOM).
@@ -311,16 +326,15 @@ class JobQueue:
                 return
             if job.stage_attempts[index] <= 1:
                 job.stage_state[index] = _PENDING
+                self.cond.notify_all()
             else:
                 job.stage_state[index] = _DONE
-                job.state = JobState.QUARANTINED
-                job.error = {"code": "quarantined",
-                             "message": f"stage {index} killed its worker "
-                                        f"twice; job quarantined",
-                             "stage": index,
-                             "attempts": job.stage_attempts[index]}
-                job.finished_at = time.monotonic()
-            self.cond.notify_all()
+                self._finish(job, JobState.QUARANTINED, {
+                    "code": "quarantined",
+                    "message": f"stage {index} killed its worker twice; "
+                               f"job quarantined",
+                    "stage": index,
+                    "attempts": job.stage_attempts[index]})
 
     def cancel(self, job_id: str) -> Optional[JobRecord]:
         """Cancel a job; returns the record, or ``None`` if unknown.
@@ -334,8 +348,6 @@ class JobQueue:
             if job is None:
                 return None
             if not job.terminal:
-                job.state = JobState.CANCELLED
-                job.error = {"code": "cancelled", "message": "cancelled"}
-                job.finished_at = time.monotonic()
-                self.cond.notify_all()
+                self._finish(job, JobState.CANCELLED,
+                             {"code": "cancelled", "message": "cancelled"})
             return job

@@ -40,11 +40,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .. import __version__
-from ..api.spec import RunSpec
+from ..api.spec import RunSpec, SpecError
 from ..api.store import ArtifactStore
 from ..grid.engine import resume_rows
 from ..grid.planner import plan_cells
 from ..grid.spec import GridCell
+from ..uarch.config import ConfigError
 from . import protocol
 from .pool import PoolCallbacks, PoolTask, TaskKey, make_pool
 from .queue import AdmissionError, JobQueue
@@ -396,6 +397,10 @@ class ServeServer:
             raise _BadRequest("job descriptor needs cells_b64")
         try:
             triples = pickle.loads(base64.b64decode(blob.encode("ascii")))
+        except (ConfigError, SpecError) as error:
+            # Unpickling constructs every spec and machine, which validates it.
+            raise _BadRequest(f"invalid spec in cells payload: {error}") \
+                from None
         except Exception as error:  # noqa: BLE001 - any unpickling failure
             raise _BadRequest(f"undecodable cells_b64: {error}") from None
         if not isinstance(triples, (list, tuple)):
@@ -426,18 +431,22 @@ class ServeServer:
                 batch = list(job.rows[cursor:])
                 terminal = job.terminal
                 stopping = self._stop_event.is_set()
-            for row in batch:
-                stream.send(protocol.ok_response(
-                    "row", job_id=job.id, seq=cursor, row=row))
-                cursor += 1
-            if terminal and cursor >= len(job.rows):
-                stream.send(protocol.ok_response(
+            # One write per batch: its rows, then the end of the stream.
+            frames = [protocol.ok_response("row", job_id=job.id,
+                                           seq=cursor + offset, row=row)
+                      for offset, row in enumerate(batch)]
+            cursor += len(batch)
+            done = terminal and cursor >= len(job.rows)
+            if done:
+                frames.append(protocol.ok_response(
                     "end", job_id=job.id, state=job.state.value,
                     rows=cursor, job=job.describe()))
-                return
-            if stopping:
-                stream.send(protocol.error_response(
+            elif stopping:
+                frames.append(protocol.error_response(
                     "stream", "draining", "daemon stopped mid-stream"))
+            if frames:
+                stream.send(*frames)
+            if done or stopping:
                 return
 
     def _status(self) -> Dict[str, Any]:

@@ -14,7 +14,10 @@ The full catalog of named figure machines lives in
 
 Both config dataclasses validate their geometry on construction
 (:class:`ConfigError` with an actionable message, instead of silent
-downstream misbehaviour), and :meth:`MachineConfig.resolve` reduces a config
+downstream misbehaviour), also when they are unpickled: both pickle as
+their field values, and an unpickled machine is this process's one object
+for its value (:mod:`repro.interning`), so its resolved key never crosses
+a process.  :meth:`MachineConfig.resolve` reduces a config
 to its canonical :class:`MachineSpec` — a *name-free* machine shape with the
 derived fields normalized in, whose stable key is what the artifact cache
 folds into timing keys.  Two differently-named configs with the same
@@ -28,6 +31,13 @@ import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Tuple
+
+from ..interning import InternTable, field_values, match_key
+
+#: Most machines one process keeps interned; the least recently used goes
+#: first.
+_INTERNED_MACHINES = 256
+_MACHINES = InternTable(_INTERNED_MACHINES)
 
 
 class ConfigError(ValueError):
@@ -75,6 +85,10 @@ class CacheConfig:
     def num_sets(self) -> int:
         # __post_init__ guarantees an exact, power-of-two quotient >= 1.
         return self.size_bytes // (self.associativity * self.line_bytes)
+
+    def __reduce__(self):
+        # Unpickling constructs the geometry, so it is validated again.
+        return (type(self), field_values(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,6 +257,12 @@ class MachineConfig:
                      f"MachineConfig.{name} must be a CacheConfig, "
                      f"got {type(value).__name__}")
 
+    def __reduce__(self):
+        """Pickle as the class and field values only: the unpickling process
+        validates the config and resolves it itself (the ``_resolved`` memo
+        never crosses a process), and equal configs unpickle to one object."""
+        return (_interned_machine, (type(self), field_values(self)))
+
     # -- derived -----------------------------------------------------------------
 
     @property
@@ -326,6 +346,14 @@ class MachineConfig:
         """Pipeline the scheduler (Figure 8 bottom, "2-cycle schedule")."""
         return replace(self, scheduler_latency=latency,
                        name=f"{self.name}-sched{latency}")
+
+
+def _interned_machine(cls: type, values: Tuple[Any, ...]) -> MachineConfig:
+    """Unpickle one config (:meth:`MachineConfig.__reduce__`): the
+    process's object for an equal value, or a new, validated one."""
+    key = match_key(values)
+    return _MACHINES.get(None if key is None else (cls, key),
+                         lambda: cls(*values))
 
 
 def _canonical_field(value: Any) -> Any:

@@ -44,6 +44,7 @@ from repro.api.keys import digest
 from repro.api.store import MISS
 from repro.grid import cell_key, get_grid
 from repro.grid.engine import cell_payload
+from repro.interning import InternTable, match_key
 from repro.minigraph import DEFAULT_POLICY, INTEGER_POLICY, MgtBuildOptions
 from repro.program import Program
 from repro.sim import trace as trace_module
@@ -53,6 +54,8 @@ from repro.uarch import (
     baseline_config,
     integer_memory_minigraph_config,
 )
+from repro.uarch import config as config_module
+from repro.uarch.config import ConfigError
 from repro.uarch.stats import ipc_speedup
 from repro.workloads import load_benchmark
 
@@ -253,6 +256,176 @@ class TestRunSpec:
     def test_describe_is_json_serializable(self):
         spec = RunSpec(benchmark="gsm.toast", budget=BUDGET)
         assert json.loads(json.dumps(spec.describe()))["benchmark"] == "gsm.toast"
+
+
+class _TaggedSpec(RunSpec):
+    """A spec subclass: it must unpickle as itself."""
+
+
+def _round_trip(value):
+    return pickle.loads(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+#: Attributes a spec or machine memoizes its keys in.
+_MEMOS = ("_spec_hash", "_identity_key", "_policy_key", "_mgt_options_key",
+          "_source_id", "_resolved", "_machine_hash")
+
+
+class TestSpecPickling:
+    """Specs and machines pickle as their field values and unpickle to one
+    object per distinct value per process, without changing a key."""
+
+    def test_no_memo_crosses_a_pickle(self):
+        machine = baseline_config().with_physical_registers(96)
+        machine.resolve().machine_hash
+        spec = RunSpec(benchmark="bitcount", budget=BUDGET, machine=machine)
+        adhoc = RunSpec.for_program(load_benchmark("crc"), budget=BUDGET)
+        for value in (spec, adhoc):
+            value.spec_hash, value.source_id
+        assert {"_spec_hash", "_identity_key", "_policy_key",
+                "_mgt_options_key"} <= set(vars(spec))
+        assert "_source_id" in vars(adhoc)
+        for value in (spec, adhoc, machine):
+            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            assert not [memo for memo in _MEMOS if memo.encode() in blob]
+
+    def test_two_unpickles_of_one_payload_share_their_objects(self):
+        machine = baseline_config().with_physical_registers(100)
+        spec = RunSpec(benchmark="crc", budget=BUDGET, machine=machine)
+        blob = pickle.dumps([spec, machine])
+        first, second = pickle.loads(blob), pickle.loads(blob)
+        assert first[0] is second[0] and first[1] is second[1]
+        assert first[0].machine is first[1]
+        assert first[0] == spec and first[0] is not spec
+        # A key derived on the shared object serves every later unpickle.
+        first[0].spec_hash
+        assert vars(pickle.loads(blob)[0])["_spec_hash"] == spec.spec_hash
+
+    @pytest.mark.parametrize("a, b", [
+        (RunSpec(benchmark="bitcount", budget=8000),
+         RunSpec(benchmark="bitcount", budget=8000.0)),
+        (RunSpec(benchmark="bitcount",
+                 policy=dataclasses.replace(DEFAULT_POLICY, max_size=4)),
+         RunSpec(benchmark="bitcount",
+                 policy=dataclasses.replace(DEFAULT_POLICY, max_size=4.0))),
+        (RunSpec(benchmark="bitcount",
+                 machine=dataclasses.replace(baseline_config(),
+                                             fetch_width=1)),
+         RunSpec(benchmark="bitcount",
+                 machine=dataclasses.replace(baseline_config(),
+                                             fetch_width=True))),
+    ], ids=["budget", "policy-max-size", "machine-fetch-width"])
+    def test_equal_values_of_other_types_stay_apart(self, a, b):
+        """``==`` says these specs are one run, but their keys differ:
+        interning by ``==`` would serve one the other's rows."""
+        assert a == b and a.spec_hash != b.spec_hash
+        for payload in ([a, b], [b, a]):
+            # Empty tables, so each order interns its first spec first.
+            spec_module._SPECS.clear()
+            config_module._MACHINES.clear()
+            first, second = pickle.loads(pickle.dumps(payload))
+            assert first is not second
+            assert [first.spec_hash, second.spec_hash] \
+                == [spec.spec_hash for spec in payload]
+            assert _round_trip(payload[0]) is first
+            assert _round_trip(payload[1]) is second
+
+    def test_a_machine_matches_only_its_own_interned_object(self):
+        """A spec matches its machines by identity, which is sound only
+        while the spec table keeps them alive: an equal machine that is
+        another object is another key, never a reused id."""
+        machine = baseline_config().with_physical_registers(104)
+        payload = pickle.dumps(RunSpec(benchmark="bitcount", budget=BUDGET,
+                                       machine=machine))
+        first = pickle.loads(payload)
+        config_module._MACHINES.clear()        # as an eviction would
+        second = pickle.loads(payload)
+        assert second.machine is not first.machine
+        assert second is not first
+        assert second.spec_hash == first.spec_hash
+        assert pickle.loads(payload) is second
+
+    def test_ad_hoc_programs_and_subclasses_round_trip(self):
+        adhoc = RunSpec.for_program(load_benchmark("crc"), budget=BUDGET)
+        copies = [_round_trip(adhoc) for _ in range(2)]
+        assert copies[0] == adhoc and copies[0].source_id == adhoc.source_id
+        assert copies[0].spec_hash == adhoc.spec_hash
+        assert copies[0] is not copies[1]      # never interned
+        tagged = _TaggedSpec(benchmark="crc", budget=BUDGET)
+        plain = _round_trip(RunSpec(benchmark="crc", budget=BUDGET))
+        assert type(_round_trip(tagged)) is _TaggedSpec
+        assert _round_trip(tagged) is not plain
+
+    def test_unpickling_validates(self):
+        machine = dataclasses.replace(baseline_config())
+        object.__setattr__(machine, "rob_size", 0)
+        with pytest.raises(ConfigError, match="rob_size"):
+            _round_trip(machine)
+        cache = dataclasses.replace(baseline_config().dcache)
+        object.__setattr__(cache, "size_bytes", 384 * 64)
+        with pytest.raises(ConfigError, match="power of two"):
+            _round_trip(cache)
+        spec = RunSpec(benchmark="crc")
+        object.__setattr__(spec, "budget", -1)
+        with pytest.raises(SpecError, match="budget"):
+            _round_trip(spec)
+
+    def test_an_intern_table_evicts_its_least_recently_used_entry(self):
+        table = InternTable(2)
+        built = []
+
+        def build(value):
+            return lambda: built.append(value) or [value]
+
+        one = table.get(("one",), build(1))
+        two = table.get(("two",), build(2))
+        assert table.get(("one",), build(1)) is one    # now used last
+        table.get(("three",), build(3))                 # evicts "two"
+        assert len(table) == 2 and built == [1, 2, 3]
+        assert table.get(("one",), build(1)) is one
+        assert table.get(("two",), build(2)) is not two
+        assert table.get(None, build(4)) is not table.get(None, build(4))
+        assert match_key([object()]) is None
+        assert spec_module._SPECS.limit == spec_module._INTERNED_SPECS
+        assert config_module._MACHINES.limit \
+            == config_module._INTERNED_MACHINES
+
+    def test_threads_interning_at_once_share_one_object_per_key(self):
+        """Connection threads unpickle at once: each key must still map to
+        one object, and a table must stay within its limit."""
+        shared, small = InternTable(64), InternTable(8)
+        got = [[] for _ in range(8)]
+        start = threading.Barrier(len(got))
+
+        def build(key):
+            time.sleep(0)   # let another thread in while this one builds
+            return [key]
+
+        def work(seen):
+            start.wait()
+            for round_ in range(50):
+                for key in range(32):
+                    seen.append((key, shared.get((key,),
+                                                 lambda: build(key))))
+                    small.get((key, round_ % 3), lambda: build(key))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seen,))
+                       for seen in got]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        objects = {}
+        for key, value in (pair for seen in got for pair in seen):
+            assert objects.setdefault(key, value) is value
+        assert len(objects) == len(shared) == 32
+        assert len(small) == 8
 
 
 # -- the artifact store -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """The ``repro serve`` daemon: protocol, queue, pool, server, client, CLI."""
 
 import base64
+import dataclasses
 import gc
 import io
 import json
@@ -23,6 +24,7 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.pool import PoolCallbacks, PoolTask, ProcessWorkerPool
 from repro.serve.queue import AdmissionError, JobQueue, JobState
 from repro.serve.server import ServeServer
+from repro.uarch import baseline_config, integer_memory_minigraph_config
 
 BUDGET = 1_200
 
@@ -103,6 +105,19 @@ class TestProtocol:
         hello = {"op": "hello", "protocol": protocol.PROTOCOL_VERSION}
         a.send(hello)
         assert b.recv() == hello
+        # Several messages in one send: one write of the frames that single
+        # sends would write, read back in order.
+        batch = [protocol.ok_response("row", job_id="job-0001", seq=seq,
+                                      row={"index": seq})
+                 for seq in range(3)]
+        batch.append(protocol.ok_response("end", job_id="job-0001",
+                                          state="done", rows=3))
+        writes = []
+        write = a._writer.write
+        a._writer.write = lambda data: writes.append(data) or write(data)
+        a.send(*batch)
+        assert writes == [b"".join(map(protocol.encode_message, batch))]
+        assert [b.recv() for _ in batch] == batch
         b.close()
         assert a.recv() is None  # clean close reads as None
         a.close()
@@ -125,12 +140,14 @@ class TestProtocol:
         assert response["ok"] is False
         assert response["error"]["code"] == "protocol-mismatch"
 
-    @pytest.mark.parametrize("old_protocol", [1, 2])
+    @pytest.mark.parametrize("old_protocol", [1, 2, 3])
     def test_handshake_rejects_older_protocols(self, daemon, old_protocol):
         # Protocol 1 jobs reported session_stats fields this version no
-        # longer has, and protocol 2 clients could ask for namespaces and
-        # priorities it no longer honours: both must fail at hello.
-        assert protocol.PROTOCOL_VERSION == 3
+        # longer has, protocol 2 clients could ask for namespaces and
+        # priorities it no longer honours, and protocol 3 clients pickle
+        # specs with the keys their own process memoized: all must fail at
+        # hello.
+        assert protocol.PROTOCOL_VERSION == 4
         sock = socket_module.socket(socket_module.AF_UNIX,
                                     socket_module.SOCK_STREAM)
         sock.connect(str(daemon.socket_path))
@@ -140,7 +157,7 @@ class TestProtocol:
         response = stream.recv()
         stream.close()
         assert response["error"]["code"] == "protocol-mismatch"
-        assert response["error"]["details"] == {"server_protocol": 3}
+        assert response["error"]["details"] == {"server_protocol": 4}
 
 
 # -- job queue ----------------------------------------------------------------------
@@ -221,6 +238,36 @@ class TestJobQueue:
         job = queue.submit([], rows=[{"index": 0, "resumed": True}])
         assert job.state is JobState.DONE
         assert job.rows == [{"index": 0, "resumed": True}]
+
+    @pytest.mark.parametrize("transition", [
+        "born-done", "stage-done", "stage-failed", "worker-died-twice",
+        "cancel"])
+    def test_every_terminal_transition_leaves_the_live_map(self,
+                                                           transition):
+        """Admission and scheduling read only the live jobs, so each way a
+        job ends must take it out of them (it stays for poll/stream)."""
+        queue = JobQueue(limit=4)
+        if transition == "born-done":
+            job = queue.submit([], rows=[{"index": 0}])
+        else:
+            job = queue.submit([_stage()])
+            assert list(queue._live) == [job.id]
+            _, index = queue.next_stage()
+            if transition == "stage-done":
+                queue.stage_done(job, index, {}, {})
+            elif transition == "stage-failed":
+                queue.stage_failed(job, index, "boom")
+            elif transition == "worker-died-twice":
+                queue.worker_died(job, index)
+                assert list(queue._live) == [job.id]   # retried, still live
+                queue.next_stage()
+                queue.worker_died(job, index)
+            else:
+                queue.cancel(job.id)
+        assert job.terminal and job.finished_at is not None
+        assert queue._live == {}
+        assert queue.active_count() == 0 and queue.all_terminal()
+        assert queue.get(job.id) is job and queue.jobs() == [job]
 
     def test_retried_stage_replay_is_delivered_once(self):
         """A stage retried after its worker died re-emits every cell; rows
@@ -667,6 +714,75 @@ class TestWorkerDeath:
                         f"{actual[column]!r} != serial {expected[column]!r}")
         finally:
             server.stop(drain=False)
+
+
+class TestForgedKeys:
+    """Specs and machines pickle as their field values, so keys memoized
+    in the submitting process never reach the daemon: it validates and
+    keys every cell itself, and a forged key cannot select another run's
+    row."""
+
+    @staticmethod
+    def _served_row(daemon, spec):
+        cell = GridCell(index=0, point=_POINT, spec=spec)
+        with _client(daemon) as client:
+            rows, job = client.run_to_completion(
+                client.submit_cells([cell], resume=True))
+        assert job["state"] == "done"
+        (row,) = rows
+        return row
+
+    def test_a_forged_spec_hash_is_served_its_own_row(self, daemon):
+        with _client(daemon) as client:
+            stored, _ = client.run_to_completion(client.submit_grid(
+                _mini_grid(benchmarks=("bitcount", "crc"))))
+        ipc = {row["benchmark"]: row["ipc"] for row in stored
+               if row["point"]["config"] == "minigraph"}
+        honest = RunSpec(benchmark="bitcount", budget=BUDGET,
+                         policy=DEFAULT_POLICY)
+        crc = RunSpec(benchmark="crc", budget=BUDGET, policy=DEFAULT_POLICY)
+        # A fresh object (not an interned one) carrying crc's key.
+        forged = dataclasses.replace(honest)
+        object.__setattr__(forged, "_spec_hash", crc.spec_hash)
+        row = self._served_row(daemon, forged)
+        assert row["resumed"] is True
+        assert row["spec_hash"] == honest.spec_hash
+        assert row["ipc"] == ipc["bitcount"] != ipc["crc"]
+
+    def test_a_forged_machine_key_is_served_its_own_row(self, daemon):
+        with _client(daemon) as client:
+            client.run_to_completion(client.submit_grid(_mini_grid()))
+        default = integer_memory_minigraph_config()
+        smaller = default.with_physical_registers(72)
+        # Another fresh object (not an interned one), claiming the default
+        # machine's shape.
+        forged = default.with_physical_registers(72)
+        object.__setattr__(forged, "_resolved", default.resolve())
+        row = self._served_row(daemon, RunSpec(
+            benchmark="bitcount", budget=BUDGET, policy=DEFAULT_POLICY,
+            machine=forged))
+        honest = RunSpec(benchmark="bitcount", budget=BUDGET,
+                         policy=DEFAULT_POLICY, machine=smaller)
+        session = Session(cache_dir=None)
+        assert row["resumed"] is False          # its own key: nothing stored
+        assert row["machine_hash"] == smaller.resolve().machine_hash
+        assert row["spec_hash"] == honest.spec_hash
+        assert row["ipc"] == session.timing(honest).ipc
+        assert row["ipc"] != session.timing(honest.with_machine(None)).ipc
+
+    def test_an_invalid_machine_is_a_bad_request_at_submit(self, daemon):
+        machine = dataclasses.replace(baseline_config())
+        object.__setattr__(machine, "rob_size", 0)
+        cell = GridCell(index=0, point=_POINT, spec=RunSpec(
+            benchmark="bitcount", budget=BUDGET, policy=None,
+            machine=machine))
+        with _client(daemon) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.submit_cells([cell], resume=False)
+            status = client.status()
+        assert excinfo.value.code == "bad-request"
+        assert "rob_size" in str(excinfo.value)
+        assert status["jobs"]["total"] == 0
 
 
 # -- satellite regressions ----------------------------------------------------------
