@@ -52,7 +52,7 @@ from .uarch import (
 )
 from .workloads import load_benchmark
 
-# 1.4.0: machine-shape (name-free MachineSpec) cache keying + the grid
+# 1.4.0: machine-shape (name-free machine key) cache keying + the grid
 # engine's row artifacts invalidate every pre-grid persisted cache entry.
 __version__ = "1.4.0"
 

@@ -465,14 +465,14 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
     executed = sum(1 for row in rows if not row.resumed)
     resumed = len(rows) - executed
-    plan_info = plan.describe()
+    shard = None if plan.shard is None else "{}/{}".format(*plan.shard)
+    plan_info = {"cells": len(plan.cells()), "stages": len(plan.stages),
+                 "shard": shard}
     cache = session.cache_stats
     lines = [f"grid          : {grid.name} — {grid.title}",
              f"plan          : {plan_info['cells']} cells in "
-             f"{plan_info['stages']} shared-artifact stages "
-             f"({plan_info['frontend_compiles']} front-end compiles, "
-             f"dedup {plan_info['dedup_ratio']:.2f}x)"
-             + (f", shard {plan_info['shard']}" if plan_info['shard'] else ""),
+             f"{plan_info['stages']} shared-profile stages"
+             + (f", shard {shard}" if shard else ""),
              f"executed      : {executed} cells ({resumed} resumed) "
              f"in {wall_seconds:.2f}s",
              f"cache         : {cache.hits}/{cache.lookups} hits "
@@ -666,7 +666,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     pidfile.write_text(f"{os.getpid()}\n", encoding="utf-8")
     if not args.detach:
         print(f"serve daemon listening on {socket_path} "
-              f"({server.pool.backend} x{server.workers}); "
+              f"({server.pool.backend} x{server.pool.size}); "
               f"SIGTERM drains and exits", flush=True)
     try:
         server.serve_forever()

@@ -8,8 +8,9 @@ dataclasses rather than from hand-maintained tuples.  Adding a field to
 automatically instead of silently aliasing cache entries.
 
 :func:`canonical_key` returns canonical material unchanged, so a key built
-from canonical pieces (a spec's memoized policy key, a machine's resolved
-key) is hashed directly with :func:`digest` instead of being walked again.
+from canonical pieces (a spec's memoized policy key, a machine's
+``machine_key``) is hashed directly with :func:`digest` instead of being
+walked again.
 """
 
 from __future__ import annotations

@@ -275,7 +275,7 @@ class Session:
             return simulate_program(self.program(spec), self.baseline_trace(spec),
                                     config)
         return self._stage("time_baseline", spec, compute,
-                           extra=(config.resolve().key,))
+                           extra=(config.machine_key,))
 
     def minigraph_timing(self, spec: RunSpec,
                          machine: Optional[MachineConfig] = None) -> PipelineStats:
@@ -290,7 +290,7 @@ class Session:
                                     config, mgt=self.mgt(spec),
                                     compressed_layout=spec.compressed_layout)
         return self._stage("time", spec, compute,
-                           extra=("minigraph", config.resolve().key,
+                           extra=("minigraph", config.machine_key,
                                   spec.compressed_layout))
 
     def timing(self, spec: RunSpec) -> PipelineStats:
@@ -343,7 +343,8 @@ class Session:
 
     def plan(self, grid) -> "GridPlan":  # noqa: F821 - forward ref, see repro.grid
         """Expand a :class:`~repro.grid.spec.GridSpec` into a
-        :class:`~repro.grid.planner.GridPlan` of shared-artifact stages."""
+        :class:`~repro.grid.planner.GridPlan`: stages of the cells that
+        share one functional profile."""
         from ..grid.planner import plan_grid
         return plan_grid(grid)
 

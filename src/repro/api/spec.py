@@ -233,15 +233,16 @@ class RunSpec:
     def _identity(self) -> Tuple[Any, ...]:
         """The fully-normalized spec as a hashable tuple.
 
-        Machines enter through their canonical :class:`MachineSpec` keys
-        (name-free, derived fields normalized), so two specs differing only
-        in a machine's display name are the same run.
+        Machines enter through their canonical
+        :attr:`~repro.uarch.config.MachineConfig.machine_key` (name-free,
+        derived fields normalized), so two specs differing only in a
+        machine's display name are the same run.
         """
         return self._memo("_identity_key", lambda: (
             self.source_id, self.input_name, self.budget,
             self.policy_key,
-            self.resolved_machine.resolve().key,
-            self.resolved_baseline_machine.resolve().key,
+            self.resolved_machine.machine_key,
+            self.resolved_baseline_machine.machine_key,
             self._mgt_key,
             self.compressed_layout,
         ))

@@ -28,11 +28,8 @@ from ..grid.spec import Axis, GridSpec
 from ..api.spec import RunSpec
 from ..minigraph.mgt import MgtBuildOptions
 from ..minigraph.policies import DEFAULT_POLICY, INTEGER_POLICY
-from ..uarch.config import (
-    baseline_config,
-    integer_memory_minigraph_config,
-    integer_minigraph_config,
-)
+from ..uarch.catalog import machine_config
+from ..uarch.config import baseline_config
 from ..workloads import REGISTRY
 from .reporting import ResultTable
 
@@ -60,9 +57,9 @@ def figure6_grid(*, benchmarks: Sequence[str], budget: int,
                  input_name: str = "reference") -> GridSpec:
     """The Figure 6 sweep as a declarative grid: benchmark × config.
 
-    Each config name resolves to its (policy, machine) pair — the machine
-    catalog's Figure 6 entries — and every cell measures that machine
-    against the shared 6-wide baseline.
+    Each config name is a machine catalog name; the ``int-mem`` machines
+    run the integer-memory policy and the ``int`` ones the integer policy,
+    and every cell measures its machine against the shared 6-wide baseline.
     """
     axes = (Axis("benchmark", tuple(benchmarks)),
             Axis("config", FIGURE6_CONFIGS))
@@ -70,18 +67,14 @@ def figure6_grid(*, benchmarks: Sequence[str], budget: int,
     def build(point) -> RunSpec:
         config_name = point["config"]
         collapsing = config_name.endswith("+collapse")
-        if config_name.startswith("int-mem"):
-            policy = DEFAULT_POLICY
-            machine = integer_memory_minigraph_config(collapsing=collapsing)
-        else:
-            policy = INTEGER_POLICY
-            machine = integer_minigraph_config(collapsing=collapsing)
+        policy = DEFAULT_POLICY if config_name.startswith("int-mem") \
+            else INTEGER_POLICY
         return RunSpec(
             benchmark=point["benchmark"],
             input_name=input_name,
             budget=budget,
             policy=policy,
-            machine=machine,
+            machine=machine_config(config_name),
             baseline_machine=baseline_config(),
             mgt_options=MgtBuildOptions(collapsing=collapsing),
         )

@@ -381,7 +381,6 @@ def oracle_geometry(ctx: FuzzContext) -> OracleResult:
                 from ..uarch.config import CacheConfig
                 geometry["dcache"] = CacheConfig(*shape)
             config = MachineConfig(**geometry)
-            config.resolve()
             simulate_program(ctx.program, trace, config,
                              max_cycles=ctx.watchdog_cycles(len(trace)))
         except ConfigError:
@@ -457,7 +456,6 @@ def oracle_kernel(ctx: FuzzContext) -> OracleResult:
                 from ..uarch.config import CacheConfig
                 geometry["dcache"] = CacheConfig(*shape)
             config = MachineConfig(**geometry)
-            config.resolve()
         except ConfigError:
             continue        # construction-time rejection is geometry's domain
         configs.append(config)

@@ -9,9 +9,9 @@ first-class subsystem:
   (machine × policy × workload × budget) and a ``build`` function that maps
   each point to its :class:`~repro.api.spec.RunSpec` (``None`` drops the
   point); expansion is lazy and deterministic.
-* :mod:`repro.grid.planner` — :func:`plan_grid` groups cells into
-  shared-artifact stages (one functional profile per program, one front-end
-  compile per (program, policy), N timing runs each) and shards by stage.
+* :mod:`repro.grid.planner` — :func:`plan_grid` groups cells into stages,
+  one per functional profile they share (program, input, budget), and
+  shards by stage.
 * :mod:`repro.grid.engine` — :func:`run_grid` executes a plan across the
   process pool, streaming one :class:`GridRow` per cell; terminal row
   artifacts are content-addressed, which makes runs resumable (``--resume``)
@@ -24,7 +24,7 @@ See ``docs/architecture.md`` ("Grid engine") for the full design.
 """
 
 from .spec import Axis, GridCell, GridError, GridSpec
-from .planner import CompileGroup, GridPlan, PlanStage, plan_cells, plan_grid
+from .planner import GridPlan, plan_cells, plan_grid
 from .engine import GridRow, cell_key, run_grid
 from .catalog import (
     GRID_CATALOG,
@@ -40,9 +40,7 @@ __all__ = [
     "GridCell",
     "GridError",
     "GridSpec",
-    "CompileGroup",
     "GridPlan",
-    "PlanStage",
     "plan_cells",
     "plan_grid",
     "GridRow",

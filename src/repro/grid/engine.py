@@ -150,7 +150,7 @@ def _row(cell: GridCell, payload: Dict[str, Any], *, resumed: bool) -> GridRow:
                    input=spec.input_name,
                    budget=spec.budget,
                    machine=machine.name,
-                   machine_hash=machine.resolve().machine_hash,
+                   machine_hash=machine.machine_hash,
                    baseline_machine=spec.resolved_baseline_machine.name,
                    **payload)
 
@@ -239,9 +239,8 @@ def run_grid(session: Session, grid: Union[GridSpec, GridPlan], *,
     # and only ship the remainder to the executors.
     pending: List[_PendingStage] = []
     for stage in plan.stages:
-        served, remaining = resume_rows(session.store, session.version,
-                                        stage.cells) \
-            if resume else ([], list(stage.cells))
+        served, remaining = (resume_rows(session.store, session.version, stage)
+                             if resume else ([], list(stage)))
         pending.append(_PendingStage(remaining, served))
 
     for stage_rows in _execute(session, pending, workers):

@@ -2,10 +2,10 @@
 
 A :class:`~repro.api.spec.RunSpec` memoizes the keys it derives (its
 policy, MGT-options and identity keys and its ``spec_hash``) on the
-instance, and a :class:`~repro.uarch.config.MachineConfig` its resolved
-:class:`~repro.uarch.config.MachineSpec` with the ``machine_hash``.  Both
-pickle as their class and field values only, and unpickle through an
-:class:`InternTable` of their module, so that:
+instance, and a :class:`~repro.uarch.config.MachineConfig` its
+``machine_key`` and ``machine_hash``.  Both pickle as their class and
+field values only, and unpickle through an :class:`InternTable` of their
+module, so that:
 
 * no memo crosses a process: the unpickling process derives every key
   itself, and a pickle that carries a forged key is never served the row

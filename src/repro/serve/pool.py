@@ -15,9 +15,9 @@ store), and the stage is reported to the scheduler, which retries it once
 and then quarantines the job.
 
 :class:`ThreadWorkerPool` is the fallback for environments where process
-spawning is unavailable: the same interface over daemon threads sharing one
-session (serialized by a lock — correctness over parallelism; warmth is
-preserved because everything lives in one process).
+spawning is unavailable, and the pool of a memory-only daemon: the same
+interface over one worker thread holding one warm session in the daemon's
+own process.
 
 Both pools report through four callbacks, keyed by the task's
 ``(job id, stage index, attempt)`` triple:
@@ -262,73 +262,67 @@ class _ProcessWorker:
 
 
 class ThreadWorkerPool:
-    """Thread-backed fallback pool: one shared warm session, serialized.
+    """Thread-backed fallback pool: one worker thread, one warm session.
 
-    Used when the environment cannot spawn processes (or when the daemon
-    runs with ``backend="thread"``, e.g. memory-only stores in tests where
-    every worker must share one in-process store).  Worker-death semantics
-    do not exist here — threads cannot be killed — so ``on_worker_death``
-    never fires.
+    Used when the environment cannot spawn processes, and for memory-only
+    stores (``cache_dir=None``), where the daemon's resume probe must see
+    the worker's own in-process store.  A session runs one stage at a time,
+    so the pool is one thread and reports one worker whatever size was
+    asked for.  Worker-death semantics do not exist here — a thread cannot
+    be killed — so ``on_worker_death`` never fires.
     """
 
     backend = "thread"
+    size = 1
 
-    def __init__(self, size: int, cache_dir: Optional[str], version: str,
-                 callbacks: PoolCallbacks, *, session=None) -> None:
+    def __init__(self, cache_dir: Optional[str], version: str,
+                 callbacks: PoolCallbacks) -> None:
         from ..api.session import Session
 
-        self.size = max(1, size)
         self._callbacks = callbacks
-        self._session = session if session is not None \
-            else Session(cache_dir=cache_dir, version=version)
-        self._session_lock = threading.Lock()
+        self._session = Session(cache_dir=cache_dir, version=version)
         self._tasks: "stdlib_queue.Queue[Optional[PoolTask]]" = \
             stdlib_queue.Queue()
-        self._in_flight = 0
+        self._busy = False
         self._lock = threading.Lock()
-        self._threads: List[threading.Thread] = []
-        self._running = False
+        self._thread: Optional[threading.Thread] = None
 
     @property
     def session(self):
-        """The shared warm session (the server probes its store for resume)."""
+        """The warm session (the server probes its store for resume)."""
         return self._session
 
     def start(self) -> None:
-        self._running = True
-        for index in range(self.size):
-            thread = threading.Thread(target=self._worker_loop,
-                                      name=f"repro-serve-worker-{index}",
-                                      daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        self._thread = threading.Thread(target=self._worker_loop,
+                                        name="repro-serve-worker",
+                                        daemon=True)
+        self._thread.start()
 
     def stop(self) -> None:
-        self._running = False
-        for _ in self._threads:
+        # The daemon's scheduler and main thread may both tear down.
+        thread, self._thread = self._thread, None
+        if thread is not None:
             self._tasks.put(None)
-        for thread in self._threads:
             thread.join(timeout=2.0)
-        self._threads.clear()
 
     def has_capacity(self) -> bool:
         with self._lock:
-            return self._in_flight < self.size
+            return not self._busy
 
     def dispatch(self, task: PoolTask) -> bool:
         with self._lock:
-            if self._in_flight >= self.size:
+            if self._busy:
                 return False
-            self._in_flight += 1
+            self._busy = True
         self._tasks.put(task)
         return True
 
     def worker_pids(self) -> List[int]:
-        return [os.getpid()] if self._running else []
+        return [os.getpid()] if self._thread is not None else []
 
     def busy_pids(self) -> List[int]:
         with self._lock:
-            return [os.getpid()] if self._in_flight else []
+            return [os.getpid()] if self._busy else []
 
     def _worker_loop(self) -> None:
         while True:
@@ -336,11 +330,10 @@ class ThreadWorkerPool:
             if task is None:
                 return
             try:
-                with self._session_lock:
-                    _execute_task(self._session, task, self._emit)
+                _execute_task(self._session, task, self._emit)
             finally:
                 with self._lock:
-                    self._in_flight -= 1
+                    self._busy = False
 
     def _emit(self, message: Tuple[Any, ...]) -> None:
         kind, key = message[0], message[1]
@@ -371,6 +364,6 @@ def make_pool(backend: str, size: int, cache_dir: Optional[str],
         except (OSError, PermissionError):
             if backend == "process":
                 raise
-    pool = ThreadWorkerPool(size, cache_dir, version, callbacks)
+    pool = ThreadWorkerPool(cache_dir, version, callbacks)
     pool.start()
     return pool

@@ -10,10 +10,10 @@ One :class:`ServeServer` owns four moving parts:
   with hot registries and caches;
 * a **scheduler** thread marrying the two: whenever a worker is idle it
   claims the oldest job's next pending stage and dispatches it.  Stages are
-  :func:`~repro.grid.planner.plan_cells` shared-artifact groups, so
-  concurrent clients submitting overlapping work dedup against each other
-  through the shared store — the second client's cells are store hits, not
-  recomputations.
+  :func:`~repro.grid.planner.plan_cells` stages (the cells sharing one
+  profile), so concurrent clients submitting overlapping work dedup
+  against each other through the shared store — the second client's cells
+  are store hits, not recomputations.
 
 How a cell is keyed, resumed, computed, stored and turned into a row is the
 grid engine's business: submits go through its resume probe
@@ -127,8 +127,8 @@ class ServeServer:
                           on_stage_failed=self._on_stage_failed,
                           on_worker_death=self._on_worker_death))
         if self.pool.backend == "thread":
-            # Thread workers share one in-process session; probing its
-            # store sees memory entries even without a disk layer.
+            # The thread worker's session lives in this process; probing
+            # its store sees memory entries even without a disk layer.
             self._probe_store = self.pool.session.store
         else:
             self._probe_store = ArtifactStore(self.cache_dir,
@@ -379,7 +379,7 @@ class ServeServer:
         served, remaining = resume_rows(self._probe_store, self.version,
                                         cells) \
             if message.get("resume", False) else ([], cells)
-        stages = [stage.cells for stage in plan_cells(remaining).stages]
+        stages = plan_cells(remaining).stages
         job = self.queue.submit(stages, label=label,
                                 rows=[row.as_dict() for row in served])
         return protocol.ok_response(
@@ -463,7 +463,7 @@ class ServeServer:
             "uptime_seconds": 0.0 if self.started_at is None
                               else time.monotonic() - self.started_at,
             "backend": self.pool.backend,
-            "workers": getattr(self.pool, "size", 0),
+            "workers": self.pool.size,
             "worker_pids": self.pool.worker_pids(),
             "busy_worker_pids": self.pool.busy_pids(),
             "queue": {"limit": self.queue.limit,

@@ -4,19 +4,11 @@ from .config import (
     CacheConfig,
     ConfigError,
     MachineConfig,
-    MachineSpec,
     baseline_config,
     integer_memory_minigraph_config,
     integer_minigraph_config,
 )
-from .catalog import (
-    MACHINE_CATALOG,
-    CatalogEntry,
-    machine_catalog,
-    machine_config,
-    machine_names,
-    register_machine,
-)
+from .catalog import MACHINE_CATALOG, machine_config, machine_names
 from .bpred import (
     BranchPrediction,
     BranchTargetBuffer,
@@ -36,13 +28,9 @@ __all__ = [
     "CacheConfig",
     "ConfigError",
     "MachineConfig",
-    "MachineSpec",
     "MACHINE_CATALOG",
-    "CatalogEntry",
-    "machine_catalog",
     "machine_config",
     "machine_names",
-    "register_machine",
     "baseline_config",
     "integer_memory_minigraph_config",
     "integer_minigraph_config",

@@ -1,12 +1,12 @@
-"""The machine catalog: every named figure configuration as a registry entry.
+"""The machine catalog: every named figure configuration by name.
 
 The paper's evaluation (Section 6) names a small machine space: the 6-wide
 baseline, the four Figure 6 mini-graph machines (ALU pipelines, pair-wise
 collapsing, sliding-window scheduler) and the Figure 8 reduced-resource
 variants (shrunken register files, narrower pipelines, a pipelined
-scheduler).  This module registers each of them under a stable name so that
-grid axes, the CLI and tests can refer to machines declaratively instead of
-re-deriving ad-hoc constructor chains.
+scheduler).  This module names each of them so that grid axes and tests can
+refer to machines declaratively instead of re-deriving ad-hoc constructor
+chains.
 
 Entries are factories (configs are cheap frozen values); look one up with
 :func:`machine_config` and enumerate the space with :func:`machine_names`.
@@ -14,8 +14,7 @@ Entries are factories (configs are cheap frozen values); look one up with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from .config import ConfigError, MachineConfig, baseline_config, \
     integer_memory_minigraph_config, integer_minigraph_config
@@ -23,101 +22,46 @@ from .config import ConfigError, MachineConfig, baseline_config, \
 MachineFactory = Callable[[], MachineConfig]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One named machine in the catalog."""
-
-    name: str
-    factory: MachineFactory
-    description: str
-    figure: str  # which part of the evaluation introduces it
-
-    def build(self) -> MachineConfig:
-        return self.factory()
+def _register_file(total: int) -> MachineFactory:
+    return lambda: baseline_config().with_physical_registers(total)
 
 
-#: Registration order is meaningful: it is the order catalogs and docs list.
-MACHINE_CATALOG: Dict[str, CatalogEntry] = {}
-
-
-def register_machine(name: str, factory: MachineFactory, *,
-                     description: str, figure: str) -> CatalogEntry:
-    """Register a named machine; duplicate names are an error."""
-    if name in MACHINE_CATALOG:
-        raise ConfigError(f"machine {name!r} is already registered")
-    entry = CatalogEntry(name=name, factory=factory,
-                         description=description, figure=figure)
-    MACHINE_CATALOG[name] = entry
-    return entry
+#: Name -> factory.  The order is the order listings and tests walk.
+MACHINE_CATALOG: Dict[str, MachineFactory] = {
+    # §6 baseline: 6-wide, 128 ROB, 50 IQ, 64 LSQ, 164 registers.
+    "baseline": baseline_config,
+    # Figure 6: two plain ALUs replaced with 4-stage ALU pipelines, with
+    # pair-wise collapsing and/or the sliding-window scheduler.
+    "int": integer_minigraph_config,
+    "int+collapse": lambda: integer_minigraph_config(collapsing=True),
+    "int-mem": integer_memory_minigraph_config,
+    "int-mem+collapse":
+        lambda: integer_memory_minigraph_config(collapsing=True),
+    # Figure 8 (top): smaller physical register files.
+    **{f"prf{total}": _register_file(total) for total in (164, 144, 124, 104)},
+    # Figure 8 (bottom): the full-bandwidth reference point, a 4-wide
+    # machine, a 4-wide front end keeping six execution units, and a
+    # pipelined 2-cycle wake-up/select scheduler.
+    "6-wide": baseline_config,
+    "4-wide":
+        lambda: baseline_config().with_width(4, execute_width=4, load_ports=1),
+    "4-wide+6-exec":
+        lambda: baseline_config().with_width(4, execute_width=6, load_ports=2),
+    "2-cycle-sched": lambda: baseline_config().with_scheduler_latency(2),
+}
 
 
 def machine_names() -> List[str]:
-    """All registered machine names, in registration order."""
+    """All catalog machine names, in catalog order."""
     return list(MACHINE_CATALOG)
 
 
 def machine_config(name: str) -> MachineConfig:
     """Build the named machine configuration."""
     try:
-        entry = MACHINE_CATALOG[name]
+        factory = MACHINE_CATALOG[name]
     except KeyError:
         known = ", ".join(MACHINE_CATALOG)
         raise ConfigError(f"unknown machine {name!r}; catalog has: {known}") \
             from None
-    return entry.build()
-
-
-def machine_catalog() -> List[Tuple[str, str, str]]:
-    """(name, figure, description) rows for listings."""
-    return [(entry.name, entry.figure, entry.description)
-            for entry in MACHINE_CATALOG.values()]
-
-
-# -- the paper's machine space ------------------------------------------------------
-
-register_machine(
-    "baseline", baseline_config, figure="§6 baseline",
-    description="6-wide, 128 ROB, 50 IQ, 64 LSQ, 164 registers")
-register_machine(
-    "int", lambda: integer_minigraph_config(), figure="Figure 6",
-    description="two plain ALUs replaced with 4-stage ALU pipelines")
-register_machine(
-    "int+collapse", lambda: integer_minigraph_config(collapsing=True),
-    figure="Figure 6",
-    description="ALU pipelines with pair-wise collapsing")
-register_machine(
-    "int-mem", lambda: integer_memory_minigraph_config(), figure="Figure 6",
-    description="ALU pipelines plus the sliding-window scheduler")
-register_machine(
-    "int-mem+collapse",
-    lambda: integer_memory_minigraph_config(collapsing=True),
-    figure="Figure 6",
-    description="sliding-window scheduler with collapsing ALU pipelines")
-
-for _registers in (164, 144, 124, 104):
-    register_machine(
-        f"prf{_registers}",
-        (lambda registers: lambda:
-         baseline_config().with_physical_registers(registers))(_registers),
-        figure="Figure 8 (top)",
-        description=f"baseline with a {_registers}-entry physical register "
-                    f"file ({_registers - 64} in-flight)")
-
-register_machine(
-    "6-wide", baseline_config, figure="Figure 8 (bottom)",
-    description="the full-bandwidth baseline (reference point)")
-register_machine(
-    "4-wide",
-    lambda: baseline_config().with_width(4, execute_width=4, load_ports=1),
-    figure="Figure 8 (bottom)",
-    description="4-wide fetch/rename/retire, 4 execution slots, 1 load port")
-register_machine(
-    "4-wide+6-exec",
-    lambda: baseline_config().with_width(4, execute_width=6, load_ports=2),
-    figure="Figure 8 (bottom)",
-    description="4-wide front end keeping six execution units, 2 load ports")
-register_machine(
-    "2-cycle-sched",
-    lambda: baseline_config().with_scheduler_latency(2),
-    figure="Figure 8 (bottom)",
-    description="baseline with a pipelined 2-cycle wake-up/select scheduler")
+    return factory()

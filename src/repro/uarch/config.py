@@ -16,12 +16,11 @@ Both config dataclasses validate their geometry on construction
 (:class:`ConfigError` with an actionable message, instead of silent
 downstream misbehaviour), also when they are unpickled: both pickle as
 their field values, and an unpickled machine is this process's one object
-for its value (:mod:`repro.interning`), so its resolved key never crosses
-a process.  :meth:`MachineConfig.resolve` reduces a config
-to its canonical :class:`MachineSpec` — a *name-free* machine shape with the
-derived fields normalized in, whose stable key is what the artifact cache
-folds into timing keys.  Two differently-named configs with the same
-geometry therefore share one timing artifact.
+for its value (:mod:`repro.interning`), so its memoized key never crosses
+a process.  :attr:`MachineConfig.machine_key` is the machine's *name-free*
+shape with the derived fields normalized in, which the artifact cache
+folds into timing keys, so two differently-named configs with the same
+geometry share one timing artifact.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Optional, Tuple
 
 from ..interning import InternTable, field_values, match_key
@@ -42,11 +41,6 @@ _MACHINES = InternTable(_INTERNED_MACHINES)
 
 class ConfigError(ValueError):
     """Raised for malformed machine or cache geometries."""
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
 
 
 @dataclass(frozen=True)
@@ -67,19 +61,21 @@ class CacheConfig:
     def __post_init__(self) -> None:
         for name in ("size_bytes", "associativity", "line_bytes", "hit_latency"):
             value = getattr(self, name)
-            _require(isinstance(value, int) and value > 0,
-                     f"CacheConfig.{name} must be a positive integer, "
-                     f"got {value!r}")
+            if not (isinstance(value, int) and value > 0):
+                raise ConfigError(f"CacheConfig.{name} must be a positive "
+                                  f"integer, got {value!r}")
         way_bytes = self.associativity * self.line_bytes
-        _require(self.size_bytes % way_bytes == 0,
-                 f"CacheConfig: size_bytes ({self.size_bytes}) must be a "
-                 f"multiple of associativity * line_bytes ({way_bytes})")
+        if self.size_bytes % way_bytes:
+            raise ConfigError(
+                f"CacheConfig: size_bytes ({self.size_bytes}) must be a "
+                f"multiple of associativity * line_bytes ({way_bytes})")
         sets = self.size_bytes // way_bytes
-        _require(sets & (sets - 1) == 0,
-                 f"CacheConfig: geometry {self.size_bytes}B / "
-                 f"{self.associativity}-way / {self.line_bytes}B lines gives "
-                 f"{sets} sets, which is not a power of two; adjust "
-                 f"size_bytes or associativity")
+        if sets & (sets - 1):
+            raise ConfigError(
+                f"CacheConfig: geometry {self.size_bytes}B / "
+                f"{self.associativity}-way / {self.line_bytes}B lines gives "
+                f"{sets} sets, which is not a power of two; adjust "
+                f"size_bytes or associativity")
 
     @property
     def num_sets(self) -> int:
@@ -89,44 +85,6 @@ class CacheConfig:
     def __reduce__(self):
         # Unpickling constructs the geometry, so it is validated again.
         return (type(self), field_values(self))
-
-
-@dataclass(frozen=True, eq=False)
-class MachineSpec:
-    """Canonical, name-free machine shape produced by :meth:`MachineConfig.resolve`.
-
-    Equality and hashing are by :attr:`key` — the validated geometry with
-    derived fields (plain ALUs, in-flight registers, cache set counts)
-    normalized in and the display ``name`` stripped — so two configs that
-    describe the same machine are the same spec, and timing artifacts are
-    cached per machine *shape* rather than per figure label.
-    """
-
-    config: "MachineConfig" = field(repr=False)
-    key: Tuple[Any, ...] = ()
-
-    @property
-    def name(self) -> str:
-        """Display name of the config this spec was resolved from."""
-        return self.config.name
-
-    @property
-    def machine_hash(self) -> str:
-        """Stable hex digest of the canonical key (process-independent)."""
-        cached = self.__dict__.get("_machine_hash")
-        if cached is None:
-            digest = hashlib.sha256(repr(self.key).encode("utf-8"))
-            cached = digest.hexdigest()[:24]
-            object.__setattr__(self, "_machine_hash", cached)
-        return cached
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MachineSpec):
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
 
 @dataclass(frozen=True)
@@ -206,9 +164,9 @@ class MachineConfig:
         )
         for name in positive:
             value = getattr(self, name)
-            _require(isinstance(value, int) and value > 0,
-                     f"MachineConfig.{name} must be a positive integer, "
-                     f"got {value!r}")
+            if not (isinstance(value, int) and value > 0):
+                raise ConfigError(f"MachineConfig.{name} must be a positive "
+                                  f"integer, got {value!r}")
         non_negative = (
             "register_read_latency", "fp_units", "alu_pipelines",
             "minigraph_replay_penalty", "misprediction_redirect_penalty",
@@ -216,51 +174,56 @@ class MachineConfig:
         )
         for name in non_negative:
             value = getattr(self, name)
-            _require(isinstance(value, int) and value >= 0,
-                     f"MachineConfig.{name} must be a non-negative integer, "
-                     f"got {value!r}")
-        _require(self.physical_registers > self.architected_registers,
-                 f"MachineConfig: physical_registers "
-                 f"({self.physical_registers}) must exceed "
-                 f"architected_registers ({self.architected_registers}); "
-                 f"a machine with no in-flight registers cannot rename")
-        _require(self.alu_pipelines <= self.int_alu_units,
-                 f"MachineConfig: alu_pipelines ({self.alu_pipelines}) "
-                 f"cannot exceed int_alu_units ({self.int_alu_units}); "
-                 f"ALU pipelines replace plain integer ALUs")
+            if not (isinstance(value, int) and value >= 0):
+                raise ConfigError(f"MachineConfig.{name} must be a "
+                                  f"non-negative integer, got {value!r}")
+        if self.physical_registers <= self.architected_registers:
+            raise ConfigError(
+                f"MachineConfig: physical_registers "
+                f"({self.physical_registers}) must exceed "
+                f"architected_registers ({self.architected_registers}); "
+                f"a machine with no in-flight registers cannot rename")
+        if self.alu_pipelines > self.int_alu_units:
+            raise ConfigError(
+                f"MachineConfig: alu_pipelines ({self.alu_pipelines}) "
+                f"cannot exceed int_alu_units ({self.int_alu_units}); "
+                f"ALU pipelines replace plain integer ALUs")
         # Joint front-end geometry constraints.  The predictor and BTB
         # constructors enforce these shapes themselves, but with plain
         # ValueErrors deep inside TimingSimulator construction; validating
         # here turns an off-shape geometry into the same ConfigError every
         # other bad dimension produces.  (Found by the geometry fuzz oracle:
         # see tests/test_fuzz.py quarantined-geometry regressions.)
-        _require(self.predictor_entries & (self.predictor_entries - 1) == 0,
-                 f"MachineConfig: predictor_entries "
-                 f"({self.predictor_entries}) must be a power of two; the "
-                 f"hybrid predictor indexes its tables with a bit slice")
-        _require(self.btb_entries % self.btb_associativity == 0,
-                 f"MachineConfig: btb_entries ({self.btb_entries}) must be "
-                 f"a multiple of btb_associativity "
-                 f"({self.btb_associativity}); the BTB is a set-associative "
-                 f"array of whole sets")
+        if self.predictor_entries & (self.predictor_entries - 1):
+            raise ConfigError(
+                f"MachineConfig: predictor_entries "
+                f"({self.predictor_entries}) must be a power of two; the "
+                f"hybrid predictor indexes its tables with a bit slice")
+        if self.btb_entries % self.btb_associativity:
+            raise ConfigError(
+                f"MachineConfig: btb_entries ({self.btb_entries}) must be "
+                f"a multiple of btb_associativity "
+                f"({self.btb_associativity}); the BTB is a set-associative "
+                f"array of whole sets")
         unit_mix = (self.int_alu_units + self.fp_units
                     + self.load_ports + self.store_ports)
-        _require(self.issue_width <= unit_mix,
-                 f"MachineConfig: issue_width ({self.issue_width}) exceeds "
-                 f"the total execution unit mix ({unit_mix} = "
-                 f"{self.int_alu_units} int + {self.fp_units} fp + "
-                 f"{self.load_ports} load + {self.store_ports} store); "
-                 f"the machine could never sustain its stated issue width")
+        if self.issue_width > unit_mix:
+            raise ConfigError(
+                f"MachineConfig: issue_width ({self.issue_width}) exceeds "
+                f"the total execution unit mix ({unit_mix} = "
+                f"{self.int_alu_units} int + {self.fp_units} fp + "
+                f"{self.load_ports} load + {self.store_ports} store); "
+                f"the machine could never sustain its stated issue width")
         for name in ("icache", "dcache", "l2cache"):
             value = getattr(self, name)
-            _require(isinstance(value, CacheConfig),
-                     f"MachineConfig.{name} must be a CacheConfig, "
-                     f"got {type(value).__name__}")
+            if not isinstance(value, CacheConfig):
+                raise ConfigError(f"MachineConfig.{name} must be a "
+                                  f"CacheConfig, got {type(value).__name__}")
 
     def __reduce__(self):
         """Pickle as the class and field values only: the unpickling process
-        validates the config and resolves it itself (the ``_resolved`` memo
-        never crosses a process), and equal configs unpickle to one object."""
+        validates the config and derives its key itself (no memo crosses a
+        process), and equal configs unpickle to one object."""
         return (_interned_machine, (type(self), field_values(self)))
 
     # -- derived -----------------------------------------------------------------
@@ -275,29 +238,35 @@ class MachineConfig:
         """Physical registers available for in-flight (renamed) values."""
         return self.physical_registers - self.architected_registers
 
-    # -- resolution ---------------------------------------------------------------
+    # -- keying -------------------------------------------------------------------
+    #
+    # Both keys are memoized on the instance: configs are frozen, so they
+    # can never change.
 
-    def resolve(self) -> MachineSpec:
-        """The canonical :class:`MachineSpec` of this (validated) config.
+    @functools.cached_property
+    def machine_key(self) -> Tuple[Any, ...]:
+        """The canonical, *name-free* key of this machine's shape.
 
-        The spec's key is built from every dataclass field *except* ``name``
-        (driven by :func:`dataclasses.fields`, so a new knob automatically
-        changes the key) with the derived quantities — plain ALUs, in-flight
-        registers, per-cache set counts — normalized in.  The result is
-        memoized on the instance (configs are frozen, so it can never
-        change).
+        Built from every dataclass field *except* ``name`` (driven by
+        :func:`dataclasses.fields`, so a new knob automatically changes the
+        key) with the derived quantities — plain ALUs, in-flight registers,
+        per-cache set counts — normalized in.  Two configs that describe
+        the same machine have the same key, so timing artifacts are cached
+        per machine *shape* rather than per figure label.  The leading
+        ``"MachineSpec"`` tag is part of the bytes stored keys hash.
         """
-        cached = self.__dict__.get("_resolved")
-        if cached is None:
-            geometry = tuple(
-                (f.name, _canonical_field(getattr(self, f.name)))
-                for f in dataclasses.fields(self) if f.name != "name")
-            derived = (("plain_alu_units", self.plain_alu_units),
-                       ("in_flight_registers", self.in_flight_registers))
-            cached = MachineSpec(config=self,
-                                 key=("MachineSpec",) + geometry + derived)
-            object.__setattr__(self, "_resolved", cached)
-        return cached
+        geometry = tuple(
+            (f.name, _canonical_field(getattr(self, f.name)))
+            for f in dataclasses.fields(self) if f.name != "name")
+        derived = (("plain_alu_units", self.plain_alu_units),
+                   ("in_flight_registers", self.in_flight_registers))
+        return ("MachineSpec",) + geometry + derived
+
+    @functools.cached_property
+    def machine_hash(self) -> str:
+        """Stable hex digest of :attr:`machine_key` (process-independent)."""
+        digest = hashlib.sha256(repr(self.machine_key).encode("utf-8"))
+        return digest.hexdigest()[:24]
 
     # -- named variants -----------------------------------------------------------
 
@@ -357,7 +326,7 @@ def _interned_machine(cls: type, values: Tuple[Any, ...]) -> MachineConfig:
 
 
 def _canonical_field(value: Any) -> Any:
-    """One machine-spec key element: caches carry their resolved set count."""
+    """One machine-key element: caches carry their resolved set count."""
     if isinstance(value, CacheConfig):
         return ("CacheConfig", value.size_bytes, value.associativity,
                 value.line_bytes, value.hit_latency, value.num_sets)
@@ -365,7 +334,7 @@ def _canonical_field(value: Any) -> Any:
 
 
 # The paper-default machines are shared: configs are frozen, so one object
-# per argument keeps its resolved spec memo for the whole process.
+# per argument keeps its memoized key for the whole process.
 
 
 @functools.cache

@@ -184,7 +184,7 @@ class TestPinnedKeys:
         assert len(store.keys) == len(stages)
         assert spec.spec_hash == spec_hash
         assert cell_key(spec, PINNED_VERSION) == row_key
-        assert spec.resolved_machine.resolve().machine_hash == machine_hash
+        assert spec.resolved_machine.machine_hash == machine_hash
 
     @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
     def test_key_material_is_already_canonical(self, name, monkeypatch):
@@ -268,7 +268,7 @@ def _round_trip(value):
 
 #: Attributes a spec or machine memoizes its keys in.
 _MEMOS = ("_spec_hash", "_identity_key", "_policy_key", "_mgt_options_key",
-          "_source_id", "_resolved", "_machine_hash")
+          "_source_id", "machine_key", "machine_hash")
 
 
 class TestSpecPickling:
@@ -277,7 +277,7 @@ class TestSpecPickling:
 
     def test_no_memo_crosses_a_pickle(self):
         machine = baseline_config().with_physical_registers(96)
-        machine.resolve().machine_hash
+        machine.machine_hash
         spec = RunSpec(benchmark="bitcount", budget=BUDGET, machine=machine)
         adhoc = RunSpec.for_program(load_benchmark("crc"), budget=BUDGET)
         for value in (spec, adhoc):
@@ -285,6 +285,7 @@ class TestSpecPickling:
         assert {"_spec_hash", "_identity_key", "_policy_key",
                 "_mgt_options_key"} <= set(vars(spec))
         assert "_source_id" in vars(adhoc)
+        assert {"machine_key", "machine_hash"} <= set(vars(machine))
         for value in (spec, adhoc, machine):
             blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
             assert not [memo for memo in _MEMOS if memo.encode() in blob]

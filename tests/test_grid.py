@@ -16,6 +16,7 @@ from repro.grid import (
     plan_grid,
 )
 from repro.minigraph.policies import DEFAULT_POLICY, INTEGER_POLICY
+from repro.uarch import integer_memory_minigraph_config, machine_config
 from repro.workloads import QUICK_BENCHMARKS
 
 BUDGET = 1_500
@@ -78,17 +79,15 @@ class TestGridSpec:
 
 
 class TestPlanner:
-    def test_stage_and_compile_grouping(self):
+    def test_stages_group_cells_by_profile(self):
         plan = plan_grid(_two_axis_grid())
-        # One stage per benchmark, one front-end compile per real policy.
-        assert plan.stage_count == 2
-        assert plan.cell_count == 6
-        assert plan.frontend_compiles == 4  # 2 benchmarks x 2 policies
-        assert plan.dedup_ratio == pytest.approx(3.0)
+        # One stage per benchmark: its three policy cells (baseline
+        # included) share one profile and run in cell order.
+        assert [[cell.index for cell in stage] for stage in plan.stages] == \
+            [[0, 1, 2], [3, 4, 5]]
         for stage in plan.stages:
-            # Baseline cells ride the stage without a compile group of work.
-            policies = [group.policy_key for group in stage.groups]
-            assert policies.count(None) == 1
+            assert len({cell.spec.stage_material("profile")
+                        for cell in stage}) == 1
 
     def test_plan_preserves_cell_order_within_stage_sorting(self):
         plan = plan_grid(_two_axis_grid())
@@ -102,7 +101,7 @@ class TestPlanner:
         indices1 = {cell.index for cell in shard1.cells()}
         assert indices0 | indices1 == {cell.index for cell in plan.cells()}
         assert not indices0 & indices1
-        assert shard0.describe()["shard"] == "0/2"
+        assert (shard0.shard, shard1.shard) == ((0, 2), (1, 2))
 
     def test_shard_bounds_are_validated(self):
         plan = plan_grid(_two_axis_grid())
@@ -264,10 +263,15 @@ class TestCatalog:
         assert [cell.labels["config"] for cell in cells] == \
             ["int", "int+collapse", "int-mem", "int-mem+collapse"]
         machines = [cell.spec.resolved_machine for cell in cells]
+        # The config names are machine catalog names, and the catalog
+        # returns the shared paper-default objects.
+        assert machines == [machine_config(cell.labels["config"])
+                            for cell in cells]
+        assert machines[3] is integer_memory_minigraph_config(collapsing=True)
         assert machines[0].alu_pipelines == 2
         assert machines[1].collapsing_alu_pipelines
         assert machines[2].sliding_window_scheduler
-        baselines = {cell.spec.resolved_baseline_machine.resolve()
+        baselines = {cell.spec.resolved_baseline_machine.machine_key
                      for cell in cells}
         assert len(baselines) == 1  # one shared reference machine shape
 
@@ -336,7 +340,7 @@ class TestCli:
                      "--name", "mini", "--budget", str(BUDGET),
                      "--workers", "0", "--shard", "0/2"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["plan"]["shard"] == "0/2"
+        assert payload["plan"] == {"cells": 2, "stages": 1, "shard": "0/2"}
         assert payload["cells"] == 2
 
     def test_cache_prune_evicts_stale_versions(self, tmp_path, capsys):

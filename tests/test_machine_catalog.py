@@ -1,4 +1,4 @@
-"""Machine catalog and MachineSpec resolution layer.
+"""Machine catalog and machine keys.
 
 Pins the named Figure 6/8 configurations to the paper's Section 6
 parameters, exercises construction-time geometry validation, and checks
@@ -19,7 +19,6 @@ from repro.uarch import (
     baseline_config,
     integer_memory_minigraph_config,
     integer_minigraph_config,
-    machine_catalog,
     machine_config,
     machine_names,
 )
@@ -108,7 +107,7 @@ class TestFigure8Machines:
         assert {"int", "int+collapse", "int-mem", "int-mem+collapse"} <= set(names)
         assert {"prf164", "prf144", "prf124", "prf104"} <= set(names)
         assert {"6-wide", "4-wide", "4-wide+6-exec", "2-cycle-sched"} <= set(names)
-        assert len(machine_catalog()) == len(names)
+        assert len(names) == 13
 
     def test_unknown_machine_is_actionable(self):
         with pytest.raises(ConfigError, match="unknown machine"):
@@ -151,25 +150,29 @@ class TestValidation:
 
     def test_every_catalog_entry_is_valid(self):
         for name in machine_names():
-            machine_config(name).resolve()  # construction validates
+            machine_config(name).machine_hash  # construction validates
 
 
 class TestMachineSpec:
+    """A machine's ``machine_key``: its name-free shape, tagged
+    ``"MachineSpec"``, and the ``machine_hash`` of that key."""
+
     def test_name_does_not_change_the_key(self):
         config = baseline_config()
         renamed = config.with_name("anything-else")
-        assert config.resolve() == renamed.resolve()
-        assert config.resolve().machine_hash == renamed.resolve().machine_hash
+        assert config.machine_key == renamed.machine_key
+        assert config.machine_hash == renamed.machine_hash
 
     def test_geometry_changes_the_key(self):
         config = baseline_config()
-        assert config.resolve() != machine_config("prf144").resolve()
-        assert config.resolve() != machine_config("2-cycle-sched").resolve()
+        for name in ("prf144", "2-cycle-sched"):
+            assert config.machine_key != machine_config(name).machine_key
 
     def test_derived_fields_are_normalized_in(self):
-        key = dict(machine_config("int").resolve().key[1:])
-        assert key["plain_alu_units"] == 2
-        assert key["in_flight_registers"] == 100
+        key = machine_config("int").machine_key
+        assert key[0] == "MachineSpec"
+        assert dict(key[1:])["plain_alu_units"] == 2
+        assert dict(key[1:])["in_flight_registers"] == 100
 
     def test_paper_default_machines_are_shared(self):
         assert baseline_config() is baseline_config()
@@ -177,23 +180,25 @@ class TestMachineSpec:
             integer_minigraph_config(collapsing=True)
         assert integer_memory_minigraph_config() is \
             integer_memory_minigraph_config()
-        assert baseline_config().resolve() is baseline_config().resolve()
+        assert baseline_config().machine_key is baseline_config().machine_key
         wider = dataclasses.replace(baseline_config(), rob_size=256)
         assert wider is not baseline_config()
         assert baseline_config().rob_size == 128
-        assert dict(wider.resolve().key[1:])["rob_size"] == 256
-        assert wider.resolve() != baseline_config().resolve()
+        assert dict(wider.machine_key[1:])["rob_size"] == 256
+        assert wider.machine_key != baseline_config().machine_key
 
     def test_spec_round_trips_pickle(self):
-        spec = machine_config("int-mem").resolve()
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec and clone.machine_hash == spec.machine_hash
+        config = machine_config("int-mem")
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone == config
+        assert clone.machine_key == config.machine_key
+        assert clone.machine_hash == config.machine_hash
 
     def test_keys_are_stable_across_processes(self):
         """One worker process must derive the exact same hashes (the grid
         engine's cache keys cross the pool boundary)."""
         names = machine_names()
-        local = [machine_config(name).resolve().machine_hash for name in names]
+        local = [machine_config(name).machine_hash for name in names]
         try:
             with ProcessPoolExecutor(max_workers=1) as pool:
                 remote = pool.submit(_catalog_hashes).result()
@@ -204,5 +209,5 @@ class TestMachineSpec:
 
 def _catalog_hashes():
     """Pool worker: (name, machine_hash) for every catalog machine."""
-    return [(name, machine_config(name).resolve().machine_hash)
+    return [(name, machine_config(name).machine_hash)
             for name in machine_names()]

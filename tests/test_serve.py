@@ -9,6 +9,7 @@ import os
 import pickle
 import signal
 import socket as socket_module
+import sys
 import threading
 import time
 
@@ -29,14 +30,15 @@ from repro.uarch import baseline_config, integer_memory_minigraph_config
 BUDGET = 1_200
 
 
-def _mini_grid(benchmarks=("bitcount",), budget=BUDGET, name="serve-test"):
+def _mini_grid(benchmarks=("bitcount",), budget=BUDGET, name="serve-test",
+               spec=RunSpec):
     axes = (Axis("benchmark", tuple(benchmarks)),
             Axis("config", ("minigraph", "baseline")))
 
     def build(point):
         policy = DEFAULT_POLICY if point["config"] == "minigraph" else None
-        return RunSpec(benchmark=point["benchmark"], budget=budget,
-                       policy=policy)
+        return spec(benchmark=point["benchmark"], budget=budget,
+                    policy=policy)
 
     return GridSpec(name=name, axes=axes, build=build, title="serve test")
 
@@ -423,8 +425,9 @@ class TestServeEndToEnd:
         assert end["op"] == "end" and end["state"] == "done"
 
     def test_memory_only_daemon_runs_on_threads(self, tmp_path):
-        """``cache_dir=None`` runs on the thread pool, whose one shared
-        session is the only store every worker and the resume probe see."""
+        """``cache_dir=None`` runs on the thread pool: one worker thread,
+        whatever size was asked for, whose session is the only store the
+        worker and the resume probe see."""
         server = ServeServer(tmp_path / "serve.sock", cache_dir=None,
                              workers=2)
         server.start()
@@ -432,6 +435,8 @@ class TestServeEndToEnd:
             assert server.pool.backend == "thread"
             grid = _mini_grid()
             with _client(server) as client:
+                status = client.status()
+                assert (status["backend"], status["workers"]) == ("thread", 1)
                 rows, job = client.run_to_completion(
                     client.submit_grid(grid, resume=True))
                 response = client.submit_grid(grid, resume=True)
@@ -589,37 +594,85 @@ class _WorkerKillerSpec(RunSpec):
         return super().resolved_machine
 
 
+#: The marker file :class:`_KillOnceSpec` claims; ``None`` disarms it.  Set
+#: (by the ``kill_once`` fixture) before the daemon starts, so every pool
+#: worker, forked then or respawned later, inherits it.
+_KILL_ONCE_MARKER = None
+
+
+class _KillOnceSpec(RunSpec):
+    """A spec whose first execution in a pool worker SIGKILLs that worker.
+
+    The first worker to run one creates the marker file, exclusively, and
+    kills itself; every later run finds the marker and runs normally.  So a
+    job of such specs loses exactly one worker mid-stage, and its retried
+    stage completes, without racing ``os.kill`` against a fast worker.
+    """
+
+    @property
+    def resolved_machine(self):
+        if os.getpid() != _DAEMON_PID and _KILL_ONCE_MARKER is not None:
+            try:
+                os.close(os.open(_KILL_ONCE_MARKER,
+                                 os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return super().resolved_machine
+
+
+@pytest.fixture()
+def kill_once(tmp_path, monkeypatch):
+    """Arm :class:`_KillOnceSpec` for a daemon started in this test."""
+    monkeypatch.setattr(sys.modules[__name__], "_KILL_ONCE_MARKER",
+                        str(tmp_path / "killed-a-worker"))
+
+
+def _process_daemon(tmp_path):
+    """A started one-worker process-pool daemon, or a skip."""
+    server = ServeServer(tmp_path / "serve.sock",
+                         cache_dir=tmp_path / "cache", workers=1,
+                         backend="process")
+    try:
+        server.start()
+    except (OSError, PermissionError):
+        pytest.skip("process pools unavailable")
+    return server
+
+
+def _assert_rows_match_serial_run(served, grid):
+    """``served`` holds one row per cell, bit-identical to a serial run."""
+    serial = [row.as_dict()
+              for row in Session(cache_dir=None).run_grid(grid, workers=0)]
+    served_by_index = {row["index"]: row for row in served}
+    assert len(served) == len(served_by_index) == len(serial)
+    for expected in serial:
+        actual = served_by_index[expected["index"]]
+        for column in ("benchmark", "spec_hash", "coverage",
+                       "baseline_ipc", "ipc", "speedup", "cycles",
+                       "baseline_cycles", "templates"):
+            assert actual[column] == expected[column], (
+                f"row {expected['index']} column {column}: daemon "
+                f"{actual[column]!r} != serial {expected[column]!r}")
+
+
 class TestWorkerDeath:
-    def test_killed_worker_job_retried_then_completes(self, tmp_path):
-        """SIGKILL one worker mid-stage: the stage is retried on a fresh
+    def test_killed_worker_job_retried_then_completes(self, tmp_path,
+                                                      kill_once):
+        """A worker SIGKILLed mid-stage: the stage is retried on a fresh
         worker and the job still completes with correct rows."""
-        server = ServeServer(tmp_path / "serve.sock",
-                             cache_dir=tmp_path / "cache", workers=1,
-                             backend="process")
+        server = _process_daemon(tmp_path)
         try:
-            server.start()
-        except (OSError, PermissionError):
-            pytest.skip("process pools unavailable")
-        try:
-            grid = _mini_grid(budget=60_000)
+            grid = _mini_grid(spec=_KillOnceSpec)
             with _client(server) as client:
                 job_id = client.submit_grid(grid)["job_id"]
-                deadline = time.monotonic() + 60
-                victim = None
-                while time.monotonic() < deadline and victim is None:
-                    busy = client.status()["busy_worker_pids"]
-                    if busy:
-                        victim = busy[0]
-                    else:
-                        time.sleep(0.02)
-                assert victim is not None, "job never reached a worker"
-                os.kill(victim, signal.SIGKILL)
                 rows = list(client.stream(job_id))
                 job = client.poll(job_id)
             assert job["state"] == "done"
             assert job["attempts"] >= 2          # the stage ran twice
             assert len(rows) == len(list(grid.cells()))
-            assert len({row["index"] for row in rows}) == len(rows)
+            _assert_rows_match_serial_run(rows, grid)
         finally:
             server.stop(drain=False)
 
@@ -627,13 +680,7 @@ class TestWorkerDeath:
         """A job that kills every worker it lands on is retried exactly once
         and then quarantined with a structured error — and the daemon
         (respawning workers both times) keeps serving other jobs."""
-        server = ServeServer(tmp_path / "serve.sock",
-                             cache_dir=tmp_path / "cache", workers=1,
-                             backend="process")
-        try:
-            server.start()
-        except (OSError, PermissionError):
-            pytest.skip("process pools unavailable")
+        server = _process_daemon(tmp_path)
         try:
             killer = GridCell(
                 index=0, point=(("benchmark", "bitcount"),),
@@ -658,60 +705,26 @@ class TestWorkerDeath:
         finally:
             server.stop(drain=False)
 
-    def test_synth_grid_survives_worker_death_bit_identical(self, tmp_path):
+    def test_synth_grid_survives_worker_death_bit_identical(self, tmp_path,
+                                                            kill_once):
         """Fuzz load through the daemon: a synth-workload grid (resolved
         purely from ``synth:`` names, no registry state) is submitted via
         ServeClient, one worker is SIGKILLed mid-job, and the retried job's
         rows are bit-identical to a serial ``run_grid`` of the same grid."""
         from repro.fuzz import synth
-        from repro.grid.engine import run_grid
 
-        names = tuple(synth(seed=seed) for seed in range(4))
-        axes = (Axis("workload", names),
-                Axis("config", ("minigraph", "baseline")))
-
-        def build(point):
-            policy = DEFAULT_POLICY if point["config"] == "minigraph" else None
-            return RunSpec(benchmark=point["workload"], budget=20_000,
-                           policy=policy)
-
-        grid = GridSpec(name="synth-fuzz-load", axes=axes, build=build)
-        server = ServeServer(tmp_path / "serve.sock",
-                             cache_dir=tmp_path / "cache", workers=1,
-                             backend="process")
-        try:
-            server.start()
-        except (OSError, PermissionError):
-            pytest.skip("process pools unavailable")
+        grid = _mini_grid(benchmarks=[synth(seed=seed) for seed in range(4)],
+                          budget=20_000, name="synth-fuzz-load",
+                          spec=_KillOnceSpec)
+        server = _process_daemon(tmp_path)
         try:
             with _client(server) as client:
                 job_id = client.submit_grid(grid)["job_id"]
-                deadline = time.monotonic() + 60
-                victim = None
-                while time.monotonic() < deadline and victim is None:
-                    busy = client.status()["busy_worker_pids"]
-                    if busy:
-                        victim = busy[0]
-                    else:
-                        time.sleep(0.02)
-                assert victim is not None, "job never reached a worker"
-                os.kill(victim, signal.SIGKILL)
                 served = list(client.stream(job_id))
                 job = client.poll(job_id)
             assert job["state"] == "done"
             assert job["attempts"] >= 2          # the killed stage reran
-            serial = [row.as_dict()
-                      for row in run_grid(Session(cache_dir=None), grid)]
-            served_by_index = {row["index"]: row for row in served}
-            assert len(served_by_index) == len(serial)
-            for expected in serial:
-                actual = served_by_index[expected["index"]]
-                for column in ("benchmark", "spec_hash", "coverage",
-                               "baseline_ipc", "ipc", "speedup", "cycles",
-                               "baseline_cycles", "templates"):
-                    assert actual[column] == expected[column], (
-                        f"row {expected['index']} column {column}: daemon "
-                        f"{actual[column]!r} != serial {expected[column]!r}")
+            _assert_rows_match_serial_run(served, grid)
         finally:
             server.stop(drain=False)
 
@@ -757,7 +770,8 @@ class TestForgedKeys:
         # Another fresh object (not an interned one), claiming the default
         # machine's shape.
         forged = default.with_physical_registers(72)
-        object.__setattr__(forged, "_resolved", default.resolve())
+        object.__setattr__(forged, "machine_key", default.machine_key)
+        object.__setattr__(forged, "machine_hash", default.machine_hash)
         row = self._served_row(daemon, RunSpec(
             benchmark="bitcount", budget=BUDGET, policy=DEFAULT_POLICY,
             machine=forged))
@@ -765,7 +779,7 @@ class TestForgedKeys:
                          policy=DEFAULT_POLICY, machine=smaller)
         session = Session(cache_dir=None)
         assert row["resumed"] is False          # its own key: nothing stored
-        assert row["machine_hash"] == smaller.resolve().machine_hash
+        assert row["machine_hash"] == smaller.machine_hash
         assert row["spec_hash"] == honest.spec_hash
         assert row["ipc"] == session.timing(honest).ipc
         assert row["ipc"] != session.timing(honest.with_machine(None)).ipc
