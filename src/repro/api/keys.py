@@ -18,7 +18,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from enum import Enum
-from typing import Any, Tuple
+from typing import Any
+
+from ..interning import field_names, field_values
+
+
+#: Exact types that are their own canonical key (an ``IntEnum`` is not).
+_SCALARS = frozenset((type(None), str, int, float, bool, bytes))
 
 
 class KeyError_(TypeError):
@@ -29,14 +35,18 @@ def canonical_key(value: Any) -> Any:
     """Reduce ``value`` to a deterministic, hashable, order-stable structure.
 
     Dataclasses become ``(class name, (field name, canonical value)...)``
-    tuples driven by :func:`dataclasses.fields`; mappings are sorted by their
+    tuples in field declaration order; mappings are sorted by their
     canonical keys; sequences map element-wise; scalars pass through.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = tuple(
-            (f.name, canonical_key(getattr(value, f.name)))
-            for f in dataclasses.fields(value))
-        return (type(value).__name__,) + fields
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    names = field_names(kind)
+    if names:
+        return (kind.__name__,) + tuple(
+            zip(names, map(canonical_key, field_values(value))))
+    if dataclasses.is_dataclass(kind):   # an instance without fields
+        return (kind.__name__,)
     if isinstance(value, Enum):
         return (type(value).__name__, value.name)
     if isinstance(value, dict):

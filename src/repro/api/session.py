@@ -143,7 +143,13 @@ class Session:
                  version: Optional[str] = None) -> None:
         if store is not None and cache_dir is not None:
             raise ValueError("pass either a store or a cache_dir, not both")
-        if version is None:
+        if store is not None:
+            # Prune keeps a key only in the database of the version it names.
+            if version is not None and version != store.version:
+                raise ValueError(f"version {version!r} differs from the "
+                                 f"store's version {store.version!r}")
+            version = store.version
+        elif version is None:
             from .. import __version__
             version = __version__
         self._version = version

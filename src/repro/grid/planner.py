@@ -24,14 +24,8 @@ from .spec import GridCell, GridError, GridSpec
 
 @dataclass
 class GridPlan:
-    """A grid's cells grouped into stages of cells sharing one profile.
+    """A grid's cells grouped into stages of cells sharing one profile."""
 
-    ``grid`` is ``None`` for plans built from bare cells
-    (:func:`plan_cells`) — e.g. the serve daemon planning a client's
-    pre-expanded cell list.
-    """
-
-    grid: Optional[GridSpec]
     stages: List[List[GridCell]]
     shard: Optional[Tuple[int, int]] = None   # (index, count) when sharded
 
@@ -51,12 +45,10 @@ class GridPlan:
         if not 0 <= index < count:
             raise GridError(f"shard index {index} out of range for "
                             f"{count} shards (expected 0..{count - 1})")
-        return GridPlan(grid=self.grid, stages=self.stages[index::count],
-                        shard=(index, count))
+        return GridPlan(self.stages[index::count], shard=(index, count))
 
 
-def plan_cells(cells: Iterable[GridCell],
-               grid: Optional[GridSpec] = None) -> GridPlan:
+def plan_cells(cells: Iterable[GridCell]) -> GridPlan:
     """Group already-expanded cells into stages by profile identity.
 
     The grouping behind :func:`plan_grid`, also used for cell lists that
@@ -69,9 +61,9 @@ def plan_cells(cells: Iterable[GridCell],
         spec = cell.spec
         key = (spec.source_id, spec.input_name, spec.budget)
         stages.setdefault(key, []).append(cell)
-    return GridPlan(grid=grid, stages=list(stages.values()))
+    return GridPlan(list(stages.values()))
 
 
 def plan_grid(grid: GridSpec) -> GridPlan:
     """Expand ``grid`` and group its cells into stages."""
-    return plan_cells(grid.cells(), grid)
+    return plan_cells(grid.cells())

@@ -15,10 +15,9 @@ Modules:
 * :mod:`repro.serve.queue` — the bounded first-come-first-served job queue
   (admission control, backpressure, cancellation, retry/quarantine
   bookkeeping);
-* :mod:`repro.serve.pool` — the warm worker pool (process-backed, with a
-  thread fallback for restricted environments);
-* :mod:`repro.serve.server` — the daemon: socket front end, scheduler,
-  graceful drain;
+* :mod:`repro.serve.pool` — the warm worker pool, one claim-run-report
+  loop per worker (processes, or one thread as the fallback);
+* :mod:`repro.serve.server` — the daemon: socket front end, graceful drain;
 * :mod:`repro.serve.client` — the thin client library behind
   ``repro submit`` / ``repro jobs``.
 

@@ -1,68 +1,52 @@
 """The daemon's warm worker pool.
 
-A worker is one long-lived process holding one persistent
-:class:`~repro.api.session.Session`: its interned template registry, decode
-weakcaches and in-memory artifact store stay warm across jobs, which is the
-entire point of ``repro serve`` — the second job over the same spec pays
-zero cold-start (no re-interning, no re-profiling, no store re-open).
+A worker holds one long-lived :class:`~repro.api.session.Session`: its
+interned template registry, decode weakcaches and in-memory artifact store
+stay warm across jobs, which is the entire point of ``repro serve`` — the
+second job over the same spec pays zero cold-start (no re-interning, no
+re-profiling, no store re-open).
 
-:class:`ProcessWorkerPool` runs one OS process per worker with a private
-task queue each and one shared result queue; a pump thread in the daemon
-routes results to scheduler callbacks and watches worker liveness.  A
-worker that dies mid-stage (killed, OOM) is detected, respawned (cold but
-correct — every artifact it had produced is already in the shared disk
-store), and the stage is reported to the scheduler, which retries it once
-and then quarantines the job.
+Each worker is one loop on a daemon thread: it claims the oldest job's next
+pending stage from the :class:`~repro.serve.queue.JobQueue` (waiting on
+``queue.cond`` while there is none), runs it, and hands each row and the
+stage's end straight to the queue.  The worker that claims a stage
+runs it, so no claim is ever undone.
 
-:class:`ThreadWorkerPool` is the fallback for environments where process
-spawning is unavailable, and the pool of a memory-only daemon: the same
-interface over one worker thread holding one warm session in the daemon's
-own process.
+The ``process`` backend runs each worker's session in a forked child
+process, fed one stage at a time over a pipe.  A child that dies mid-stage
+(killed, OOM) shows up as end of file on the pipe, after every message it
+sent has been read; the queue retries the stage once and then quarantines
+the job.  A dead child is respawned (cold but correct: every artifact it
+produced is already in the shared disk store) when its worker next claims a
+stage.
 
-Both pools report through four callbacks, keyed by the task's
-``(job id, stage index, attempt)`` triple:
-
-* ``on_row(key, row)`` — one cell completed, with its finished row dict
-  (:meth:`~repro.grid.engine.GridRow.as_dict`; streamed live);
-* ``on_stage_done(key, session_stats, cache_stats)`` — stage finished,
-  with the worker's accounting *delta* for the stage;
-* ``on_stage_failed(key, message)`` — the stage raised;
-* ``on_worker_death(key)`` — the worker vanished mid-stage
-  (:class:`ProcessWorkerPool` only).
+The ``thread`` backend is the fallback for environments where process
+spawning is unavailable, and the pool of a memory-only daemon: one worker
+running stages in the daemon's own process, on its one session.
 """
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import os
-import queue as stdlib_queue
+import signal
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..api.session import Session
 from ..grid.engine import run_cells
 from ..grid.spec import GridCell
+from .queue import JobQueue, JobRecord
 
-#: (job id, stage index, attempt) — unique per stage *execution*.
-TaskKey = Tuple[str, int, int]
-
-#: How often the process pool's pump thread polls results and liveness.
-_PUMP_INTERVAL_SECONDS = 0.05
-
-
-@dataclass(frozen=True)
-class PoolTask:
-    """One dispatched stage: the cells a single worker runs back to back."""
-
-    key: TaskKey
-    cells: Tuple[GridCell, ...]
-
-
-@dataclass
-class PoolCallbacks:
-    on_row: Callable[[TaskKey, Dict[str, Any]], None]
-    on_stage_done: Callable[[TaskKey, Dict[str, Any], Dict[str, Any]], None]
-    on_stage_failed: Callable[[TaskKey, str], None]
-    on_worker_death: Callable[[TaskKey], None]
+#: Held from creating a child's pipe until the parent has closed the child's
+#: end, so that no other child forked meanwhile inherits that end and keeps
+#: a dead child's pipe from reading as end of file.
+_SPAWN_LOCK = threading.Lock()
+#: Blocked across a fork, so that no child runs the daemon's handlers: a
+#: child ends on SIGTERM and leaves Ctrl-C to the daemon.
+_HELD_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
 def _stats_delta(before: Dict[str, Any], after: Dict[str, Any]
@@ -70,284 +54,204 @@ def _stats_delta(before: Dict[str, Any], after: Dict[str, Any]
     return {key: after[key] - before.get(key, 0) for key in after}
 
 
-def _execute_task(session, task: PoolTask,
-                  emit: Callable[[Tuple[Any, ...]], None]) -> None:
-    """Run one stage, emitting ``row`` per cell then ``done`` (or ``failed``)."""
+def _stage_messages(session: Session, cells: List[GridCell]
+                    ) -> Iterator[Tuple[Any, ...]]:
+    """Run one stage: a ``row`` message per cell, then ``done`` with the
+    session's accounting delta for the stage, or ``failed``."""
     before_session = session.stats.as_dict()
     before_cache = session.cache_stats.as_dict()
     try:
-        for row in run_cells(session, task.cells):
-            emit(("row", task.key, row.as_dict()))
+        for row in run_cells(session, cells):
+            yield "row", row.as_dict()
     except Exception as error:
-        emit(("failed", task.key, f"{type(error).__name__}: {error}"))
+        yield "failed", f"{type(error).__name__}: {error}"
         return
-    emit(("done", task.key,
-          _stats_delta(before_session, session.stats.as_dict()),
-          _stats_delta(before_cache, session.cache_stats.as_dict())))
+    yield ("done", _stats_delta(before_session, session.stats.as_dict()),
+           _stats_delta(before_cache, session.cache_stats.as_dict()))
 
 
-def _process_worker_main(worker_id: int, task_queue, result_queue,
-                         cache_dir: Optional[str], version: str) -> None:
-    """Worker process entry: one warm session, tasks until ``None``."""
-    from ..api.session import Session
-
+def _child_main(conn, parent_end, cache_dir: Optional[str],
+                version: str) -> None:
+    """A worker process: one warm session, stages until ``None`` or until
+    the daemon's end of the pipe closes."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)   # see _HELD_SIGNALS
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, (signal.SIGTERM,))
+    parent_end.close()
     session = Session(cache_dir=cache_dir, version=version)
     while True:
-        task = task_queue.get()
-        if task is None:
-            return
-        _execute_task(session, task, result_queue.put)
-
-
-class ProcessWorkerPool:
-    """Persistent process workers with liveness monitoring."""
-
-    backend = "process"
-
-    def __init__(self, size: int, cache_dir: Optional[str], version: str,
-                 callbacks: PoolCallbacks) -> None:
-        import multiprocessing
-
-        self.size = size
-        self._cache_dir = cache_dir
-        self._version = version
-        self._callbacks = callbacks
         try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            self._ctx = multiprocessing.get_context()
-        self._result_queue = None
-        self._workers: List[_ProcessWorker] = []
-        self._by_key: Dict[TaskKey, "_ProcessWorker"] = {}
-        self._lock = threading.Lock()
-        self._running = False
-        self._pump: Optional[threading.Thread] = None
-        self._next_worker_id = 0
-
-    # -- lifecycle -----------------------------------------------------------------
-
-    def start(self) -> None:
-        """Spawn the workers; raises ``OSError``/``PermissionError`` when the
-        environment cannot create processes (callers fall back to threads)."""
-        self._result_queue = self._ctx.Queue()
-        self._running = True
-        try:
-            for _ in range(self.size):
-                self._workers.append(self._spawn())
-        except (OSError, PermissionError):
-            self._running = False
-            self.stop()
-            raise
-        self._pump = threading.Thread(target=self._pump_loop,
-                                      name="repro-serve-pool", daemon=True)
-        self._pump.start()
-
-    def _spawn(self) -> "_ProcessWorker":
-        self._next_worker_id += 1
-        task_queue = self._ctx.Queue()
-        process = self._ctx.Process(
-            target=_process_worker_main,
-            args=(self._next_worker_id, task_queue, self._result_queue,
-                  self._cache_dir, self._version),
-            name=f"repro-serve-worker-{self._next_worker_id}", daemon=True)
-        process.start()
-        return _ProcessWorker(process=process, task_queue=task_queue)
-
-    def stop(self) -> None:
-        self._running = False
-        for worker in self._workers:
-            try:
-                worker.task_queue.put(None)
-            except (OSError, ValueError):
-                pass
-        for worker in self._workers:
-            worker.process.join(timeout=2.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=1.0)
-        if self._pump is not None and self._pump is not threading.current_thread():
-            self._pump.join(timeout=2.0)
-        self._workers.clear()
-        self._by_key.clear()
-
-    # -- dispatch ------------------------------------------------------------------
-
-    def has_capacity(self) -> bool:
-        with self._lock:
-            return any(worker.current is None and worker.process.is_alive()
-                       for worker in self._workers)
-
-    def dispatch(self, task: PoolTask) -> bool:
-        with self._lock:
-            for worker in self._workers:
-                if worker.current is None and worker.process.is_alive():
-                    worker.current = task
-                    self._by_key[task.key] = worker
-                    worker.task_queue.put(task)
-                    return True
-            return False
-
-    def worker_pids(self) -> List[int]:
-        """Live worker PIDs (ops surface: `repro serve status`, kill tests)."""
-        with self._lock:
-            return [worker.process.pid for worker in self._workers
-                    if worker.process.is_alive()]
-
-    def busy_pids(self) -> List[int]:
-        with self._lock:
-            return [worker.process.pid for worker in self._workers
-                    if worker.process.is_alive() and worker.current is not None]
-
-    # -- result pump + liveness monitor ---------------------------------------------
-
-    def _pump_loop(self) -> None:
-        while self._running:
-            self._drain_results(block=True)
-            self._check_liveness()
-
-    def _drain_results(self, *, block: bool) -> None:
-        assert self._result_queue is not None
-        try:
-            message = self._result_queue.get(
-                timeout=_PUMP_INTERVAL_SECONDS if block else 0)
-        except (stdlib_queue.Empty, OSError, ValueError):
+            cells = conn.recv()
+        except (EOFError, OSError):
             return
-        while True:
-            self._handle_message(message)
-            try:
-                message = self._result_queue.get_nowait()
-            except (stdlib_queue.Empty, OSError, ValueError):
-                return
-
-    def _handle_message(self, message: Tuple[Any, ...]) -> None:
-        kind, key = message[0], message[1]
-        if kind == "row":
-            self._callbacks.on_row(key, message[2])
+        if cells is None:
             return
-        with self._lock:
-            worker = self._by_key.pop(key, None)
-            if worker is not None and worker.current is not None \
-                    and worker.current.key == key:
-                worker.current = None
-        if kind == "done":
-            self._callbacks.on_stage_done(key, message[2], message[3])
-        else:
-            self._callbacks.on_stage_failed(key, message[2])
-
-    def _check_liveness(self) -> None:
-        """Replace dead workers; report their in-flight stage as a death.
-
-        Results were drained first, so a worker that finished its stage and
-        exited is never misread as a mid-stage death.
-        """
-        dead_tasks: List[PoolTask] = []
-        with self._lock:
-            for position, worker in enumerate(self._workers):
-                if worker.process.is_alive():
-                    continue
-                if worker.current is not None:
-                    dead_tasks.append(worker.current)
-                    self._by_key.pop(worker.current.key, None)
-                if self._running:
-                    self._workers[position] = self._spawn()
-        for task in dead_tasks:
-            self._callbacks.on_worker_death(task.key)
+        for message in _stage_messages(session, cells):
+            conn.send(message)
 
 
 @dataclass
-class _ProcessWorker:
-    process: Any
-    task_queue: Any
-    current: Optional[PoolTask] = None
+class _Worker:
+    thread: Optional[threading.Thread] = None
+    busy: bool = False
+    #: Process backend: the forked child and the daemon's end of its pipe.
+    process: Any = None
+    conn: Any = None
 
 
-class ThreadWorkerPool:
-    """Thread-backed fallback pool: one worker thread, one warm session.
+class WorkerPool:
+    """``size`` workers, each a claim-run-report loop over one queue."""
 
-    Used when the environment cannot spawn processes, and for memory-only
-    stores (``cache_dir=None``), where the daemon's resume probe must see
-    the worker's own in-process store.  A session runs one stage at a time,
-    so the pool is one thread and reports one worker whatever size was
-    asked for.  Worker-death semantics do not exist here — a thread cannot
-    be killed — so ``on_worker_death`` never fires.
-    """
-
-    backend = "thread"
-    size = 1
-
-    def __init__(self, cache_dir: Optional[str], version: str,
-                 callbacks: PoolCallbacks) -> None:
-        from ..api.session import Session
-
-        self._callbacks = callbacks
-        self._session = Session(cache_dir=cache_dir, version=version)
-        self._tasks: "stdlib_queue.Queue[Optional[PoolTask]]" = \
-            stdlib_queue.Queue()
-        self._busy = False
-        self._lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def session(self):
-        """The warm session (the server probes its store for resume)."""
-        return self._session
+    def __init__(self, queue: JobQueue, backend: str, size: int,
+                 cache_dir: Optional[str], version: str) -> None:
+        self.backend = backend
+        self.size = size
+        #: The thread backend's one session (the server probes its store).
+        self.session = Session(cache_dir=cache_dir, version=version) \
+            if backend == "thread" else None
+        self._queue = queue
+        self._cache_dir = cache_dir
+        self._version = version
+        self._ctx = multiprocessing.get_context("fork")
+        self._workers = [_Worker() for _ in range(size)]
+        self._stopping = False
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self._worker_loop,
-                                        name="repro-serve-worker",
-                                        daemon=True)
-        self._thread.start()
+        """Fork the children (process backend), then start every worker's
+        loop; raises ``OSError`` when the environment cannot create
+        processes (callers fall back to threads)."""
+        if self.backend == "process":
+            try:
+                for worker in self._workers:
+                    self._spawn(worker)
+            except OSError:
+                for worker in self._workers:
+                    if worker.process is not None:
+                        self._close_child(worker)
+                raise
+        for number, worker in enumerate(self._workers, 1):
+            worker.thread = threading.Thread(
+                target=self._loop, args=(worker,),
+                name=f"repro-serve-worker-{number}", daemon=True)
+            worker.thread.start()
 
     def stop(self) -> None:
-        # The daemon's scheduler and main thread may both tear down.
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            self._tasks.put(None)
-            thread.join(timeout=2.0)
-
-    def has_capacity(self) -> bool:
-        with self._lock:
-            return not self._busy
-
-    def dispatch(self, task: PoolTask) -> bool:
-        with self._lock:
-            if self._busy:
-                return False
-            self._busy = True
-        self._tasks.put(task)
-        return True
+        """End every loop.  A child still running a stage is killed instead
+        of waited for: its job is over (cancelled, or the drain gave up)."""
+        with self._queue.cond:
+            self._stopping = True
+            self._queue.cond.notify_all()
+            busy = [worker for worker in self._workers if worker.busy]
+        if self.backend == "process":
+            for worker in busy:
+                worker.process.kill()
+        for worker in self._workers:
+            worker.thread.join(timeout=2.0)
 
     def worker_pids(self) -> List[int]:
-        return [os.getpid()] if self._thread is not None else []
+        """Live worker PIDs (ops surface: `repro serve status`, kill tests)."""
+        if self.backend == "thread":
+            return [os.getpid()]
+        return [worker.process.pid for worker in self._workers
+                if worker.process.is_alive()]
 
     def busy_pids(self) -> List[int]:
-        with self._lock:
-            return [os.getpid()] if self._busy else []
+        with self._queue.cond:
+            busy = [worker for worker in self._workers if worker.busy]
+        if self.backend == "thread":
+            return [os.getpid()] if busy else []
+        return [worker.process.pid for worker in busy]
 
-    def _worker_loop(self) -> None:
+    # -- one worker ----------------------------------------------------------------
+
+    def _loop(self, worker: _Worker) -> None:
+        run = self._run_in_child if self.backend == "process" \
+            else self._run_here
         while True:
-            task = self._tasks.get()
-            if task is None:
-                return
+            claim = self._claim(worker)
+            if claim is None:
+                break
             try:
-                _execute_task(self._session, task, self._emit)
+                run(worker, *claim)
             finally:
-                with self._lock:
-                    self._busy = False
+                with self._queue.cond:
+                    worker.busy = False
+        if worker.process is not None:
+            self._close_child(worker)
 
-    def _emit(self, message: Tuple[Any, ...]) -> None:
-        kind, key = message[0], message[1]
+    def _claim(self, worker: _Worker) -> Optional[Tuple[JobRecord, int]]:
+        """The oldest job's next pending stage, waiting while there is
+        none; ``None`` once the pool stops."""
+        with self._queue.cond:
+            while not self._stopping:
+                claim = self._queue.next_stage()
+                if claim is not None:
+                    worker.busy = True
+                    return claim
+                self._queue.cond.wait()
+            return None
+
+    def _report(self, job: JobRecord, index: int,
+                message: Tuple[Any, ...]) -> None:
+        kind = message[0]
         if kind == "row":
-            self._callbacks.on_row(key, message[2])
+            self._queue.append_row(job, message[1])
         elif kind == "done":
-            self._callbacks.on_stage_done(key, message[2], message[3])
+            self._queue.stage_done(job, index, message[1], message[2])
         else:
-            self._callbacks.on_stage_failed(key, message[2])
+            self._queue.stage_failed(job, index, message[1])
+
+    def _run_here(self, worker: _Worker, job: JobRecord, index: int) -> None:
+        for message in _stage_messages(self.session, job.stages[index]):
+            self._report(job, index, message)
+
+    def _run_in_child(self, worker: _Worker, job: JobRecord,
+                      index: int) -> None:
+        try:
+            if not worker.process.is_alive():   # died since its last stage
+                worker.conn.close()
+                self._spawn(worker)
+            worker.conn.send(job.stages[index])
+            while True:
+                message = worker.conn.recv()
+                self._report(job, index, message)
+                if message[0] != "row":
+                    return
+        except (EOFError, OSError):
+            # The child died mid-stage, after every message it sent was
+            # reported.  Reap it now (its pipe can read as end of file
+            # first), so that the next claim sees it dead.
+            worker.process.kill()
+            worker.process.join()
+            self._queue.worker_died(job, index)
+
+    def _spawn(self, worker: _Worker) -> None:
+        with _SPAWN_LOCK:
+            parent_end, child_end = self._ctx.Pipe()
+            process = self._ctx.Process(
+                target=_child_main,
+                args=(child_end, parent_end, self._cache_dir, self._version),
+                name="repro-serve-child", daemon=True)
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD_SIGNALS)
+            try:
+                process.start()
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
+                child_end.close()
+        worker.process, worker.conn = process, parent_end
+
+    def _close_child(self, worker: _Worker) -> None:
+        with contextlib.suppress(OSError):   # already dead
+            worker.conn.send(None)
+        worker.process.join(timeout=2.0)
+        worker.process.kill()   # a no-op once it has exited
+        worker.process.join()
+        worker.conn.close()
 
 
-def make_pool(backend: str, size: int, cache_dir: Optional[str],
-              version: str, callbacks: PoolCallbacks):
-    """Build and *start* a pool: ``process``, ``thread`` or ``auto``.
+def make_pool(queue: JobQueue, backend: str, size: int,
+              cache_dir: Optional[str], version: str) -> WorkerPool:
+    """Build and *start* a pool over ``queue``: ``process``, ``thread`` or
+    ``auto``.
 
     ``auto`` prefers processes (true parallelism, kill-tolerance) and falls
     back to threads when the environment cannot spawn them.  A memory-only
@@ -356,14 +260,14 @@ def make_pool(backend: str, size: int, cache_dir: Optional[str],
     """
     if backend not in ("auto", "process", "thread"):
         raise ValueError(f"unknown pool backend {backend!r}")
-    if backend in ("auto", "process") and cache_dir is not None:
-        pool = ProcessWorkerPool(size, cache_dir, version, callbacks)
+    if backend != "thread" and cache_dir is not None:
+        pool = WorkerPool(queue, "process", size, cache_dir, version)
         try:
             pool.start()
             return pool
-        except (OSError, PermissionError):
+        except OSError:
             if backend == "process":
                 raise
-    pool = ThreadWorkerPool(cache_dir, version, callbacks)
+    pool = WorkerPool(queue, "thread", 1, cache_dir, version)
     pool.start()
     return pool

@@ -2,8 +2,8 @@
 
 A :class:`JobRecord` is one submitted job (the expanded cells of a grid),
 already planned into shared-artifact *stages* (lists of
-:class:`~repro.grid.spec.GridCell`); the scheduler dispatches one stage at a
-time to one warm worker, and each completed cell appends one row to the
+:class:`~repro.grid.spec.GridCell`); each warm worker of the pool claims one
+stage at a time and runs it, and each completed cell appends one row to the
 record, waking any streaming clients.
 
 The :class:`JobQueue` enforces **admission control**: it holds at most
@@ -22,12 +22,12 @@ stage is running right now waits for it and then reads the results from the
 shared store.
 
 One lock-and-condition pair (:attr:`JobQueue.cond`) covers every record —
-scheduler, pool callbacks and per-connection streaming threads all
-synchronize on it, which is simple and ample at daemon scale (tens of jobs,
-not millions; the millions are the *cells* inside the jobs).  The queue
-keeps every record for ``poll`` and ``stream``, and the live (non-terminal)
-ones in a map of their own, so admission and scheduling cost O(live jobs)
-however long the daemon has run.
+the pool's worker loops (which also wait on it for a stage to claim) and
+the per-connection streaming threads all synchronize on it, which is simple
+and ample at daemon scale (tens of jobs, not millions; the millions are the
+*cells* inside the jobs).  The queue keeps every record for ``poll`` and
+``stream``, and the live (non-terminal) ones in a map of their own, so
+admission and claims cost O(live jobs) however long the daemon has run.
 """
 
 from __future__ import annotations
@@ -173,11 +173,13 @@ class JobQueue:
     def draining(self) -> bool:
         return self._draining
 
-    def begin_drain(self) -> None:
-        """Reject all future submits; in-flight jobs keep running."""
+    def begin_drain(self) -> bool:
+        """Reject all future submits; in-flight jobs keep running.  True
+        for the call that began the drain."""
         with self.cond:
-            self._draining = True
+            first, self._draining = not self._draining, True
             self.cond.notify_all()
+            return first
 
     def active_count(self) -> int:
         with self.cond:
@@ -258,17 +260,7 @@ class JobQueue:
                     return job, index
             return None
 
-    def release_stage(self, job: JobRecord, index: int) -> None:
-        """Un-claim a stage the scheduler could not dispatch after all
-        (pool race): back to pending, attempt uncounted."""
-        with self.cond:
-            if job.terminal:
-                return
-            job.stage_state[index] = _PENDING
-            job.stage_attempts[index] = max(0, job.stage_attempts[index] - 1)
-            self.cond.notify_all()
-
-    # -- completion callbacks (invoked by the scheduler) ----------------------------
+    # -- completion (reported by the worker that claimed the stage) ----------------
 
     def _finish(self, job: JobRecord, state: JobState,
                 error: Optional[Dict[str, Any]] = None) -> None:

@@ -1,19 +1,18 @@
-"""The ``repro serve`` daemon: socket front end, scheduler, graceful drain.
+"""The ``repro serve`` daemon: socket front end, worker pool, graceful drain.
 
-One :class:`ServeServer` owns four moving parts:
+One :class:`ServeServer` owns three moving parts:
 
 * a Unix-domain **listener** accepting NDJSON connections
   (:mod:`repro.serve.protocol`), one handler thread per client;
 * the bounded **job queue** (:mod:`repro.serve.queue`) — admission control,
   first come first served;
 * the warm **worker pool** (:mod:`repro.serve.pool`) — persistent sessions
-  with hot registries and caches;
-* a **scheduler** thread marrying the two: whenever a worker is idle it
-  claims the oldest job's next pending stage and dispatches it.  Stages are
-  :func:`~repro.grid.planner.plan_cells` stages (the cells sharing one
-  profile), so concurrent clients submitting overlapping work dedup
-  against each other through the shared store — the second client's cells
-  are store hits, not recomputations.
+  with hot registries and caches, each worker a loop that claims the oldest
+  job's next pending stage from the queue, runs it and reports it back.
+  Stages are :func:`~repro.grid.planner.plan_cells` stages (the cells
+  sharing one profile), so concurrent clients submitting overlapping work
+  dedup against each other through the shared store — the second client's
+  cells are store hits, not recomputations.
 
 How a cell is keyed, resumed, computed, stored and turned into a row is the
 grid engine's business: submits go through its resume probe
@@ -47,11 +46,8 @@ from ..grid.planner import plan_cells
 from ..grid.spec import GridCell
 from ..uarch.config import ConfigError
 from . import protocol
-from .pool import PoolCallbacks, PoolTask, TaskKey, make_pool
+from .pool import make_pool
 from .queue import AdmissionError, JobQueue
-
-#: Scheduler idle poll (also the drain-completion check cadence).
-_SCHEDULE_INTERVAL_SECONDS = 0.05
 
 
 class _BadRequest(ValueError):
@@ -106,12 +102,11 @@ class ServeServer:
         self.pool = None
         self.started_at: Optional[float] = None
         self._listener: Optional[socket.socket] = None
-        self._threads: List[threading.Thread] = []
         self._streams: Set[protocol.MessageStream] = set()
         self._streams_lock = threading.Lock()
+        #: Set once the daemon is torn down, which happens exactly once.
         self._stop_event = threading.Event()
-        self._draining = False
-        self._drain_lock = threading.Lock()
+        self._teardown_lock = threading.Lock()
         self._probe_store: Optional[ArtifactStore] = None
 
     # -- lifecycle -----------------------------------------------------------------
@@ -120,22 +115,14 @@ class ServeServer:
         if not hasattr(socket, "AF_UNIX"):  # pragma: no cover - non-POSIX
             raise OSError("repro serve needs Unix domain sockets")
         self.started_at = time.monotonic()
-        self.pool = make_pool(
-            self.backend, self.workers, self.cache_dir, self.version,
-            PoolCallbacks(on_row=self._on_row,
-                          on_stage_done=self._on_stage_done,
-                          on_stage_failed=self._on_stage_failed,
-                          on_worker_death=self._on_worker_death))
-        if self.pool.backend == "thread":
-            # The thread worker's session lives in this process; probing
-            # its store sees memory entries even without a disk layer.
-            self._probe_store = self.pool.session.store
-        else:
-            self._probe_store = ArtifactStore(self.cache_dir,
-                                              version=self.version)
+        self.pool = make_pool(self.queue, self.backend, self.workers,
+                              self.cache_dir, self.version)
+        # A thread worker's session lives in this process; probing its
+        # store sees memory entries even without a disk layer.
+        self._probe_store = self.pool.session.store if self.pool.session \
+            else ArtifactStore(self.cache_dir, version=self.version)
         self._bind()
         self._spawn(self._accept_loop, "repro-serve-accept")
-        self._spawn(self._scheduler_loop, "repro-serve-scheduler")
 
     def _bind(self) -> None:
         self.socket_path.parent.mkdir(parents=True, exist_ok=True)
@@ -160,105 +147,59 @@ class ServeServer:
         listener.listen(16)
         self._listener = listener
 
-    def _spawn(self, target, name: str) -> None:
-        thread = threading.Thread(target=target, name=name, daemon=True)
-        thread.start()
-        self._threads.append(thread)
+    @staticmethod
+    def _spawn(target, name: str) -> None:
+        threading.Thread(target=target, name=name, daemon=True).start()
 
     def serve_forever(self) -> None:
         """Block until shutdown (signal, ``shutdown`` op or :meth:`stop`)."""
         self._stop_event.wait()
-        self._teardown()
 
     def request_shutdown(self, *, drain: bool = True) -> None:
         """Begin shutdown; with ``drain`` in-flight jobs finish first.
 
         Safe from any thread and from signal handlers.  New submissions are
         rejected immediately either way; without ``drain``, queued and
-        running jobs are cancelled.
+        running jobs are cancelled.  The first call starts the thread that
+        tears the daemon down once every job is terminal.
         """
-        with self._drain_lock:
-            self._draining = True
-        self.queue.begin_drain()
+        first = self.queue.begin_drain()
         if not drain:
             for job in self.queue.jobs():
                 self.queue.cancel(job.id)
-        # The scheduler loop observes the drained queue and sets the stop
-        # event once every job is terminal.
+        if first:
+            self._spawn(self._drain_watch, "repro-serve-drain")
 
     def stop(self, *, drain: bool = True, timeout: float = 30.0) -> None:
         """Synchronous shutdown helper for embedding (tests, bench)."""
         self.request_shutdown(drain=drain)
-        deadline = time.monotonic() + timeout
-        while not self._stop_event.is_set() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        self._stop_event.set()
+        self._stop_event.wait(timeout)
+        self._teardown()
+
+    def _drain_watch(self) -> None:
+        with self.queue.cond:
+            self.queue.cond.wait_for(self.queue.all_terminal)
         self._teardown()
 
     def _teardown(self) -> None:
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
-        self.socket_path.unlink(missing_ok=True)
-        with self._streams_lock:
-            streams = list(self._streams)
-        for stream in streams:
-            stream.close()
-        if self.pool is not None:
-            self.pool.stop()
-
-    # -- scheduler -----------------------------------------------------------------
-
-    def _scheduler_loop(self) -> None:
-        queue = self.queue
-        while not self._stop_event.is_set():
-            with self._drain_lock:
-                draining = self._draining
-            if draining and queue.all_terminal():
-                self._stop_event.set()
-                self._teardown()
+        """Close the listener, the streams and the pool.  Runs once; a
+        later call returns when the first has finished."""
+        with self._teardown_lock:
+            if self._stop_event.is_set():
                 return
-            dispatched = False
-            if self.pool.has_capacity():
-                claim = queue.next_stage()
-                if claim is not None:
-                    job, index = claim
-                    task = PoolTask(
-                        key=(job.id, index, job.stage_attempts[index]),
-                        cells=tuple(job.stages[index]))
-                    if self.pool.dispatch(task):
-                        dispatched = True
-                    else:
-                        queue.release_stage(job, index)
-            if not dispatched:
-                with queue.cond:
-                    queue.cond.wait(timeout=_SCHEDULE_INTERVAL_SECONDS)
-
-    # -- pool callbacks ------------------------------------------------------------
-
-    def _on_row(self, key: TaskKey, row: Dict[str, Any]) -> None:
-        job = self.queue.get(key[0])
-        if job is not None:
-            self.queue.append_row(job, row)
-
-    def _on_stage_done(self, key: TaskKey, session_stats: Dict[str, Any],
-                       cache_stats: Dict[str, Any]) -> None:
-        job = self.queue.get(key[0])
-        if job is not None:
-            self.queue.stage_done(job, key[1], session_stats, cache_stats)
-
-    def _on_stage_failed(self, key: TaskKey, message: str) -> None:
-        job = self.queue.get(key[0])
-        if job is not None:
-            self.queue.stage_failed(job, key[1], message)
-
-    def _on_worker_death(self, key: TaskKey) -> None:
-        job = self.queue.get(key[0])
-        if job is not None:
-            self.queue.worker_died(job, key[1])
+            if self._listener is not None:   # the socket file is ours
+                try:
+                    self._listener.close()
+                except OSError:
+                    pass
+                self.socket_path.unlink(missing_ok=True)
+            with self._streams_lock:
+                streams = list(self._streams)
+            for stream in streams:
+                stream.close()
+            if self.pool is not None:
+                self.pool.stop()
+            self._stop_event.set()
 
     # -- connection handling -------------------------------------------------------
 
@@ -344,9 +285,13 @@ class ServeServer:
                 stream.send(protocol.ok_response(op, server=self._status()))
             elif op == "shutdown":
                 drain = bool(message.get("drain", True))
+                # Drain before the reply, so that no submit is admitted
+                # after it; this connection closes itself, not the teardown.
+                with self._streams_lock:
+                    self._streams.discard(stream)
+                self.request_shutdown(drain=drain)
                 stream.send(protocol.ok_response(
                     op, state="draining" if drain else "stopping"))
-                self.request_shutdown(drain=drain)
                 return False
             else:
                 stream.send(protocol.error_response(

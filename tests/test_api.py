@@ -72,6 +72,24 @@ class TestKeys:
         named = {entry[0] for entry in key[1:]}
         assert named == {f.name for f in dataclasses.fields(DEFAULT_POLICY)}
 
+    def test_canonical_key_of_edge_values(self):
+        """A dataclass without fields keys as its class name, and a
+        subclass of a scalar type (an ``IntEnum``) is not a bare scalar."""
+        import enum
+
+        @dataclasses.dataclass(frozen=True)
+        class Empty:
+            pass
+
+        class Kind(enum.IntEnum):
+            ONE = 1
+
+        assert canonical_key(Empty()) == ("Empty",)
+        assert canonical_key((Kind.ONE, 1, True, None)) == \
+            (("Kind", "ONE"), 1, True, None)
+        with pytest.raises(TypeError):
+            canonical_key(Empty)   # a class, not an instance
+
     def test_policy_variants_key_differently(self):
         assert canonical_key(DEFAULT_POLICY) != canonical_key(INTEGER_POLICY)
         assert content_hash(DEFAULT_POLICY) != content_hash(INTEGER_POLICY)
@@ -931,6 +949,13 @@ class TestSessionCaching:
         bumped = Session(cache_dir=tmp_path, version="2")
         bumped.run(spec)
         assert bumped.stats.simulations > 0
+
+    def test_a_session_keys_with_its_stores_version(self):
+        store = ArtifactStore(None, version="x")
+        assert Session(store=store).version == "x"
+        assert Session(store=store, version="x").version == "x"
+        with pytest.raises(ValueError, match="store's version"):
+            Session(store=store, version="y")
 
     def test_baseline_only_spec(self):
         session = Session()

@@ -10,19 +10,17 @@ import pickle
 import signal
 import socket as socket_module
 import sys
-import threading
 import time
 
 import pytest
 
 from repro.api import RunSpec, Session
 from repro.api.store import MISS, ArtifactStore
-from repro.grid import Axis, GridSpec, cell_key, plan_cells
+from repro.grid import Axis, GridSpec, cell_key
 from repro.grid.spec import GridCell
 from repro.minigraph.policies import DEFAULT_POLICY
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.pool import PoolCallbacks, PoolTask, ProcessWorkerPool
 from repro.serve.queue import AdmissionError, JobQueue, JobState
 from repro.serve.server import ServeServer
 from repro.uarch import baseline_config, integer_memory_minigraph_config
@@ -226,14 +224,6 @@ class TestJobQueue:
         assert job.state is JobState.QUARANTINED
         assert job.error["code"] == "quarantined"
         assert queue.next_stage() is None
-
-    def test_release_stage_does_not_count_an_attempt(self):
-        queue = JobQueue(limit=4)
-        job = queue.submit([_stage()])
-        _, index = queue.next_stage()
-        queue.release_stage(job, index)
-        assert job.stage_attempts[index] == 0
-        assert queue.next_stage() == (job, index)
 
     def test_empty_job_is_born_done_with_prepopulated_rows(self):
         queue = JobQueue(limit=4)
@@ -703,6 +693,41 @@ class TestWorkerDeath:
                     client.submit_grid(_mini_grid(), resume=True))
             assert job["state"] == "done"
         finally:
+            server.stop(drain=False)
+
+    def test_a_worker_ended_while_idle_is_replaced_at_the_next_claim(
+            self, tmp_path):
+        """SIGTERM ends an idle worker: the drain handler the daemon had
+        when it forked the worker does not run on the worker's copy of the
+        daemon (which would unlink the socket).  The next claim forks a
+        new worker, and the job is not charged a death."""
+        server = ServeServer(tmp_path / "serve.sock",
+                             cache_dir=tmp_path / "cache", workers=1,
+                             backend="process")
+        handled = signal.getsignal(signal.SIGTERM)
+        signal.signal(signal.SIGTERM,
+                      lambda *_: server.request_shutdown(drain=True))
+        try:
+            try:
+                server.start()
+            except (OSError, PermissionError):
+                pytest.skip("process pools unavailable")
+            with _client(server) as client:
+                [pid] = client.status()["worker_pids"]
+                os.kill(pid, signal.SIGTERM)
+                deadline = time.monotonic() + 30
+                while client.status()["worker_pids"]:
+                    assert time.monotonic() < deadline, "worker survived"
+                    time.sleep(0.01)
+                _, job = client.run_to_completion(
+                    client.submit_grid(_mini_grid()))
+                status = client.status()
+            assert job["state"] == "done" and job["attempts"] == 1
+            assert len(status["worker_pids"]) == 1
+            assert status["worker_pids"] != [pid]
+            assert server.socket_path.exists()
+        finally:
+            signal.signal(signal.SIGTERM, handled)
             server.stop(drain=False)
 
     def test_synth_grid_survives_worker_death_bit_identical(self, tmp_path,
