@@ -28,6 +28,7 @@ from rendered text to JSON built on :mod:`repro.experiments.reporting`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -591,6 +592,26 @@ def _serve_connect(args: argparse.Namespace):
         return None
 
 
+def _await_detached(pid: int, errors: int, pidfile, socket_path) -> int:
+    """Wait until the detached daemon ``pid`` listens (it then writes the
+    pidfile naming itself) or exits, and print the error it sent on ``errors``."""
+    os.set_blocking(errors, False)
+    with open(errors, "rb") as pipe:
+        for _ in range(600):
+            if os.waitpid(pid, os.WNOHANG)[0]:
+                print((pipe.read() or b"repro: error: the daemon exited "
+                       b"before it listened").decode(), file=sys.stderr)
+                return 2
+            with contextlib.suppress(OSError):
+                if pidfile.read_text(encoding="utf-8").strip() == str(pid):
+                    print(f"serve daemon started (pid {pid}, "
+                          f"socket {socket_path})")
+                    return 0
+            time.sleep(0.05)
+    print("repro: error: daemon did not come up", file=sys.stderr)
+    return 1
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     from ..serve.server import ServeServer
@@ -635,17 +656,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 0
 
     # start
+    report = None       # a detached daemon's end of its start-error pipe
     if args.detach:
+        errors, report = os.pipe()
         pid = os.fork()
         if pid > 0:
-            for _ in range(600):      # wait for the daemon socket to appear
-                if socket_path.exists():
-                    print(f"serve daemon started (pid {pid}, "
-                          f"socket {socket_path})")
-                    return 0
-                time.sleep(0.05)
-            print("repro: error: daemon did not come up", file=sys.stderr)
-            return 1
+            os.close(report)
+            return _await_detached(pid, errors, pidfile, socket_path)
+        os.close(errors)
         os.setsid()
         devnull = os.open(os.devnull, os.O_RDWR)
         for fd in (0, 1, 2):
@@ -662,7 +680,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     signal.signal(signal.SIGTERM, _drain)
     signal.signal(signal.SIGINT, _drain)
-    server.start()
+    try:
+        server.start()
+    except OSError as error:          # a busy socket, no processes, ...
+        print(f"repro: error: {error}", file=sys.stderr)
+        if report is not None:        # for the parent to print
+            os.write(report, f"repro: error: {error}".encode())
+        return 2
+    if report is not None:
+        os.close(report)
     pidfile.write_text(f"{os.getpid()}\n", encoding="utf-8")
     if not args.detach:
         print(f"serve daemon listening on {socket_path} "

@@ -16,11 +16,10 @@ walked again.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from enum import Enum
 from typing import Any
 
-from ..interning import field_names, field_values
+from ..interning import digest, field_names, field_values
 
 
 #: Exact types that are their own canonical key (an ``IntEnum`` is not).
@@ -60,12 +59,6 @@ def canonical_key(value: Any) -> Any:
     if value is None or isinstance(value, (str, int, float, bool, bytes)):
         return value
     raise KeyError_(f"cannot derive a canonical key from {type(value).__name__}")
-
-
-def digest(material: Any) -> str:
-    """Stable hex digest of ``material``, which must already be canonical
-    (``canonical_key(material) == material``, with the same ``repr``)."""
-    return hashlib.sha256(repr(material).encode("utf-8")).hexdigest()[:24]
 
 
 def content_hash(value: Any) -> str:

@@ -144,7 +144,7 @@ class Session:
         if store is not None and cache_dir is not None:
             raise ValueError("pass either a store or a cache_dir, not both")
         if store is not None:
-            # Prune keeps a key only in the database of the version it names.
+            # Keys name the session's version and rows the store's.
             if version is not None and version != store.version:
                 raise ValueError(f"version {version!r} differs from the "
                                  f"store's version {store.version!r}")
@@ -153,8 +153,8 @@ class Session:
             from .. import __version__
             version = __version__
         self._version = version
-        # Session-created stores are version-aware so their disk entries land
-        # in the per-version directory `repro cache prune` can GC.
+        # Session-created stores are version-aware: their rows carry the
+        # version, so `repro cache prune` can delete other versions' rows.
         self._store = store if store is not None \
             else ArtifactStore(cache_dir, version=version)
         self.stats = SessionStats()
@@ -172,10 +172,10 @@ class Session:
         return self._version
 
     def close(self) -> None:
-        """Release the store's activity lock.
+        """Close the store's database connection.
 
-        The session stays usable afterwards — the lock is re-acquired on
-        demand — so ``close()`` marks a quiet point, not the end of life.
+        The session stays usable afterwards — the connection is reopened
+        on demand — so ``close()`` marks a quiet point, not the end of life.
         """
         self.store.close()
 

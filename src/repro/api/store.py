@@ -2,24 +2,26 @@
 
 Keys are opaque strings produced by the :class:`~repro.api.session.Session`
 from stage name, spec material and package version, so a bump of
-``repro.__version__`` naturally invalidates every persisted artifact.  Every
-store is built for one version and keeps its disk entries in that version's
-database, ``<cache_dir>/v-<version>/store.sqlite3``, which is what lets
-:meth:`ArtifactStore.prune` evict the entries of every other version.  Values
+``repro.__version__`` naturally invalidates every persisted artifact.  Values
 are arbitrary picklable stage artifacts (programs, profiles, traces, MGTs,
 timing statistics).
 
-The database is one stdlib :mod:`sqlite3` file in WAL mode with one table,
-``entries (key TEXT PRIMARY KEY, value BLOB) WITHOUT ROWID``: a put is one
-autocommitted ``INSERT OR IGNORE`` of the value's pickle and a disk get is
-one ``SELECT``.  Only a store with a disk layer imports ``sqlite3``.  Any
-number of processes and threads may share a database: readers never block,
-writers wait up to :data:`BUSY_TIMEOUT_S` for each other, and a write cut
-short (a killed process) is rolled back, so an entry is read whole or not at
-all.  A connection belongs to the process that opened it: a forked child
-opens its own and never uses or closes the one it inherited, and every
-SQLite call holds a lock that ``fork`` also takes, so no child is forked
-while another thread is inside SQLite.
+A cache directory's disk entries are the rows of one stdlib :mod:`sqlite3`
+database in WAL mode, ``<cache_dir>/store.sqlite3``, with one table,
+``entries (version TEXT, key TEXT, value BLOB, PRIMARY KEY (version, key))
+WITHOUT ROWID``.  A store is built for one version and names it with every
+key it reads or writes, so it never serves another version's row.  A put is
+one autocommitted ``INSERT OR IGNORE`` of the value's pickle, a disk get one
+``SELECT``, and clear and prune are ``DELETE`` statements.  Only a store with
+a disk layer imports ``sqlite3``.
+
+SQLite's own locking is the only protocol between the processes and threads
+sharing the database: readers never block, writers wait up to
+:data:`BUSY_TIMEOUT_S` for each other, a write cut short (a killed process)
+is rolled back, and no file a live store has open is ever removed, so a row
+is read whole or not at all.  A connection belongs to the process that
+opened it: a forked child opens its own and never uses or closes the one it
+inherited, and every SQLite call holds a lock that ``fork`` also takes.
 
 Every value is a pickle.  A :class:`~repro.sim.trace.Trace` — bare (the
 ``trace`` stage) or embedded (the profile stage's trace+profile pair) —
@@ -34,33 +36,24 @@ so the row already holds the value.
 The cache is an optimization and must never take the pipeline down: a value
 that cannot be pickled, or a database that is locked past the timeout,
 unwritable or damaged, leaves the value in the memory layer only, and no
-exception escapes.  Earlier builds kept one ``*.pkl`` file per entry; those
-files are never read, count as stale, and :meth:`ArtifactStore.prune`
-removes them.
+exception escapes.  Files of earlier layouts (``v-<version>/`` directories
+and ``*.pkl`` entry files) are never opened.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
+import shutil
 import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None  # type: ignore[assignment]
-
 #: Sentinel distinguishing "not cached" from a cached ``None``.
 MISS = object()
-
-#: A version directory's database; SQLite keeps its WAL side files next to it.
-_DATABASE_NAME = "store.sqlite3"
-_DATABASE_FILES = (_DATABASE_NAME, f"{_DATABASE_NAME}-wal",
-                   f"{_DATABASE_NAME}-shm")
 
 #: Seconds a statement waits for another connection's write before the
 #: store gives up on that one disk access.
@@ -72,13 +65,16 @@ BUSY_TIMEOUT_S = 5.0
 _SETUP = ("PRAGMA journal_mode=WAL",
           "PRAGMA synchronous=NORMAL",
           "PRAGMA cache_size=-64",
-          "CREATE TABLE IF NOT EXISTS entries "
-          "(key TEXT PRIMARY KEY, value BLOB) WITHOUT ROWID")
-_SELECT = "SELECT value FROM entries WHERE key = ?"
-_CONTAINS = "SELECT 1 FROM entries WHERE key = ?"
-_INSERT = "INSERT OR IGNORE INTO entries (key, value) VALUES (?, ?)"
-_DELETE = "DELETE FROM entries WHERE key = ?"
-_COUNT = "SELECT COUNT(*) FROM entries"
+          "CREATE TABLE IF NOT EXISTS entries (version TEXT, key TEXT, "
+          "value BLOB, PRIMARY KEY (version, key)) WITHOUT ROWID")
+_SELECT = "SELECT value FROM entries WHERE version = ? AND key = ?"
+_CONTAINS = "SELECT 1 FROM entries WHERE version = ? AND key = ?"
+_INSERT = ("INSERT OR IGNORE INTO entries (version, key, value) "
+           "VALUES (?, ?, ?)")
+_DELETE = "DELETE FROM entries WHERE version = ? AND key = ?"
+#: Every row, the other versions' rows and their value bytes.
+_TALLY = ("SELECT COUNT(*), TOTAL(version != ?), "
+          "TOTAL(CASE WHEN version != ? THEN LENGTH(value) END) FROM entries")
 
 #: Held around every SQLite call and across ``fork``: a child forked while
 #: another thread was inside SQLite would inherit SQLite's mutexes locked.
@@ -159,16 +155,9 @@ class StoreInfo:
             f"disk entries    : {self.disk_entries}",
             f"disk bytes      : {self.disk_bytes}",
             f"stale entries   : {self.stale_entries} "
-            f"({self.stale_bytes} bytes from other versions and *.pkl "
-            f"files of earlier builds; "
-            f"`repro cache prune` evicts them)"])
-
-
-def _version_dirname(version: str) -> str:
-    """Filesystem-safe directory name for one ``repro.__version__``."""
-    safe = "".join(ch if ch.isalnum() or ch in "._-" else "_"
-                   for ch in version)
-    return f"v-{safe}"
+            f"({self.stale_bytes} bytes: other versions' rows, which "
+            f"`repro cache prune` evicts, and files of earlier builds, "
+            f"which `repro cache clear` removes)"])
 
 
 def _open(database: Path) -> Any:
@@ -196,65 +185,26 @@ def _open(database: Path) -> Any:
             raise
 
 
-def _entry_count(path: Path) -> int:
-    """Entries in one database (0 when it cannot be read), or 1 for one
-    legacy ``*.pkl`` entry file."""
-    if path.name != _DATABASE_NAME:
-        return 1
-    sqlite3 = _sqlite()
-    with _SQLITE_LOCK:
-        try:
-            connection = sqlite3.connect(str(path), timeout=BUSY_TIMEOUT_S)
-        except sqlite3.Error:
-            return 0
-        try:
-            return connection.execute(_COUNT).fetchone()[0]
-        except sqlite3.Error:
-            return 0
-        finally:
-            connection.close()
-
-
-def _entry_files(path: Path) -> List[Path]:
-    """The files a database (with its WAL side files) or a legacy entry
-    occupies."""
-    if path.name != _DATABASE_NAME:
-        return [path]
-    files = [path.with_name(name) for name in _DATABASE_FILES]
-    return [file for file in files if file.exists()]
-
-
 def _size(files: List[Path]) -> int:
     total = 0
     for file in files:
-        try:
+        with contextlib.suppress(OSError):       # removed meanwhile
             total += file.stat().st_size
-        except OSError:
-            pass
     return total
 
 
 class ArtifactStore:
     """Two-level (memory + optional disk) cache for pipeline artifacts.
-
-    Disk entries live in a per-version database
-    (``<cache_dir>/v-<version>/store.sqlite3``); other versions' entries are
-    never read (keys embed the version anyway) but keep accumulating across
-    upgrades, so :meth:`prune` can evict every stale-version entry while
-    leaving the live set intact.
-    """
+    Its disk rows are keyed by its version: other versions' rows are never
+    read but accumulate across upgrades until :meth:`prune` deletes them."""
 
     def __init__(self, cache_dir: Optional[os.PathLike] = None, *,
                  version: str) -> None:
         self._memory: Dict[str, Any] = {}
         self._cache_dir: Optional[Path] = Path(cache_dir) if cache_dir is not None else None
         self._version = version
-        self._entry_dir: Optional[Path] = (
-            self._cache_dir / _version_dirname(version)
-            if self._cache_dir is not None else None)
-        self._database: Optional[Path] = (
-            self._entry_dir / _DATABASE_NAME
-            if self._entry_dir is not None else None)
+        self._database: Optional[Path] = None if self._cache_dir is None \
+            else self._cache_dir / "store.sqlite3"
         # Imported with the store, so its first disk access does not pay
         # for the import; a memory-only store never imports it.
         self._sqlite = _sqlite() if self._database is not None else None
@@ -262,9 +212,6 @@ class ArtifactStore:
         #: finds (or, for a put, creates) the database.
         self._connection: Any = None
         self._connection_pid = 0
-        #: Shared flock on this version directory's ``.lock`` while the
-        #: store has a connection open; see :meth:`prune`.
-        self._activity_lock_fd: Optional[int] = None
         self.stats = CacheStats()
 
     @property
@@ -282,14 +229,13 @@ class ArtifactStore:
         if key in self._memory:
             self.stats.memory_hits += 1
             return self._memory[key]
-        if self._database is not None:
-            row = self._execute(_SELECT, (key,))
-            if row is not None:
-                value = self._unpickle(key, row[0])
-                if value is not MISS:
-                    self.stats.disk_hits += 1
-                    self._memory[key] = value
-                    return value
+        row = self._execute(_SELECT, (self._version, key))
+        if row is not None:
+            value = self._unpickle(key, row[0])
+            if value is not MISS:
+                self.stats.disk_hits += 1
+                self._memory[key] = value
+                return value
         self.stats.misses += 1
         return MISS
 
@@ -307,8 +253,7 @@ class ArtifactStore:
         its value: a caller that finds a value it cannot use (a damaged
         row) discards it instead of leaving it to be found again."""
         self._memory.pop(key, None)
-        if self._database is not None:
-            self._execute(_DELETE, (key,))
+        self._execute(_DELETE, (self._version, key))
 
     def put(self, key: str, value: Any) -> None:
         """Insert ``value`` into the memory layer and, if enabled, the disk layer.
@@ -330,20 +275,20 @@ class ArtifactStore:
         except Exception:
             # Unserializable artifact: stay memory-only for this value.
             return
-        self._execute(_INSERT, (key, blob), create=True)
+        self._execute(_INSERT, (self._version, key, blob), create=True)
 
     def __contains__(self, key: str) -> bool:
-        if key in self._memory:
-            return True
-        return (self._database is not None
-                and self._execute(_CONTAINS, (key,)) is not None)
+        return key in self._memory or \
+            self._execute(_CONTAINS, (self._version, key)) is not None
 
     # -- the database --------------------------------------------------------------
 
     def _execute(self, statement: str, parameters: Tuple[Any, ...], *,
                  create: bool = False) -> Optional[Tuple[Any, ...]]:
         """The first row of one autocommitted statement, or ``None``: no
-        row, no database yet (unless ``create``), or a failed access."""
+        row, no database (yet, unless ``create``) or a failed access."""
+        if self._database is None:
+            return None
         with _SQLITE_LOCK:
             connection = self._connect(create)
             if connection is None:
@@ -364,13 +309,11 @@ class ArtifactStore:
             # Inherited across fork: the parent's, never to be used here.
             _INHERITED.append(self._connection)
             self._connection = None
-        assert self._database is not None and self._entry_dir is not None
+        assert self._database is not None and self._cache_dir is not None
         if not create and not self._database.exists():
             return None
         try:
-            self._entry_dir.mkdir(parents=True, exist_ok=True)
-            if not self._mark_active():
-                return None
+            self._cache_dir.mkdir(parents=True, exist_ok=True)
             connection = _open(self._database)
         except (OSError, self._sqlite.Error):
             # Not a database, or one this process cannot open or set up (a
@@ -380,37 +323,9 @@ class ArtifactStore:
         self._connection, self._connection_pid = connection, os.getpid()
         return connection
 
-    # -- cross-process activity locking ---------------------------------------------
-
-    def _mark_active(self) -> bool:
-        """Hold a shared flock on this version directory's ``.lock``.
-
-        Taken when the store opens its connection and held until
-        :meth:`close`: it is the signal :meth:`prune` in *another* process
-        (possibly another ``repro.__version__``) checks before deleting
-        this directory's database, so a prune sweeping "stale" versions
-        never deletes a database a live store is reading or writing.
-        False while a prune holds the directory: the store does not wait
-        (it holds ``_SQLITE_LOCK``) and skips the disk for this access.
-        """
-        if self._activity_lock_fd is not None or fcntl is None:
-            return True
-        try:
-            lock_fd = os.open(str(self._entry_dir / ".lock"),
-                              os.O_RDWR | os.O_CREAT, 0o644)
-        except OSError:
-            return True
-        try:
-            fcntl.flock(lock_fd, fcntl.LOCK_SH | fcntl.LOCK_NB)
-        except OSError as error:
-            os.close(lock_fd)
-            return not isinstance(error, BlockingIOError)
-        self._activity_lock_fd = lock_fd
-        return True
-
     def close(self) -> None:
-        """Close this process's connection and release the activity lock;
-        the store remains usable (the next disk access reopens both)."""
+        """Close this process's connection; the store remains usable (the
+        next disk access reopens it)."""
         with _SQLITE_LOCK:
             connection, self._connection = self._connection, None
             if connection is not None:
@@ -418,130 +333,81 @@ class ArtifactStore:
                     connection.close()
                 else:
                     _INHERITED.append(connection)
-            if self._activity_lock_fd is not None:
-                os.close(self._activity_lock_fd)
-                self._activity_lock_fd = None
 
-    def _try_claim_for_prune(self, directory: Path) -> Optional[int]:
-        """Exclusively lock a stale version directory, or ``None`` if a live
-        store holds its shared activity lock.  ``-1`` means no lockfile
-        discipline applies (no fcntl, or a pre-lockfile directory)."""
-        if fcntl is None:
-            return -1
-        try:
-            lock_fd = os.open(str(directory / ".lock"),
-                              os.O_RDWR | os.O_CREAT, 0o644)
-        except OSError:
-            return -1
-        try:
-            fcntl.flock(lock_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            os.close(lock_fd)
-            return None
-        return lock_fd
+    def _delete(self, where: str, parameters: Tuple[Any, ...]
+                ) -> Tuple[int, int]:
+        """Delete the rows ``where`` selects in one transaction, then give
+        their space back; returns the ``(rows, value bytes)`` deleted."""
+        if self._database is None:
+            return 0, 0
+        with _SQLITE_LOCK:
+            connection = self._connect(False)
+            if connection is None:
+                return 0, 0
+            try:
+                with connection:
+                    connection.execute("BEGIN IMMEDIATE")
+                    rows, size = connection.execute(
+                        f"SELECT COUNT(*), TOTAL(LENGTH(value)) FROM entries "
+                        f"{where}", parameters).fetchone()
+                    connection.execute(f"DELETE FROM entries {where}",
+                                       parameters)
+            except self._sqlite.Error:       # locked past the timeout, ...
+                return 0, 0
+            if rows:
+                # Best effort (busy leaves the space to later puts).  In WAL
+                # mode the pages VACUUM frees stay in the WAL until a
+                # checkpoint.
+                for statement in ("VACUUM", "PRAGMA wal_checkpoint(TRUNCATE)"):
+                    with contextlib.suppress(self._sqlite.Error):
+                        connection.execute(statement)
+            return rows, int(size)
 
     # -- maintenance ---------------------------------------------------------------
 
-    def _disk_entries(self) -> List[Path]:
-        """Every version's database and every legacy ``*.pkl`` entry file
-        (in any version directory or at the cache root), in a deterministic
-        order."""
+    def _legacy_files(self) -> List[Path]:
+        """Files of earlier layouts, never opened: everything under a
+        ``v-<version>/`` directory, and ``*.pkl`` entry files."""
         if self._cache_dir is None or not self._cache_dir.is_dir():
             return []
-        return sorted([*self._cache_dir.glob(f"v-*/{_DATABASE_NAME}"),
-                       *self._cache_dir.rglob("*.pkl")])
+        files = {*self._cache_dir.glob("v-*/**/*"), *self._cache_dir.rglob("*.pkl")}
+        return [file for file in files if file.is_file()]
 
     def clear(self, *, memory: bool = True, disk: bool = True) -> int:
-        """Drop cached artifacts; returns the number of disk entries removed."""
+        """Drop cached artifacts: with ``disk``, every version's rows and the
+        files of earlier layouts.  Returns the number of rows removed.
+        Stores open in other processes keep their connections and find the
+        table empty."""
         if memory:
             self._memory.clear()
-        removed = 0
-        if disk:
-            self.close()
-            for path in self._disk_entries():
-                removed += _entry_count(path)
-                for file in _entry_files(path):
-                    file.unlink(missing_ok=True)
-            if self._cache_dir is not None and self._cache_dir.is_dir():
-                for stray in self._cache_dir.glob("v-*/.lock"):
-                    stray.unlink(missing_ok=True)
-            self._remove_empty_version_dirs()
-        return removed
+        if not disk:
+            return 0
+        if self._cache_dir is not None and self._cache_dir.is_dir():
+            for directory in self._cache_dir.glob("v-*"):
+                shutil.rmtree(directory, ignore_errors=True)
+            for file in self._cache_dir.rglob("*.pkl"):
+                file.unlink(missing_ok=True)
+        return self._delete("", ())[0]
 
     def prune(self) -> Tuple[int, int]:
-        """Evict the databases of *other* (stale) ``__version__``\\ s and
-        every legacy ``*.pkl`` entry file.
-
-        Version-hashed keys mean those entries can never be served again by
-        this build; pruning reclaims the space without touching the live
-        set.  Returns ``(entries_removed, bytes_removed)``.
-
-        Concurrent-safe against live stores: a version directory whose
-        shared activity lock (see :meth:`_mark_active`) is held by any
-        process — e.g. a ``repro serve`` daemon of an older build still
-        writing entries — is skipped entirely rather than swept mid-write.
-        """
-        removed = 0
-        freed = 0
-        skipped: set = set()
-        claimed: Dict[Path, int] = {}
-        try:
-            for path in self._disk_entries():
-                if path == self._database:
-                    continue
-                parent = path.parent
-                if parent in skipped:
-                    continue
-                if (parent.name.startswith("v-") and parent != self._entry_dir
-                        and parent not in claimed):
-                    lock_fd = self._try_claim_for_prune(parent)
-                    if lock_fd is None:
-                        skipped.add(parent)
-                        continue
-                    claimed[parent] = lock_fd
-                removed += _entry_count(path)
-                files = _entry_files(path)
-                freed += _size(files)
-                for file in files:
-                    file.unlink(missing_ok=True)
-            for directory, lock_fd in claimed.items():
-                if lock_fd != -1:
-                    (directory / ".lock").unlink(missing_ok=True)
-        finally:
-            for lock_fd in claimed.values():
-                if lock_fd != -1:
-                    os.close(lock_fd)
-        self._remove_empty_version_dirs()
-        return removed, freed
-
-    def _remove_empty_version_dirs(self) -> None:
-        if self._cache_dir is None or not self._cache_dir.is_dir():
-            return
-        for child in self._cache_dir.iterdir():
-            if child.is_dir() and child.name.startswith("v-"):
-                try:
-                    child.rmdir()  # only succeeds when empty
-                except OSError:
-                    pass
+        """Delete the rows of every other ``__version__``, which this build
+        never reads; returns the ``(rows, value bytes)`` removed.  A running
+        store of such a version (a ``repro serve`` daemon of an older build)
+        keeps working: its deleted rows are misses, recomputed on demand.
+        Files of earlier layouts stay, since such a process may hold one."""
+        return self._delete("WHERE version != ?", (self._version,))
 
     def info(self) -> StoreInfo:
-        disk_entries = 0
-        disk_bytes = 0
-        stale_entries = 0
-        stale_bytes = 0
-        for path in self._disk_entries():
-            entries = _entry_count(path)
-            size = _size(_entry_files(path))
-            disk_entries += entries
-            disk_bytes += size
-            if path != self._database:
-                stale_entries += entries
-                stale_bytes += size
+        tally = self._execute(_TALLY, (self._version, self._version))
+        rows, stale_rows, stale_row_bytes = map(int, tally or (0, 0, 0))
+        database = [Path(f"{self._database}{suffix}")
+                    for suffix in ("", "-wal", "-shm")] if self._database else []
+        legacy_bytes = _size(self._legacy_files())
         return StoreInfo(
             cache_dir=str(self._cache_dir) if self._cache_dir is not None else None,
             memory_entries=len(self._memory),
-            disk_entries=disk_entries,
-            disk_bytes=disk_bytes,
+            disk_entries=rows,
+            disk_bytes=_size(database) + legacy_bytes,
             version=self._version,
-            stale_entries=stale_entries,
-            stale_bytes=stale_bytes)
+            stale_entries=stale_rows,
+            stale_bytes=stale_row_bytes + legacy_bytes)

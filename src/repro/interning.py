@@ -23,12 +23,14 @@ recently used one first.  Threads of one process (the daemon's connection
 handlers) share its tables; two that unpickle one value at once may both
 build it, and both get the one that went in first.
 
-This module imports nothing else from the package.
+This module imports nothing else from the package, so it also holds
+:func:`digest`, the one hash every key (a machine's too) goes through.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import operator
 import os
 import threading
@@ -47,6 +49,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(before=_LOCK.acquire,
                         after_in_parent=_LOCK.release,
                         after_in_child=_LOCK.release)
+
+
+def digest(material: Any) -> str:
+    """Stable hex digest of ``material``, which must already be canonical
+    (``canonical_key(material) == material``, with the same ``repr``)."""
+    return hashlib.sha256(repr(material).encode("utf-8")).hexdigest()[:24]
 
 
 class _Unmatched(Exception):

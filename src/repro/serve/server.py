@@ -30,6 +30,7 @@ then the daemon exits.
 from __future__ import annotations
 
 import base64
+import contextlib
 import os
 import pickle
 import socket
@@ -115,13 +116,18 @@ class ServeServer:
         if not hasattr(socket, "AF_UNIX"):  # pragma: no cover - non-POSIX
             raise OSError("repro serve needs Unix domain sockets")
         self.started_at = time.monotonic()
-        self.pool = make_pool(self.queue, self.backend, self.workers,
-                              self.cache_dir, self.version)
+        # Bind first: a busy socket fails the start before any worker forks.
+        self._bind()
+        try:
+            self.pool = make_pool(self.queue, self.backend, self.workers,
+                                  self.cache_dir, self.version)
+        except BaseException:
+            self._teardown()
+            raise
         # A thread worker's session lives in this process; probing its
         # store sees memory entries even without a disk layer.
         self._probe_store = self.pool.session.store if self.pool.session \
             else ArtifactStore(self.cache_dir, version=self.version)
-        self._bind()
         self._spawn(self._accept_loop, "repro-serve-accept")
 
     def _bind(self) -> None:
@@ -188,10 +194,11 @@ class ServeServer:
             if self._stop_event.is_set():
                 return
             if self._listener is not None:   # the socket file is ours
-                try:
+                # Closing alone does not wake a thread blocked in accept().
+                with contextlib.suppress(OSError):
+                    self._listener.shutdown(socket.SHUT_RDWR)
+                with contextlib.suppress(OSError):
                     self._listener.close()
-                except OSError:
-                    pass
                 self.socket_path.unlink(missing_ok=True)
             with self._streams_lock:
                 streams = list(self._streams)

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 from dataclasses import dataclass, replace
 from typing import Any, Optional, Tuple
 
-from ..interning import InternTable, field_values, match_key
+from ..interning import InternTable, digest, field_values, match_key
 
 #: Most machines one process keeps interned; the least recently used goes
 #: first.
@@ -265,8 +264,7 @@ class MachineConfig:
     @functools.cached_property
     def machine_hash(self) -> str:
         """Stable hex digest of :attr:`machine_key` (process-independent)."""
-        digest = hashlib.sha256(repr(self.machine_key).encode("utf-8"))
-        return digest.hexdigest()[:24]
+        return digest(self.machine_key)
 
     # -- named variants -----------------------------------------------------------
 

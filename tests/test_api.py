@@ -21,11 +21,6 @@ from pathlib import Path
 
 import pytest
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None
-
 from repro import __version__
 from repro.api import (
     ArtifactStore,
@@ -451,23 +446,32 @@ class TestSpecPickling:
 
 
 def _database(cache_dir, version):
-    return Path(cache_dir) / f"v-{version}" / "store.sqlite3"
+    """The database holding ``version``'s rows: the cache directory's one."""
+    return Path(cache_dir) / "store.sqlite3"
 
 
 def _row(cache_dir, version, key):
     """The bytes stored for ``key``, or ``None`` when it has no row."""
     with closing(sqlite3.connect(_database(cache_dir, version))) as connection:
-        row = connection.execute("SELECT value FROM entries WHERE key = ?",
-                                 (key,)).fetchone()
+        row = connection.execute(
+            "SELECT value FROM entries WHERE version = ? AND key = ?",
+            (version, key)).fetchone()
     return None if row is None else row[0]
+
+
+def _keys(cache_dir, version):
+    """The keys ``version`` has rows for."""
+    with closing(sqlite3.connect(_database(cache_dir, version))) as connection:
+        return [key for (key,) in connection.execute(
+            "SELECT key FROM entries WHERE version = ?", (version,))]
 
 
 def _set_row(cache_dir, version, key, value):
     """Store ``value`` (bytes) for ``key`` as another writer would."""
     with closing(sqlite3.connect(_database(cache_dir, version),
                                  isolation_level=None)) as connection:
-        connection.execute("INSERT OR REPLACE INTO entries VALUES (?, ?)",
-                           (key, value))
+        connection.execute("INSERT OR REPLACE INTO entries VALUES (?, ?, ?)",
+                           (version, key, value))
 
 
 def _value(index):
@@ -503,6 +507,23 @@ while True:
     if index == 50:
         open(sys.argv[2], "w").close()
     index += 1
+"""
+
+#: Keeps a store's connection open across another process's clear: puts
+#: ``before``, touches ``ready``, waits for ``go``, puts ``theirs`` and must
+#: then read the ``mine`` the clearing process put.
+_CLEAR_BESIDE = """
+import os, sys, time
+from repro.api import ArtifactStore
+cache_dir, ready, go = sys.argv[1:4]
+store = ArtifactStore(cache_dir, version="1.0")
+store.put("before", 1)
+open(ready, "w").close()
+while not os.path.exists(go):
+    time.sleep(0.001)
+store.put("theirs", 2)
+assert store.get("mine") == 3, "the clearing process's put is not read"
+store.close()
 """
 
 
@@ -594,10 +615,6 @@ class TestArtifactStore:
         assert _row(tmp_path, self.VERSION, "key") == before
         assert second.stats.puts == 1
         assert self._store(tmp_path).get("key") == {"value": 1}
-        # The put still marks the version directory live for pruners.
-        other = ArtifactStore(tmp_path, version="other")
-        other.put("mine", 2)
-        assert other.prune() == (0, 0)
         second.close()
 
     def test_put_rewrites_an_entry_get_deleted(self, tmp_path):
@@ -789,7 +806,6 @@ class TestStoreDatabase:
 
     def test_garbage_database_degrades_to_memory(self, tmp_path):
         database = _database(tmp_path, self.VERSION)
-        database.parent.mkdir()
         garbage = b"not a database" * 512
         database.write_bytes(garbage)
         store = self._store(tmp_path)
@@ -817,21 +833,6 @@ class TestStoreDatabase:
         store.put("later", 3)                    # the store still writes
         assert self._store(tmp_path).get("later") == 3
 
-    @pytest.mark.skipif(fcntl is None, reason="needs fcntl")
-    def test_a_directory_being_pruned_is_skipped_not_waited_for(self,
-                                                               tmp_path):
-        lock = tmp_path / f"v-{self.VERSION}" / ".lock"
-        lock.parent.mkdir()
-        with open(lock, "w") as pruner:
-            fcntl.flock(pruner, fcntl.LOCK_EX)
-            store = self._store(tmp_path)
-            store.put("key", 1)
-            assert store.get("key") == 1
-            assert not _database(tmp_path, self.VERSION).exists()
-        store.put("later", 2)
-        assert self._store(tmp_path).get("later") == 2
-        store.close()
-
     def test_unwritable_cache_dir_degrades_to_memory(self, tmp_path):
         not_a_directory = tmp_path / "file"
         not_a_directory.write_text("")
@@ -842,23 +843,122 @@ class TestStoreDatabase:
         assert store.prune() == (0, 0)
 
     def test_legacy_pickle_files_are_stale(self, tmp_path):
+        # Files of earlier layouts: a version directory's database and
+        # entry files, and a stray entry file at the root.
         live = self._store(tmp_path)
         live.put("live", 1)
-        legacy = tmp_path / f"v-{self.VERSION}" / "key.pkl"
-        legacy.write_bytes(pickle.dumps({"value": 1}))
+        old_dir = tmp_path / f"v-{self.VERSION}"
+        old_dir.mkdir()
+        (old_dir / "store.sqlite3").write_bytes(b"not a database" * 64)
+        (old_dir / "key.pkl").write_bytes(pickle.dumps({"value": 1}))
         stray = tmp_path / "stray.pkl"
         stray.write_bytes(pickle.dumps(2))
+        legacy_bytes = sum(path.stat().st_size for path in (
+            old_dir / "store.sqlite3", old_dir / "key.pkl", stray))
         reader = self._store(tmp_path)
         assert reader.get("key") is MISS and "key" not in reader
-        legacy_bytes = legacy.stat().st_size + stray.stat().st_size
         info = reader.info()
-        assert (info.disk_entries, info.stale_entries) == (3, 2)
+        assert (info.disk_entries, info.stale_entries) == (1, 0)
         assert info.stale_bytes == legacy_bytes
-        assert reader.prune() == (2, legacy_bytes)
-        assert not legacy.exists() and not stray.exists()
+        # A live process of an earlier build may hold one: prune leaves them.
+        assert reader.prune() == (0, 0)
+        assert old_dir.is_dir() and stray.exists()
         assert reader.get("live") == 1
-        assert reader.info().stale_entries == 0
+        assert reader.clear() == 1
+        assert list(tmp_path.glob("v-*")) == [] and not stray.exists()
+        assert reader.info().stale_bytes == 0
         live.close()
+
+    def test_a_clear_in_another_process_reaches_a_live_store(self, tmp_path):
+        # The other process's store keeps its connection across the clear:
+        # each then reads the rows the other puts.
+        ready, go = tmp_path / "ready", tmp_path / "go"
+        child = _python(_CLEAR_BESIDE, tmp_path, ready, go)
+        try:
+            _wait_for(ready, child)
+            assert self._store(tmp_path).clear() == 1
+            writer = self._store(tmp_path)
+            writer.put("mine", 3)
+            go.touch()
+            _, errors = child.communicate(timeout=60)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.communicate()
+        assert child.returncode == 0, errors
+        reader = self._store(tmp_path)
+        assert reader.get("before") is MISS
+        assert reader.get("theirs") == 2
+        writer.close()
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="POSIX only")
+    def test_clears_and_prunes_beside_a_writer_leave_whole_entries(
+            self, tmp_path):
+        # A writer in another process puts through every clear, and through
+        # every prune by a store of another version; what it puts after the
+        # last one is read, and every row read holds its own value.
+        started = tmp_path / "started"
+        writer = _python(_ENDLESS_WRITER, tmp_path, started,
+                         Path(__file__).resolve().parent)
+        other = ArtifactStore(tmp_path, version="0.9")
+        try:
+            _wait_for(started, writer)
+            for round in range(10):
+                other.put(f"stale-{round}", round)
+                if round % 2:
+                    self._store(tmp_path).clear()
+                else:
+                    other.prune()
+                time.sleep(0.01)
+            deadline = time.monotonic() + 30
+            while not _keys(tmp_path, self.VERSION):
+                assert time.monotonic() < deadline, "no put after the clear"
+                time.sleep(0.01)
+        finally:
+            writer.send_signal(signal.SIGKILL)
+            writer.communicate(timeout=60)
+        reader = self._store(tmp_path)
+        for key in _keys(tmp_path, self.VERSION):
+            assert reader.get(key) == _value(int(key[len("key-"):])), key
+        other.close()
+
+    @pytest.mark.parametrize("action", ["clear", "prune"])
+    def test_clear_and_prune_give_the_space_back(self, tmp_path, action):
+        stale = ArtifactStore(tmp_path, version="0.9")
+        value = bytes(2048)
+        for index in range(2000):
+            stale.put(f"key-{index}", value)
+        live = self._store(tmp_path)
+        live.put("mine", 1)
+        files = [Path(f"{_database(tmp_path, self.VERSION)}{suffix}")
+                 for suffix in ("", "-wal", "-shm")]
+
+        def size():
+            return sum(file.stat().st_size for file in files if file.exists())
+
+        assert size() > 2000 * len(value)
+        if action == "clear":
+            assert live.clear() == 2001
+        else:
+            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+            assert live.prune() == (2000, 2000 * len(blob))
+        assert size() < 100_000          # with ``stale`` still open
+        assert ArtifactStore(tmp_path, version="0.9").get("key-0") is MISS
+        stale.close()
+        live.close()
+
+    def test_two_versions_keep_a_row_each_for_one_key(self, tmp_path):
+        old = ArtifactStore(tmp_path, version="0.9")
+        new = self._store(tmp_path)
+        old.put("key", "old")
+        new.put("key", "new")
+        assert pickle.loads(_row(tmp_path, "0.9", "key")) == "old"
+        assert pickle.loads(_row(tmp_path, self.VERSION, "key")) == "new"
+        assert ArtifactStore(tmp_path, version="0.9").get("key") == "old"
+        assert self._store(tmp_path).get("key") == "new"
+        assert new.info().disk_entries == 2
+        old.close()
+        new.close()
 
     def test_memory_only_session_never_imports_sqlite3(self):
         script = textwrap.dedent("""

@@ -348,7 +348,7 @@ class TestCli:
         from repro.api.store import ArtifactStore
         stale = ArtifactStore(tmp_path, version="0.0.0-old")
         stale.put("gridcell-dead", {"ipc": 1.0})
-        stale.close()   # the old-version process exited; its lock is gone
+        stale.close()   # the old-version process exited
         live = ArtifactStore(tmp_path, version=_current_version())
         live.put("gridcell-live", {"ipc": 2.0})
         assert main(["--cache-dir", str(tmp_path), "--json",

@@ -5,12 +5,16 @@ import dataclasses
 import gc
 import io
 import json
+import multiprocessing
 import os
 import pickle
 import signal
 import socket as socket_module
+import subprocess
 import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -442,6 +446,16 @@ class TestServeEndToEnd:
         assert all(row["resumed"] for row in again)
         assert _strip_resumed(again) == _strip_resumed(serial)
 
+    def test_the_store_keeps_one_database_in_the_cache_dir(self, daemon):
+        with _client(daemon) as client:
+            client.run_to_completion(client.submit_grid(_mini_grid()))
+        with Session(cache_dir=daemon.cache_dir) as session:
+            list(session.run_grid(_mini_grid(budget=BUDGET + 100), workers=0))
+        names = {path.name for path in Path(daemon.cache_dir).iterdir()}
+        assert "store.sqlite3" in names
+        assert names <= {"store.sqlite3", "store.sqlite3-wal",
+                         "store.sqlite3-shm"}
+
     def test_warm_jobs_do_not_accumulate_run_specs(self, daemon):
         """Regression: the daemon used to keep every job's unpickled cells
         (two specs per job here) for the life of the process."""
@@ -561,6 +575,35 @@ class TestServeEndToEnd:
         finally:
             signal.signal(signal.SIGTERM, handled)
             server.stop(drain=False)
+
+
+class TestStartAndStop:
+    def test_a_start_on_a_busy_socket_forks_nothing(self, daemon):
+        def workers():
+            return ({child.pid for child in multiprocessing.active_children()},
+                    {thread for thread in threading.enumerate()
+                     if thread.name.startswith("repro-serve-worker")})
+
+        before = workers()
+        second = ServeServer(daemon.socket_path, cache_dir=daemon.cache_dir,
+                             workers=2)
+        with pytest.raises(OSError, match="already listening"):
+            second.start()
+        assert workers() == before
+        with _client(daemon) as client:     # the live daemon still serves
+            assert client.status()["pid"] == os.getpid()
+
+    def test_stopping_a_daemon_ends_its_accept_thread(self, tmp_path):
+        for number in range(3):
+            server = ServeServer(tmp_path / f"{number}.sock", cache_dir=None,
+                                 workers=1)
+            server.start()
+            server.stop()
+        for thread in threading.enumerate():
+            if thread.name == "repro-serve-accept":
+                thread.join(timeout=5.0)
+        assert [thread for thread in threading.enumerate()
+                if thread.name == "repro-serve-accept"] == []
 
 
 #: Pid of the test (= daemon) process; pool workers fork from it.
@@ -828,19 +871,27 @@ class TestForgedKeys:
 
 
 class TestStorePruneLock:
-    def test_prune_skips_version_dir_with_live_writer(self, tmp_path):
-        """Regression: prune() racing an in-flight put() must not delete a
-        fresh entry.  A store that has written holds a shared lock on its
-        version directory; prune skips locked directories entirely."""
+    def test_prune_deletes_a_live_stores_rows_and_it_keeps_working(
+            self, tmp_path):
+        """prune() beside a running store of another version (a daemon of an
+        older build) deletes that version's rows: they become misses,
+        never wrong rows, and the live store's next put is read."""
         live = ArtifactStore(tmp_path, version="0.9.0")
         live.put("fresh", {"payload": 1})
         pruner = ArtifactStore(tmp_path, version="1.0.0")
         pruner.put("mine", {"payload": 2})
-        removed, _ = pruner.prune()
-        assert removed == 0
-        reader = ArtifactStore(tmp_path, version="0.9.0")
-        assert reader.get("fresh") == {"payload": 1}
+        removed, freed = pruner.prune()
+        assert removed == 1
+        assert freed == len(pickle.dumps({"payload": 1},
+                                         protocol=pickle.HIGHEST_PROTOCOL))
+        assert ArtifactStore(tmp_path, version="0.9.0").get("fresh") is MISS
+        assert ArtifactStore(tmp_path, version="1.0.0").get("mine") == \
+            {"payload": 2}
+        live.put("later", {"payload": 3})
+        assert ArtifactStore(tmp_path, version="0.9.0").get("later") == \
+            {"payload": 3}
         live.close()
+        pruner.close()
 
     def test_prune_evicts_after_writer_closes(self, tmp_path):
         stale = ArtifactStore(tmp_path, version="0.9.0")
@@ -851,7 +902,7 @@ class TestStorePruneLock:
         removed, freed = pruner.prune()
         assert removed == 1
         assert freed > 0
-        assert not (tmp_path / "v-0.9.0").exists()
+        assert ArtifactStore(tmp_path, version="0.9.0").get("old") is MISS
         assert pruner.get("mine") == {"payload": 2}
 
     def test_close_is_reentrant_and_reacquired_on_next_put(self, tmp_path):
@@ -859,11 +910,8 @@ class TestStorePruneLock:
         store.put("a", 1)
         store.close()
         store.close()                      # idempotent
-        store.put("b", 2)                  # re-acquires the activity lock
-        other = ArtifactStore(tmp_path, version="2.0.0")
-        other.put("c", 3)
-        removed, _ = other.prune()
-        assert removed == 0                # v-1.0.0 is live again
+        store.put("b", 2)                  # reopens the connection
+        assert ArtifactStore(tmp_path, version="1.0.0").get("b") == 2
         store.close()
 
 
@@ -931,6 +979,22 @@ class TestServeCli:
         with pytest.raises(ValueError, match="at least one worker"):
             ServeServer(socket_path, cache_dir=tmp_path / "cache", workers=0)
         assert not socket_path.exists()
+
+    @pytest.mark.parametrize("detach", [False, True])
+    def test_a_start_on_a_busy_socket_is_a_one_line_error(self, daemon,
+                                                          detach):
+        argv = [sys.executable, "-m", "repro", "serve", "start", "--socket",
+                str(daemon.socket_path), "--workers", "1"]
+        result = subprocess.run(argv + ["--detach"] * detach,
+                                capture_output=True, text=True, timeout=120,
+                                env=dict(os.environ))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.splitlines() == [
+            f"repro: error: a daemon is already listening on "
+            f"{daemon.socket_path}"]
+        assert "started" not in result.stdout
+        with _client(daemon) as client:     # the live daemon still serves
+            assert client.status()["pid"] == os.getpid()
 
     def test_cli_serve_status_without_daemon(self, tmp_path, capsys):
         from repro.api.cli import main

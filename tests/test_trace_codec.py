@@ -229,14 +229,15 @@ def _store(cache_dir):
 
 def _database(cache_dir):
     """Where a store of ``_STORE_VERSION`` keeps its disk entries."""
-    return cache_dir / f"v-{_STORE_VERSION}" / "store.sqlite3"
+    return cache_dir / "store.sqlite3"
 
 
 def _row(cache_dir, key):
     """The bytes stored for ``key``, or ``None`` when it has no row."""
     with closing(sqlite3.connect(_database(cache_dir))) as connection:
-        row = connection.execute("SELECT value FROM entries WHERE key = ?",
-                                 (key,)).fetchone()
+        row = connection.execute(
+            "SELECT value FROM entries WHERE version = ? AND key = ?",
+            (_STORE_VERSION, key)).fetchone()
     return None if row is None else row[0]
 
 
@@ -244,8 +245,8 @@ def _set_row(cache_dir, key, value):
     """Store ``value`` (bytes) for ``key`` as another writer would."""
     with closing(sqlite3.connect(_database(cache_dir),
                                  isolation_level=None)) as connection:
-        connection.execute("INSERT OR REPLACE INTO entries VALUES (?, ?)",
-                           (key, value))
+        connection.execute("INSERT OR REPLACE INTO entries VALUES (?, ?, ?)",
+                           (_STORE_VERSION, key, value))
 
 
 class TestStoreCrossCodec:
