@@ -1,15 +1,10 @@
 """Regenerates Figure 6: mini-graph performance relative to the baseline (E5)."""
 
-import pytest
-
 from conftest import grid_report, write_result
 
 
-@pytest.mark.benchmark(group="figure6")
-def test_fig6_performance(benchmark, session, benchmarks):
-    text, (table,) = benchmark.pedantic(
-        lambda: grid_report(session, "fig6", benchmarks),
-        rounds=1, iterations=1)
+def test_fig6_performance(session, benchmarks):
+    text, (table,) = grid_report(session, "fig6", benchmarks)
     write_result("fig6_performance", text)
 
     media_gain = table.suite_means("int-mem").get("media", 1.0)

@@ -1,16 +1,11 @@
 """Regenerates Figure 8 (bottom): bandwidth reduction and scheduler pipelining (E8)."""
 
-import pytest
-
 from conftest import full_sweep, grid_report, write_result
 
 
-@pytest.mark.benchmark(group="figure8")
-def test_fig8_bandwidth_and_scheduler(benchmark, session, benchmarks):
+def test_fig8_bandwidth_and_scheduler(session, benchmarks):
     names = benchmarks if full_sweep() else benchmarks[:8]
-    _, (_, table) = benchmark.pedantic(
-        lambda: grid_report(session, "fig8", names),
-        rounds=1, iterations=1)
+    _, (_, table) = grid_report(session, "fig8", names)
     write_result("fig8_bandwidth", table.render())
 
     for name in names:

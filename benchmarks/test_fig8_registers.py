@@ -1,16 +1,11 @@
 """Regenerates Figure 8 (top): register-file reduction compensation (E7)."""
 
-import pytest
-
 from conftest import full_sweep, grid_report, write_result
 
 
-@pytest.mark.benchmark(group="figure8")
-def test_fig8_register_file(benchmark, session, benchmarks):
+def test_fig8_register_file(session, benchmarks):
     names = benchmarks if full_sweep() else benchmarks[:8]
-    _, (table, _) = benchmark.pedantic(
-        lambda: grid_report(session, "fig8", names),
-        rounds=1, iterations=1)
+    _, (table, _) = grid_report(session, "fig8", names)
     write_result("fig8_registers", table.render())
 
     for name in names:

@@ -146,7 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="serve cells whose terminal row artifact is "
                            "already in the store without re-executing them")
     grid.add_argument("--workers", type=_at_least(0), default=None,
-                      help="process-pool width (0/1 = serial)")
+                      help="worker processes to run the stages on "
+                           "(0/1 = serial)")
     grid.add_argument("--output", default=None, metavar="PATH",
                       help="stream result rows to PATH as JSONL as they "
                            "complete")
@@ -503,7 +504,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from ..fuzz import ORACLE_NAMES, run_fuzz
+    from ..fuzz.harness import run_fuzz
+    from ..fuzz.oracles import ORACLE_NAMES
 
     if args.seeds <= 0:
         print("repro: error: --seeds must be positive", file=sys.stderr)
@@ -553,7 +555,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                    "disk_entries": info.disk_entries,
                    "disk_bytes": info.disk_bytes,
                    "stale_entries": info.stale_entries,
-                   "stale_bytes": info.stale_bytes}
+                   "stale_bytes": info.stale_bytes,
+                   "unreadable": info.unreadable}
         _emit(args, None, info.render(), payload)
         return 0
     if args.action == "prune":

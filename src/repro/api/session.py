@@ -359,9 +359,10 @@ class Session:
 
         Thin front door to :func:`repro.grid.engine.run_grid`: supports
         ``shard=(index, count)`` stage-partitioning, ``resume=True`` (serve
-        cells whose terminal row artifact is already stored) and process-pool
-        fan-out of the plan's stages (``workers``; 0/1 runs serially here),
-        with the workers' accounting merged back into this session.  Returns
+        cells whose terminal row artifact is already stored) and fan-out of
+        the plan's stages to forked pool workers (``workers``; 0/1 runs
+        serially here), with the workers' accounting merged back into this
+        session.  Returns
         a lazy iterator of :class:`~repro.grid.engine.GridRow`.
         """
         from ..grid.engine import run_grid

@@ -36,8 +36,10 @@ so the row already holds the value.
 The cache is an optimization and must never take the pipeline down: a value
 that cannot be pickled, or a database that is locked past the timeout,
 unwritable or damaged, leaves the value in the memory layer only, and no
-exception escapes.  Files of earlier layouts (``v-<version>/`` directories
-and ``*.pkl`` entry files) are never opened.
+exception escapes.  A file SQLite cannot read as a database (not one, or
+damaged) is named once per process on stderr, and ``repro cache info``
+says so.  Files of earlier layouts (``v-<version>/`` directories and
+``*.pkl`` entry files) are never opened.
 """
 
 from __future__ import annotations
@@ -46,11 +48,12 @@ import contextlib
 import os
 import pickle
 import shutil
+import sys
 import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 #: Sentinel distinguishing "not cached" from a cached ``None``.
 MISS = object()
@@ -87,6 +90,9 @@ if hasattr(os, "register_at_fork"):
 #: Connections a forked child inherited, kept referenced so the child never
 #: closes them (SQLite connections must not cross ``fork``).
 _INHERITED: List[Any] = []
+
+#: The unreadable databases this process has named on stderr.
+_REPORTED: Set[Path] = set()
 
 
 def _sqlite():
@@ -146,10 +152,16 @@ class StoreInfo:
     version: str
     stale_entries: int = 0
     stale_bytes: int = 0
+    #: Why SQLite cannot read the database, when it cannot.
+    unreadable: Optional[str] = None
 
     def render(self) -> str:
+        database = [] if self.unreadable is None else [
+            f"database        : unreadable ({self.unreadable}); the cache "
+            f"runs in memory only"]
         return "\n".join([
             f"cache directory : {self.cache_dir or '(memory only)'}",
+            *database,
             f"store version   : {self.version}",
             f"memory entries  : {self.memory_entries}",
             f"disk entries    : {self.disk_entries}",
@@ -212,6 +224,8 @@ class ArtifactStore:
         #: finds (or, for a put, creates) the database.
         self._connection: Any = None
         self._connection_pid = 0
+        #: Why the last open failed, when SQLite could not read the file.
+        self._unreadable: Optional[str] = None
         self.stats = CacheStats()
 
     @property
@@ -315,12 +329,21 @@ class ArtifactStore:
         try:
             self._cache_dir.mkdir(parents=True, exist_ok=True)
             connection = _open(self._database)
-        except (OSError, self._sqlite.Error):
+        except (OSError, self._sqlite.Error) as error:
             # Not a database, or one this process cannot open or set up (a
             # read-only directory, a lock held past the timeout): the next
-            # access tries again.
+            # access tries again.  SQLite raises exactly DatabaseError for
+            # a file that is not a database or is damaged.
+            if type(error) is self._sqlite.DatabaseError:
+                self._unreadable = str(error)
+                if self._database not in _REPORTED:
+                    _REPORTED.add(self._database)
+                    print(f"repro: warning: cannot read the cache database "
+                          f"{self._database} ({error}); the cache runs in "
+                          f"memory only", file=sys.stderr)
             return None
         self._connection, self._connection_pid = connection, os.getpid()
+        self._unreadable = None
         return connection
 
     def close(self) -> None:
@@ -410,4 +433,5 @@ class ArtifactStore:
             disk_bytes=_size(database) + legacy_bytes,
             version=self._version,
             stale_entries=stale_rows,
-            stale_bytes=stale_row_bytes + legacy_bytes)
+            stale_bytes=stale_row_bytes + legacy_bytes,
+            unreadable=self._unreadable)

@@ -13,44 +13,3 @@ Three layers:
   (seed fan-out, dial-reduction shrinking, corpus repro files), with
   :mod:`repro.fuzz.corpus` handling the committed ``tests/corpus/`` replays.
 """
-
-from .generator import (
-    DYNAMIC_CAP,
-    GENERATOR_VERSION,
-    SYNTH_BUDGET,
-    SYNTH_PREFIX,
-    SplitMix64,
-    SynthSpec,
-    SynthSpecError,
-    generate_program,
-    generate_source,
-    synth,
-)
-from .oracles import ORACLE_NAMES, FuzzContext, OracleResult, run_oracles
-from .harness import FuzzFailure, FuzzReport, run_fuzz, shrink_failure
-from .corpus import CorpusEntry, load_corpus, replay_entry, write_repro
-
-__all__ = [
-    "DYNAMIC_CAP",
-    "GENERATOR_VERSION",
-    "SYNTH_BUDGET",
-    "SYNTH_PREFIX",
-    "SplitMix64",
-    "SynthSpec",
-    "SynthSpecError",
-    "generate_program",
-    "generate_source",
-    "synth",
-    "ORACLE_NAMES",
-    "FuzzContext",
-    "OracleResult",
-    "run_oracles",
-    "FuzzFailure",
-    "FuzzReport",
-    "run_fuzz",
-    "shrink_failure",
-    "CorpusEntry",
-    "load_corpus",
-    "replay_entry",
-    "write_repro",
-]

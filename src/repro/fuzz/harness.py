@@ -1,11 +1,11 @@
 """The fuzzing campaign driver behind ``repro fuzz``.
 
 :func:`run_fuzz` fans a block of seeds out across a process pool (serial
-fallback when pools are unavailable, mirroring the session/grid engines),
-runs every requested oracle on each generated program, then *shrinks* each
-failing seed — greedy dial reduction toward the smallest program that still
-trips the same oracle — and persists a replayable repro JSON next to the
-committed corpus (:mod:`repro.fuzz.corpus`).
+where none can be started), runs every requested oracle on each generated
+program, then *shrinks* each failing seed — greedy dial reduction toward
+the smallest program that still trips the same oracle — and persists a
+replayable repro JSON next to the committed corpus
+(:mod:`repro.fuzz.corpus`).
 
 Everything is deterministic: the campaign is a pure function of
 ``(base_seed, seeds, oracles, budget)``, so a CI failure reproduces locally
@@ -96,7 +96,12 @@ def _run_seed_job(job: _SeedJob) -> _SeedOutcome:
 
 
 def _fan_out(jobs: List[_SeedJob], workers: int) -> List[_SeedOutcome]:
-    """Pool map with serial fallback (same contract as the grid engine)."""
+    """Pool map, serial where no process pool can be started.
+
+    Unlike a grid stage on the worker pool (:mod:`repro.grid.pool` over
+    :mod:`repro.grid.queue`), which is retried once when its worker dies,
+    a seed whose worker dies ends the campaign with ``BrokenProcessPool``.
+    """
     if workers > 1 and len(jobs) > 1:
         try:
             with ProcessPoolExecutor(

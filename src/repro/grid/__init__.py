@@ -12,10 +12,13 @@ first-class subsystem:
 * :mod:`repro.grid.planner` — :func:`plan_grid` groups cells into stages,
   one per functional profile they share (program, input, budget), and
   shards by stage.
-* :mod:`repro.grid.engine` — :func:`run_grid` executes a plan across the
-  process pool, streaming one :class:`GridRow` per cell; terminal row
+* :mod:`repro.grid.engine` — :func:`run_grid` executes a plan, serially or
+  on the worker pool, streaming one :class:`GridRow` per cell; terminal row
   artifacts are content-addressed, which makes runs resumable (``--resume``)
   and shard unions exact.
+* :mod:`repro.grid.pool` / :mod:`repro.grid.queue` — the worker pool and
+  its job queue behind ``run_grid(workers=N)`` and ``repro serve``; a
+  stage whose worker dies is retried once.
 * :mod:`repro.grid.catalog` — named grids (``fig6``, ``fig7``, ``fig8``,
   ``icache``, ``mini``) behind ``repro grid --name``, ``repro figure`` and
   ``repro submit --grid``.

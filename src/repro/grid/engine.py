@@ -15,14 +15,15 @@ is ``True``) and never shipped to the pool, so re-running an interrupted —
 or sharded — campaign only executes the missing cells, and the union of
 shard runs plus one resumed pass equals the unsharded result exactly.
 
-Stages fan out across a process pool (one worker session per stage, sharing
-the disk cache), falling back to serial execution in the driving session
-when process pools are unavailable; the workers' accounting is merged back
-into that session.
+With ``workers > 1`` the stages to run go, as one job, to forked workers
+of :mod:`repro.grid.pool`, which retry a stage once when its worker dies;
+rows are built here from each cell's payload, and the workers' accounting
+merges into the driving session.  Otherwise, or where no process can be
+forked, the stages run serially in the driving session.
 
 This module is the only one that knows how a cell is keyed, computed,
 stored, resumed and turned into a row: :func:`resume_rows` is the resume
-probe and :func:`run_cells` the cell runner, and the ``repro serve`` daemon
+probe and :func:`run_cell` the cell runner, and the ``repro serve`` daemon
 calls both, so its rows are the rows :func:`run_grid` streams.
 """
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -155,18 +155,16 @@ def _row(cell: GridCell, payload: Dict[str, Any], *, resumed: bool) -> GridRow:
                    **payload)
 
 
-def run_cells(session: Session,
-              cells: Iterable[GridCell]) -> Iterator[GridRow]:
-    """Run each cell in ``session``, store its row artifact, yield its row.
+def run_cell(session: Session, cell: GridCell) -> Dict[str, Any]:
+    """Run ``cell`` in ``session``, store its row artifact, return its
+    payload.
 
-    The only code that computes a cell: :func:`run_grid`'s serial loop, its
-    process-pool worker and the ``repro serve`` workers all call it.
+    The only code that computes a cell: :func:`run_grid`'s serial loop and
+    the pool's workers (:mod:`repro.grid.pool`) call it.
     """
-    version = session.version
-    for cell in cells:
-        payload = cell_payload(session, cell.spec)
-        session.store.put(cell_key(cell.spec, version), payload)
-        yield _row(cell, payload, resumed=False)
+    payload = cell_payload(session, cell.spec)
+    session.store.put(cell_key(cell.spec, session.version), payload)
+    return payload
 
 
 def resume_rows(store: ArtifactStore, version: str, cells: Iterable[GridCell]
@@ -193,25 +191,6 @@ def resume_rows(store: ArtifactStore, version: str, cells: Iterable[GridCell]
     return served, remaining
 
 
-#: One pool job: the stage's cells (GridSpec builders never cross the
-#: process boundary), the shared cache directory and the version.
-_StageJob = Tuple[List[GridCell], Optional[str], str]
-
-
-def _run_stage_job(job: _StageJob) -> Tuple[List[Dict[str, Any]],
-                                            SessionStats, CacheStats]:
-    """Process-pool worker: run one shared-artifact stage in one session.
-
-    Returns each cell's row payload; the parent turns it into the row with
-    its own cell, as a resumed row is built.
-    """
-    cells, cache_dir, version = job
-    session = Session(cache_dir=cache_dir, version=version)
-    payloads = [{name: getattr(row, name) for name in _PAYLOAD_FIELDS}
-                for row in run_cells(session, cells)]
-    return payloads, session.stats, session.cache_stats
-
-
 def run_grid(session: Session, grid: Union[GridSpec, GridPlan], *,
              shard: Optional[Tuple[int, int]] = None,
              resume: bool = False,
@@ -226,17 +205,17 @@ def run_grid(session: Session, grid: Union[GridSpec, GridPlan], *,
         shard: ``(index, count)`` — run only that stage-partition shard.
         resume: serve cells whose row artifact is already stored without
             executing them (``row.resumed`` marks them).
-        workers: process-pool width (default: one worker per stage to
-            run, up to the CPU count; 0/1 = serial in the parent session,
-            where the plan's grouping keeps shared artifacts hot in the
-            memory cache).
+        workers: how many forked workers run the stages (default: one
+            per stage to run, up to the CPU count; 0/1 = serial in the
+            parent session, where the plan's grouping keeps shared
+            artifacts hot in the memory cache).
     """
     plan = grid if isinstance(grid, GridPlan) else plan_grid(grid)
     if shard is not None:
         plan = plan.take_shard(*shard)
 
     # Probe phase: with resume, serve every already-stored cell row up front
-    # and only ship the remainder to the executors.
+    # and run only the remainder.
     pending: List[_PendingStage] = []
     for stage in plan.stages:
         served, remaining = (resume_rows(session.store, session.version, stage)
@@ -259,59 +238,60 @@ class _PendingStage:
 def _execute(session: Session, pending: List[_PendingStage],
              workers: Optional[int]) -> Iterator[List[GridRow]]:
     """Yield each stage's complete row list (resumed + computed), in order."""
-    jobs = [entry.cells for entry in pending if entry.cells]
+    stages = [entry.cells for entry in pending if entry.cells]
     if workers is None:
-        workers = min(len(jobs), os.cpu_count() or 1)
-    if workers > 1 and len(jobs) > 1:
-        outcomes = _pool_outcomes(session, jobs, workers)
-        if outcomes is not None:
-            yield from _merge_pool_outcomes(session, pending, outcomes)
-            return
-    # Serial (or pool-unavailable fallback): compute in the parent session,
-    # in execution order, so shared artifacts stay hot in the memory cache.
-    for entry in pending:
-        yield entry.served + list(run_cells(session, entry.cells))
-
-
-def _pool_outcomes(session: Session, jobs: List[List[GridCell]],
-                   workers: int):
-    """An ordered, streaming iterator of stage-job results — or ``None``
-    when process pools are unavailable in the environment."""
-    cache_dir = session.store.cache_dir
-    cache_dir_name = None if cache_dir is None else str(cache_dir)
-    payloads: List[_StageJob] = [(cells, cache_dir_name, session.version)
-                                 for cells in jobs]
-    pool = None
-    try:
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(payloads)))
-        # Executor.map submits every job eagerly; pool-spawn failures in
-        # restricted environments surface here, not mid-stream.
-        results = pool.map(_run_stage_job, payloads)
-    except (OSError, PermissionError):
-        if pool is not None:
-            pool.shutdown(wait=False)
-        return None
-
-    def stream():
+        workers = min(len(stages), os.cpu_count() or 1)
+    if workers > 1 and len(stages) > 1:
+        from .pool import WorkerPool
+        from .queue import JobQueue
+        queue = JobQueue()
+        cache_dir = session.store.cache_dir
+        pool = WorkerPool(queue, "process", min(workers, len(stages)),
+                          None if cache_dir is None else str(cache_dir),
+                          session.version)
         try:
-            yield from results
-        finally:
-            pool.shutdown(wait=True)
-    return stream()
-
-
-def _merge_pool_outcomes(session: Session, pending: List[_PendingStage],
-                         outcomes) -> Iterator[List[GridRow]]:
-    version = session.version
+            pool.start()
+        except OSError:
+            pass    # no process can be forked here: run serially below
+        else:
+            yield from _pool_rows(session, pending, queue, pool)
+            return
+    # Serial: compute in the parent session, in execution order, so shared
+    # artifacts stay hot in the memory cache.
     for entry in pending:
-        rows = list(entry.served)
-        if entry.cells:
-            payloads, worker_stats, worker_cache = next(outcomes)
-            session.stats.merge(worker_stats)
-            session.cache_stats.merge(worker_cache)
-            for cell, payload in zip(entry.cells, payloads):
-                # Mirror the row artifact into the parent store so a later
-                # resumed pass hits even without a shared disk cache.
-                session.store.put(cell_key(cell.spec, version), payload)
-                rows.append(_row(cell, payload, resumed=False))
-        yield rows
+        yield entry.served + [_row(cell, run_cell(session, cell),
+                                   resumed=False) for cell in entry.cells]
+
+
+def _pool_rows(session: Session, pending: List[_PendingStage], queue,
+               pool) -> Iterator[List[GridRow]]:
+    """Run the pending cells as one job on a started pool, yielding each
+    stage's rows in plan order.  A stage's exception is raised here, and a
+    stage that killed two workers raises ``RuntimeError``; however the
+    stream ends, the pool stops and the job's accounting merges in."""
+    job = queue.submit([entry.cells for entry in pending if entry.cells])
+    computed: Dict[int, GridRow] = {}
+    try:
+        for entry in pending:
+            indices = {cell.index for cell in entry.cells}
+            with queue.cond:
+                queue.cond.wait_for(
+                    lambda: job.terminal or indices <= job.delivered)
+                computed.update((row.index, row)
+                                for row in job.rows[len(computed):])
+            if job.error is not None:
+                raise job.exception or RuntimeError(job.error["message"])
+            rows = [computed[cell.index] for cell in entry.cells]
+            for cell, row in zip(entry.cells, rows):
+                # The workers' stores may be memory-only: store each row
+                # artifact here too, so that a resumed pass finds it.
+                session.store.put(
+                    cell_key(cell.spec, session.version),
+                    {name: getattr(row, name) for name in _PAYLOAD_FIELDS})
+            yield entry.served + rows
+        with queue.cond:
+            queue.cond.wait_for(lambda: job.terminal)
+    finally:
+        pool.stop()
+        session.stats.merge(SessionStats(**job.session_stats))
+        session.cache_stats.merge(CacheStats(**job.cache_stats))

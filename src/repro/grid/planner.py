@@ -6,8 +6,8 @@ would re-derive the shared prefix of the pipeline — one functional profile
 per (program, input, budget) — once per cell.  The planner groups the cells
 into stages, one per distinct profile identity ``(source, input, budget)``:
 a stage is the list of cells sharing that profile, in cell order, and the
-unit shipped to one process-pool or daemon worker, whose session then
-computes the profile and every other artifact the cells share once.
+unit one worker of the pool (:mod:`repro.grid.pool`) runs, whose session
+then computes the profile and every other artifact the cells share once.
 
 Stages appear in order of their first cell, which is what makes sharding
 (:meth:`GridPlan.take_shard`) a partition: shard *i* of *N* takes every

@@ -1,24 +1,22 @@
-"""The daemon's warm worker pool.
-
-A worker holds one long-lived :class:`~repro.api.session.Session`: its
-interned template registry, decode weakcaches and in-memory artifact store
-stay warm across jobs, which is the entire point of ``repro serve`` — the
-second job over the same spec pays zero cold-start (no re-interning, no
-re-profiling, no store re-open).
+"""The worker pool behind ``run_grid(workers=N)`` and ``repro serve``.
 
 Each worker is one loop on a daemon thread: it claims the oldest job's next
-pending stage from the :class:`~repro.serve.queue.JobQueue` (waiting on
+pending stage from the :class:`~repro.grid.queue.JobQueue` (waiting on
 ``queue.cond`` while there is none), runs it, and hands each row and the
-stage's end straight to the queue.  The worker that claims a stage
-runs it, so no claim is ever undone.
+stage's end straight to the queue.  The worker that claims a stage runs
+it, so no claim is ever undone.  A stage reports each cell's payload
+(:func:`~repro.grid.engine.run_cell`), from which the pool builds the row
+with the job's own cell, as the resume probe does.  ``run_grid`` works a
+private queue and pool; the daemon keeps one of each for its life, whose
+warm sessions (interned templates, decode caches, memory store) serve
+every job without a cold start.
 
 The ``process`` backend runs each worker's session in a forked child
 process, fed one stage at a time over a pipe.  A child that dies mid-stage
 (killed, OOM) shows up as end of file on the pipe, after every message it
 sent has been read; the queue retries the stage once and then quarantines
-the job.  A dead child is respawned (cold but correct: every artifact it
-produced is already in the shared disk store) when its worker next claims a
-stage.
+the job.  A dead child is respawned (cold but correct) when its worker
+next claims a stage.
 
 The ``thread`` backend is the fallback for environments where process
 spawning is unavailable, and the pool of a memory-only daemon: one worker
@@ -30,22 +28,23 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..api.session import Session
-from ..grid.engine import run_cells
-from ..grid.spec import GridCell
+from .engine import _row, run_cell
 from .queue import JobQueue, JobRecord
+from .spec import GridCell
 
 #: Held from creating a child's pipe until the parent has closed the child's
 #: end, so that no other child forked meanwhile inherits that end and keeps
 #: a dead child's pipe from reading as end of file.
 _SPAWN_LOCK = threading.Lock()
-#: Blocked across a fork, so that no child runs the daemon's handlers: a
-#: child ends on SIGTERM and leaves Ctrl-C to the daemon.
+#: Blocked across a fork, so that no child runs the parent's handlers: a
+#: child ends on SIGTERM and leaves Ctrl-C to the parent.
 _HELD_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
@@ -54,17 +53,27 @@ def _stats_delta(before: Dict[str, Any], after: Dict[str, Any]
     return {key: after[key] - before.get(key, 0) for key in after}
 
 
+def _portable(error: Exception) -> Exception:
+    """``error`` as a pickle round trip returns it, or a ``RuntimeError``
+    with its text when it does not survive one."""
+    try:
+        return pickle.loads(pickle.dumps(error))
+    except Exception:
+        return RuntimeError(f"{type(error).__name__}: {error}")
+
+
 def _stage_messages(session: Session, cells: List[GridCell]
                     ) -> Iterator[Tuple[Any, ...]]:
-    """Run one stage: a ``row`` message per cell, then ``done`` with the
-    session's accounting delta for the stage, or ``failed``."""
+    """Run one stage: a ``row`` message with each cell's position and
+    payload, then ``done`` with the session's accounting delta for the
+    stage, or ``failed`` with the exception a cell raised."""
     before_session = session.stats.as_dict()
     before_cache = session.cache_stats.as_dict()
     try:
-        for row in run_cells(session, cells):
-            yield "row", row.as_dict()
+        for position, cell in enumerate(cells):
+            yield "row", position, run_cell(session, cell)
     except Exception as error:
-        yield "failed", f"{type(error).__name__}: {error}"
+        yield "failed", _portable(error)
         return
     yield ("done", _stats_delta(before_session, session.stats.as_dict()),
            _stats_delta(before_cache, session.cache_stats.as_dict()))
@@ -73,7 +82,7 @@ def _stage_messages(session: Session, cells: List[GridCell]
 def _child_main(conn, parent_end, cache_dir: Optional[str],
                 version: str) -> None:
     """A worker process: one warm session, stages until ``None`` or until
-    the daemon's end of the pipe closes."""
+    the parent's end of the pipe closes."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)   # see _HELD_SIGNALS
     signal.pthread_sigmask(signal.SIG_UNBLOCK, (signal.SIGTERM,))
     parent_end.close()
@@ -93,7 +102,7 @@ def _child_main(conn, parent_end, cache_dir: Optional[str],
 class _Worker:
     thread: Optional[threading.Thread] = None
     busy: bool = False
-    #: Process backend: the forked child and the daemon's end of its pipe.
+    #: Process backend: the forked child and the parent's end of its pipe.
     process: Any = None
     conn: Any = None
 
@@ -118,7 +127,7 @@ class WorkerPool:
     def start(self) -> None:
         """Fork the children (process backend), then start every worker's
         loop; raises ``OSError`` when the environment cannot create
-        processes (callers fall back to threads)."""
+        processes (the daemon falls back to threads, run_grid to serial)."""
         if self.backend == "process":
             try:
                 for worker in self._workers:
@@ -131,12 +140,13 @@ class WorkerPool:
         for number, worker in enumerate(self._workers, 1):
             worker.thread = threading.Thread(
                 target=self._loop, args=(worker,),
-                name=f"repro-serve-worker-{number}", daemon=True)
+                name=f"repro-pool-worker-{number}", daemon=True)
             worker.thread.start()
 
     def stop(self) -> None:
         """End every loop.  A child still running a stage is killed instead
-        of waited for: its job is over (cancelled, or the drain gave up)."""
+        of waited for: its job is over (cancelled, the drain gave up, or
+        run_grid's caller stopped reading)."""
         with self._queue.cond:
             self._stopping = True
             self._queue.cond.notify_all()
@@ -194,7 +204,9 @@ class WorkerPool:
                 message: Tuple[Any, ...]) -> None:
         kind = message[0]
         if kind == "row":
-            self._queue.append_row(job, message[1])
+            _, position, payload = message
+            self._queue.append_row(job, _row(job.stages[index][position],
+                                             payload, resumed=False))
         elif kind == "done":
             self._queue.stage_done(job, index, message[1], message[2])
         else:
@@ -230,7 +242,7 @@ class WorkerPool:
             process = self._ctx.Process(
                 target=_child_main,
                 args=(child_end, parent_end, self._cache_dir, self._version),
-                name="repro-serve-child", daemon=True)
+                name="repro-pool-child", daemon=True)
             held = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD_SIGNALS)
             try:
                 process.start()

@@ -1,10 +1,11 @@
-"""The daemon's job queue: bounded admission, first come first served.
+"""The worker pool's job queue: bounded admission, first come first served.
 
 A :class:`JobRecord` is one submitted job (the expanded cells of a grid),
 already planned into shared-artifact *stages* (lists of
-:class:`~repro.grid.spec.GridCell`); each warm worker of the pool claims one
-stage at a time and runs it, and each completed cell appends one row to the
-record, waking any streaming clients.
+:class:`~repro.grid.spec.GridCell`); each worker of the pool claims one
+stage at a time and runs it, and each completed cell appends its
+:class:`~repro.grid.engine.GridRow` to the record, waking whoever waits
+for rows (a daemon's streaming clients, or ``run_grid``).
 
 The :class:`JobQueue` enforces **admission control**: it holds at most
 ``limit`` non-terminal jobs, and a submit beyond that raises
@@ -23,7 +24,7 @@ shared store.
 
 One lock-and-condition pair (:attr:`JobQueue.cond`) covers every record —
 the pool's worker loops (which also wait on it for a stage to claim) and
-the per-connection streaming threads all synchronize on it, which is simple
+the threads waiting for rows all synchronize on it, which is simple
 and ample at daemon scale (tens of jobs, not millions; the millions are the
 *cells* inside the jobs).  The queue keeps every record for ``poll`` and
 ``stream``, and the live (non-terminal) ones in a map of their own, so
@@ -38,7 +39,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..grid.spec import GridCell
+from .engine import GridRow
+from .spec import GridCell
 
 #: Default bound on concurrently admitted (non-terminal) jobs.
 DEFAULT_QUEUE_LIMIT = 32
@@ -85,7 +87,9 @@ class JobRecord:
     label: str = ""
     state: JobState = JobState.QUEUED
     error: Optional[Dict[str, Any]] = None
-    rows: List[Dict[str, Any]] = field(default_factory=list)
+    rows: List[GridRow] = field(default_factory=list)
+    #: The exception of the stage that failed the job.
+    exception: Optional[Exception] = field(default=None, init=False)
     #: Cell indices already in ``rows`` (drops a retried stage's replay).
     delivered: Set[int] = field(default_factory=set, init=False)
     #: Cells served from the store at submit: the rows the job starts with.
@@ -100,7 +104,7 @@ class JobRecord:
     finished_at: Optional[float] = None
 
     def __post_init__(self) -> None:
-        self.delivered.update(row["index"] for row in self.rows)
+        self.delivered.update(row.index for row in self.rows)
         self.resumed = len(self.rows)
         if not self.stage_state:
             self.stage_state = [_PENDING] * len(self.stages)
@@ -186,7 +190,7 @@ class JobQueue:
             return len(self._live)
 
     def submit(self, stages: List[List[GridCell]], *, label: str = "",
-               rows: Optional[List[Dict[str, Any]]] = None) -> JobRecord:
+               rows: Optional[List[GridRow]] = None) -> JobRecord:
         """Admit one job or raise :class:`AdmissionError` (never blocks).
 
         ``rows`` pre-populates the record — resume-served rows the server
@@ -272,13 +276,13 @@ class JobQueue:
         del self._live[job.id]
         self.cond.notify_all()
 
-    def append_row(self, job: JobRecord, row: Dict[str, Any]) -> None:
+    def append_row(self, job: JobRecord, row: GridRow) -> None:
         with self.cond:
-            if job.terminal or row["index"] in job.delivered:
+            if job.terminal or row.index in job.delivered:
                 # A late row from a cancelled job's in-flight stage, or the
                 # replay a retried stage performs after its worker died.
                 return
-            job.delivered.add(row["index"])
+            job.delivered.add(row.index)
             job.rows.append(row)
             self.cond.notify_all()
 
@@ -295,15 +299,18 @@ class JobQueue:
             else:
                 self.cond.notify_all()
 
-    def stage_failed(self, job: JobRecord, index: int, message: str) -> None:
-        """A stage raised in the worker: the whole job fails (no retry —
-        a deterministic pipeline raises deterministically)."""
+    def stage_failed(self, job: JobRecord, index: int,
+                     error: Exception) -> None:
+        """A stage raised ``error`` in the worker: the whole job fails (no
+        retry — a deterministic pipeline raises deterministically)."""
         with self.cond:
             if job.terminal:
                 return
             job.stage_state[index] = _DONE
+            job.exception = error
             self._finish(job, JobState.FAILED, {
-                "code": "failed", "message": message, "stage": index})
+                "code": "failed", "stage": index,
+                "message": f"{type(error).__name__}: {error}"})
 
     def worker_died(self, job: JobRecord, index: int) -> None:
         """The worker running this stage died (killed, OOM).

@@ -1,23 +1,21 @@
 """``repro serve``: a long-lived simulation service.
 
 The serve package turns the one-shot pipeline into a daemon: a persistent
-process-pool of workers holding warm interned registries and artifact
-caches, accepting grid jobs (the expanded cells of a
+pool of workers holding warm interned registries and artifact caches,
+accepting grid jobs (the expanded cells of a
 :class:`~repro.grid.spec.GridSpec`) over a local socket speaking
 newline-delimited JSON, and streaming :class:`~repro.grid.engine.GridRow`
 dicts back to clients as cells complete.  Cells are resumed, run, stored
-and turned into rows by the grid engine, exactly as in ``repro grid``.
+and turned into rows by the grid engine, and run by its worker pool
+(:mod:`repro.grid.pool`) from its job queue (:mod:`repro.grid.queue`),
+exactly as in ``repro grid --workers N``.
 
 Modules:
 
 * :mod:`repro.serve.protocol` — message framing, the versioned handshake,
   job descriptors and structured error codes;
-* :mod:`repro.serve.queue` — the bounded first-come-first-served job queue
-  (admission control, backpressure, cancellation, retry/quarantine
-  bookkeeping);
-* :mod:`repro.serve.pool` — the warm worker pool, one claim-run-report
-  loop per worker (processes, or one thread as the fallback);
-* :mod:`repro.serve.server` — the daemon: socket front end, graceful drain;
+* :mod:`repro.serve.server` — the daemon: socket front end, one job queue
+  and one warm pool for its life, graceful drain;
 * :mod:`repro.serve.client` — the thin client library behind
   ``repro submit`` / ``repro jobs``.
 

@@ -50,8 +50,9 @@ including the ``grid`` and ``artifacts`` kinds of older daemons — is
 rejected with ``bad-request``.
 
 Pickled payloads are accepted only because the socket is local and
-filesystem-permission guarded (the socket file is created ``0o700``-dirred
-by the daemon): any client that can reach the socket can run code inside
+filesystem-permission guarded (the daemon makes the socket ``0o600`` before
+it listens, and a socket directory it creates ``0o700``), so only its owner
+can connect: any client that can reach the socket can run code inside
 the daemon, so this protocol is not designed for untrusted networks or
 mutually untrusted users.
 """

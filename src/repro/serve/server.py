@@ -4,9 +4,9 @@ One :class:`ServeServer` owns three moving parts:
 
 * a Unix-domain **listener** accepting NDJSON connections
   (:mod:`repro.serve.protocol`), one handler thread per client;
-* the bounded **job queue** (:mod:`repro.serve.queue`) — admission control,
+* the bounded **job queue** (:mod:`repro.grid.queue`) — admission control,
   first come first served;
-* the warm **worker pool** (:mod:`repro.serve.pool`) — persistent sessions
+* the warm **worker pool** (:mod:`repro.grid.pool`) — persistent sessions
   with hot registries and caches, each worker a loop that claims the oldest
   job's next pending stage from the queue, runs it and reports it back.
   Stages are :func:`~repro.grid.planner.plan_cells` stages (the cells
@@ -17,14 +17,14 @@ One :class:`ServeServer` owns three moving parts:
 How a cell is keyed, resumed, computed, stored and turned into a row is the
 grid engine's business: submits go through its resume probe
 (:func:`~repro.grid.engine.resume_rows`) and workers through its cell
-runner (:func:`~repro.grid.engine.run_cells`), exactly as ``repro grid``
+runner (:func:`~repro.grid.engine.run_cell`), exactly as ``repro grid``
 does, so the daemon holds no cells of its own.  Rows stream back live:
-each completed cell appends its row dict to its job record and wakes every
-connection streaming that job.  A worker killed mid-stage is respawned,
-its stage retried once, then the job is quarantined.  ``SIGTERM`` (or the
-``shutdown`` op) triggers a **graceful drain**: new submits are rejected
-with a structured ``draining`` error, in-flight jobs run to completion,
-then the daemon exits.
+each completed cell appends its row to its job record and wakes every
+connection streaming that job, which sends it as a dict.  A worker killed
+mid-stage is respawned, its stage retried once, then the job is
+quarantined.  ``SIGTERM`` (or the ``shutdown`` op) triggers a **graceful
+drain**: new submits are rejected with a structured ``draining`` error,
+in-flight jobs run to completion, then the daemon exits.
 """
 
 from __future__ import annotations
@@ -44,11 +44,11 @@ from ..api.spec import RunSpec, SpecError
 from ..api.store import ArtifactStore
 from ..grid.engine import resume_rows
 from ..grid.planner import plan_cells
+from ..grid.pool import make_pool
+from ..grid.queue import AdmissionError, JobQueue
 from ..grid.spec import GridCell
 from ..uarch.config import ConfigError
 from . import protocol
-from .pool import make_pool
-from .queue import AdmissionError, JobQueue
 
 
 class _BadRequest(ValueError):
@@ -131,7 +131,8 @@ class ServeServer:
         self._spawn(self._accept_loop, "repro-serve-accept")
 
     def _bind(self) -> None:
-        self.socket_path.parent.mkdir(parents=True, exist_ok=True)
+        """Bind the socket, owner-only, and listen on it."""
+        self.socket_path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
             listener.bind(str(self.socket_path))
@@ -150,6 +151,8 @@ class ServeServer:
                               f"{self.socket_path}")
             finally:
                 probe.close()
+        # No client can connect before listen(), so none gets in before this.
+        os.chmod(self.socket_path, 0o600)
         listener.listen(16)
         self._listener = listener
 
@@ -332,8 +335,7 @@ class ServeServer:
                                         cells) \
             if message.get("resume", False) else ([], cells)
         stages = plan_cells(remaining).stages
-        job = self.queue.submit(stages, label=label,
-                                rows=[row.as_dict() for row in served])
+        job = self.queue.submit(stages, label=label, rows=served)
         return protocol.ok_response(
             "submit", job_id=job.id, state=job.state.value,
             cells=len(cells), resumed=len(served),
@@ -385,7 +387,8 @@ class ServeServer:
                 stopping = self._stop_event.is_set()
             # One write per batch: its rows, then the end of the stream.
             frames = [protocol.ok_response("row", job_id=job.id,
-                                           seq=cursor + offset, row=row)
+                                           seq=cursor + offset,
+                                           row=row.as_dict())
                       for offset, row in enumerate(batch)]
             cursor += len(batch)
             done = terminal and cursor >= len(job.rows)

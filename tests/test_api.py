@@ -818,6 +818,29 @@ class TestStoreDatabase:
         assert info.disk_bytes == len(garbage)
         assert database.read_bytes() == garbage
 
+    def test_an_unreadable_database_is_named_once_and_by_cache_info(
+            self, tmp_path, capsys):
+        from repro.api.cli import main
+        database = _database(tmp_path, self.VERSION)
+        database.write_bytes(bytes(range(256)) * 16)
+        for _ in range(2):
+            store = self._store(tmp_path)
+            store.put("key", 1)
+            assert store.get("other") is MISS
+        assert store.info().unreadable == "file is not a database"
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"repro: warning: cannot read the cache database "
+                         f"{database} (file is not a database); the cache "
+                         f"runs in memory only"]
+        assert main(["--cache-dir", str(tmp_path), "cache", "info"]) == 0
+        output = capsys.readouterr()
+        assert "database        : unreadable (file is not a database); " \
+            "the cache runs in memory only" in output.out.splitlines()
+        assert output.err == ""          # named once per process
+        database.unlink()
+        store.put("key", 1)              # a fresh database is readable
+        assert store.info().unreadable is None
+
     def test_locked_database_degrades_to_memory(self, tmp_path, monkeypatch):
         monkeypatch.setattr(store_module, "BUSY_TIMEOUT_S", 0.05)
         self._store(tmp_path).put("first", 1)

@@ -89,6 +89,22 @@ def test_package_imports_with_the_standard_library_alone():
     assert foreign == []
 
 
+def test_the_cli_imports_no_process_pool_and_no_fuzzer():
+    """Every CLI call pays for what ``repro.api.cli`` imports: the worker
+    pool and the fuzzer load only for the commands that use them."""
+    lazy = ("multiprocessing", "concurrent.futures", "repro.fuzz.harness",
+            "repro.fuzz.oracles")
+    script = ("import json, sys\n"
+              "import repro.api.cli\n"
+              f"print(json.dumps([name for name in {lazy!r} "
+              "if name in sys.modules]))\n")
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
+
+
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_example_runs(name, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"),

@@ -561,8 +561,9 @@ def _matrix_runs():
     """(label, program, mgt) for every registered benchmark as written and
     rewritten under the int and int-mem policies, and the corpus programs."""
     from repro.api import RunSpec, Session
-    from repro.fuzz import FuzzContext, SynthSpec
     from repro.fuzz.corpus import load_corpus
+    from repro.fuzz.generator import SynthSpec
+    from repro.fuzz.oracles import FuzzContext
     from repro.minigraph.policies import INTEGER_MEMORY_POLICY, INTEGER_POLICY
     from repro.workloads import benchmark_names
 
@@ -610,7 +611,8 @@ class TestCompiledCoreIsUsed:
 
     def test_sessions_grids_and_fuzzing(self, no_reference):
         from repro.api import RunSpec, Session
-        from repro.fuzz import FuzzContext, SynthSpec
+        from repro.fuzz.generator import SynthSpec
+        from repro.fuzz.oracles import FuzzContext
         from repro.grid.catalog import get_grid
 
         session, spec = Session(), RunSpec(benchmark="crc", budget=2000)

@@ -23,19 +23,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.fuzz import (
+from repro.fuzz import oracles as oracles_module
+from repro.fuzz.corpus import CorpusEntry, load_corpus, replay_entry, write_repro
+from repro.fuzz.generator import (
+    _DIALS,
     SynthSpec,
     SynthSpecError,
     generate_program,
     generate_source,
-    run_fuzz,
-    run_oracles,
-    shrink_failure,
     synth,
 )
-from repro.fuzz import oracles as oracles_module
-from repro.fuzz.corpus import CorpusEntry, load_corpus, replay_entry, write_repro
-from repro.fuzz.generator import _DIALS
+from repro.fuzz.harness import run_fuzz, shrink_failure
+from repro.fuzz.oracles import run_oracles
 from repro.sim import run_program
 from repro.uarch.config import ConfigError, MachineConfig, baseline_config
 from repro.uarch.pipeline import TimingSimulator
@@ -238,7 +237,7 @@ class TestOracleSensitivity:
         assert persisted and persisted[0].spec == failure.shrunk
 
     def test_clean_campaign(self):
-        from repro.fuzz import ORACLE_NAMES
+        from repro.fuzz.oracles import ORACLE_NAMES
         report = run_fuzz(4)
         assert report.ok
         assert report.differential_runs == 4 * len(ORACLE_NAMES)

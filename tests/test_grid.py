@@ -1,7 +1,11 @@
 """The experiment-grid engine: declaration, planning, sharding, resume, CLI."""
 
 import json
+import multiprocessing
+import os
 import pickle
+import signal
+import sys
 
 import pytest
 
@@ -16,21 +20,27 @@ from repro.grid import (
     plan_grid,
 )
 from repro.minigraph.policies import DEFAULT_POLICY, INTEGER_POLICY
-from repro.uarch import integer_memory_minigraph_config, machine_config
+from repro.uarch import (
+    integer_memory_minigraph_config,
+    integer_minigraph_config,
+    machine_config,
+)
+from repro.uarch.pipeline import TimingError
 from repro.workloads import QUICK_BENCHMARKS
 
 BUDGET = 1_500
 
 
-def _two_axis_grid(benchmarks=("bitcount", "crc"), budget=BUDGET):
+def _two_axis_grid(benchmarks=("bitcount", "crc"), budget=BUDGET,
+                   spec=RunSpec):
     axes = (Axis("benchmark", tuple(benchmarks)),
             Axis("policy", ("int-mem", "int", "baseline")))
 
     def build(point):
         policy = {"int-mem": DEFAULT_POLICY, "int": INTEGER_POLICY,
                   "baseline": None}[point["policy"]]
-        return RunSpec(benchmark=point["benchmark"], budget=budget,
-                       policy=policy)
+        return spec(benchmark=point["benchmark"], budget=budget,
+                    policy=policy)
 
     return GridSpec(name="test-grid", axes=axes, build=build)
 
@@ -42,6 +52,54 @@ def _row_fingerprint(rows):
                           row.ipc, row.speedup, row.cycles,
                           row.baseline_cycles, row.templates)
                          for row in sorted(rows, key=lambda row: row.index)])
+
+
+#: Pid of the test process; the pool's workers fork from it.
+_PARENT_PID = os.getpid()
+#: The marker file :class:`_KillOnceSpec` claims; ``None`` disarms it.  Set
+#: before a pool forks, so that its workers inherit it.
+_KILL_ONCE_MARKER = None
+
+
+class _KillOnceSpec(RunSpec):
+    """A spec whose first baseline-only run in a pool worker SIGKILLs that
+    worker, after it has sent the rows of its stage's earlier cells.
+
+    The first worker to get there creates the marker file, exclusively, and
+    kills itself; every later run finds the marker and runs normally.
+    """
+
+    @property
+    def resolved_machine(self):
+        if os.getpid() != _PARENT_PID and self.policy is None \
+                and _KILL_ONCE_MARKER is not None:
+            try:
+                os.close(os.open(_KILL_ONCE_MARKER,
+                                 os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return super().resolved_machine
+
+
+class _ErrorWithACode(Exception):
+    """An exception that pickles but does not unpickle: its constructor
+    takes an argument its ``args`` do not hold."""
+
+    def __init__(self, code, message):
+        super().__init__(message)
+        self.code = code
+
+
+class _RaisesInWorkersSpec(RunSpec):
+    """A spec whose run in a pool worker raises :class:`_ErrorWithACode`."""
+
+    @property
+    def resolved_machine(self):
+        if os.getpid() != _PARENT_PID:
+            raise _ErrorWithACode(7, "no machine here")
+        return super().resolved_machine
 
 
 class TestGridSpec:
@@ -176,6 +234,52 @@ class TestEngine:
         assert _row_fingerprint(list(warm.run_grid(grid, workers=0))) \
             == _row_fingerprint(serial)
         assert warm.stats.simulations == 0
+
+    def test_a_killed_worker_leaves_the_rows_unchanged(self, tmp_path,
+                                                       monkeypatch):
+        """A pool worker SIGKILLed mid-stage: the stage is retried once on a
+        fresh worker, and the rows equal a serial run's."""
+        marker = tmp_path / "killed-a-worker"
+        monkeypatch.setattr(sys.modules[__name__], "_KILL_ONCE_MARKER",
+                            str(marker))
+        grid = _two_axis_grid(("bitcount", "crc"), spec=_KillOnceSpec)
+        serial = list(Session().run_grid(grid, workers=0))
+        pooled = list(Session(cache_dir=tmp_path / "cache")
+                      .run_grid(grid, workers=2))
+        assert marker.exists()
+        assert [row.as_dict() for row in pooled] == \
+            [row.as_dict() for row in serial]
+        assert multiprocessing.active_children() == []
+
+    def test_a_stage_that_raises_in_a_worker_raises_as_in_serial(self):
+        """A cell whose machine cannot run its mini-graphs raises the same
+        exception, with the same message, in a pool worker as in serial."""
+        def build(point):
+            if point["benchmark"] == "gsm.toast":
+                return RunSpec(benchmark="gsm.toast", budget=2_000,
+                               machine=integer_minigraph_config())
+            return RunSpec(benchmark=point["benchmark"], budget=BUDGET)
+
+        grid = GridSpec(name="raises", build=build, axes=(
+            Axis("benchmark", ("bitcount", "gsm.toast")),))
+        raised = []
+        for workers in (0, 2):
+            with pytest.raises(Exception) as excinfo:
+                list(Session().run_grid(grid, workers=workers))
+            raised.append((type(excinfo.value), str(excinfo.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] is TimingError
+        assert "sliding-window scheduler" in raised[0][1]
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_that_cannot_cross_processes_arrives_as_its_text(self):
+        """A worker's exception that cannot be unpickled ends the run as a
+        ``RuntimeError`` with its text, instead of stalling it."""
+        grid = _two_axis_grid(("bitcount", "crc"), spec=_RaisesInWorkersSpec)
+        with pytest.raises(RuntimeError,
+                           match="^_ErrorWithACode: no machine here$"):
+            list(Session().run_grid(grid, workers=2))
+        assert multiprocessing.active_children() == []
 
     def test_duplicate_geometry_cells_resume_with_their_own_labels(self):
         """Cells with identical run identity but different machine display

@@ -20,12 +20,12 @@ import pytest
 
 from repro.api import RunSpec, Session
 from repro.api.store import MISS, ArtifactStore
-from repro.grid import Axis, GridSpec, cell_key
+from repro.grid import Axis, GridRow, GridSpec, cell_key
+from repro.grid.queue import AdmissionError, JobQueue, JobState
 from repro.grid.spec import GridCell
 from repro.minigraph.policies import DEFAULT_POLICY
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.queue import AdmissionError, JobQueue, JobState
 from repro.serve.server import ServeServer
 from repro.uarch import baseline_config, integer_memory_minigraph_config
 
@@ -52,6 +52,13 @@ _POINT = (("benchmark", "bitcount"),)
 def _stage(spec=None):
     spec = spec or RunSpec(benchmark="bitcount", budget=BUDGET)
     return [GridCell(index=0, point=(("benchmark", "bitcount"),), spec=spec)]
+
+
+def _row(index):
+    """A row for the queue's bookkeeping, which reads only its index."""
+    return GridRow(**{**{field.name: None
+                         for field in dataclasses.fields(GridRow)},
+                      "index": index})
 
 
 @pytest.fixture()
@@ -211,7 +218,7 @@ class TestJobQueue:
         job = queue.submit([_stage()])
         queue.next_stage()
         queue.cancel(job.id)
-        queue.append_row(job, {"index": 0})
+        queue.append_row(job, _row(0))
         assert job.state is JobState.CANCELLED
         assert job.rows == []
 
@@ -231,9 +238,9 @@ class TestJobQueue:
 
     def test_empty_job_is_born_done_with_prepopulated_rows(self):
         queue = JobQueue(limit=4)
-        job = queue.submit([], rows=[{"index": 0, "resumed": True}])
+        job = queue.submit([], rows=[_row(0)])
         assert job.state is JobState.DONE
-        assert job.rows == [{"index": 0, "resumed": True}]
+        assert job.rows == [_row(0)]
 
     @pytest.mark.parametrize("transition", [
         "born-done", "stage-done", "stage-failed", "worker-died-twice",
@@ -244,7 +251,7 @@ class TestJobQueue:
         job ends must take it out of them (it stays for poll/stream)."""
         queue = JobQueue(limit=4)
         if transition == "born-done":
-            job = queue.submit([], rows=[{"index": 0}])
+            job = queue.submit([], rows=[_row(0)])
         else:
             job = queue.submit([_stage()])
             assert list(queue._live) == [job.id]
@@ -252,7 +259,7 @@ class TestJobQueue:
             if transition == "stage-done":
                 queue.stage_done(job, index, {}, {})
             elif transition == "stage-failed":
-                queue.stage_failed(job, index, "boom")
+                queue.stage_failed(job, index, RuntimeError("boom"))
             elif transition == "worker-died-twice":
                 queue.worker_died(job, index)
                 assert list(queue._live) == [job.id]   # retried, still live
@@ -269,11 +276,11 @@ class TestJobQueue:
         """A stage retried after its worker died re-emits every cell; rows
         already delivered (or resume-served) are not appended again."""
         queue = JobQueue(limit=4)
-        job = queue.submit([_stage()], rows=[{"index": 7}])
-        queue.append_row(job, {"index": 0})
-        queue.append_row(job, {"index": 0})
-        queue.append_row(job, {"index": 7})
-        assert job.rows == [{"index": 7}, {"index": 0}]
+        job = queue.submit([_stage()], rows=[_row(7)])
+        queue.append_row(job, _row(0))
+        queue.append_row(job, _row(0))
+        queue.append_row(job, _row(7))
+        assert job.rows == [_row(7), _row(0)]
 
 
 # -- daemon end-to-end --------------------------------------------------------------
@@ -582,7 +589,7 @@ class TestStartAndStop:
         def workers():
             return ({child.pid for child in multiprocessing.active_children()},
                     {thread for thread in threading.enumerate()
-                     if thread.name.startswith("repro-serve-worker")})
+                     if thread.name.startswith("repro-pool-worker")})
 
         before = workers()
         second = ServeServer(daemon.socket_path, cache_dir=daemon.cache_dir,
@@ -592,6 +599,24 @@ class TestStartAndStop:
         assert workers() == before
         with _client(daemon) as client:     # the live daemon still serves
             assert client.status()["pid"] == os.getpid()
+
+    def test_the_socket_and_a_directory_made_for_it_are_owner_only(
+            self, tmp_path):
+        """Whoever can connect can make the daemon unpickle, so under a
+        group-writable umask the socket and the directory the daemon
+        creates for it still admit only their owner."""
+        server = ServeServer(tmp_path / "run" / "serve.sock", cache_dir=None,
+                             workers=1)
+        umask = os.umask(0o002)
+        try:
+            server.start()
+        finally:
+            os.umask(umask)
+        try:
+            assert (tmp_path / "run").stat().st_mode & 0o777 == 0o700
+            assert server.socket_path.stat().st_mode & 0o777 == 0o600
+        finally:
+            server.stop(drain=False)
 
     def test_stopping_a_daemon_ends_its_accept_thread(self, tmp_path):
         for number in range(3):
@@ -779,7 +804,7 @@ class TestWorkerDeath:
         purely from ``synth:`` names, no registry state) is submitted via
         ServeClient, one worker is SIGKILLed mid-job, and the retried job's
         rows are bit-identical to a serial ``run_grid`` of the same grid."""
-        from repro.fuzz import synth
+        from repro.fuzz.generator import synth
 
         grid = _mini_grid(benchmarks=[synth(seed=seed) for seed in range(4)],
                           budget=20_000, name="synth-fuzz-load",
