@@ -190,9 +190,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "<cache-dir>/serve.sock)")
     serve.add_argument("--workers", type=_at_least(1), default=None,
                        help="warm worker count (default: min(4, cpus))")
-    serve.add_argument("--backend", choices=("auto", "process", "thread"),
-                       default="auto",
-                       help="worker pool backend (auto prefers processes)")
+    serve.add_argument("--backend", choices=("process",), default="process",
+                       help="accepted for compatibility: every worker is a "
+                            "forked process")
     serve.add_argument("--detach", action="store_true",
                        help="start: fork into the background (writes "
                             "<socket>.pid)")
@@ -634,7 +634,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{status['protocol']}, version {status['version']}",
             f"socket        : {status['socket']}",
             f"cache dir     : {status['cache_dir'] or '(memory only)'}",
-            f"workers       : {status['workers']} ({status['backend']}), "
+            f"workers       : {status['workers']}, "
             f"pids {status['worker_pids']}",
             f"queue         : {queue['active']}/{queue['limit']} active"
             + (" (draining)" if queue["draining"] else ""),
@@ -673,9 +673,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             os.dup2(devnull, fd)
         os.close(devnull)
 
-    server = ServeServer(
-        socket_path, cache_dir=_cache_dir(args), workers=args.workers,
-        backend=args.backend)
+    server = ServeServer(socket_path, cache_dir=_cache_dir(args),
+                         workers=args.workers)
 
     def _drain(signum, frame) -> None:
         # SIGTERM/SIGINT: reject new submits, finish in-flight jobs, exit.
@@ -695,7 +694,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     pidfile.write_text(f"{os.getpid()}\n", encoding="utf-8")
     if not args.detach:
         print(f"serve daemon listening on {socket_path} "
-              f"({server.pool.backend} x{server.pool.size}); "
+              f"({server.pool.size} workers); "
               f"SIGTERM drains and exits", flush=True)
     try:
         server.serve_forever()

@@ -38,7 +38,8 @@ that cannot be pickled, or a database that is locked past the timeout,
 unwritable or damaged, leaves the value in the memory layer only, and no
 exception escapes.  A file SQLite cannot read as a database (not one, or
 damaged) is named once per process on stderr, and ``repro cache info``
-says so.  Files of earlier layouts (``v-<version>/`` directories and
+says so; a store that found one stays memory-only and never opens it
+again.  Files of earlier layouts (``v-<version>/`` directories and
 ``*.pkl`` entry files) are never opened.
 """
 
@@ -224,7 +225,8 @@ class ArtifactStore:
         #: finds (or, for a put, creates) the database.
         self._connection: Any = None
         self._connection_pid = 0
-        #: Why the last open failed, when SQLite could not read the file.
+        #: Why SQLite could not read the file: the store then runs
+        #: memory-only and never opens it again.
         self._unreadable: Optional[str] = None
         self.stats = CacheStats()
 
@@ -315,8 +317,11 @@ class ArtifactStore:
 
     def _connect(self, create: bool) -> Any:
         """This process's connection, opened on first use; ``None`` when
-        the database does not exist (and ``create`` is false) or cannot be
-        opened.  The caller holds ``_SQLITE_LOCK``."""
+        the database does not exist (and ``create`` is false), cannot be
+        opened, or could not be read before.  The caller holds
+        ``_SQLITE_LOCK``."""
+        if self._unreadable is not None:
+            return None
         if self._connection is not None:
             if self._connection_pid == os.getpid():
                 return self._connection
@@ -332,8 +337,9 @@ class ArtifactStore:
         except (OSError, self._sqlite.Error) as error:
             # Not a database, or one this process cannot open or set up (a
             # read-only directory, a lock held past the timeout): the next
-            # access tries again.  SQLite raises exactly DatabaseError for
-            # a file that is not a database or is damaged.
+            # access tries again, unless SQLite raised exactly
+            # DatabaseError, its error for a file that is damaged or not a
+            # database.
             if type(error) is self._sqlite.DatabaseError:
                 self._unreadable = str(error)
                 if self._database not in _REPORTED:
@@ -343,7 +349,6 @@ class ArtifactStore:
                           f"memory only", file=sys.stderr)
             return None
         self._connection, self._connection_pid = connection, os.getpid()
-        self._unreadable = None
         return connection
 
     def close(self) -> None:

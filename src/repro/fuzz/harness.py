@@ -1,11 +1,14 @@
 """The fuzzing campaign driver behind ``repro fuzz``.
 
-:func:`run_fuzz` fans a block of seeds out across a process pool (serial
-where none can be started), runs every requested oracle on each generated
-program, then *shrinks* each failing seed — greedy dial reduction toward
-the smallest program that still trips the same oracle — and persists a
-replayable repro JSON next to the committed corpus
-(:mod:`repro.fuzz.corpus`).
+:func:`run_fuzz` fans a block of seeds out across forked worker
+processes (serial where none can be forked), runs every requested oracle
+on each generated program, then *shrinks* each failing seed — greedy dial
+reduction toward the smallest program that still trips the same oracle —
+and persists a replayable repro JSON next to the committed corpus
+(:mod:`repro.fuzz.corpus`).  A seed whose worker dies (a signal, OOM, or a
+crash in a compiled core, which the ``kernel`` and ``functional`` oracles
+exist to find) fails with how it died and is not shrunk, since its
+oracles would kill the campaign's process too.
 
 Everything is deterministic: the campaign is a pure function of
 ``(base_seed, seeds, oracles, budget)``, so a CI failure reproduces locally
@@ -15,9 +18,12 @@ with the same arguments, and a persisted repro reproduces forever with
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .generator import _DIALS, SynthSpec, SynthSpecError
@@ -30,7 +36,7 @@ class FuzzFailure:
 
     seed: int
     spec: str                      #: full synth: name of the failing program
-    oracle: str                    #: first failing oracle
+    oracle: str                    #: first failing oracle (or ``worker``)
     detail: str                    #: that oracle's diagnostic
     shrunk: Optional[str] = None   #: reduced synth: name (None if irreducible)
     repro_path: Optional[str] = None
@@ -50,7 +56,6 @@ class FuzzReport:
     oracles: Tuple[str, ...]
     failures: List[FuzzFailure] = field(default_factory=list)
     elapsed_seconds: float = 0.0
-    generate_seconds: float = 0.0  #: portion spent in pure generation probe
 
     @property
     def ok(self) -> bool:
@@ -80,14 +85,18 @@ class FuzzReport:
         }
 
 
-# -- pool worker ----------------------------------------------------------------
+# -- seed workers ---------------------------------------------------------------
 
 _SeedJob = Tuple[int, Tuple[str, ...], Optional[int], str]
 _SeedOutcome = Tuple[int, str, List[Tuple[str, bool, str]]]
 
+#: The oracle a seed whose worker died fails: which one was running is
+#: unknown.
+_WORKER_DIED = "worker"
+
 
 def _run_seed_job(job: _SeedJob) -> _SeedOutcome:
-    """Process-pool worker: all requested oracles against one seed."""
+    """All requested oracles against one seed."""
     seed, oracle_names, budget, input_name = job
     spec = SynthSpec.sample(seed)
     results = run_oracles(spec, oracles=oracle_names, budget=budget,
@@ -95,21 +104,77 @@ def _run_seed_job(job: _SeedJob) -> _SeedOutcome:
     return seed, spec.name, [(r.oracle, r.ok, r.detail) for r in results]
 
 
-def _fan_out(jobs: List[_SeedJob], workers: int) -> List[_SeedOutcome]:
-    """Pool map, serial where no process pool can be started.
+def _seed_worker(conn, parent_end) -> None:
+    """A forked worker: runs the seeds it is sent until ``None``."""
+    parent_end.close()
+    with contextlib.suppress(EOFError, OSError):    # the parent is gone
+        for job in iter(conn.recv, None):
+            conn.send(_run_seed_job(job))
 
-    Unlike a grid stage on the worker pool (:mod:`repro.grid.pool` over
-    :mod:`repro.grid.queue`), which is retried once when its worker dies,
-    a seed whose worker dies ends the campaign with ``BrokenProcessPool``.
+
+def _died(job: _SeedJob, exitcode: int) -> _SeedOutcome:
+    how = (f"was killed by signal {-exitcode} ({signal.strsignal(-exitcode)})"
+           if exitcode < 0 else f"exited with code {exitcode}")
+    return job[0], SynthSpec.sample(job[0]).name, [(
+        _WORKER_DIED, False,
+        f"the worker running oracles {', '.join(job[1])} {how}")]
+
+
+def _fan_out(jobs: List[_SeedJob], workers: int) -> List[_SeedOutcome]:
+    """Every seed's outcome, in ``jobs`` order, from up to ``workers``
+    forked workers, each running one seed at a time and keeping its warm
+    state between seeds.  A seed whose worker dies fails alone; a fresh
+    worker takes the next seed.
     """
-    if workers > 1 and len(jobs) > 1:
+    context = multiprocessing.get_context("fork")
+
+    def start() -> Tuple[Any, Any]:
+        conn, child_end = context.Pipe()
+        child = context.Process(target=_seed_worker, args=(child_end, conn),
+                                name="repro-fuzz-worker", daemon=True)
         try:
-            with ProcessPoolExecutor(
-                    max_workers=min(workers, len(jobs))) as pool:
-                return list(pool.map(_run_seed_job, jobs))
-        except (OSError, PermissionError):
-            pass  # restricted environment: fall through to serial
-    return [_run_seed_job(job) for job in jobs]
+            child.start()
+        finally:
+            child_end.close()
+        return conn, child
+
+    idle: List[Tuple[Any, Any]] = []            # (parent's end, child)
+    busy: Dict[Any, Tuple[Any, _SeedJob]] = {}  # parent's end -> child, job
+    outcomes: Dict[int, _SeedOutcome] = {}
+    waiting = jobs[::-1]
+    try:
+        with contextlib.suppress(OSError):      # no process can be forked
+            while workers > 1 and len(idle) < min(workers, len(jobs)):
+                idle.append(start())
+        if not idle:
+            return [_run_seed_job(job) for job in jobs]
+        while waiting or busy:
+            while waiting and idle:
+                conn, child = idle.pop()
+                if not child.is_alive():        # died since its last seed
+                    conn.close()
+                    conn, child = start()
+                job = waiting.pop()
+                busy[conn] = child, job
+                conn.send(job)
+            for conn in wait(list(busy)):
+                child, job = busy.pop(conn)
+                try:
+                    outcomes[job[0]] = conn.recv()
+                except EOFError:                # it died running the seed
+                    child.join()
+                    outcomes[job[0]] = _died(job, child.exitcode)
+                idle.append((conn, child))
+    finally:
+        for conn, (child, _) in busy.items():   # interrupted
+            child.kill()
+            idle.append((conn, child))
+        for conn, child in idle:
+            with contextlib.suppress(OSError):  # already dead
+                conn.send(None)
+            child.join()
+            conn.close()
+    return [outcomes[job[0]] for job in jobs]
 
 
 # -- shrinking ------------------------------------------------------------------
@@ -180,7 +245,8 @@ def run_fuzz(seeds: int, *, base_seed: int = 0,
         oracles: oracle subset (default: all of :data:`ORACLE_NAMES`).
         budget: dynamic-instruction budget per functional run.
         input_name: which input set to generate (``reference``/``train``).
-        workers: process-pool width; ``1`` runs serially.
+        workers: how many seeds run at once, each in a forked child;
+            ``1`` runs them serially in this process.
         shrink: reduce failing seeds to minimal dials before reporting.
         corpus_dir: if set, persist a replayable repro JSON per failing
             seed into this directory (the ``tests/corpus/`` convention).
@@ -204,7 +270,7 @@ def run_fuzz(seeds: int, *, base_seed: int = 0,
         shrunk_name: Optional[str] = None
         repro_path: Optional[str] = None
         spec = SynthSpec.from_name(spec_name)
-        if shrink:
+        if shrink and oracle != _WORKER_DIED:
             reduced = shrink_failure(spec, failing_oracles, budget=budget,
                                      input_name=input_name,
                                      max_attempts=shrink_attempts)

@@ -16,15 +16,16 @@ or sharded — campaign only executes the missing cells, and the union of
 shard runs plus one resumed pass equals the unsharded result exactly.
 
 With ``workers > 1`` the stages to run go, as one job, to forked workers
-of :mod:`repro.grid.pool`, which retry a stage once when its worker dies;
-rows are built here from each cell's payload, and the workers' accounting
-merges into the driving session.  Otherwise, or where no process can be
-forked, the stages run serially in the driving session.
+of :mod:`repro.grid.pool`, which retry a stage once when its worker dies
+and store each row in the driving session's store; the workers'
+accounting merges into the driving session.  Otherwise, or where no
+process can be forked, the stages run serially in the driving session.
 
 This module is the only one that knows how a cell is keyed, computed,
 stored, resumed and turned into a row: :func:`resume_rows` is the resume
-probe and :func:`run_cell` the cell runner, and the ``repro serve`` daemon
-calls both, so its rows are the rows :func:`run_grid` streams.
+probe, :func:`cell_payload` computes a cell and :func:`store_row` stores
+and builds its row.  The pool and the ``repro serve`` daemon call them, so
+the daemon's rows are the rows :func:`run_grid` streams.
 """
 
 from __future__ import annotations
@@ -105,9 +106,8 @@ def cell_key(spec: RunSpec, version: str) -> str:
 
 
 #: The :class:`GridRow` fields a row artifact stores (:func:`cell_payload`).
-_PAYLOAD_FIELDS = ("coverage", "baseline_ipc", "ipc", "speedup", "cycles",
-                   "baseline_cycles", "templates")
-_PAYLOAD_KEYS = frozenset(_PAYLOAD_FIELDS)
+_PAYLOAD_KEYS = frozenset(("coverage", "baseline_ipc", "ipc", "speedup",
+                           "cycles", "baseline_cycles", "templates"))
 
 
 def cell_payload(session: Session, spec: RunSpec) -> Dict[str, Any]:
@@ -155,32 +155,32 @@ def _row(cell: GridCell, payload: Dict[str, Any], *, resumed: bool) -> GridRow:
                    **payload)
 
 
-def run_cell(session: Session, cell: GridCell) -> Dict[str, Any]:
-    """Run ``cell`` in ``session``, store its row artifact, return its
-    payload.
+def store_row(store: ArtifactStore, cell: GridCell,
+              payload: Dict[str, Any]) -> GridRow:
+    """Store ``payload`` as ``cell``'s row artifact and return its row.
 
-    The only code that computes a cell: :func:`run_grid`'s serial loop and
-    the pool's workers (:mod:`repro.grid.pool`) call it.
+    The only code that stores a row: :func:`run_grid`'s serial loop calls
+    it, and so does the pool (:mod:`repro.grid.pool`) for each payload a
+    worker sends.
     """
-    payload = cell_payload(session, cell.spec)
-    session.store.put(cell_key(cell.spec, session.version), payload)
-    return payload
+    store.put(cell_key(cell.spec, store.version), payload)
+    return _row(cell, payload, resumed=False)
 
 
-def resume_rows(store: ArtifactStore, version: str, cells: Iterable[GridCell]
+def resume_rows(store: ArtifactStore, cells: Iterable[GridCell]
                 ) -> Tuple[List[GridRow], List[GridCell]]:
     """The resume probe: split ``cells`` into rows served from their stored
     row artifacts (``resumed=True``) and the cells still to run.
 
     A stored value that is not a row payload (a dict of exactly
-    :data:`_PAYLOAD_FIELDS`) is a miss, and the probe discards it from the
+    :data:`_PAYLOAD_KEYS`) is a miss, and the probe discards it from the
     store: its cell runs again, and the row it stores then serves the next
     resume.
     """
     served: List[GridRow] = []
     remaining: List[GridCell] = []
     for cell in cells:
-        key = cell_key(cell.spec, version)
+        key = cell_key(cell.spec, store.version)
         payload = store.get(key)
         if isinstance(payload, dict) and payload.keys() == _PAYLOAD_KEYS:
             served.append(_row(cell, payload, resumed=True))
@@ -199,8 +199,9 @@ def run_grid(session: Session, grid: Union[GridSpec, GridPlan], *,
 
     Args:
         session: the driving session; its store serves resume probes and
-            receives every computed row artifact, and its statistics absorb
-            the workers' accounting.
+            receives every computed row artifact (workers read and fill
+            their copies of it), and its statistics absorb the workers'
+            accounting.
         grid: a :class:`GridSpec` (planned here) or an existing plan.
         shard: ``(index, count)`` — run only that stage-partition shard.
         resume: serve cells whose row artifact is already stored without
@@ -218,8 +219,8 @@ def run_grid(session: Session, grid: Union[GridSpec, GridPlan], *,
     # and run only the remainder.
     pending: List[_PendingStage] = []
     for stage in plan.stages:
-        served, remaining = (resume_rows(session.store, session.version, stage)
-                             if resume else ([], list(stage)))
+        served, remaining = (resume_rows(session.store, stage) if resume
+                             else ([], list(stage)))
         pending.append(_PendingStage(remaining, served))
 
     for stage_rows in _execute(session, pending, workers):
@@ -245,10 +246,7 @@ def _execute(session: Session, pending: List[_PendingStage],
         from .pool import WorkerPool
         from .queue import JobQueue
         queue = JobQueue()
-        cache_dir = session.store.cache_dir
-        pool = WorkerPool(queue, "process", min(workers, len(stages)),
-                          None if cache_dir is None else str(cache_dir),
-                          session.version)
+        pool = WorkerPool(queue, session.store, min(workers, len(stages)))
         try:
             pool.start()
         except OSError:
@@ -259,8 +257,9 @@ def _execute(session: Session, pending: List[_PendingStage],
     # Serial: compute in the parent session, in execution order, so shared
     # artifacts stay hot in the memory cache.
     for entry in pending:
-        yield entry.served + [_row(cell, run_cell(session, cell),
-                                   resumed=False) for cell in entry.cells]
+        yield entry.served + [
+            store_row(session.store, cell, cell_payload(session, cell.spec))
+            for cell in entry.cells]
 
 
 def _pool_rows(session: Session, pending: List[_PendingStage], queue,
@@ -281,14 +280,7 @@ def _pool_rows(session: Session, pending: List[_PendingStage], queue,
                                 for row in job.rows[len(computed):])
             if job.error is not None:
                 raise job.exception or RuntimeError(job.error["message"])
-            rows = [computed[cell.index] for cell in entry.cells]
-            for cell, row in zip(entry.cells, rows):
-                # The workers' stores may be memory-only: store each row
-                # artifact here too, so that a resumed pass finds it.
-                session.store.put(
-                    cell_key(cell.spec, session.version),
-                    {name: getattr(row, name) for name in _PAYLOAD_FIELDS})
-            yield entry.served + rows
+            yield entry.served + [computed[cell.index] for cell in entry.cells]
         with queue.cond:
             queue.cond.wait_for(lambda: job.terminal)
     finally:

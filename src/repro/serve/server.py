@@ -6,19 +6,22 @@ One :class:`ServeServer` owns three moving parts:
   (:mod:`repro.serve.protocol`), one handler thread per client;
 * the bounded **job queue** (:mod:`repro.grid.queue`) — admission control,
   first come first served;
-* the warm **worker pool** (:mod:`repro.grid.pool`) — persistent sessions
-  with hot registries and caches, each worker a loop that claims the oldest
-  job's next pending stage from the queue, runs it and reports it back.
-  Stages are :func:`~repro.grid.planner.plan_cells` stages (the cells
-  sharing one profile), so concurrent clients submitting overlapping work
-  dedup against each other through the shared store — the second client's
-  cells are store hits, not recomputations.
+* the warm **worker pool** (:mod:`repro.grid.pool`) — forked children
+  with persistent sessions, hot registries and caches, each worker a loop
+  that claims the oldest job's next pending stage from the queue, runs it
+  in its child and reports it back.  Stages are
+  :func:`~repro.grid.planner.plan_cells` stages (the cells sharing one
+  profile), so concurrent clients submitting overlapping work dedup
+  against each other through the shared store — the second client's cells
+  are store hits, not recomputations.
 
 How a cell is keyed, resumed, computed, stored and turned into a row is the
-grid engine's business: submits go through its resume probe
-(:func:`~repro.grid.engine.resume_rows`) and workers through its cell
-runner (:func:`~repro.grid.engine.run_cell`), exactly as ``repro grid``
-does, so the daemon holds no cells of its own.  Rows stream back live:
+grid engine's business, exactly as in ``repro grid``: one store, built by
+the server, is both the resume probe's
+(:func:`~repro.grid.engine.resume_rows`) and the pool's row store
+(:func:`~repro.grid.engine.store_row`), so the daemon holds no cells of
+its own, and a memory-only daemon serves a resubmit from the rows its
+workers delivered.  Rows stream back live:
 each completed cell appends its row to its job record and wakes every
 connection streaming that job, which sends it as a dict.  A worker killed
 mid-stage is respawned, its stage retried once, then the job is
@@ -44,7 +47,7 @@ from ..api.spec import RunSpec, SpecError
 from ..api.store import ArtifactStore
 from ..grid.engine import resume_rows
 from ..grid.planner import plan_cells
-from ..grid.pool import make_pool
+from ..grid.pool import WorkerPool
 from ..grid.queue import AdmissionError, JobQueue
 from ..grid.spec import GridCell
 from ..uarch.config import ConfigError
@@ -87,8 +90,7 @@ class ServeServer:
     def __init__(self, socket_path: Optional[os.PathLike] = None, *,
                  cache_dir: Optional[os.PathLike] = None,
                  workers: Optional[int] = None,
-                 version: Optional[str] = None,
-                 backend: str = "auto") -> None:
+                 version: Optional[str] = None) -> None:
         self.socket_path = Path(socket_path) if socket_path is not None \
             else protocol.default_socket_path()
         self.cache_dir = None if cache_dir is None else str(cache_dir)
@@ -98,9 +100,9 @@ class ServeServer:
                              f"got workers={workers}")
         self.workers = workers if workers is not None \
             else min(4, os.cpu_count() or 1)
-        self.backend = backend
+        self.store = ArtifactStore(self.cache_dir, version=self.version)
         self.queue = JobQueue()
-        self.pool = None
+        self.pool: Optional[WorkerPool] = None
         self.started_at: Optional[float] = None
         self._listener: Optional[socket.socket] = None
         self._streams: Set[protocol.MessageStream] = set()
@@ -108,7 +110,6 @@ class ServeServer:
         #: Set once the daemon is torn down, which happens exactly once.
         self._stop_event = threading.Event()
         self._teardown_lock = threading.Lock()
-        self._probe_store: Optional[ArtifactStore] = None
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -118,16 +119,13 @@ class ServeServer:
         self.started_at = time.monotonic()
         # Bind first: a busy socket fails the start before any worker forks.
         self._bind()
+        pool = WorkerPool(self.queue, self.store, self.workers)
         try:
-            self.pool = make_pool(self.queue, self.backend, self.workers,
-                                  self.cache_dir, self.version)
+            pool.start()
         except BaseException:
             self._teardown()
             raise
-        # A thread worker's session lives in this process; probing its
-        # store sees memory entries even without a disk layer.
-        self._probe_store = self.pool.session.store if self.pool.session \
-            else ArtifactStore(self.cache_dir, version=self.version)
+        self.pool = pool
         self._spawn(self._accept_loop, "repro-serve-accept")
 
     def _bind(self) -> None:
@@ -191,8 +189,8 @@ class ServeServer:
         self._teardown()
 
     def _teardown(self) -> None:
-        """Close the listener, the streams and the pool.  Runs once; a
-        later call returns when the first has finished."""
+        """Close the listener, the streams, the pool and the store.  Runs
+        once; a later call returns when the first has finished."""
         with self._teardown_lock:
             if self._stop_event.is_set():
                 return
@@ -209,6 +207,7 @@ class ServeServer:
                 stream.close()
             if self.pool is not None:
                 self.pool.stop()
+            self.store.close()
             self._stop_event.set()
 
     # -- connection handling -------------------------------------------------------
@@ -331,8 +330,7 @@ class ServeServer:
         if not isinstance(descriptor, dict):
             raise _BadRequest("submit needs a job descriptor object")
         cells, label = self._decode_job(descriptor)
-        served, remaining = resume_rows(self._probe_store, self.version,
-                                        cells) \
+        served, remaining = resume_rows(self.store, cells) \
             if message.get("resume", False) else ([], cells)
         stages = plan_cells(remaining).stages
         job = self.queue.submit(stages, label=label, rows=served)
@@ -417,7 +415,6 @@ class ServeServer:
             "cache_dir": self.cache_dir,
             "uptime_seconds": 0.0 if self.started_at is None
                               else time.monotonic() - self.started_at,
-            "backend": self.pool.backend,
             "workers": self.pool.size,
             "worker_pids": self.pool.worker_pids(),
             "busy_worker_pids": self.pool.busy_pids(),

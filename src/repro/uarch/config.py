@@ -36,6 +36,9 @@ from ..interning import InternTable, digest, field_values, match_key
 #: first.
 _INTERNED_MACHINES = 256
 _MACHINES = InternTable(_INTERNED_MACHINES)
+#: Every integer field is below this bound, so that the timing kernel
+#: (``lane_kernel.c``) keeps every geometry sum and product exact.
+FIELD_LIMIT = 1 << 31
 
 
 class ConfigError(ValueError):
@@ -46,10 +49,11 @@ class ConfigError(ValueError):
 class CacheConfig:
     """Geometry and latency of one cache level.
 
-    Construction validates the geometry: every dimension must be positive,
-    the capacity must divide evenly into ``associativity * line_bytes`` ways,
-    and the resulting set count must be a power of two (the index function
-    is a bit slice; a 384-set cache cannot be built).
+    Construction validates the geometry: every dimension must be positive
+    and below :data:`FIELD_LIMIT`, the capacity must divide evenly into
+    ``associativity * line_bytes`` ways, and the resulting set count must
+    be a power of two (the index function is a bit slice; a 384-set cache
+    cannot be built).
     """
 
     size_bytes: int
@@ -58,11 +62,12 @@ class CacheConfig:
     hit_latency: int
 
     def __post_init__(self) -> None:
+        fields = self.__dict__     # cheaper than getattr per field
         for name in ("size_bytes", "associativity", "line_bytes", "hit_latency"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value > 0):
+            value = fields[name]
+            if not (isinstance(value, int) and 0 < value < FIELD_LIMIT):
                 raise ConfigError(f"CacheConfig.{name} must be a positive "
-                                  f"integer, got {value!r}")
+                                  f"integer below 2**31, got {value!r}")
         way_bytes = self.associativity * self.line_bytes
         if self.size_bytes % way_bytes:
             raise ConfigError(
@@ -161,21 +166,23 @@ class MachineConfig:
             "predictor_entries", "btb_entries", "btb_associativity",
             "memory_latency", "store_set_entries",
         )
+        fields = self.__dict__     # cheaper than getattr per field
         for name in positive:
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value > 0):
+            value = fields[name]
+            if not (isinstance(value, int) and 0 < value < FIELD_LIMIT):
                 raise ConfigError(f"MachineConfig.{name} must be a positive "
-                                  f"integer, got {value!r}")
+                                  f"integer below 2**31, got {value!r}")
         non_negative = (
             "register_read_latency", "fp_units", "alu_pipelines",
             "minigraph_replay_penalty", "misprediction_redirect_penalty",
             "ordering_violation_penalty",
         )
         for name in non_negative:
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 0):
+            value = fields[name]
+            if not (isinstance(value, int) and 0 <= value < FIELD_LIMIT):
                 raise ConfigError(f"MachineConfig.{name} must be a "
-                                  f"non-negative integer, got {value!r}")
+                                  f"non-negative integer below 2**31, "
+                                  f"got {value!r}")
         if self.physical_registers <= self.architected_registers:
             raise ConfigError(
                 f"MachineConfig: physical_registers "

@@ -13,10 +13,9 @@ and this module calls it through :mod:`ctypes`:
   :func:`simulate` runs one machine over them and rebuilds the reference
   path's exact :class:`~repro.uarch.pipeline.TimingError` text from the
   kernel's error code;
-* without a working compiler (or for geometry beyond 32 bits) it returns
-  ``None`` and the caller runs the reference
-  :class:`~repro.uarch.pipeline.TimingSimulator`, which gives the same stats
-  and errors, only slower.
+* without a working compiler it returns ``None`` and the caller runs the
+  reference :class:`~repro.uarch.pipeline.TimingSimulator`, which gives the
+  same stats and errors, only slower.
 """
 
 from __future__ import annotations
@@ -81,10 +80,6 @@ CONFIG_FIELDS = (
     "memory_latency", "store_set_entries",
 )
 _CONFIG_GETTERS = tuple(attrgetter(name) for name in CONFIG_FIELDS)
-
-#: The kernel keeps geometry and cycle arithmetic in 64-bit integers; every
-#: config value below this bound keeps every sum and product exact.
-GEOMETRY_LIMIT = 1 << 31
 
 #: The kernel's buffers in ``lane_trace`` order: name, C item type, and
 #: the count that sizes it (trace entries, static ops or FUBMP codes).
@@ -253,26 +248,19 @@ def _pack(facts: TraceFacts) -> Tuple[_LaneTrace, Tuple[array, ...]]:
     return packed, tuple(buffers.values())
 
 
-def config_vector(config: MachineConfig) -> Optional[array]:
-    """The ``CF_*`` vector of ``config``, or None beyond the kernel's range."""
-    values = [int(getter(config)) for getter in _CONFIG_GETTERS]
-    if max(values) >= GEOMETRY_LIMIT:
-        return None
-    return array("q", values)
-
-
 def simulate(facts: TraceFacts, config: MachineConfig,
              max_cycles: int) -> Optional[PipelineStats]:
     """One machine over ``facts`` in the compiled kernel.
 
     Returns the statistics, raises the reference path's error, or returns None
-    when the compiled kernel is unavailable or ``config`` is out of its
-    range — the caller then runs the reference simulator.
+    when the compiled kernel is unavailable — the caller then runs the
+    reference simulator.  Validation keeps every field of ``config`` below
+    :data:`~repro.uarch.config.FIELD_LIMIT`, the kernel's range.
     """
     entry = kernel()
-    vector = config_vector(config) if entry is not None else None
-    if vector is None:
+    if entry is None:
         return None
+    vector = array("q", [int(getter(config)) for getter in _CONFIG_GETTERS])
     packed = facts.kernel_trace
     if packed is None:
         packed = facts.kernel_trace = _pack(facts)

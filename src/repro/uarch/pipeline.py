@@ -778,9 +778,8 @@ def simulate_program(program: Program, trace: Trace, config: MachineConfig, *,
     """Time ``trace`` on ``config``: the one timing path of the package.
 
     Runs the compiled kernel (:mod:`repro.uarch.lane_kernel`).  Without a
-    working C compiler, or for a geometry value beyond the kernel's 32-bit
-    range, it runs :class:`TimingSimulator` instead, which gives the same
-    statistics and raises the same errors.
+    working C compiler it runs :class:`TimingSimulator` instead, which gives
+    the same statistics and raises the same errors.
     """
     from . import lane_kernel     # ctypes: loaded on the first timing run
 

@@ -838,8 +838,33 @@ class TestStoreDatabase:
             "the cache runs in memory only" in output.out.splitlines()
         assert output.err == ""          # named once per process
         database.unlink()
-        store.put("key", 1)              # a fresh database is readable
-        assert store.info().unreadable is None
+        store.put("key", 1)              # this store stays memory-only
+        assert store.info().unreadable == "file is not a database"
+        assert not database.exists()
+        fresh = self._store(tmp_path)    # a new store makes a new database
+        fresh.put("key", 1)
+        assert fresh.info().unreadable is None
+        fresh.close()
+
+    def test_a_store_opens_an_unreadable_database_once(self, tmp_path,
+                                                       monkeypatch):
+        _database(tmp_path, self.VERSION).write_bytes(bytes(range(256)) * 16)
+        connects = []
+        connect = sqlite3.connect
+
+        def counted(*args, **kwargs):
+            connects.append(args)
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", counted)
+        store = self._store(tmp_path)
+        for index in range(100):
+            assert store.get(f"key-{index}") is MISS
+        store.put("key", 1)
+        assert "key" in store and "other" not in store
+        assert store.clear(memory=False) == 0
+        assert store.info().unreadable == "file is not a database"
+        assert len(connects) == 1
 
     def test_locked_database_degrades_to_memory(self, tmp_path, monkeypatch):
         monkeypatch.setattr(store_module, "BUSY_TIMEOUT_S", 0.05)
@@ -997,6 +1022,51 @@ class TestStoreDatabase:
         process = _python(script)
         _, errors = process.communicate(timeout=300)
         assert process.returncode == 0, errors
+
+
+class TestStorePruneLock:
+    def test_prune_deletes_a_live_stores_rows_and_it_keeps_working(
+            self, tmp_path):
+        """prune() beside a running store of another version (a daemon of an
+        older build) deletes that version's rows: they become misses,
+        never wrong rows, and the live store's next put is read."""
+        live = ArtifactStore(tmp_path, version="0.9.0")
+        live.put("fresh", {"payload": 1})
+        pruner = ArtifactStore(tmp_path, version="1.0.0")
+        pruner.put("mine", {"payload": 2})
+        removed, freed = pruner.prune()
+        assert removed == 1
+        assert freed == len(pickle.dumps({"payload": 1},
+                                         protocol=pickle.HIGHEST_PROTOCOL))
+        assert ArtifactStore(tmp_path, version="0.9.0").get("fresh") is MISS
+        assert ArtifactStore(tmp_path, version="1.0.0").get("mine") == \
+            {"payload": 2}
+        live.put("later", {"payload": 3})
+        assert ArtifactStore(tmp_path, version="0.9.0").get("later") == \
+            {"payload": 3}
+        live.close()
+        pruner.close()
+
+    def test_prune_evicts_after_writer_closes(self, tmp_path):
+        stale = ArtifactStore(tmp_path, version="0.9.0")
+        stale.put("old", {"payload": 1})
+        stale.close()
+        pruner = ArtifactStore(tmp_path, version="1.0.0")
+        pruner.put("mine", {"payload": 2})
+        removed, freed = pruner.prune()
+        assert removed == 1
+        assert freed > 0
+        assert ArtifactStore(tmp_path, version="0.9.0").get("old") is MISS
+        assert pruner.get("mine") == {"payload": 2}
+
+    def test_close_is_reentrant_and_reacquired_on_next_put(self, tmp_path):
+        store = ArtifactStore(tmp_path, version="1.0.0")
+        store.put("a", 1)
+        store.close()
+        store.close()                      # idempotent
+        store.put("b", 2)                  # reopens the connection
+        assert ArtifactStore(tmp_path, version="1.0.0").get("b") == 2
+        store.close()
 
 
 # -- statistics -------------------------------------------------------------------

@@ -18,11 +18,15 @@ Four families of guarantees:
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import random
+import signal
 from pathlib import Path
 
 import pytest
 
+from repro.fuzz import harness
 from repro.fuzz import oracles as oracles_module
 from repro.fuzz.corpus import CorpusEntry, load_corpus, replay_entry, write_repro
 from repro.fuzz.generator import (
@@ -241,6 +245,38 @@ class TestOracleSensitivity:
         report = run_fuzz(4)
         assert report.ok
         assert report.differential_runs == 4 * len(ORACLE_NAMES)
+
+
+#: Pid of the test process; a campaign's seed workers fork from it.
+_CAMPAIGN_PID = os.getpid()
+_RUN_SEED_JOB = harness._run_seed_job
+
+
+def _dies_on_seed_1(job):
+    """``_run_seed_job``, except that a worker given seed 1 SIGKILLs
+    itself."""
+    if job[0] == 1 and os.getpid() != _CAMPAIGN_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _RUN_SEED_JOB(job)
+
+
+class TestWorkerDeath:
+    def test_a_seed_whose_worker_dies_fails_alone(self, monkeypatch):
+        """A worker SIGKILLed on seed 1 fails that seed, naming the signal;
+        every other seed still reports, and the campaign's process does
+        not shrink seed 1, whose oracles would kill it too."""
+        shrunk = []
+        monkeypatch.setattr(harness, "_run_seed_job", _dies_on_seed_1)
+        monkeypatch.setattr(harness, "shrink_failure",
+                            lambda spec, *args, **kwargs: shrunk.append(spec))
+        report = harness.run_fuzz(4, workers=2, oracles=("codec",))
+        [failure] = report.failures
+        assert (failure.seed, failure.spec, failure.oracle, failure.shrunk) \
+            == (1, SynthSpec.sample(1).name, "worker", None)
+        assert f"signal {int(signal.SIGKILL)}" in failure.detail
+        assert "codec" in failure.detail
+        assert shrunk == []
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("budget", [0, -5])

@@ -251,6 +251,31 @@ class TestEngine:
             [row.as_dict() for row in serial]
         assert multiprocessing.active_children() == []
 
+    def test_more_workers_than_cores_store_each_row_once(self):
+        """Six workers on a memory-only session, switching threads often:
+        the pool stores every row in the caller's store, once, so the rows
+        and the store's puts equal a serial run's and a resume serves
+        every cell."""
+        grid = GridSpec(name="wide", axes=(Axis("benchmark", (
+            "bitcount", "crc", "sha", "dijkstra", "drr", "fnvmix")),),
+            build=lambda point: RunSpec(benchmark=point["benchmark"],
+                                        budget=BUDGET))
+        serial = Session()
+        expected = [row.as_dict() for row in serial.run_grid(grid, workers=0)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            session = Session()
+            pooled = [row.as_dict() for row in session.run_grid(grid,
+                                                                workers=6)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == expected
+        assert session.cache_stats.puts == serial.cache_stats.puts
+        assert all(row.resumed
+                   for row in session.run_grid(grid, resume=True, workers=0))
+        assert multiprocessing.active_children() == []
+
     def test_a_stage_that_raises_in_a_worker_raises_as_in_serial(self):
         """A cell whose machine cannot run its mini-graphs raises the same
         exception, with the same message, in a pool worker as in serial."""

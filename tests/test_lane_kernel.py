@@ -39,7 +39,7 @@ from repro.sim.functional import FunctionalSimulator, run_program
 from repro.sim.trace import encode_trace
 from repro.uarch import lane_kernel, pipeline
 from repro.uarch.catalog import machine_config, machine_names
-from repro.uarch.config import ConfigError, baseline_config
+from repro.uarch.config import CacheConfig, ConfigError, baseline_config
 from repro.uarch.decode import DecodeTable
 from repro.uarch.pipeline import TimingError, TimingSimulator, simulate_program
 from repro.uarch.stats import PipelineStats
@@ -225,13 +225,17 @@ class TestFallback:
         assert lane_kernel.kernel() is None
         assert stats == _reference(program, trace, config)
 
-    def test_geometry_beyond_the_kernel_range_falls_back(self, bitcount):
-        program, trace = bitcount
-        config = dataclasses.replace(baseline_config(),
-                                     lsq_size=lane_kernel.GEOMETRY_LIMIT)
-        assert lane_kernel.config_vector(config) is None
-        assert _kernel(program, trace, config) == _reference(program, trace,
-                                                             config)
+    def test_geometry_beyond_the_kernel_range_is_a_config_error(self):
+        """Validation keeps every value the kernel reads below 2**31, so
+        the reference runs only where no compiler works."""
+        baseline = baseline_config()
+        for name in ("lsq_size", "memory_latency", "fp_units"):
+            with pytest.raises(ConfigError, match=rf"{name} .* below 2\*\*31"):
+                dataclasses.replace(baseline, **{name: 2**31})
+        with pytest.raises(ConfigError, match=r"size_bytes .* below 2\*\*31"):
+            CacheConfig(2**31, 2, 32, 1)
+        assert dataclasses.replace(baseline, lsq_size=2**31 - 1).lsq_size \
+            == 2**31 - 1
 
 
 class TestTraceFacts:

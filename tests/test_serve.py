@@ -2,6 +2,7 @@
 
 import base64
 import dataclasses
+import errno
 import gc
 import io
 import json
@@ -425,19 +426,20 @@ class TestServeEndToEnd:
         # The connection stays usable: a well-formed cursor streams.
         assert end["op"] == "end" and end["state"] == "done"
 
-    def test_memory_only_daemon_runs_on_threads(self, tmp_path):
-        """``cache_dir=None`` runs on the thread pool: one worker thread,
-        whatever size was asked for, whose session is the only store the
-        worker and the resume probe see."""
+    def test_memory_only_daemon_forks_its_workers(self, tmp_path):
+        """``cache_dir=None`` forks every worker it was asked for, and the
+        rows they deliver land in the server's one store, which serves a
+        resubmit."""
         server = ServeServer(tmp_path / "serve.sock", cache_dir=None,
                              workers=2)
         server.start()
         try:
-            assert server.pool.backend == "thread"
             grid = _mini_grid()
             with _client(server) as client:
                 status = client.status()
-                assert (status["backend"], status["workers"]) == ("thread", 1)
+                assert status["workers"] == 2
+                assert len(set(status["worker_pids"])) == 2
+                assert os.getpid() not in status["worker_pids"]
                 rows, job = client.run_to_completion(
                     client.submit_grid(grid, resume=True))
                 response = client.submit_grid(grid, resume=True)
@@ -600,6 +602,21 @@ class TestStartAndStop:
         with _client(daemon) as client:     # the live daemon still serves
             assert client.status()["pid"] == os.getpid()
 
+    def test_a_start_that_cannot_fork_leaves_no_socket(self, tmp_path,
+                                                       monkeypatch):
+        def refuse(process):
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                            refuse)
+        server = ServeServer(tmp_path / "serve.sock", cache_dir=None,
+                             workers=2)
+        with pytest.raises(OSError, match="fork refused"):
+            server.start()
+        assert not server.socket_path.exists()
+        assert not [thread for thread in threading.enumerate()
+                    if thread.name.startswith("repro-pool-worker")]
+
     def test_the_socket_and_a_directory_made_for_it_are_owner_only(
             self, tmp_path):
         """Whoever can connect can make the daemon unpickle, so under a
@@ -690,8 +707,7 @@ def kill_once(tmp_path, monkeypatch):
 def _process_daemon(tmp_path):
     """A started one-worker process-pool daemon, or a skip."""
     server = ServeServer(tmp_path / "serve.sock",
-                         cache_dir=tmp_path / "cache", workers=1,
-                         backend="process")
+                         cache_dir=tmp_path / "cache", workers=1)
     try:
         server.start()
     except (OSError, PermissionError):
@@ -770,8 +786,7 @@ class TestWorkerDeath:
         daemon (which would unlink the socket).  The next claim forks a
         new worker, and the job is not charged a death."""
         server = ServeServer(tmp_path / "serve.sock",
-                             cache_dir=tmp_path / "cache", workers=1,
-                             backend="process")
+                             cache_dir=tmp_path / "cache", workers=1)
         handled = signal.getsignal(signal.SIGTERM)
         signal.signal(signal.SIGTERM,
                       lambda *_: server.request_shutdown(drain=True))
@@ -895,51 +910,6 @@ class TestForgedKeys:
 # -- satellite regressions ----------------------------------------------------------
 
 
-class TestStorePruneLock:
-    def test_prune_deletes_a_live_stores_rows_and_it_keeps_working(
-            self, tmp_path):
-        """prune() beside a running store of another version (a daemon of an
-        older build) deletes that version's rows: they become misses,
-        never wrong rows, and the live store's next put is read."""
-        live = ArtifactStore(tmp_path, version="0.9.0")
-        live.put("fresh", {"payload": 1})
-        pruner = ArtifactStore(tmp_path, version="1.0.0")
-        pruner.put("mine", {"payload": 2})
-        removed, freed = pruner.prune()
-        assert removed == 1
-        assert freed == len(pickle.dumps({"payload": 1},
-                                         protocol=pickle.HIGHEST_PROTOCOL))
-        assert ArtifactStore(tmp_path, version="0.9.0").get("fresh") is MISS
-        assert ArtifactStore(tmp_path, version="1.0.0").get("mine") == \
-            {"payload": 2}
-        live.put("later", {"payload": 3})
-        assert ArtifactStore(tmp_path, version="0.9.0").get("later") == \
-            {"payload": 3}
-        live.close()
-        pruner.close()
-
-    def test_prune_evicts_after_writer_closes(self, tmp_path):
-        stale = ArtifactStore(tmp_path, version="0.9.0")
-        stale.put("old", {"payload": 1})
-        stale.close()
-        pruner = ArtifactStore(tmp_path, version="1.0.0")
-        pruner.put("mine", {"payload": 2})
-        removed, freed = pruner.prune()
-        assert removed == 1
-        assert freed > 0
-        assert ArtifactStore(tmp_path, version="0.9.0").get("old") is MISS
-        assert pruner.get("mine") == {"payload": 2}
-
-    def test_close_is_reentrant_and_reacquired_on_next_put(self, tmp_path):
-        store = ArtifactStore(tmp_path, version="1.0.0")
-        store.put("a", 1)
-        store.close()
-        store.close()                      # idempotent
-        store.put("b", 2)                  # reopens the connection
-        assert ArtifactStore(tmp_path, version="1.0.0").get("b") == 2
-        store.close()
-
-
 class TestBrokenPipe:
     def test_main_returns_zero_when_stdout_pipe_closes(self, monkeypatch,
                                                        tmp_path):
@@ -1020,6 +990,27 @@ class TestServeCli:
         assert "started" not in result.stdout
         with _client(daemon) as client:     # the live daemon still serves
             assert client.status()["pid"] == os.getpid()
+
+    @pytest.mark.parametrize("detach", [False, True])
+    def test_a_start_that_cannot_fork_is_a_one_line_error(self, tmp_path,
+                                                           detach):
+        script = ("import multiprocessing.context, sys\n"
+                  "def refuse(process):\n"
+                  "    raise OSError(11, 'fork refused')\n"
+                  "multiprocessing.context.ForkProcess.start = refuse\n"
+                  "from repro.api.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        socket_path = tmp_path / "serve.sock"
+        argv = [sys.executable, "-c", script, "--no-disk-cache", "serve",
+                "start", "--socket", str(socket_path), "--workers", "2"]
+        result = subprocess.run(argv + ["--detach"] * detach,
+                                capture_output=True, text=True, timeout=120,
+                                env=dict(os.environ))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.splitlines() == [
+            "repro: error: [Errno 11] fork refused"]
+        assert "started" not in result.stdout
+        assert not socket_path.exists()
 
     def test_cli_serve_status_without_daemon(self, tmp_path, capsys):
         from repro.api.cli import main
