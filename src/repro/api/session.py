@@ -93,8 +93,8 @@ class SessionStats:
 
     def merge(self, other: "SessionStats") -> None:
         """Accumulate another session's work (e.g. a grid pool worker's)."""
-        for name in self.as_dict():
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
 
     def record_frontend_delta(self, delta) -> None:
         """Fold a :class:`~repro.minigraph.registry.FrontendStats` delta in."""

@@ -39,8 +39,9 @@ unwritable or damaged, leaves the value in the memory layer only, and no
 exception escapes.  A file SQLite cannot read as a database (not one, or
 damaged) is named once per process on stderr, and ``repro cache info``
 says so; a store that found one stays memory-only and never opens it
-again.  Files of earlier layouts (``v-<version>/`` directories and
-``*.pkl`` entry files) are never opened.
+again, and its :meth:`~ArtifactStore.clear` removes it.  Files of earlier
+layouts (``v-<version>/`` directories and ``*.pkl`` entry files) are
+neither opened nor removed.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
-import shutil
 import sys
 import threading
 import time
@@ -138,8 +138,8 @@ class CacheStats:
 
     def merge(self, other: "CacheStats") -> None:
         """Accumulate another store's accounting (a grid pool worker's)."""
-        for name in self.as_dict():
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
 
 
 @dataclass
@@ -169,8 +169,7 @@ class StoreInfo:
             f"disk bytes      : {self.disk_bytes}",
             f"stale entries   : {self.stale_entries} "
             f"({self.stale_bytes} bytes: other versions' rows, which "
-            f"`repro cache prune` evicts, and files of earlier builds, "
-            f"which `repro cache clear` removes)"])
+            f"`repro cache prune` evicts)"])
 
 
 def _open(database: Path) -> Any:
@@ -393,50 +392,46 @@ class ArtifactStore:
 
     # -- maintenance ---------------------------------------------------------------
 
-    def _legacy_files(self) -> List[Path]:
-        """Files of earlier layouts, never opened: everything under a
-        ``v-<version>/`` directory, and ``*.pkl`` entry files."""
-        if self._cache_dir is None or not self._cache_dir.is_dir():
-            return []
-        files = {*self._cache_dir.glob("v-*/**/*"), *self._cache_dir.rglob("*.pkl")}
-        return [file for file in files if file.is_file()]
+    def _files(self) -> List[Path]:
+        """The database and its WAL and shared-memory side files."""
+        return [Path(f"{self._database}{suffix}")
+                for suffix in ("", "-wal", "-shm")] if self._database else []
 
     def clear(self, *, memory: bool = True, disk: bool = True) -> int:
-        """Drop cached artifacts: with ``disk``, every version's rows and the
-        files of earlier layouts.  Returns the number of rows removed.
-        Stores open in other processes keep their connections and find the
-        table empty."""
+        """Drop cached artifacts: with ``disk``, every version's rows.
+        Returns the number of rows removed.  Stores open in other processes
+        keep their connections and find the table empty.  A database SQLite
+        cannot read goes with its side files (SQLite would replay a stale
+        WAL into a new database of its name), and the next put makes a new
+        one."""
         if memory:
             self._memory.clear()
         if not disk:
             return 0
-        if self._cache_dir is not None and self._cache_dir.is_dir():
-            for directory in self._cache_dir.glob("v-*"):
-                shutil.rmtree(directory, ignore_errors=True)
-            for file in self._cache_dir.rglob("*.pkl"):
-                file.unlink(missing_ok=True)
-        return self._delete("", ())[0]
+        removed = self._delete("", ())[0]
+        if self._unreadable is not None:
+            with contextlib.suppress(OSError):
+                for file in self._files():
+                    file.unlink(missing_ok=True)
+                self._unreadable = None
+        return removed
 
     def prune(self) -> Tuple[int, int]:
         """Delete the rows of every other ``__version__``, which this build
         never reads; returns the ``(rows, value bytes)`` removed.  A running
         store of such a version (a ``repro serve`` daemon of an older build)
-        keeps working: its deleted rows are misses, recomputed on demand.
-        Files of earlier layouts stay, since such a process may hold one."""
+        keeps working: its deleted rows are misses, recomputed on demand."""
         return self._delete("WHERE version != ?", (self._version,))
 
     def info(self) -> StoreInfo:
         tally = self._execute(_TALLY, (self._version, self._version))
         rows, stale_rows, stale_row_bytes = map(int, tally or (0, 0, 0))
-        database = [Path(f"{self._database}{suffix}")
-                    for suffix in ("", "-wal", "-shm")] if self._database else []
-        legacy_bytes = _size(self._legacy_files())
         return StoreInfo(
             cache_dir=str(self._cache_dir) if self._cache_dir is not None else None,
             memory_entries=len(self._memory),
             disk_entries=rows,
-            disk_bytes=_size(database) + legacy_bytes,
+            disk_bytes=_size(self._files()),
             version=self._version,
             stale_entries=stale_rows,
-            stale_bytes=stale_row_bytes + legacy_bytes,
+            stale_bytes=stale_row_bytes,
             unreadable=self._unreadable)

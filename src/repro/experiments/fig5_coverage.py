@@ -111,8 +111,7 @@ class Figure5Result:
         return [self.integer, self.integer_memory, self.domain]
 
     def render(self) -> str:
-        return "\n\n".join(table.render(float_format="{:7.3f}")
-                           for table in self.tables)
+        return "\n\n".join(table.render() for table in self.tables)
 
 
 def run_figure5(session: Session, *, benchmarks: Sequence[str], budget: int,

@@ -53,23 +53,21 @@ class ResultTable:
                 values.append(cells[column])
         return values
 
-    def suite_means(self, column: str, *, geometric: bool = True) -> Dict[str, float]:
-        """Per-suite mean of one column (gmean by default, as the paper does)."""
+    def suite_means(self, column: str) -> Dict[str, float]:
+        """Per-suite gmean of one column, as the paper reports."""
         means: Dict[str, float] = {}
         for suite in SUITE_NAMES:
             values = self.column_values(column, suite=suite)
-            if not values:
-                continue
-            means[suite] = geometric_mean(values) if geometric else arithmetic_mean(values)
+            if values:
+                means[suite] = geometric_mean(values)
         return means
 
-    def overall_mean(self, column: str, *, geometric: bool = True) -> float:
-        values = self.column_values(column)
-        return geometric_mean(values) if geometric else arithmetic_mean(values)
+    def overall_mean(self, column: str) -> float:
+        return geometric_mean(self.column_values(column))
 
     # -- rendering ----------------------------------------------------------------
 
-    def render(self, *, float_format: str = "{:7.3f}", include_suite_means: bool = True) -> str:
+    def render(self) -> str:
         """Render the table as aligned text (one row per benchmark, then means)."""
         name_width = max([len(row) for row in self.rows] + [len("benchmark")] + [12])
         header = "benchmark".ljust(name_width) + "  " + "  ".join(
@@ -79,28 +77,27 @@ class ResultTable:
         current_suite = None
         for row in ordered_rows:
             suite = self.row_suites.get(row)
-            if include_suite_means and suite != current_suite and suite is not None:
+            if suite != current_suite and suite is not None:
                 lines.append(f"[{SUITE_TITLES.get(suite, suite)}]")
                 current_suite = suite
             cells = []
             for column in self.columns:
                 value = self.rows[row].get(column)
                 width = max(len(column), 7)
-                cells.append((float_format.format(value) if value is not None else "-").rjust(width))
+                cells.append((f"{value:7.3f}" if value is not None else "-").rjust(width))
             lines.append(row.ljust(name_width) + "  " + "  ".join(cells))
-        if include_suite_means:
-            lines.append("-" * len(header))
-            for suite in SUITE_NAMES:
-                means = {column: self.suite_means(column).get(suite) for column in self.columns}
-                if all(value is None for value in means.values()):
-                    continue
-                cells = []
-                for column in self.columns:
-                    value = means[column]
-                    width = max(len(column), 7)
-                    cells.append((float_format.format(value) if value is not None else "-").rjust(width))
-                label = f"gmean {SUITE_TITLES.get(suite, suite)}"
-                lines.append(label.ljust(name_width) + "  " + "  ".join(cells))
+        lines.append("-" * len(header))
+        for suite in SUITE_NAMES:
+            means = {column: self.suite_means(column).get(suite) for column in self.columns}
+            if all(value is None for value in means.values()):
+                continue
+            cells = []
+            for column in self.columns:
+                value = means[column]
+                width = max(len(column), 7)
+                cells.append((f"{value:7.3f}" if value is not None else "-").rjust(width))
+            label = f"gmean {SUITE_TITLES.get(suite, suite)}"
+            lines.append(label.ljust(name_width) + "  " + "  ".join(cells))
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)

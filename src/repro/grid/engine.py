@@ -15,11 +15,13 @@ is ``True``) and never shipped to the pool, so re-running an interrupted —
 or sharded — campaign only executes the missing cells, and the union of
 shard runs plus one resumed pass equals the unsharded result exactly.
 
-With ``workers > 1`` the stages to run go, as one job, to forked workers
-of :mod:`repro.grid.pool`, which retry a stage once when its worker dies
-and store each row in the driving session's store; the workers'
-accounting merges into the driving session.  Otherwise, or where no
-process can be forked, the stages run serially in the driving session.
+With ``workers > 1`` the run is one job, as a daemon submit is: the
+resumed rows and each stage's cells still to run go to forked workers of
+:mod:`repro.grid.pool`, which retry a stage once when its worker dies and
+store each row in the driving session's store, and every row streams
+from the job.  The job's counters merge into the driving session.
+Otherwise, or where no process can be forked, the stages run serially in
+the driving session.
 
 This module is the only one that knows how a cell is keyed, computed,
 stored, resumed and turned into a row: :func:`resume_rows` is the resume
@@ -36,9 +38,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..api.keys import digest
-from ..api.session import Session, SessionStats
+from ..api.session import Session
 from ..api.spec import RunSpec
-from ..api.store import MISS, ArtifactStore, CacheStats
+from ..api.store import MISS, ArtifactStore
 from ..uarch.stats import ipc_speedup
 from .planner import GridPlan, plan_grid
 from .spec import GridCell, GridSpec
@@ -215,31 +217,17 @@ def run_grid(session: Session, grid: Union[GridSpec, GridPlan], *,
     if shard is not None:
         plan = plan.take_shard(*shard)
 
-    # Probe phase: with resume, serve every already-stored cell row up front
-    # and run only the remainder.
-    pending: List[_PendingStage] = []
+    # Probe phase: with resume, serve every already-stored cell row up front;
+    # ``stages`` keeps each stage's cells still to run.
+    served: Dict[int, GridRow] = {}
+    stages: List[List[GridCell]] = []
     for stage in plan.stages:
-        served, remaining = (resume_rows(session.store, stage) if resume
-                             else ([], list(stage)))
-        pending.append(_PendingStage(remaining, served))
+        rows, remaining = (resume_rows(session.store, stage) if resume
+                           else ([], stage))
+        served.update((row.index, row) for row in rows)
+        if remaining:
+            stages.append(remaining)
 
-    for stage_rows in _execute(session, pending, workers):
-        for row in sorted(stage_rows, key=lambda row: row.index):
-            yield row
-
-
-@dataclass
-class _PendingStage:
-    """One plan stage split into resumed rows and cells still to run."""
-
-    cells: List[GridCell]      # still to execute
-    served: List[GridRow]      # already resumed from the store
-
-
-def _execute(session: Session, pending: List[_PendingStage],
-             workers: Optional[int]) -> Iterator[List[GridRow]]:
-    """Yield each stage's complete row list (resumed + computed), in order."""
-    stages = [entry.cells for entry in pending if entry.cells]
     if workers is None:
         workers = min(len(stages), os.cpu_count() or 1)
     if workers > 1 and len(stages) > 1:
@@ -252,38 +240,42 @@ def _execute(session: Session, pending: List[_PendingStage],
         except OSError:
             pass    # no process can be forked here: run serially below
         else:
-            yield from _pool_rows(session, pending, queue, pool)
+            job = queue.submit(stages, rows=list(served.values()))
+            yield from _job_rows(session, plan, queue, pool, job)
             return
-    # Serial: compute in the parent session, in execution order, so shared
+    # Serial: compute in the parent session, in plan order, so shared
     # artifacts stay hot in the memory cache.
-    for entry in pending:
-        yield entry.served + [
-            store_row(session.store, cell, cell_payload(session, cell.spec))
-            for cell in entry.cells]
+    for stage in plan.stages:
+        yield from _by_index(
+            served.get(cell.index)
+            or store_row(session.store, cell, cell_payload(session, cell.spec))
+            for cell in stage)
 
 
-def _pool_rows(session: Session, pending: List[_PendingStage], queue,
-               pool) -> Iterator[List[GridRow]]:
-    """Run the pending cells as one job on a started pool, yielding each
-    stage's rows in plan order.  A stage's exception is raised here, and a
-    stage that killed two workers raises ``RuntimeError``; however the
-    stream ends, the pool stops and the job's accounting merges in."""
-    job = queue.submit([entry.cells for entry in pending if entry.cells])
-    computed: Dict[int, GridRow] = {}
+def _by_index(rows: Iterable[GridRow]) -> List[GridRow]:
+    """One stage's rows in cell-index order."""
+    return sorted(rows, key=lambda row: row.index)
+
+
+def _job_rows(session: Session, plan: GridPlan, queue, pool,
+              job) -> Iterator[GridRow]:
+    """Stream a pool job's rows, resumed or computed, stage by stage in plan
+    order.  A stage's exception is raised here, and a stage that killed two
+    workers raises ``RuntimeError``; however the stream ends, the pool stops
+    and the job's accounting merges into ``session``."""
+    rows: Dict[int, GridRow] = {}
     try:
-        for entry in pending:
-            indices = {cell.index for cell in entry.cells}
+        for stage in plan.stages:
             with queue.cond:
-                queue.cond.wait_for(
-                    lambda: job.terminal or indices <= job.delivered)
-                computed.update((row.index, row)
-                                for row in job.rows[len(computed):])
+                queue.cond.wait_for(lambda: job.terminal or all(
+                    cell.index in job.delivered for cell in stage))
+                rows.update((row.index, row) for row in job.rows[len(rows):])
             if job.error is not None:
                 raise job.exception or RuntimeError(job.error["message"])
-            yield entry.served + [computed[cell.index] for cell in entry.cells]
+            yield from _by_index(rows[cell.index] for cell in stage)
         with queue.cond:
             queue.cond.wait_for(lambda: job.terminal)
     finally:
         pool.stop()
-        session.stats.merge(SessionStats(**job.session_stats))
-        session.cache_stats.merge(CacheStats(**job.cache_stats))
+        session.stats.merge(job.session_stats)
+        session.cache_stats.merge(job.cache_stats)

@@ -6,7 +6,10 @@ claims the oldest job's next pending stage from the
 is none), has its child run it, and hands each row and the stage's end
 straight to the queue.  The worker that claims a stage runs it, so no
 claim is ever undone.  A child runs its stages on one warm session over
-its copy of the caller's store and sends each cell's payload
+its copy of the caller's store, counting each stage on fresh
+:class:`~repro.api.session.SessionStats` and
+:class:`~repro.api.store.CacheStats` that it sends with the stage's end,
+and sends each cell's payload
 (:func:`~repro.grid.engine.cell_payload`); the worker stores it as the
 cell's row artifact in the caller's store and builds the row from the
 job's own cell (:func:`~repro.grid.engine.store_row`) before it queues the
@@ -28,10 +31,10 @@ import pickle
 import signal
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
-from ..api.session import Session
-from ..api.store import ArtifactStore
+from ..api.session import Session, SessionStats
+from ..api.store import ArtifactStore, CacheStats
 from .engine import cell_payload, store_row
 from .queue import JobQueue, JobRecord
 from .spec import GridCell
@@ -45,11 +48,6 @@ _SPAWN_LOCK = threading.Lock()
 _HELD_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
-def _stats_delta(before: Dict[str, Any], after: Dict[str, Any]
-                 ) -> Dict[str, Any]:
-    return {key: after[key] - before.get(key, 0) for key in after}
-
-
 def _portable(error: Exception) -> Exception:
     """``error`` as a pickle round trip returns it, or a ``RuntimeError``
     with its text when it does not survive one."""
@@ -61,19 +59,20 @@ def _portable(error: Exception) -> Exception:
 
 def _stage_messages(session: Session, cells: List[GridCell]
                     ) -> Iterator[Tuple[Any, ...]]:
-    """Run one stage: a ``row`` message with each cell's position and
-    payload, then ``done`` with the session's accounting delta for the
-    stage, or ``failed`` with the exception a cell raised."""
-    before_session = session.stats.as_dict()
-    before_cache = session.cache_stats.as_dict()
+    """Run one stage on fresh counters: a ``row`` message with each cell's
+    position and payload, then ``done`` with the stage's
+    :class:`~repro.api.session.SessionStats` and
+    :class:`~repro.api.store.CacheStats`, or ``failed`` with the exception
+    a cell raised."""
+    session.stats = stats = SessionStats()
+    session.store.stats = cache_stats = CacheStats()
     try:
         for position, cell in enumerate(cells):
             yield "row", position, cell_payload(session, cell.spec)
     except Exception as error:
         yield "failed", _portable(error)
         return
-    yield ("done", _stats_delta(before_session, session.stats.as_dict()),
-           _stats_delta(before_cache, session.cache_stats.as_dict()))
+    yield "done", stats, cache_stats
 
 
 def _child_main(conn, parent_end, store: ArtifactStore) -> None:

@@ -1,11 +1,14 @@
 """The worker pool's job queue: bounded admission, first come first served.
 
-A :class:`JobRecord` is one submitted job (the expanded cells of a grid),
-already planned into shared-artifact *stages* (lists of
-:class:`~repro.grid.spec.GridCell`); each worker of the pool claims one
-stage at a time and runs it, and each completed cell appends its
-:class:`~repro.grid.engine.GridRow` to the record, waking whoever waits
-for rows (a daemon's streaming clients, or ``run_grid``).
+A :class:`JobRecord` is one submitted job: the rows served from the store
+at submit, and the cells still to run, already planned into
+shared-artifact *stages* (lists of :class:`~repro.grid.spec.GridCell`).
+Each worker of the pool claims one stage at a time and runs it, each
+completed cell appends its :class:`~repro.grid.engine.GridRow` to the
+record, waking whoever waits for rows (a daemon's streaming clients, or
+``run_grid``), and each completed stage merges its worker's
+:class:`~repro.api.session.SessionStats` and
+:class:`~repro.api.store.CacheStats` into the record's.
 
 The :class:`JobQueue` enforces **admission control**: it holds at most
 ``limit`` non-terminal jobs, and a submit beyond that raises
@@ -37,8 +40,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
+from ..api.session import SessionStats
+from ..api.store import CacheStats
 from .engine import GridRow
 from .spec import GridCell
 
@@ -69,6 +74,11 @@ def _stage_runs(stage: List[GridCell]) -> Tuple[str, ...]:
     return tuple(cell.spec.spec_hash for cell in stage)
 
 
+def _moved(stats: Union[SessionStats, CacheStats]) -> Dict[str, Any]:
+    """The counters of ``stats`` that are not zero."""
+    return {name: value for name, value in vars(stats).items() if value}
+
+
 class AdmissionError(Exception):
     """A submit the queue rejected; ``code`` is a protocol error code."""
 
@@ -96,9 +106,10 @@ class JobRecord:
     resumed: int = field(default=0, init=False)
     stage_state: List[str] = field(default_factory=list)
     stage_attempts: List[int] = field(default_factory=list)
-    #: Worker accounting folded in per completed stage.
-    session_stats: Dict[str, Any] = field(default_factory=dict)
-    cache_stats: Dict[str, Any] = field(default_factory=dict)
+    #: The workers' counters, merged per completed stage; the cache's
+    #: also count a daemon's row hits at submit.
+    session_stats: SessionStats = field(default_factory=SessionStats)
+    cache_stats: CacheStats = field(default_factory=CacheStats)
     submitted_at: float = field(default_factory=time.monotonic)
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
@@ -119,20 +130,6 @@ class JobRecord:
     def cell_count(self) -> int:
         return self.resumed + sum(len(stage) for stage in self.stages)
 
-    @property
-    def cache_hit_rate(self) -> float:
-        hits = (self.cache_stats.get("memory_hits", 0)
-                + self.cache_stats.get("disk_hits", 0))
-        lookups = hits + self.cache_stats.get("misses", 0)
-        return hits / lookups if lookups else 0.0
-
-    def merge_stats(self, session_stats: Dict[str, Any],
-                    cache_stats: Dict[str, Any]) -> None:
-        for key, value in session_stats.items():
-            self.session_stats[key] = self.session_stats.get(key, 0) + value
-        for key, value in cache_stats.items():
-            self.cache_stats[key] = self.cache_stats.get(key, 0) + value
-
     def describe(self) -> Dict[str, Any]:
         """JSON-friendly job snapshot (``poll``/``jobs`` responses)."""
         return {
@@ -145,9 +142,9 @@ class JobRecord:
             "stages": len(self.stages),
             "stages_done": sum(1 for s in self.stage_state if s == _DONE),
             "attempts": max(self.stage_attempts, default=0),
-            "session_stats": dict(self.session_stats),
-            "cache_stats": dict(self.cache_stats),
-            "cache_hit_rate": self.cache_hit_rate,
+            "session_stats": _moved(self.session_stats),
+            "cache_stats": _moved(self.cache_stats),
+            "cache_hit_rate": self.cache_stats.hit_rate,
             "queued_seconds": (self.started_at or time.monotonic())
                               - self.submitted_at,
             "wall_seconds": None if self.started_at is None
@@ -193,8 +190,9 @@ class JobQueue:
                rows: Optional[List[GridRow]] = None) -> JobRecord:
         """Admit one job or raise :class:`AdmissionError` (never blocks).
 
-        ``rows`` pre-populates the record — resume-served rows the server
-        answered from the store before planning the remainder.
+        ``rows`` pre-populates the record: the rows a resume probe (the
+        daemon's or ``run_grid``'s) served from the store before planning
+        the cells still to run into ``stages``.
         """
         with self.cond:
             if self._draining:
@@ -287,10 +285,11 @@ class JobQueue:
             self.cond.notify_all()
 
     def stage_done(self, job: JobRecord, index: int,
-                   session_stats: Dict[str, Any],
-                   cache_stats: Dict[str, Any]) -> None:
+                   session_stats: SessionStats,
+                   cache_stats: CacheStats) -> None:
         with self.cond:
-            job.merge_stats(session_stats, cache_stats)
+            job.session_stats.merge(session_stats)
+            job.cache_stats.merge(cache_stats)
             if job.terminal:
                 return  # stage of a cancelled job ran to completion
             job.stage_state[index] = _DONE

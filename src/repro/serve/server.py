@@ -21,7 +21,8 @@ the server, is both the resume probe's
 (:func:`~repro.grid.engine.resume_rows`) and the pool's row store
 (:func:`~repro.grid.engine.store_row`), so the daemon holds no cells of
 its own, and a memory-only daemon serves a resubmit from the rows its
-workers delivered.  Rows stream back live:
+workers delivered.  The probe's row hits count in the job's cache
+counters, next to its workers' lookups.  Rows stream back live:
 each completed cell appends its row to its job record and wakes every
 connection streaming that job, which sends it as a dict.  A worker killed
 mid-stage is respawned, its stage retried once, then the job is
@@ -44,7 +45,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .. import __version__
 from ..api.spec import RunSpec, SpecError
-from ..api.store import ArtifactStore
+from ..api.store import ArtifactStore, CacheStats
 from ..grid.engine import resume_rows
 from ..grid.planner import plan_cells
 from ..grid.pool import WorkerPool
@@ -330,10 +331,17 @@ class ServeServer:
         if not isinstance(descriptor, dict):
             raise _BadRequest("submit needs a job descriptor object")
         cells, label = self._decode_job(descriptor)
-        served, remaining = resume_rows(self.store, cells) \
-            if message.get("resume", False) else ([], cells)
-        stages = plan_cells(remaining).stages
-        job = self.queue.submit(stages, label=label, rows=served)
+        with self.queue.cond:
+            # The probe's gets are the only ones this process makes: under
+            # the queue's lock, fresh counters in the store count its row
+            # hits alone, and they reach the job before anyone reads it.
+            probe = self.store.stats = CacheStats()
+            served, remaining = resume_rows(self.store, cells) \
+                if message.get("resume", False) else ([], cells)
+            stages = plan_cells(remaining).stages
+            job = self.queue.submit(stages, label=label, rows=served)
+            job.cache_stats.merge(CacheStats(memory_hits=probe.memory_hits,
+                                             disk_hits=probe.disk_hits))
         return protocol.ok_response(
             "submit", job_id=job.id, state=job.state.value,
             cells=len(cells), resumed=len(served),

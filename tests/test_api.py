@@ -862,8 +862,10 @@ class TestStoreDatabase:
             assert store.get(f"key-{index}") is MISS
         store.put("key", 1)
         assert "key" in store and "other" not in store
-        assert store.clear(memory=False) == 0
         assert store.info().unreadable == "file is not a database"
+        assert len(connects) == 1
+        assert store.clear(memory=False) == 0    # removes the file unopened
+        assert store.info().unreadable is None
         assert len(connects) == 1
 
     def test_locked_database_degrades_to_memory(self, tmp_path, monkeypatch):
@@ -890,32 +892,18 @@ class TestStoreDatabase:
         assert store.info().disk_entries == 0
         assert store.prune() == (0, 0)
 
-    def test_legacy_pickle_files_are_stale(self, tmp_path):
-        # Files of earlier layouts: a version directory's database and
-        # entry files, and a stray entry file at the root.
-        live = self._store(tmp_path)
-        live.put("live", 1)
-        old_dir = tmp_path / f"v-{self.VERSION}"
-        old_dir.mkdir()
-        (old_dir / "store.sqlite3").write_bytes(b"not a database" * 64)
-        (old_dir / "key.pkl").write_bytes(pickle.dumps({"value": 1}))
-        stray = tmp_path / "stray.pkl"
-        stray.write_bytes(pickle.dumps(2))
-        legacy_bytes = sum(path.stat().st_size for path in (
-            old_dir / "store.sqlite3", old_dir / "key.pkl", stray))
-        reader = self._store(tmp_path)
-        assert reader.get("key") is MISS and "key" not in reader
-        info = reader.info()
-        assert (info.disk_entries, info.stale_entries) == (1, 0)
-        assert info.stale_bytes == legacy_bytes
-        # A live process of an earlier build may hold one: prune leaves them.
-        assert reader.prune() == (0, 0)
-        assert old_dir.is_dir() and stray.exists()
-        assert reader.get("live") == 1
-        assert reader.clear() == 1
-        assert list(tmp_path.glob("v-*")) == [] and not stray.exists()
-        assert reader.info().stale_bytes == 0
-        live.close()
+    def test_clear_replaces_an_unreadable_database(self, tmp_path):
+        database = _database(tmp_path, self.VERSION)
+        database.write_bytes(os.urandom(4096))
+        wal = Path(f"{database}-wal")
+        wal.write_bytes(os.urandom(4096))    # goes with the database
+        store = self._store(tmp_path)
+        assert store.clear() == 0
+        assert not database.exists() and not wal.exists()
+        store.put("key", 1)
+        assert store.info().unreadable is None
+        assert self._store(tmp_path).get("key") == 1
+        store.close()
 
     def test_a_clear_in_another_process_reaches_a_live_store(self, tmp_path):
         # The other process's store keeps its connection across the clear:

@@ -276,6 +276,33 @@ class TestEngine:
                    for row in session.run_grid(grid, resume=True, workers=0))
         assert multiprocessing.active_children() == []
 
+    def test_a_half_stored_grid_resumes_alike_on_two_workers(self, tmp_path):
+        """Shard 0 of 2 stored, then the whole grid resumed: two workers
+        stream the serial resume's rows, order and ``resumed`` flags, and
+        leave the same session and cache counters."""
+        grid = get_grid("fig6").build(
+            benchmarks=("bitcount", "crc", "sha", "frag"), budget=BUDGET)
+        runs = []
+        for workers in (0, 2):
+            cache_dir = tmp_path / f"workers-{workers}"
+            list(Session(cache_dir=cache_dir).run_grid(grid, shard=(0, 2),
+                                                       workers=0))
+            session = Session(cache_dir=cache_dir)
+            rows = [row.as_dict() for row in
+                    session.run_grid(grid, resume=True, workers=workers)]
+            # Wall times, and the counters of the process-wide block memo
+            # the workers fork with, depend on what ran before.
+            counts = {name: value for name, value in
+                      session.stats.as_dict().items()
+                      if not name.endswith("_seconds") and "_memo_" not in name}
+            runs.append((rows, counts, session.cache_stats.as_dict()))
+        assert runs[0] == runs[1]
+        rows, stats, cache = runs[0]
+        resumed = sum(row["resumed"] for row in rows)
+        assert resumed == len(rows) // 2 and stats["timing_runs"] > 0
+        assert cache["disk_hits"] == resumed     # the stored rows
+        assert multiprocessing.active_children() == []
+
     def test_a_stage_that_raises_in_a_worker_raises_as_in_serial(self):
         """A cell whose machine cannot run its mini-graphs raises the same
         exception, with the same message, in a pool worker as in serial."""

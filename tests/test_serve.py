@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import RunSpec, Session
-from repro.api.store import MISS, ArtifactStore
+from repro.api import RunSpec, Session, SessionStats
+from repro.api.store import MISS, ArtifactStore, CacheStats
 from repro.grid import Axis, GridRow, GridSpec, cell_key
 from repro.grid.queue import AdmissionError, JobQueue, JobState
 from repro.grid.spec import GridCell
@@ -209,9 +209,9 @@ class TestJobQueue:
         assert queue.next_stage() == (first, 0)
         assert queue.next_stage() == (first, 1)
         assert queue.next_stage() is None
-        queue.stage_done(first, 1, {}, {})
+        queue.stage_done(first, 1, SessionStats(), CacheStats())
         assert queue.next_stage() == (second, 1)
-        queue.stage_done(first, 0, {}, {})
+        queue.stage_done(first, 0, SessionStats(), CacheStats())
         assert queue.next_stage() == (second, 0)
 
     def test_terminal_job_drops_late_rows(self):
@@ -258,7 +258,8 @@ class TestJobQueue:
             assert list(queue._live) == [job.id]
             _, index = queue.next_stage()
             if transition == "stage-done":
-                queue.stage_done(job, index, {}, {})
+                queue.stage_done(job, index, SessionStats(),
+                                 CacheStats())
             elif transition == "stage-failed":
                 queue.stage_failed(job, index, RuntimeError("boom"))
             elif transition == "worker-died-twice":
@@ -319,6 +320,18 @@ class TestServeEndToEnd:
         assert response["resumed"] == len(rows)
         assert all(row["resumed"] for row in rows)
         assert job["session_stats"] == {}        # zero simulations
+
+    def test_a_job_served_at_submit_reports_its_row_hits(self, daemon):
+        """The submit probe's row hits are the job's: one per cell, from
+        the memory layer the first job's rows went to."""
+        grid = _mini_grid()
+        with _client(daemon) as client:
+            client.run_to_completion(client.submit_grid(grid, resume=True))
+            _, job = client.run_to_completion(
+                client.submit_grid(grid, resume=True))
+        assert job["cells"] == job["rows"] == 2
+        assert job["cache_stats"] == {"memory_hits": 2}
+        assert job["cache_hit_rate"] == 1.0
 
     def test_fully_resumed_job_counts_its_cells(self, daemon):
         """``poll`` counts resume-served cells, so a warm resubmit reads
