@@ -36,7 +36,6 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..experiments.reporting import ResultTable
 from ..workloads.base import WorkloadError
 from ..minigraph.mgt import MgtBuildOptions
 from ..minigraph.policies import (
@@ -265,7 +264,8 @@ def _json_cell(value: Any) -> Any:
     return value
 
 
-def _table_to_dict(table: ResultTable) -> Dict[str, Any]:
+def _table_to_dict(table) -> Dict[str, Any]:
+    """A :class:`~repro.experiments.reporting.ResultTable` as JSON data."""
     return {"title": table.title, "columns": list(table.columns),
             "rows": {row: {column: _json_cell(value)
                            for column, value in cells.items()}
@@ -566,9 +566,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
               {"pruned": removed, "freed_bytes": freed,
                "version": __version__, "cache_dir": cache_dir})
         return 0
+    unreadable = store.unreadable()
     removed = store.clear()
-    _emit(args, None, f"removed {removed} cached artifacts",
-          {"removed": removed, "cache_dir": cache_dir})
+    replaced = unreadable if store.unreadable() is None else None
+    text = f"removed {removed} cached artifacts"
+    if replaced is not None:
+        text = f"replaced an unreadable cache database ({replaced}); {text}"
+    _emit(args, None, text, {"removed": removed, "cache_dir": cache_dir,
+                             "replaced_unreadable": replaced})
     return 0
 
 

@@ -116,9 +116,6 @@ class RunSpec:
     def with_machine(self, machine: Optional[MachineConfig]) -> "RunSpec":
         return replace(self, machine=machine)
 
-    def with_baseline_machine(self, machine: Optional[MachineConfig]) -> "RunSpec":
-        return replace(self, baseline_machine=machine)
-
     def with_budget(self, budget: int) -> "RunSpec":
         return replace(self, budget=budget)
 

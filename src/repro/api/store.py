@@ -307,6 +307,7 @@ class ArtifactStore:
         with _SQLITE_LOCK:
             connection = self._connect(create)
             if connection is None:
+                self._name_unreadable()
                 return None
             try:
                 return connection.execute(statement, parameters).fetchone()
@@ -317,7 +318,7 @@ class ArtifactStore:
     def _connect(self, create: bool) -> Any:
         """This process's connection, opened on first use; ``None`` when
         the database does not exist (and ``create`` is false), cannot be
-        opened, or could not be read before.  The caller holds
+        opened, or cannot be read (:meth:`unreadable`).  The caller holds
         ``_SQLITE_LOCK``."""
         if self._unreadable is not None:
             return None
@@ -341,14 +342,26 @@ class ArtifactStore:
             # database.
             if type(error) is self._sqlite.DatabaseError:
                 self._unreadable = str(error)
-                if self._database not in _REPORTED:
-                    _REPORTED.add(self._database)
-                    print(f"repro: warning: cannot read the cache database "
-                          f"{self._database} ({error}); the cache runs in "
-                          f"memory only", file=sys.stderr)
             return None
         self._connection, self._connection_pid = connection, os.getpid()
         return connection
+
+    def _name_unreadable(self) -> None:
+        """Say on stderr, once per process and database, that the store
+        runs memory-only because SQLite cannot read its database."""
+        if self._unreadable is not None and self._database not in _REPORTED:
+            _REPORTED.add(self._database)
+            print(f"repro: warning: cannot read the cache database "
+                  f"{self._database} ({self._unreadable}); the cache runs in "
+                  f"memory only", file=sys.stderr)
+
+    def unreadable(self) -> Optional[str]:
+        """Why SQLite cannot read the database, or ``None`` (also when
+        there is none); unlike a lookup, finding out prints nothing."""
+        if self._database is not None:
+            with _SQLITE_LOCK:
+                self._connect(False)
+        return self._unreadable
 
     def close(self) -> None:
         """Close this process's connection; the store remains usable (the
@@ -370,6 +383,7 @@ class ArtifactStore:
         with _SQLITE_LOCK:
             connection = self._connect(False)
             if connection is None:
+                self._name_unreadable()
                 return 0, 0
             try:
                 with connection:
@@ -402,19 +416,18 @@ class ArtifactStore:
         Returns the number of rows removed.  Stores open in other processes
         keep their connections and find the table empty.  A database SQLite
         cannot read goes with its side files (SQLite would replay a stale
-        WAL into a new database of its name), and the next put makes a new
-        one."""
+        WAL into a new database of its name), unnamed, and the next put
+        makes a new one."""
         if memory:
             self._memory.clear()
         if not disk:
             return 0
-        removed = self._delete("", ())[0]
-        if self._unreadable is not None:
+        if self.unreadable() is not None:
             with contextlib.suppress(OSError):
                 for file in self._files():
                     file.unlink(missing_ok=True)
                 self._unreadable = None
-        return removed
+        return self._delete("", ())[0]
 
     def prune(self) -> Tuple[int, int]:
         """Delete the rows of every other ``__version__``, which this build

@@ -1,14 +1,14 @@
 """The fuzzing campaign driver behind ``repro fuzz``.
 
-:func:`run_fuzz` fans a block of seeds out across forked worker
-processes (serial where none can be forked), runs every requested oracle
-on each generated program, then *shrinks* each failing seed — greedy dial
-reduction toward the smallest program that still trips the same oracle —
-and persists a replayable repro JSON next to the committed corpus
-(:mod:`repro.fuzz.corpus`).  A seed whose worker dies (a signal, OOM, or a
-crash in a compiled core, which the ``kernel`` and ``functional`` oracles
-exist to find) fails with how it died and is not shrunk, since its
-oracles would kill the campaign's process too.
+:func:`run_fuzz` runs a block of seeds on the forked workers of
+:mod:`repro.grid.pool` (serially where none can be forked), runs every
+requested oracle on each generated program, then *shrinks* each failing
+seed — greedy dial reduction toward the smallest program that still trips
+the same oracle — and persists a replayable repro JSON next to the
+committed corpus (:mod:`repro.fuzz.corpus`).  A seed whose worker dies (a
+signal, OOM, or a crash in a compiled core, which the ``kernel`` and
+``functional`` oracles exist to find) fails with how it died and is not
+shrunk, since its oracles would kill the campaign's process too.
 
 Everything is deterministic: the campaign is a pure function of
 ``(base_seed, seeds, oracles, budget)``, so a CI failure reproduces locally
@@ -18,13 +18,10 @@ with the same arguments, and a persisted repro reproduces forever with
 
 from __future__ import annotations
 
-import contextlib
-import multiprocessing
-import signal
+import threading
 import time
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .generator import _DIALS, SynthSpec, SynthSpecError
 from .oracles import ORACLE_NAMES, run_oracles
@@ -104,77 +101,63 @@ def _run_seed_job(job: _SeedJob) -> _SeedOutcome:
     return seed, spec.name, [(r.oracle, r.ok, r.detail) for r in results]
 
 
-def _seed_worker(conn, parent_end) -> None:
-    """A forked worker: runs the seeds it is sent until ``None``."""
-    parent_end.close()
-    with contextlib.suppress(EOFError, OSError):    # the parent is gone
-        for job in iter(conn.recv, None):
-            conn.send(_run_seed_job(job))
-
-
-def _died(job: _SeedJob, exitcode: int) -> _SeedOutcome:
-    how = (f"was killed by signal {-exitcode} ({signal.strsignal(-exitcode)})"
-           if exitcode < 0 else f"exited with code {exitcode}")
+def _died(job: _SeedJob, how: str) -> _SeedOutcome:
     return job[0], SynthSpec.sample(job[0]).name, [(
         _WORKER_DIED, False,
         f"the worker running oracles {', '.join(job[1])} {how}")]
 
 
+class _Seeds:
+    """A campaign's seeds as the units of :mod:`repro.grid.pool`: a child
+    runs one seed at a time, keeping its warm state between seeds, and a
+    seed whose child dies fails alone."""
+
+    def __init__(self, jobs: List[_SeedJob]) -> None:
+        self.cond = threading.Condition()
+        self.outcomes: Dict[int, _SeedOutcome] = {}
+        self._waiting = jobs[::-1]
+
+    def claim(self) -> Optional[_SeedJob]:
+        return self._waiting.pop() if self._waiting else None
+
+    @staticmethod
+    def child(jobs: Iterator[_SeedJob]) -> Iterator[_SeedOutcome]:
+        return map(_run_seed_job, jobs)
+
+    def exchange(self, conn, job: _SeedJob) -> None:
+        conn.send(job)
+        self._report(conn.recv())
+
+    def died(self, job: _SeedJob, how: str) -> None:
+        self._report(_died(job, how))
+
+    def _report(self, outcome: _SeedOutcome) -> None:
+        with self.cond:
+            self.outcomes[outcome[0]] = outcome
+            self.cond.notify_all()
+
+
 def _fan_out(jobs: List[_SeedJob], workers: int) -> List[_SeedOutcome]:
     """Every seed's outcome, in ``jobs`` order, from up to ``workers``
-    forked workers, each running one seed at a time and keeping its warm
-    state between seeds.  A seed whose worker dies fails alone; a fresh
-    worker takes the next seed.
-    """
-    context = multiprocessing.get_context("fork")
-
-    def start() -> Tuple[Any, Any]:
-        conn, child_end = context.Pipe()
-        child = context.Process(target=_seed_worker, args=(child_end, conn),
-                                name="repro-fuzz-worker", daemon=True)
+    workers of the grid's pool; serial in this process for one worker or
+    where no process can be forked."""
+    if workers > 1:
+        from ..grid.pool import WorkerPool    # only a pooled campaign forks
+        seeds = _Seeds(jobs)
+        pool = WorkerPool(seeds, min(workers, len(jobs)))
         try:
-            child.start()
-        finally:
-            child_end.close()
-        return conn, child
-
-    idle: List[Tuple[Any, Any]] = []            # (parent's end, child)
-    busy: Dict[Any, Tuple[Any, _SeedJob]] = {}  # parent's end -> child, job
-    outcomes: Dict[int, _SeedOutcome] = {}
-    waiting = jobs[::-1]
-    try:
-        with contextlib.suppress(OSError):      # no process can be forked
-            while workers > 1 and len(idle) < min(workers, len(jobs)):
-                idle.append(start())
-        if not idle:
-            return [_run_seed_job(job) for job in jobs]
-        while waiting or busy:
-            while waiting and idle:
-                conn, child = idle.pop()
-                if not child.is_alive():        # died since its last seed
-                    conn.close()
-                    conn, child = start()
-                job = waiting.pop()
-                busy[conn] = child, job
-                conn.send(job)
-            for conn in wait(list(busy)):
-                child, job = busy.pop(conn)
-                try:
-                    outcomes[job[0]] = conn.recv()
-                except EOFError:                # it died running the seed
-                    child.join()
-                    outcomes[job[0]] = _died(job, child.exitcode)
-                idle.append((conn, child))
-    finally:
-        for conn, (child, _) in busy.items():   # interrupted
-            child.kill()
-            idle.append((conn, child))
-        for conn, child in idle:
-            with contextlib.suppress(OSError):  # already dead
-                conn.send(None)
-            child.join()
-            conn.close()
-    return [outcomes[job[0]] for job in jobs]
+            pool.start()
+        except OSError:
+            pass    # no process can be forked here: run serially below
+        else:
+            try:
+                with seeds.cond:
+                    seeds.cond.wait_for(
+                        lambda: len(seeds.outcomes) == len(jobs))
+            finally:
+                pool.stop()
+            return [seeds.outcomes[job[0]] for job in jobs]
+    return [_run_seed_job(job) for job in jobs]
 
 
 # -- shrinking ------------------------------------------------------------------

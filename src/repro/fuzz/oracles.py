@@ -87,9 +87,6 @@ class OracleResult:
     ok: bool
     detail: str = ""
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.ok
-
 
 class FuzzContext:
     """Lazily-computed pipeline intermediates shared by the oracles."""

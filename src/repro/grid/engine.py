@@ -231,10 +231,11 @@ def run_grid(session: Session, grid: Union[GridSpec, GridPlan], *,
     if workers is None:
         workers = min(len(stages), os.cpu_count() or 1)
     if workers > 1 and len(stages) > 1:
-        from .pool import WorkerPool
+        from .pool import Stages, WorkerPool
         from .queue import JobQueue
         queue = JobQueue()
-        pool = WorkerPool(queue, session.store, min(workers, len(stages)))
+        pool = WorkerPool(Stages(queue, session.store),
+                          min(workers, len(stages)))
         try:
             pool.start()
         except OSError:

@@ -1,26 +1,16 @@
-"""The worker pool behind ``run_grid(workers=N)`` and ``repro serve``.
+"""The worker pool behind ``run_grid(workers=N)``, ``repro serve`` and
+``repro fuzz --workers N``.
 
 Each worker is one loop on a daemon thread that owns a forked child: it
-claims the oldest job's next pending stage from the
-:class:`~repro.grid.queue.JobQueue` (waiting on ``queue.cond`` while there
-is none), has its child run it, and hands each row and the stage's end
-straight to the queue.  The worker that claims a stage runs it, so no
-claim is ever undone.  A child runs its stages on one warm session over
-its copy of the caller's store, counting each stage on fresh
-:class:`~repro.api.session.SessionStats` and
-:class:`~repro.api.store.CacheStats` that it sends with the stage's end,
-and sends each cell's payload
-(:func:`~repro.grid.engine.cell_payload`); the worker stores it as the
-cell's row artifact in the caller's store and builds the row from the
-job's own cell (:func:`~repro.grid.engine.store_row`) before it queues the
-row, so the caller's resume probe finds every row the pool delivered, also
-without a disk layer.  ``run_grid`` works a private queue and pool; the
-daemon keeps one of each for its life.
-
-A child that dies mid-stage (killed, OOM) shows up as end of file on the
-pipe, after every message it sent has been read; the queue retries the
-stage once and then quarantines the job.  A dead child is respawned (cold
-but correct) when its worker next claims a stage.
+claims a unit of work (waiting while there is none), has its child run it,
+and reports what the child sends back.  The worker that claims a unit runs
+it, so no claim is ever undone.  What a unit is comes from the pool's
+owner (see :class:`WorkerPool`): :class:`Stages` for the grid, seeds for
+:mod:`repro.fuzz.harness`.  A child that dies mid-unit (killed, OOM, a
+crash in a compiled core) shows up as end of file on its pipe, after every
+message it sent has been read; the worker reaps it and tells the owner how
+it ended.  A dead child is respawned (cold but correct) when its worker
+next claims a unit.
 """
 
 from __future__ import annotations
@@ -57,6 +47,15 @@ def _portable(error: Exception) -> Exception:
         return RuntimeError(f"{type(error).__name__}: {error}")
 
 
+def _how_it_ended(exitcode: int) -> str:
+    """How a child ended: ``was killed by signal 9 (Killed)`` or ``exited
+    with code 1``."""
+    if exitcode < 0:
+        return (f"was killed by signal {-exitcode} "
+                f"({signal.strsignal(-exitcode)})")
+    return f"exited with code {exitcode}"
+
+
 def _stage_messages(session: Session, cells: List[GridCell]
                     ) -> Iterator[Tuple[Any, ...]]:
     """Run one stage on fresh counters: a ``row`` message with each cell's
@@ -75,18 +74,48 @@ def _stage_messages(session: Session, cells: List[GridCell]
     yield "done", stats, cache_stats
 
 
-def _child_main(conn, parent_end, store: ArtifactStore) -> None:
-    """A worker process: one warm session over its copy of the pool's
-    store, stages until ``None`` or until the parent's end of the pipe
-    closes."""
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)   # see _HELD_SIGNALS
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, (signal.SIGTERM,))
-    parent_end.close()
-    session = Session(store=store)
-    with contextlib.suppress(EOFError, OSError):    # the parent is gone
-        for cells in iter(conn.recv, None):
-            for message in _stage_messages(session, cells):
-                conn.send(message)
+class Stages:
+    """The grid's units of work: the stages of ``queue``'s jobs, oldest job
+    first.  A child runs them on one warm session over its copy of
+    ``store`` and sends each cell's payload, which the worker stores as the
+    cell's row artifact in ``store`` and turns into the job's row
+    (:func:`~repro.grid.engine.store_row`), so the caller's resume probe
+    finds every row the pool delivered, also without a disk layer.  A stage
+    whose child dies is retried once, then its job is quarantined."""
+
+    def __init__(self, queue: JobQueue, store: ArtifactStore) -> None:
+        self.cond = queue.cond
+        self._queue = queue
+        self._store = store
+
+    def claim(self) -> Optional[Tuple[JobRecord, int]]:
+        return self._queue.next_stage()
+
+    def child(self, stages: Iterator[List[GridCell]]
+              ) -> Iterator[Tuple[Any, ...]]:
+        session = Session(store=self._store)
+        for cells in stages:
+            yield from _stage_messages(session, cells)
+
+    def exchange(self, conn, claim: Tuple[JobRecord, int]) -> None:
+        job, index = claim
+        stage = job.stages[index]
+        conn.send(stage)
+        while True:
+            kind, *fields = conn.recv()
+            if kind == "row":
+                position, payload = fields
+                self._queue.append_row(
+                    job, store_row(self._store, stage[position], payload))
+            elif kind == "done":
+                self._queue.stage_done(job, index, *fields)
+                return
+            else:
+                self._queue.stage_failed(job, index, *fields)
+                return
+
+    def died(self, claim: Tuple[JobRecord, int], how: str) -> None:
+        self._queue.worker_died(*claim, how)
 
 
 @dataclass
@@ -99,14 +128,18 @@ class _Worker:
 
 
 class WorkerPool:
-    """``size`` workers, each a claim-run-report loop over one queue that
-    runs its stages in a forked child and stores their rows in ``store``."""
+    """``size`` workers, each a claim-run-report loop over ``work``'s units
+    that runs them in a forked child.  ``work`` has ``cond``, which the
+    workers wait on while ``claim()`` (called holding it) returns ``None``;
+    ``child(units)``, the messages a child sends for the units it receives;
+    ``exchange(conn, unit)``, which sends a unit to the child and reports
+    what it sends back; and ``died(unit, how)``, told how the child running
+    ``unit`` ended (``was killed by signal 9 (Killed)``)."""
 
-    def __init__(self, queue: JobQueue, store: ArtifactStore,
-                 size: int) -> None:
+    def __init__(self, work: Any, size: int) -> None:
         self.size = size
-        self._queue = queue
-        self._store = store
+        self._work = work
+        self._cond = work.cond
         self._ctx = multiprocessing.get_context("fork")
         self._workers = [_Worker() for _ in range(size)]
         self._stopping = False
@@ -114,7 +147,8 @@ class WorkerPool:
     def start(self) -> None:
         """Fork the children, then start every worker's loop; raises
         ``OSError`` when the environment cannot create processes (the
-        daemon then fails to start, and run_grid runs serially)."""
+        daemon then fails to start, and run_grid and run_fuzz run
+        serially)."""
         try:
             for worker in self._workers:
                 self._spawn(worker)
@@ -130,12 +164,12 @@ class WorkerPool:
             worker.thread.start()
 
     def stop(self) -> None:
-        """End every loop.  A child still running a stage is killed instead
-        of waited for: its job is over (cancelled, the drain gave up, or
-        run_grid's caller stopped reading)."""
-        with self._queue.cond:
+        """End every loop.  A child still running a unit is killed instead
+        of waited for: its unit is over (its job cancelled, the drain gave
+        up, or the pool's owner stopped waiting)."""
+        with self._cond:
             self._stopping = True
-            self._queue.cond.notify_all()
+            self._cond.notify_all()
             busy = [worker for worker in self._workers if worker.busy]
         for worker in busy:
             worker.process.kill()
@@ -148,7 +182,7 @@ class WorkerPool:
                 if worker.process.is_alive()]
 
     def busy_pids(self) -> List[int]:
-        with self._queue.cond:
+        with self._cond:
             busy = [worker for worker in self._workers if worker.busy]
         return [worker.process.pid for worker in busy]
 
@@ -156,62 +190,56 @@ class WorkerPool:
 
     def _loop(self, worker: _Worker) -> None:
         while True:
-            claim = self._claim(worker)
-            if claim is None:
+            unit = self._claim(worker)
+            if unit is None:
                 break
             try:
-                self._run(worker, *claim)
+                self._run(worker, unit)
             finally:
-                with self._queue.cond:
+                with self._cond:
                     worker.busy = False
         self._close_child(worker)
 
-    def _claim(self, worker: _Worker) -> Optional[Tuple[JobRecord, int]]:
-        """The oldest job's next pending stage, waiting while there is
-        none; ``None`` once the pool stops."""
-        with self._queue.cond:
+    def _claim(self, worker: _Worker) -> Any:
+        """The work's next unit, waiting while there is none; ``None`` once
+        the pool stops."""
+        with self._cond:
             while not self._stopping:
-                claim = self._queue.next_stage()
-                if claim is not None:
+                unit = self._work.claim()
+                if unit is not None:
                     worker.busy = True
-                    return claim
-                self._queue.cond.wait()
+                    return unit
+                self._cond.wait()
             return None
 
-    def _run(self, worker: _Worker, job: JobRecord, index: int) -> None:
-        """Run one stage in the worker's child, storing and queueing each
-        row it sends."""
-        stage = job.stages[index]
+    def _run(self, worker: _Worker, unit: Any) -> None:
         try:
-            if not worker.process.is_alive():   # died since its last stage
+            if not worker.process.is_alive():   # died since its last unit
                 worker.conn.close()
                 self._spawn(worker)
-            worker.conn.send(stage)
-            while True:
-                kind, *fields = worker.conn.recv()
-                if kind == "row":
-                    position, payload = fields
-                    self._queue.append_row(
-                        job, store_row(self._store, stage[position], payload))
-                elif kind == "done":
-                    self._queue.stage_done(job, index, *fields)
-                    return
-                else:
-                    self._queue.stage_failed(job, index, *fields)
-                    return
+            self._work.exchange(worker.conn, unit)
         except (EOFError, OSError):
-            # The child died mid-stage, after every message it sent was
+            # The child died mid-unit, after every message it sent was
             # reported.  Reap it now (its pipe can read as end of file
             # first), so that the next claim sees it dead.
-            worker.process.kill()
-            worker.process.join()
-            self._queue.worker_died(job, index)
+            self._reap(worker)
+            self._work.died(unit, _how_it_ended(worker.process.exitcode))
+
+    def _child_main(self, conn, parent_end) -> None:
+        """A forked child: runs the units it is sent until ``None`` or
+        until the parent's end of the pipe closes."""
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)   # see _HELD_SIGNALS
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, (signal.SIGTERM,))
+        parent_end.close()
+        with contextlib.suppress(EOFError, OSError):    # the parent is gone
+            for message in self._work.child(iter(conn.recv, None)):
+                conn.send(message)
 
     def _spawn(self, worker: _Worker) -> None:
         with _SPAWN_LOCK:
             parent_end, child_end = self._ctx.Pipe()
             process = self._ctx.Process(
-                target=_child_main, args=(child_end, parent_end, self._store),
+                target=self._child_main, args=(child_end, parent_end),
                 name="repro-pool-child", daemon=True)
             held = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD_SIGNALS)
             try:
@@ -221,10 +249,13 @@ class WorkerPool:
                 child_end.close()
         worker.process, worker.conn = process, parent_end
 
-    def _close_child(self, worker: _Worker) -> None:
-        with contextlib.suppress(OSError):   # already dead
-            worker.conn.send(None)
+    def _reap(self, worker: _Worker) -> None:
         worker.process.join(timeout=2.0)
         worker.process.kill()   # a no-op once it has exited
         worker.process.join()
+
+    def _close_child(self, worker: _Worker) -> None:
+        with contextlib.suppress(OSError):   # already dead
+            worker.conn.send(None)
+        self._reap(worker)
         worker.conn.close()

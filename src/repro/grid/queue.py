@@ -311,8 +311,9 @@ class JobQueue:
                 "code": "failed", "stage": index,
                 "message": f"{type(error).__name__}: {error}"})
 
-    def worker_died(self, job: JobRecord, index: int) -> None:
-        """The worker running this stage died (killed, OOM).
+    def worker_died(self, job: JobRecord, index: int, how: str) -> None:
+        """The worker running this stage died (killed, OOM); ``how`` says
+        how its child ended (``was killed by signal 9 (Killed)``).
 
         First death: the stage is re-queued for one retry on a fresh
         worker.  Second death: the job is quarantined — a cell that kills
@@ -329,8 +330,8 @@ class JobQueue:
                 job.stage_state[index] = _DONE
                 self._finish(job, JobState.QUARANTINED, {
                     "code": "quarantined",
-                    "message": f"stage {index} killed its worker twice; "
-                               f"job quarantined",
+                    "message": f"the second worker to run stage {index} "
+                               f"{how}; job quarantined",
                     "stage": index,
                     "attempts": job.stage_attempts[index]})
 

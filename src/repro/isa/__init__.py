@@ -15,7 +15,6 @@ from .instruction import (
     INSTRUCTION_BYTES,
     Instruction,
     format_instruction,
-    make_halt,
     make_handle,
     make_nop,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "INSTRUCTION_BYTES",
     "Instruction",
     "format_instruction",
-    "make_halt",
     "make_handle",
     "make_nop",
     "OpClass",

@@ -13,7 +13,7 @@ disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .opcodes import CONDITIONAL_MOVES, OpClass, OpSpec, opcode
@@ -112,10 +112,6 @@ class Instruction:
     def is_handle(self) -> bool:
         """True if this is a mini-graph handle (``mg``)."""
         return self.spec.op_class is OpClass.MG
-
-    @property
-    def is_fp(self) -> bool:
-        return self.spec.is_fp
 
     @property
     def mgid(self) -> int:
@@ -220,11 +216,6 @@ def format_instruction(insn: Instruction) -> str:
 def make_nop() -> Instruction:
     """Return a canonical nop."""
     return Instruction("nop")
-
-
-def make_halt() -> Instruction:
-    """Return a halt instruction."""
-    return Instruction("halt")
 
 
 def make_handle(rs1: Optional[int], rs2: Optional[int], rd: Optional[int],

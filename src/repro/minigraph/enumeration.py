@@ -313,10 +313,6 @@ def clear_block_memo() -> None:
     _BLOCK_MEMO.clear()
 
 
-def block_memo_size() -> int:
-    return len(_BLOCK_MEMO)
-
-
 def _block_content_key(instructions: Sequence[Instruction]
                        ) -> Tuple[Tuple, FrozenSet[int]]:
     """(content key, written registers) of a block's instruction sequence."""

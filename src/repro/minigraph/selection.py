@@ -111,9 +111,6 @@ class SelectionResult:
         return {size: benefit / self.dynamic_instructions
                 for size, benefit in sorted(by_size.items())}
 
-    def templates(self) -> List[MiniGraphTemplate]:
-        return [selected.template for selected in self.selected]
-
 
 @dataclass
 class _TemplateGroup:

@@ -14,7 +14,7 @@ members.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..isa.instruction import Instruction
 from .program import Program
@@ -56,12 +56,6 @@ class BasicBlock:
     def indices(self) -> range:
         """Layout indices covered by the block."""
         return range(self.start_index, self.end_index)
-
-    def __iter__(self) -> Iterator[Instruction]:
-        return iter(self.instructions)
-
-    def __len__(self) -> int:
-        return len(self.instructions)
 
 
 def find_leaders(program: Program) -> List[int]:
@@ -120,12 +114,6 @@ class BlockIndex:
     def block_of_pc(self, pc: int) -> BasicBlock:
         """Return the block containing ``pc``."""
         return self.block_of_index(self._program.index_of(pc))
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def __iter__(self) -> Iterator[BasicBlock]:
-        return iter(self._blocks)
 
 
 def average_block_size(blocks: Sequence[BasicBlock]) -> float:

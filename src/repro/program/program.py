@@ -9,7 +9,7 @@ mini-graph extractor analyses and that the binary rewriter transforms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ..isa.assembler import AssembledUnit, assemble
 from ..isa.instruction import INSTRUCTION_BYTES, Instruction, format_instruction
@@ -130,10 +130,6 @@ class Program:
         return (offset >= 0 and offset % INSTRUCTION_BYTES == 0
                 and offset // INSTRUCTION_BYTES < len(self.instructions))
 
-    def at(self, pc: int) -> Instruction:
-        """Return the instruction at ``pc``."""
-        return self.instructions[self.index_of(pc)]
-
     def __len__(self) -> int:
         return len(self.instructions)
 
@@ -144,12 +140,6 @@ class Program:
         """Yield ``(pc, instruction)`` pairs in layout order."""
         for index, insn in enumerate(self.instructions):
             yield self.pc_of(index), insn
-
-    # -- queries -------------------------------------------------------------
-
-    def handle_count(self) -> int:
-        """Number of static mini-graph handles in the program."""
-        return sum(1 for insn in self.instructions if insn.is_handle)
 
     # -- transformation ------------------------------------------------------
 

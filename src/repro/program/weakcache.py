@@ -53,6 +53,3 @@ class PerProgramCache(Generic[T]):
                 evict(entries, k, r))
         self._entries[key] = (ref, value)
         return value
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -48,7 +48,7 @@ from ..api.spec import RunSpec, SpecError
 from ..api.store import ArtifactStore, CacheStats
 from ..grid.engine import resume_rows
 from ..grid.planner import plan_cells
-from ..grid.pool import WorkerPool
+from ..grid.pool import Stages, WorkerPool
 from ..grid.queue import AdmissionError, JobQueue
 from ..grid.spec import GridCell
 from ..uarch.config import ConfigError
@@ -120,7 +120,7 @@ class ServeServer:
         self.started_at = time.monotonic()
         # Bind first: a busy socket fails the start before any worker forks.
         self._bind()
-        pool = WorkerPool(self.queue, self.store, self.workers)
+        pool = WorkerPool(Stages(self.queue, self.store), self.workers)
         try:
             pool.start()
         except BaseException:

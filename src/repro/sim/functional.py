@@ -448,10 +448,6 @@ class FunctionalSimulator:
         self._mgt = mgt
         self._plan = _PLANS.get(program)
 
-    @property
-    def program(self) -> Program:
-        return self._program
-
     # -- execution -------------------------------------------------------------
 
     def run(self, *, max_instructions: int = 200_000) -> FunctionalResult:

@@ -8,8 +8,8 @@ paper's: split 32KB L1 instruction and data caches, a unified 2MB L2 and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from .config import CacheConfig, MachineConfig
 
@@ -25,19 +25,10 @@ class CacheStats:
 class Cache:
     """A set-associative tag store with LRU replacement."""
 
-    def __init__(self, config: CacheConfig, name: str = "cache") -> None:
+    def __init__(self, config: CacheConfig) -> None:
         self._config = config
-        self._name = name
         self._sets: List[List[int]] = [[] for _ in range(config.num_sets)]
         self.stats = CacheStats()
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def config(self) -> CacheConfig:
-        return self._config
 
     def _locate(self, address: int) -> tuple[int, int]:
         line = address // self._config.line_bytes
@@ -74,9 +65,9 @@ class MemoryHierarchy:
 
     def __init__(self, config: MachineConfig) -> None:
         self._config = config
-        self.icache = Cache(config.icache, "L1I")
-        self.dcache = Cache(config.dcache, "L1D")
-        self.l2 = Cache(config.l2cache, "L2")
+        self.icache = Cache(config.icache)
+        self.dcache = Cache(config.dcache)
+        self.l2 = Cache(config.l2cache)
 
     def instruction_latency(self, address: int) -> int:
         """Latency of fetching the line containing ``address``."""

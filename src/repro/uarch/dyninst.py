@@ -23,9 +23,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..isa.instruction import Instruction
-from ..minigraph.mgt import MgtEntry
-from ..sim.trace import TF_CONTROL, TF_LOAD, TF_MEMORY, TF_STORE
 from .decode import DecodedOp
 
 #: Sentinel cycle value meaning "has not happened yet".
@@ -90,70 +87,3 @@ class DynInst:
         self.caused_ordering_violation = False
         self.pending_sources = 0
         self.wake_cycle = NEVER
-
-    # -- static views (delegate to the interned decode record) ---------------------
-
-    @property
-    def static(self) -> Instruction:
-        return self.decoded.static
-
-    @property
-    def mgt_entry(self) -> Optional[MgtEntry]:
-        return self.decoded.mgt_entry
-
-    @property
-    def is_handle(self) -> bool:
-        return self.decoded.mgt_entry is not None
-
-    @property
-    def is_conditional_branch(self) -> bool:
-        return self.decoded.is_conditional_branch
-
-    @property
-    def needs_destination(self) -> bool:
-        """Does this entity allocate a physical destination register?
-
-        Following the paper's baseline, stores and branches are not allocated
-        registers; a handle allocates one register only if its mini-graph has
-        an interface output.
-        """
-        return self.decoded.needs_destination
-
-    def source_registers(self) -> Tuple[int, ...]:
-        """Architectural source registers (handles expose the interface only)."""
-        return self.decoded.static.source_registers()
-
-    # -- dynamic views (from the packed trace-row scalars) -------------------------
-
-    @property
-    def is_load(self) -> bool:
-        return bool(self.flags & TF_LOAD)
-
-    @property
-    def is_store(self) -> bool:
-        return bool(self.flags & TF_STORE)
-
-    @property
-    def is_memory(self) -> bool:
-        return bool(self.flags & TF_MEMORY)
-
-    @property
-    def is_control(self) -> bool:
-        return bool(self.flags & TF_CONTROL)
-
-    # -- status --------------------------------------------------------------------
-
-    @property
-    def issued(self) -> bool:
-        return self.issue_cycle != NEVER
-
-    @property
-    def completed(self) -> bool:
-        return self.complete_cycle != NEVER
-
-    def describe(self) -> str:
-        """Readable one-liner for debugging and trace dumps."""
-        kind = f"mg[{self.static.mgid}]" if self.is_handle else self.static.op
-        return (f"#{self.sequence} pc={self.pc:#x} {kind} "
-                f"fetch={self.fetch_cycle} issue={self.issue_cycle} "
-                f"complete={self.complete_cycle} retire={self.retire_cycle}")

@@ -26,7 +26,7 @@ from .base import (
     register_benchmark,
 )
 from . import comm, embedded, media, spec
-from .synth import SYNTH_SUITE, is_synth_name, synth, synth_benchmark
+from .synth import SYNTH_SUITE, synth, synth_benchmark
 
 # Populate the registry exactly once at import time.
 if len(REGISTRY) == 0:  # pragma: no branch - guarded for re-import safety
@@ -76,7 +76,6 @@ __all__ = [
     "SUITE_TITLES",
     "SYNTH_SUITE",
     "WorkloadError",
-    "is_synth_name",
     "synth",
     "synth_benchmark",
     "data_directive",

@@ -16,9 +16,8 @@ Every benchmark provides at least two deterministic input sets:
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..program.program import Program
 
@@ -166,9 +165,6 @@ class BenchmarkRegistry:
 
     def __len__(self) -> int:
         return len(self._benchmarks)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._benchmarks
 
 
 #: The global registry; suite modules populate it at import time.

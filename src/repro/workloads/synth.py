@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from ..fuzz.generator import (
     SYNTH_BUDGET,
-    SYNTH_PREFIX,
     SynthSpec,
     SynthSpecError,
     generate_source,
@@ -28,11 +27,6 @@ from .base import Benchmark
 #: ``SUITE_NAMES``: the family never enters the registry, so suite sweeps
 #: ("run every registered benchmark of suite X") are unaffected.
 SYNTH_SUITE = "synth"
-
-
-def is_synth_name(name: str) -> bool:
-    """True if ``name`` belongs to the synth workload family."""
-    return isinstance(name, str) and name.startswith(SYNTH_PREFIX)
 
 
 def synth_benchmark(name: str) -> Benchmark:
@@ -57,5 +51,5 @@ def synth_benchmark(name: str) -> Benchmark:
     )
 
 
-__all__ = ["SYNTH_SUITE", "SynthSpec", "SynthSpecError", "is_synth_name",
-           "synth", "synth_benchmark"]
+__all__ = ["SYNTH_SUITE", "SynthSpec", "SynthSpecError", "synth",
+           "synth_benchmark"]

@@ -905,6 +905,29 @@ class TestStoreDatabase:
         assert self._store(tmp_path).get("key") == 1
         store.close()
 
+    def test_cache_clear_reports_the_database_it_replaced(self, tmp_path,
+                                                          capsys):
+        """`repro cache clear` says it replaced an unreadable database and
+        gives no warning that the cache runs in memory only."""
+        from repro.api.cli import main
+        database = _database(tmp_path, self.VERSION)
+        command = ["--cache-dir", str(tmp_path), "cache", "clear"]
+        database.write_bytes(os.urandom(4096))
+        assert main(command) == 0
+        output = capsys.readouterr()
+        assert (output.out, output.err) == (
+            "replaced an unreadable cache database (file is not a database); "
+            "removed 0 cached artifacts\n", "")
+        for replaced in ("file is not a database", None):
+            if replaced is not None:
+                database.write_bytes(os.urandom(4096))
+            assert main(["--json", *command]) == 0
+            output = capsys.readouterr()
+            assert json.loads(output.out) == {
+                "cache_dir": str(tmp_path), "removed": 0,
+                "replaced_unreadable": replaced}
+            assert output.err == "" and not database.exists()
+
     def test_a_clear_in_another_process_reaches_a_live_store(self, tmp_path):
         # The other process's store keeps its connection across the clear:
         # each then reads the rows the other puts.

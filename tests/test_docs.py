@@ -91,9 +91,10 @@ def test_package_imports_with_the_standard_library_alone():
 
 def test_the_cli_imports_no_process_pool_and_no_fuzzer():
     """Every CLI call pays for what ``repro.api.cli`` imports: the worker
-    pool and the fuzzer load only for the commands that use them."""
+    pool, the fuzzer, the figure modules and the grid engine load only for
+    the commands that use them."""
     lazy = ("multiprocessing", "concurrent.futures", "repro.fuzz.harness",
-            "repro.fuzz.oracles")
+            "repro.fuzz.oracles", "repro.experiments", "repro.grid")
     script = ("import json, sys\n"
               "import repro.api.cli\n"
               f"print(json.dumps([name for name in {lazy!r} "

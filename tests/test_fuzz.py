@@ -246,6 +246,19 @@ class TestOracleSensitivity:
         assert report.ok
         assert report.differential_runs == 4 * len(ORACLE_NAMES)
 
+    def test_a_pooled_campaign_reports_what_a_serial_one_does(self):
+        """More workers than a 2-vCPU host has cores give every seed's
+        oracle results in seed order, and two give the report a serial
+        campaign gives, its timings aside."""
+        jobs = [(seed, ("codec",), None, "reference") for seed in range(6)]
+        assert harness._fan_out(jobs, 3) == harness._fan_out(jobs, 1)
+        timings = ("elapsed_seconds", "runs_per_second")
+        pooled, serial = ({key: value for key, value
+                           in run_fuzz(4, workers=workers).payload().items()
+                           if key not in timings} for workers in (2, 1))
+        assert pooled == serial and pooled["ok"]
+        assert multiprocessing.active_children() == []
+
 
 #: Pid of the test process; a campaign's seed workers fork from it.
 _CAMPAIGN_PID = os.getpid()

@@ -48,6 +48,8 @@ def _mini_grid(benchmarks=("bitcount",), budget=BUDGET, name="serve-test",
 
 _SPEC = RunSpec(benchmark="bitcount", budget=BUDGET)
 _POINT = (("benchmark", "bitcount"),)
+#: How a pool says a child ended, as the queue's death tests pass it.
+_KILLED = "was killed by signal 9 (Killed)"
 
 
 def _stage(spec=None):
@@ -228,13 +230,14 @@ class TestJobQueue:
         job = queue.submit([_stage()])
         claimed, index = queue.next_stage()
         assert claimed is job
-        queue.worker_died(job, index)           # first death: re-queued
+        queue.worker_died(job, index, _KILLED)  # first death: re-queued
         assert job.state is JobState.RUNNING
         claimed, index = queue.next_stage()     # retry claim
         assert claimed is job
-        queue.worker_died(job, index)           # second death: quarantined
+        queue.worker_died(job, index, _KILLED)  # second death: quarantined
         assert job.state is JobState.QUARANTINED
         assert job.error["code"] == "quarantined"
+        assert _KILLED in job.error["message"]
         assert queue.next_stage() is None
 
     def test_empty_job_is_born_done_with_prepopulated_rows(self):
@@ -263,10 +266,10 @@ class TestJobQueue:
             elif transition == "stage-failed":
                 queue.stage_failed(job, index, RuntimeError("boom"))
             elif transition == "worker-died-twice":
-                queue.worker_died(job, index)
+                queue.worker_died(job, index, _KILLED)
                 assert list(queue._live) == [job.id]   # retried, still live
                 queue.next_stage()
-                queue.worker_died(job, index)
+                queue.worker_died(job, index, _KILLED)
             else:
                 queue.cancel(job.id)
         assert job.terminal and job.finished_at is not None
@@ -783,6 +786,8 @@ class TestWorkerDeath:
                     time.sleep(0.05)
             assert job["state"] == "quarantined"
             assert job["error"]["code"] == "quarantined"
+            assert f"killed by signal {int(signal.SIGKILL)}" \
+                in job["error"]["message"]
             assert job["attempts"] >= 2          # original run + one retry
             # The daemon survived two worker deaths: a fresh submit works.
             with _client(server) as client:

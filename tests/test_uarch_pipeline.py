@@ -234,9 +234,10 @@ class TestEventDrivenScheduler:
                 if producer is None:
                     continue  # architectural initial value, ready at cycle 0
                 assert inst.issue_cycle >= producer.output_ready_cycle, (
-                    f"consumer {inst.describe()} woke before producer "
-                    f"{producer.describe()} broadcast at "
-                    f"{producer.output_ready_cycle}")
+                    f"consumer #{inst.sequence} (pc {inst.pc:#x}) issued at "
+                    f"{inst.issue_cycle}, before producer "
+                    f"#{producer.sequence} (pc {producer.pc:#x}) broadcast "
+                    f"at {producer.output_ready_cycle}")
                 checked += 1
             if inst.destination_physical is not None:
                 producers[inst.destination_physical] = inst
